@@ -17,8 +17,7 @@ from .forms import (
     is_positive_definite,
     sampled_sphere_nonneg,
 )
-from .gaussian import GaussianRational
-from .poly import MultiPoly, TruncatedSeries
+from .poly import MultiPoly, TruncatedSeries, horner, implicit_root
 
 
 @dataclass(frozen=True)
@@ -49,16 +48,6 @@ class PhiClassification:
     zero_gradient_components: tuple = ()
 
 
-def _z_coefficients(p: MultiPoly):
-    """Split p into z-degree slices c_k(x) with z the last variable."""
-    x_vars = p.vars[:-1]
-    slices: dict[int, dict] = {}
-    for exps, coeff in p.terms.items():
-        k = exps[-1]
-        slices.setdefault(k, {})[exps[:-1]] = coeff
-    return {k: MultiPoly(x_vars, t) for k, t in slices.items()}
-
-
 def solve_branch(p: MultiPoly, order: int) -> BranchSolution:
     """Compute phi with p(x, -phi(x)) vanishing through total degree `order`.
 
@@ -70,41 +59,19 @@ def solve_branch(p: MultiPoly, order: int) -> BranchSolution:
     zero = (0,) * n
     if not p.coefficient(zero).is_zero():
         raise PreconditionError("p(0) != 0: no zero at the origin")
-    z_unit = (0,) * (n - 1) + (1,)
-    pivot = p.coefficient(z_unit)
-    if pivot.is_zero():
+    if p.coefficient((0,) * (n - 1) + (1,)).is_zero():
         raise PreconditionError("dp/dz(0) = 0: zero is not smooth in z")
 
-    slices = _z_coefficients(p)
-    x_vars = p.vars[:-1]
-    phi = MultiPoly.zero(x_vars)
-    for m in range(1, order + 1):
-        # degree-m part of p(x, -phi) with the current partial phi
-        neg_phi = -phi
-        residual = MultiPoly.zero(x_vars)
-        for k, ck in slices.items():
-            if k == 0:
-                residual = residual + ck.truncate(m)
-            else:
-                residual = residual + ck.mul_truncated(
-                    neg_phi.pow_truncated(k, m), m
-                )
-        part = residual.homogeneous_part(m)
-        if part.is_zero():
-            continue
-        phi = phi + part.scale(GaussianRational(1) / pivot)
-
+    slices = p.slices(p.vars[-1])
+    root = implicit_root(slices, order)  # z = root(x) = -phi(x)
     # exact residual of the truncated phi
-    neg_phi = -phi
-    residual = MultiPoly.zero(x_vars)
-    for k, ck in slices.items():
-        residual = residual + ck * (neg_phi**k)
-    residual_order = residual.min_degree()
+    residual_order = horner(slices, root, None).min_degree()
     if residual_order is not None and residual_order <= order:
         raise AssertionError(
             f"solver fixed point failed: residual has degree {residual_order}"
         )
 
+    phi = -root
     grad0 = tuple(
         phi.coefficient(tuple(1 if j == i else 0 for j in range(n - 1)))
         for i in range(n - 1)
@@ -181,14 +148,16 @@ def classify(sol: BranchSolution, sphere_samples: int = 10_000, seed: int = 0):
         nonneg = is_nonnegative(form)
         definite = is_positive_definite(form)
     else:
-        nonneg, witness = sampled_sphere_nonneg(im_part, sphere_samples, seed)
+        nonneg, witness, sampled_min = sampled_sphere_nonneg(
+            im_part, sphere_samples, seed
+        )
         if not nonneg:
             raise SanityViolation(
                 "imaginary part sampled negative on a real direction",
                 witness=witness,
             )
         # sampled min > 0 is the best available definiteness verdict here
-        definite = _sampled_sphere_min(im_part, sphere_samples, seed) > 0.0
+        definite = sampled_min > 0.0
     if not nonneg:
         raise SanityViolation(
             "imaginary part is not nonnegative on real directions",
@@ -204,19 +173,3 @@ def classify(sol: BranchSolution, sphere_samples: int = 10_000, seed: int = 0):
         zero_gradient_components=zero_components,
     )
 
-
-def _sampled_sphere_min(p: MultiPoly, n_points: int, seed: int) -> float:
-    import math
-    import random
-
-    rng = random.Random(seed)
-    d = len(p.vars)
-    best = math.inf
-    for _ in range(n_points):
-        v = [rng.gauss(0.0, 1.0) for _ in range(d)]
-        norm = math.sqrt(sum(t * t for t in v))
-        if norm == 0.0:
-            continue
-        v = [t / norm for t in v]
-        best = min(best, p.eval_complex(v).real)
-    return best

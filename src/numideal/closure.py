@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import NoMonomializationFound, PreconditionError, TruncationError
 from .forms import count_real_roots, _strip
 from .gaussian import GaussianRational
-from .poly import MultiPoly, TruncatedSeries
+from .poly import MultiPoly, TruncatedSeries, linear_change
 
 
 @dataclass(frozen=True)
@@ -51,23 +51,10 @@ class MonomialIdealIC:
 
     def to_uv(self, q: MultiPoly) -> MultiPoly:
         """Rewrite a polynomial in (x, y) in the (u, v) coordinates."""
-        (i00, i01), (i10, i11) = self.inverse
-        uv = ("u", "v")
-        xu = MultiPoly(uv, {(1, 0): GaussianRational(i00), (0, 1): GaussianRational(i01)})
-        yu = MultiPoly(uv, {(1, 0): GaussianRational(i10), (0, 1): GaussianRational(i11)})
-        return q.subs({q.vars[0]: xu, q.vars[1]: yu})
+        return linear_change(q, self.inverse, ("u", "v"))
 
     def from_uv_monomial(self, a: int, b: int, xy_vars) -> MultiPoly:
-        (c00, c01), (c10, c11) = self.change
-        lu = MultiPoly(
-            xy_vars,
-            {(1, 0): GaussianRational(c00), (0, 1): GaussianRational(c01)},
-        )
-        lv = MultiPoly(
-            xy_vars,
-            {(1, 0): GaussianRational(c10), (0, 1): GaussianRational(c11)},
-        )
-        return lu**a * lv**b
+        return linear_change(MultiPoly(("u", "v"), {(a, b): 1}), self.change, xy_vars)
 
 
 def _pareto_frontier(points):
@@ -225,11 +212,7 @@ def monomialize(g: MultiPoly, sample_radii=None) -> MonomialIdealIC:
 
 
 def _try_change(g, change, inverse, sample_radii):
-    uv = ("u", "v")
-    (i00, i01), (i10, i11) = inverse
-    xu = MultiPoly(uv, {(1, 0): GaussianRational(i00), (0, 1): GaussianRational(i01)})
-    yu = MultiPoly(uv, {(1, 0): GaussianRational(i10), (0, 1): GaussianRational(i11)})
-    G = g.subs({g.vars[0]: xu, g.vars[1]: yu})
+    G = linear_change(g, inverse, ("u", "v"))
     candidates = {
         (a, b): c.re
         for (a, b), c in G.terms.items()

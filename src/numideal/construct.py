@@ -170,24 +170,14 @@ def iterated_composition(L: int) -> MultiPoly:
     if L < 1:
         raise PreconditionError("L must be >= 1")
     g = pick_quotient(linear3_polynomial())
-    N, D = g.num, g.den
-
-    def z_rows(poly: MultiPoly):
-        x_vars = poly.vars[:-1]
-        one: dict = {}
-        zero: dict = {}
-        for exps, c in poly.terms.items():
-            if exps[-1] == 0:
-                zero[exps[:-1]] = c
-            elif exps[-1] == 1:
-                one[exps[:-1]] = c
-            else:
-                raise AssertionError("composition input must have z-degree 1")
-        return MultiPoly(x_vars, one), MultiPoly(x_vars, zero)
-
-    n1, n0 = z_rows(N)
-    d1, d0 = z_rows(D)
-    base = ((n1, n0), (d1, d0))
+    zero = MultiPoly.zero(g.num.vars[:-1])
+    rows = []
+    for poly in (g.num, g.den):
+        if poly.var_degree("z") > 1:
+            raise AssertionError("composition input must have z-degree 1")
+        z_slices = poly.slices("z")
+        rows.append((z_slices.get(1, zero), z_slices.get(0, zero)))
+    base = tuple(rows)
     mat = base
     for _ in range(L - 1):
         mat = _mat_mul(mat, base)

@@ -22,7 +22,7 @@ from .closure import MonomialIdealIC, ic_generators, ic_membership, monomialize
 from .errors import PreconditionError, SanityViolation, TruncationError
 from .gaussian import GaussianRational
 from .parsing import _term_sort_key, format_poly
-from .poly import MultiPoly, TruncatedSeries, substitute
+from .poly import MultiPoly, TruncatedSeries, linear_change, substitute
 from .puiseux import ComparablePolynomial, comparable_polynomial
 
 
@@ -110,14 +110,8 @@ def _z_split(p: MultiPoly):
     """For deg_z(p) = 1 return (b, c) with p = c(x) z + b(x), else None."""
     if p.var_degree(p.vars[-1]) != 1:
         return None
-    x_vars = p.vars[:-1]
-    b_terms, c_terms = {}, {}
-    for exps, coeff in p.terms.items():
-        if exps[-1] == 0:
-            b_terms[exps[:-1]] = coeff
-        else:
-            c_terms[exps[:-1]] = coeff
-    return MultiPoly(x_vars, b_terms), MultiPoly(x_vars, c_terms)
+    slices = p.slices(p.vars[-1])
+    return slices.get(0, MultiPoly.zero(p.vars[:-1])), slices[1]
 
 
 def _linear_power_of(form: MultiPoly):
@@ -176,21 +170,17 @@ def _linear_power_of(form: MultiPoly):
     return ell, scale
 
 
-def _poly_divides_power(numerator: MultiPoly, ell: MultiPoly, power: int):
-    """Exact test ell^power | numerator for a linear ell = a x + b y."""
+def _ell_frame(q: MultiPoly, ell: MultiPoly) -> MultiPoly:
+    """q in the coordinates u = ell = a x + b y, v = -b x + a y."""
     a = ell.coefficient((1, 0)).re
     b = ell.coefficient((0, 1)).re
-    # change coordinates u = a x + b y, v = complementary form
-    uv = ("u", "v")
     det = a * a + b * b
-    xr = MultiPoly(uv, {(1, 0): GaussianRational(a / det), (0, 1): GaussianRational(-b / det)})
-    yr = MultiPoly(uv, {(1, 0): GaussianRational(b / det), (0, 1): GaussianRational(a / det)})
-    quv = numerator.subs({numerator.vars[0]: xr, numerator.vars[1]: yr})
-    return all(e[0] >= power for e in quv.terms)
+    return linear_change(q, ((a / det, -b / det), (b / det, a / det)), ("u", "v"))
 
 
-def _series_divides_power(series: TruncatedSeries, ell: MultiPoly, power: int):
-    return _poly_divides_power(series.poly, ell, power)
+def _poly_divides_power(numerator: MultiPoly, ell: MultiPoly, power: int):
+    """Exact test ell^power | numerator for a linear ell = a x + b y."""
+    return all(e[0] >= power for e in _ell_frame(numerator, ell).terms)
 
 
 def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescription:
@@ -266,7 +256,7 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
             )
             quotient_ok = _poly_divides_power(num_im, ell, 2 * L)
         else:
-            quotient_ok = _series_divides_power(im_phi, ell, 2 * L)
+            quotient_ok = _poly_divides_power(im_phi.poly, ell, 2 * L)
         if quotient_ok:
             re_rational = None
             if split is not None:
@@ -368,7 +358,7 @@ def membership(
         if desc.re_phi_rational is not None:
             ok = _rational_reduction_divides(q, desc, power)
         else:
-            ok = _series_divides_power(reduced, desc.linear_form, power)
+            ok = _poly_divides_power(reduced.poly, desc.linear_form, power)
         if ok:
             return MembershipVerdict(
                 Verdict.IN_IDEAL,
@@ -415,15 +405,10 @@ def _rational_reduction_divides(q: MultiPoly, desc: IdealDescription, power: int
     divisibility by ell^power; the denominator is a unit so it cannot carry
     any factor of ell."""
     re_num, re_den = desc.re_phi_rational
-    x_vars = re_num.vars
-    deg_z = q.var_degree("z") if "z" in q.vars else 0
-    slices: dict[int, dict] = {}
-    for exps, coeff in q.terms.items():
-        k = exps[-1]
-        slices.setdefault(k, {})[exps[:-1]] = coeff
-    total = MultiPoly.zero(x_vars)
-    for k, terms in slices.items():
-        qk = MultiPoly(x_vars, terms)
+    slices = q.slices("z")
+    deg_z = max(slices, default=0)
+    total = MultiPoly.zero(re_num.vars)
+    for k, qk in slices.items():
         total = total + qk * ((-re_num) ** k) * (re_den ** (deg_z - k))
     return _poly_divides_power(total, desc.linear_form, power)
 
@@ -431,14 +416,7 @@ def _rational_reduction_divides(q: MultiPoly, desc: IdealDescription, power: int
 def _linear_form_witness(q0: MultiPoly, desc: IdealDescription):
     """Report how far q0 falls short of the required ell-divisibility."""
     ell = desc.linear_form
-    a = ell.coefficient((1, 0)).re
-    b = ell.coefficient((0, 1)).re
-    det = a * a + b * b
-    uv = ("u", "v")
-    xr = MultiPoly(uv, {(1, 0): GaussianRational(a / det), (0, 1): GaussianRational(-b / det)})
-    yr = MultiPoly(uv, {(1, 0): GaussianRational(b / det), (0, 1): GaussianRational(a / det)})
-    quv = q0.subs({q0.vars[0]: xr, q0.vars[1]: yr})
-    j = min((e[0] for e in quv.terms), default=None)
+    j = min((e[0] for e in _ell_frame(q0, ell).terms), default=None)
     return {
         "zero_line": f"{format_poly(ell)} = 0",
         "ell_exponent": j,

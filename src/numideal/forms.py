@@ -28,13 +28,6 @@ def p_degree(c) -> int:
     return len(c) - 1
 
 
-def p_eval(c, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for coeff in reversed(c):
-        acc = acc * x + coeff
-    return acc
-
-
 def p_add(a, b):
     n = max(len(a), len(b))
     out = [Fraction(0)] * n
@@ -49,18 +42,6 @@ def p_scale(a, s: Fraction):
     if s == 0:
         return []
     return [v * s for v in a]
-
-
-def p_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u == 0:
-            continue
-        for j, v in enumerate(b):
-            out[i + j] += u * v
-    return _strip(out)
 
 
 def p_divmod(a, b):
@@ -358,13 +339,16 @@ def sampled_circle_min(f: HomogeneousForm, n_points: int = 10_000) -> float:
 def sampled_sphere_nonneg(p: MultiPoly, n_points: int, seed: int = 0):
     """Sampled nonnegativity of a real polynomial on unit directions in d vars.
 
-    Returns (ok, witness_direction).  Used for d > 2 where no exact test is
-    implemented.
+    Returns (ok, witness_direction, sampled_min): the first direction where
+    p is negative (None when there is none) and the minimum over all
+    samples.  Used for d > 2 where no exact test is implemented.
     """
     import random
 
     rng = random.Random(seed)
     d = len(p.vars)
+    witness = None
+    best = math.inf
     for _ in range(n_points):
         v = [rng.gauss(0.0, 1.0) for _ in range(d)]
         norm = math.sqrt(sum(t * t for t in v))
@@ -372,6 +356,7 @@ def sampled_sphere_nonneg(p: MultiPoly, n_points: int, seed: int = 0):
             continue
         v = [t / norm for t in v]
         val = p.eval_complex(v).real
-        if val < 0.0:
-            return False, tuple(v)
-    return True, None
+        if val < 0.0 and witness is None:
+            witness = tuple(v)
+        best = min(best, val)
+    return witness is None, witness, best

@@ -316,15 +316,14 @@ class MultiPoly:
         new_vars = tuple(mapping.get(v, v) for v in self.vars)
         return MultiPoly(new_vars, dict(self.terms))
 
-    def drop_var(self, name: str) -> "MultiPoly":
-        """Remove a variable that no term uses."""
+    def slices(self, name: str) -> dict:
+        """Map k -> coefficient of name^k, a polynomial in the other variables."""
         idx = self.vars.index(name)
-        if any(e[idx] for e in self.terms):
-            raise ValueError(f"polynomial still involves {name}")
-        new_vars = self.vars[:idx] + self.vars[idx + 1 :]
-        return MultiPoly(
-            new_vars, {e[:idx] + e[idx + 1 :]: c for e, c in self.terms.items()}
-        )
+        rest = self.vars[:idx] + self.vars[idx + 1 :]
+        buckets: dict[int, dict] = {}
+        for e, c in self.terms.items():
+            buckets.setdefault(e[idx], {})[e[:idx] + e[idx + 1 :]] = c
+        return {k: MultiPoly(rest, t) for k, t in buckets.items()}
 
     def embed(self, new_vars) -> "MultiPoly":
         """View in a larger variable tuple containing the current one."""
@@ -522,3 +521,47 @@ def substitute(p, var: str, replacement, order=None):
     if eff is None:
         return result
     return TruncatedSeries(result, eff)
+
+
+def horner(slices: dict, y: MultiPoly, order) -> MultiPoly:
+    """sum_k slices[k] * y^k by Horner's scheme.
+
+    With an integer order the products are truncated at that total degree,
+    so the result is exact through it; with order None it is exact.
+    """
+    top = max(slices)
+    acc = slices[top]
+    for k in range(top - 1, -1, -1):
+        acc = acc * y if order is None else acc.mul_truncated(y, order)
+        if k in slices:
+            acc = acc + slices[k]
+    return acc
+
+
+def implicit_root(slices: dict, order: int) -> MultiPoly:
+    """The series y(x), y(0) = 0, with sum_k slices[k](x) * y^k = 0 through
+    total degree `order`; the pivot slices[1](0) must be nonzero.
+
+    Undetermined coefficients: with y known below degree m, the degree-m part
+    of the sum is (its value at the partial y) + pivot * y_m, which fixes y_m.
+    """
+    vars = slices[1].vars
+    step = GaussianRational(-1) / slices[1].coefficient((0,) * len(vars))
+    y = MultiPoly.zero(vars)
+    for m in range(1, order + 1):
+        part = horner(slices, y, m).homogeneous_part(m)
+        if not part.is_zero():
+            y = y + part.scale(step)
+    return y
+
+
+def linear_change(poly: MultiPoly, rows, new_vars) -> MultiPoly:
+    """poly with its i-th variable replaced by sum_j rows[i][j] * new_vars[j]."""
+    new_vars = tuple(new_vars)
+    n = len(new_vars)
+    units = [tuple(int(j == k) for k in range(n)) for j in range(n)]
+    forms = {
+        name: MultiPoly(new_vars, dict(zip(units, row)))
+        for name, row in zip(poly.vars, rows)
+    }
+    return poly.subs(forms)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .branch import solve_branch
 from .errors import PreconditionError, SanityViolation, TruncationError
 from .gaussian import GaussianRational, gaussian_sqrt
-from .poly import MultiPoly, TruncatedSeries, series_invert
+from .poly import MultiPoly, TruncatedSeries, implicit_root, series_invert
 
 # -- exact root finding over Q(i) -------------------------------------------
 
@@ -291,46 +291,12 @@ class PuiseuxBranch:
         return sorted((e[0], c) for e, c in self.psi.poly.terms.items())
 
 
-class ExtensionBranch:
-    """Placeholder for a branch whose leading coefficient lives in a degree-2
-    extension of Q(i): records the minimal polynomial and chosen root index.
-
-    Arithmetic past this point is not carried out; operations needing such
-    branches report truncation insufficiency instead of guessing.
-    """
-
-    def __init__(self, r, min_poly, root_index, multiplicity):
-        self.r = r
-        self.min_poly = min_poly
-        self.root_index = root_index
-        self.multiplicity = multiplicity
-        self.resolved = False
-
-
-def _y_slices(F: MultiPoly):
-    out: dict[int, dict] = {}
-    for (a, b), c in F.terms.items():
-        out.setdefault(b, {})[(a,)] = c
-    return {b: MultiPoly(("x",), t) for b, t in out.items()}
-
-
 def _solve_regular(F: MultiPoly, x_budget: int):
     """Unique analytic solution y(x), y(0)=0, of F(x,y)=0 with dF/dy(0,0) != 0."""
-    slices = _y_slices(F)
-    pivot = slices.get(1, MultiPoly.zero(("x",))).coefficient((0,))
-    if pivot.is_zero():
+    slices = F.slices("y")
+    if 1 not in slices or slices[1].coefficient((0,)).is_zero():
         raise AssertionError("regular solve needs a simple root")
-    g = MultiPoly.zero(("x",))
-    for m in range(1, x_budget + 1):
-        acc = MultiPoly.zero(("x",))
-        for k, ck in slices.items():
-            if k == 0:
-                acc = acc + ck.truncate(m)
-            else:
-                acc = acc + ck.mul_truncated(g.pow_truncated(k, m), m)
-        cm = acc.coefficient((m,))
-        if not cm.is_zero():
-            g = g + MultiPoly(("x",), {(m,): -cm / pivot})
+    g = implicit_root(slices, x_budget)
     return {e[0]: c for e, c in g.terms.items()}
 
 
@@ -627,10 +593,7 @@ def weierstrass_prepare(f: MultiPoly, x_order: int, y_order: int):
     Returns (W, u) as MultiPoly in (x, y), valid coefficientwise through
     x^x_order (W exactly, u through y^y_order).
     """
-    slices: dict[int, MultiPoly] = {}
-    for (a, b), c in f.terms.items():
-        cur = slices.setdefault(a, MultiPoly.zero(("y",)))
-        slices[a] = cur + MultiPoly(("y",), {(b,): c})
+    slices = MultiPoly(("x", "y"), f.terms).slices("x")
     f0 = slices.get(0)
     if f0 is None or f0.is_zero():
         raise PreconditionError("f(0, y) = 0: Weierstrass degree undefined")

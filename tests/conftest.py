@@ -1,6 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from numideal.parsing import parse
+
+# the CLI tests start `python -m numideal.cli`; let it import this checkout
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 LINEAR3_TEXT = "x + y + z - 2*i*(x*y + x*z + y*z) - 3*x*y*z"
 NONISOLATED_TEXT = "x + y + z - 2*i*(x*z + y*z) - x*y*z"

@@ -41,6 +41,33 @@ class TestSolveBranch:
             sol = solve_branch(p, order)
             assert sol.residual_order is None or sol.residual_order > order
 
+    def test_quadratic_in_z_gives_catalan_numbers(self):
+        # phi - phi^2 = x: phi = (1 - sqrt(1 - 4x)) / 2
+        sol = solve_branch(parse("z^2 + z + x"), 8)
+        assert sol.phi.poly == parse(
+            "x + x^2 + 2*x^3 + 5*x^4 + 14*x^5 + 42*x^6 + 132*x^7 + 429*x^8",
+            vars=("x",),
+        )
+        assert sol.residual_order == 9
+
+    def test_cubic_in_z(self):
+        # phi + phi^3 = x
+        sol = solve_branch(parse("z^3 + z + x"), 9)
+        assert sol.phi.poly == parse(
+            "x - x^3 + 3*x^5 - 12*x^7 + 55*x^9", vars=("x",)
+        )
+        assert sol.residual_order == 11
+
+    def test_quadratic_in_z_two_variables(self):
+        s = parse("x + y", vars=("x", "y"))
+        catalan = [1, 1, 2, 5, 14, 42]
+        expected = sum(
+            (s**n).scale(c) for n, c in enumerate(catalan, start=1)
+        )
+        sol = solve_branch(parse("z^2 + z + x + y"), len(catalan))
+        assert sol.phi.poly == expected
+        assert sol.residual_order == len(catalan) + 1
+
     def test_precondition_nonzero_at_origin(self):
         with pytest.raises(PreconditionError):
             solve_branch(parse("1 + z + x"), 4)

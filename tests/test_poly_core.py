@@ -8,7 +8,13 @@ import pytest
 from numideal.errors import ArityError, ParseError
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
-from numideal.poly import MultiPoly, TruncatedSeries, series_invert, substitute
+from numideal.poly import (
+    MultiPoly,
+    TruncatedSeries,
+    linear_change,
+    series_invert,
+    substitute,
+)
 
 
 def rand_gaussian(rng, span=6):
@@ -211,3 +217,40 @@ class TestRingAxioms:
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
             assert (a + b) + c == a + (b + c)
+
+
+class TestSlicesAndLinearChange:
+    def test_slices_reassemble(self, linear3):
+        rng = random.Random(31)
+        for p in [linear3] + [rand_poly(rng) for _ in range(20)]:
+            z = MultiPoly.variable(p.vars, "z")
+            total = MultiPoly.zero(p.vars)
+            for k, ck in p.slices("z").items():
+                assert ck.vars == ("x", "y")
+                total = total + ck.embed(p.vars) * z**k
+            assert total == p
+
+    def test_change_substitutes_rows(self):
+        # x -> u + 2v, y -> 3u + 4v
+        q = parse("x*y - 5*x", vars=("x", "y"))
+        u, v = (MultiPoly.variable(("u", "v"), name) for name in ("u", "v"))
+        x, y = u + v.scale(2), u.scale(3) + v.scale(4)
+        expected = x * y - x.scale(5)
+        assert linear_change(q, ((1, 2), (3, 4)), ("u", "v")) == expected
+
+    def test_inverse_change_is_identity(self):
+        rng = random.Random(37)
+        for _ in range(20):
+            while True:
+                a, b, c, d = (
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)
+                )
+                det = a * d - b * c
+                if det != 0:
+                    break
+            rows = ((a, b), (c, d))
+            inverse = ((d / det, -b / det), (-c / det, a / det))
+            q = rand_poly(rng, vars=("x", "y"))
+            quv = linear_change(q, rows, ("u", "v"))
+            assert quv.vars == ("u", "v")
+            assert linear_change(quv, inverse, ("x", "y")) == q
