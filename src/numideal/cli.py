@@ -19,14 +19,7 @@ from .engine import (
     membership,
     numerator_ideal,
 )
-from .errors import (
-    NoMonomializationFound,
-    NumidealError,
-    ParseError,
-    PreconditionError,
-    SanityViolation,
-    TruncationError,
-)
+from .errors import NumidealError, ParseError, PreconditionError
 from .examples import EXAMPLES
 from .parsing import format_poly, parse
 from .puiseux import newton_puiseux
@@ -37,13 +30,6 @@ def _read_input(text: str) -> str:
         with open(text[1:], "r", encoding="utf-8") as fh:
             return fh.read()
     return text
-
-
-def _emit(obj, fmt: str):
-    if fmt == "json":
-        print(json.dumps(obj, indent=2))
-    else:
-        raise AssertionError("text output is printed directly")
 
 
 def cmd_analyze(args) -> int:
@@ -64,7 +50,7 @@ def cmd_analyze(args) -> int:
         payload["im_part"] = None
         payload["definite"] = None
     if args.format == "json":
-        _emit(payload, "json")
+        print(json.dumps(payload, indent=2))
         return 0
     print(f"p = {format_poly(p)}")
     print(f"phi = {format_poly(phi.poly)} + O(deg {phi.order + 1})")
@@ -110,7 +96,7 @@ def cmd_member(args) -> int:
             "divergent": oracle["divergent"],
         }
     if args.format == "json":
-        _emit(payload, "json")
+        print(json.dumps(payload, indent=2))
     else:
         print(f"verdict: {payload['verdict']}")
         if payload["reduced_numerator"] is not None:
@@ -147,7 +133,7 @@ def cmd_puiseux(args) -> int:
             }
         )
     if args.format == "json":
-        _emit({"branches": items}, "json")
+        print(json.dumps({"branches": items}, indent=2))
     else:
         for k, item in enumerate(items):
             print(
@@ -167,7 +153,7 @@ def cmd_examples(args) -> int:
             return 1
         out.append({"name": name, "polynomial": format_poly(EXAMPLES[name]())})
     if args.format == "json":
-        _emit({"examples": out}, "json")
+        print(json.dumps({"examples": out}, indent=2))
     else:
         for item in out:
             print(f"{item['name']}: {item['polynomial']}")
@@ -178,7 +164,7 @@ def cmd_transform(args) -> int:
     disk = parse(_read_input(args.polynomial))
     result = polydisk_to_halfplane(disk)
     if args.format == "json":
-        _emit({"polynomial": format_poly(result)}, "json")
+        print(json.dumps({"polynomial": format_poly(result)}, indent=2))
     else:
         print(format_poly(result))
     return 0
@@ -249,14 +235,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (
-        PreconditionError,
-        SanityViolation,
-        TruncationError,
-        NoMonomializationFound,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumidealError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

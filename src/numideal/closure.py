@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoMonomializationFound, PreconditionError, TruncationError
-from .forms import count_real_roots, _strip
+from .forms import HomogeneousForm, count_real_roots, _strip
 from .gaussian import GaussianRational
 from .poly import MultiPoly, TruncatedSeries, linear_change
 
@@ -146,11 +146,7 @@ def _candidate_changes(g: MultiPoly):
     # frames aligned with repeated rational roots of the lowest form
     lowest = g.lowest_part()
     if not lowest.is_zero() and lowest.is_real():
-        d = lowest.degree()
-        poly = [Fraction(0)] * (d + 1)
-        for (a, b), c in lowest.terms.items():
-            poly[a] = c.re
-        poly = _strip(list(poly))
+        poly = _strip(list(HomogeneousForm.from_poly(lowest).coeffs))
         if len(poly) >= 2:
             from .puiseux import qi_roots
 
@@ -182,28 +178,32 @@ def _candidate_changes(g: MultiPoly):
     return seen
 
 
-def monomialize(g: MultiPoly, sample_radii=None) -> MonomialIdealIC:
+def monomialize(g: MultiPoly) -> MonomialIdealIC:
     """Find a linear change making g comparable to a sum of even monomials.
 
     Tries identity, u = x -+ y frames, repeated-factor frames of the lowest
-    form, and rational eigenframes of the quadratic part.  Acceptance needs
-    (a) every non-dominating term inside the Newton polyhedron of the
-    dominating even terms, (b) every compact face polynomial positive off
-    the axes (exact), and (c) a bounded sampled ratio g / sum-of-monomials.
+    form, and rational eigenframes of the quadratic part.  A frame is
+    accepted on two exact checks of G = g in (u, v), with no sampling:
+    (a) every term of G lies in the Newton polyhedron P of its positive even
+    terms, and (b) every compact face polynomial of P is positive off the
+    axes.  Under (a) and (b), for every weight w > 0 the w-initial form of G
+    is either a positive even vertex monomial or a face polynomial positive
+    off the axes, and all other terms have higher w-order; hence
+    G ~ sum of u^a v^b over the vertices (a, b) of P near 0, and IC(g) is
+    the monomial ideal of P (Swanson & Huneke, Integral Closure of Ideals,
+    Rings, and Modules, 2006, ch. 1).
     """
     if not g.is_real():
         raise PreconditionError("monomialize expects a real polynomial")
     if len(g.vars) != 2:
         raise PreconditionError("monomialize expects a bivariate polynomial")
-    if sample_radii is None:
-        sample_radii = [2.0**-k for k in range(4, 11)]
     for change in _candidate_changes(g):
         det = Fraction(change[0][0] * change[1][1] - change[0][1] * change[1][0])
         inverse = (
             (Fraction(change[1][1]) / det, Fraction(-change[0][1]) / det),
             (Fraction(-change[1][0]) / det, Fraction(change[0][0]) / det),
         )
-        ic = _try_change(g, change, inverse, sample_radii)
+        ic = _try_change(g, change, inverse)
         if ic is not None:
             return ic
     raise NoMonomializationFound(
@@ -211,7 +211,7 @@ def monomialize(g: MultiPoly, sample_radii=None) -> MonomialIdealIC:
     )
 
 
-def _try_change(g, change, inverse, sample_radii):
+def _try_change(g, change, inverse):
     G = linear_change(g, inverse, ("u", "v"))
     candidates = {
         (a, b): c.re
@@ -242,10 +242,6 @@ def _try_change(g, change, inverse, sample_radii):
         }
         if not _face_positive(face):
             return None
-    # comparability gate against the dominating monomial sum, exact at
-    # rational circle points so cancellation noise cannot fake a verdict
-    if not _exact_ratio_gate(g, change, frontier):
-        return None
     return ic
 
 
@@ -260,42 +256,6 @@ def rational_circle_points(radius: Fraction, n: int = 32):
         pts.append((x, y))
         pts.append((-x, -y))
     return pts
-
-
-def _exact_ratio_gate(g, change, frontier, exponents=range(3, 11), n=16) -> bool:
-    """g / (sum of frontier monomials) stays within fixed bounds on dyadic
-    rational circles, computed in exact rational arithmetic."""
-    spreads = []
-    for e in exponents:
-        radius = Fraction(1, 2**e)
-        lo = None
-        hi = None
-        for x, y in rational_circle_points(radius, n):
-            gv = g.eval_exact((x, y))
-            if not gv.is_real():
-                return False
-            u = change[0][0] * x + change[0][1] * y
-            v = change[1][0] * x + change[1][1] * y
-            mono = sum((u ** a) * (v ** b) for a, b in frontier)
-            if mono == 0:
-                if gv.re == 0:
-                    continue
-                return False
-            ratio = gv.re / mono
-            if ratio <= 0:
-                return False
-            lo = ratio if lo is None or ratio < lo else lo
-            hi = ratio if hi is None or ratio > hi else hi
-        if lo is None:
-            return False
-        spreads.append(float(hi / lo))
-    # incomparability shows as spread blowing up toward the origin
-    if spreads[-1] > 1e9:
-        return False
-    for k in range(len(spreads) - 2):
-        if spreads[k + 1] >= 2 * spreads[k] and spreads[k + 2] >= 2 * spreads[k + 1]:
-            return False
-    return True
 
 
 def ic_membership(q, ic: MonomialIdealIC):

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .branch import BranchSolution, PhiClassification, PhiKind, classify, solve_branch
 from .closure import MonomialIdealIC, ic_generators, ic_membership, monomialize
 from .errors import PreconditionError, SanityViolation, TruncationError
+from .forms import HomogeneousForm
 from .gaussian import GaussianRational
 from .parsing import _term_sort_key, format_poly
 from .poly import MultiPoly, TruncatedSeries, linear_change, substitute
@@ -126,9 +127,7 @@ def _linear_power_of(form: MultiPoly):
     d = form.degree()
     if d <= 0:
         return None
-    coeffs = [Fraction(0)] * (d + 1)
-    for (a, b), c in form.terms.items():
-        coeffs[a] = c.re
+    coeffs = HomogeneousForm.from_poly(form).coeffs
     # form = c * (alpha x + beta y)^d: read the ratio off the two leading
     # coefficients, then verify the whole binomial pattern exactly
     if coeffs[d] != 0:

@@ -773,6 +773,10 @@ class ComparablePolynomial:
     shortcut: str | None = None
 
 
+# radii of the circles on which comparable_polynomial checks its input > 0
+_SAMPLE_RADII = [2.0**-k for k in range(4, 11)]
+
+
 def _check_positive_samples(f_eval, radii, n_angles=128):
     for r in radii:
         for k in range(n_angles):
@@ -786,7 +790,7 @@ def _check_positive_samples(f_eval, radii, n_angles=128):
                 )
 
 
-def comparable_polynomial(f: TruncatedSeries, sample_radii=None) -> ComparablePolynomial:
+def comparable_polynomial(f: TruncatedSeries) -> ComparablePolynomial:
     """Polynomial g with g comparable to f near (0,0) and the exponent K.
 
     f must be a real bivariate series, positive on a punctured neighborhood
@@ -804,9 +808,7 @@ def comparable_polynomial(f: TruncatedSeries, sample_radii=None) -> ComparablePo
     poly = f.poly
     if poly.is_zero() or not poly.coefficient((0, 0)).is_zero():
         raise PreconditionError("input must vanish at the origin (and only there)")
-    if sample_radii is None:
-        sample_radii = [2.0**-k for k in range(4, 11)]
-    _check_positive_samples(lambda x, y: poly.eval_complex((x, y)).real, sample_radii)
+    _check_positive_samples(lambda x, y: poly.eval_complex((x, y)).real, _SAMPLE_RADII)
 
     lowest = poly.lowest_part()
     form = HomogeneousForm.from_poly(lowest)

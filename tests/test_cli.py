@@ -101,6 +101,14 @@ class TestPuiseux:
         data = json.loads(res.stdout)
         assert data["branches"][0]["r"] == 2
 
+    def test_degree_two_extension_exit_2(self):
+        # the characteristic root sqrt(2) lies outside Q(i)
+        res = run_cli("puiseux", "y^2 - 2*x^2")
+        assert res.returncode == 2
+        assert res.stderr.startswith(
+            "error: characteristic root lies in a degree-2 extension"
+        )
+
 
 class TestExamples:
     def test_golden_text(self):

@@ -199,6 +199,45 @@ class TestMembership:
             assert v.verdict is Verdict.NOT_IN_IDEAL, text
 
 
+# the six worked checks of the degenerate example: (q, q/p bounded)
+DEGENERATE_CHECKS = [
+    ("(x - y)^2", True),
+    ("(x - y)*(x + y)^2", True),
+    ("(x + y)^4", True),
+    ("(x + y)^3", False),
+    ("(x - y)*(x + y)", False),
+    ("(x + y)^2", False),
+]
+
+
+def _rescale(poly, a, b):
+    """poly(a*x, b*y, ...)."""
+    return MultiPoly(
+        poly.vars,
+        {e: c * (a ** e[0]) * (b ** e[1]) for e, c in poly.terms.items()},
+    )
+
+
+class TestRescaledDegenerate:
+    """x -> a*x, y -> b*y with a, b > 0 keeps stability and maps bounded
+    q/p to bounded q/p, so case, K and every verdict carry over."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(Fraction(3, 2), Fraction(1, 4)), (Fraction(2), Fraction(4)), (Fraction(4), Fraction(1, 2))],
+    )
+    def test_transported_case_and_verdicts(self, degenerate, a, b):
+        p = _rescale(degenerate, a, b)
+        desc = numerator_ideal(p)
+        assert desc.case is CaseTag.ISOLATED_DEGENERATE
+        assert desc.L_or_K == 4
+        for text, bounded in DEGENERATE_CHECKS:
+            q = _rescale(parse(text, vars=p.vars), a, b)
+            v = membership(p, q, ideal=desc)
+            expect = Verdict.IN_IDEAL if bounded else Verdict.NOT_IN_IDEAL
+            assert v.verdict is expect, text
+
+
 def _random_poly(rng, vars, max_deg=3):
     terms = {}
     for _ in range(4):

@@ -49,6 +49,39 @@ class TestMonomialize:
         with pytest.raises(NoMonomializationFound):
             monomialize(parse("x^2 - y^2", vars=("x", "y")))
 
+    # the comparable polynomial g that numerator_ideal builds for the
+    # degenerate example; its high-degree terms are large, so g is
+    # comparable to u^2 + v^4 only close to 0
+    PIPELINE_G = (
+        "x^2 - 2*x*y + y^2 - 16*x^4 + 32*x^3*y + 672*x^6 - 1136*x^5*y"
+        " - 35680*x^8 + 56960*x^7*y - 1188352*x^10 + 86551141/4*x^12"
+        " - 3484657907/4*x^14"
+    )
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(Fraction(3, 2), Fraction(1, 4)), (Fraction(2), Fraction(4)), (Fraction(4), Fraction(1, 2))],
+    )
+    def test_polyhedron_invariant_under_axis_scaling(self, a, b):
+        g = parse(self.PIPELINE_G, vars=("x", "y"))
+        scaled = MultiPoly(
+            g.vars, {e: c * (a ** e[0]) * (b ** e[1]) for e, c in g.terms.items()}
+        )
+        ic, ic_scaled = monomialize(g), monomialize(scaled)
+        assert set(ic_scaled.newton_points) == set(ic.newton_points) == {(2, 0), (0, 4)}
+        assert ic_scaled.halfspaces == ic.halfspaces == ((2, 1, 4),)
+
+    def test_single_vertex_with_large_higher_terms(self):
+        # G = u^2 v^2 (1 + 1000 u - 1000 v): the unit is far from 1 except
+        # very close to 0, and still G ~ u^2 v^2 there
+        g = parse("x^2*y^2 + 1000*x^3*y^2 - 1000*x^2*y^3", vars=("x", "y"))
+        ic = monomialize(g)
+        assert ic.change == ((1, 0), (0, 1))
+        assert ic.newton_points == ((2, 2),)
+        assert ic.halfspaces == ()
+        gens, _ = ic_generators(ic)
+        assert gens == [parse("x^2*y^2", vars=("x", "y"))]
+
 
 class TestVerdictTable:
     """The worked integral-closure computation: G = u^2 + u^2 v^2 + v^4."""
