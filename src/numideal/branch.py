@@ -19,6 +19,9 @@ from .forms import (
 )
 from .poly import MultiPoly, TruncatedSeries, horner, implicit_root
 
+# unit directions sampled for the sign of Im phi in three or more x-variables
+_SPHERE_SAMPLES = 10_000
+
 
 @dataclass(frozen=True)
 class BranchSolution:
@@ -79,7 +82,7 @@ def solve_branch(p: MultiPoly, order: int) -> BranchSolution:
     return BranchSolution(TruncatedSeries(phi, order), grad0, residual_order)
 
 
-def classify(sol: BranchSolution, sphere_samples: int = 10_000, seed: int = 0):
+def classify(sol: BranchSolution, seed: int = 0):
     """Identify the first non-real homogeneous term of phi, with sanity checks.
 
     Checks required of any branch coming from a stable polynomial: the
@@ -149,7 +152,7 @@ def classify(sol: BranchSolution, sphere_samples: int = 10_000, seed: int = 0):
         definite = is_positive_definite(form)
     else:
         nonneg, witness, sampled_min = sampled_sphere_nonneg(
-            im_part, sphere_samples, seed
+            im_part, _SPHERE_SAMPLES, seed
         )
         if not nonneg:
             raise SanityViolation(

@@ -14,19 +14,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoMonomializationFound, PreconditionError, TruncationError
-from .forms import HomogeneousForm, count_real_roots, _strip
-from .gaussian import GaussianRational
-from .poly import MultiPoly, TruncatedSeries, linear_change
+from .forms import HomogeneousForm, count_real_roots, qi_roots
+from .gaussian import GaussianRational, gaussian_sqrt
+from .poly import MultiPoly, TruncatedSeries, linear_change, newton_polygon
 
 
 @dataclass(frozen=True)
 class MonomialIdealIC:
     """Integral closure of g presented as a Newton-polyhedron monomial ideal.
 
-    (u, v) = change * (x, y); newton_points are the dominating even
-    exponents of g in the new coordinates; halfspaces (wu, wv, m) mean
-    wu*a + wv*b >= m, and together with a >= u_min, b >= v_min they cut out
-    the polyhedron exactly.
+    (u, v) = change * (x, y); newton_points are the vertices of the Newton
+    polygon of the positive even terms of g in the new coordinates, ordered
+    by the u-exponent; halfspaces (wu, wv, m) mean wu*a + wv*b >= m, one per
+    compact edge, and together with a >= u_min, b >= v_min they cut out the
+    polyhedron exactly.
     """
 
     change: tuple  # ((c00, c01), (c10, c11)) rows: u = c00 x + c01 y, ...
@@ -57,42 +58,15 @@ class MonomialIdealIC:
         return linear_change(MultiPoly(("u", "v"), {(a, b): 1}), self.change, xy_vars)
 
 
-def _pareto_frontier(points):
-    """Componentwise-minimal points, sorted by first coordinate."""
-    pts = sorted(set(points))
-    frontier = []
-    for a, b in pts:
-        if any(pa <= a and pb <= b for pa, pb in frontier):
-            continue
-        frontier = [(pa, pb) for pa, pb in frontier if not (a <= pa and b <= pb)]
-        frontier.append((a, b))
-    return sorted(frontier)
-
-
-def _halfspaces(points):
-    frontier = _pareto_frontier(points)
-    # lower convex hull: a Pareto-minimal point strictly above the chord of
-    # its neighbours is not a vertex and must not contribute an inequality
-    hull = []
-    for a, b in frontier:
-        while len(hull) >= 2:
-            (a1, b1), (a2, b2) = hull[-2], hull[-1]
-            if (b2 - b1) * (a - a1) > (b - b1) * (a2 - a1):
-                hull.pop()
-            else:
-                break
-        hull.append((a, b))
+def _halfspaces(vertices):
+    """One inequality wu*a + wv*b >= m per compact edge, primitive (wu, wv)."""
     out = []
-    for (a1, b1), (a2, b2) in zip(hull, hull[1:]):
+    for (a1, b1), (a2, b2) in zip(vertices, vertices[1:]):
         wu, wv = b1 - b2, a2 - a1
         g = math.gcd(wu, wv)
         wu, wv = wu // g, wv // g
-        ineq = (wu, wv, wu * a1 + wv * b1)
-        if ineq not in out:
-            out.append(ineq)
-    u_min = min(a for a, _ in frontier)
-    v_min = min(b for _, b in frontier)
-    return tuple(out), u_min, v_min, frontier
+        out.append((wu, wv, wu * a1 + wv * b1))
+    return tuple(out)
 
 
 def _face_positive(face_terms: dict) -> bool:
@@ -102,19 +76,12 @@ def _face_positive(face_terms: dict) -> bool:
     supporting line.  On each side u = +-1 the face reduces to a univariate
     polynomial in v; strip the v-power, then demand positivity on R.
     """
+    bs = [b for _, b in face_terms]
+    bmin = min(bs)
     for eps in (1, -1):
-        coeffs: dict[int, Fraction] = {}
+        poly = [Fraction(0)] * (max(bs) - bmin + 1)
         for (a, b), c in face_terms.items():
-            coeffs[b] = coeffs.get(b, Fraction(0)) + c * (eps**a)
-        if not coeffs:
-            continue
-        bmin = min(coeffs)
-        poly = [Fraction(0)] * (max(coeffs) - bmin + 1)
-        for b, c in coeffs.items():
-            poly[b - bmin] = c
-        poly = _strip(poly)
-        if not poly:
-            return False
+            poly[b - bmin] += c * eps**a
         if poly[0] <= 0 or poly[-1] <= 0:
             return False
         if count_real_roots(poly) > 0:
@@ -146,16 +113,12 @@ def _candidate_changes(g: MultiPoly):
     # frames aligned with repeated rational roots of the lowest form
     lowest = g.lowest_part()
     if not lowest.is_zero() and lowest.is_real():
-        poly = _strip(list(HomogeneousForm.from_poly(lowest).coeffs))
-        if len(poly) >= 2:
-            from .puiseux import qi_roots
-
-            roots, _left = qi_roots([GaussianRational(c) for c in poly])
-            for root, mult in roots:
-                # direction (t, 1) kills the form: align u with x - t*y
-                if root.is_real() and mult >= 2:
-                    num, den = root.re.numerator, root.re.denominator
-                    push(((den, -num), (num, den)))
+        roots, _left = qi_roots(HomogeneousForm.from_poly(lowest).coeffs)
+        for root, mult in roots:
+            # direction (t, 1) kills the form: align u with x - t*y
+            if root.is_real() and mult >= 2:
+                num, den = root.re.numerator, root.re.denominator
+                push(((den, -num), (num, den)))
     # eigenvector frame of the quadratic part when rational
     quad = g.homogeneous_part(2)
     if not quad.is_zero() and quad.is_real():
@@ -163,11 +126,9 @@ def _candidate_changes(g: MultiPoly):
         b = quad.coefficient((1, 1)).re
         c = quad.coefficient((0, 2)).re
         if b != 0:
-            disc = (a - c) * (a - c) + b * b
-            from .gaussian import _rational_sqrt
-
-            s = _rational_sqrt(disc)
-            if s is not None:
+            root = gaussian_sqrt(GaussianRational((a - c) * (a - c) + b * b))
+            if root is not None:
+                s = root.re
                 for lam in ((a + c + s) / 2, (a + c - s) / 2):
                     vx, vy = b / 2, lam - a
                     if vx == 0 and vy == 0:
@@ -220,14 +181,15 @@ def _try_change(g, change, inverse):
     }
     if not candidates:
         return None
-    halfspaces, u_min, v_min, frontier = _halfspaces(candidates)
+    vertices = newton_polygon(candidates)
+    halfspaces = _halfspaces(vertices)
     ic = MonomialIdealIC(
         change=change,
         inverse=inverse,
-        newton_points=tuple(frontier),
+        newton_points=tuple(vertices),
         halfspaces=halfspaces,
-        u_min=u_min,
-        v_min=v_min,
+        u_min=vertices[0][0],
+        v_min=vertices[-1][1],
         transformed=G,
     )
     for (a, b), c in G.terms.items():
@@ -342,7 +304,7 @@ def _lambda_candidates():
             yield lu, lv
 
 
-def ic_generators(ic: MonomialIdealIC, xy_vars=("x", "y"), degree_bound=200):
+def ic_generators(ic: MonomialIdealIC, xy_vars=("x", "y")):
     """Minimal monomial generators of the polyhedron ideal, mapped back
     through the inverse linear change; returned as (x,y)-polynomials."""
 
@@ -354,18 +316,11 @@ def ic_generators(ic: MonomialIdealIC, xy_vars=("x", "y"), degree_bound=200):
                 b = -(-need // wv)  # ceil division
         return b
 
+    # the staircase closes at the last vertex (a_last, v_min)
     gens_uv = []
-    a = ic.u_min
-    prev = None
-    while a <= degree_bound:
+    for a in range(ic.u_min, ic.newton_points[-1][0] + 1):
         b = b_floor(a)
-        if prev is None or b < prev:
+        if not gens_uv or b < gens_uv[-1][1]:
             gens_uv.append((a, b))
-            prev = b
-        if b == ic.v_min:
-            break
-        a += 1
-    else:
-        raise PreconditionError("degree bound exceeded before generation closed")
     gens = [ic.from_uv_monomial(a, b, xy_vars) for a, b in gens_uv]
     return gens, gens_uv

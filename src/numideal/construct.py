@@ -42,7 +42,7 @@ def _halfplane_vars(n: int):
     return tuple(f"x{k}" for k in range(1, n)) + ("z",)
 
 
-def polydisk_to_halfplane(p_disk: MultiPoly, out_vars=None) -> MultiPoly:
+def polydisk_to_halfplane(p_disk: MultiPoly) -> MultiPoly:
     """Transfer a polydisk-stable polynomial to the poly-upper half-plane.
 
     Each disk variable is replaced by (i - w)/(i + w) (sending 0 in the
@@ -51,11 +51,7 @@ def polydisk_to_halfplane(p_disk: MultiPoly, out_vars=None) -> MultiPoly:
     pure distinguished-variable monomial is 1.  The result vanishes at 0 iff
     p_disk vanishes at (1, ..., 1).
     """
-    n = len(p_disk.vars)
-    if out_vars is None:
-        out_vars = _halfplane_vars(n)
-    if len(out_vars) != n:
-        raise PreconditionError("variable count mismatch in transfer")
+    out_vars = _halfplane_vars(len(p_disk.vars))
     degs = [p_disk.var_degree(v) for v in p_disk.vars]
     # precompute (i - w)^k and (i + w)^k per variable
     minus = []

@@ -11,6 +11,7 @@ A numeric boundedness oracle cross-checks every verdict.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -444,17 +445,9 @@ def _direction_witness(q0: MultiPoly, desc: IdealDescription):
 
 def _direction_grid(d: int):
     vals = [1, -1, 2, -2, 3, Fraction(1, 2)]
-    if d == 1:
-        for v in vals:
-            yield (v,)
-        return
-    if d == 2:
-        for a in vals:
-            for b in vals + [0]:
-                yield (a, b)
-        return
     for a in vals:
-        yield (a,) * d
+        for rest in itertools.product(vals + [0], repeat=d - 1):
+            yield (a,) + rest
 
 
 def boundedness_oracle(
@@ -464,7 +457,6 @@ def boundedness_oracle(
     grid: int = 3,
     seed: int = 0,
     ideal: IdealDescription | None = None,
-    points_per_level: int = 400,
     real_slice_only: bool = False,
 ):
     """Sample |q/p| near the origin: sup estimate plus a divergence flag.
@@ -483,9 +475,9 @@ def boundedness_oracle(
     d = len(x_vars)
     rng = random.Random(seed)
     cap = 100_000
-    # one base sample set in the unit box, rescaled per refinement level, so
-    # level maxima are directly comparable point by point
-    n = min(points_per_level, cap // max(grid, 1))
+    # one base sample set of 400 points in the unit box, rescaled per
+    # refinement level, so level maxima are directly comparable point by point
+    n = min(400, cap // max(grid, 1))
     base = []
     for k in range(n):
         x_unit = [rng.uniform(-1.0, 1.0) for _ in range(d)]

@@ -1,9 +1,13 @@
-"""Exact positivity tests for real homogeneous bivariate forms.
+"""Univariate algebra over Q and Q(i), and exact positivity of binary forms.
 
-Definiteness is decided by real-root counting (Sturm sequences) on the two
-dehomogenizations, nonnegativity by parity of real-root multiplicities
-(Yun squarefree decomposition).  A numeric comparability estimator for
-nonnegative evaluators near the origin lives here too.
+A univariate polynomial is an ascending coefficient list whose entries are
+all Fraction or all GaussianRational.  The p_* helpers and Yun squarefree
+decomposition work on either; Sturm real-root counting needs Fraction
+entries.  qi_roots finds the roots in Q(i) of a polynomial over Q(i).
+Definiteness of a real homogeneous bivariate form is decided by real-root
+counting on its dehomogenization, nonnegativity by the parity of real-root
+multiplicities.  Numeric samplers for comparability near the origin and for
+signs on the sphere in d > 2 variables live here too.
 """
 
 from __future__ import annotations
@@ -13,9 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
+from .gaussian import ONE, GaussianRational, gaussian_sqrt
 from .poly import MultiPoly
 
-# -- univariate polynomials as ascending Fraction coefficient lists --------
+# -- univariate polynomials: ascending coefficient lists over Q or Q(i) ----
+# A zero the helpers create takes the type of the divisor's leading
+# coefficient.
 
 
 def _strip(c):
@@ -24,32 +31,28 @@ def _strip(c):
     return c
 
 
-def p_degree(c) -> int:
-    return len(c) - 1
-
-
-def p_add(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
+def p_sub(a, b):
+    """a - b."""
+    out = list(a) + [-v for v in b[len(a):]]
+    for i, v in enumerate(b[: len(a)]):
+        out[i] -= v
     return _strip(out)
 
 
-def p_scale(a, s: Fraction):
-    if s == 0:
-        return []
-    return [v * s for v in a]
+def p_eval(c, x):
+    """c(x) by Horner's scheme; c must be nonzero."""
+    acc = c[-1]
+    for a in c[-2::-1]:
+        acc = acc * x + a
+    return acc
 
 
 def p_divmod(a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     lb = b[-1]
+    q = [lb * 0] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b) and a:
         k = len(a) - len(b)
         f = a[-1] / lb
@@ -64,19 +67,11 @@ def p_derivative(a):
     return _strip([k * v for k, v in enumerate(a)][1:])
 
 
-def p_monic(a):
-    if not a:
-        return a
-    lc = a[-1]
-    return [v / lc for v in a]
-
-
 def p_gcd(a, b):
-    a, b = list(a), list(b)
+    """Monic gcd; [] when both are zero."""
     while b:
-        _, r = p_divmod(a, b)
-        a, b = b, r
-    return p_monic(a)
+        a, b = b, p_divmod(a, b)[1]
+    return [v / a[-1] for v in a] if a else []
 
 
 def p_div_exact(a, b):
@@ -136,16 +131,16 @@ def yun_squarefree(p):
     a = p_gcd(p, dp)
     b = p_div_exact(p, a)
     c = p_div_exact(dp, a)
-    d = p_add(c, p_scale(p_derivative(b), Fraction(-1)))
+    d = p_sub(c, p_derivative(b))
     out = []
     k = 1
-    while p_degree(b) > 0:
+    while len(b) > 1:
         f = p_gcd(b, d)
-        if p_degree(f) > 0:
+        if len(f) > 1:
             out.append((f, k))
         b = p_div_exact(b, f)
         c = p_div_exact(d, f)
-        d = p_add(c, p_scale(p_derivative(b), Fraction(-1)))
+        d = p_sub(c, p_derivative(b))
         k += 1
     return out
 
@@ -163,6 +158,180 @@ def poly_nonneg_on_reals(p) -> bool:
         if mult % 2 == 1 and count_real_roots(factor) > 0:
             return False
     return True
+
+
+# -- exact root finding over Q(i) -------------------------------------------
+
+
+def _gauss_int_divmod(a, b):
+    """Rounded division in Z[i]: a = q*b + r with small remainder."""
+    # a, b are (int, int) pairs
+    ar, ai = a
+    br, bi = b
+    n = br * br + bi * bi
+    qr_num = ar * br + ai * bi
+    qi_num = ai * br - ar * bi
+    qr = (2 * qr_num + n) // (2 * n)
+    qi = (2 * qi_num + n) // (2 * n)
+    rr = ar - (qr * br - qi * bi)
+    ri = ai - (qr * bi + qi * br)
+    return (qr, qi), (rr, ri)
+
+
+def _gauss_int_gcd(a, b):
+    while b != (0, 0):
+        _, r = _gauss_int_divmod(a, b)
+        a, b = b, r
+    return a
+
+
+def _sqrt_minus_one_mod(p: int) -> int:
+    for n in range(2, p):
+        if pow(n, (p - 1) // 2, p) == p - 1:
+            return pow(n, (p - 1) // 4, p)
+    raise ArithmeticError(f"no sqrt(-1) mod {p}")
+
+
+def _gaussian_prime_factors(g):
+    """Gaussian prime factorization of g in Z[i], as a list (prime, power)."""
+    gr, gi = g
+    norm = gr * gr + gi * gi
+    if norm == 0:
+        raise ValueError("cannot factor zero")
+    factors = []
+    n = norm
+    p = 2
+    rational = []
+    while p * p <= n:
+        while n % p == 0:
+            rational.append(p)
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        rational.append(n)
+    current = g
+    for p in sorted(set(rational)):
+        count = rational.count(p)
+        if p == 2:
+            pi = (1, 1)
+        elif p % 4 == 3:
+            pi = (p, 0)
+            count //= 2  # norm p^2 per prime factor
+        else:
+            t = _sqrt_minus_one_mod(p)
+            pi = _gauss_int_gcd((p, 0), (t, 1))
+        for _ in range(count):
+            q, r = _gauss_int_divmod(current, pi)
+            if r == (0, 0):
+                factors.append(pi)
+                current = q
+            else:
+                # conjugate prime divides instead
+                pic = (pi[0], -pi[1])
+                q, r = _gauss_int_divmod(current, pic)
+                if r != (0, 0):
+                    break
+                factors.append(pic)
+                current = q
+    merged = []
+    for pi in factors:
+        for k, (prime, c) in enumerate(merged):
+            if prime == pi:
+                merged[k] = (pi, c + 1)
+                break
+        else:
+            merged.append((pi, 1))
+    return merged
+
+
+def _gaussian_divisors(g):
+    """All divisors of g in Z[i] up to units, times the four units."""
+    factors = _gaussian_prime_factors(g)
+    divisors = [(1, 0)]
+    for pi, power in factors:
+        new = []
+        for d in divisors:
+            cur = d
+            for _ in range(power + 1):
+                new.append(cur)
+                cur = (cur[0] * pi[0] - cur[1] * pi[1], cur[0] * pi[1] + cur[1] * pi[0])
+        divisors = new
+    seen = set()
+    out = []
+    for d in divisors:
+        for u in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+            v = (d[0] * u[0] - d[1] * u[1], d[0] * u[1] + d[1] * u[0])
+            if v not in seen:
+                seen.add(v)
+                out.append(v)
+    return out
+
+
+def _qi_root(c):
+    """One root in Q(i) of c (degree >= 1, nonzero constant term), or None.
+
+    Candidates p/q with p | constant and q | leading in Z[i], after clearing
+    denominators; then the quadratic formula when c has degree 2.
+    """
+    if len(c) == 2:
+        return -c[0] / c[1]
+    den = 1
+    for a in c:
+        den = math.lcm(den, a.re.denominator, a.im.denominator)
+    ints = [(int(a.re * den), int(a.im * den)) for a in c]
+    for pnum in _gaussian_divisors(ints[0]):
+        for pden in _gaussian_divisors(ints[-1]):
+            cand = GaussianRational(*pnum) / GaussianRational(*pden)
+            if p_eval(c, cand).is_zero():
+                return cand
+    if len(c) == 3:
+        a, b, cc = c[2], c[1], c[0]
+        s = gaussian_sqrt(b * b - a * cc * 4)
+        if s is not None:
+            return (-b + s) / (a * 2)
+    return None
+
+
+def qi_roots(coeffs):
+    """Roots in Q(i) of a Q(i)[T] polynomial, with multiplicities.
+
+    Returns (roots, leftover) where roots is a list of (root, multiplicity)
+    sorted by (Re, Im) and leftover is the non-split factor (possibly
+    constant).
+    """
+    coeffs = _strip([GaussianRational.coerce(c) for c in coeffs])
+    if len(coeffs) <= 1:
+        return [], coeffs
+    roots = []
+    k0 = next(k for k, c in enumerate(coeffs) if not c.is_zero())
+    if k0:
+        roots.append((GaussianRational(0), k0))
+        coeffs = coeffs[k0:]
+    while len(coeffs) > 1:
+        root = _qi_root(coeffs)
+        if root is None:
+            break
+        factor = [-root, ONE]
+        mult = 0
+        while True:
+            q, r = p_divmod(coeffs, factor)
+            if r:
+                break
+            coeffs, mult = q, mult + 1
+        roots.append((root, mult))
+    roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
+    return roots, coeffs
+
+
+def qi_nth_root(c: GaussianRational, r: int):
+    """Exact r-th root of c in Q(i), or None; picks the principal root."""
+    if r == 1:
+        return c
+    poly = [-c] + [GaussianRational(0)] * (r - 1) + [GaussianRational(1)]
+    roots, _ = qi_roots(poly)
+    if not roots:
+        return None
+    return min((rm[0] for rm in roots), key=lambda z: (-z.re, -z.im))
 
 
 # -- homogeneous bivariate forms -------------------------------------------

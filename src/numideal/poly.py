@@ -565,3 +565,23 @@ def linear_change(poly: MultiPoly, rows, new_vars) -> MultiPoly:
         for name, row in zip(poly.vars, rows)
     }
     return poly.subs(forms)
+
+
+def newton_polygon(points):
+    """Vertices of the compact faces of conv(points) + R^2_{>=0}, ordered by
+    the first coordinate; dominated points and points interior to an edge
+    are dropped.  The second coordinate strictly decreases along the list.
+    """
+    hull = []
+    for a, b in sorted(set(points)):
+        if hull and b >= hull[-1][1]:
+            continue  # dominated by hull[-1], which has a <= this a
+        # pop the last vertex while it lies on or above the new chord
+        while len(hull) >= 2:
+            (a1, b1), (a2, b2) = hull[-2], hull[-1]
+            if (b2 - b1) * (a - a1) >= (b - b1) * (a2 - a1):
+                hull.pop()
+            else:
+                break
+        hull.append((a, b))
+    return hull

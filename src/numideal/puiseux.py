@@ -13,216 +13,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .branch import solve_branch
-from .errors import PreconditionError, SanityViolation, TruncationError
-from .gaussian import GaussianRational, gaussian_sqrt
-from .poly import MultiPoly, TruncatedSeries, implicit_root, series_invert
-
-# -- exact root finding over Q(i) -------------------------------------------
-
-
-def _gauss_int_divmod(a, b):
-    """Rounded division in Z[i]: a = q*b + r with small remainder."""
-    # a, b are (int, int) pairs
-    ar, ai = a
-    br, bi = b
-    n = br * br + bi * bi
-    qr_num = ar * br + ai * bi
-    qi_num = ai * br - ar * bi
-    qr = (2 * qr_num + n) // (2 * n)
-    qi = (2 * qi_num + n) // (2 * n)
-    rr = ar - (qr * br - qi * bi)
-    ri = ai - (qr * bi + qi * br)
-    return (qr, qi), (rr, ri)
-
-
-def _gauss_int_gcd(a, b):
-    while b != (0, 0):
-        _, r = _gauss_int_divmod(a, b)
-        a, b = b, r
-    return a
-
-
-def _sqrt_minus_one_mod(p: int) -> int:
-    for n in range(2, p):
-        if pow(n, (p - 1) // 2, p) == p - 1:
-            return pow(n, (p - 1) // 4, p)
-    raise ArithmeticError(f"no sqrt(-1) mod {p}")
-
-
-def _gaussian_prime_factors(g):
-    """Gaussian prime factorization of g in Z[i], as a list (prime, power)."""
-    gr, gi = g
-    norm = gr * gr + gi * gi
-    if norm == 0:
-        raise ValueError("cannot factor zero")
-    factors = []
-    n = norm
-    p = 2
-    rational = []
-    while p * p <= n:
-        while n % p == 0:
-            rational.append(p)
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        rational.append(n)
-    current = g
-    for p in sorted(set(rational)):
-        count = rational.count(p)
-        if p == 2:
-            pi = (1, 1)
-        elif p % 4 == 3:
-            pi = (p, 0)
-            count //= 2  # norm p^2 per prime factor
-        else:
-            t = _sqrt_minus_one_mod(p)
-            pi = _gauss_int_gcd((p, 0), (t, 1))
-        for _ in range(count):
-            q, r = _gauss_int_divmod(current, pi)
-            if r == (0, 0):
-                factors.append(pi)
-                current = q
-            else:
-                # conjugate prime divides instead
-                pic = (pi[0], -pi[1])
-                q, r = _gauss_int_divmod(current, pic)
-                if r != (0, 0):
-                    break
-                factors.append(pic)
-                current = q
-    merged = []
-    for pi in factors:
-        for k, (prime, c) in enumerate(merged):
-            if prime == pi:
-                merged[k] = (pi, c + 1)
-                break
-        else:
-            merged.append((pi, 1))
-    return merged
-
-
-def _gaussian_divisors(g):
-    """All divisors of g in Z[i] up to units, times the four units."""
-    factors = _gaussian_prime_factors(g)
-    divisors = [(1, 0)]
-    for pi, power in factors:
-        new = []
-        for d in divisors:
-            cur = d
-            for _ in range(power + 1):
-                new.append(cur)
-                cur = (cur[0] * pi[0] - cur[1] * pi[1], cur[0] * pi[1] + cur[1] * pi[0])
-        divisors = new
-    seen = set()
-    out = []
-    for d in divisors:
-        for u in ((1, 0), (0, 1), (-1, 0), (0, -1)):
-            v = (d[0] * u[0] - d[1] * u[1], d[0] * u[1] + d[1] * u[0])
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-    return out
-
-
-def _poly_eval_gr(coeffs, c: GaussianRational) -> GaussianRational:
-    acc = GaussianRational(0)
-    for a in reversed(coeffs):
-        acc = acc * c + a
-    return acc
-
-
-def _deflate(coeffs, root: GaussianRational):
-    """Divide by (T - root); assumes exact divisibility."""
-    out = []
-    acc = GaussianRational(0)
-    for a in reversed(coeffs):
-        acc = a + acc * root
-        out.append(acc)
-    rem = out.pop()
-    if not rem.is_zero():
-        raise ArithmeticError("deflation by a non-root")
-    return list(reversed(out))
-
-
-def qi_roots(coeffs):
-    """Roots in Q(i) of a Q(i)[T] polynomial, with multiplicities.
-
-    Returns (roots, leftover) where roots is a list of (root, multiplicity)
-    sorted by (Re, Im) and leftover is the non-split factor (possibly
-    constant).  Root search: Z[i] divisor candidates p/q with p | constant
-    and q | leading, after clearing denominators; then quadratic formula on
-    a degree-2 leftover.
-    """
-    coeffs = [GaussianRational.coerce(c) for c in coeffs]
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    if len(coeffs) <= 1:
-        return [], coeffs
-    roots = []
-
-    def strip_zero_roots(c):
-        k = 0
-        while c and c[0].is_zero():
-            c = c[1:]
-            k += 1
-        return c, k
-
-    coeffs, k0 = strip_zero_roots(coeffs)
-    if k0:
-        roots.append((GaussianRational(0), k0))
-
-    def find_one(c):
-        if len(c) == 2:
-            return -c[0] / c[1]
-        den = 1
-        for a in c:
-            den = den * a.re.denominator // math.gcd(den, a.re.denominator)
-            den = den * a.im.denominator // math.gcd(den, a.im.denominator)
-        ints = [((a.re * den), (a.im * den)) for a in c]
-        ints = [(int(r), int(i)) for r, i in ints]
-        lead = ints[-1]
-        const = ints[0]
-        for pnum in _gaussian_divisors(const):
-            for pden in _gaussian_divisors(lead):
-                cand = GaussianRational(Fraction(pnum[0]), Fraction(pnum[1])) / GaussianRational(
-                    Fraction(pden[0]), Fraction(pden[1])
-                )
-                if _poly_eval_gr(c, cand).is_zero():
-                    return cand
-        if len(c) == 3:
-            a, b, cc = c[2], c[1], c[0]
-            disc = b * b - a * cc * 4
-            s = gaussian_sqrt(disc)
-            if s is not None:
-                return (-b + s) / (a * 2)
-        return None
-
-    while len(coeffs) > 1:
-        root = find_one(coeffs)
-        if root is None:
-            break
-        mult = 0
-        while True:
-            try:
-                coeffs = _deflate(coeffs, root)
-                mult += 1
-            except ArithmeticError:
-                break
-        roots.append((root, mult))
-    roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
-    return roots, coeffs
-
-
-def qi_nth_root(c: GaussianRational, r: int):
-    """Exact r-th root of c in Q(i), or None; picks the principal root."""
-    if r == 1:
-        return c
-    poly = [-c] + [GaussianRational(0)] * (r - 1) + [GaussianRational(1)]
-    roots, _ = qi_roots(poly)
-    if not roots:
-        return None
-    return min((rm[0] for rm in roots), key=lambda z: (-z.re, -z.im))
-
+from .errors import (
+    AllRealUpToOrderError,
+    PreconditionError,
+    SanityViolation,
+    TruncationError,
+)
+from .forms import HomogeneousForm, is_positive_definite, qi_nth_root, qi_roots
+from .gaussian import GaussianRational
+from .poly import (
+    MultiPoly,
+    TruncatedSeries,
+    implicit_root,
+    newton_polygon,
+    series_invert,
+)
 
 # -- twisted realness: z * exp(2*pi*i*s) in R, decided exactly ---------------
 
@@ -303,29 +108,12 @@ def _solve_regular(F: MultiPoly, x_budget: int):
 def _newton_edges(F: MultiPoly):
     """Edges of the Newton polygon carrying solutions y ~ c x^(q/r), q/r > 0.
 
-    Returns a list of (q, r, edge_terms) with edge_terms the support terms on
-    the edge as a dict y-exponent -> coefficient-poly-in-c position, i.e.
-    {(alpha, beta): coeff} restricted to the edge.
+    Returns a list of (q, r, b_min, edge_terms): the slope q/r, the least
+    y-exponent on the edge, and the terms {(alpha, beta): coeff} of F on it.
     """
-    support = {}
-    for (a, b), c in F.terms.items():
-        if b not in support or a < support[b]:
-            support[b] = a
-    pts = sorted(support.items())  # (beta, alpha_min)
-    # lower convex hull over beta with alpha decreasing
-    hull = []
-    for b, a in pts:
-        while len(hull) >= 2:
-            (b1, a1), (b2, a2) = hull[-2], hull[-1]
-            if (a2 - a1) * (b - b1) >= (a - a1) * (b2 - b1):
-                hull.pop()
-            else:
-                break
-        hull.append((b, a))
+    hull = newton_polygon((b, a) for (a, b) in F.terms)
     edges = []
     for (b1, a1), (b2, a2) in zip(hull, hull[1:]):
-        if a2 >= a1:
-            continue  # only negative slopes give vanishing y-solutions
         gamma = Fraction(a1 - a2, b2 - b1)
         q, r = gamma.numerator, gamma.denominator
         level = a1 * r + b1 * q
@@ -773,14 +561,16 @@ class ComparablePolynomial:
     shortcut: str | None = None
 
 
-# radii of the circles on which comparable_polynomial checks its input > 0
+# circles (radii, points per circle) on which comparable_polynomial checks
+# its input > 0
 _SAMPLE_RADII = [2.0**-k for k in range(4, 11)]
+_SAMPLE_ANGLES = 128
 
 
-def _check_positive_samples(f_eval, radii, n_angles=128):
+def _check_positive_samples(f_eval, radii):
     for r in radii:
-        for k in range(n_angles):
-            a = 2 * math.pi * k / n_angles
+        for k in range(_SAMPLE_ANGLES):
+            a = 2 * math.pi * k / _SAMPLE_ANGLES
             x, y = r * math.cos(a), r * math.sin(a)
             v = f_eval(x, y)
             if v <= 0.0:
@@ -799,8 +589,6 @@ def comparable_polynomial(f: TruncatedSeries) -> ComparablePolynomial:
     truncated Puiseux branch factors, truncation chosen so the product agrees
     with the Weierstrass polynomial of f beyond x-order K.
     """
-    from .forms import HomogeneousForm, is_positive_definite
-
     if not f.is_real():
         raise PreconditionError("comparable_polynomial needs real coefficients")
     if len(f.vars) != 2:
@@ -892,8 +680,6 @@ def contact_order(p2: MultiPoly, order: int = 12) -> int:
     is the first index with a non-real psi coefficient; K must be even with
     positive imaginary part for a stable input, and that is checked.
     """
-    from .errors import AllRealUpToOrderError
-
     if len(p2.vars) != 2:
         raise PreconditionError("contact order needs a bivariate polynomial")
     sol = solve_branch(p2, order)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from numideal.construct import normalize_z_coefficient, polydisk_to_halfplane
 from numideal.engine import (
     CaseTag,
     Verdict,
@@ -208,6 +209,43 @@ DEGENERATE_CHECKS = [
     ("(x - y)*(x + y)", False),
     ("(x + y)^2", False),
 ]
+
+
+class TestWideAndHigherZDegree:
+    def test_direction_witness_in_three_x_variables(self):
+        # both numerators vanish at (1, 1, 1), so a witness needs a
+        # direction off the diagonal
+        p = polydisk_to_halfplane(parse("4 - z1 - z2 - z3 - z4"))
+        ideal = numerator_ideal(p)
+        for text in ("x1 - x2", "x1 + x2 - 2*x3"):
+            v = membership(p, parse(text, vars=p.vars), ideal=ideal)
+            assert v.verdict is Verdict.NOT_IN_IDEAL
+            assert v.witness is not None, text
+            low = v.reduced_numerator.poly.lowest_part()
+            point = [GaussianRational(t) for t in v.witness["direction"]]
+            assert not low.eval_exact(point).is_zero()
+
+    @pytest.mark.parametrize("order", [12, 16])
+    def test_linear_form_with_z_degree_two(self, nonisolated, order):
+        # the second factor is a unit at 0, so the numerators are those of
+        # nonisolated; with deg_z = 2 there is no exact z-split and the
+        # LinearForm tests run on the truncated phi
+        unit = polydisk_to_halfplane(parse("5 - z1 - z2 - z3"))
+        p = normalize_z_coefficient(nonisolated * unit)
+        assert p.var_degree("z") == 2
+        ideal = numerator_ideal(p, order=order)
+        assert ideal.case is CaseTag.LINEAR_FORM
+        assert ideal.L_or_K == 2
+        pairs = [
+            ("(x + y)^2", True),
+            ("x + y + z - x*y*z", True),
+            ("x + y", False),
+            ("z", False),
+        ]
+        for text, bounded in pairs:
+            v = membership(p, parse(text, vars=p.vars), order=order, ideal=ideal)
+            expected = Verdict.IN_IDEAL if bounded else Verdict.NOT_IN_IDEAL
+            assert v.verdict is expected, text
 
 
 def _rescale(poly, a, b):

@@ -12,6 +12,7 @@ from numideal.poly import (
     MultiPoly,
     TruncatedSeries,
     linear_change,
+    newton_polygon,
     series_invert,
     substitute,
 )
@@ -254,3 +255,18 @@ class TestSlicesAndLinearChange:
             quv = linear_change(q, rows, ("u", "v"))
             assert quv.vars == ("u", "v")
             assert linear_change(quv, inverse, ("x", "y")) == q
+
+
+class TestNewtonPolygon:
+    def test_drops_dominated_and_collinear_points(self):
+        # x^4 y^6 lies above the chord from (0, 8) to (6, 0), x^3 y^4 on it,
+        # and x^7 y is dominated by x^6
+        g = parse("x^6 + x^4*y^6 + y^8", vars=("x", "y"))
+        assert newton_polygon(g.terms) == [(0, 8), (6, 0)]
+        g = g + parse("x^3*y^4 + x^7*y + y^9", vars=("x", "y"))
+        assert newton_polygon(g.terms) == [(0, 8), (6, 0)]
+
+    def test_vertices_of_a_convex_staircase(self):
+        points = [(0, 6), (1, 3), (3, 1), (6, 0), (2, 2), (4, 4)]
+        assert newton_polygon(points) == [(0, 6), (1, 3), (3, 1), (6, 0)]
+        assert newton_polygon([(2, 2)]) == [(2, 2)]

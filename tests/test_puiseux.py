@@ -8,7 +8,7 @@ import pytest
 
 from numideal.branch import solve_branch
 from numideal.errors import AllRealUpToOrderError, PreconditionError, SanityViolation
-from numideal.forms import comparability_ratio
+from numideal.forms import comparability_ratio, qi_roots
 from numideal.gaussian import GaussianRational
 from numideal.parsing import parse
 from numideal.poly import MultiPoly, TruncatedSeries
@@ -18,7 +18,6 @@ from numideal.puiseux import (
     contact_order,
     comparable_polynomial,
     newton_puiseux,
-    qi_roots,
     twisted_is_real,
     weierstrass_prepare,
 )
@@ -52,6 +51,17 @@ class TestQiRoots:
         coeffs = [GaussianRational(-1), GaussianRational(0, -2), GaussianRational(1)]
         roots, leftover = qi_roots(coeffs)
         assert roots == [(GaussianRational(0, 1), 2)]
+        # (T - (1 + 2i))^2 (T + 3): the double root is found among Z[i]
+        # divisor candidates and counted by repeated exact division
+        coeffs = [
+            GaussianRational(-9, 12),
+            GaussianRational(-9, -8),
+            GaussianRational(1, -4),
+            GaussianRational(1),
+        ]
+        roots, leftover = qi_roots(coeffs)
+        assert roots == [(GaussianRational(-3), 1), (GaussianRational(1, 2), 2)]
+        assert leftover == [GaussianRational(1)]
 
 
 class TestTwistedRealness:

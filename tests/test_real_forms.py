@@ -13,9 +13,13 @@ from numideal.forms import (
     count_real_roots,
     is_nonnegative,
     is_positive_definite,
+    p_divmod,
+    p_eval,
+    p_gcd,
     poly_nonneg_on_reals,
     sampled_circle_min,
 )
+from numideal.gaussian import GaussianRational as G
 from numideal.parsing import parse
 
 
@@ -33,6 +37,27 @@ class TestSturm:
         assert poly_nonneg_on_reals([Fraction(1), Fraction(-2), Fraction(1)])
         assert not poly_nonneg_on_reals([Fraction(-1), Fraction(0), Fraction(1)])
         assert poly_nonneg_on_reals([])
+
+
+class TestGaussianCoefficientLists:
+    # (T^2 + i)(T - 1) = T^3 - T^2 + i T - i and (T + i)(T - 1)
+    A = [G(0, -1), G(0, 1), G(-1), G(1)]
+    B = [G(0, -1), G(-1, 1), G(1)]
+
+    def test_divmod_quotient_with_interior_zero(self):
+        q, r = p_divmod(self.A, [G(-1), G(1)])
+        assert q == [G(0, 1), G(0), G(1)] and r == []
+        assert all(isinstance(c, G) for c in q)
+
+    def test_gcd_and_eval(self):
+        g = p_gcd(self.A, self.B)
+        assert g == [G(-1), G(1)]
+        assert all(isinstance(c, G) for c in g)
+        x = G(2, -3)
+        value = p_eval(self.A, x)
+        assert isinstance(value, G)
+        assert value == (x * x + G(0, 1)) * (x - 1)
+        assert p_eval(self.A, G(1)) == 0 and p_eval(self.B, G(0, -1)) == 0
 
 
 class TestDefiniteness:
