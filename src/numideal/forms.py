@@ -192,23 +192,33 @@ def _sqrt_minus_one_mod(p: int) -> int:
     raise ArithmeticError(f"no sqrt(-1) mod {p}")
 
 
-def _gaussian_prime_factors(g):
-    """Gaussian prime factorization of g in Z[i], as a list (prime, power)."""
-    gr, gi = g
-    norm = gr * gr + gi * gi
-    if norm == 0:
-        raise ValueError("cannot factor zero")
-    factors = []
-    n = norm
+def _rational_prime_factors(n: int) -> list:
+    """Prime factors of n >= 1 with repetition, by trial division."""
+    primes = []
     p = 2
-    rational = []
     while p * p <= n:
         while n % p == 0:
-            rational.append(p)
+            primes.append(p)
             n //= p
         p += 1 if p == 2 else 2
     if n > 1:
-        rational.append(n)
+        primes.append(n)
+    return primes
+
+
+def _gaussian_prime_factors(g):
+    """Gaussian prime factorization of g in Z[i], as a list (prime, power)."""
+    gr, gi = g
+    if gr == 0 and gi == 0:
+        raise ValueError("cannot factor zero")
+    # norm(g) = content^2 * norm(g / content): trial division runs up to the
+    # square roots of the two factors, not of the whole norm
+    content = math.gcd(gr, gi)
+    content_primes = _rational_prime_factors(content)
+    rational = content_primes + content_primes + _rational_prime_factors(
+        (gr // content) ** 2 + (gi // content) ** 2
+    )
+    factors = []
     current = g
     for p in sorted(set(rational)):
         count = rational.count(p)

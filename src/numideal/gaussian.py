@@ -41,6 +41,14 @@ class GaussianRational:
             return GaussianRational(value)
         raise TypeError(f"cannot coerce {value!r} to GaussianRational")
 
+    @classmethod
+    def _from_fractions(cls, re: Fraction, im: Fraction) -> "GaussianRational":
+        """Trusted constructor: re and im must already be Fractions."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "re", re)
+        object.__setattr__(obj, "im", im)
+        return obj
+
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -56,20 +64,20 @@ class GaussianRational:
 
     def __add__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return _make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational(
+        return _make(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -81,7 +89,7 @@ class GaussianRational:
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
+        return _make(
             (self.re * other.re + self.im * other.im) / n,
             (self.im * other.re - self.re * other.im) / n,
         )
@@ -90,7 +98,7 @@ class GaussianRational:
         return GaussianRational.coerce(other) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -105,7 +113,7 @@ class GaussianRational:
         return result
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     def norm2(self) -> Fraction:
         """re**2 + im**2, the field norm."""
@@ -136,6 +144,8 @@ class GaussianRational:
 
         return format_coefficient(self)
 
+
+_make = GaussianRational._from_fractions
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)

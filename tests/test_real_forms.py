@@ -9,6 +9,7 @@ import pytest
 from numideal.errors import PreconditionError
 from numideal.forms import (
     HomogeneousForm,
+    _gaussian_prime_factors,
     comparability_ratio,
     count_real_roots,
     is_nonnegative,
@@ -58,6 +59,34 @@ class TestGaussianCoefficientLists:
         assert isinstance(value, G)
         assert value == (x * x + G(0, 1)) * (x - 1)
         assert p_eval(self.A, G(1)) == 0 and p_eval(self.B, G(0, -1)) == 0
+
+
+class TestGaussianPrimeFactors:
+    @staticmethod
+    def product(factors):
+        re, im = 1, 0
+        for (a, b), power in factors:
+            for _ in range(power):
+                re, im = re * a - im * b, re * b + im * a
+        return re, im
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            (100000007, 0),
+            (3 * 10000019, 5 * 10000019),
+            (0, -7 * 13 * 13),
+            (12, -18),
+        ],
+    )
+    def test_product_equals_input_up_to_unit(self, g):
+        re, im = self.product(_gaussian_prime_factors(g))
+        units = [(re, im), (-im, re), (-re, -im), (im, -re)]
+        assert g in units
+
+    def test_large_rational_prime_content_is_one_factor(self):
+        # 100000007 is 3 mod 4, so it stays prime in Z[i]
+        assert _gaussian_prime_factors((100000007, 0)) == [((100000007, 0), 1)]
 
 
 class TestDefiniteness:
