@@ -7,6 +7,15 @@ order), Definite (positive-definite leading imaginary part), LinearForm
 (imaginary part comparable to a power of a real linear form), or
 IsolatedDegenerate (isolated real zero, ideal via an integral closure).
 A numeric boundedness oracle cross-checks every verdict.
+
+Where phi is real through the order or its leading imaginary part is not
+definite, the decisions rest on the exact resultant R = Res_z(p, p̄)
+(`poly.conjugate_resultant`), which is Im phi times a unit near 0 unless
+p(0, z)/z and p̄(0, z) share a root.  R fixes the working order, tests the
+linear-form pattern by exact division, and is the g whose integral closure
+gives the IsolatedDegenerate ideal.  The engine therefore does not use
+`puiseux`: no branch expansion, Weierstrass preparation or sampled
+positivity check decides a case.
 """
 
 from __future__ import annotations
@@ -21,11 +30,16 @@ from fractions import Fraction
 from .branch import BranchSolution, PhiClassification, PhiKind, classify, solve_branch
 from .closure import MonomialIdealIC, ic_generators, ic_membership, monomialize
 from .errors import PreconditionError, SanityViolation, TruncationError
-from .forms import HomogeneousForm
+from .forms import HomogeneousForm, p_gcd
 from .gaussian import GaussianRational
 from .parsing import _term_sort_key, format_poly
-from .poly import MultiPoly, TruncatedSeries, linear_change, substitute
-from .puiseux import ComparablePolynomial, comparable_polynomial
+from .poly import (
+    MultiPoly,
+    TruncatedSeries,
+    conjugate_resultant,
+    linear_change,
+    substitute,
+)
 
 
 class CaseTag(Enum):
@@ -51,7 +65,6 @@ class IdealDescription:
     # diagnostics, not part of the wire schema
     branch: BranchSolution | None = None
     classification: PhiClassification | None = None
-    comparable: ComparablePolynomial | None = None
     ic: MonomialIdealIC | None = None
     linear_form: MultiPoly | None = None
     # exact Re phi = re_num / re_den for z-degree-1 denominators; the
@@ -183,11 +196,71 @@ def _poly_divides_power(numerator: MultiPoly, ell: MultiPoly, power: int):
     return all(e[0] >= power for e in _ell_frame(numerator, ell).terms)
 
 
+def _comparable_resultant(p: MultiPoly, im_part_2L: MultiPoly) -> MultiPoly:
+    """A real polynomial g comparable to Im phi near 0, built exactly.
+
+    g is R = Res_z(p, p̄) times the s in {1, -1, i, -i} that makes its lowest
+    form a positive multiple of Im phi_2L, divided by its content.  Inputs
+    where p(0, z)/z and p̄(0, z) share a root are out of scope: there R
+    vanishes to a higher order than Im phi.
+    """
+    # the monic gcd of p(0, z)/z and p̄(0, z) over Q(i)
+    zero = (0,) * (len(p.vars) - 1)
+    at0 = [p.coefficient(zero + (k,)) for k in range(p.var_degree("z") + 1)]
+    while at0[-1].is_zero():
+        at0.pop()
+    shared = p_gcd(at0[1:], [c.conj() for c in at0])
+    if len(shared) > 1:
+        if len(shared) == 2:
+            what = f"the root z = {-shared[0]}"
+        else:
+            factor = MultiPoly(("z",), {(k,): c for k, c in enumerate(shared)})
+            what = f"the roots of {format_poly(factor)}"
+        raise PreconditionError(
+            f"p(0, z)/z and its conjugate share {what}, so Res_z(p, pbar) is "
+            "not comparable to Im phi; such inputs are out of scope"
+        )
+    R = conjugate_resultant(p)
+    lowest = R.lowest_part()
+    e = next(iter(im_part_2L.terms))
+    ratio = lowest.coefficient(e) / im_part_2L.coefficient(e)
+    if ratio.is_zero() or lowest != im_part_2L.scale(ratio):
+        raise AssertionError(
+            "lowest form of Res_z(p, pbar) is not a multiple of Im phi_2L"
+        )
+    # conj(R) = (-1)^(m^2) R, so the ratio is real or purely imaginary and
+    # s = conj(ratio) / |ratio| is one of 1, -1, i, -i
+    s = GaussianRational(
+        (ratio.re > 0) - (ratio.re < 0), (ratio.im < 0) - (ratio.im > 0)
+    )
+    g = R.scale(s)
+    if not g.is_real():
+        raise AssertionError("Res_z(p, pbar) times a unit of Z[i] is not real")
+    return g.scale(Fraction(1) / g.content())
+
+
+def _isolated_exponent(ic: MonomialIdealIC) -> int:
+    """K with g >= c*|(x, y)|^K near 0: the larger axis intercept of the
+    Newton polygon.  The zero of g at 0 is isolated exactly when the polygon
+    has a vertex on each axis, since g is comparable to the sum of its
+    vertex monomials in the accepted frame."""
+    (a0, b0), (a1, b1) = ic.newton_points[0], ic.newton_points[-1]
+    if a0 != 0 or b1 != 0:
+        raise PreconditionError(
+            "zero at the origin is not isolated: the Newton polygon of g, "
+            f"vertices {list(ic.newton_points)}, misses an axis"
+        )
+    return max(b0, a1)
+
+
 def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescription:
     """The ideal of numerators q with q/p locally bounded near the origin.
 
     Requires p(0) = 0, dp/dz(0) != 0, and p stable on the poly-upper
-    half-plane (caller-asserted; spot-checked by sampling).
+    half-plane (caller-asserted; spot-checked by sampling).  The working
+    order rises above `order` on its own where the case needs it: to
+    ord Res_z(p, p̄) when phi is real through `order`, and to the exponent
+    K of an isolated degenerate zero.
     """
     if len(p.vars) < 2 or p.vars[-1] != "z":
         raise PreconditionError("p must involve z as its distinguished variable")
@@ -198,15 +271,28 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
     d = len(x_vars)
 
     if cls.kind is PhiKind.ALL_REAL_UP_TO_ORDER:
-        return IdealDescription(
-            case=CaseTag.PRINCIPAL,
-            generators=[p],
-            H=sol.phi.poly.real_part(),
-            L_or_K=0,
-            g=None,
-            branch=sol,
-            classification=cls,
-        )
+        # ord Res_z(p, p̄) >= 2L whenever Im phi is not identically zero
+        R = conjugate_resultant(p)
+        if R.is_zero():
+            if p.var_degree("z") >= 2 and sol.residual_order is not None:
+                raise TruncationError(
+                    f"phi is real through order {order} and p, pbar share a "
+                    "z-factor, so Res_z(p, pbar) = 0 cannot tell whether Im phi "
+                    "vanishes; raising the order is the only remedy"
+                )
+            return IdealDescription(
+                case=CaseTag.PRINCIPAL,
+                generators=[p],
+                H=sol.phi.poly.real_part(),
+                L_or_K=0,
+                g=None,
+                branch=sol,
+                classification=cls,
+            )
+        sol = solve_branch(p, max(order, R.min_degree()))
+        cls = classify(sol, seed=seed)
+        if cls.kind is PhiKind.ALL_REAL_UP_TO_ORDER:
+            raise AssertionError("phi is real through ord Res_z(p, pbar)")
 
     L = cls.L
     phi_parts = sol.phi.homogeneous_parts()
@@ -237,62 +323,46 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
             "x-variables (three variables total)"
         )
 
-    im_phi = sol.phi.imag_part()
-    re_phi = sol.phi.real_part()
+    g = _comparable_resultant(p, cls.im_part_2L)
 
     # linear-form pattern: Im phi = ell^(2L) * (positive unit)
     lin = _linear_power_of(cls.im_part_2L)
-    if lin is not None:
-        ell, _scale = lin
+    if lin is not None and _poly_divides_power(g, lin[0], 2 * L):
+        ell = lin[0]
+        # p and p̄ lie in the ideal, so Re(conj(c0) p) does, and its z-slope
+        # at 0 is |c0|^2 > 0: with ell^(2L) it generates the ideal
+        c0 = p.coefficient((0,) * d + (1,))
+        gen0 = p.scale(c0.conj()).real_part()
+        gen0 = gen0.scale(Fraction(1) / gen0.content())
+        re_rational = None
         split = _z_split(p)
         if split is not None:
             b, c = split
-            c0 = c.coefficient((0,) * d)
-            b_n = b.scale(GaussianRational(1) / c0)
-            c_n = c.scale(GaussianRational(1) / c0)
-            # Im phi = (b_n conj(c_n) - conj(b_n) c_n) / (2i |c_n|^2)
-            num_im = (b_n * c_n.conj_coefficients() - b_n.conj_coefficients() * c_n).scale(
-                GaussianRational(0, Fraction(-1, 2))
-            )
-            quotient_ok = _poly_divides_power(num_im, ell, 2 * L)
-        else:
-            quotient_ok = _poly_divides_power(im_phi.poly, ell, 2 * L)
-        if quotient_ok:
-            re_rational = None
-            if split is not None:
-                gen0 = (
-                    MultiPoly.variable(p.vars, "z") * c_n.real_part().embed(p.vars)
-                    + b_n.real_part().embed(p.vars)
-                )
-                scale = Fraction(1) / gen0.content()
-                gen0 = gen0.scale(scale)
-                # Re phi = (b cbar + bbar c) / (2 c cbar), an exact rational
-                re_num = (
-                    b_n * c_n.conj_coefficients() + b_n.conj_coefficients() * c_n
-                ).scale(Fraction(1, 2))
-                re_den = c_n * c_n.conj_coefficients()
-                re_rational = (re_num, re_den)
-            else:
-                H_lf = re_phi.poly.truncate(2 * L - 1)
-                gen0 = MultiPoly.variable(p.vars, "z") + H_lf.embed(p.vars)
-            ell_power = (ell ** (2 * L)).embed(p.vars)
-            return IdealDescription(
-                case=CaseTag.LINEAR_FORM,
-                generators=[gen0, ell_power],
-                H=re_phi.poly.truncate(2 * L - 1),
-                L_or_K=2 * L,
-                g=ell ** (2 * L),
-                branch=sol,
-                classification=cls,
-                linear_form=ell,
-                re_phi_rational=re_rational,
-            )
+            # Re phi = (b cbar + bbar c) / (2 c cbar), an exact rational
+            re_num = (
+                b * c.conj_coefficients() + b.conj_coefficients() * c
+            ).scale(Fraction(1, 2))
+            re_den = c * c.conj_coefficients()
+            re_rational = (re_num, re_den)
+        ell_power = (ell ** (2 * L)).embed(p.vars)
+        return IdealDescription(
+            case=CaseTag.LINEAR_FORM,
+            generators=[gen0, ell_power],
+            H=sol.phi.poly.real_part().truncate(2 * L - 1),
+            L_or_K=2 * L,
+            g=ell ** (2 * L),
+            branch=sol,
+            classification=cls,
+            linear_form=ell,
+            re_phi_rational=re_rational,
+        )
 
-    # isolated degenerate zero: comparable polynomial + integral closure
-    loc = comparable_polynomial(im_phi)
-    K = loc.K
-    H = re_phi.poly.truncate(K - 1)
-    ic = monomialize(loc.g)
+    # isolated degenerate zero: integral closure of g
+    ic = monomialize(g)
+    K = _isolated_exponent(ic)
+    if sol.phi.order < K:
+        sol = solve_branch(p, K)
+    H = sol.phi.poly.real_part().truncate(K - 1)
     gens_xy, gens_uv = ic_generators(ic, xy_vars=x_vars)
     gens_uv_sorted = sorted(zip(gens_uv, gens_xy), key=lambda t: -t[0][0])
     generators = [MultiPoly.variable(p.vars, "z") + H.embed(p.vars)]
@@ -314,10 +384,9 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
         generators=generators,
         H=H,
         L_or_K=K,
-        g=loc.g,
+        g=g,
         branch=sol,
         classification=cls,
-        comparable=loc,
         ic=ic,
     )
 
@@ -373,7 +442,9 @@ def membership(
             witness=_linear_form_witness(reduced.poly, desc),
         )
 
-    reduced = substitute(q, "z", TruncatedSeries(-desc.H, order))
+    # the ideal's working order may exceed the requested one
+    work = max(order, phi.order) if phi is not None else order
+    reduced = substitute(q, "z", TruncatedSeries(-desc.H, work))
 
     if desc.case is CaseTag.DEFINITE:
         L = desc.L_or_K

@@ -11,6 +11,7 @@ polynomial's coefficients to `complex` once and keeps them.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -624,6 +625,59 @@ def implicit_root(slices: dict, order: int) -> MultiPoly:
         if not part.is_zero():
             y = y + part.scale(step)
     return y
+
+
+def conjugate_resultant(p: MultiPoly) -> MultiPoly:
+    """Res_z(p, p̄) over Q(i)[x], with z the last variable of p and p̄ the
+    coefficientwise conjugate.
+
+    Computed without division as (-1)^(m(m-1)/2) times the determinant of
+    the m x m Bézout matrix of p and p̄, m = deg_z p (Cox, Little & O'Shea,
+    Using Algebraic Geometry, ch. 3).  With f_k the z-slices of p, entry
+    (i, j) is the sum over k of t - t̄, t = f_(i+1+k) * f̄_(j-k): one product
+    per term, since p̄ has the slices f̄_k.  For m = 1, p = c z + b, it is
+    c b̄ - b c̄.
+    """
+    x_vars = p.vars[:-1]
+    zero = MultiPoly.zero(x_vars)
+    slices = p.slices(p.vars[-1])
+    m = max(slices, default=0)
+    f = [slices.get(k, zero) for k in range(m + 1)]
+    f_bar = [s.conj_coefficients() for s in f]
+    bezout = [[zero] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):  # the Bézout matrix is symmetric
+            for k in range(min(j, m - 1 - i) + 1):
+                t = f[i + 1 + k] * f_bar[j - k]
+                bezout[i][j] = bezout[i][j] + (t - t.conj_coefficients())
+            bezout[j][i] = bezout[i][j]
+    det = _determinant(bezout, x_vars)
+    return -det if m * (m - 1) // 2 % 2 else det
+
+
+def _determinant(rows, vars) -> MultiPoly:
+    """Determinant of a square matrix of polynomials by Laplace expansion,
+    bottom row first, each minor kept by its column set: division-free,
+    with 2^n minors."""
+    n = len(rows)
+    minors = {(): MultiPoly.constant(vars, 1)}
+    for size in range(1, n + 1):
+        row = rows[n - size]
+        for cols in itertools.combinations(range(n), size):
+            total = None
+            for pos, j in enumerate(cols):
+                entry = row[j]
+                if entry.is_zero():
+                    continue
+                rest = minors[cols[:pos] + cols[pos + 1 :]]
+                if rest.is_zero():
+                    continue
+                term = entry * rest
+                if pos % 2:
+                    term = -term
+                total = term if total is None else total + term
+            minors[cols] = total if total is not None else MultiPoly.zero(vars)
+    return minors[tuple(range(n))]
 
 
 def linear_change(poly: MultiPoly, rows, new_vars) -> MultiPoly:

@@ -4,6 +4,14 @@ Produces truncated fractional-power branches y = psi(mu^n x^(1/r)), the
 contact order of a two-variable stable polynomial, and a real polynomial g
 comparable to a positive series f near 0 together with the exponent K of
 its lower bound f >= c|(x,y)|^K.
+
+The engine no longer calls `comparable_polynomial`: it takes g exactly from
+the resultant Res_z(p, p̄) (`poly.conjugate_resultant`), with K read off the
+Newton polygon, at no sampled positivity check.  `comparable_polynomial`,
+`weierstrass_prepare`, `branch_factor_poly` and the helpers only they use
+stay, with their tests, because `bench/tracer.py` wraps those three names;
+they go with the next change to the benchmark.  `newton_puiseux` serves the
+`puiseux` command.
 """
 
 from __future__ import annotations

@@ -9,6 +9,11 @@ import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
 LINEAR3 = "x + y + z - 2*i*(x*y + x*z + y*z) - 3*x*y*z"
+# Res_z(p, pbar) of the degenerate example, made real and primitive
+DEGENERATE_EXACT_G = (
+    "4*x^2 - 8*x*y + 4*y^2 + 15*x^4 + 34*x^2*y^2 + 15*y^4"
+    " + 56*x^4*y^2 + 16*x^3*y^3 + 56*x^2*y^4 + 64*x^4*y^4"
+)
 
 
 def run_cli(*args):
@@ -40,6 +45,22 @@ class TestAnalyze:
         assert res.returncode == 0
         assert "case: IsolatedDegenerate" in res.stdout
         assert "x^2 - 2*x*y + y^2" in res.stdout
+
+    def test_degenerate_g_is_exact(self):
+        from tests.conftest import DEGENERATE_TEXT
+
+        res = run_cli("analyze", DEGENERATE_TEXT)
+        assert f"g = {DEGENERATE_EXACT_G}\n" in res.stdout
+        res = run_cli("analyze", DEGENERATE_TEXT, "--format", "json")
+        assert json.loads(res.stdout)["g"] == DEGENERATE_EXACT_G
+
+    def test_shared_root_exit_2(self):
+        from tests.conftest import DEGENERATE_TEXT
+
+        res = run_cli("analyze", f"({DEGENERATE_TEXT})*(z + 1)")
+        assert res.returncode == 2
+        assert "share the root z = -1" in res.stderr
+        assert "out of scope" in res.stderr
 
     def test_golden_json(self):
         res = run_cli("analyze", LINEAR3, "--format", "json")
@@ -81,6 +102,18 @@ class TestMember:
     def test_p_over_p_trivial(self):
         res = run_cli("member", LINEAR3, LINEAR3)
         assert res.returncode == 0
+
+    def test_l7_verdicts_at_order_12(self):
+        from numideal.construct import iterated_composition
+        from numideal.parsing import format_poly
+
+        text = format_poly(iterated_composition(7))
+        res = run_cli("member", text, "x^13", "--order", "12")
+        assert res.returncode == 3
+        assert "NotInIdeal" in res.stdout
+        res = run_cli("member", text, "x^14", "--order", "12")
+        assert res.returncode == 0
+        assert "InIdeal" in res.stdout
 
     def test_oracle_flag_json(self):
         res = run_cli("member", LINEAR3, "x^2", "--oracle", "--format", "json")

@@ -229,7 +229,7 @@ class TestWideAndHigherZDegree:
     def test_linear_form_with_z_degree_two(self, nonisolated, order):
         # the second factor is a unit at 0, so the numerators are those of
         # nonisolated; with deg_z = 2 there is no exact z-split and the
-        # LinearForm tests run on the truncated phi
+        # LinearForm membership runs on the truncated phi
         unit = polydisk_to_halfplane(parse("5 - z1 - z2 - z3"))
         p = normalize_z_coefficient(nonisolated * unit)
         assert p.var_degree("z") == 2

@@ -48,3 +48,11 @@ def test_closure_does_not_load_puiseux():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_engine_does_not_load_puiseux():
+    code = "import sys, numideal.engine; print('numideal.puiseux' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

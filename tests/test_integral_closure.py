@@ -49,8 +49,8 @@ class TestMonomialize:
         with pytest.raises(NoMonomializationFound):
             monomialize(parse("x^2 - y^2", vars=("x", "y")))
 
-    # the comparable polynomial g that numerator_ideal builds for the
-    # degenerate example; its high-degree terms are large, so g is
+    # the comparable polynomial g that puiseux.comparable_polynomial builds
+    # for the degenerate example; its high-degree terms are large, so g is
     # comparable to u^2 + v^4 only close to 0
     PIPELINE_G = (
         "x^2 - 2*x*y + y^2 - 16*x^4 + 32*x^3*y + 672*x^6 - 1136*x^5*y"
