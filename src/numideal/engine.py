@@ -2,20 +2,22 @@
 membership of candidate numerators.
 
 Pipeline: solve the branch z + phi(x) = 0, classify the first non-real term
-of phi, then emit one of four ideal shapes: Principal (phi real through the
-order), Definite (positive-definite leading imaginary part), LinearForm
+of phi, then emit one of four ideal shapes: Principal (Im phi identically
+zero), Definite (positive-definite leading imaginary part), LinearForm
 (imaginary part comparable to a power of a real linear form), or
 IsolatedDegenerate (isolated real zero, ideal via an integral closure).
 A numeric boundedness oracle cross-checks every verdict.
 
 Where phi is real through the order or its leading imaginary part is not
-definite, the decisions rest on the exact resultant R = Res_z(p, p̄)
-(`poly.conjugate_resultant`), which is Im phi times a unit near 0 unless
-p(0, z)/z and p̄(0, z) share a root.  R fixes the working order, tests the
-linear-form pattern by exact division, and is the g whose integral closure
-gives the IsolatedDegenerate ideal.  The engine therefore does not use
-`puiseux`: no branch expansion, Weierstrass preparation or sampled
-positivity check decides a case.
+definite, the decisions rest on the exact resultant R = Res_z(f, f̄)
+(`poly.conjugate_resultant`), with f the factor of p through the branch:
+p itself, or p over its gcd with p̄ when Res_z(p, p̄) = 0.  R is Im phi
+times a unit near 0 unless f(0, z)/z and f̄(0, z) share a root, z = oo
+included.  R fixes the working order, tests the linear-form pattern by
+exact division, and is the g whose integral closure gives the
+IsolatedDegenerate ideal.  The engine therefore does not use `puiseux`:
+no branch expansion, Weierstrass preparation or sampled positivity check
+decides a case.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from .poly import (
     MultiPoly,
     TruncatedSeries,
     conjugate_resultant,
+    divide_exact,
     linear_change,
+    primitive_gcd,
     substitute,
 )
 
@@ -196,37 +200,68 @@ def _poly_divides_power(numerator: MultiPoly, ell: MultiPoly, power: int):
     return all(e[0] >= power for e in _ell_frame(numerator, ell).terms)
 
 
-def _comparable_resultant(p: MultiPoly, im_part_2L: MultiPoly) -> MultiPoly:
+def _branch_factor(p: MultiPoly):
+    """(f, R): the factor f of p through the branch z = -phi(x) and
+    R = Res_z(f, f̄), which is nonzero; None when Im phi is identically zero.
+
+    f = p unless p and p̄ share a factor G, which happens exactly when
+    Res_z(p, p̄) = 0.  G is real up to a constant and p(0, z) has a simple
+    root at 0, so G(0, 0) = 0 exactly when the branch is a root of G, and
+    then phi is real.  Otherwise G is a unit near 0 and f = p / G is prime
+    to f̄.
+    """
+    R = conjugate_resultant(p)
+    if not R.is_zero():
+        return p, R
+    shared = primitive_gcd(p, p.conj_coefficients())
+    if shared.coefficient((0,) * len(p.vars)).is_zero():
+        return None
+    f = divide_exact(p, shared)
+    return f, conjugate_resultant(f)
+
+
+def _shared_root(f: MultiPoly) -> str | None:
+    """Name the root that f(0, z)/z and f̄(0, z) share on the projective
+    line, the reason Res_z(f, f̄) vanishes to a higher order than Im phi."""
+    zero = (0,) * (len(f.vars) - 1)
+    at0 = [f.coefficient(zero + (k,)) for k in range(f.var_degree("z") + 1)]
+    if at0[-1].is_zero():
+        return (
+            "p(0, z)/z and its conjugate share the root z = oo, since p(0, z) "
+            "has lower degree in z than p"
+        )
+    shared = p_gcd(at0[1:], [c.conj() for c in at0])
+    if len(shared) < 2:
+        return None
+    if len(shared) == 2:
+        what = f"the root z = {-shared[0]}"
+    else:
+        factor = MultiPoly(("z",), {(k,): c for k, c in enumerate(shared)})
+        what = f"the roots of {format_poly(factor)}"
+    return f"p(0, z)/z and its conjugate share {what}"
+
+
+def _comparable_resultant(
+    f: MultiPoly, R: MultiPoly, im_part_2L: MultiPoly
+) -> MultiPoly:
     """A real polynomial g comparable to Im phi near 0, built exactly.
 
-    g is R = Res_z(p, p̄) times the s in {1, -1, i, -i} that makes its lowest
-    form a positive multiple of Im phi_2L, divided by its content.  Inputs
-    where p(0, z)/z and p̄(0, z) share a root are out of scope: there R
-    vanishes to a higher order than Im phi.
+    With (f, R) from `_branch_factor`, R is Im phi times a unit near 0 unless
+    f(0, z)/z and f̄(0, z) share a root on the projective line; then
+    ord R > 2L and the input is out of scope.  g is R times the s in
+    {1, -1, i, -i} that makes its lowest form a positive multiple of
+    Im phi_2L, divided by its content.
     """
-    # the monic gcd of p(0, z)/z and p̄(0, z) over Q(i)
-    zero = (0,) * (len(p.vars) - 1)
-    at0 = [p.coefficient(zero + (k,)) for k in range(p.var_degree("z") + 1)]
-    while at0[-1].is_zero():
-        at0.pop()
-    shared = p_gcd(at0[1:], [c.conj() for c in at0])
-    if len(shared) > 1:
-        if len(shared) == 2:
-            what = f"the root z = {-shared[0]}"
-        else:
-            factor = MultiPoly(("z",), {(k,): c for k, c in enumerate(shared)})
-            what = f"the roots of {format_poly(factor)}"
-        raise PreconditionError(
-            f"p(0, z)/z and its conjugate share {what}, so Res_z(p, pbar) is "
-            "not comparable to Im phi; such inputs are out of scope"
-        )
-    R = conjugate_resultant(p)
     lowest = R.lowest_part()
     e = next(iter(im_part_2L.terms))
     ratio = lowest.coefficient(e) / im_part_2L.coefficient(e)
     if ratio.is_zero() or lowest != im_part_2L.scale(ratio):
-        raise AssertionError(
-            "lowest form of Res_z(p, pbar) is not a multiple of Im phi_2L"
+        cause = _shared_root(f)
+        raise PreconditionError(
+            (f"{cause}, so " if cause else "")
+            + f"Res_z(p, pbar) vanishes to order {R.min_degree()} at 0, not "
+            f"2L = {im_part_2L.degree()}, and is not comparable to Im phi; "
+            "such inputs are out of scope"
         )
     # conj(R) = (-1)^(m^2) R, so the ratio is real or purely imaginary and
     # s = conj(ratio) / |ratio| is one of 1, -1, i, -i
@@ -270,16 +305,12 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
     x_vars = p.vars[:-1]
     d = len(x_vars)
 
+    # (f, R) from _branch_factor, computed once and only where phi is real
+    # through the order or its leading imaginary part is not definite
+    factor = None
     if cls.kind is PhiKind.ALL_REAL_UP_TO_ORDER:
-        # ord Res_z(p, p̄) >= 2L whenever Im phi is not identically zero
-        R = conjugate_resultant(p)
-        if R.is_zero():
-            if p.var_degree("z") >= 2 and sol.residual_order is not None:
-                raise TruncationError(
-                    f"phi is real through order {order} and p, pbar share a "
-                    "z-factor, so Res_z(p, pbar) = 0 cannot tell whether Im phi "
-                    "vanishes; raising the order is the only remedy"
-                )
+        factor = _branch_factor(p)
+        if factor is None:
             return IdealDescription(
                 case=CaseTag.PRINCIPAL,
                 generators=[p],
@@ -289,7 +320,8 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
                 branch=sol,
                 classification=cls,
             )
-        sol = solve_branch(p, max(order, R.min_degree()))
+        # ord R >= 2L, so solving through ord R exposes L
+        sol = solve_branch(p, max(order, factor[1].min_degree()))
         cls = classify(sol, seed=seed)
         if cls.kind is PhiKind.ALL_REAL_UP_TO_ORDER:
             raise AssertionError("phi is real through ord Res_z(p, pbar)")
@@ -323,19 +355,21 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
             "x-variables (three variables total)"
         )
 
-    g = _comparable_resultant(p, cls.im_part_2L)
+    # not None here: Im phi is not identically zero
+    f, R = factor or _branch_factor(p)
+    g = _comparable_resultant(f, R, cls.im_part_2L)
 
     # linear-form pattern: Im phi = ell^(2L) * (positive unit)
     lin = _linear_power_of(cls.im_part_2L)
     if lin is not None and _poly_divides_power(g, lin[0], 2 * L):
         ell = lin[0]
-        # p and p̄ lie in the ideal, so Re(conj(c0) p) does, and its z-slope
+        # f and f̄ lie in the ideal, so Re(conj(c0) f) does, and its z-slope
         # at 0 is |c0|^2 > 0: with ell^(2L) it generates the ideal
-        c0 = p.coefficient((0,) * d + (1,))
-        gen0 = p.scale(c0.conj()).real_part()
+        c0 = f.coefficient((0,) * d + (1,))
+        gen0 = f.scale(c0.conj()).real_part()
         gen0 = gen0.scale(Fraction(1) / gen0.content())
         re_rational = None
-        split = _z_split(p)
+        split = _z_split(f)
         if split is not None:
             b, c = split
             # Re phi = (b cbar + bbar c) / (2 c cbar), an exact rational

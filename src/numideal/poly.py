@@ -655,6 +655,112 @@ def conjugate_resultant(p: MultiPoly) -> MultiPoly:
     return -det if m * (m - 1) // 2 % 2 else det
 
 
+def divide_exact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """a / b, for a b that divides a: long division by lex-leading terms,
+    which leaves no remainder exactly when b | a."""
+    a._check_same_vars(b)
+    lead = max(b.terms)
+    inv = ONE / b.terms[lead]
+    rest = dict(a.terms)
+    quotient = {}
+    while rest:
+        top = max(rest)
+        shift = tuple(i - j for i, j in zip(top, lead))
+        if any(k < 0 for k in shift):
+            raise ArithmeticError("division was not exact")
+        c = rest[top] * inv
+        quotient[shift] = c
+        for e, v in b.terms.items():
+            key = tuple(i + j for i, j in zip(shift, e))
+            value = rest.get(key, ZERO) - c * v
+            if value.is_zero():
+                rest.pop(key, None)
+            else:
+                rest[key] = value
+    return MultiPoly._from_terms(a.vars, quotient)
+
+
+def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """A gcd of a and b in Q(i)[vars], up to a nonzero constant: the gcd of
+    their contents in the last variable times `primitive_gcd`."""
+    a._check_same_vars(b)
+    if a.is_zero() or b.is_zero():
+        return b if a.is_zero() else a
+    if not a.vars:
+        return MultiPoly.constant((), 1)
+    ca, cb = _content(a), _content(b)
+    common = poly_gcd(ca, cb).embed(a.vars)
+    return common * primitive_gcd(_primitive(a, ca), _primitive(b, cb))
+
+
+def primitive_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The primitive part of gcd(a, b) in the last variable t, for nonzero
+    a and b: a gcd up to a factor free of t.
+
+    It is the primitive part of the last nonzero remainder of the
+    subresultant sequence in t, whose divisions are exact and keep the
+    coefficients small (Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 3.3.1); only that remainder's content is computed.
+    """
+    t = a.vars[-1]
+    if a.var_degree(t) < b.var_degree(t):
+        a, b = b, a
+    g = h = MultiPoly.constant(a.vars, 1)
+    while True:
+        delta = a.var_degree(t) - b.var_degree(t)
+        r = _pseudo_remainder(a, b)
+        if r.is_zero():
+            return _primitive(b, _content(b))
+        if r.var_degree(t) == 0:
+            return MultiPoly.constant(a.vars, 1)
+        a, b = b, divide_exact(r, g * h**delta)
+        g = _leading(a)
+        h = divide_exact(g**delta, h ** (delta - 1)) if delta else h
+
+
+def _leading(a: MultiPoly) -> MultiPoly:
+    """The leading coefficient of a in its last variable, in all variables."""
+    t = a.vars[-1]
+    return a.slices(t)[a.var_degree(t)].embed(a.vars)
+
+
+def _content(a: MultiPoly) -> MultiPoly:
+    """gcd of the coefficients of a in its last variable."""
+    slices = sorted(
+        a.slices(a.vars[-1]).values(), key=lambda s: (s.degree(), len(s.terms))
+    )
+    c = slices[0]
+    for s in slices[1:]:
+        if c.degree() == 0:
+            break
+        c = poly_gcd(c, s)
+    return c
+
+
+def _primitive(a: MultiPoly, content: MultiPoly) -> MultiPoly:
+    """a divided by its content in the last variable."""
+    terms = {}
+    for k, s in a.slices(a.vars[-1]).items():
+        for e, c in divide_exact(s, content).terms.items():
+            terms[e + (k,)] = c
+    return MultiPoly._from_terms(a.vars, terms)
+
+
+def _pseudo_remainder(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The remainder of lc(b)^(deg a - deg b + 1) * a on division by b, in
+    the last variable t, with lc(b) the leading t-coefficient of b."""
+    t = a.vars[-1]
+    db = b.var_degree(t)
+    lead_b = _leading(b)
+    r = a
+    steps = a.var_degree(t) - db + 1
+    while not r.is_zero() and r.var_degree(t) >= db:
+        shift = (0,) * (len(a.vars) - 1) + (r.var_degree(t) - db,)
+        r = r * lead_b - _leading(r) * MultiPoly._from_terms(a.vars, {shift: ONE}) * b
+        steps -= 1
+    return r * lead_b**steps
+
+
 def _determinant(rows, vars) -> MultiPoly:
     """Determinant of a square matrix of polynomials by Laplace expansion,
     bottom row first, each minor kept by its column set: division-free,

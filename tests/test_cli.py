@@ -57,10 +57,20 @@ class TestAnalyze:
     def test_shared_root_exit_2(self):
         from tests.conftest import DEGENERATE_TEXT
 
-        res = run_cli("analyze", f"({DEGENERATE_TEXT})*(z + 1)")
+        shared = "(x + z + 1)*(x + y + z + i) - x^2"
+        res = run_cli("analyze", f"({DEGENERATE_TEXT})*({shared})")
         assert res.returncode == 2
         assert "share the root z = -1" in res.stderr
         assert "out of scope" in res.stderr
+
+    def test_factor_shared_with_pbar_keeps_the_ideal(self):
+        from tests.conftest import DEGENERATE_TEXT
+
+        res = run_cli("analyze", f"({DEGENERATE_TEXT})*(1 - x*z)")
+        assert res.returncode == 0
+        # every line after the echo of p is the same as for p alone
+        base = run_cli("analyze", DEGENERATE_TEXT).stdout
+        assert res.stdout.split("\n")[1:] == base.split("\n")[1:]
 
     def test_golden_json(self):
         res = run_cli("analyze", LINEAR3, "--format", "json")

@@ -14,11 +14,17 @@ from numideal.engine import (
     membership,
     numerator_ideal,
 )
-from numideal.errors import PreconditionError, TruncationError
+from numideal.errors import PreconditionError
 from numideal.examples import EXAMPLES
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
-from numideal.poly import MultiPoly, conjugate_resultant
+from numideal.poly import (
+    MultiPoly,
+    conjugate_resultant,
+    divide_exact,
+    poly_gcd,
+    primitive_gcd,
+)
 
 # criterion 7(d) of test_acceptance.py, plus criterion 5 and a non-member
 # for p2: (q, q/p bounded)
@@ -47,6 +53,11 @@ WORKED_PAIRS = {
     ],
     "p2": [("(x^2 + y^2)^2", True), ("x^3", False)],
 }
+
+
+@pytest.fixture(scope="module")
+def iterated7():
+    return iterated_composition(7)
 
 
 def _random_qi_poly(rng, m):
@@ -104,6 +115,39 @@ class TestConjugateResultant:
             assert R.conj_coefficients() == (R if m % 2 == 0 else -R)
 
 
+class TestGcd:
+    def test_common_factor_of_seeded_products(self):
+        rng = random.Random(7)
+        for m in (1, 2):
+            for _ in range(2):
+                g, u, v = (_random_qi_poly(rng, k) for k in (m, 1, 2))
+                got = poly_gcd(g * u, g * v)
+                # got is g up to a nonzero constant
+                assert divide_exact(got, g).degree() == 0
+                assert divide_exact(g * u, got) == u.scale(
+                    g.coefficient(max(g.terms)) / got.coefficient(max(got.terms))
+                )
+
+    def test_primitive_gcd_drops_factors_free_of_z(self):
+        vars = ("x", "y", "z")
+        a = parse("(1 + x)*(z + y)*(z - i)", vars=vars)
+        b = parse("(1 + x)*(z + y)*(x*z + 2)", vars=vars)
+        assert poly_gcd(a, b).degree() == 2
+        got = primitive_gcd(a, b)
+        assert divide_exact(got, parse("z + y", vars=vars)).degree() == 0
+        assert primitive_gcd(a, parse("(1 + x)*(z + 3)", vars=vars)).degree() == 0
+
+    def test_conjugates_share_the_real_factor(self, degenerate):
+        p = degenerate * parse("1 - x*z", vars=degenerate.vars)
+        shared = primitive_gcd(p, p.conj_coefficients())
+        assert divide_exact(shared, parse("1 - x*z", vars=p.vars)).degree() == 0
+
+    def test_inexact_division_raises(self):
+        vars = ("x", "y", "z")
+        with pytest.raises(ArithmeticError):
+            divide_exact(parse("x^2 + y", vars=vars), parse("x + y", vars=vars))
+
+
 class TestSecondZDegree:
     """p * (x + y + z + i) is stable and the extra factor is a unit at 0, so
     the numerator ideal and every verdict carry over from p."""
@@ -138,10 +182,6 @@ class TestSecondZDegree:
 
 
 class TestWorkingOrder:
-    @pytest.fixture(scope="class")
-    def iterated7(self):
-        return iterated_composition(7)
-
     def test_l7_is_definite_at_order_12(self, iterated7):
         # Im phi vanishes through order 12; ord R = 14 raises the order
         desc = numerator_ideal(iterated7, order=12)
@@ -176,28 +216,70 @@ class TestWorkingOrder:
         assert desc.ic.newton_points == ((0, 4), (2, 0))
 
 
+# det(x A + y B + z I + D) with A, B positive semidefinite and Im D >= 0 is
+# stable; at x = y = 0 these share real roots with their conjugates
+SHARED_ROOT_FACTOR = "(x + z + 1)*(x + y + z + i) - x^2"
+SHARED_ROOTS_FACTOR = (
+    "(x + z + 1)*(x + z + 2)*(2*x + y + z + i) - x^2*(x + z + 2) - x^2*(x + z + 1)"
+)
+
+
+def _same_ideal(desc, base):
+    for field in ("case", "L_or_K", "H", "g", "generators"):
+        assert getattr(desc, field) == getattr(base, field), field
+
+
 class TestFallbacks:
     def test_shared_root_out_of_scope(self, degenerate):
-        p = degenerate * parse("z + 1", vars=degenerate.vars)
+        p = degenerate * parse(SHARED_ROOT_FACTOR, vars=degenerate.vars)
         with pytest.raises(PreconditionError, match=r"root z = -1\b.*out of scope"):
             numerator_ideal(p)
 
     def test_shared_roots_named_by_their_factor(self, degenerate):
-        p = degenerate * parse("(z + 1)*(z + 2)", vars=degenerate.vars)
+        p = degenerate * parse(SHARED_ROOTS_FACTOR, vars=degenerate.vars)
         with pytest.raises(PreconditionError, match=r"roots of 2 \+ 3\*z \+ z\^2"):
             numerator_ideal(p)
 
-    def test_shared_factor_with_real_phi_needs_order(self):
-        p = iterated_composition(7)
-        p = p * parse("z + 1", vars=p.vars)
-        with pytest.raises(TruncationError, match="raising the order"):
-            numerator_ideal(p, order=12)
+    def test_root_at_infinity_out_of_scope(self, degenerate):
+        # 1 - x*z - i*x = x * (stable x + z + i at -1/x): its z-root leaves
+        # through infinity at x = 0
+        p = degenerate * parse("1 - x*z - i*x", vars=degenerate.vars)
+        with pytest.raises(PreconditionError, match=r"root z = oo.*out of scope"):
+            numerator_ideal(p)
 
-    def test_shared_factor_with_exact_real_phi_is_principal(self):
-        p = parse("(z + x)*(z + 1)", vars=("x", "y", "z"))
+    @pytest.mark.parametrize("name", ["degenerate", "nonisolated"])
+    @pytest.mark.parametrize("unit", ["1 - x*z", "z + 1", "(z + 1)*(z + 2)"])
+    def test_factor_shared_with_pbar_is_split_off(self, name, unit):
+        # a real factor that is a unit near 0 makes Res_z(p, pbar) = 0 but
+        # leaves the ideal unchanged
+        p = EXAMPLES[name]()
+        pu = p * parse(unit, vars=p.vars)
+        assert conjugate_resultant(pu).is_zero()
+        _same_ideal(numerator_ideal(pu), numerator_ideal(p))
+        for text, bounded in WORKED_PAIRS[name]:
+            q = parse(text, vars=p.vars)
+            v = membership(pu, q)
+            assert (v.verdict is Verdict.IN_IDEAL) == bounded, text
+
+    def test_shared_factor_with_real_phi_through_order(self, iterated7):
+        p = iterated7 * parse("z + 1", vars=iterated7.vars)
+        desc = numerator_ideal(p, order=12)
+        _same_ideal(desc, numerator_ideal(iterated7, order=12))
+        assert desc.branch.phi.order == 14
+        for text, expected in (
+            ("x^13", Verdict.NOT_IN_IDEAL),
+            ("x^14", Verdict.IN_IDEAL),
+        ):
+            q = parse(text, vars=p.vars)
+            assert membership(p, q, order=12, ideal=desc).verdict is expected, text
+
+    @pytest.mark.parametrize("text", ["(z + x)*(z + 1)", "(z + x + x*z)*(z + 2)"])
+    def test_branch_on_shared_factor_is_principal(self, text):
+        # p is real, so Im phi = 0 whether or not the computed phi is exact
+        p = parse(text, vars=("x", "y", "z"))
         desc = numerator_ideal(p)
         assert desc.case is CaseTag.PRINCIPAL
-        assert desc.branch.residual_order is None
+        assert desc.generators == [p]
 
     def test_polygon_missing_an_axis_is_not_isolated(self):
         with pytest.raises(PreconditionError, match="not isolated"):
