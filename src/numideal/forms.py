@@ -280,11 +280,17 @@ def _gaussian_divisors(g):
 def _qi_root(c):
     """One root in Q(i) of c (degree >= 1, nonzero constant term), or None.
 
-    Candidates p/q with p | constant and q | leading in Z[i], after clearing
-    denominators; then the quadratic formula when c has degree 2.
+    Degree 1 and 2 by formula: a quadratic has a root in Q(i) exactly when
+    its discriminant is a square there.  Higher degrees try the candidates
+    p/q with p | constant and q | leading in Z[i], after clearing
+    denominators; their number grows with the divisors of those two.
     """
     if len(c) == 2:
         return -c[0] / c[1]
+    if len(c) == 3:
+        a, b, cc = c[2], c[1], c[0]
+        s = gaussian_sqrt(b * b - a * cc * 4)
+        return None if s is None else (-b + s) / (a * 2)
     den = 1
     for a in c:
         den = math.lcm(den, a.re.denominator, a.im.denominator)
@@ -294,11 +300,6 @@ def _qi_root(c):
             cand = GaussianRational(*pnum) / GaussianRational(*pden)
             if p_eval(c, cand).is_zero():
                 return cand
-    if len(c) == 3:
-        a, b, cc = c[2], c[1], c[0]
-        s = gaussian_sqrt(b * b - a * cc * 4)
-        if s is not None:
-            return (-b + s) / (a * 2)
     return None
 
 
