@@ -180,14 +180,18 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _add_common(sub):
-    sub.add_argument("--order", type=int, default=12, help="series truncation order")
-    sub.add_argument("--eps", type=float, default=0.125, help="oracle sampling radius")
-    sub.add_argument("--grid", type=int, default=3, help="oracle refinement levels")
-    sub.add_argument("--seed", type=int, default=0, help="sampling seed")
-    sub.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+_FLAGS = {
+    "--order": dict(type=int, default=12, help="series truncation order"),
+    "--seed": dict(type=int, default=0, help="sampling seed"),
+    "--eps": dict(type=float, default=0.125, help="oracle sampling radius"),
+    "--grid": dict(type=int, default=3, help="oracle refinement levels"),
+    "--format": dict(choices=("text", "json"), default="text", help="output format"),
+}
+
+
+def _add_flags(sub, *names):
+    for name in names:
+        sub.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,29 +204,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="classify p and emit its numerator ideal")
     a.add_argument("polynomial", help="polynomial text or @file")
-    _add_common(a)
+    _add_flags(a, "--order", "--seed", "--format")
     a.set_defaults(func=cmd_analyze)
 
     m = sub.add_parser("member", help="decide whether q/p is locally bounded")
     m.add_argument("denominator", help="stable polynomial p (text or @file)")
     m.add_argument("numerator", help="candidate numerator q (text or @file)")
     m.add_argument("--oracle", action="store_true", help="also run the sampling oracle")
-    _add_common(m)
+    _add_flags(m, "--order", "--eps", "--grid", "--seed", "--format")
     m.set_defaults(func=cmd_member)
 
     u = sub.add_parser("puiseux", help="Newton-Puiseux branches of a bivariate polynomial")
     u.add_argument("polynomial", help="bivariate polynomial in x, y (text or @file)")
-    _add_common(u)
+    _add_flags(u, "--order", "--format")
     u.set_defaults(func=cmd_puiseux)
 
     e = sub.add_parser("examples", help="emit the worked example polynomials")
     e.add_argument("--name", help="one of: " + ", ".join(EXAMPLES))
-    _add_common(e)
+    _add_flags(e, "--format")
     e.set_defaults(func=cmd_examples)
 
     t = sub.add_parser("transform", help="polydisk-stable polynomial to half-plane form")
     t.add_argument("polynomial", help="polydisk polynomial in z1..z9 (text or @file)")
-    _add_common(t)
+    _add_flags(t, "--format")
     t.set_defaults(func=cmd_transform)
     return ap
 

@@ -71,10 +71,6 @@ class IdealDescription:
     classification: PhiClassification | None = None
     ic: MonomialIdealIC | None = None
     linear_form: MultiPoly | None = None
-    # exact Re phi = re_num / re_den for z-degree-1 denominators; the
-    # LinearForm membership reduction must use the full Re phi, since
-    # IC(ell^(2m)) contains no power of the maximal ideal
-    re_phi_rational: tuple | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,14 +121,6 @@ def _stability_spot_check(p: MultiPoly, seed: int = 0, samples: int = 40):
             )
 
 
-def _z_split(p: MultiPoly):
-    """For deg_z(p) = 1 return (b, c) with p = c(x) z + b(x), else None."""
-    if p.var_degree(p.vars[-1]) != 1:
-        return None
-    slices = p.slices(p.vars[-1])
-    return slices.get(0, MultiPoly.zero(p.vars[:-1])), slices[1]
-
-
 def _linear_power_of(form: MultiPoly):
     """Write a real homogeneous bivariate form as c * ell^deg, or None.
 
@@ -146,58 +134,40 @@ def _linear_power_of(form: MultiPoly):
     if d <= 0:
         return None
     coeffs = HomogeneousForm.from_poly(form).coeffs
-    # form = c * (alpha x + beta y)^d: read the ratio off the two leading
-    # coefficients, then verify the whole binomial pattern exactly
+    # form = c * (a x + b y)^d: the two leading coefficients fix a : b, and
+    # a = 0 leaves y^d as the only candidate
     if coeffs[d] != 0:
-        alpha_v, beta_v = Fraction(1), coeffs[d - 1] / (d * coeffs[d])
-    elif coeffs[0] != 0:
-        alpha_v, beta_v = coeffs[1] / (d * coeffs[0]), Fraction(1)
+        a, b = d * coeffs[d], coeffs[d - 1]
     else:
-        return None
-    # verify exactly
-    x_vars = form.vars
-    ell = MultiPoly(
-        x_vars, {(1, 0): GaussianRational(alpha_v), (0, 1): GaussianRational(beta_v)}
-    )
+        a, b = Fraction(0), Fraction(1)
+    den = math.lcm(a.denominator, b.denominator)
+    a, b = int(a * den), int(b * den)
+    g = math.gcd(a, b) if a >= 0 else -math.gcd(a, b)
+    a, b = a // g, b // g
+    ell = MultiPoly(form.vars, {(1, 0): GaussianRational(a), (0, 1): GaussianRational(b)})
     candidate = ell**d
-    scale = None
-    for e, c in form.terms.items():
-        cc = candidate.coefficient(e)
-        if cc.is_zero():
-            return None
-        ratio = c / cc
-        if scale is None:
-            scale = ratio
-        elif ratio != scale:
-            return None
-    if candidate.scale(scale) != form:
+    lead = (d, 0) if a else (0, d)
+    c = form.coefficient(lead) / candidate.coefficient(lead)
+    if c.re <= 0 or candidate.scale(c) != form:
         return None
-    # primitive integer coefficients, positive leading sign
-    den = alpha_v.denominator * beta_v.denominator // math.gcd(
-        alpha_v.denominator, beta_v.denominator
-    )
-    ai, bi = int(alpha_v * den), int(beta_v * den)
-    g = math.gcd(ai, bi)
-    ai, bi = ai // g, bi // g
-    if ai < 0 or (ai == 0 and bi < 0):
-        ai, bi = -ai, -bi
-    ell = MultiPoly(x_vars, {(1, 0): GaussianRational(ai), (0, 1): GaussianRational(bi)})
-    if not scale.is_real() or scale.re <= 0:
-        return None
-    return ell, scale
+    return ell, c
 
 
-def _ell_frame(q: MultiPoly, ell: MultiPoly) -> MultiPoly:
-    """q in the coordinates u = ell = a x + b y, v = -b x + a y."""
+def _ell_order(q: MultiPoly, ell: MultiPoly) -> int | None:
+    """The largest j with ell^j | q, for a linear ell = a x + b y; None for
+    q = 0.  It is the least u-degree of q in the coordinates u = ell,
+    v = -b x + a y."""
     a = ell.coefficient((1, 0)).re
     b = ell.coefficient((0, 1)).re
     det = a * a + b * b
-    return linear_change(q, ((a / det, -b / det), (b / det, a / det)), ("u", "v"))
+    uv = linear_change(q, ((a / det, -b / det), (b / det, a / det)), ("u", "v"))
+    return min((e[0] for e in uv.terms), default=None)
 
 
 def _poly_divides_power(numerator: MultiPoly, ell: MultiPoly, power: int):
     """Exact test ell^power | numerator for a linear ell = a x + b y."""
-    return all(e[0] >= power for e in _ell_frame(numerator, ell).terms)
+    j = _ell_order(numerator, ell)
+    return j is None or j >= power
 
 
 def _branch_factor(p: MultiPoly):
@@ -327,14 +297,9 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
             raise AssertionError("phi is real through ord Res_z(p, pbar)")
 
     L = cls.L
-    phi_parts = sol.phi.homogeneous_parts()
 
     if cls.definite:
-        H = MultiPoly.zero(x_vars)
-        for j in range(1, 2 * L):
-            part = phi_parts.get(j)
-            if part is not None:
-                H = H + part.real_part()
+        H = sol.phi.poly.truncate(2 * L - 1).real_part()
         z_plus_H = MultiPoly.variable(p.vars, "z") + H.embed(p.vars)
         gens = [z_plus_H] + [
             m.embed(p.vars) for m in _monomials_of_degree(x_vars, 2 * L)
@@ -368,27 +333,16 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
         c0 = f.coefficient((0,) * d + (1,))
         gen0 = f.scale(c0.conj()).real_part()
         gen0 = gen0.scale(Fraction(1) / gen0.content())
-        re_rational = None
-        split = _z_split(f)
-        if split is not None:
-            b, c = split
-            # Re phi = (b cbar + bbar c) / (2 c cbar), an exact rational
-            re_num = (
-                b * c.conj_coefficients() + b.conj_coefficients() * c
-            ).scale(Fraction(1, 2))
-            re_den = c * c.conj_coefficients()
-            re_rational = (re_num, re_den)
         ell_power = (ell ** (2 * L)).embed(p.vars)
         return IdealDescription(
             case=CaseTag.LINEAR_FORM,
             generators=[gen0, ell_power],
-            H=sol.phi.poly.real_part().truncate(2 * L - 1),
+            H=sol.phi.poly.truncate(2 * L - 1).real_part(),
             L_or_K=2 * L,
             g=ell ** (2 * L),
             branch=sol,
             classification=cls,
             linear_form=ell,
-            re_phi_rational=re_rational,
         )
 
     # isolated degenerate zero: integral closure of g
@@ -396,23 +350,21 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
     K = _isolated_exponent(ic)
     if sol.phi.order < K:
         sol = solve_branch(p, K)
-    H = sol.phi.poly.real_part().truncate(K - 1)
+    H = sol.phi.poly.truncate(K - 1).real_part()
     gens_xy, gens_uv = ic_generators(ic, xy_vars=x_vars)
     gens_uv_sorted = sorted(zip(gens_uv, gens_xy), key=lambda t: -t[0][0])
     generators = [MultiPoly.variable(p.vars, "z") + H.embed(p.vars)]
     for (a, b), gen in gens_uv_sorted:
-        if a == ic.u_min and b > 0 and a + b == K:
-            # pure-v staircase corner of total degree K: present it as the
-            # full degree-K monomial block when the block lies in the ideal
-            block = _monomials_of_degree(x_vars, K)
-            if all(
-                ic.contains_exponent(aa, bb)
-                for m in block
-                for (aa, bb) in ic.to_uv(m).terms
-            ) and a == 0:
-                generators.extend(m.embed(p.vars) for m in block)
-                continue
-        generators.append(gen.embed(p.vars))
+        if a == 0 and b == K:
+            # the generator v^K: present it as the degree-K monomial block,
+            # which lies in the ideal since the polygon has a vertex on each
+            # axis, so it holds every (a, b) with a + b >= K, and a linear
+            # change of frame keeps degrees
+            generators.extend(
+                m.embed(p.vars) for m in _monomials_of_degree(x_vars, K)
+            )
+        else:
+            generators.append(gen.embed(p.vars))
     return IdealDescription(
         case=CaseTag.ISOLATED_DEGENERATE,
         generators=generators,
@@ -434,8 +386,9 @@ def membership(
 ) -> MembershipVerdict:
     """Decide whether q/p is locally bounded near the origin.
 
-    Reduces q to q0(x) = q(x, -H(x)) and tests q0 against the ideal's
-    x-part: a vanishing-order test (Definite), an exact divisibility test
+    Principal asks whether gcd(q, p) vanishes at 0.  Otherwise q is reduced
+    to q0(x) = q(x, -H(x)) and q0 is tested against the ideal's x-part: a
+    vanishing-order test (Definite), an exact divisibility test
     (LinearForm), or Newton-polyhedron membership (IsolatedDegenerate).
     """
     desc = ideal if ideal is not None else numerator_ideal(p, order=order, seed=seed)
@@ -444,8 +397,12 @@ def membership(
     phi = desc.branch.phi if desc.branch is not None else None
 
     if desc.case is CaseTag.PRINCIPAL:
+        # p is smooth at 0, so its only factor through 0 is the one carrying
+        # the branch: q is a multiple of it exactly when gcd(q, p) vanishes
+        # at 0, whatever the truncation of phi hides
         reduced = substitute(q, "z", -phi)
-        if reduced.is_zero():
+        origin = (0,) * len(p.vars)
+        if q.is_zero() or primitive_gcd(q, p).coefficient(origin).is_zero():
             return MembershipVerdict(Verdict.IN_IDEAL, reduced)
         return MembershipVerdict(
             Verdict.NOT_IN_IDEAL,
@@ -458,7 +415,7 @@ def membership(
         # reduce with the full Re phi: IC(ell^power) contains no (x)^K, so a
         # Taylor cutoff would corrupt the divisibility test
         reduced = substitute(q, "z", -phi.real_part())
-        if desc.re_phi_rational is not None:
+        if desc.generators[0].var_degree("z") == 1:
             ok = _rational_reduction_divides(q, desc, power)
         else:
             ok = _poly_divides_power(reduced.poly, desc.linear_form, power)
@@ -506,22 +463,30 @@ def membership(
 
 
 def _rational_reduction_divides(q: MultiPoly, desc: IdealDescription, power: int):
-    """Exact LinearForm membership: clear the Re phi denominator and test
-    divisibility by ell^power; the denominator is a unit so it cannot carry
-    any factor of ell."""
-    re_num, re_den = desc.re_phi_rational
+    """Exact LinearForm membership when the first generator is linear in z,
+    gen0 = den z + num: test ell^power | den^deg_z q(x, -num/den).
+
+    The root -num/den of gen0 is not -Re phi (on `nonisolated`, num/den is
+    (x + y)/(1 - x*y) and Re phi is Re((x + y)/c)), but the two agree
+    modulo ell^power: gen0 lies in the ideal, so gen0(x, -Re phi) is a
+    multiple of ell^power, and its z-slope den is |c0|^2 > 0 at 0, a unit.
+    So q takes the same value at both roots modulo ell^power, and the
+    cleared denominator den^deg_z carries no factor of ell."""
+    gen0 = desc.generators[0].slices("z")
+    den = gen0[1]
+    num = gen0.get(0, MultiPoly.zero(den.vars))
     slices = q.slices("z")
     deg_z = max(slices, default=0)
-    total = MultiPoly.zero(re_num.vars)
+    total = MultiPoly.zero(den.vars)
     for k, qk in slices.items():
-        total = total + qk * ((-re_num) ** k) * (re_den ** (deg_z - k))
+        total = total + qk * ((-num) ** k) * (den ** (deg_z - k))
     return _poly_divides_power(total, desc.linear_form, power)
 
 
 def _linear_form_witness(q0: MultiPoly, desc: IdealDescription):
     """Report how far q0 falls short of the required ell-divisibility."""
     ell = desc.linear_form
-    j = min((e[0] for e in _ell_frame(q0, ell).terms), default=None)
+    j = _ell_order(q0, ell)
     return {
         "zero_line": f"{format_poly(ell)} = 0",
         "ell_exponent": j,

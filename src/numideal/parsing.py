@@ -185,7 +185,7 @@ def format_coefficient(c: GaussianRational) -> str:
             return "-i"
         return f"{_frac_str(c.im)}*i"
     sign, mag = _signed_magnitude(c)
-    body = _magnitude_str(mag, standalone=True)
+    body = _magnitude_str(mag)
     return f"-{body}" if sign < 0 else body
 
 
@@ -198,7 +198,7 @@ def _signed_magnitude(c: GaussianRational):
     return sign, c
 
 
-def _magnitude_str(c: GaussianRational, standalone=False):
+def _magnitude_str(c: GaussianRational):
     """Render an unsigned coefficient; mixed values are parenthesized."""
     if c.is_real():
         return _frac_str(c.re)
@@ -238,7 +238,7 @@ def format_poly(p: MultiPoly) -> str:
         sign, mag = _signed_magnitude(coeff)
         mono = _monomial_str(p.vars, exps)
         if not mono:
-            body = _magnitude_str(mag, standalone=True)
+            body = _magnitude_str(mag)
         elif mag == GaussianRational(1):
             body = mono
         else:

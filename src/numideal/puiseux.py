@@ -20,11 +20,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .branch import solve_branch
+from .branch import classify, solve_branch
 from .errors import (
     AllRealUpToOrderError,
     PreconditionError,
-    SanityViolation,
     TruncationError,
 )
 from .forms import HomogeneousForm, is_positive_definite, qi_nth_root, qi_roots
@@ -689,32 +688,14 @@ def contact_order(p2: MultiPoly, order: int = 12) -> int:
     """Contact order of a bivariate stable polynomial at (0,0).
 
     The zero set y = -psi(x) approaches the real plane at rate |x|^K where K
-    is the first index with a non-real psi coefficient; K must be even with
-    positive imaginary part for a stable input, and that is checked.
+    is the first index with a non-real psi coefficient; `classify` checks
+    that K is even with positive imaginary part, as stability requires.
     """
     if len(p2.vars) != 2:
         raise PreconditionError("contact order needs a bivariate polynomial")
-    sol = solve_branch(p2, order)
-    psi = sol.phi.poly
-    first = None
-    for m in range(1, order + 1):
-        part = psi.homogeneous_part(m)
-        if not part.is_real():
-            first = m
-            break
-    if first is None:
+    cls = classify(solve_branch(p2, order))
+    if cls.L is None:
         raise AllRealUpToOrderError(
             f"no non-real coefficient through order {order}", order=order
         )
-    im = psi.coefficient((first,)).im
-    if first % 2 == 1:
-        raise SanityViolation(
-            f"first non-real index {first} is odd: input not stable",
-            witness=psi.truncate(first),
-        )
-    if im <= 0:
-        raise SanityViolation(
-            f"Im a_{first} = {im} is not positive: input not stable",
-            witness=psi.truncate(first),
-        )
-    return first
+    return 2 * cls.L

@@ -76,6 +76,12 @@ class TestAnalyze:
         res = run_cli("analyze", LINEAR3, "--format", "json")
         assert res.stdout == (GOLDEN / "linear3_analyze.json").read_text()
 
+    def test_unread_flag_rejected(self):
+        # analyze runs no oracle, so it takes no --eps
+        res = run_cli("analyze", LINEAR3, "--eps", "1")
+        assert res.returncode == 2
+        assert "unrecognized arguments: --eps 1" in res.stderr
+
     def test_parse_error_exit_1(self):
         res = run_cli("analyze", "x + (")
         assert res.returncode == 1
@@ -124,6 +130,18 @@ class TestMember:
         res = run_cli("member", text, "x^14", "--order", "12")
         assert res.returncode == 0
         assert "InIdeal" in res.stdout
+
+    def test_principal_x13_not_in_ideal(self):
+        # x^13 vanishes on the branch z = -x only through the order
+        res = run_cli("member", "(z + x)*(z + 1)", "x^13")
+        assert res.returncode == 3
+        assert "NotInIdeal" in res.stdout
+        assert "q0 = q(x, -H(x)) = 0" in res.stdout
+
+    def test_oracle_flags(self):
+        res = run_cli("member", LINEAR3, "x", "--oracle", "--eps", "0.1", "--grid", "2")
+        assert res.returncode == 3
+        assert "oracle sup ~" in res.stdout
 
     def test_oracle_flag_json(self):
         res = run_cli("member", LINEAR3, "x^2", "--oracle", "--format", "json")

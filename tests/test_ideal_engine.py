@@ -9,6 +9,8 @@ from numideal.construct import normalize_z_coefficient, polydisk_to_halfplane
 from numideal.engine import (
     CaseTag,
     Verdict,
+    _linear_power_of,
+    _poly_divides_power,
     boundedness_oracle,
     membership,
     numerator_ideal,
@@ -246,6 +248,69 @@ class TestWideAndHigherZDegree:
             v = membership(p, parse(text, vars=p.vars), order=order, ideal=ideal)
             expected = Verdict.IN_IDEAL if bounded else Verdict.NOT_IN_IDEAL
             assert v.verdict is expected, text
+
+
+class TestLinearFormReduction:
+    @pytest.mark.parametrize(
+        "text, ell, c",
+        [
+            ("5/2*(2*x - 3*y)^4", "2*x - 3*y", Fraction(5, 2)),
+            ("y^4", "y", Fraction(1)),
+            ("-(x + y)^2", None, None),
+            ("x^2*y^2", None, None),
+            ("(x + y)^2*(x - y)^2", None, None),
+        ],
+    )
+    def test_linear_power_of(self, text, ell, c):
+        form = parse(text, vars=("x", "y"))
+        expected = None if ell is None else (parse(ell, vars=("x", "y")), c)
+        assert _linear_power_of(form) == expected
+
+    def test_first_generator_route_matches_exact_re_phi(
+        self, nonisolated, nonisolated_ideal
+    ):
+        # reference: reduction by the exact Re phi of p = c z + b,
+        # (b cbar + bbar c) / (2 c cbar), whose root differs from gen0's
+        slices = nonisolated.slices("z")
+        b, c = slices[0], slices[1]
+        re_num = (b * c.conj_coefficients() + b.conj_coefficients() * c).scale(
+            Fraction(1, 2)
+        )
+        re_den = c * c.conj_coefficients()
+        gen0 = nonisolated_ideal.generators[0].slices("z")
+        assert gen0[0] * re_den != re_num * gen0[1]
+        ell, power = nonisolated_ideal.linear_form, nonisolated_ideal.L_or_K
+
+        def reference_in(q):
+            q_slices = q.slices("z")
+            deg_z = max(q_slices)
+            total = MultiPoly.zero(re_num.vars)
+            for k, qk in q_slices.items():
+                total = total + qk * (-re_num) ** k * re_den ** (deg_z - k)
+            return _poly_divides_power(total, ell, power)
+
+        def parts(*texts):
+            return [parse(t, vars=nonisolated.vars) for t in texts]
+
+        # multiples of the generators, plus a non-member half of the time
+        members = parts("x + y + z - x*y*z", "(x + y)^2", "(x + y)*(x + y + z)")
+        others = parts("x + y", "z", "x*z + y^2", "x - y")
+        rng = random.Random(11)
+        verdicts = []
+        for _ in range(40):
+            q = MultiPoly.zero(nonisolated.vars)
+            pieces = rng.sample(members, 2) + rng.sample(others, rng.randint(0, 1))
+            for piece in pieces:
+                scale = parse(
+                    f"{rng.randint(1, 3)} + {rng.randint(-2, 2)}*z"
+                    f" + {rng.randint(-2, 2)}*x*y",
+                    vars=nonisolated.vars,
+                )
+                q = q + scale * piece
+            v = membership(nonisolated, q, ideal=nonisolated_ideal).verdict
+            assert (v is Verdict.IN_IDEAL) == reference_in(q), format_poly(q)
+            verdicts.append(v)
+        assert 10 <= verdicts.count(Verdict.IN_IDEAL) <= 30
 
 
 def _rescale(poly, a, b):

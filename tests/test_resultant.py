@@ -281,6 +281,25 @@ class TestFallbacks:
         assert desc.case is CaseTag.PRINCIPAL
         assert desc.generators == [p]
 
+    @pytest.mark.parametrize(
+        "text, factor",
+        [("(z + x)*(z + 1)", "z + x"), ("(z + x + x*z)*(z + 2)", "z + x + x*z")],
+    )
+    def test_principal_membership_is_exact(self, text, factor):
+        # x^13 vanishes on the branch through order 12 but is no multiple of
+        # the factor through 0, so x^13/p is unbounded along the branch
+        p = parse(text, vars=("x", "y", "z"))
+        desc = numerator_ideal(p, order=12)
+        for q, expected in (
+            ("x^13", Verdict.NOT_IN_IDEAL),
+            ("x^13*(z + 1)", Verdict.NOT_IN_IDEAL),
+            (factor, Verdict.IN_IDEAL),
+            (f"({factor})*(x + z)", Verdict.IN_IDEAL),
+            ("0", Verdict.IN_IDEAL),
+        ):
+            v = membership(p, parse(q, vars=p.vars), order=12, ideal=desc)
+            assert v.verdict is expected, q
+
     def test_polygon_missing_an_axis_is_not_isolated(self):
         with pytest.raises(PreconditionError, match="not isolated"):
             _isolated_exponent(monomialize(parse("(x + y)^2", vars=("x", "y"))))
