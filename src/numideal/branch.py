@@ -15,11 +15,13 @@ from .forms import (
     HomogeneousForm,
     is_nonnegative,
     is_positive_definite,
+    quadratic_form_sign,
     sampled_sphere_nonneg,
 )
 from .poly import MultiPoly, TruncatedSeries, horner, implicit_root
 
-# unit directions sampled for the sign of Im phi in three or more x-variables
+# unit directions sampled for the sign of a quartic or higher Im phi in three
+# or more x-variables
 _SPHERE_SAMPLES = 10_000
 
 
@@ -49,6 +51,8 @@ class PhiClassification:
     im_part_2L: MultiPoly | None = None
     definite: bool | None = None
     zero_gradient_components: tuple = ()
+    # False only where the sign of im_part_2L was sampled (2L >= 4, d >= 3)
+    definite_exact: bool = True
 
 
 def solve_branch(p: MultiPoly, order: int) -> BranchSolution:
@@ -90,6 +94,12 @@ def classify(sol: BranchSolution, seed: int = 0):
     homogeneous index is even, its imaginary part is nonnegative on real
     directions, and phi vanishes on the coordinate subspace of vanishing
     gradient components.  Any failure raises SanityViolation with a witness.
+
+    Nonnegativity and definiteness of Im phi_2L are exact in one variable
+    (sign test), in two (Sturm on the binary form) and for 2L = 2 in any
+    number (LDL^T of the Gram matrix, with a rational negative direction as
+    witness).  Only 2L >= 4 in three or more x-variables samples unit
+    directions with `seed`; the result then has definite_exact False.
     """
     phi = sol.phi
     x_vars = phi.vars
@@ -139,6 +149,7 @@ def classify(sol: BranchSolution, seed: int = 0):
         )
 
     im_part = parts[first_imag].imag_part()
+    definite_exact = True
     if d == 1:
         c = next(iter(im_part.terms.values()))
         if c.re < 0:
@@ -150,6 +161,13 @@ def classify(sol: BranchSolution, seed: int = 0):
         form = HomogeneousForm.from_poly(im_part)
         nonneg = is_nonnegative(form)
         definite = is_positive_definite(form)
+    elif first_imag == 2:
+        witness, definite = quadratic_form_sign(im_part)
+        if witness is not None:
+            raise SanityViolation(
+                "imaginary part is negative on a real direction", witness=witness
+            )
+        nonneg = True
     else:
         nonneg, witness, sampled_min = sampled_sphere_nonneg(
             im_part, _SPHERE_SAMPLES, seed
@@ -160,7 +178,7 @@ def classify(sol: BranchSolution, seed: int = 0):
                 witness=witness,
             )
         # sampled min > 0 is the best available definiteness verdict here
-        definite = sampled_min > 0.0
+        definite, definite_exact = sampled_min > 0.0, False
     if not nonneg:
         raise SanityViolation(
             "imaginary part is not nonnegative on real directions",
@@ -174,5 +192,6 @@ def classify(sol: BranchSolution, seed: int = 0):
         im_part_2L=im_part,
         definite=definite,
         zero_gradient_components=zero_components,
+        definite_exact=definite_exact,
     )
 

@@ -57,6 +57,8 @@ def cmd_analyze(args) -> int:
     print(f"grad phi(0) = ({', '.join(str(g) for g in desc.branch.grad0)})")
     if cls.kind is PhiKind.FIRST_IMAG_TERM:
         definite = "positive definite" if cls.definite else "not positive definite"
+        if not cls.definite_exact:
+            definite += ", sampled"
         print(
             f"first non-real index 2L = {2 * cls.L}; "
             f"Im phi_{2 * cls.L} = {format_poly(cls.im_part_2L)} ({definite})"

@@ -88,19 +88,18 @@ def normalize_z_coefficient(p: MultiPoly) -> MultiPoly:
     return p.scale(GaussianRational(1) / c0)
 
 
+def _linear_transfer(n: int) -> MultiPoly:
+    """The half-plane transfer of n - z1 - ... - zn."""
+    disk_vars = tuple(f"z{k}" for k in range(1, n + 1))
+    terms = {(0,) * n: GaussianRational(n)}
+    for k in range(n):
+        terms[tuple(1 if j == k else 0 for j in range(n))] = GaussianRational(-1)
+    return polydisk_to_halfplane(MultiPoly(disk_vars, terms))
+
+
 def linear3_polynomial() -> MultiPoly:
     """The half-plane transfer of 3 - z1 - z2 - z3."""
-    disk_vars = ("z1", "z2", "z3")
-    disk = MultiPoly(
-        disk_vars,
-        {
-            (0, 0, 0): GaussianRational(3),
-            (1, 0, 0): GaussianRational(-1),
-            (0, 1, 0): GaussianRational(-1),
-            (0, 0, 1): GaussianRational(-1),
-        },
-    )
-    return polydisk_to_halfplane(disk)
+    return _linear_transfer(3)
 
 
 def contact_order_lift(q2: MultiPoly, m: int | None = None, order: int = 12) -> MultiPoly:
@@ -155,17 +154,18 @@ def pick_quotient(p: MultiPoly) -> RationalFunction:
     return RationalFunction.reduced(num, den)
 
 
-def iterated_composition(L: int) -> MultiPoly:
+def iterated_composition(L: int, n_vars: int = 3) -> MultiPoly:
     """Stable polynomial whose branch has Im phi vanishing to order exactly 2L.
 
     Builds the real rational Pick function i(p + pbar)/(p - pbar) from the
-    half-plane transfer of 3 - z1 - z2 - z3 and composes it L times in the
+    half-plane transfer of n - z1 - ... - zn, n = n_vars (n_vars - 1
+    x-variables), and composes it L times in the
     z-slot; composition of Moebius maps in z is a 2x2 polynomial matrix
     power, kept exact with content reduction at each stage.
     """
     if L < 1:
         raise PreconditionError("L must be >= 1")
-    g = pick_quotient(linear3_polynomial())
+    g = pick_quotient(_linear_transfer(n_vars))
     zero = MultiPoly.zero(g.num.vars[:-1])
     rows = []
     for poly in (g.num, g.den):

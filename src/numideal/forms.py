@@ -6,8 +6,10 @@ decomposition work on either; Sturm real-root counting needs Fraction
 entries.  qi_roots finds the roots in Q(i) of a polynomial over Q(i).
 Definiteness of a real homogeneous bivariate form is decided by real-root
 counting on its dehomogenization, nonnegativity by the parity of real-root
-multiplicities.  Numeric samplers for comparability near the origin and for
-signs on the sphere in d > 2 variables live here too.
+multiplicities; the sign of a quadratic form in any number of variables by
+LDL^T of its Gram matrix over Q.  Numeric samplers for comparability near
+the origin and for signs on the sphere live here too; the sphere sampler
+serves forms of degree >= 4 in three or more variables only.
 """
 
 from __future__ import annotations
@@ -416,6 +418,67 @@ def is_nonnegative(f: HomogeneousForm) -> bool:
     return poly_nonneg_on_reals(f.dehomogenized())
 
 
+# -- quadratic forms in any number of variables -----------------------------
+
+
+def quadratic_form_sign(q: MultiPoly):
+    """Exact sign of a real quadratic form on R^d: (witness, definite).
+
+    witness is a rational direction v with q(v) < 0, or None when q >= 0;
+    definite is True iff q > 0 off the origin.  LDL^T of the Gram matrix
+    over Q with symmetric pivoting (Golub & Van Loan, Matrix Computations,
+    4.2): a negative diagonal entry of the current Schur complement, or a
+    nonzero off-diagonal entry once its diagonal is zero, is a negative
+    direction there, lifted back through the eliminations.  Otherwise q is
+    semidefinite, and definite iff all d pivots are positive (Sylvester's
+    law of inertia).
+    """
+    if not q.is_real():
+        raise PreconditionError("quadratic form must have real coefficients")
+    d = len(q.vars)
+    gram = [[Fraction(0)] * d for _ in range(d)]
+    for exps, c in q.terms.items():
+        idx = [j for j, k in enumerate(exps) for _ in range(k)]
+        if len(idx) != 2:
+            raise PreconditionError("polynomial is not a quadratic form")
+        i, j = idx
+        if i == j:
+            gram[i][i] = c.re
+        else:
+            gram[i][j] = gram[j][i] = c.re / 2
+
+    rest = list(range(d))
+    steps = []  # (pivot index, its Schur-complement row, pivot)
+    negative = None  # negative direction on the current Schur complement
+    while rest:
+        k = min(rest, key=lambda j: gram[j][j])
+        if gram[k][k] < 0:
+            negative = {k: Fraction(1)}
+            break
+        k = max(rest, key=lambda j: gram[j][j])
+        pivot = gram[k][k]
+        if pivot == 0:
+            # zero diagonal: e_i - sign(a_ij) e_j has value -2|a_ij|
+            pairs = [(i, j) for i in rest for j in rest if gram[i][j] != 0]
+            if pairs:
+                i, j = pairs[0]
+                negative = {i: Fraction(1), j: Fraction(-1 if gram[i][j] > 0 else 1)}
+            break
+        rest.remove(k)
+        row = {j: gram[k][j] for j in rest if gram[k][j] != 0}
+        steps.append((k, row, pivot))
+        for i, a in row.items():
+            for j, b in row.items():
+                gram[i][j] -= a * b / pivot
+
+    if negative is None:
+        return None, len(steps) == d
+    # v_k = -(row . v) / pivot minimizes over v_k, so q(v) = Schur value < 0
+    for k, row, pivot in reversed(steps):
+        negative[k] = -sum(a * negative.get(j, 0) for j, a in row.items()) / pivot
+    return tuple(negative.get(j, Fraction(0)) for j in range(d)), False
+
+
 # -- numeric comparability --------------------------------------------------
 
 #: relative spread beyond which two evaluators are declared incomparable
@@ -521,7 +584,8 @@ def sampled_sphere_nonneg(p: MultiPoly, n_points: int, seed: int = 0):
 
     Returns (ok, witness_direction, sampled_min): the first direction where
     p is negative (None when there is none) and the minimum over all
-    samples.  Used for d > 2 where no exact test is implemented.
+    samples.  Used only for forms of degree >= 4 in d > 2 variables, where
+    no exact test is implemented; quadratic forms go to quadratic_form_sign.
     """
     import random
 

@@ -135,6 +135,8 @@ class _Parser:
             return MultiPoly.constant(self.vars, GaussianRational(0, 1))
         if kind == "var":
             self.take()
+            if value not in self.vars:
+                raise ParseError(f"variable {value!r} is not one of {self.vars}", pos)
             return MultiPoly.variable(self.vars, value)
         if kind == "(":
             self.take()

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from numideal.branch import PhiKind, classify, solve_branch
+from numideal.engine import numerator_ideal
 from numideal.errors import PreconditionError, SanityViolation
 from numideal.gaussian import GaussianRational
 from numideal.parsing import parse
@@ -128,6 +129,38 @@ class TestClassify:
     def test_negative_imag_part_rejected(self):
         with pytest.raises(SanityViolation):
             classify(solve_branch(parse("z + x - i*x^2"), 6))
+
+    def test_semidefinite_quadratic_in_three_variables(self):
+        # Im phi_2 vanishes on the line x1 = x2, x3 = 0
+        p = parse("z + x1 + x2 + x3 + i*((x1 - x2)^2 + x3^2)")
+        cls = classify(solve_branch(p, 6))
+        assert cls.L == 1
+        assert cls.definite is False
+        assert cls.definite_exact is True
+        with pytest.raises(PreconditionError):
+            numerator_ideal(p)
+
+    def test_indefinite_quadratic_in_three_variables(self):
+        p = parse("z + x1 + x2 + x3 + i*(x1^2 + x2^2 - x3^2)")
+        with pytest.raises(SanityViolation, match="negative on a real direction") as exc:
+            classify(solve_branch(p, 6))
+        assert "sampled" not in str(exc.value)
+        witness = exc.value.witness
+        assert all(isinstance(t, Fraction) for t in witness)
+        value = parse("x1^2 + x2^2 - x3^2", vars=p.vars[:-1]).eval_exact(witness)
+        assert value.re < 0
+
+    def test_quartic_in_three_variables_is_sampled(self):
+        from numideal.construct import iterated_composition
+
+        cls = classify(solve_branch(iterated_composition(2, n_vars=4), 4))
+        assert cls.L == 2
+        assert cls.definite is True
+        assert cls.definite_exact is False
+
+    def test_exact_everywhere_else(self, linear3, degenerate):
+        for p in (linear3, degenerate, parse("z + x + i*x^2")):
+            assert classify(solve_branch(p, 6)).definite_exact is True
 
 
 class TestConstructionBattery:

@@ -87,6 +87,18 @@ class TestAnalyze:
         assert res.returncode == 1
         assert "parse error" in res.stderr
 
+    def test_sampled_definiteness_is_labelled(self):
+        from numideal.construct import iterated_composition
+        from numideal.parsing import format_poly
+
+        # Im phi_4 in three x-variables: the one decision still sampled
+        text = format_poly(iterated_composition(2, n_vars=4))
+        res = run_cli("analyze", text, "--order", "4")
+        assert res.returncode == 0
+        assert "(positive definite, sampled)\n" in res.stdout
+        res = run_cli("analyze", LINEAR3)
+        assert "(positive definite)\n" in res.stdout
+
     def test_precondition_exit_2(self):
         res = run_cli("analyze", "1 + z")
         assert res.returncode == 2
@@ -137,6 +149,13 @@ class TestMember:
         assert res.returncode == 3
         assert "NotInIdeal" in res.stdout
         assert "q0 = q(x, -H(x)) = 0" in res.stdout
+
+    def test_numerator_variable_not_in_p(self):
+        res = run_cli("member", "z + y", "x")
+        assert res.returncode == 1
+        assert res.stderr.startswith("parse error:")
+        assert "'x'" in res.stderr and "('y', 'z')" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_oracle_flags(self):
         res = run_cli("member", LINEAR3, "x", "--oracle", "--eps", "0.1", "--grid", "2")

@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from numideal.construct import normalize_z_coefficient, polydisk_to_halfplane
+from numideal.construct import (
+    normalize_z_coefficient,
+    polydisk_to_halfplane,
+    random_stable_polynomial,
+)
 from numideal.engine import (
     CaseTag,
     Verdict,
@@ -226,6 +230,32 @@ class TestWideAndHigherZDegree:
             low = v.reduced_numerator.poly.lowest_part()
             point = [GaussianRational(t) for t in v.witness["direction"]]
             assert not low.eval_exact(point).is_zero()
+
+    def test_quadratic_im_phi_never_sampled(self, monkeypatch):
+        def sampled(*args, **kwargs):
+            raise AssertionError("sphere sampled for a quadratic Im phi")
+
+        monkeypatch.setattr("numideal.branch.sampled_sphere_nonneg", sampled)
+        for p, order in (
+            (polydisk_to_halfplane(parse("4 - z1 - z2 - z3 - z4")), 12),
+            (random_stable_polynomial(random.Random(7), n_vars=5), 8),
+        ):
+            assert len(p.vars) - 1 >= 3
+            ideal = numerator_ideal(p, order=order)
+            assert ideal.case is CaseTag.DEFINITE
+            assert ideal.classification.definite_exact is True
+
+    def test_z_degree_two_in_three_x_variables(self):
+        p = random_stable_polynomial(random.Random(7), n_vars=4)
+        assert p.vars == ("x1", "x2", "x3", "z") and p.var_degree("z") == 2
+        ideal = numerator_ideal(p, order=8)
+        assert ideal.case is CaseTag.DEFINITE
+        assert ideal.L_or_K == 1
+        for q, expected in (
+            (p.reflect(), Verdict.IN_IDEAL),
+            (parse("x1", vars=p.vars), Verdict.NOT_IN_IDEAL),
+        ):
+            assert membership(p, q, order=8, ideal=ideal).verdict is expected
 
     @pytest.mark.parametrize("order", [12, 16])
     def test_linear_form_with_z_degree_two(self, nonisolated, order):

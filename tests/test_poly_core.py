@@ -66,6 +66,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("x + w")
 
+    def test_variable_outside_given_vars_rejected(self):
+        with pytest.raises(ParseError, match=r"'x' is not one of \('y', 'z'\)") as err:
+            parse("z + 2*x", vars=("y", "z"))
+        assert err.value.position == 6
+
 
 class TestEval:
     def test_linear3_vanishes_at_origin(self, linear3):

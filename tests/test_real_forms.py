@@ -18,10 +18,12 @@ from numideal.forms import (
     p_eval,
     p_gcd,
     poly_nonneg_on_reals,
+    quadratic_form_sign,
     sampled_circle_min,
 )
 from numideal.gaussian import GaussianRational as G
 from numideal.parsing import parse
+from numideal.poly import MultiPoly
 
 
 def form_of(text):
@@ -161,6 +163,100 @@ class TestGridOracleAgreement:
                 f"disagreement for {p}: sturm={verdict} grid_min={grid_min}"
             )
             checked += 1
+
+
+def _sum_of_signed_squares(d, rows, signs):
+    """sum s_k * (rows[k] . x)^2 in x1..xd."""
+    vars = tuple(f"x{k}" for k in range(1, d + 1))
+    total = MultiPoly.zero(vars)
+    for row, s in zip(rows, signs):
+        ell = MultiPoly(
+            vars,
+            {tuple(1 if j == k else 0 for j in range(d)): G(c) for k, c in enumerate(row)},
+        )
+        total = total + (ell * ell).scale(s)
+    return total
+
+
+def _assert_negative_witness(q, witness):
+    assert all(isinstance(t, Fraction) for t in witness)
+    value = q.eval_exact(witness)
+    assert value.is_real() and value.re < 0, (q, witness, value)
+
+
+class TestQuadraticFormSign:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_signature_known_from_construction(self, seed):
+        # rows of a unit triangular matrix, with the columns permuted, are
+        # independent: the form has exactly the signs it was built with
+        rng = random.Random(seed)
+        for _ in range(40):
+            d = rng.randint(3, 5)
+            perm = rng.sample(range(d), d)
+            rows = []
+            for k in range(d):
+                row = [0] * d
+                row[perm[k]] = 1
+                for j in range(k + 1, d):
+                    row[perm[j]] = rng.randint(-3, 3)
+                rows.append(row)
+            signs = [rng.choice([0, 0, 1, 1, 2, Fraction(1, 3), -1]) for _ in rows]
+            if not any(signs):
+                continue
+            q = _sum_of_signed_squares(d, rows, signs)
+            n_pos = sum(1 for s in signs if s > 0)
+            n_neg = sum(1 for s in signs if s < 0)
+            witness, definite = quadratic_form_sign(q)
+            assert (witness is None) == (n_neg == 0), (q, signs)
+            assert definite == (n_pos == d), (q, signs)
+            if witness is not None:
+                _assert_negative_witness(q, witness)
+
+    def test_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20261018)
+        for _ in range(150):
+            d = rng.randint(3, 5)
+            # as many squares as d + 1, so dependent rows and cancellation occur
+            count = rng.randint(1, d + 1)
+            rows = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(count)]
+            signs = [rng.choice([1, 1, 2, -1]) for _ in range(count)]
+            q = _sum_of_signed_squares(d, rows, signs)
+            if q.is_zero():
+                continue
+            gram = [[0] * d for _ in range(d)]
+            for exps, c in q.terms.items():
+                i, j = [k for k, e in enumerate(exps) for _ in range(e)]
+                gram[i][j] = gram[j][i] = c.re if i == j else c.re / 2
+            m = sympy.Matrix(d, d, lambda i, j: sympy.Rational(gram[i][j]))
+            witness, definite = quadratic_form_sign(q)
+            assert (witness is None) == m.is_positive_semidefinite, q
+            assert definite == m.is_positive_definite, q
+            if witness is not None:
+                _assert_negative_witness(q, witness)
+
+    def test_hand_made(self):
+        vars = ("x1", "x2", "x3")
+        # zero set is the line x1 = x2, x3 = 0
+        assert quadratic_form_sign(parse("(x1 - x2)^2 + x3^2", vars=vars)) == (None, False)
+        assert quadratic_form_sign(parse("x1^2 + x2^2 + x3^2 + x1*x2", vars=vars)) == (
+            None,
+            True,
+        )
+        # zero diagonal: only the off-diagonal entry shows the negative direction
+        q = parse("x1*x2 + x3^2", vars=vars)
+        witness, definite = quadratic_form_sign(q)
+        assert not definite
+        _assert_negative_witness(q, witness)
+        q = parse("x1^2 + x2^2 - x3^2", vars=vars)
+        witness, _ = quadratic_form_sign(q)
+        _assert_negative_witness(q, witness)
+
+    def test_non_quadratic_rejected(self):
+        vars = ("x1", "x2", "x3")
+        for text in ("x1^2 + x2", "x1^4 + x2^2*x3^2", "i*x1^2"):
+            with pytest.raises(PreconditionError):
+                quadratic_form_sign(parse(text, vars=vars))
 
 
 class TestComparability:
