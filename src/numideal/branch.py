@@ -27,15 +27,10 @@ _SPHERE_SAMPLES = 10_000
 
 @dataclass(frozen=True)
 class BranchSolution:
-    """phi with p(x, -phi(x)) = 0 through the working order.
-
-    residual_order is the verified vanishing order of the exact polynomial
-    p(x, -phi(x)); None means the residual is identically zero (phi exact).
-    """
+    """phi with p(x, -phi(x)) = 0 through the working order."""
 
     phi: TruncatedSeries
     grad0: tuple  # degree-1 coefficients of phi, one per x-variable
-    residual_order: int | None
 
 
 class PhiKind(Enum):
@@ -71,19 +66,17 @@ def solve_branch(p: MultiPoly, order: int) -> BranchSolution:
 
     slices = p.slices(p.vars[-1])
     root = implicit_root(slices, order)  # z = root(x) = -phi(x)
-    # exact residual of the truncated phi
-    residual_order = horner(slices, root, None).min_degree()
-    if residual_order is not None and residual_order <= order:
-        raise AssertionError(
-            f"solver fixed point failed: residual has degree {residual_order}"
-        )
+    # the residual through the order; horner adds the slices untruncated
+    low = horner(slices, root, order).truncate(order).min_degree()
+    if low is not None:
+        raise AssertionError(f"solver fixed point failed: residual has degree {low}")
 
     phi = -root
     grad0 = tuple(
         phi.coefficient(tuple(1 if j == i else 0 for j in range(n - 1)))
         for i in range(n - 1)
     )
-    return BranchSolution(TruncatedSeries(phi, order), grad0, residual_order)
+    return BranchSolution(TruncatedSeries(phi, order), grad0)
 
 
 def classify(sol: BranchSolution, seed: int = 0):

@@ -15,7 +15,9 @@ p itself, or p over its gcd with p̄ when Res_z(p, p̄) = 0.  R is Im phi
 times a unit near 0 unless f(0, z)/z and f̄(0, z) share a root, z = oo
 included.  R fixes the working order, tests the linear-form pattern by
 exact division, and is the g whose integral closure gives the
-IsolatedDegenerate ideal.  The engine therefore does not use `puiseux`:
+IsolatedDegenerate ideal.  LinearForm membership reduces by the member of
+`poly.subresultants` of f and the first generator that is linear in z.
+The engine therefore does not use `puiseux`:
 no branch expansion, Weierstrass preparation or sampled positivity check
 decides a case.
 """
@@ -42,6 +44,7 @@ from .poly import (
     divide_exact,
     linear_change,
     primitive_gcd,
+    subresultants,
     substitute,
 )
 
@@ -71,6 +74,7 @@ class IdealDescription:
     classification: PhiClassification | None = None
     ic: MonomialIdealIC | None = None
     linear_form: MultiPoly | None = None
+    reducer: MultiPoly | None = None  # LinearForm: den z + num, den(0) != 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -330,9 +334,17 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
         ell = lin[0]
         # f and f̄ lie in the ideal, so Re(conj(c0) f) does, and its z-slope
         # at 0 is |c0|^2 > 0: with ell^(2L) it generates the ideal
-        c0 = f.coefficient((0,) * d + (1,))
+        slope = (0,) * d + (1,)
+        c0 = f.coefficient(slope)
         gen0 = f.scale(c0.conj()).real_part()
         gen0 = gen0.scale(Fraction(1) / gen0.content())
+        # the member of z-degree 1 lies in the ideal: gen0 if deg_z f = 1;
+        # else its slope at 0 is a unit, as f(0, z)/z and f̄(0, z) are coprime
+        reducer = next(
+            (s for s in subresultants(f, gen0) if s.var_degree("z") == 1), None
+        )
+        if reducer is None or reducer.coefficient(slope).is_zero():
+            raise AssertionError("the z-linear subresultant has no unit slope at 0")
         ell_power = (ell ** (2 * L)).embed(p.vars)
         return IdealDescription(
             case=CaseTag.LINEAR_FORM,
@@ -343,6 +355,7 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
             branch=sol,
             classification=cls,
             linear_form=ell,
+            reducer=reducer,
         )
 
     # isolated degenerate zero: integral closure of g
@@ -386,10 +399,11 @@ def membership(
 ) -> MembershipVerdict:
     """Decide whether q/p is locally bounded near the origin.
 
-    Principal asks whether gcd(q, p) vanishes at 0.  Otherwise q is reduced
-    to q0(x) = q(x, -H(x)) and q0 is tested against the ideal's x-part: a
-    vanishing-order test (Definite), an exact divisibility test
-    (LinearForm), or Newton-polyhedron membership (IsolatedDegenerate).
+    Principal asks whether gcd(q, p) vanishes at 0.  LinearForm asks how
+    often ell divides q reduced exactly modulo the z-linear `reducer`; it
+    reports q(x, -Re phi).  Otherwise q is reduced to q0(x) = q(x, -H(x))
+    and q0 is tested by vanishing order (Definite) or Newton-polyhedron
+    membership (IsolatedDegenerate).
     """
     desc = ideal if ideal is not None else numerator_ideal(p, order=order, seed=seed)
     if q.vars != p.vars:
@@ -412,14 +426,9 @@ def membership(
 
     if desc.case is CaseTag.LINEAR_FORM:
         power = desc.L_or_K
-        # reduce with the full Re phi: IC(ell^power) contains no (x)^K, so a
-        # Taylor cutoff would corrupt the divisibility test
         reduced = substitute(q, "z", -phi.real_part())
-        if desc.generators[0].var_degree("z") == 1:
-            ok = _rational_reduction_divides(q, desc, power)
-        else:
-            ok = _poly_divides_power(reduced.poly, desc.linear_form, power)
-        if ok:
+        j = _ell_order(_reduce_linear(q, desc.reducer), desc.linear_form)
+        if j is None or j >= power:
             return MembershipVerdict(
                 Verdict.IN_IDEAL,
                 reduced,
@@ -430,7 +439,7 @@ def membership(
         return MembershipVerdict(
             Verdict.NOT_IN_IDEAL,
             reduced,
-            witness=_linear_form_witness(reduced.poly, desc),
+            witness=_linear_form_witness(j, desc),
         )
 
     # the ideal's working order may exceed the requested one
@@ -462,33 +471,28 @@ def membership(
     return MembershipVerdict(Verdict.NOT_IN_IDEAL, reduced, witness=cert)
 
 
-def _rational_reduction_divides(q: MultiPoly, desc: IdealDescription, power: int):
-    """Exact LinearForm membership when the first generator is linear in z,
-    gen0 = den z + num: test ell^power | den^deg_z q(x, -num/den).
+def _reduce_linear(q: MultiPoly, reducer: MultiPoly) -> MultiPoly:
+    """den^deg_z q(x, -num/den), q modulo reducer = den z + num.
 
-    The root -num/den of gen0 is not -Re phi (on `nonisolated`, num/den is
-    (x + y)/(1 - x*y) and Re phi is Re((x + y)/c)), but the two agree
-    modulo ell^power: gen0 lies in the ideal, so gen0(x, -Re phi) is a
-    multiple of ell^power, and its z-slope den is |c0|^2 > 0 at 0, a unit.
-    So q takes the same value at both roots modulo ell^power, and the
-    cleared denominator den^deg_z carries no factor of ell."""
-    gen0 = desc.generators[0].slices("z")
-    den = gen0[1]
-    num = gen0.get(0, MultiPoly.zero(den.vars))
+    The reducer lies in the ideal and den(0) != 0, so its root agrees with
+    -Re phi modulo ell^power (on `nonisolated`, num/den is (x + y)/(1 - x*y)
+    and Re phi is Re((x + y)/c)), and den^deg_z carries no factor of ell."""
+    linear = reducer.slices("z")
+    den = linear[1]
+    num = linear.get(0, MultiPoly.zero(den.vars))
     slices = q.slices("z")
     deg_z = max(slices, default=0)
     total = MultiPoly.zero(den.vars)
     for k, qk in slices.items():
         total = total + qk * ((-num) ** k) * (den ** (deg_z - k))
-    return _poly_divides_power(total, desc.linear_form, power)
+    return total
 
 
-def _linear_form_witness(q0: MultiPoly, desc: IdealDescription):
-    """Report how far q0 falls short of the required ell-divisibility."""
-    ell = desc.linear_form
-    j = _ell_order(q0, ell)
+def _linear_form_witness(j: int, desc: IdealDescription):
+    """Report how far q falls short: ell^j is the largest power of ell
+    dividing its exact reduction."""
     return {
-        "zero_line": f"{format_poly(ell)} = 0",
+        "zero_line": f"{format_poly(desc.linear_form)} = 0",
         "ell_exponent": j,
         "required": desc.L_or_K,
         "path": "approach the zero line of Im phi inside the real slice",

@@ -176,16 +176,6 @@ def _frac_str(q: Fraction) -> str:
 
 def format_coefficient(c: GaussianRational) -> str:
     """Standalone canonical rendering of one Gaussian rational."""
-    if c.is_zero():
-        return "0"
-    if c.is_real():
-        return _frac_str(c.re)
-    if c.is_imaginary():
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{_frac_str(c.im)}*i"
     sign, mag = _signed_magnitude(c)
     body = _magnitude_str(mag)
     return f"-{body}" if sign < 0 else body

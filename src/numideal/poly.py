@@ -19,10 +19,6 @@ from .errors import ArityError
 from .gaussian import GaussianRational, ZERO, ONE
 
 
-def _coerce_coeff(value) -> GaussianRational:
-    return GaussianRational.coerce(value)
-
-
 class MultiPoly:
     """A polynomial as a map from exponent vectors to Gaussian-rational coefficients.
 
@@ -37,7 +33,7 @@ class MultiPoly:
         vars = tuple(vars)
         clean = {}
         for exps, coeff in terms.items():
-            coeff = _coerce_coeff(coeff)
+            coeff = GaussianRational.coerce(coeff)
             if coeff.is_zero():
                 continue
             exps = tuple(int(e) for e in exps)
@@ -157,7 +153,7 @@ class MultiPoly:
         return self.scale(other)
 
     def scale(self, value) -> "MultiPoly":
-        value = _coerce_coeff(value)
+        value = GaussianRational.coerce(value)
         if value.is_zero():
             return MultiPoly.zero(self.vars)
         return MultiPoly._from_terms(
@@ -693,29 +689,37 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return common * primitive_gcd(_primitive(a, ca), _primitive(b, cb))
 
 
-def primitive_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """The primitive part of gcd(a, b) in the last variable t, for nonzero
-    a and b: a gcd up to a factor free of t.
-
-    It is the primitive part of the last nonzero remainder of the
-    subresultant sequence in t, whose divisions are exact and keep the
-    coefficients small (Cohen, A Course in Computational Algebraic Number
-    Theory, Algorithm 3.3.1); only that remainder's content is computed.
+def subresultants(a: MultiPoly, b: MultiPoly):
+    """The subresultant sequence of nonzero a and b in the last variable t,
+    lazily, from the member of lower t-degree down to the last nonzero one,
+    so the t-degrees strictly decrease.  Each pseudo-remainder is divided
+    exactly by g * h^delta, which keeps the coefficients small (Cohen, A
+    Course in Computational Algebraic Number Theory, Algorithm 3.3.1); one
+    free of t ends the sequence as the constant 1, undivided.
     """
     t = a.vars[-1]
     if a.var_degree(t) < b.var_degree(t):
         a, b = b, a
     g = h = MultiPoly.constant(a.vars, 1)
     while True:
+        yield b
         delta = a.var_degree(t) - b.var_degree(t)
         r = _pseudo_remainder(a, b)
         if r.is_zero():
-            return _primitive(b, _content(b))
+            return
         if r.var_degree(t) == 0:
-            return MultiPoly.constant(a.vars, 1)
+            yield MultiPoly.constant(a.vars, 1)
+            return
         a, b = b, divide_exact(r, g * h**delta)
         g = _leading(a)
         h = divide_exact(g**delta, h ** (delta - 1)) if delta else h
+
+
+def primitive_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The primitive part of gcd(a, b) in the last variable, for nonzero a
+    and b: that of the last member of `subresultants(a, b)`."""
+    *_, last = subresultants(a, b)
+    return _primitive(last, _content(last))
 
 
 def _leading(a: MultiPoly) -> MultiPoly:

@@ -10,6 +10,13 @@ from numideal.engine import numerator_ideal
 from numideal.errors import PreconditionError, SanityViolation
 from numideal.gaussian import GaussianRational
 from numideal.parsing import parse
+from numideal.poly import horner
+
+
+def residual_order(p, sol):
+    """Vanishing order of the exact residual p(x, -phi(x)); None when it is
+    identically zero (phi exact)."""
+    return horner(p.slices("z"), -sol.phi.poly, None).min_degree()
 
 
 class TestSolveBranch:
@@ -33,31 +40,35 @@ class TestSolveBranch:
         )
 
     def test_already_solved_form(self):
-        sol = solve_branch(parse("z + x"), 8)
+        p = parse("z + x")
+        sol = solve_branch(p, 8)
         assert sol.phi.poly == parse("x", vars=("x",))
-        assert sol.residual_order is None  # exact factorization
+        assert residual_order(p, sol) is None  # exact factorization
 
     def test_residual_order_exceeds_truncation(self, linear3, degenerate):
         for p, order in ((linear3, 6), (degenerate, 5)):
             sol = solve_branch(p, order)
-            assert sol.residual_order is None or sol.residual_order > order
+            res = residual_order(p, sol)
+            assert res is None or res > order
 
     def test_quadratic_in_z_gives_catalan_numbers(self):
         # phi - phi^2 = x: phi = (1 - sqrt(1 - 4x)) / 2
-        sol = solve_branch(parse("z^2 + z + x"), 8)
+        p = parse("z^2 + z + x")
+        sol = solve_branch(p, 8)
         assert sol.phi.poly == parse(
             "x + x^2 + 2*x^3 + 5*x^4 + 14*x^5 + 42*x^6 + 132*x^7 + 429*x^8",
             vars=("x",),
         )
-        assert sol.residual_order == 9
+        assert residual_order(p, sol) == 9
 
     def test_cubic_in_z(self):
         # phi + phi^3 = x
-        sol = solve_branch(parse("z^3 + z + x"), 9)
+        p = parse("z^3 + z + x")
+        sol = solve_branch(p, 9)
         assert sol.phi.poly == parse(
             "x - x^3 + 3*x^5 - 12*x^7 + 55*x^9", vars=("x",)
         )
-        assert sol.residual_order == 11
+        assert residual_order(p, sol) == 11
 
     def test_quadratic_in_z_two_variables(self):
         s = parse("x + y", vars=("x", "y"))
@@ -65,9 +76,10 @@ class TestSolveBranch:
         expected = sum(
             (s**n).scale(c) for n, c in enumerate(catalan, start=1)
         )
-        sol = solve_branch(parse("z^2 + z + x + y"), len(catalan))
+        p = parse("z^2 + z + x + y")
+        sol = solve_branch(p, len(catalan))
         assert sol.phi.poly == expected
-        assert sol.residual_order == len(catalan) + 1
+        assert residual_order(p, sol) == len(catalan) + 1
 
     def test_precondition_nonzero_at_origin(self):
         with pytest.raises(PreconditionError):
@@ -174,7 +186,8 @@ class TestConstructionBattery:
         for _ in range(12):
             p = random_stable_polynomial(rng)
             sol = solve_branch(p, order)
-            assert sol.residual_order is None or sol.residual_order > order
+            res = residual_order(p, sol)
+            assert res is None or res > order
             cls = classify(sol)  # must not raise SanityViolation
             for g in sol.grad0:
                 assert g.is_real() and g.re >= 0

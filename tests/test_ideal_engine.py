@@ -260,8 +260,8 @@ class TestWideAndHigherZDegree:
     @pytest.mark.parametrize("order", [12, 16])
     def test_linear_form_with_z_degree_two(self, nonisolated, order):
         # the second factor is a unit at 0, so the numerators are those of
-        # nonisolated; with deg_z = 2 there is no exact z-split and the
-        # LinearForm membership runs on the truncated phi
+        # nonisolated; with deg_z = 2 the LinearForm membership reduces by
+        # the z-linear subresultant of p and the first generator
         unit = polydisk_to_halfplane(parse("5 - z1 - z2 - z3"))
         p = normalize_z_coefficient(nonisolated * unit)
         assert p.var_degree("z") == 2
@@ -341,6 +341,96 @@ class TestLinearFormReduction:
             assert (v is Verdict.IN_IDEAL) == reference_in(q), format_poly(q)
             verdicts.append(v)
         assert 10 <= verdicts.count(Verdict.IN_IDEAL) <= 30
+
+
+# factors that are units at 0: nonisolated times them keeps its ideal, with
+# deg_z >= 2
+HIGHER_Z_DEGREE = {
+    "times_linear_unit": [parse("x + y + z + i")],
+    "times_polydisk_unit": [polydisk_to_halfplane(parse("5 - z1 - z2 - z3"))],
+    "times_two_units": [parse("x + y + z + i"), parse("2*x + y + z + 2*i")],
+}
+
+
+class TestExactLinearReduction:
+    """LinearForm membership reduces q exactly by the member of the
+    subresultant sequence that is linear in z, for every z-degree."""
+
+    @pytest.fixture(scope="class", params=list(HIGHER_Z_DEGREE))
+    def product(self, request, nonisolated):
+        p = nonisolated
+        for factor in HIGHER_Z_DEGREE[request.param]:
+            p = p * factor
+        p = normalize_z_coefficient(p)
+        return p, numerator_ideal(p, order=12)
+
+    def test_reducer_is_the_first_generator_for_z_degree_one(
+        self, nonisolated_ideal
+    ):
+        assert nonisolated_ideal.reducer == nonisolated_ideal.generators[0]
+
+    def test_reducer_is_linear_with_unit_slope(self, product):
+        p, desc = product
+        assert p.var_degree("z") >= 2
+        assert desc.case is CaseTag.LINEAR_FORM and desc.L_or_K == 2
+        assert desc.reducer.var_degree("z") == 1
+        assert not desc.reducer.coefficient((0, 0, 1)).is_zero()
+        v = membership(p, desc.reducer, order=12, ideal=desc)
+        assert v.verdict is Verdict.IN_IDEAL
+
+    @pytest.mark.parametrize(
+        "text, bounded",
+        [
+            ("x^13", False),
+            ("x^12*y", False),
+            ("(x + y)^13", True),
+            ("(x + y)^2*z^3", True),
+            # criterion 7(d)
+            ("(x + y)^2", True),
+            ("x + y + z - x*y*z", True),
+            ("x + y", False),
+            ("z", False),
+        ],
+    )
+    def test_verdicts_past_the_order(self, product, text, bounded):
+        # the truncated Re phi reduced x^13 to 0 through order 12
+        p, desc = product
+        v = membership(p, parse(text, vars=p.vars), order=12, ideal=desc)
+        assert v.verdict is (Verdict.IN_IDEAL if bounded else Verdict.NOT_IN_IDEAL)
+
+    def test_witness_exponent_is_the_exact_ell_order(self, product, nonisolated):
+        # reference: the exact reduction by the z-linear first generator of
+        # nonisolated, whose root agrees with the reducer's modulo (x + y)^2;
+        # the ell-order is the least u-degree of the result at x = u - y
+        p, desc = product
+        gen0 = numerator_ideal(nonisolated).generators[0].slices("z")
+        den, num = gen0[1], gen0[0]
+        shift = {"x": parse("x - y", vars=("x", "y"))}
+
+        def reference_order(q):
+            slices = q.slices("z")
+            deg_z = max(slices)
+            total = MultiPoly.zero(den.vars)
+            for k, qk in slices.items():
+                total = total + qk * (-num) ** k * den ** (deg_z - k)
+            return min(e[0] for e in total.subs(shift).terms)
+
+        rng = random.Random(5)
+        pieces = [parse(t, vars=p.vars) for t in ("x + y", "z", "x*z + y^2", "1")]
+        checked = 0
+        for _ in range(12):
+            q = MultiPoly.zero(p.vars)
+            for piece in rng.sample(pieces, 2):
+                q = q + parse(
+                    f"{rng.randint(1, 3)} + {rng.randint(-2, 2)}*z"
+                    f" + {rng.randint(-2, 2)}*x^2",
+                    vars=p.vars,
+                ) * piece
+            v = membership(p, q, order=12, ideal=desc)
+            if v.verdict is Verdict.NOT_IN_IDEAL:
+                assert v.witness["ell_exponent"] == reference_order(q), format_poly(q)
+                checked += 1
+        assert checked >= 6
 
 
 def _rescale(poly, a, b):

@@ -1,12 +1,16 @@
 """Import structure: relative imports sit at module level, so the module
-graph is visible at import time, and closure does not depend on puiseux."""
+graph is visible at import time, closure does not depend on puiseux, and
+every name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "numideal"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "numideal"
 
 # parsing imports gaussian and poly, so their printers import it lazily
 ALLOWED_FUNCTION_IMPORTS = {
@@ -56,3 +60,21 @@ def test_engine_does_not_load_puiseux():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_targets_resolve():
+    # load bench/tracer.py by path, without install(): nothing is patched
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for target in [*tracer.SPANNED, *tracer.COUNTED]:
+        module_name, *path = target.split(".")
+        obj = importlib.import_module(f"numideal.{module_name}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(target)
+    assert missing == []

@@ -72,6 +72,27 @@ class TestParse:
         assert err.value.position == 6
 
 
+class TestCoefficientPrinter:
+    @pytest.mark.parametrize(
+        "re, im, text",
+        [
+            (0, 0, "0"),
+            (1, 0, "1"),
+            (-1, 0, "-1"),
+            (0, 1, "i"),
+            (0, -1, "-i"),
+            (0, 2, "2*i"),
+            (0, -2, "-2*i"),
+            (0, Fraction(-1, 2), "-1/2*i"),
+            (Fraction(3, 2), 0, "3/2"),
+            (Fraction(3, 2), -1, "(3/2 - i)"),
+            (-3, 2, "-(3 - 2*i)"),
+        ],
+    )
+    def test_str(self, re, im, text):
+        assert str(GaussianRational(re, im)) == text
+
+
 class TestEval:
     def test_linear3_vanishes_at_origin(self, linear3):
         assert linear3.eval_exact((0, 0, 0)).is_zero()

@@ -24,6 +24,7 @@ from numideal.poly import (
     divide_exact,
     poly_gcd,
     primitive_gcd,
+    subresultants,
 )
 
 # criterion 7(d) of test_acceptance.py, plus criterion 5 and a non-member
@@ -136,6 +137,23 @@ class TestGcd:
         got = primitive_gcd(a, b)
         assert divide_exact(got, parse("z + y", vars=vars)).degree() == 0
         assert primitive_gcd(a, parse("(1 + x)*(z + 3)", vars=vars)).degree() == 0
+
+    def test_subresultant_z_degrees_strictly_decrease(self):
+        rng = random.Random(3)
+        for m in (1, 2):
+            for _ in range(2):
+                g, u, v = (_random_qi_poly(rng, k) for k in (1, m, m))
+                members = list(subresultants(g * u, g * v))
+                degrees = [s.var_degree("z") for s in members]
+                assert degrees == sorted(set(degrees), reverse=True)
+                # the last member has the degree of the common factor g
+                assert degrees[0] == m + 1 and degrees[-1] == 1
+
+    def test_coprime_sequence_ends_in_one(self, nonisolated):
+        p = nonisolated * parse("x + y + z + i", vars=nonisolated.vars)
+        *members, last = subresultants(p, p.conj_coefficients())
+        assert [s.var_degree("z") for s in members] == [2, 1]
+        assert last == MultiPoly.constant(p.vars, 1)
 
     def test_conjugates_share_the_real_factor(self, degenerate):
         p = degenerate * parse("1 - x*z", vars=degenerate.vars)
