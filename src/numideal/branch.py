@@ -57,6 +57,8 @@ def solve_branch(p: MultiPoly, order: int) -> BranchSolution:
     """
     if len(p.vars) < 2:
         raise PreconditionError("need at least one x-variable plus z")
+    if order < 1:
+        raise PreconditionError("order must be at least 1")
     n = len(p.vars)
     zero = (0,) * n
     if not p.coefficient(zero).is_zero():

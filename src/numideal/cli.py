@@ -27,8 +27,11 @@ from .puiseux import newton_puiseux
 
 def _read_input(text: str) -> str:
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {text[1:]}: {exc.strerror}") from exc
     return text
 
 

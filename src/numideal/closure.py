@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import NoMonomializationFound, PreconditionError, TruncationError
 from .forms import HomogeneousForm, count_real_roots, qi_roots
-from .gaussian import GaussianRational, gaussian_sqrt
+from .gaussian import GaussianRational
 from .poly import MultiPoly, TruncatedSeries, linear_change, newton_polygon
 
 
@@ -36,7 +36,6 @@ class MonomialIdealIC:
     halfspaces: tuple
     u_min: int
     v_min: int
-    transformed: MultiPoly  # g in (u, v) coordinates
 
     def contains_exponent(self, a: int, b: int) -> bool:
         if a < self.u_min or b < self.v_min:
@@ -91,80 +90,61 @@ def _face_positive(face_terms: dict) -> bool:
     return True
 
 
-_BASE_CHANGES = [
-    ((1, 0), (0, 1)),
-    ((0, 1), (1, 0)),
-    ((1, -1), (1, 1)),
-    ((1, 1), (1, -1)),
-]
+def line_frame(a, b):
+    """The frame of the rational line ell = a x + b y: (change, inverse).
+
+    change has rows u = a x + b y and v = -b x + a y, so ell is the u-axis
+    line; inverse maps (u, v) back to (x, y), with det = a^2 + b^2 > 0.
+    """
+    det = Fraction(a * a + b * b)
+    return ((a, b), (-b, a)), ((a / det, -b / det), (b / det, a / det))
 
 
-def _candidate_changes(g: MultiPoly):
-    seen = []
-
-    def push(m):
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if det == 0 or m in seen:
-            return
-        seen.append(m)
-
-    for m in _BASE_CHANGES:
-        push(m)
-    # frames aligned with repeated rational roots of the lowest form
+def _candidate_lines(g: MultiPoly):
+    """Lines whose frames `monomialize` tries, in order: x, x - y, then
+    ell = den x - num y for each repeated rational root num/den of the
+    lowest form, in the order of `qi_roots`."""
+    lines = [(1, 0), (1, -1)]
     lowest = g.lowest_part()
-    if not lowest.is_zero() and lowest.is_real():
+    if not lowest.is_zero():
         roots, _left = qi_roots(HomogeneousForm.from_poly(lowest).coeffs)
         for root, mult in roots:
             # direction (t, 1) kills the form: align u with x - t*y
             if root.is_real() and mult >= 2:
-                num, den = root.re.numerator, root.re.denominator
-                push(((den, -num), (num, den)))
-    # eigenvector frame of the quadratic part when rational
-    quad = g.homogeneous_part(2)
-    if not quad.is_zero() and quad.is_real():
-        a = quad.coefficient((2, 0)).re
-        b = quad.coefficient((1, 1)).re
-        c = quad.coefficient((0, 2)).re
-        if b != 0:
-            root = gaussian_sqrt(GaussianRational((a - c) * (a - c) + b * b))
-            if root is not None:
-                s = root.re
-                for lam in ((a + c + s) / 2, (a + c - s) / 2):
-                    vx, vy = b / 2, lam - a
-                    if vx == 0 and vy == 0:
-                        continue
-                    scale = vx.denominator * vy.denominator
-                    m = (int(vx * scale), int(vy * scale))
-                    push(((m[0], m[1]), (-m[1], m[0])))
-    return seen
+                line = (root.re.denominator, -root.re.numerator)
+                if line not in lines:
+                    lines.append(line)
+    return lines
 
 
 def monomialize(g: MultiPoly) -> MonomialIdealIC:
     """Find a linear change making g comparable to a sum of even monomials.
 
-    Tries identity, u = x -+ y frames, repeated-factor frames of the lowest
-    form, and rational eigenframes of the quadratic part.  A frame is
-    accepted on two exact checks of G = g in (u, v), with no sampling:
-    (a) every term of G lies in the Newton polyhedron P of its positive even
-    terms, and (b) every compact face polynomial of P is positive off the
-    axes.  Under (a) and (b), for every weight w > 0 the w-initial form of G
-    is either a positive even vertex monomial or a face polynomial positive
-    off the axes, and all other terms have higher w-order; hence
-    G ~ sum of u^a v^b over the vertices (a, b) of P near 0, and IC(g) is
-    the monomial ideal of P (Swanson & Huneke, Integral Closure of Ideals,
-    Rings, and Modules, 2006, ch. 1).
+    Tries the frame `line_frame` of each line of `_candidate_lines`.  A
+    frame is accepted on two exact checks of G = g in (u, v), with no
+    sampling: (a) every term of G lies in the Newton polyhedron P of its
+    positive even terms, and (b) every compact face polynomial of P is
+    positive off the axes.  Under (a) and (b), for every weight w > 0 the
+    w-initial form of G is either a positive even vertex monomial or a face
+    polynomial positive off the axes, and all other terms have higher
+    w-order; hence G ~ sum of u^a v^b over the vertices (a, b) of P near 0,
+    and IC(g) is the monomial ideal of P (Swanson & Huneke, Integral
+    Closure of Ideals, Rings, and Modules, 2006, ch. 1).
+
+    No other frame is ever accepted first.  Acceptance depends only on the
+    lines u = 0 and v = 0: swapping u and v, scaling an axis or flipping
+    its sign keeps the even positive terms, the polyhedron and face
+    positivity.  Nor is an eigenframe of a nonzero quadratic part needed:
+    a definite one is accepted in the frame of x, a rank-one c * ell^2
+    with c > 0 has the lines of the frame of ell (of x when ell = y), and
+    with any other g takes negative values near 0.
     """
     if not g.is_real():
         raise PreconditionError("monomialize expects a real polynomial")
     if len(g.vars) != 2:
         raise PreconditionError("monomialize expects a bivariate polynomial")
-    for change in _candidate_changes(g):
-        det = Fraction(change[0][0] * change[1][1] - change[0][1] * change[1][0])
-        inverse = (
-            (Fraction(change[1][1]) / det, Fraction(-change[0][1]) / det),
-            (Fraction(-change[1][0]) / det, Fraction(change[0][0]) / det),
-        )
-        ic = _try_change(g, change, inverse)
+    for a, b in _candidate_lines(g):
+        ic = _try_change(g, *line_frame(a, b))
         if ic is not None:
             return ic
     raise NoMonomializationFound(
@@ -190,7 +170,6 @@ def _try_change(g, change, inverse):
         halfspaces=halfspaces,
         u_min=vertices[0][0],
         v_min=vertices[-1][1],
-        transformed=G,
     )
     for (a, b), c in G.terms.items():
         if (a, b) not in candidates and not ic.contains_exponent(a, b):

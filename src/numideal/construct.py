@@ -97,11 +97,6 @@ def _linear_transfer(n: int) -> MultiPoly:
     return polydisk_to_halfplane(MultiPoly(disk_vars, terms))
 
 
-def linear3_polynomial() -> MultiPoly:
-    """The half-plane transfer of 3 - z1 - z2 - z3."""
-    return _linear_transfer(3)
-
-
 def contact_order_lift(q2: MultiPoly, m: int | None = None, order: int = 12) -> MultiPoly:
     """Lift a bivariate stable q2 with contact order K > 2 to three variables.
 

@@ -13,10 +13,12 @@ definite, the decisions rest on the exact resultant R = Res_z(f, f̄)
 (`poly.conjugate_resultant`), with f the factor of p through the branch:
 p itself, or p over its gcd with p̄ when Res_z(p, p̄) = 0.  R is Im phi
 times a unit near 0 unless f(0, z)/z and f̄(0, z) share a root, z = oo
-included.  R fixes the working order, tests the linear-form pattern by
-exact division, and is the g whose integral closure gives the
-IsolatedDegenerate ideal.  LinearForm membership reduces by the member of
-`poly.subresultants` of f and the first generator that is linear in z.
+included.  R fixes the working order and is the g that `monomialize`
+brings to a Newton polygon once: one vertex on an axis is LinearForm, with
+ell the frame line of that axis, and a vertex on each axis is
+IsolatedDegenerate, the ideal being the integral closure of g.  LinearForm
+membership reduces by the member of `poly.subresultants` of f and the
+first generator that is linear in z.
 The engine therefore does not use `puiseux`:
 no branch expansion, Weierstrass preparation or sampled positivity check
 decides a case.
@@ -25,16 +27,15 @@ decides a case.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .branch import BranchSolution, PhiClassification, PhiKind, classify, solve_branch
-from .closure import MonomialIdealIC, ic_generators, ic_membership, monomialize
+from .closure import MonomialIdealIC, ic_generators, ic_membership, line_frame, monomialize
 from .errors import PreconditionError, SanityViolation, TruncationError
-from .forms import HomogeneousForm, p_gcd
+from .forms import p_gcd
 from .gaussian import GaussianRational
 from .parsing import _term_sort_key, format_poly
 from .poly import (
@@ -125,53 +126,12 @@ def _stability_spot_check(p: MultiPoly, seed: int = 0, samples: int = 40):
             )
 
 
-def _linear_power_of(form: MultiPoly):
-    """Write a real homogeneous bivariate form as c * ell^deg, or None.
-
-    ell comes back with primitive integer coefficients and positive leading
-    sign; c is the positive rational multiplier (c > 0 required here since
-    these forms are nonnegative leading imaginary parts).
-    """
-    if len(form.vars) != 2 or not form.is_real():
-        return None
-    d = form.degree()
-    if d <= 0:
-        return None
-    coeffs = HomogeneousForm.from_poly(form).coeffs
-    # form = c * (a x + b y)^d: the two leading coefficients fix a : b, and
-    # a = 0 leaves y^d as the only candidate
-    if coeffs[d] != 0:
-        a, b = d * coeffs[d], coeffs[d - 1]
-    else:
-        a, b = Fraction(0), Fraction(1)
-    den = math.lcm(a.denominator, b.denominator)
-    a, b = int(a * den), int(b * den)
-    g = math.gcd(a, b) if a >= 0 else -math.gcd(a, b)
-    a, b = a // g, b // g
-    ell = MultiPoly(form.vars, {(1, 0): GaussianRational(a), (0, 1): GaussianRational(b)})
-    candidate = ell**d
-    lead = (d, 0) if a else (0, d)
-    c = form.coefficient(lead) / candidate.coefficient(lead)
-    if c.re <= 0 or candidate.scale(c) != form:
-        return None
-    return ell, c
-
-
 def _ell_order(q: MultiPoly, ell: MultiPoly) -> int | None:
     """The largest j with ell^j | q, for a linear ell = a x + b y; None for
-    q = 0.  It is the least u-degree of q in the coordinates u = ell,
-    v = -b x + a y."""
-    a = ell.coefficient((1, 0)).re
-    b = ell.coefficient((0, 1)).re
-    det = a * a + b * b
-    uv = linear_change(q, ((a / det, -b / det), (b / det, a / det)), ("u", "v"))
+    q = 0.  It is the least u-degree of q in the frame `line_frame(a, b)`."""
+    _, inverse = line_frame(ell.coefficient((1, 0)).re, ell.coefficient((0, 1)).re)
+    uv = linear_change(q, inverse, ("u", "v"))
     return min((e[0] for e in uv.terms), default=None)
-
-
-def _poly_divides_power(numerator: MultiPoly, ell: MultiPoly, power: int):
-    """Exact test ell^power | numerator for a linear ell = a x + b y."""
-    j = _ell_order(numerator, ell)
-    return j is None or j >= power
 
 
 def _branch_factor(p: MultiPoly):
@@ -248,6 +208,23 @@ def _comparable_resultant(
     return g.scale(Fraction(1) / g.content())
 
 
+def _zero_line(ic: MonomialIdealIC, x_vars) -> MultiPoly | None:
+    """ell with g ~ ell^k near 0, or None: when the Newton polygon is one
+    vertex on an axis, (k, 0) or (0, k), the frame line u or v of that axis.
+
+    This is the linear-form pattern Im phi_2L = c * ell^(2L), ell^(2L) | g.
+    Such a g vanishes on ell = 0, but is comparable to its vertex monomials
+    in an accepted frame, and they are positive off the axes; so ell is an
+    axis, and condition (a) of `monomialize` puts u^(2L) in every term.
+    Conversely, one vertex (2L, 0) makes g in the frame u^(2L) times a unit.
+    """
+    (a, b), *rest = ic.newton_points
+    if rest or (a and b):
+        return None
+    c0, c1 = ic.change[0] if b == 0 else ic.change[1]
+    return MultiPoly(x_vars, {(1, 0): GaussianRational(c0), (0, 1): GaussianRational(c1)})
+
+
 def _isolated_exponent(ic: MonomialIdealIC) -> int:
     """K with g >= c*|(x, y)|^K near 0: the larger axis intercept of the
     Newton polygon.  The zero of g at 0 is isolated exactly when the polygon
@@ -269,7 +246,9 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
     half-plane (caller-asserted; spot-checked by sampling).  The working
     order rises above `order` on its own where the case needs it: to
     ord Res_z(p, p̄) when phi is real through `order`, and to the exponent
-    K of an isolated degenerate zero.
+    K of an isolated degenerate zero.  A degenerate Im phi_2L is decided by
+    the Newton polygon that `monomialize` gives the comparable g, once:
+    `_zero_line` reads LinearForm off it, `_isolated_exponent` the rest.
     """
     if len(p.vars) < 2 or p.vars[-1] != "z":
         raise PreconditionError("p must involve z as its distinguished variable")
@@ -328,10 +307,9 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
     f, R = factor or _branch_factor(p)
     g = _comparable_resultant(f, R, cls.im_part_2L)
 
-    # linear-form pattern: Im phi = ell^(2L) * (positive unit)
-    lin = _linear_power_of(cls.im_part_2L)
-    if lin is not None and _poly_divides_power(g, lin[0], 2 * L):
-        ell = lin[0]
+    ic = monomialize(g)
+    ell = _zero_line(ic, x_vars)
+    if ell is not None:
         # f and f̄ lie in the ideal, so Re(conj(c0) f) does, and its z-slope
         # at 0 is |c0|^2 > 0: with ell^(2L) it generates the ideal
         slope = (0,) * d + (1,)
@@ -359,7 +337,6 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
         )
 
     # isolated degenerate zero: integral closure of g
-    ic = monomialize(g)
     K = _isolated_exponent(ic)
     if sol.phi.order < K:
         sol = solve_branch(p, K)

@@ -257,10 +257,9 @@ def _gaussian_prime_factors(g):
 
 
 def _gaussian_divisors(g):
-    """All divisors of g in Z[i] up to units, times the four units."""
-    factors = _gaussian_prime_factors(g)
+    """All divisors of g in Z[i], one per class of associates."""
     divisors = [(1, 0)]
-    for pi, power in factors:
+    for pi, power in _gaussian_prime_factors(g):
         new = []
         for d in divisors:
             cur = d
@@ -268,15 +267,7 @@ def _gaussian_divisors(g):
                 new.append(cur)
                 cur = (cur[0] * pi[0] - cur[1] * pi[1], cur[0] * pi[1] + cur[1] * pi[0])
         divisors = new
-    seen = set()
-    out = []
-    for d in divisors:
-        for u in ((1, 0), (0, 1), (-1, 0), (0, -1)):
-            v = (d[0] * u[0] - d[1] * u[1], d[0] * u[1] + d[1] * u[0])
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-    return out
+    return divisors
 
 
 def _qi_root(c):
@@ -285,7 +276,8 @@ def _qi_root(c):
     Degree 1 and 2 by formula: a quadratic has a root in Q(i) exactly when
     its discriminant is a square there.  Higher degrees try the candidates
     p/q with p | constant and q | leading in Z[i], after clearing
-    denominators; their number grows with the divisors of those two.
+    denominators, q up to units; their number grows with the divisors of
+    those two.
     """
     if len(c) == 2:
         return -c[0] / c[1]
@@ -297,11 +289,14 @@ def _qi_root(c):
     for a in c:
         den = math.lcm(den, a.re.denominator, a.im.denominator)
     ints = [(int(a.re * den), int(a.im * den)) for a in c]
-    for pnum in _gaussian_divisors(ints[0]):
-        for pden in _gaussian_divisors(ints[-1]):
-            cand = GaussianRational(*pnum) / GaussianRational(*pden)
-            if p_eval(c, cand).is_zero():
-                return cand
+    qs = [GaussianRational(*q) for q in _gaussian_divisors(ints[-1])]
+    for re, im in _gaussian_divisors(ints[0]):
+        # the four associates of p cover every unit of p/q
+        for p in ((re, im), (-im, re), (-re, -im), (im, -re)):
+            for q in qs:
+                cand = GaussianRational(*p) / q
+                if p_eval(c, cand).is_zero():
+                    return cand
     return None
 
 

@@ -166,12 +166,12 @@ def _expand(F: MultiPoly, budget: Fraction):
         roots = [(c, m) for c, m in roots if not c.is_zero()]
         if len(leftover) > 1:
             if len(leftover) == 3:
-                raise TruncationError(
+                raise PreconditionError(
                     "characteristic root lies in a degree-2 extension of Q(i); "
                     "not carried further (minimal polynomial "
                     f"{[str(v) for v in leftover]})"
                 )
-            raise TruncationError(
+            raise PreconditionError(
                 "characteristic polynomial does not split over Q(i); "
                 f"degree {len(leftover) - 1} factor remains"
             )
@@ -179,7 +179,7 @@ def _expand(F: MultiPoly, budget: Fraction):
         for c_root, mult in roots:
             c_tilde = qi_nth_root(c_root, r)
             if c_tilde is None:
-                raise TruncationError(
+                raise PreconditionError(
                     f"no exact {r}-th root of {c_root} in Q(i); "
                     "branch needs a field extension"
                 )

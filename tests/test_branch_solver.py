@@ -89,6 +89,11 @@ class TestSolveBranch:
         with pytest.raises(PreconditionError):
             solve_branch(parse("x + z^2"), 4)
 
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_precondition_positive_order(self, order):
+        with pytest.raises(PreconditionError, match="order must be at least 1"):
+            solve_branch(parse("z + x"), order)
+
 
 class TestClassify:
     def test_linear3_definite(self, linear3):

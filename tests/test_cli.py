@@ -104,6 +104,20 @@ class TestAnalyze:
         assert res.returncode == 2
         assert "error" in res.stderr
 
+    def test_unreadable_file_is_a_parse_error(self, tmp_path):
+        missing = tmp_path / "missing.txt"
+        res = run_cli("analyze", f"@{missing}")
+        assert res.returncode == 1
+        assert res.stderr.startswith(f"parse error: cannot read {missing}: ")
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_non_positive_order_exit_2(self, order):
+        res = run_cli("analyze", "z + x", "--order", order)
+        assert res.returncode == 2
+        assert res.stderr == "error: order must be at least 1\n"
+        assert res.stdout == ""
+
     def test_json_schema(self):
         res = run_cli("analyze", LINEAR3, "--format", "json")
         data = json.loads(res.stdout)

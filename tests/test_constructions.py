@@ -8,7 +8,6 @@ import pytest
 from numideal.branch import PhiKind, classify, solve_branch
 from numideal.construct import (
     contact_order_lift,
-    linear3_polynomial,
     polydisk_to_halfplane,
     random_stable_polynomial,
     iterated_composition,

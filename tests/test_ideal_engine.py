@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from numideal.closure import monomialize
 from numideal.construct import (
     normalize_z_coefficient,
     polydisk_to_halfplane,
@@ -13,13 +14,13 @@ from numideal.construct import (
 from numideal.engine import (
     CaseTag,
     Verdict,
-    _linear_power_of,
-    _poly_divides_power,
+    _ell_order,
+    _zero_line,
     boundedness_oracle,
     membership,
     numerator_ideal,
 )
-from numideal.errors import PreconditionError
+from numideal.errors import NoMonomializationFound, PreconditionError
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
 from numideal.poly import MultiPoly
@@ -282,19 +283,22 @@ class TestWideAndHigherZDegree:
 
 class TestLinearFormReduction:
     @pytest.mark.parametrize(
-        "text, ell, c",
+        "text, ell",
         [
-            ("5/2*(2*x - 3*y)^4", "2*x - 3*y", Fraction(5, 2)),
-            ("y^4", "y", Fraction(1)),
-            ("-(x + y)^2", None, None),
-            ("x^2*y^2", None, None),
-            ("(x + y)^2*(x - y)^2", None, None),
+            ("5/2*(2*x - 3*y)^4*(1 + x^2)", "2*x - 3*y"),
+            ("y^4*(1 + x)", "y"),
+            ("x^2*y^2 + x^6 + y^6", None),
+            ("(x + y)^2*(x - y)^2 + x^6 + y^6", None),
         ],
     )
-    def test_linear_power_of(self, text, ell, c):
-        form = parse(text, vars=("x", "y"))
-        expected = None if ell is None else (parse(ell, vars=("x", "y")), c)
-        assert _linear_power_of(form) == expected
+    def test_zero_line(self, text, ell):
+        g = parse(text, vars=("x", "y"))
+        expected = None if ell is None else parse(ell, vars=("x", "y"))
+        assert _zero_line(monomialize(g), g.vars) == expected
+
+    def test_zero_line_needs_an_accepted_frame(self):
+        with pytest.raises(NoMonomializationFound):
+            monomialize(parse("-(x + y)^2", vars=("x", "y")))
 
     def test_first_generator_route_matches_exact_re_phi(
         self, nonisolated, nonisolated_ideal
@@ -317,7 +321,8 @@ class TestLinearFormReduction:
             total = MultiPoly.zero(re_num.vars)
             for k, qk in q_slices.items():
                 total = total + qk * (-re_num) ** k * re_den ** (deg_z - k)
-            return _poly_divides_power(total, ell, power)
+            j = _ell_order(total, ell)
+            return j is None or j >= power
 
         def parts(*texts):
             return [parse(t, vars=nonisolated.vars) for t in texts]

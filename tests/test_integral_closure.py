@@ -6,15 +6,20 @@ from fractions import Fraction
 
 import pytest
 
+from numideal import closure
 from numideal.closure import (
     MonomialIdealIC,
     ic_generators,
     ic_membership,
+    line_frame,
     monomialize,
     rational_circle_points,
 )
+from numideal.engine import numerator_ideal
 from numideal.errors import NoMonomializationFound
-from numideal.parsing import parse
+from numideal.forms import HomogeneousForm, qi_roots
+from numideal.gaussian import GaussianRational, gaussian_sqrt
+from numideal.parsing import format_poly, parse
 from numideal.poly import MultiPoly
 
 
@@ -81,6 +86,122 @@ class TestMonomialize:
         assert ic.halfspaces == ()
         gens, _ = ic_generators(ic)
         assert gens == [parse("x^2*y^2", vars=("x", "y"))]
+
+
+def _seeded_g(rng):
+    """A sum of positive even monomials in the frame of a small line, plus
+    terms of either sign, sometimes times a unit: many are accepted in one
+    frame or another, many in none."""
+    a, b = rng.choice([(1, 0), (0, 1), (1, -1), (1, 1), (1, 2), (2, -1), (2, 1), (1, -2)])
+    u, v = f"({a}*x + {b}*y)", f"({-b}*x + {a}*y)"
+    if rng.random() < 0.3:
+        u, v = v, u
+    parts = [
+        f"{rng.randint(1, 3)}*{u}^{2 * rng.randint(0, 2)}*{v}^{2 * rng.randint(0, 2)}"
+        for _ in range(rng.randint(1, 3))
+    ]
+    for _ in range(rng.randint(0, 2)):
+        k = rng.randint(0, 4)
+        parts.append(f"({rng.randint(-2, 2)})*{u}^{k}*{v}^{rng.randint(max(0, 2 - k), 5 - k)}")
+    g = parse(" + ".join(parts), vars=("x", "y"))
+    if rng.random() < 0.3:
+        unit = f"1 + {rng.randint(-2, 2)}*x + {rng.randint(-2, 2)}*y"
+        g = g * parse(unit, vars=("x", "y"))
+    return g
+
+
+def _earlier_frames(g):
+    """The frames monomialize used to try, in its order: identity, swap,
+    x -+ y, x +- y, the frames of the repeated rational roots of the lowest
+    form, then the rational eigenframes of the quadratic part."""
+    frames = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, -1), (1, 1)), ((1, 1), (1, -1))]
+    roots, _ = qi_roots(HomogeneousForm.from_poly(g.lowest_part()).coeffs)
+    for root, mult in roots:
+        if root.is_real() and mult >= 2:
+            num, den = root.re.numerator, root.re.denominator
+            frames.append(((den, -num), (num, den)))
+    quad = g.homogeneous_part(2)
+    if not quad.is_zero():
+        a, b, c = (quad.coefficient(e).re for e in ((2, 0), (1, 1), (0, 2)))
+        s = gaussian_sqrt(GaussianRational((a - c) ** 2 + b * b))
+        if b != 0 and s is not None:
+            for lam in ((a + c + s.re) / 2, (a + c - s.re) / 2):
+                vx, vy = b / 2, lam - a
+                k = vx.denominator * vy.denominator
+                frames.append(((int(vx * k), int(vy * k)), (-int(vy * k), int(vx * k))))
+    unique = []
+    for frame in frames:
+        if frame not in unique:
+            unique.append(frame)
+    return unique
+
+
+def _inverse(change):
+    (a, b), (c, d) = change
+    det = Fraction(a * d - b * c)
+    return ((d / det, -b / det), (-c / det, a / det))
+
+
+class TestCandidateFrames:
+    def test_line_frame(self):
+        change, inverse = line_frame(2, -3)
+        assert change == ((2, -3), (3, 2))
+        assert inverse == _inverse(change)
+
+    def test_first_accepted_frame_of_the_earlier_order(self):
+        # the swapped, x + y and eigenframes never come first, so dropping
+        # them keeps the accepted frame
+        rng = random.Random(23)
+        accepted = set()
+        for _ in range(200):
+            g = _seeded_g(rng)
+            if g.is_zero():
+                continue
+            expected = next(
+                (
+                    frame
+                    for frame in _earlier_frames(g)
+                    if closure._try_change(g, frame, _inverse(frame)) is not None
+                ),
+                None,
+            )
+            if expected is None:
+                with pytest.raises(NoMonomializationFound):
+                    monomialize(g)
+            else:
+                assert monomialize(g).change == expected, format_poly(g)
+                accepted.add(expected)
+        # identity, x - y and root frames all occur
+        assert len(accepted) >= 5
+
+    @pytest.mark.parametrize(
+        "a, b, change",
+        [
+            (1, 1, ((1, -1), (1, 1))),
+            (Fraction(3, 2), Fraction(1, 4), ((6, -1), (1, 6))),
+            (Fraction(1, 4), 2, ((1, -8), (8, 1))),
+            (2, 4, ((1, -2), (2, 1))),
+            (Fraction(2, 3), Fraction(3, 2), ((4, -9), (9, 4))),
+            (4, Fraction(1, 2), ((8, -1), (1, 8))),
+            (Fraction(1, 2), Fraction(2, 3), ((3, -4), (4, 3))),
+        ],
+    )
+    def test_degenerate_rescalings_take_three_frames(self, degenerate, monkeypatch, a, b, change):
+        p = MultiPoly(
+            degenerate.vars,
+            {e: c * Fraction(a) ** e[0] * Fraction(b) ** e[1] for e, c in degenerate.terms.items()},
+        )
+        tried = []
+        try_change = closure._try_change
+
+        def counting(g, frame, inverse):
+            tried.append(frame)
+            return try_change(g, frame, inverse)
+
+        monkeypatch.setattr(closure, "_try_change", counting)
+        ic = numerator_ideal(p).ic
+        assert ic.change == change
+        assert len(tried) <= 3
 
 
 class TestVerdictTable:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,15 @@ from numideal.puiseux import (
     twisted_is_real,
     weierstrass_prepare,
 )
+
+
+def _p_mul(a, b):
+    """Product of two ascending coefficient lists over Q(i)."""
+    out = [GaussianRational(0)] * (len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[j + k] = out[j + k] + x * y
+    return out
 
 
 def _substitute_branch(f, branch):
@@ -62,6 +72,28 @@ class TestQiRoots:
         roots, leftover = qi_roots(coeffs)
         assert roots == [(GaussianRational(-3), 1), (GaussianRational(1, 2), 2)]
         assert leftover == [GaussianRational(1)]
+
+    def test_known_roots_times_irreducible_cubic(self):
+        # the search runs for degree >= 3: every known root comes back, with
+        # its multiplicity, and T^3 - 2, which has no root in Q(i), is left
+        rng = random.Random(17)
+        cubic = [GaussianRational(c) for c in (-2, 0, 0, 1)]
+        for _ in range(12):
+            known = {}
+            for _ in range(rng.randint(1, 3)):
+                root = GaussianRational(
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                    Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
+                )
+                known[root] = known.get(root, 0) + rng.randint(1, 2)
+            coeffs = [GaussianRational(rng.choice([1, 2, -3]), rng.randint(-1, 1))]
+            for root, mult in known.items():
+                for _ in range(mult):
+                    coeffs = _p_mul(coeffs, [-root, GaussianRational(1)])
+            roots, leftover = qi_roots(_p_mul(coeffs, cubic))
+            assert roots == sorted(known.items(), key=lambda rm: (rm[0].re, rm[0].im))
+            scale = leftover[0] / cubic[0]
+            assert leftover == [c * scale for c in cubic]
 
 
 class TestTwistedRealness:
@@ -138,6 +170,19 @@ class TestNewtonPuiseux:
     def test_rejects_y_free(self):
         with pytest.raises(PreconditionError):
             newton_puiseux(parse("x^2", vars=("x", "y")), order=4)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("y^2 - 2*x^2", "characteristic root lies in a degree-2 extension"),
+            ("y^3 - 2*x^3", "characteristic polynomial does not split over Q(i)"),
+            ("y^2 - 2*x^3", "no exact 2-th root of 2 in Q(i)"),
+        ],
+    )
+    def test_field_extension_is_out_of_scope(self, text, message):
+        # no working order helps, so this is not a TruncationError
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            newton_puiseux(parse(text, vars=("x", "y")))
 
 
 class TestWeierstrass:

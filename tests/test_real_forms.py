@@ -9,6 +9,7 @@ import pytest
 from numideal.errors import PreconditionError
 from numideal.forms import (
     HomogeneousForm,
+    _gaussian_divisors,
     _gaussian_prime_factors,
     comparability_ratio,
     count_real_roots,
@@ -89,6 +90,18 @@ class TestGaussianPrimeFactors:
     def test_large_rational_prime_content_is_one_factor(self):
         # 100000007 is 3 mod 4, so it stays prime in Z[i]
         assert _gaussian_prime_factors((100000007, 0)) == [((100000007, 0), 1)]
+
+    def test_divisors_one_per_associate_class(self):
+        # 10 = -i (1 + i)^2 (2 + i) (2 - i): 3 * 2 * 2 classes of divisors
+        divisors = _gaussian_divisors((10, 0))
+        assert len(divisors) == 12
+        classes = set()
+        for a, b in divisors:
+            norm = a * a + b * b
+            # d | 10 exactly when 10 * conj(d) / norm(d) is in Z[i]
+            assert (10 * a) % norm == 0 and (10 * b) % norm == 0
+            classes.add(frozenset({(a, b), (-b, a), (-a, -b), (b, -a)}))
+        assert len(classes) == 12
 
 
 class TestDefiniteness:
