@@ -103,7 +103,12 @@ def line_frame(a, b):
 def _candidate_lines(g: MultiPoly):
     """Lines whose frames `monomialize` tries, in order: x, x - y, then
     ell = den x - num y for each repeated rational root num/den of the
-    lowest form, in the order of `qi_roots`."""
+    lowest form, in the order of `qi_roots`.
+
+    ell is left out when it or its perpendicular num x + den y is listed
+    already, since both frames have the same axes; listed lines have a
+    positive first entry.
+    """
     lines = [(1, 0), (1, -1)]
     lowest = g.lowest_part()
     if not lowest.is_zero():
@@ -111,9 +116,10 @@ def _candidate_lines(g: MultiPoly):
         for root, mult in roots:
             # direction (t, 1) kills the form: align u with x - t*y
             if root.is_real() and mult >= 2:
-                line = (root.re.denominator, -root.re.numerator)
-                if line not in lines:
-                    lines.append(line)
+                num, den = root.re.numerator, root.re.denominator
+                perpendicular = (num, den) if num > 0 else (-num, -den)
+                if (den, -num) not in lines and perpendicular not in lines:
+                    lines.append((den, -num))
     return lines
 
 

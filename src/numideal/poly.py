@@ -3,10 +3,14 @@
 Values are immutable after construction and all operations are pure, so
 everything here is safe to share across threads.
 
-Products run over Z[i]: each operand is put over one common denominator,
-the Gaussian-integer numerators are multiplied and summed as Python ints, and
-each output coefficient is normalised once.  `eval_complex` converts a
-polynomial's coefficients to `complex` once and keeps them.
+Every product runs on one kernel, `_sum_of_products`: it puts the pairs of
+operands over one common denominator, multiplies and sums their
+Gaussian-integer numerators as Python ints, and each output term is
+normalised once.  A plain product is its one-pair case.  `implicit_root`
+solves for a power series degree by degree on it, forming each product of
+two homogeneous parts once, and the Bézout entries and minors of
+`conjugate_resultant` are sums of products on it too.  `eval_complex`
+converts a polynomial's coefficients to `complex` once and keeps them.
 """
 
 from __future__ import annotations
@@ -379,6 +383,20 @@ class MultiPoly:
         return f"MultiPoly({self.vars!r}, {str(self)!r})"
 
 
+def _polynomial(vars: tuple, *forms) -> MultiPoly:
+    """The sum of integer forms (D, rows) with disjoint exponents, each term
+    normalised once."""
+    make = GaussianRational._from_fractions
+    return MultiPoly._from_terms(
+        vars,
+        {
+            e: make(Fraction(a, D), Fraction(b, D))
+            for D, rows in forms
+            for e, _, a, b in rows
+        },
+    )
+
+
 def _integral(p: MultiPoly):
     """(D, [(exps, total degree, a, b)]) with D the positive lcm of the
     coefficient denominators and a + b*i = D * coefficient."""
@@ -401,33 +419,10 @@ def _integral(p: MultiPoly):
 
 
 def _product(p: MultiPoly, q: MultiPoly, order) -> MultiPoly:
-    """p * q over Z[i], keeping total degree <= order unless order is None.
-
-    Terms appear in the order the schoolbook double loop first reaches them.
-    """
-    D1, rows1 = _integral(p)
-    D2, rows2 = _integral(q)
-    if order is None:
-        order = float("inf")
-    acc = {}
-    for e1, d1, a1, b1 in rows1:
-        room = order - d1
-        if room < 0:
-            continue
-        for e2, d2, a2, b2 in rows2:
-            if d2 > room:
-                continue
-            e = tuple(map(int.__add__, e1, e2))
-            re = a1 * a2 - b1 * b2
-            im = a1 * b2 + b1 * a2
-            s = acc.get(e)
-            if s is None:
-                acc[e] = [re, im]
-            else:
-                s[0] += re
-                s[1] += im
+    """p * q, keeping total degree <= order unless order is None: the
+    one-pair case of `_sum_of_products`."""
+    D, acc = _sum_of_products([(_integral(p), _integral(q))], order)
     # normalise in place, so each int pair is freed as its term is built
-    D = D1 * D2
     make = GaussianRational._from_fractions
     zeros = []
     for e, (re, im) in acc.items():
@@ -438,6 +433,56 @@ def _product(p: MultiPoly, q: MultiPoly, order) -> MultiPoly:
     for e in zeros:
         del acc[e]
     return MultiPoly._from_terms(p.vars, acc)
+
+
+def _sum_of_products(pairs, order=None):
+    """sum_i p_i * q_i over Z[i] for pairs of integer forms (D, rows) as
+    `_integral` gives them, keeping total degree <= order unless order is
+    None.
+
+    Returns (D, acc): acc maps exponents to [re, im], the value (re + im*i)/D,
+    with D the lcm of the D1 * D2.  Terms appear in the order the schoolbook
+    double loop over the pairs first reaches them; sums that cancel stay.
+    """
+    D = 1
+    for (D1, _), (D2, _) in pairs:
+        D = lcm(D, D1 * D2)
+    if order is None:
+        order = float("inf")
+    acc = {}
+    for (D1, rows1), (D2, rows2) in pairs:
+        f = D // (D1 * D2)
+        for e1, d1, a1, b1 in rows1:
+            room = order - d1
+            if room < 0:
+                continue
+            a1, b1 = a1 * f, b1 * f
+            for e2, d2, a2, b2 in rows2:
+                if d2 > room:
+                    continue
+                e = tuple(map(int.__add__, e1, e2))
+                re = a1 * a2 - b1 * b2
+                im = a1 * b2 + b1 * a2
+                s = acc.get(e)
+                if s is None:
+                    acc[e] = [re, im]
+                else:
+                    s[0] += re
+                    s[1] += im
+    return D, acc
+
+
+def _reduced(D: int, acc: dict):
+    """The integer form (D, rows) of a `_sum_of_products` result, with the
+    common factor of D and every numerator divided out: the form `_integral`
+    gives the normalised polynomial, without building it."""
+    g = D
+    for re, im in acc.values():
+        g = gcd(g, re, im)
+    rows = [
+        (e, sum(e), re // g, im // g) for e, (re, im) in acc.items() if re or im
+    ]
+    return D // g, rows
 
 
 class TruncatedSeries:
@@ -542,31 +587,17 @@ class TruncatedSeries:
 def series_invert(u: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse mod total degree order+1; u(0) must be nonzero.
 
-    u * series_invert(u) == 1 through the truncation order, exactly.
+    u * series_invert(u) == 1 through the truncation order, exactly: the
+    inverse is 1/c0 + y with y the `implicit_root` of u/c0 - 1 + u*y = 0,
+    c0 = u(0).
     """
     vars = u.vars
-    n = len(vars)
-    c0 = u.poly.coefficient((0,) * n)
+    c0 = u.poly.coefficient((0,) * len(vars))
     if c0.is_zero():
         raise ZeroDivisionError("series has zero constant term")
-    order = u.order
-    parts = u.poly.homogeneous_parts()
-    inv_parts = {0: MultiPoly.constant(vars, GaussianRational(1) / c0)}
-    for m in range(1, order + 1):
-        acc = MultiPoly.zero(vars)
-        for j in range(1, m + 1):
-            uj = parts.get(j)
-            if uj is None:
-                continue
-            vk = inv_parts.get(m - j)
-            if vk is None or vk.is_zero():
-                continue
-            acc = acc + uj * vk
-        inv_parts[m] = acc.scale(GaussianRational(-1) / c0)
-    total = MultiPoly.zero(vars)
-    for part in inv_parts.values():
-        total = total + part
-    return TruncatedSeries(total, order)
+    inv0 = ONE / c0
+    y = implicit_root({0: u.poly.scale(inv0) - ONE, 1: u.poly}, u.order)
+    return TruncatedSeries(y + inv0, u.order)
 
 
 def substitute(p, var: str, replacement, order=None):
@@ -610,17 +641,47 @@ def implicit_root(slices: dict, order: int) -> MultiPoly:
     """The series y(x), y(0) = 0, with sum_k slices[k](x) * y^k = 0 through
     total degree `order`; the pivot slices[1](0) must be nonzero.
 
-    Undetermined coefficients: with y known below degree m, the degree-m part
-    of the sum is (its value at the partial y) + pivot * y_m, which fixes y_m.
+    Undetermined coefficients, degree by degree (Knuth, TAOCP vol. 2, 4.7).
+    With [.]_m the degree-m part and s_k = slices[k], the degree-m part of
+    the sum is pivot * y_m + res_m, where
+    res_m = [s_0]_m + sum_k sum_i [s_k]_i * [y^k]_(m-i) leaves y_m out and
+    [y^k]_m = sum_j y_j * [y^(k-1)]_(m-j) needs y below degree m only.  So
+    each product of two homogeneous parts is formed once, by
+    `_sum_of_products`; the slices are scaled by -1/pivot first, so that
+    the sum is y_m itself.
     """
     vars = slices[1].vars
     step = GaussianRational(-1) / slices[1].coefficient((0,) * len(vars))
-    y = MultiPoly.zero(vars)
+    top = max(slices)
+    # powers[k][j] = [y^k]_j as an integer form, kept only when nonzero
+    powers = [{0: _integral(MultiPoly.constant(vars, 1))}]
+    powers += [{} for _ in range(top)]
+    y = powers[1]
+    # each term of -s_k / pivot as its own integer form, in the slice's
+    # order: for z-degree 1 the terms of y then come in the order of the
+    # schoolbook product s_1 * y, which float evaluations of the branch sum
+    # them in.  The pivot pairs with y_m, which is not there yet.
+    terms = []
+    for k in sorted(slices, reverse=True):
+        D, rows = _integral(slices[k].scale(step))
+        terms += [(k, row[1], (D, [row])) for row in rows]
     for m in range(1, order + 1):
-        part = horner(slices, y, m).homogeneous_part(m)
-        if not part.is_zero():
-            y = y + part.scale(step)
-    return y
+        for k in range(2, min(m, top) + 1):
+            lower = powers[k - 1]
+            pairs = [
+                (y[j], lower[m - j]) for j in range(1, m) if j in y and m - j in lower
+            ]
+            _keep(powers[k], m, pairs)
+        _keep(y, m, [(t, powers[k][m - d]) for k, d, t in terms if m - d in powers[k]])
+    return _polynomial(vars, *y.values())
+
+
+def _keep(parts: dict, m: int, pairs) -> None:
+    """parts[m] = the sum of products of pairs, as an integer form, unless
+    it is zero."""
+    D, rows = _reduced(*_sum_of_products(pairs))
+    if rows:
+        parts[m] = (D, rows)
 
 
 def conjugate_resultant(p: MultiPoly) -> MultiPoly:
@@ -638,16 +699,18 @@ def conjugate_resultant(p: MultiPoly) -> MultiPoly:
     zero = MultiPoly.zero(x_vars)
     slices = p.slices(p.vars[-1])
     m = max(slices, default=0)
-    f = [slices.get(k, zero) for k in range(m + 1)]
-    f_bar = [s.conj_coefficients() for s in f]
-    bezout = [[zero] * m for _ in range(m)]
+    f = [_integral(slices.get(k, zero)) for k in range(m + 1)]
+    f_bar = [(D, [(e, d, a, -b) for e, d, a, b in rows]) for D, rows in f]
+    bezout = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):  # the Bézout matrix is symmetric
-            for k in range(min(j, m - 1 - i) + 1):
-                t = f[i + 1 + k] * f_bar[j - k]
-                bezout[i][j] = bezout[i][j] + (t - t.conj_coefficients())
-            bezout[j][i] = bezout[i][j]
-    det = _determinant(bezout, x_vars)
+            D, acc = _sum_of_products(
+                [(f[i + 1 + k], f_bar[j - k]) for k in range(min(j, m - 1 - i) + 1)]
+            )
+            for s in acc.values():  # t - t̄ = 2i Im t
+                s[0], s[1] = 0, 2 * s[1]
+            bezout[i][j] = bezout[j][i] = _reduced(D, acc)
+    det = _polynomial(x_vars, _determinant(bezout, x_vars))
     return -det if m * (m - 1) // 2 % 2 else det
 
 
@@ -765,28 +828,22 @@ def _pseudo_remainder(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return r * lead_b**steps
 
 
-def _determinant(rows, vars) -> MultiPoly:
-    """Determinant of a square matrix of polynomials by Laplace expansion,
-    bottom row first, each minor kept by its column set: division-free,
-    with 2^n minors."""
-    n = len(rows)
-    minors = {(): MultiPoly.constant(vars, 1)}
+def _determinant(matrix, vars):
+    """Determinant of a square matrix of integer forms (D, rows) by Laplace
+    expansion, bottom row first, each minor kept by its column set as an
+    integer form and summed as sum_j +-entry * minor by `_sum_of_products`:
+    division-free, with 2^n minors."""
+    n = len(matrix)
+    minors = {(): _integral(MultiPoly.constant(vars, 1))}
     for size in range(1, n + 1):
-        row = rows[n - size]
+        row = matrix[n - size]
+        negated = [(D, [(e, d, -a, -b) for e, d, a, b in rows]) for D, rows in row]
         for cols in itertools.combinations(range(n), size):
-            total = None
-            for pos, j in enumerate(cols):
-                entry = row[j]
-                if entry.is_zero():
-                    continue
-                rest = minors[cols[:pos] + cols[pos + 1 :]]
-                if rest.is_zero():
-                    continue
-                term = entry * rest
-                if pos % 2:
-                    term = -term
-                total = term if total is None else total + term
-            minors[cols] = total if total is not None else MultiPoly.zero(vars)
+            pairs = [
+                ((negated if pos % 2 else row)[j], minors[cols[:pos] + cols[pos + 1 :]])
+                for pos, j in enumerate(cols)
+            ]
+            minors[cols] = _reduced(*_sum_of_products(pairs))
     return minors[tuple(range(n))]
 
 

@@ -257,6 +257,8 @@ def newton_puiseux(f, order: int | None = None):
         raise PreconditionError("f is independent of y: not monic-izable")
     if order is None:
         order = data_order if data_order is not None else F.degree()
+    if order < 1:
+        raise PreconditionError("order must be at least 1")
     budget = Fraction(order)
 
     raw = _expand(F, budget)

@@ -10,7 +10,7 @@ from numideal.engine import numerator_ideal
 from numideal.errors import PreconditionError, SanityViolation
 from numideal.gaussian import GaussianRational
 from numideal.parsing import parse
-from numideal.poly import horner
+from numideal.poly import MultiPoly, horner, implicit_root
 
 
 def residual_order(p, sol):
@@ -93,6 +93,59 @@ class TestSolveBranch:
     def test_precondition_positive_order(self, order):
         with pytest.raises(PreconditionError, match="order must be at least 1"):
             solve_branch(parse("z + x"), order)
+
+
+def rerun_implicit_root(slices, order):
+    """Undetermined coefficients by rerunning the whole truncated Horner sum
+    at every degree m and keeping its degree-m part."""
+    vars = slices[1].vars
+    step = GaussianRational(-1) / slices[1].coefficient((0,) * len(vars))
+    y = MultiPoly.zero(vars)
+    for m in range(1, order + 1):
+        part = horner(slices, y, m).homogeneous_part(m)
+        if not part.is_zero():
+            y = y + part.scale(step)
+    return y
+
+
+def seeded_slices(rng, deg_z, n_vars):
+    """z-slices s_0..s_deg_z over Q(i) in n_vars variables, s_0(0) = 0 and a
+    pivot s_1(0) that is neither 0 nor 1."""
+    vars = tuple(f"x{k}" for k in range(1, n_vars + 1))
+
+    def coeff():
+        return GaussianRational(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        )
+
+    slices = {}
+    for k in range(deg_z + 1):
+        terms = {}
+        for _ in range(3):
+            e = [0] * n_vars
+            e[rng.randrange(n_vars)] = rng.randint(1, 2)
+            terms[tuple(e)] = coeff()
+        slices[k] = MultiPoly(vars, terms)
+    pivot = coeff()
+    while pivot.is_zero() or pivot == GaussianRational(1):
+        pivot = coeff()
+    slices[1] = slices[1] + pivot
+    return slices
+
+
+class TestImplicitRoot:
+    @pytest.mark.parametrize("deg_z", [1, 2, 3])
+    @pytest.mark.parametrize("n_vars", [1, 2, 3, 4])
+    def test_matches_rerun_reference(self, deg_z, n_vars):
+        rng = random.Random(f"implicit_root:{deg_z}:{n_vars}")
+        for _ in range(2):
+            slices = seeded_slices(rng, deg_z, n_vars)
+            ref = rerun_implicit_root(slices, 12)
+            for order in range(1, 13):
+                y = implicit_root(slices, order)
+                assert y == ref.truncate(order)
+                assert horner(slices, y, order).truncate(order).is_zero()
 
 
 class TestClassify:

@@ -195,6 +195,13 @@ class TestPuiseux:
         data = json.loads(res.stdout)
         assert data["branches"][0]["r"] == 2
 
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_non_positive_order_exit_2(self, order):
+        res = run_cli("puiseux", "y - x", "--order", order)
+        assert res.returncode == 2
+        assert res.stderr == "error: order must be at least 1\n"
+        assert res.stdout == ""
+
     def test_degree_two_extension_exit_2(self):
         # the characteristic root sqrt(2) lies outside Q(i)
         res = run_cli("puiseux", "y^2 - 2*x^2")

@@ -203,6 +203,28 @@ class TestCandidateFrames:
         assert ic.change == change
         assert len(tried) <= 3
 
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            # the root line x + y has the axes of the x - y frame
+            ("(x + y)^2*(x - y)^2 - x^6", [(1, 0), (1, -1)]),
+            # roots t = 2 and -1/2 give perpendicular lines
+            ("(x - 2*y)^2*(2*x + y)^2 - x^6", [(1, 0), (1, -1), (2, 1)]),
+        ],
+    )
+    def test_perpendicular_line_is_not_tried_again(self, monkeypatch, text, lines):
+        tried = []
+        try_change = closure._try_change
+
+        def counting(g, frame, inverse):
+            tried.append(frame[0])
+            return try_change(g, frame, inverse)
+
+        monkeypatch.setattr(closure, "_try_change", counting)
+        with pytest.raises(NoMonomializationFound):
+            monomialize(parse(text, vars=("x", "y")))
+        assert tried == lines
+
 
 class TestVerdictTable:
     """The worked integral-closure computation: G = u^2 + u^2 v^2 + v^4."""

@@ -116,6 +116,87 @@ class TestConjugateResultant:
             assert R.conj_coefficients() == (R if m % 2 == 0 else -R)
 
 
+def laplace_resultant(p):
+    """Res_z(p, p̄) from the Bézout matrix with MultiPoly entries, by
+    cofactor expansion along the first row."""
+    x_vars = p.vars[:-1]
+    zero = MultiPoly.zero(x_vars)
+    slices = p.slices(p.vars[-1])
+    m = max(slices)
+    f = [slices.get(k, zero) for k in range(m + 1)]
+
+    def entry(i, j):
+        i, j = min(i, j), max(i, j)
+        total = zero
+        for k in range(min(j, m - 1 - i) + 1):
+            t = f[i + 1 + k] * f[j - k].conj_coefficients()
+            total = total + t - t.conj_coefficients()
+        return total
+
+    bezout = [[entry(i, j) for j in range(m)] for i in range(m)]
+
+    def det(row, cols):
+        if not cols:
+            return MultiPoly.constant(x_vars, 1)
+        total = zero
+        for pos, j in enumerate(cols):
+            term = bezout[row][j] * det(row + 1, cols[:pos] + cols[pos + 1 :])
+            total = total + (-term if pos % 2 else term)
+        return total
+
+    d = det(0, tuple(range(m)))
+    return -d if m * (m - 1) // 2 % 2 else d
+
+
+def unit_factor_products(degenerate, seed):
+    """degenerate times 2 and 3 seeded stable linear factors
+    a x + b y + c z + d i with a, b, c, d > 0, units at 0: z-degrees 3, 4."""
+    rng = random.Random(seed)
+    p = degenerate
+    out = []
+    for _ in range(3):
+        a, b, c, d = (Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(4))
+        factor = MultiPoly(
+            p.vars,
+            {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c, (0, 0, 0): GaussianRational(0, d)},
+        )
+        p = p * factor
+        out.append(p)
+    return out[1:]
+
+
+class TestResultantOfProducts:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_laplace_reference(self, degenerate, seed):
+        for p in unit_factor_products(degenerate, seed):
+            assert conjugate_resultant(p) == laplace_resultant(p)
+
+    def test_matches_sympy_at_rational_points(self, degenerate):
+        # Res_z commutes with fixing x and y where the leading z-coefficient
+        # does not vanish, and sympy's univariate resultant is fast
+        sympy = pytest.importorskip("sympy")
+        z = sympy.symbols("z")
+        rng = random.Random(5)
+
+        def at(poly, point):
+            value = 0
+            for e, c in poly.terms.items():
+                coeff = sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+                value += coeff * sympy.Rational(point[0]) ** e[0] * sympy.Rational(
+                    point[1]
+                ) ** e[1] * (z ** e[2] if len(e) == 3 else 1)
+            return sympy.expand(value)
+
+        for p in unit_factor_products(degenerate, 3):
+            R = conjugate_resultant(p)
+            for _ in range(4):
+                point = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in "xy")
+                a, b = at(p, point), at(p.conj_coefficients(), point)
+                assert sympy.degree(a, z) == max(p.slices("z"))
+                expected = sympy.resultant(a, b, z)
+                assert sympy.expand(at(R, point) - expected) == 0
+
+
 class TestGcd:
     def test_common_factor_of_seeded_products(self):
         rng = random.Random(7)
