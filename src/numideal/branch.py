@@ -18,7 +18,7 @@ from .forms import (
     quadratic_form_sign,
     sampled_sphere_nonneg,
 )
-from .poly import MultiPoly, TruncatedSeries, horner, implicit_root
+from .poly import MultiPoly, TruncatedSeries, implicit_root
 
 # unit directions sampled for the sign of a quartic or higher Im phi in three
 # or more x-variables
@@ -66,10 +66,8 @@ def solve_branch(p: MultiPoly, order: int) -> BranchSolution:
     if p.coefficient((0,) * (n - 1) + (1,)).is_zero():
         raise PreconditionError("dp/dz(0) = 0: zero is not smooth in z")
 
-    slices = p.slices(p.vars[-1])
-    root = implicit_root(slices, order)  # z = root(x) = -phi(x)
-    # the residual through the order; horner adds the slices untruncated
-    low = horner(slices, root, order).truncate(order).min_degree()
+    root = implicit_root(p.slices(p.vars[-1]), order)  # z = root(x) = -phi(x)
+    low = p.subs({p.vars[-1]: root}, order).min_degree()  # the residual
     if low is not None:
         raise AssertionError(f"solver fixed point failed: residual has degree {low}")
 

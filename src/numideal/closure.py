@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .errors import NoMonomializationFound, PreconditionError, TruncationError
 from .forms import HomogeneousForm, count_real_roots, qi_roots
-from .gaussian import GaussianRational
 from .poly import MultiPoly, TruncatedSeries, linear_change, newton_polygon
 
 
@@ -258,17 +257,14 @@ def ic_membership(q, ic: MonomialIdealIC):
     assert best is not None, "violated exponent without separating weight"
     _, wu, wv, m, h0 = best
     # leading coefficient along u = lu s^wu, v = lv s^wv must be nonzero
-    level_terms = {
-        (a, b): c for (a, b), c in quv.terms.items() if wu * a + wv * b == h0
-    }
-    witness_lambda = None
-    for lu, lv in _lambda_candidates():
-        total = GaussianRational(0)
-        for (a, b), c in level_terms.items():
-            total = total + c * GaussianRational(Fraction(lu) ** a * Fraction(lv) ** b)
-        if not total.is_zero():
-            witness_lambda = (lu, lv)
-            break
+    level = MultiPoly(
+        quv.vars,
+        {(a, b): c for (a, b), c in quv.terms.items() if wu * a + wv * b == h0},
+    )
+    witness_lambda = next(
+        (lam for lam in _lambda_candidates() if not level.eval_exact(lam).is_zero()),
+        None,
+    )
     witness = {
         "curve": {
             "u_weight": wu,

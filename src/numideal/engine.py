@@ -27,6 +27,7 @@ decides a case.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -45,6 +46,7 @@ from .poly import (
     divide_exact,
     linear_change,
     primitive_gcd,
+    pseudo_remainder,
     subresultants,
     substitute,
 )
@@ -404,7 +406,11 @@ def membership(
     if desc.case is CaseTag.LINEAR_FORM:
         power = desc.L_or_K
         reduced = substitute(q, "z", -phi.real_part())
-        j = _ell_order(_reduce_linear(q, desc.reducer), desc.linear_form)
+        # the reducer den z + num lies in the ideal and den(0) != 0, so q is
+        # reduced exactly to den^deg_z q(x, -num/den), free of z, and den
+        # carries no factor of ell
+        exact = pseudo_remainder(q, desc.reducer).slices("z")
+        j = _ell_order(exact.get(0, MultiPoly.zero(phi.vars)), desc.linear_form)
         if j is None or j >= power:
             return MembershipVerdict(
                 Verdict.IN_IDEAL,
@@ -446,23 +452,6 @@ def membership(
     if ok:
         return MembershipVerdict(Verdict.IN_IDEAL, reduced, certificate=cert)
     return MembershipVerdict(Verdict.NOT_IN_IDEAL, reduced, witness=cert)
-
-
-def _reduce_linear(q: MultiPoly, reducer: MultiPoly) -> MultiPoly:
-    """den^deg_z q(x, -num/den), q modulo reducer = den z + num.
-
-    The reducer lies in the ideal and den(0) != 0, so its root agrees with
-    -Re phi modulo ell^power (on `nonisolated`, num/den is (x + y)/(1 - x*y)
-    and Re phi is Re((x + y)/c)), and den^deg_z carries no factor of ell."""
-    linear = reducer.slices("z")
-    den = linear[1]
-    num = linear.get(0, MultiPoly.zero(den.vars))
-    slices = q.slices("z")
-    deg_z = max(slices, default=0)
-    total = MultiPoly.zero(den.vars)
-    for k, qk in slices.items():
-        total = total + qk * ((-num) ** k) * (den ** (deg_z - k))
-    return total
 
 
 def _linear_form_witness(j: int, desc: IdealDescription):
@@ -516,8 +505,19 @@ def boundedness_oracle(
     x + iv with a positive imaginary z-offset, plus deterministic probes on
     the extremal curves of the ideal; the flag trips when per-level maxima
     grow monotonically across the refinements (each level halves the box
-    radius, and the slice offsets shrink like radius^2).
+    radius, and the slice offsets shrink like radius^2).  Growth needs two
+    levels to be judged and a finite positive radius to be sampled, so
+    grid < 2 or such an eps raises PreconditionError.
     """
+    if grid < 2:
+        raise PreconditionError(
+            f"oracle needs at least 2 refinement levels to judge growth, got "
+            f"grid {grid}; use --grid 2 or more"
+        )
+    if not 0 < eps < math.inf:
+        raise PreconditionError(
+            f"oracle sampling radius must be finite and positive, got eps {eps}"
+        )
     desc = ideal if ideal is not None else numerator_ideal(p, seed=seed)
     if q.vars != p.vars:
         q = q.embed(p.vars)
@@ -528,7 +528,7 @@ def boundedness_oracle(
     cap = 100_000
     # one base sample set of 400 points in the unit box, rescaled per
     # refinement level, so level maxima are directly comparable point by point
-    n = min(400, cap // max(grid, 1))
+    n = min(400, cap // grid)
     base = []
     for k in range(n):
         x_unit = [rng.uniform(-1.0, 1.0) for _ in range(d)]

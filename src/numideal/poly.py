@@ -9,7 +9,10 @@ Gaussian-integer numerators as Python ints, and each output term is
 normalised once.  A plain product is its one-pair case.  `implicit_root`
 solves for a power series degree by degree on it, forming each product of
 two homogeneous parts once, and the Bézout entries and minors of
-`conjugate_resultant` are sums of products on it too.  `eval_complex`
+`conjugate_resultant` are sums of products on it too.  `MultiPoly.subs` is
+the one composition: Horner's scheme in each replaced variable, one kernel
+call per step acc * r + slice, so `substitute`, `linear_change`, the branch
+residual and the Puiseux substitution all run on the kernel.  `eval_complex`
 converts a polynomial's coefficients to `complex` once and keeps them.
 """
 
@@ -279,49 +282,40 @@ class MultiPoly:
         """Substitute polynomials for variables; optionally truncate by total degree.
 
         Unassigned variables map to themselves.  All replacement polynomials
-        must share one variable tuple, which becomes the result's.
+        must share one variable tuple, which becomes the result's.  This is
+        the package's one composition: Horner's scheme in each replaced
+        variable on `_sum_of_products` (`_horner`), with the unassigned
+        variables left inside the slices.
         """
-        target_vars = None
-        for repl in assignments.values():
-            if isinstance(repl, MultiPoly):
-                target_vars = repl.vars
-                break
-        if target_vars is None:
-            target_vars = self.vars
-        repls = []
-        for name in self.vars:
+        target_vars = next(
+            (r.vars for r in assignments.values() if isinstance(r, MultiPoly)),
+            self.vars,
+        )
+        replaced, repls, kept = [], [], []
+        for i, name in enumerate(self.vars):
             if name in assignments:
                 r = assignments[name]
                 if not isinstance(r, MultiPoly):
                     r = MultiPoly.constant(target_vars, r)
-                repls.append(r)
+                elif r.vars != target_vars:
+                    raise ValueError(f"variable mismatch: {r.vars} vs {target_vars}")
+                replaced.append(i)
+                repls.append(_integral(r))
             else:
-                repls.append(MultiPoly.variable(target_vars, name))
-
-        # powers[i][k] = repls[i] ** k, extended on demand; a plain list, not
-        # a recursive closure, so the cache is freed on return and not left
-        # in a reference cycle for the garbage collector
-        powers = [[MultiPoly.constant(target_vars, 1)] for _ in repls]
-        total = MultiPoly.zero(target_vars)
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(target_vars, c)
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                cache = powers[i]
-                while len(cache) <= k:
-                    cache.append(
-                        cache[-1].mul_truncated(repls[i], order)
-                        if order is not None
-                        else cache[-1] * repls[i]
-                    )
-                term = (
-                    term.mul_truncated(cache[k], order)
-                    if order is not None
-                    else term * cache[k]
-                )
-            total = total + term
-        return total
+                kept.append((i, target_vars.index(name)))
+        # the terms grouped by their exponents in the replaced variables, each
+        # as a row in the target variables carrying the unassigned exponents
+        D, rows = _integral(self)
+        groups = {}
+        for e, _, a, b in rows:
+            t = [0] * len(target_vars)
+            for i, j in kept:
+                t[j] = e[i]
+            key = tuple(e[i] for i in replaced)
+            groups.setdefault(key, []).append((tuple(t), sum(t), a, b))
+        one = _integral(MultiPoly.constant(target_vars, 1))
+        pairs = _horner(groups, D, repls, one, order)
+        return _normalised(target_vars, *_sum_of_products(pairs, order))
 
     def rename_vars(self, mapping: dict) -> "MultiPoly":
         new_vars = tuple(mapping.get(v, v) for v in self.vars)
@@ -421,8 +415,12 @@ def _integral(p: MultiPoly):
 def _product(p: MultiPoly, q: MultiPoly, order) -> MultiPoly:
     """p * q, keeping total degree <= order unless order is None: the
     one-pair case of `_sum_of_products`."""
-    D, acc = _sum_of_products([(_integral(p), _integral(q))], order)
-    # normalise in place, so each int pair is freed as its term is built
+    return _normalised(p.vars, *_sum_of_products([(_integral(p), _integral(q))], order))
+
+
+def _normalised(vars: tuple, D: int, acc: dict) -> MultiPoly:
+    """The polynomial of a `_sum_of_products` result, normalised in place,
+    so that each int pair is freed as its term is built."""
     make = GaussianRational._from_fractions
     zeros = []
     for e, (re, im) in acc.items():
@@ -432,7 +430,7 @@ def _product(p: MultiPoly, q: MultiPoly, order) -> MultiPoly:
             zeros.append(e)
     for e in zeros:
         del acc[e]
-    return MultiPoly._from_terms(p.vars, acc)
+    return MultiPoly._from_terms(vars, acc)
 
 
 def _sum_of_products(pairs, order=None):
@@ -483,6 +481,28 @@ def _reduced(D: int, acc: dict):
         (e, sum(e), re // g, im // g) for e, (re, im) in acc.items() if re or im
     ]
     return D // g, rows
+
+
+def _horner(groups: dict, D: int, repls: list, one, order) -> list:
+    """Pairs of integer forms whose sum of products is the sum over keys k
+    of groups of (D, groups[k]) * prod_i repls[i]^k[i], exact through total
+    degree order unless order is None: Horner's scheme in the first
+    variable, one `_sum_of_products` call per step acc * r + slice, each
+    slice the same sum over the other variables.  Module level, not a
+    closure, so that its rows are freed on return, not left in a cycle.
+    """
+    if not repls:
+        return [((D, groups.get((), [])), one)]
+    slices = {}
+    for key, rows in groups.items():
+        slices.setdefault(key[0], {})[key[1:]] = rows
+    pairs = []
+    for k in range(max(slices, default=0), -1, -1):
+        if pairs:
+            pairs = [(_reduced(*_sum_of_products(pairs, order)), repls[0])]
+        if k in slices:
+            pairs += _horner(slices[k], D, repls[1:], one, order)
+    return pairs
 
 
 class TruncatedSeries:
@@ -622,21 +642,6 @@ def substitute(p, var: str, replacement, order=None):
     return TruncatedSeries(result, eff)
 
 
-def horner(slices: dict, y: MultiPoly, order) -> MultiPoly:
-    """sum_k slices[k] * y^k by Horner's scheme.
-
-    With an integer order the products are truncated at that total degree,
-    so the result is exact through it; with order None it is exact.
-    """
-    top = max(slices)
-    acc = slices[top]
-    for k in range(top - 1, -1, -1):
-        acc = acc * y if order is None else acc.mul_truncated(y, order)
-        if k in slices:
-            acc = acc + slices[k]
-    return acc
-
-
 def implicit_root(slices: dict, order: int) -> MultiPoly:
     """The series y(x), y(0) = 0, with sum_k slices[k](x) * y^k = 0 through
     total degree `order`; the pivot slices[1](0) must be nonzero.
@@ -767,7 +772,7 @@ def subresultants(a: MultiPoly, b: MultiPoly):
     while True:
         yield b
         delta = a.var_degree(t) - b.var_degree(t)
-        r = _pseudo_remainder(a, b)
+        r = pseudo_remainder(a, b)
         if r.is_zero():
             return
         if r.var_degree(t) == 0:
@@ -813,14 +818,16 @@ def _primitive(a: MultiPoly, content: MultiPoly) -> MultiPoly:
     return MultiPoly._from_terms(a.vars, terms)
 
 
-def _pseudo_remainder(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """The remainder of lc(b)^(deg a - deg b + 1) * a on division by b, in
-    the last variable t, with lc(b) the leading t-coefficient of b."""
+def pseudo_remainder(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The remainder of lc(b)^max(deg a - deg b + 1, 0) * a on division by
+    b, in the last variable t, with lc(b) the leading t-coefficient of b;
+    0 for a = 0 and a itself when deg a < deg b.  For b = c z + d it is
+    c^(deg a) * a(z = -d/c)."""
     t = a.vars[-1]
     db = b.var_degree(t)
     lead_b = _leading(b)
     r = a
-    steps = a.var_degree(t) - db + 1
+    steps = max(a.var_degree(t) - db + 1, 0)
     while not r.is_zero() and r.var_degree(t) >= db:
         shift = (0,) * (len(a.vars) - 1) + (r.var_degree(t) - db,)
         r = r * lead_b - _leading(r) * MultiPoly._from_terms(a.vars, {shift: ONE}) * b

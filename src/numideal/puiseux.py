@@ -155,7 +155,6 @@ def _expand(F: MultiPoly, budget: Fraction):
     if budget <= 0:
         raise TruncationError("order too small to separate branches; raise it")
 
-    y_degree = max(b for (_, b) in F.terms)
     for q, r, b_min, edge_terms in _newton_edges(F):
         # characteristic polynomial in c, exponents (beta - b_min) / r
         deg = max((b - b_min) // r for (_, b) in edge_terms)
@@ -183,25 +182,12 @@ def _expand(F: MultiPoly, budget: Fraction):
                     f"no exact {r}-th root of {c_root} in Q(i); "
                     "branch needs a field extension"
                 )
-            # substitute x -> t^r, y -> t^q (c + y1), divide by t^level
+            # F(t^r, t^q (c + y1)) / t^level, with t and y1 named x and y
             sub_budget = budget * r - q
-            tvars = ("x", "y")
-            # F(t^r, t^q(c+y1)) expanded in (t, y1)
-            powers = [GaussianRational(1)]
-            for _ in range(y_degree):
-                powers.append(powers[-1] * c_tilde)
-            shifted = {}
-            for (a, b), coeff in F.terms.items():
-                # (c + y1)^b contributes binomials
-                for k in range(b + 1):
-                    binom = math.comb(b, k)
-                    t_exp = a * r + b * q
-                    key = (t_exp, k)
-                    val = coeff * powers[b - k] * binom
-                    acc = shifted.get(key)
-                    shifted[key] = val if acc is None else acc + val
+            t, y1 = (MultiPoly.variable(("x", "y"), v) for v in ("x", "y"))
+            composed = F.subs(dict(zip(F.vars, (t**r, t**q * (y1 + c_tilde)))))
             F1 = MultiPoly(
-                tvars, {(t - level, k): v for (t, k), v in shifted.items()}
+                ("x", "y"), {(a - level, b): v for (a, b), v in composed.terms.items()}
             )
             # keep only data meaningful within the sub-budget
             if mult == 1 and not F1.coefficient((0, 1)).is_zero():

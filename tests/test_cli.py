@@ -176,6 +176,22 @@ class TestMember:
         assert res.returncode == 3
         assert "oracle sup ~" in res.stdout
 
+    @pytest.mark.parametrize(
+        "flag, value, reason",
+        [
+            ("--grid", "0", "refinement levels"),
+            ("--grid", "-2", "refinement levels"),
+            ("--grid", "1", "refinement levels"),
+            ("--eps", "0", "finite and positive"),
+            ("--eps", "nan", "finite and positive"),
+        ],
+    )
+    def test_oracle_setting_that_cannot_be_judged_exit_2(self, flag, value, reason):
+        res = run_cli("member", LINEAR3, "x^2", "--oracle", flag, value)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and reason in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
+
     def test_oracle_flag_json(self):
         res = run_cli("member", LINEAR3, "x^2", "--oracle", "--format", "json")
         data = json.loads(res.stdout)

@@ -23,7 +23,7 @@ from numideal.engine import (
 from numideal.errors import NoMonomializationFound, PreconditionError
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
-from numideal.poly import MultiPoly
+from numideal.poly import MultiPoly, pseudo_remainder
 
 
 @pytest.fixture(scope="module")
@@ -436,6 +436,42 @@ class TestExactLinearReduction:
                 assert v.witness["ell_exponent"] == reference_order(q), format_poly(q)
                 checked += 1
         assert checked >= 6
+
+
+def reduce_linear(q, reducer):
+    """den^deg_z * q(x, -num/den) for reducer = den*z + num, slice by slice:
+    sum_k q_k * (-num)^k * den^(deg_z - k), in the x-variables."""
+    linear = reducer.slices("z")
+    den = linear[1]
+    num = linear.get(0, MultiPoly.zero(den.vars))
+    slices = q.slices("z")
+    deg_z = max(slices, default=0)
+    total = MultiPoly.zero(den.vars)
+    for k, qk in slices.items():
+        total = total + qk * ((-num) ** k) * (den ** (deg_z - k))
+    return total
+
+
+@pytest.mark.parametrize(
+    "factors", [(), ("x + y + z + i",), ("x + y + z + i", "2*x + y + z + 2*i")]
+)
+def test_pseudo_remainder_is_the_linear_reduction(nonisolated, factors):
+    p = nonisolated
+    for factor in factors:
+        p = p * parse(factor, vars=p.vars)
+    p = normalize_z_coefficient(p)
+    desc = numerator_ideal(p, order=12)
+    assert desc.case is CaseTag.LINEAR_FORM
+    texts = [
+        "0", "1", "x + y", "z", "(x + y)^2", "x + y + z - x*y*z", "x^13",
+        "x^12*y", "(x + y)^13", "(x + y)^2*z^3", "(2*x - i*y)*z^4 + x*y*z^2 - 3",
+    ]
+    for text in texts:
+        q = parse(text, vars=p.vars)
+        expected = reduce_linear(q, desc.reducer).embed(p.vars)
+        assert pseudo_remainder(q, desc.reducer) == expected, text
+    verdict = membership(p, MultiPoly.zero(p.vars), order=12, ideal=desc).verdict
+    assert verdict is Verdict.IN_IDEAL
 
 
 def _rescale(poly, a, b):

@@ -407,19 +407,31 @@ class TestProductKernel:
             assert zero.mul_truncated(q, 4) == zero and (q * zero).terms == {}
 
     def test_subs_matches_naive_reference(self):
+        # every variable replaced, and the shapes the package composes with:
+        # z -> a polynomial in (x, y), and one of (x, y) replaced while the
+        # other stays
         rng = random.Random(47)
+        xy = ("x", "y")
+        same = {v: MultiPoly.variable(xy, v) for v in xy}
         for _ in range(15):
-            p = rand_poly(rng, vars=("x", "y"), max_deg=2, n_terms=4)
+            p = rand_poly(rng, vars=xy, max_deg=2, n_terms=4)
             repls = [
                 rand_poly(rng, vars=("u", "v"), max_deg=2, n_terms=3),
                 rand_imaginary_poly(rng, vars=("u", "v")),
             ]
-            assignments = dict(zip(p.vars, repls))
-            assert p.subs(assignments) == naive_subs(p, repls)
-            for order in (0, 2, 5):
-                got = p.subs(assignments, order=order)
-                assert got == naive_subs(p, repls, order)
-                assert_canonical(got)
+            shapes = [
+                (p, dict(zip(p.vars, repls))),
+                (rand_poly(rng), {"z": rand_poly(rng, vars=xy, max_deg=2, n_terms=4)}),
+                (rand_poly(rng, vars=xy), {"x": rand_imaginary_poly(rng)}),
+                (rand_poly(rng, vars=xy), {"y": rand_poly(rng, vars=xy, n_terms=3)}),
+            ]
+            for p, assignments in shapes:
+                repls = [assignments.get(v, same.get(v)) for v in p.vars]
+                assert p.subs(assignments) == naive_subs(p, repls)
+                for order in (0, 2, 5):
+                    got = p.subs(assignments, order=order)
+                    assert got == naive_subs(p, repls, order)
+                    assert_canonical(got)
 
     def test_variable_mismatch_raises(self):
         p = parse("x + y", vars=("x", "y"))
@@ -428,6 +440,9 @@ class TestProductKernel:
             p * q
         with pytest.raises(ValueError):
             p.mul_truncated(q, 3)
+        u, v = MultiPoly.variable(("u",), "u"), MultiPoly.variable(("v",), "v")
+        with pytest.raises(ValueError):
+            p.subs({"x": u, "y": v})
 
 
 class TestComplexEvaluationCache:

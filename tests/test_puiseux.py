@@ -157,6 +157,23 @@ class TestNewtonPuiseux:
         res = comparability_ratio(gf, pf, [2.0**-k for k in range(4, 11)])
         assert not res.fail
 
+    @pytest.mark.parametrize(
+        "text, order, r, psi, t_order",  # psi in t, written in x
+        [
+            # x -> t^3: the edge polynomial c^3 - 1 is linear in c^r
+            ("y^3 - x^7", 4, 3, "x^7", 12),
+            ("y^3 - x^7", 6, 3, "x^7", 18),
+            # the double root c = 1 of the first edge is expanded again
+            ("(y - x^2)^2 - x^5", 4, 2, "x^4 + x^5", 8),
+            ("(y - x^2)^2 - x^5", 6, 2, "x^4 + x^5", 12),
+        ],
+    )
+    def test_ramified_and_nested_branches(self, text, order, r, psi, t_order):
+        (b,) = newton_puiseux(parse(text, vars=("x", "y")), order=order)
+        assert (b.r, b.psi.order, b.multiplicity, b.conjugate_partner) == (r, t_order, 1, 0)
+        assert b.resolved
+        assert b.psi.poly == parse(psi, vars=("x",)).rename_vars({"x": "t"})
+
     def test_repeated_factor_multiplicity(self):
         branches = newton_puiseux(parse("(y - x)^2", vars=("x", "y")), order=5)
         assert len(branches) == 1

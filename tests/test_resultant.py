@@ -24,6 +24,7 @@ from numideal.poly import (
     divide_exact,
     poly_gcd,
     primitive_gcd,
+    pseudo_remainder,
     subresultants,
 )
 
@@ -240,6 +241,18 @@ class TestGcd:
         p = degenerate * parse("1 - x*z", vars=degenerate.vars)
         shared = primitive_gcd(p, p.conj_coefficients())
         assert divide_exact(shared, parse("1 - x*z", vars=p.vars)).degree() == 0
+
+    def test_pseudo_remainder_of_zero_and_z_free_dividends(self):
+        vars = ("x", "y", "z")
+        for divisor in ("(1 - x*y)*z + x + y", "(1 + x)*z^2 + y*z + x"):
+            b = parse(divisor, vars=vars)
+            assert pseudo_remainder(MultiPoly.zero(vars), b).is_zero()
+            # deg a < deg b: a is its own pseudo-remainder
+            a = parse("x^3 - 2*i*x*y + 5", vars=vars)
+            assert pseudo_remainder(a, b) == a
+        # deg a = deg b - 1 for the quadratic divisor
+        a = parse("x*z + y", vars=vars)
+        assert pseudo_remainder(a, parse("(1 + x)*z^2 + y*z + x", vars=vars)) == a
 
     def test_inexact_division_raises(self):
         vars = ("x", "y", "z")
