@@ -66,12 +66,15 @@ def solve_branch(p: MultiPoly, order: int) -> BranchSolution:
     if p.coefficient((0,) * (n - 1) + (1,)).is_zero():
         raise PreconditionError("dp/dz(0) = 0: zero is not smooth in z")
 
-    root = implicit_root(p.slices(p.vars[-1]), order)  # z = root(x) = -phi(x)
-    low = p.subs({p.vars[-1]: root}, order).min_degree()  # the residual
+    # q(x, z) = p(x, -z), so that q(x, phi(x)) = 0 gives phi itself
+    q = MultiPoly._from_terms(
+        p.vars, {e: -c if e[-1] % 2 else c for e, c in p.terms.items()}
+    )
+    phi = implicit_root(q.slices(q.vars[-1]), order)
+    low = q.subs({q.vars[-1]: phi}, order).min_degree()  # the residual
     if low is not None:
         raise AssertionError(f"solver fixed point failed: residual has degree {low}")
 
-    phi = -root
     grad0 = tuple(
         phi.coefficient(tuple(1 if j == i else 0 for j in range(n - 1)))
         for i in range(n - 1)

@@ -3,6 +3,9 @@
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 parse error, 2 precondition/out-of-scope failure; `member` exits 0 for
 InIdeal, 3 for NotInIdeal, 4 for Indeterminate.
+
+`puiseux` and `construct` are imported by the subcommands that use them,
+so `analyze` and `member` start without loading either.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import json
 import sys
 
 from .branch import PhiKind
-from .construct import polydisk_to_halfplane
 from .engine import (
     Verdict,
     boundedness_oracle,
@@ -22,7 +24,6 @@ from .engine import (
 from .errors import NumidealError, ParseError, PreconditionError
 from .examples import EXAMPLES
 from .parsing import format_poly, parse
-from .puiseux import newton_puiseux
 
 
 def _read_input(text: str) -> str:
@@ -121,6 +122,8 @@ def cmd_member(args) -> int:
 
 
 def cmd_puiseux(args) -> int:
+    from .puiseux import newton_puiseux
+
     f = parse(_read_input(args.polynomial))
     if len(f.vars) != 2:
         raise PreconditionError("puiseux expects a bivariate polynomial in x, y")
@@ -166,6 +169,8 @@ def cmd_examples(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .construct import polydisk_to_halfplane
+
     disk = parse(_read_input(args.polynomial))
     result = polydisk_to_halfplane(disk)
     if args.format == "json":

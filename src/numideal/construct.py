@@ -12,7 +12,6 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .gaussian import GaussianRational, I, ONE
 from .poly import MultiPoly
-from .puiseux import contact_order
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,9 @@ def contact_order_lift(q2: MultiPoly, m: int | None = None, order: int = 12) -> 
         raise PreconditionError("q2(0,0) != 0")
     if q2.coefficient((0, 1)).is_zero():
         raise PreconditionError("dq2/dy(0) = 0: zero not smooth")
+    # puiseux is loaded here only, so that importing construct stays cheap
+    from .puiseux import contact_order
+
     K = contact_order(q2, order=order)
     if K <= 2:
         raise PreconditionError(f"contact order {K} is not > 2")

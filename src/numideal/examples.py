@@ -9,22 +9,29 @@ x + y + 2(x^3 + 2x^2 y + 2x y^2 + y^3) + 4i(...).
 
 from __future__ import annotations
 
-from .construct import polydisk_to_halfplane
 from .parsing import parse
 from .poly import MultiPoly
 
 
+def _from_polydisk(text: str) -> MultiPoly:
+    # construct is loaded on the first call, not when the CLI imports EXAMPLES
+    from .construct import polydisk_to_halfplane
+
+    return polydisk_to_halfplane(parse(text))
+
+
 def linear3() -> MultiPoly:
-    return polydisk_to_halfplane(parse("3 - z1 - z2 - z3"))
+    return _from_polydisk("3 - z1 - z2 - z3")
 
 
 def nonisolated() -> MultiPoly:
-    return polydisk_to_halfplane(parse("2 - z1*z2 - z3"))
+    return _from_polydisk("2 - z1*z2 - z3")
 
 
 def degenerate() -> MultiPoly:
-    disk = parse("(z1 + z2)^2 * 1/4 - (z1 + z2) * 1/2 * z3 - 3/2 * (z1 + z2) - z3 + 4")
-    return polydisk_to_halfplane(disk)
+    return _from_polydisk(
+        "(z1 + z2)^2 * 1/4 - (z1 + z2) * 1/2 * z3 - 3/2 * (z1 + z2) - z3 + 4"
+    )
 
 
 def p2() -> MultiPoly:

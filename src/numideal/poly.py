@@ -14,6 +14,16 @@ the one composition: Horner's scheme in each replaced variable, one kernel
 call per step acc * r + slice, so `substitute`, `linear_change`, the branch
 residual and the Puiseux substitution all run on the kernel.  `eval_complex`
 converts a polynomial's coefficients to `complex` once and keeps them.
+
+The kernel's integer forms carry each exponent vector as one int (Kronecker
+packing, `_pack`): exponent i in a field of w bits, the total degree above
+all fields.  Adding two ints adds the vectors, and one comparison with a
+limit truncates by total degree.  Each computation takes w from its own
+degree bound: the truncation order, or the degree of the untruncated
+product, composition or determinant.  Every kept exponent fits its field,
+and a sum that overflows one has a total degree beyond the bound, so it is
+dropped; there is no exponent limit.  Tuples come back only where a
+`MultiPoly` is built and where `subs` groups terms by the replaced variables.
 """
 
 from __future__ import annotations
@@ -300,22 +310,35 @@ class MultiPoly:
                 elif r.vars != target_vars:
                     raise ValueError(f"variable mismatch: {r.vars} vs {target_vars}")
                 replaced.append(i)
-                repls.append(_integral(r))
+                repls.append(r)
             else:
                 kept.append((i, target_vars.index(name)))
+        bound = order
+        if bound is None:  # the degree of the composition bounds every step
+            degrees = [(i, max(r.degree(), 0)) for i, r in zip(replaced, repls)]
+            bound = max(
+                (
+                    sum(e[i] for i, _ in kept) + sum(e[i] * d for i, d in degrees)
+                    for e in self.terms
+                ),
+                default=0,
+            )
+        w = _width(bound)
+        repls = [_integral(r, w, bound) for r in repls]
         # the terms grouped by their exponents in the replaced variables, each
         # as a row in the target variables carrying the unassigned exponents
-        D, rows = _integral(self)
+        D, rows = _numerators(self)
         groups = {}
-        for e, _, a, b in rows:
+        for e, a, b in rows:
             t = [0] * len(target_vars)
             for i, j in kept:
                 t[j] = e[i]
-            key = tuple(e[i] for i in replaced)
-            groups.setdefault(key, []).append((tuple(t), sum(t), a, b))
-        one = _integral(MultiPoly.constant(target_vars, 1))
-        pairs = _horner(groups, D, repls, one, order)
-        return _normalised(target_vars, *_sum_of_products(pairs, order))
+            if sum(t) <= bound:
+                key = tuple(e[i] for i in replaced)
+                groups.setdefault(key, []).append((_pack(t, w), a, b))
+        limit = _limit(bound, len(target_vars), w)
+        pairs = _horner(groups, D, repls, limit)
+        return _normalised(target_vars, w, *_sum_of_products(pairs, limit))
 
     def rename_vars(self, mapping: dict) -> "MultiPoly":
         new_vars = tuple(mapping.get(v, v) for v in self.vars)
@@ -377,23 +400,63 @@ class MultiPoly:
         return f"MultiPoly({self.vars!r}, {str(self)!r})"
 
 
-def _polynomial(vars: tuple, *forms) -> MultiPoly:
+def _width(bound: int) -> int:
+    """Bits per field of a packed exponent vector (`_pack`) in a computation
+    that keeps total degree <= bound: every kept exponent fits.  A sum of two
+    exponents that overflows its field exceeds the bound, and so does the
+    total degree in the top field, which no carry lowers: such a product has
+    a key at or above the `_limit` and is dropped, so no carry reaches a
+    kept term."""
+    return max(bound, 1).bit_length()
+
+
+def _pack(e, w: int) -> int:
+    """The exponent vector e as one int: e[i] in bits i*w .. i*w + w - 1 and
+    the total degree above all of them, so that adding the ints adds the
+    vectors and a key at or above `_limit(order, ...)` has degree > order."""
+    key = sum(e)
+    for k in reversed(e):
+        key = key << w | k
+    return key
+
+
+def _unpack(key: int, n: int, w: int) -> tuple:
+    """The n exponents that `_pack` put into key."""
+    mask = (1 << w) - 1
+    e = []
+    for _ in range(n):
+        e.append(key & mask)
+        key >>= w
+    return tuple(e)
+
+
+def _limit(order: int, n: int, w: int) -> int:
+    """The least packed key, for n variables, of total degree above order."""
+    return (order + 1) << (n * w)
+
+
+# the integer form of the constant 1, whatever the variables and the width
+_ONE = (1, ((0, 1, 0),))
+
+
+def _polynomial(vars: tuple, w: int, *forms) -> MultiPoly:
     """The sum of integer forms (D, rows) with disjoint exponents, each term
     normalised once."""
     make = GaussianRational._from_fractions
+    n = len(vars)
     return MultiPoly._from_terms(
         vars,
         {
-            e: make(Fraction(a, D), Fraction(b, D))
+            _unpack(k, n, w): make(Fraction(a, D), Fraction(b, D))
             for D, rows in forms
-            for e, _, a, b in rows
+            for k, a, b in rows
         },
     )
 
 
-def _integral(p: MultiPoly):
-    """(D, [(exps, total degree, a, b)]) with D the positive lcm of the
-    coefficient denominators and a + b*i = D * coefficient."""
+def _numerators(p: MultiPoly):
+    """(D, [(exps, a, b)]) with D the positive lcm of the coefficient
+    denominators and a + b*i = D * coefficient."""
     # pairwise, not lcm(*all denominators): that builds a tuple of a new
     # length per call, and short tuples linger on the interpreter's free
     # lists, which raised peak memory of a benchmark run by about 4 %
@@ -403,7 +466,6 @@ def _integral(p: MultiPoly):
     rows = [
         (
             e,
-            sum(e),
             c.re.numerator * (D // c.re.denominator),
             c.im.numerator * (D // c.im.denominator),
         )
@@ -412,58 +474,66 @@ def _integral(p: MultiPoly):
     return D, rows
 
 
+def _integral(p: MultiPoly, w: int, bound: int):
+    """The integer form (D, [(key, a, b)]) of p, each exponent vector packed
+    into key with w-bit fields, without the terms above total degree bound:
+    they never reach a result within it, and may not fit the fields."""
+    D, rows = _numerators(p)
+    return D, [(_pack(e, w), a, b) for e, a, b in rows if sum(e) <= bound]
+
+
 def _product(p: MultiPoly, q: MultiPoly, order) -> MultiPoly:
     """p * q, keeping total degree <= order unless order is None: the
     one-pair case of `_sum_of_products`."""
-    return _normalised(p.vars, *_sum_of_products([(_integral(p), _integral(q))], order))
+    bound = p.degree() + q.degree() if order is None else order
+    w = _width(bound)
+    pairs = [(_integral(p, w, bound), _integral(q, w, bound))]
+    limit = _limit(bound, len(p.vars), w)
+    return _normalised(p.vars, w, *_sum_of_products(pairs, limit))
 
 
-def _normalised(vars: tuple, D: int, acc: dict) -> MultiPoly:
-    """The polynomial of a `_sum_of_products` result, normalised in place,
-    so that each int pair is freed as its term is built."""
+def _normalised(vars: tuple, w: int, D: int, acc: dict) -> MultiPoly:
+    """The polynomial of a `_sum_of_products` result, each term normalised
+    once."""
     make = GaussianRational._from_fractions
-    zeros = []
-    for e, (re, im) in acc.items():
-        if re or im:
-            acc[e] = make(Fraction(re, D), Fraction(im, D))
-        else:
-            zeros.append(e)
-    for e in zeros:
-        del acc[e]
-    return MultiPoly._from_terms(vars, acc)
+    n = len(vars)
+    return MultiPoly._from_terms(
+        vars,
+        {
+            _unpack(k, n, w): make(Fraction(re, D), Fraction(im, D))
+            for k, (re, im) in acc.items()
+            if re or im
+        },
+    )
 
 
-def _sum_of_products(pairs, order=None):
+def _sum_of_products(pairs, limit: int):
     """sum_i p_i * q_i over Z[i] for pairs of integer forms (D, rows) as
-    `_integral` gives them, keeping total degree <= order unless order is
-    None.
+    `_integral` gives them, all packed with one field width, keeping the
+    terms whose packed exponents stay below limit (`_limit`).
 
-    Returns (D, acc): acc maps exponents to [re, im], the value (re + im*i)/D,
-    with D the lcm of the D1 * D2.  Terms appear in the order the schoolbook
-    double loop over the pairs first reaches them; sums that cancel stay.
+    Returns (D, acc): acc maps packed exponents to [re, im], the value
+    (re + im*i)/D, with D the lcm of the D1 * D2.  Terms appear in the order
+    the schoolbook double loop over the pairs first reaches them; sums that
+    cancel stay.
     """
     D = 1
     for (D1, _), (D2, _) in pairs:
         D = lcm(D, D1 * D2)
-    if order is None:
-        order = float("inf")
     acc = {}
     for (D1, rows1), (D2, rows2) in pairs:
         f = D // (D1 * D2)
-        for e1, d1, a1, b1 in rows1:
-            room = order - d1
-            if room < 0:
-                continue
+        for k1, a1, b1 in rows1:
             a1, b1 = a1 * f, b1 * f
-            for e2, d2, a2, b2 in rows2:
-                if d2 > room:
+            for k2, a2, b2 in rows2:
+                k = k1 + k2
+                if k >= limit:
                     continue
-                e = tuple(map(int.__add__, e1, e2))
                 re = a1 * a2 - b1 * b2
                 im = a1 * b2 + b1 * a2
-                s = acc.get(e)
+                s = acc.get(k)
                 if s is None:
-                    acc[e] = [re, im]
+                    acc[k] = [re, im]
                 else:
                     s[0] += re
                     s[1] += im
@@ -477,31 +547,29 @@ def _reduced(D: int, acc: dict):
     g = D
     for re, im in acc.values():
         g = gcd(g, re, im)
-    rows = [
-        (e, sum(e), re // g, im // g) for e, (re, im) in acc.items() if re or im
-    ]
+    rows = [(k, re // g, im // g) for k, (re, im) in acc.items() if re or im]
     return D // g, rows
 
 
-def _horner(groups: dict, D: int, repls: list, one, order) -> list:
+def _horner(groups: dict, D: int, repls: list, limit: int) -> list:
     """Pairs of integer forms whose sum of products is the sum over keys k
-    of groups of (D, groups[k]) * prod_i repls[i]^k[i], exact through total
-    degree order unless order is None: Horner's scheme in the first
-    variable, one `_sum_of_products` call per step acc * r + slice, each
-    slice the same sum over the other variables.  Module level, not a
-    closure, so that its rows are freed on return, not left in a cycle.
+    of groups of (D, groups[k]) * prod_i repls[i]^k[i], exact below the
+    packed limit: Horner's scheme in the first variable, one
+    `_sum_of_products` call per step acc * r + slice, each slice the same
+    sum over the other variables.  Module level, not a closure, so that its
+    rows are freed on return, not left in a cycle.
     """
     if not repls:
-        return [((D, groups.get((), [])), one)]
+        return [((D, groups.get((), [])), _ONE)]
     slices = {}
     for key, rows in groups.items():
         slices.setdefault(key[0], {})[key[1:]] = rows
     pairs = []
     for k in range(max(slices, default=0), -1, -1):
         if pairs:
-            pairs = [(_reduced(*_sum_of_products(pairs, order)), repls[0])]
+            pairs = [(_reduced(*_sum_of_products(pairs, limit)), repls[0])]
         if k in slices:
-            pairs += _horner(slices[k], D, repls[1:], one, order)
+            pairs += _horner(slices[k], D, repls[1:], limit)
     return pairs
 
 
@@ -658,8 +726,10 @@ def implicit_root(slices: dict, order: int) -> MultiPoly:
     vars = slices[1].vars
     step = GaussianRational(-1) / slices[1].coefficient((0,) * len(vars))
     top = max(slices)
+    w = _width(order)
+    limit = _limit(order, len(vars), w)
     # powers[k][j] = [y^k]_j as an integer form, kept only when nonzero
-    powers = [{0: _integral(MultiPoly.constant(vars, 1))}]
+    powers = [{0: _ONE}]
     powers += [{} for _ in range(top)]
     y = powers[1]
     # each term of -s_k / pivot as its own integer form, in the slice's
@@ -668,23 +738,24 @@ def implicit_root(slices: dict, order: int) -> MultiPoly:
     # them in.  The pivot pairs with y_m, which is not there yet.
     terms = []
     for k in sorted(slices, reverse=True):
-        D, rows = _integral(slices[k].scale(step))
-        terms += [(k, row[1], (D, [row])) for row in rows]
+        D, rows = _integral(slices[k].scale(step), w, order)
+        terms += [(k, row[0] >> len(vars) * w, (D, [row])) for row in rows]
     for m in range(1, order + 1):
         for k in range(2, min(m, top) + 1):
             lower = powers[k - 1]
             pairs = [
                 (y[j], lower[m - j]) for j in range(1, m) if j in y and m - j in lower
             ]
-            _keep(powers[k], m, pairs)
-        _keep(y, m, [(t, powers[k][m - d]) for k, d, t in terms if m - d in powers[k]])
-    return _polynomial(vars, *y.values())
+            _keep(powers[k], m, pairs, limit)
+        pairs = [(t, powers[k][m - d]) for k, d, t in terms if m - d in powers[k]]
+        _keep(y, m, pairs, limit)
+    return _polynomial(vars, w, *y.values())
 
 
-def _keep(parts: dict, m: int, pairs) -> None:
+def _keep(parts: dict, m: int, pairs, limit: int) -> None:
     """parts[m] = the sum of products of pairs, as an integer form, unless
     it is zero."""
-    D, rows = _reduced(*_sum_of_products(pairs))
+    D, rows = _reduced(*_sum_of_products(pairs, limit))
     if rows:
         parts[m] = (D, rows)
 
@@ -704,18 +775,23 @@ def conjugate_resultant(p: MultiPoly) -> MultiPoly:
     zero = MultiPoly.zero(x_vars)
     slices = p.slices(p.vars[-1])
     m = max(slices, default=0)
-    f = [_integral(slices.get(k, zero)) for k in range(m + 1)]
-    f_bar = [(D, [(e, d, a, -b) for e, d, a, b in rows]) for D, rows in f]
+    # an entry has degree at most 2 deg p, so a minor of size s at most s times that
+    bound = 2 * m * max(p.degree(), 0)
+    w = _width(bound)
+    limit = _limit(bound, len(x_vars), w)
+    f = [_integral(slices.get(k, zero), w, bound) for k in range(m + 1)]
+    f_bar = [(D, [(k, a, -b) for k, a, b in rows]) for D, rows in f]
     bezout = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):  # the Bézout matrix is symmetric
             D, acc = _sum_of_products(
-                [(f[i + 1 + k], f_bar[j - k]) for k in range(min(j, m - 1 - i) + 1)]
+                [(f[i + 1 + k], f_bar[j - k]) for k in range(min(j, m - 1 - i) + 1)],
+                limit,
             )
             for s in acc.values():  # t - t̄ = 2i Im t
                 s[0], s[1] = 0, 2 * s[1]
             bezout[i][j] = bezout[j][i] = _reduced(D, acc)
-    det = _polynomial(x_vars, _determinant(bezout, x_vars))
+    det = _polynomial(x_vars, w, _determinant(bezout, limit))
     return -det if m * (m - 1) // 2 % 2 else det
 
 
@@ -835,22 +911,23 @@ def pseudo_remainder(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return r * lead_b**steps
 
 
-def _determinant(matrix, vars):
+def _determinant(matrix, limit: int):
     """Determinant of a square matrix of integer forms (D, rows) by Laplace
     expansion, bottom row first, each minor kept by its column set as an
     integer form and summed as sum_j +-entry * minor by `_sum_of_products`:
-    division-free, with 2^n minors."""
+    division-free, with 2^n minors.  The packed limit lies above the degree
+    of every minor."""
     n = len(matrix)
-    minors = {(): _integral(MultiPoly.constant(vars, 1))}
+    minors = {(): _ONE}
     for size in range(1, n + 1):
         row = matrix[n - size]
-        negated = [(D, [(e, d, -a, -b) for e, d, a, b in rows]) for D, rows in row]
+        negated = [(D, [(k, -a, -b) for k, a, b in rows]) for D, rows in row]
         for cols in itertools.combinations(range(n), size):
             pairs = [
                 ((negated if pos % 2 else row)[j], minors[cols[:pos] + cols[pos + 1 :]])
                 for pos, j in enumerate(cols)
             ]
-            minors[cols] = _reduced(*_sum_of_products(pairs))
+            minors[cols] = _reduced(*_sum_of_products(pairs, limit))
     return minors[tuple(range(n))]
 
 

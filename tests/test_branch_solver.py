@@ -1,16 +1,22 @@
 """Branch solver: phi with p(x, -phi(x)) = 0, and its classification."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from numideal.branch import PhiKind, classify, solve_branch
+from numideal.construct import random_stable_polynomial
 from numideal.engine import numerator_ideal
 from numideal.errors import PreconditionError, SanityViolation
+from numideal.examples import EXAMPLES
 from numideal.gaussian import GaussianRational
 from numideal.parsing import parse
 from numideal.poly import MultiPoly, implicit_root
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def residual_order(p, sol):
@@ -158,6 +164,23 @@ class TestImplicitRoot:
                 y = implicit_root(slices, order)
                 assert y == ref.truncate(order)
                 assert horner(slices, y, order).truncate(order).is_zero()
+
+
+class TestTermOrder:
+    # the boundedness oracle sums phi's float terms in insertion order, so
+    # its printed digits depend on the order the exact solver builds them in
+    @pytest.mark.parametrize(
+        "name", ["linear3", "nonisolated", "degenerate", "p2", "random0"]
+    )
+    def test_phi_term_order_is_pinned(self, name):
+        if name == "random0":  # the first input of criterion 7, deg_z = 2
+            p, order = random_stable_polynomial(random.Random(20240815)), 8
+            assert p.var_degree("z") == 2
+        else:
+            p, order = EXAMPLES[name](), 12
+        expected = json.loads((GOLDEN / "phi_terms.json").read_text())[name]
+        phi = solve_branch(p, order).phi.poly
+        assert [list(e) for e in phi.terms] == expected
 
 
 class TestClassify:

@@ -3,9 +3,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from numideal.cli import main
+from numideal.parsing import format_poly
+from numideal.poly import MultiPoly
 
 GOLDEN = Path(__file__).parent / "golden"
 LINEAR3 = "x + y + z - 2*i*(x*y + x*z + y*z) - 3*x*y*z"
@@ -197,6 +202,56 @@ class TestMember:
         data = json.loads(res.stdout)
         assert data["verdict"] == "InIdeal"
         assert data["oracle"]["divergent"] is False
+
+
+# the numerators of acceptance criterion 7(d) and, for p2, criterion 5
+ORACLE_NUMERATORS = {
+    "linear3": ["x^2", "x*y", "y^2", "x + y + z", "x", "1"],
+    "nonisolated": ["(x + y)^2", "x + y + z - x*y*z", "x + y", "z"],
+    "degenerate": [
+        "(x - y)^2",
+        "(x - y)*(x + y)^2",
+        "(x + y)^4",
+        "(x + y)^3",
+        "(x - y)*(x + y)",
+        "(x + y)^2",
+    ],
+    "p2": ["(x^2 + y^2)^2"],
+    # the degenerate numerators under x -> 2/3*x, y -> 3/2*y
+    "degenerate_rescaled": [
+        "4/9*x^2 - 2*x*y + 9/4*y^2",
+        "8/27*x^3 + 2/3*x^2*y - 3/2*x*y^2 - 27/8*y^3",
+        "16/81*x^4 + 16/9*x^3*y + 6*x^2*y^2 + 9*x*y^3 + 81/16*y^4",
+        "8/27*x^3 + 2*x^2*y + 9/2*x*y^2 + 27/8*y^3",
+        "4/9*x^2 - 9/4*y^2",
+        "4/9*x^2 + 2*x*y + 9/4*y^2",
+    ],
+}
+
+
+def _oracle_denominator(name):
+    from numideal.examples import EXAMPLES
+
+    if name != "degenerate_rescaled":
+        return EXAMPLES[name]()
+    p = EXAMPLES["degenerate"]()
+    x, y = (MultiPoly.variable(p.vars, v) for v in ("x", "y"))
+    return p.subs({"x": x.scale(Fraction(2, 3)), "y": y.scale(Fraction(3, 2))})
+
+
+class TestMemberOracleGolden:
+    # The oracle sums float terms in the insertion order of H's terms, so its
+    # last digits pin the term order the exact solver produces
+    @pytest.mark.parametrize("name", list(ORACLE_NUMERATORS))
+    def test_json_stdout(self, name, capsys):
+        p = format_poly(_oracle_denominator(name))
+        out = []
+        for q in ORACLE_NUMERATORS[name]:
+            code = main(["member", p, q, "--oracle", "--format", "json"])
+            text = capsys.readouterr().out
+            assert code == (0 if json.loads(text)["verdict"] == "InIdeal" else 3)
+            out.append(text)
+        assert "".join(out) == (GOLDEN / f"member_oracle_{name}.txt").read_text()
 
 
 class TestPuiseux:

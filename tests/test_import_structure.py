@@ -1,6 +1,8 @@
 """Import structure: relative imports sit at module level, so the module
-graph is visible at import time, closure does not depend on puiseux, and
-every name the benchmark's tracer wraps exists."""
+graph is visible at import time, except where a command loads a heavy module
+only when it needs it; closure does not depend on puiseux, the CLI starts
+without puiseux and construct, and every name the benchmark's tracer wraps
+exists."""
 
 import ast
 import importlib
@@ -12,10 +14,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "numideal"
 
-# parsing imports gaussian and poly, so their printers import it lazily
+# parsing imports gaussian and poly, so their printers import it lazily;
+# the CLI loads puiseux and construct only for the commands that use them
 ALLOWED_FUNCTION_IMPORTS = {
     ("gaussian.py", "GaussianRational.__str__"),
     ("poly.py", "MultiPoly.__str__"),
+    ("cli.py", "cmd_puiseux"),
+    ("cli.py", "cmd_transform"),
+    ("construct.py", "contact_order_lift"),
+    ("examples.py", "_from_polydisk"),
 }
 
 
@@ -60,6 +67,18 @@ def test_engine_does_not_load_puiseux():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_cli_does_not_load_puiseux_or_construct():
+    # analyze and member pay for neither at start-up
+    code = (
+        "import sys, numideal.cli; "
+        "print(sorted({'numideal.puiseux', 'numideal.construct'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_benchmark_tracer_targets_resolve():

@@ -13,6 +13,7 @@ from numideal.parsing import format_poly, parse
 from numideal.poly import (
     MultiPoly,
     TruncatedSeries,
+    conjugate_resultant,
     linear_change,
     newton_polygon,
     series_invert,
@@ -311,6 +312,29 @@ class TestNewtonPolygon:
         assert newton_polygon([(2, 2)]) == [(2, 2)]
 
 
+# Res_z(p, pbar) for p = nonisolated * (x + y + z + i) * (2x + y + z + 2i)
+NONISOLATED_PRODUCT_R = (
+    "-1152*i*x^2 - 2304*i*x*y - 1152*i*y^2 - 16544*i*x^4 - 60736*i*x^3*y - "
+    "87968*i*x^2*y^2 - 59904*i*x*y^3 - 16128*i*y^4 - 68640*i*x^6 - "
+    "364416*i*x^5*y - 843232*i*x^4*y^2 - 1082048*i*x^3*y^3 - "
+    "809920*i*x^2*y^4 - 336384*i*x*y^5 - 61056*i*y^6 - 73088*i*x^8 - "
+    "498240*i*x^7*y - 1545568*i*x^6*y^2 - 2804224*i*x^5*y^3 - "
+    "3223808*i*x^4*y^4 - 2392640*i*x^3*y^5 - 1117600*i*x^2*y^6 - "
+    "301824*i*x*y^7 - 36864*i*y^8 - 25728*i*x^10 - 212224*i*x^9*y - "
+    "825280*i*x^8*y^2 - 1934144*i*x^7*y^3 - 2971328*i*x^6*y^4 - "
+    "3089280*i*x^5*y^5 - 2182912*i*x^4*y^6 - 1030592*i*x^3*y^7 - "
+    "311680*i*x^2*y^8 - 55296*i*x*y^9 - 4608*i*y^10 - 2048*i*x^12 - "
+    "17920*i*x^11*y - 82976*i*x^10*y^2 - 245120*i*x^9*y^3 - "
+    "484416*i*x^8*y^4 - 649408*i*x^7*y^5 - 588544*i*x^6*y^6 - "
+    "353280*i*x^5*y^7 - 134112*i*x^4*y^8 - 29184*i*x^3*y^9 - "
+    "2816*i*x^2*y^10 - 1024*i*x^12*y^2 - 7040*i*x^11*y^3 - 22592*i*x^10*y^4 "
+    "- 43008*i*x^9*y^5 - 51776*i*x^8*y^6 - 39616*i*x^7*y^7 - "
+    "18592*i*x^6*y^8 - 4864*i*x^5*y^9 - 544*i*x^4*y^10 - 128*i*x^12*y^4 - "
+    "640*i*x^11*y^5 - 1312*i*x^10*y^6 - 1408*i*x^9*y^7 - 832*i*x^8*y^8 - "
+    "256*i*x^7*y^9 - 32*i*x^6*y^10"
+)
+
+
 def naive_product(p, q, order=None):
     """Schoolbook product with GaussianRational arithmetic term by term."""
     terms = {}
@@ -432,6 +456,89 @@ class TestProductKernel:
                     got = p.subs(assignments, order=order)
                     assert got == naive_subs(p, repls, order)
                     assert_canonical(got)
+
+    def test_exponents_beyond_sixteen_and_thirty_two_bits(self):
+        xy = ("x", "y")
+        for e in (2**16 - 1, 2**16, 70000, 2**32 - 1, 2**32, 2**32 + 5):
+            p = parse(f"x^{e} + 1/2*y - i*x*y^3", vars=xy)
+            q = parse(f"3*x^{e}*y + y^2 + x", vars=xy)
+            got, ref = p * q, naive_product(p, q)
+            assert got == ref and list(got.terms) == list(ref.terms)
+            assert got.coefficient((2 * e, 1)) == GaussianRational(3)
+            top = p.degree() + q.degree()
+            for order in (2, e - 1, e, e + 1, e + 2, top - 1, top, top + 1):
+                got, ref = p.mul_truncated(q, order), naive_product(p, q, order)
+                assert got == ref and list(got.terms) == list(ref.terms)
+                assert_canonical(got)
+        big = parse("x^70000", vars=xy)
+        assert big * big == parse("x^140000", vars=xy)
+        assert big.mul_truncated(big, 139999).is_zero()
+        assert big.mul_truncated(big, 140000) == big * big
+
+    def test_subs_with_a_replacement_of_degree_70000(self):
+        xy = ("x", "y")
+        r = parse("x^70000 - i*y + 2", vars=xy)
+        p = parse("x^2 + 3*x*y + y^4 - 1/2", vars=xy)
+        for assignments, repls in (
+            ({"x": r}, [r, MultiPoly.variable(xy, "y")]),
+            ({"x": r, "y": r}, [r, r]),
+        ):
+            assert p.subs(assignments) == naive_subs(p, repls)
+            for order in (3, 69999, 70000, 70001, 140000, 140002):
+                got = p.subs(assignments, order=order)
+                assert got == naive_subs(p, repls, order)
+                assert_canonical(got)
+        assert parse("y", vars=xy).subs({"x": r}) == parse("y", vars=xy)
+
+    def test_constants_without_variables(self):
+        a = MultiPoly.constant((), GaussianRational(Fraction(3, 4), Fraction(-1, 2)))
+        b = MultiPoly.constant((), GaussianRational(0, Fraction(2, 3)))
+        zero = MultiPoly.zero(())
+        for p, q in ((a, b), (a, a), (a, zero), (zero, b)):
+            assert p * q == naive_product(p, q)
+            for order in (-1, 0, 1):
+                assert p.mul_truncated(q, order) == naive_product(p, q, order)
+        assert a.mul_truncated(b, -1).is_zero()
+        x = parse("x^2 - i*x + 3", vars=("x",))
+        assert x.subs({"x": a}) == naive_subs(x, [a])
+        assert x.subs({"x": a}).vars == ()
+
+    def test_nine_variables(self):
+        rng = random.Random(59)
+        vars = tuple(f"z{k}" for k in range(1, 10))
+        for _ in range(6):
+            p = rand_poly(rng, vars=vars, max_deg=2, n_terms=6)
+            q = rand_poly(rng, vars=vars, max_deg=2, n_terms=5)
+            got, ref = p * q, naive_product(p, q)
+            assert got == ref and list(got.terms) == list(ref.terms)
+            for order in range(p.degree() + q.degree() + 1):
+                assert p.mul_truncated(q, order) == naive_product(p, q, order)
+            r = rand_poly(rng, vars=vars, max_deg=1, n_terms=3)
+            repls = [MultiPoly.variable(vars, v) for v in vars[:-1]] + [r]
+            assert p.subs({"z9": r}) == naive_subs(p, repls)
+            assert p.subs({"z9": r}, order=4) == naive_subs(p, repls, 4)
+
+    def test_truncation_at_the_order_boundary(self):
+        # orders at and next to powers of two, with single exponents equal
+        # to the order, so that a field would carry if it were too narrow
+        xy = ("x", "y")
+        for order in (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64):
+            for a in {0, 1, order // 2, order - 1, order}:
+                p = parse(f"x^{a} + y^{order - a} + 2*x^{order}", vars=xy)
+                q = parse(f"x^{order - a} - i*y^{a} + x*y", vars=xy)
+                got, ref = p.mul_truncated(q, order), naive_product(p, q, order)
+                assert got == ref and list(got.terms) == list(ref.terms)
+                assert max(sum(e) for e in got.terms) == order
+                assert p.mul_truncated(q, order - 1) == naive_product(p, q, order - 1)
+
+    def test_conjugate_resultant_of_a_degree_three_product(self, nonisolated):
+        p = (
+            nonisolated
+            * parse("x + y + z + i", vars=nonisolated.vars)
+            * parse("2*x + y + z + 2*i", vars=nonisolated.vars)
+        )
+        assert p.var_degree("z") == 3
+        assert conjugate_resultant(p) == parse(NONISOLATED_PRODUCT_R, vars=("x", "y"))
 
     def test_variable_mismatch_raises(self):
         p = parse("x + y", vars=("x", "y"))
