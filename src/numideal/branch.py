@@ -7,7 +7,6 @@ undetermined coefficients, using the nonzero z-derivative at 0 as the pivot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import PreconditionError, SanityViolation
@@ -19,18 +18,22 @@ from .forms import (
     sampled_sphere_nonneg,
 )
 from .poly import MultiPoly, TruncatedSeries, implicit_root
+from .record import Frozen
 
 # unit directions sampled for the sign of a quartic or higher Im phi in three
 # or more x-variables
 _SPHERE_SAMPLES = 10_000
 
 
-@dataclass(frozen=True)
-class BranchSolution:
-    """phi with p(x, -phi(x)) = 0 through the working order."""
+class BranchSolution(Frozen):
+    """phi with p(x, -phi(x)) = 0 through the working order; grad0 holds the
+    degree-1 coefficients of phi, one per x-variable."""
 
-    phi: TruncatedSeries
-    grad0: tuple  # degree-1 coefficients of phi, one per x-variable
+    __slots__ = ("phi", "grad0")
+
+    def __init__(self, phi: TruncatedSeries, grad0: tuple):
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "grad0", grad0)
 
 
 class PhiKind(Enum):
@@ -38,16 +41,38 @@ class PhiKind(Enum):
     FIRST_IMAG_TERM = "FirstImagTerm"
 
 
-@dataclass(frozen=True)
-class PhiClassification:
-    kind: PhiKind
-    order_checked: int
-    L: int | None = None
-    im_part_2L: MultiPoly | None = None
-    definite: bool | None = None
-    zero_gradient_components: tuple = ()
-    # False only where the sign of im_part_2L was sampled (2L >= 4, d >= 3)
-    definite_exact: bool = True
+class PhiClassification(Frozen):
+    """The first non-real homogeneous term Im phi_2L of phi, if any, and its
+    sign; definite_exact is False only where that sign was sampled
+    (2L >= 4, d >= 3)."""
+
+    __slots__ = (
+        "kind",
+        "order_checked",
+        "L",
+        "im_part_2L",
+        "definite",
+        "zero_gradient_components",
+        "definite_exact",
+    )
+
+    def __init__(
+        self,
+        kind: PhiKind,
+        order_checked: int,
+        L: int | None = None,
+        im_part_2L: MultiPoly | None = None,
+        definite: bool | None = None,
+        zero_gradient_components: tuple = (),
+        definite_exact: bool = True,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "order_checked", order_checked)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "im_part_2L", im_part_2L)
+        object.__setattr__(self, "definite", definite)
+        object.__setattr__(self, "zero_gradient_components", zero_gradient_components)
+        object.__setattr__(self, "definite_exact", definite_exact)
 
 
 def solve_branch(p: MultiPoly, order: int) -> BranchSolution:
@@ -79,7 +104,8 @@ def solve_branch(p: MultiPoly, order: int) -> BranchSolution:
         phi.coefficient(tuple(1 if j == i else 0 for j in range(n - 1)))
         for i in range(n - 1)
     )
-    return BranchSolution(TruncatedSeries(phi, order), grad0)
+    # implicit_root keeps no term above the order
+    return BranchSolution(TruncatedSeries._within(phi, order), grad0)
 
 
 def classify(sol: BranchSolution, seed: int = 0):

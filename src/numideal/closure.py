@@ -10,31 +10,42 @@ of its terms does.  Non-members get an explicit witness curve along which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoMonomializationFound, PreconditionError, TruncationError
 from .forms import HomogeneousForm, count_real_roots, qi_roots
 from .poly import MultiPoly, TruncatedSeries, linear_change, newton_polygon
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class MonomialIdealIC:
+class MonomialIdealIC(Frozen):
     """Integral closure of g presented as a Newton-polyhedron monomial ideal.
 
-    (u, v) = change * (x, y); newton_points are the vertices of the Newton
+    (u, v) = change * (x, y), with change = ((c00, c01), (c10, c11)) rows:
+    u = c00 x + c01 y, ...; newton_points are the vertices of the Newton
     polygon of the positive even terms of g in the new coordinates, ordered
     by the u-exponent; halfspaces (wu, wv, m) mean wu*a + wv*b >= m, one per
     compact edge, and together with a >= u_min, b >= v_min they cut out the
     polyhedron exactly.
     """
 
-    change: tuple  # ((c00, c01), (c10, c11)) rows: u = c00 x + c01 y, ...
-    inverse: tuple
-    newton_points: tuple
-    halfspaces: tuple
-    u_min: int
-    v_min: int
+    __slots__ = ("change", "inverse", "newton_points", "halfspaces", "u_min", "v_min")
+
+    def __init__(
+        self,
+        change: tuple,
+        inverse: tuple,
+        newton_points: tuple,
+        halfspaces: tuple,
+        u_min: int,
+        v_min: int,
+    ):
+        object.__setattr__(self, "change", change)
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "newton_points", newton_points)
+        object.__setattr__(self, "halfspaces", halfspaces)
+        object.__setattr__(self, "u_min", u_min)
+        object.__setattr__(self, "v_min", v_min)
 
     def contains_exponent(self, a: int, b: int) -> bool:
         if a < self.u_min or b < self.v_min:

@@ -6,21 +6,23 @@ family with prescribed vanishing order 2L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
 from .gaussian import GaussianRational, I, ONE
 from .poly import MultiPoly
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Frozen):
     """Quotient of polynomials, reduced by coefficient content only."""
 
-    num: MultiPoly
-    den: MultiPoly
-    normalized: bool = False
+    __slots__ = ("num", "den", "normalized")
+
+    def __init__(self, num: MultiPoly, den: MultiPoly, normalized: bool = False):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "normalized", normalized)
 
     @classmethod
     def reduced(cls, num: MultiPoly, den: MultiPoly) -> "RationalFunction":

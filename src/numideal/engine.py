@@ -29,12 +29,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .branch import BranchSolution, PhiClassification, PhiKind, classify, solve_branch
-from .closure import MonomialIdealIC, ic_generators, ic_membership, line_frame, monomialize
 from .errors import PreconditionError, SanityViolation, TruncationError
 from .forms import p_gcd
 from .gaussian import GaussianRational
@@ -50,6 +48,7 @@ from .poly import (
     subresultants,
     substitute,
 )
+from .record import Record
 
 
 class CaseTag(Enum):
@@ -65,19 +64,52 @@ class Verdict(Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass
-class IdealDescription:
-    case: CaseTag
-    generators: list  # MultiPoly in the full (x.., z) variables
-    H: MultiPoly  # real polynomial in the x-variables
-    L_or_K: int
-    g: MultiPoly | None
-    # diagnostics, not part of the wire schema
-    branch: BranchSolution | None = None
-    classification: PhiClassification | None = None
-    ic: MonomialIdealIC | None = None
-    linear_form: MultiPoly | None = None
-    reducer: MultiPoly | None = None  # LinearForm: den z + num, den(0) != 0
+class IdealDescription(Record):
+    """The ideal of admissible numerators of p.
+
+    generators are MultiPolys in the full (x.., z) variables; H is a real
+    polynomial in the x-variables.  branch, classification, ic (the
+    closure.MonomialIdealIC of IsolatedDegenerate), linear_form and reducer
+    (LinearForm: den z + num, den(0) != 0) are diagnostics, not part of the
+    wire schema.
+    """
+
+    __slots__ = (
+        "case",
+        "generators",
+        "H",
+        "L_or_K",
+        "g",
+        "branch",
+        "classification",
+        "ic",
+        "linear_form",
+        "reducer",
+    )
+
+    def __init__(
+        self,
+        case: CaseTag,
+        generators: list,
+        H: MultiPoly,
+        L_or_K: int,
+        g: MultiPoly | None,
+        branch: BranchSolution | None = None,
+        classification: PhiClassification | None = None,
+        ic=None,
+        linear_form: MultiPoly | None = None,
+        reducer: MultiPoly | None = None,
+    ):
+        self.case = case
+        self.generators = generators
+        self.H = H
+        self.L_or_K = L_or_K
+        self.g = g
+        self.branch = branch
+        self.classification = classification
+        self.ic = ic
+        self.linear_form = linear_form
+        self.reducer = reducer
 
     def to_json_dict(self) -> dict:
         return {
@@ -89,12 +121,20 @@ class IdealDescription:
         }
 
 
-@dataclass
-class MembershipVerdict:
-    verdict: Verdict
-    reduced_numerator: TruncatedSeries | None
-    witness: dict | None = None
-    certificate: dict | None = None
+class MembershipVerdict(Record):
+    __slots__ = ("verdict", "reduced_numerator", "witness", "certificate")
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        reduced_numerator: TruncatedSeries | None,
+        witness: dict | None = None,
+        certificate: dict | None = None,
+    ):
+        self.verdict = verdict
+        self.reduced_numerator = reduced_numerator
+        self.witness = witness
+        self.certificate = certificate
 
 
 def _monomials_of_degree(vars, degree):
@@ -131,6 +171,8 @@ def _stability_spot_check(p: MultiPoly, seed: int = 0, samples: int = 40):
 def _ell_order(q: MultiPoly, ell: MultiPoly) -> int | None:
     """The largest j with ell^j | q, for a linear ell = a x + b y; None for
     q = 0.  It is the least u-degree of q in the frame `line_frame(a, b)`."""
+    from .closure import line_frame
+
     _, inverse = line_frame(ell.coefficient((1, 0)).re, ell.coefficient((0, 1)).re)
     uv = linear_change(q, inverse, ("u", "v"))
     return min((e[0] for e in uv.terms), default=None)
@@ -210,7 +252,7 @@ def _comparable_resultant(
     return g.scale(Fraction(1) / g.content())
 
 
-def _zero_line(ic: MonomialIdealIC, x_vars) -> MultiPoly | None:
+def _zero_line(ic, x_vars) -> MultiPoly | None:
     """ell with g ~ ell^k near 0, or None: when the Newton polygon is one
     vertex on an axis, (k, 0) or (0, k), the frame line u or v of that axis.
 
@@ -227,7 +269,7 @@ def _zero_line(ic: MonomialIdealIC, x_vars) -> MultiPoly | None:
     return MultiPoly(x_vars, {(1, 0): GaussianRational(c0), (0, 1): GaussianRational(c1)})
 
 
-def _isolated_exponent(ic: MonomialIdealIC) -> int:
+def _isolated_exponent(ic) -> int:
     """K with g >= c*|(x, y)|^K near 0: the larger axis intercept of the
     Newton polygon.  The zero of g at 0 is isolated exactly when the polygon
     has a vertex on each axis, since g is comparable to the sum of its
@@ -308,6 +350,9 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
     # not None here: Im phi is not identically zero
     f, R = factor or _branch_factor(p)
     g = _comparable_resultant(f, R, cls.im_part_2L)
+
+    # closure is loaded only here, so Principal and Definite never compile it
+    from .closure import ic_generators, monomialize
 
     ic = monomialize(g)
     ell = _zero_line(ic, x_vars)
@@ -443,6 +488,8 @@ def membership(
         )
 
     # isolated degenerate: integral-closure membership
+    from .closure import ic_membership
+
     try:
         ok, cert = ic_membership(reduced, desc.ic)
     except TruncationError as exc:

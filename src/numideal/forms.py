@@ -7,20 +7,20 @@ entries.  qi_roots finds the roots in Q(i) of a polynomial over Q(i).
 Definiteness of a real homogeneous bivariate form is decided by real-root
 counting on its dehomogenization, nonnegativity by the parity of real-root
 multiplicities; the sign of a quadratic form in any number of variables by
-LDL^T of its Gram matrix over Q.  Numeric samplers for comparability near
-the origin and for signs on the sphere live here too; the sphere sampler
-serves forms of degree >= 4 in three or more variables only.
+LDL^T of its Gram matrix over Q.  The numeric sampler of signs on the
+sphere lives here too; it serves forms of degree >= 4 in three or more
+variables only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
 from .gaussian import ONE, GaussianRational, gaussian_sqrt
 from .poly import MultiPoly
+from .record import Frozen
 
 # -- univariate polynomials: ascending coefficient lists over Q or Q(i) ----
 # A zero the helpers create takes the type of the divisor's leading
@@ -345,12 +345,14 @@ def qi_nth_root(c: GaussianRational, r: int):
 # -- homogeneous bivariate forms -------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomogeneousForm:
+class HomogeneousForm(Frozen):
     """Real form of one degree; coeffs[k] multiplies x^k * y^(degree-k)."""
 
-    degree: int
-    coeffs: tuple
+    __slots__ = ("degree", "coeffs")
+
+    def __init__(self, degree: int, coeffs: tuple):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "HomogeneousForm":
@@ -472,106 +474,6 @@ def quadratic_form_sign(q: MultiPoly):
     for k, row, pivot in reversed(steps):
         negative[k] = -sum(a * negative.get(j, 0) for j, a in row.items()) / pivot
     return tuple(negative.get(j, Fraction(0)) for j in range(d)), False
-
-
-# -- numeric comparability --------------------------------------------------
-
-#: relative spread beyond which two evaluators are declared incomparable
-SPREAD_LIMIT = 1e12
-
-
-@dataclass
-class ComparabilityResult:
-    radii: list
-    intervals: list  # per-radius (min, max) of g/f
-    fail: bool
-    reason: str | None
-
-    @property
-    def overall(self):
-        lo = min(i[0] for i in self.intervals)
-        hi = max(i[1] for i in self.intervals)
-        return (lo, hi)
-
-    @property
-    def width(self) -> float:
-        lo, hi = self.overall
-        return hi - lo
-
-
-def comparability_ratio(f, g, radii, n_angles: int = 256) -> ComparabilityResult:
-    """Interval estimate of g/f over sampled annuli |x| = radius.
-
-    f and g are real-valued evaluators on R^2, nonnegative near 0.  A sample
-    with f = 0 but g != 0 raises (evidence the zero of f is not isolated);
-    samples with both zero are skipped.  FAIL is flagged when the per-radius
-    ratio interval drifts monotonically by a factor >= 2 across three
-    consecutive dyadic radii, or the spread exceeds SPREAD_LIMIT.
-    """
-    radii = list(radii)
-    angles = [2 * math.pi * k / n_angles for k in range(n_angles)]
-    cos = [math.cos(a) for a in angles]
-    sin = [math.sin(a) for a in angles]
-    intervals = []
-    for r in radii:
-        lo = math.inf
-        hi = -math.inf
-        for c, s in zip(cos, sin):
-            x, y = r * c, r * s
-            fv = f(x, y)
-            gv = g(x, y)
-            if fv == 0.0:
-                if gv == 0.0:
-                    continue
-                raise PreconditionError(
-                    f"f vanishes at ({x}, {y}) where g does not: zero not isolated"
-                )
-            ratio = gv / fv
-            lo = min(lo, ratio)
-            hi = max(hi, ratio)
-        if lo is math.inf:
-            raise PreconditionError(f"f and g vanish on the whole annulus r={r}")
-        intervals.append((lo, hi))
-
-    fail = False
-    reason = None
-
-    def _spread(iv):
-        lo, hi = iv
-        if lo <= 0:
-            return math.inf
-        return hi / lo
-
-    if any(_spread(iv) > SPREAD_LIMIT for iv in intervals):
-        fail, reason = True, "ratio spread exceeds limit"
-    else:
-        # monotone drift over three consecutive dyadic radius levels
-        for k in range(len(intervals) - 2):
-            s0, s1, s2 = (_spread(intervals[k + j]) for j in range(3))
-            if s1 >= 2 * s0 and s2 >= 2 * s1:
-                fail, reason = True, "ratio spread doubles across three radii"
-                break
-            m0, m1, m2 = (intervals[k + j][1] for j in range(3))
-            if m1 >= 2 * m0 and m2 >= 2 * m1:
-                fail, reason = True, "ratio maximum doubles across three radii"
-                break
-            l0, l1, l2 = (intervals[k + j][0] for j in range(3))
-            if 0 < l1 <= l0 / 2 and 0 < l2 <= l1 / 2:
-                fail, reason = True, "ratio minimum halves across three radii"
-                break
-            if l0 > 0 and (l1 <= 0 or l2 <= 0):
-                fail, reason = True, "ratio changes sign as radius shrinks"
-                break
-    return ComparabilityResult(radii, intervals, fail, reason)
-
-
-def sampled_circle_min(f: HomogeneousForm, n_points: int = 10_000) -> float:
-    """Brute-force minimum of a form over a dense circle grid (float oracle)."""
-    best = math.inf
-    for k in range(n_points):
-        a = 2 * math.pi * k / n_points
-        best = min(best, f.eval_float(math.cos(a), math.sin(a)))
-    return best
 
 
 def sampled_sphere_nonneg(p: MultiPoly, n_points: int, seed: int = 0):

@@ -586,6 +586,14 @@ class TruncatedSeries:
         object.__setattr__(self, "poly", poly.truncate(order))
         object.__setattr__(self, "order", int(order))
 
+    @classmethod
+    def _within(cls, poly: MultiPoly, order: int) -> "TruncatedSeries":
+        """Trusted constructor: every term of poly has total degree <= order."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "poly", poly)
+        object.__setattr__(obj, "order", int(order))
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
@@ -620,24 +628,26 @@ class TruncatedSeries:
         return TruncatedSeries(self.poly - other, self.order)
 
     def __neg__(self):
-        return TruncatedSeries(-self.poly, self.order)
+        return TruncatedSeries._within(-self.poly, self.order)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             order = min(self.order, other.order)
-            return TruncatedSeries(
+            return TruncatedSeries._within(
                 self.poly.mul_truncated(other.poly, order), order
             )
         if isinstance(other, MultiPoly):
-            return TruncatedSeries(
+            return TruncatedSeries._within(
                 self.poly.mul_truncated(other, self.order), self.order
             )
-        return TruncatedSeries(self.poly.scale(other), self.order)
+        return TruncatedSeries._within(self.poly.scale(other), self.order)
 
     __rmul__ = __mul__
 
     def truncate(self, order: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.poly, min(self.order, order))
+        if order >= self.order:
+            return self
+        return TruncatedSeries._within(self.poly.truncate(order), order)
 
     def homogeneous_part(self, k: int) -> MultiPoly:
         return self.poly.homogeneous_part(k)
@@ -646,10 +656,10 @@ class TruncatedSeries:
         return self.poly.homogeneous_parts()
 
     def imag_part(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.poly.imag_part(), self.order)
+        return TruncatedSeries._within(self.poly.imag_part(), self.order)
 
     def real_part(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.poly.real_part(), self.order)
+        return TruncatedSeries._within(self.poly.real_part(), self.order)
 
     def eval_complex(self, point) -> complex:
         return self.poly.eval_complex(point)

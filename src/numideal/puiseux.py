@@ -17,7 +17,6 @@ they go with the next change to the benchmark.  `newton_puiseux` serves the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .branch import classify, solve_branch
@@ -35,6 +34,7 @@ from .poly import (
     newton_polygon,
     series_invert,
 )
+from .record import Frozen, Record
 
 # -- twisted realness: z * exp(2*pi*i*s) in R, decided exactly ---------------
 
@@ -82,19 +82,28 @@ def twisted_real_value(z: GaussianRational, s: Fraction):
 # -- branches ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PuiseuxBranch:
+class PuiseuxBranch(Frozen):
     """One factor class y - psi(mu^n x^(1/r)), n = 1..r, mu = exp(2*pi*i/r).
 
     psi is a truncated series in t = x^(1/r); branch conventions fix
     x^(1/r) > 0 for x > 0 and x^(1/r) = |x|^(1/r) exp(i*pi/r) for x < 0.
     """
 
-    r: int
-    psi: TruncatedSeries
-    multiplicity: int = 1
-    conjugate_partner: int | None = None
-    resolved: bool = True
+    __slots__ = ("r", "psi", "multiplicity", "conjugate_partner", "resolved")
+
+    def __init__(
+        self,
+        r: int,
+        psi: TruncatedSeries,
+        multiplicity: int = 1,
+        conjugate_partner: int | None = None,
+        resolved: bool = True,
+    ):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "conjugate_partner", conjugate_partner)
+        object.__setattr__(self, "resolved", resolved)
 
     def coeff(self, m: int) -> GaussianRational:
         return self.psi.poly.coefficient((m,))
@@ -427,8 +436,7 @@ def weierstrass_prepare(f: MultiPoly, x_order: int, y_order: int):
 # -- branch exponent data and the comparable polynomial ----------------------
 
 
-@dataclass(frozen=True)
-class BranchExponents:
+class BranchExponents(Frozen):
     """Per-conjugate first non-real indices for one branch class.
 
     m_plus[n-1] / m_minus[n-1] are the first t-indices whose coefficient is
@@ -436,11 +444,16 @@ class BranchExponents:
     branch's contribution sum(M_n + 1) to the proof-style exponent bound.
     """
 
-    r: int
-    multiplicity: int
-    m_plus: tuple
-    m_minus: tuple
-    m_max: tuple
+    __slots__ = ("r", "multiplicity", "m_plus", "m_minus", "m_max")
+
+    def __init__(
+        self, r: int, multiplicity: int, m_plus: tuple, m_minus: tuple, m_max: tuple
+    ):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "m_plus", m_plus)
+        object.__setattr__(self, "m_minus", m_minus)
+        object.__setattr__(self, "m_max", m_max)
 
     @property
     def k_j(self) -> int:
@@ -542,8 +555,7 @@ def sharp_vanishing_exponent(branches, exponents):
         return None
 
 
-@dataclass
-class ComparablePolynomial:
+class ComparablePolynomial(Record):
     """A real polynomial g comparable to f near 0, with f >= c|(x,y)|^K.
 
     K is the sharp integer exponent used downstream to truncate Taylor
@@ -551,13 +563,25 @@ class ComparablePolynomial:
     bound from the factorwise estimate, kept for cross-checking.
     """
 
-    g: MultiPoly
-    K: int
-    K_sharp: Fraction | None
-    K_bound: int | None
-    branch_data: list
-    N_used: int
-    shortcut: str | None = None
+    __slots__ = ("g", "K", "K_sharp", "K_bound", "branch_data", "N_used", "shortcut")
+
+    def __init__(
+        self,
+        g: MultiPoly,
+        K: int,
+        K_sharp: Fraction | None,
+        K_bound: int | None,
+        branch_data: list,
+        N_used: int,
+        shortcut: str | None = None,
+    ):
+        self.g = g
+        self.K = K
+        self.K_sharp = K_sharp
+        self.K_bound = K_bound
+        self.branch_data = branch_data
+        self.N_used = N_used
+        self.shortcut = shortcut
 
 
 # circles (radii, points per circle) on which comparable_polynomial checks

@@ -27,14 +27,11 @@ from numideal.engine import (
     numerator_ideal,
 )
 from numideal.examples import p2 as iterated2
-from numideal.forms import (
-    HomogeneousForm,
-    comparability_ratio,
-    is_positive_definite,
-    sampled_circle_min,
-)
+from numideal.forms import HomogeneousForm, is_positive_definite
 from numideal.parsing import format_poly, parse
 from numideal.poly import MultiPoly
+
+from comparability import comparability_ratio, sampled_circle_min
 
 
 def canonical(text, vars=None):

@@ -150,7 +150,7 @@ class TestIteratedComposition:
             assert pL.eval_complex(pt) != 0
 
     def test_im_phi_2L_comparable_to_circle_power(self):
-        from numideal.forms import comparability_ratio
+        from comparability import comparability_ratio
 
         for L in (2, 3):
             pL = iterated_composition(L)

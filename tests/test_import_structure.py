@@ -1,8 +1,8 @@
 """Import structure: relative imports sit at module level, so the module
-graph is visible at import time, except where a command loads a heavy module
-only when it needs it; closure does not depend on puiseux, the CLI starts
-without puiseux and construct, and every name the benchmark's tracer wraps
-exists."""
+graph is visible at import time, except where a command or a case loads a
+heavy module only when it needs it; closure does not depend on puiseux, the
+CLI starts without puiseux, construct, closure and dataclasses, and every
+name the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "numideal"
 
 # parsing imports gaussian and poly, so their printers import it lazily;
-# the CLI loads puiseux and construct only for the commands that use them
+# the CLI loads puiseux and construct only for the commands that use them,
+# and the engine loads closure only for IsolatedDegenerate and LinearForm
 ALLOWED_FUNCTION_IMPORTS = {
     ("gaussian.py", "GaussianRational.__str__"),
     ("poly.py", "MultiPoly.__str__"),
@@ -23,6 +24,9 @@ ALLOWED_FUNCTION_IMPORTS = {
     ("cli.py", "cmd_transform"),
     ("construct.py", "contact_order_lift"),
     ("examples.py", "_from_polydisk"),
+    ("engine.py", "_ell_order"),
+    ("engine.py", "numerator_ideal"),
+    ("engine.py", "membership"),
 }
 
 
@@ -53,32 +57,60 @@ def test_relative_imports_only_at_module_level():
     assert set(found) == ALLOWED_FUNCTION_IMPORTS
 
 
-def test_closure_does_not_load_puiseux():
-    code = "import sys, numideal.closure; print('numideal.puiseux' in sys.modules)"
+def _loaded_after(code: str, names) -> str:
+    """The sorted list, as printed, of the names among `names` in
+    sys.modules after running `code` in a fresh interpreter."""
+    code += f"\nimport sys\nprint(sorted(set({sorted(names)!r}) & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_closure_does_not_load_puiseux():
+    assert _loaded_after("import numideal.closure", ["numideal.puiseux"]) == "[]"
 
 
 def test_engine_does_not_load_puiseux():
-    code = "import sys, numideal.engine; print('numideal.puiseux' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "False"
+    assert _loaded_after("import numideal.engine", ["numideal.puiseux"]) == "[]"
 
 
-def test_cli_does_not_load_puiseux_or_construct():
-    # analyze and member pay for neither at start-up
+def test_cli_start_skips_heavy_modules():
+    # a cold analyze or member pays neither for puiseux and construct, nor
+    # for generating dataclass methods, nor for compiling closure
+    names = [
+        "numideal.puiseux",
+        "numideal.construct",
+        "dataclasses",
+        "inspect",
+        "numideal.closure",
+    ]
+    assert _loaded_after("import numideal.cli", names) == "[]"
+
+
+def test_definite_analyze_does_not_load_closure():
     code = (
-        "import sys, numideal.cli; "
-        "print(sorted({'numideal.puiseux', 'numideal.construct'} & set(sys.modules)))"
+        "import contextlib, io, numideal.cli as cli\n"
+        "text = cli.format_poly(cli.EXAMPLES['linear3']())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['analyze', text]) == 0"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "[]"
+    assert _loaded_after(code, ["numideal.closure"]) == "[]"
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "dataclasses" in modules:
+                found.append(path.name)
+    assert found == []
 
 
 def test_benchmark_tracer_targets_resolve():

@@ -178,6 +178,32 @@ class TestSeriesOperators:
         p = parse("x*y + y^2", vars=("x", "y"))
         assert list(p.homogeneous_parts()) == [2]
 
+    def test_operations_match_truncating_the_result(self):
+        # each operation equals the series built from its untruncated
+        # result, with the same terms in the same order
+        rng = random.Random(29)
+        for _ in range(20):
+            p = rand_poly(rng, vars=("x", "y"), max_deg=6, n_terms=10)
+            q = rand_poly(rng, vars=("x", "y"), max_deg=6, n_terms=10)
+            s, t = TruncatedSeries(p, 4), TruncatedSeries(q, 3)
+            c = GaussianRational(Fraction(2, 3), -1)
+            cases = [
+                (s.truncate(2), p, 2),
+                (s.truncate(4), p, 4),
+                (s.truncate(9), p, 4),
+                (-s, -p, 4),
+                (s * c, p.scale(c), 4),
+                (s * 0, MultiPoly.zero(p.vars), 4),
+                (s * t, p * q, 3),
+                (s * q, p * q, 4),
+                (s.real_part(), p.real_part(), 4),
+                (s.imag_part(), p.imag_part(), 4),
+            ]
+            for got, poly, order in cases:
+                want = TruncatedSeries(poly, order)
+                assert got == want
+                assert list(got.poly.terms) == list(want.poly.terms)
+
 
 class TestSeriesInvert:
     def test_weierstrass_unit_of_linear3(self):

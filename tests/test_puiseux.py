@@ -9,7 +9,7 @@ import pytest
 
 from numideal.branch import solve_branch
 from numideal.errors import AllRealUpToOrderError, PreconditionError, SanityViolation
-from numideal.forms import comparability_ratio, qi_roots
+from numideal.forms import qi_roots
 from numideal.gaussian import GaussianRational
 from numideal.parsing import parse
 from numideal.poly import MultiPoly, TruncatedSeries
@@ -22,6 +22,8 @@ from numideal.puiseux import (
     twisted_is_real,
     weierstrass_prepare,
 )
+
+from comparability import comparability_ratio
 
 
 def _p_mul(a, b):

@@ -11,7 +11,6 @@ from numideal.forms import (
     HomogeneousForm,
     _gaussian_divisors,
     _gaussian_prime_factors,
-    comparability_ratio,
     count_real_roots,
     is_nonnegative,
     is_positive_definite,
@@ -20,11 +19,12 @@ from numideal.forms import (
     p_gcd,
     poly_nonneg_on_reals,
     quadratic_form_sign,
-    sampled_circle_min,
 )
 from numideal.gaussian import GaussianRational as G
 from numideal.parsing import parse
 from numideal.poly import MultiPoly
+
+from comparability import comparability_ratio, sampled_circle_min
 
 
 def form_of(text):
