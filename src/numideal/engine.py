@@ -537,6 +537,12 @@ def _direction_grid(d: int):
             yield (a,) + rest
 
 
+def _finest_radius_sq(eps: float, grid: int) -> float:
+    """The square of the oracle's radius at its last refinement level."""
+    radius = math.ldexp(eps, -(grid - 1))
+    return radius * radius
+
+
 def boundedness_oracle(
     p: MultiPoly,
     q: MultiPoly,
@@ -554,7 +560,8 @@ def boundedness_oracle(
     grow monotonically across the refinements (each level halves the box
     radius, and the slice offsets shrink like radius^2).  Growth needs two
     levels to be judged and a finite positive radius to be sampled, so
-    grid < 2 or such an eps raises PreconditionError.
+    grid < 2 or such an eps raises PreconditionError, as does a grid so
+    fine for eps that the last radius squared underflows to 0.
     """
     if grid < 2:
         raise PreconditionError(
@@ -564,6 +571,17 @@ def boundedness_oracle(
     if not 0 < eps < math.inf:
         raise PreconditionError(
             f"oracle sampling radius must be finite and positive, got eps {eps}"
+        )
+    if _finest_radius_sq(eps, grid) == 0.0:
+        usable = 1
+        while _finest_radius_sq(eps, usable + 1):
+            usable += 1
+        fix = "use a larger --eps"
+        if usable >= 2:
+            fix = f"use --grid {usable} or less, or a larger --eps"
+        raise PreconditionError(
+            f"oracle radius eps/2^(grid-1) squared underflows to 0 for eps "
+            f"{eps} and grid {grid}, so the slice offsets vanish; {fix}"
         )
     desc = ideal if ideal is not None else numerator_ideal(p, seed=seed)
     if q.vars != p.vars:
@@ -589,7 +607,7 @@ def boundedness_oracle(
     curve_max = []
     witness = None
     for level in range(grid):
-        radius = eps / (2**level)
+        radius = math.ldexp(eps, -level)
         best = 0.0
         curve_best = 0.0
         slice_points = []

@@ -13,7 +13,11 @@ two homogeneous parts once, and the Bézout entries and minors of
 the one composition: Horner's scheme in each replaced variable, one kernel
 call per step acc * r + slice, so `substitute`, `linear_change`, the branch
 residual and the Puiseux substitution all run on the kernel.  `eval_complex`
-converts a polynomial's coefficients to `complex` once and keeps them.
+builds a plan once per polynomial and keeps it: the coefficients as
+`complex`, the distinct (variable, exponent) pairs, and the pairs each term
+uses.  Each call raises every coordinate to each pair's exponent once and
+multiplies the powers into the terms in the order a term-by-term loop does,
+so the floats it returns do not depend on the plan.
 
 The kernel's integer forms carry each exponent vector as one int (Kronecker
 packing, `_pack`): exponent i in a field of w bits, the total degree above
@@ -252,24 +256,39 @@ class MultiPoly:
     # -- evaluation --------------------------------------------------------
 
     def eval_complex(self, point) -> complex:
+        """The value at a point of numbers: each term's `complex` coefficient
+        times its powers `z**k` in variable order, summed in term order."""
         point = tuple(point)
         if len(point) != len(self.vars):
             raise ArityError(
                 f"expected {len(self.vars)} coordinates, got {len(point)}"
             )
-        # the object is immutable, so the converted coefficients stay valid;
-        # a concurrent first call at worst converts them twice
-        coeffs = self._complex
-        if coeffs is None:
-            coeffs = tuple(c.to_complex() for c in self.terms.values())
-            object.__setattr__(self, "_complex", coeffs)
+        # the object is immutable, so the plan stays valid; a concurrent
+        # first call at worst builds it twice
+        plan = self._complex
+        if plan is None:
+            plan = self._power_plan()
+            object.__setattr__(self, "_complex", plan)
+        pairs, rows = plan
+        table = [point[i] ** k for i, k in pairs]
         total = 0j
-        for e, v in zip(self.terms, coeffs):
-            for z, k in zip(point, e):
-                if k:
-                    v *= z**k
+        for v, slots in rows:
+            for j in slots:
+                v *= table[j]
             total += v
         return total
+
+    def _power_plan(self):
+        """The sorted distinct (variable index, exponent) pairs, and per term
+        its `complex` coefficient and the table slots of its nonzero
+        exponents in variable order."""
+        pairs = sorted({(i, k) for e in self.terms for i, k in enumerate(e) if k})
+        slot = {pair: j for j, pair in enumerate(pairs)}
+        rows = tuple(
+            (c.to_complex(), tuple(slot[i, k] for i, k in enumerate(e) if k))
+            for e, c in self.terms.items()
+        )
+        return pairs, rows
 
     def eval_exact(self, point) -> GaussianRational:
         point = tuple(GaussianRational.coerce(p) for p in point)

@@ -182,17 +182,22 @@ class TestMember:
         assert "oracle sup ~" in res.stdout
 
     @pytest.mark.parametrize(
-        "flag, value, reason",
+        "flags, reason",
         [
-            ("--grid", "0", "refinement levels"),
-            ("--grid", "-2", "refinement levels"),
-            ("--grid", "1", "refinement levels"),
-            ("--eps", "0", "finite and positive"),
-            ("--eps", "nan", "finite and positive"),
+            (["--grid", "0"], "refinement levels"),
+            (["--grid", "-2"], "refinement levels"),
+            (["--grid", "1"], "refinement levels"),
+            (["--eps", "0"], "finite and positive"),
+            (["--eps", "nan"], "finite and positive"),
+            # eps / 2^1099 is below the least subnormal float
+            (["--grid", "1100"], "use --grid 535 or less"),
+            # (1e-100 / 2^249)^2 is about 1e-350
+            (["--eps", "1e-100", "--grid", "250"], "use --grid 206 or less"),
+            (["--eps", "1e-200", "--grid", "2"], "use a larger --eps"),
         ],
     )
-    def test_oracle_setting_that_cannot_be_judged_exit_2(self, flag, value, reason):
-        res = run_cli("member", LINEAR3, "x^2", "--oracle", flag, value)
+    def test_oracle_setting_that_cannot_be_judged_exit_2(self, flags, reason):
+        res = run_cli("member", LINEAR3, "x^2", "--oracle", *flags)
         assert res.returncode == 2
         assert res.stderr.startswith("error:") and reason in res.stderr
         assert "Traceback" not in res.stderr and res.stdout == ""
@@ -239,19 +244,33 @@ def _oracle_denominator(name):
     return p.subs({"x": x.scale(Fraction(2, 3)), "y": y.scale(Fraction(3, 2))})
 
 
+def _member_oracle_stdout(name, capsys, *settings):
+    p = format_poly(_oracle_denominator(name))
+    out = []
+    for q in ORACLE_NUMERATORS[name]:
+        code = main(["member", p, q, "--oracle", *settings, "--format", "json"])
+        text = capsys.readouterr().out
+        assert code == (0 if json.loads(text)["verdict"] == "InIdeal" else 3)
+        out.append(text)
+    return "".join(out)
+
+
 class TestMemberOracleGolden:
     # The oracle sums float terms in the insertion order of H's terms, so its
     # last digits pin the term order the exact solver produces
     @pytest.mark.parametrize("name", list(ORACLE_NUMERATORS))
     def test_json_stdout(self, name, capsys):
-        p = format_poly(_oracle_denominator(name))
-        out = []
-        for q in ORACLE_NUMERATORS[name]:
-            code = main(["member", p, q, "--oracle", "--format", "json"])
-            text = capsys.readouterr().out
-            assert code == (0 if json.loads(text)["verdict"] == "InIdeal" else 3)
-            out.append(text)
-        assert "".join(out) == (GOLDEN / f"member_oracle_{name}.txt").read_text()
+        out = _member_oracle_stdout(name, capsys)
+        assert out == (GOLDEN / f"member_oracle_{name}.txt").read_text()
+
+    # a finer grid at another radius and seed, through both sampling paths:
+    # LinearForm's and IsolatedDegenerate's extremal curve probes
+    @pytest.mark.parametrize("name", ["nonisolated", "degenerate"])
+    def test_json_stdout_other_settings(self, name, capsys):
+        settings = ("--eps", "0.3", "--grid", "4", "--seed", "7")
+        out = _member_oracle_stdout(name, capsys, *settings)
+        golden = GOLDEN / f"member_oracle_eps0.3_grid4_seed7_{name}.txt"
+        assert out == golden.read_text()
 
 
 class TestPuiseux:

@@ -1,6 +1,7 @@
 """Exact arithmetic core: parser, evaluation, reflection, series operators."""
 
 import gc
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -605,3 +606,106 @@ class TestComplexEvaluationCache:
         for name in ("terms", "vars", "_complex"):
             with pytest.raises(AttributeError):
                 setattr(linear3, name, None)
+
+
+def term_loop_eval(p, point):
+    """The term-by-term evaluation `eval_complex` must reproduce bit for bit:
+    each coordinate raised to each exponent per term, products in variable
+    order, terms summed in insertion order."""
+    total = 0j
+    for e, c in p.terms.items():
+        v = c.to_complex()
+        for z, k in zip(point, e):
+            if k:
+                v *= z**k
+        total += v
+    return total
+
+
+class _TermLoopPoly:
+    def __init__(self, p):
+        self.vars = p.vars
+        self.eval_complex = lambda point: term_loop_eval(p, tuple(point))
+
+
+def float_bits(value: complex):
+    # repr tells -0.0 from 0.0, and nan from any number
+    return repr(value.real), repr(value.imag)
+
+
+class TestComplexEvaluationMatchesTermLoop:
+    COORDINATES = (0, 1, -2, 0.0, -0.0, 0.75, -1.25, 1j, -0.0j, complex(-0.0, 0.5))
+
+    def random_point(self, rng, n):
+        point = []
+        for _ in range(n):
+            kind = rng.randrange(4)
+            if kind == 0:
+                point.append(rng.choice(self.COORDINATES))
+            elif kind == 1:
+                point.append(rng.randint(-3, 3))
+            elif kind == 2:
+                point.append(rng.uniform(-1.5, 1.5))
+            else:
+                point.append(complex(rng.uniform(-1.1, 1.1), rng.uniform(-1.1, 1.1)))
+        return tuple(point)
+
+    def test_random_polynomials_bit_for_bit(self):
+        rng = random.Random(151)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            vars = ("x", "y", "z", "w")[:n]
+            # the last variable never occurs, and a zero exponent vector
+            # is a constant term
+            used = max(n - 1, 1)
+            terms = {(0,) * n: rand_gaussian(rng)} if rng.random() < 0.5 else {}
+            for _ in range(rng.randint(0, 10)):
+                exps = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(used)]
+                terms[tuple(exps) + (0,) * (n - used)] = rand_gaussian(rng)
+            p = MultiPoly(vars, terms)
+            for _ in range(4):
+                point = self.random_point(rng, n)
+                assert float_bits(p.eval_complex(point)) == float_bits(
+                    term_loop_eval(p, point)
+                ), (p, point)
+
+    def test_zero_polynomial(self):
+        for vars in (("x",), ("x", "y", "z")):
+            p = MultiPoly.zero(vars)
+            point = (-0.0,) * len(vars)
+            assert float_bits(p.eval_complex(point)) == float_bits(0j)
+
+    def test_signed_zero_coordinates(self):
+        p = parse("x*y - 2*x^3 + i*y^2 + 1/3*x*y^4", vars=("x", "y"))
+        for point in itertools.product((0, 0.0, -0.0, -0.0j, complex(-0.0, -0.0)), repeat=2):
+            assert float_bits(p.eval_complex(point)) == float_bits(
+                term_loop_eval(p, point)
+            ), point
+
+    def test_exponents_above_100(self):
+        # CPython's complex ** switches from repeated squaring to exp/log
+        # for integer exponents above 100
+        p = parse("x^101*y + 3*x^150 - i*y^250 + x^7*y^101 + 2", vars=("x", "y"))
+        rng = random.Random(7)
+        for _ in range(50):
+            point = (
+                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                rng.choice((rng.uniform(-1, 1), complex(rng.uniform(-1, 1), 0.3))),
+            )
+            assert float_bits(p.eval_complex(point)) == float_bits(
+                term_loop_eval(p, point)
+            ), point
+
+    def test_sampled_sphere_matches_term_loop(self):
+        from numideal.branch import _SPHERE_SAMPLES
+        from numideal.construct import iterated_composition
+        from numideal.engine import numerator_ideal
+        from numideal.forms import sampled_sphere_nonneg
+
+        ideal = numerator_ideal(iterated_composition(2, n_vars=4), order=12)
+        im_phi = ideal.classification.im_part_2L
+        assert ideal.classification.definite_exact is False
+        # the call classify makes
+        assert sampled_sphere_nonneg(im_phi, _SPHERE_SAMPLES, 0) == (
+            sampled_sphere_nonneg(_TermLoopPoly(im_phi), _SPHERE_SAMPLES, 0)
+        )
