@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import NoMonomializationFound, PreconditionError, TruncationError
-from .forms import HomogeneousForm, count_real_roots, qi_roots
+from .forms import HomogeneousForm, positive_on_reals, qi_roots
 from .poly import MultiPoly, TruncatedSeries, linear_change, newton_polygon
 from .record import Frozen
 
@@ -91,11 +91,8 @@ def _face_positive(face_terms: dict) -> bool:
         poly = [Fraction(0)] * (max(bs) - bmin + 1)
         for (a, b), c in face_terms.items():
             poly[b - bmin] += c * eps**a
-        if poly[0] <= 0 or poly[-1] <= 0:
-            return False
-        if count_real_roots(poly) > 0:
-            # any real root t0 != 0 is a vanishing face direction; t0 = 0
-            # cannot be a root since the constant term is nonzero
+        # a real root is a vanishing face direction
+        if not positive_on_reals(poly):
             return False
     return True
 

@@ -1,6 +1,10 @@
 """Constructions of stable polynomials: polydisk/half-plane transfer, the
 Moebius substitution raising contact order, and the iterated-composition
 family with prescribed vanishing order 2L.
+
+The contact order that the lift needs is taken exactly from
+`engine.numerator_ideal`, at no fixed truncation order; this module does
+not use `puiseux`.
 """
 
 from __future__ import annotations
@@ -89,16 +93,38 @@ def normalize_z_coefficient(p: MultiPoly) -> MultiPoly:
     return p.scale(GaussianRational(1) / c0)
 
 
-def _linear_transfer(n: int) -> MultiPoly:
-    """The half-plane transfer of n - z1 - ... - zn."""
+def _linear_transfer(c0, weights) -> MultiPoly:
+    """The half-plane transfer of c0 - sum_j w_j z_j; a zero w_j drops out."""
+    n = len(weights)
     disk_vars = tuple(f"z{k}" for k in range(1, n + 1))
-    terms = {(0,) * n: GaussianRational(n)}
-    for k in range(n):
-        terms[tuple(1 if j == k else 0 for j in range(n))] = GaussianRational(-1)
+    terms = {(0,) * n: GaussianRational(c0)}
+    for j, w in enumerate(weights):
+        terms[tuple(1 if k == j else 0 for k in range(n))] = GaussianRational(-w)
     return polydisk_to_halfplane(MultiPoly(disk_vars, terms))
 
 
-def contact_order_lift(q2: MultiPoly, m: int | None = None, order: int = 12) -> MultiPoly:
+def contact_order(p2: MultiPoly) -> int:
+    """Contact order K = 2L of a bivariate stable polynomial at (0, 0).
+
+    The zero set y = -psi(x) approaches the real plane at rate |x|^K, K the
+    first index with a non-real psi coefficient.  `numerator_ideal` finds L
+    exactly, raising its working order to ord Res_z(p2, p̄2) where psi is
+    real through the default order; Im psi identically zero has no finite K.
+    """
+    if len(p2.vars) != 2:
+        raise PreconditionError("contact order needs a bivariate polynomial")
+    # engine is loaded here only, so that importing construct stays cheap
+    from .engine import CaseTag, numerator_ideal
+
+    desc = numerator_ideal(MultiPoly(("x", "z"), p2.terms))
+    if desc.case is CaseTag.PRINCIPAL:
+        raise PreconditionError(
+            "Im psi vanishes identically: the contact order is infinite"
+        )
+    return 2 * desc.L_or_K
+
+
+def contact_order_lift(q2: MultiPoly, m: int | None = None) -> MultiPoly:
     """Lift a bivariate stable q2 with contact order K > 2 to three variables.
 
     p(x, y, z) = (2i + x + y)^m  q2((i(x+y) + 2xy) / (2i + x + y), z); the
@@ -110,10 +136,7 @@ def contact_order_lift(q2: MultiPoly, m: int | None = None, order: int = 12) -> 
         raise PreconditionError("q2(0,0) != 0")
     if q2.coefficient((0, 1)).is_zero():
         raise PreconditionError("dq2/dy(0) = 0: zero not smooth")
-    # puiseux is loaded here only, so that importing construct stays cheap
-    from .puiseux import contact_order
-
-    K = contact_order(q2, order=order)
+    K = contact_order(q2)
     if K <= 2:
         raise PreconditionError(f"contact order {K} is not > 2")
     if m is None:
@@ -164,7 +187,7 @@ def iterated_composition(L: int, n_vars: int = 3) -> MultiPoly:
     """
     if L < 1:
         raise PreconditionError("L must be >= 1")
-    g = pick_quotient(_linear_transfer(n_vars))
+    g = pick_quotient(_linear_transfer(n_vars, [1] * n_vars))
     zero = MultiPoly.zero(g.num.vars[:-1])
     rows = []
     for poly in (g.num, g.den):
@@ -214,23 +237,10 @@ def random_stable_polynomial(rng, n_vars: int = 3) -> MultiPoly:
     keeps stability and the smooth zero.
     """
     weights = [Fraction(rng.randint(1, 6)) for _ in range(n_vars)]
-    c0 = sum(weights)
-    disk_vars = tuple(f"z{k}" for k in range(1, n_vars + 1))
-    terms = {(0,) * n_vars: GaussianRational(c0)}
-    for j, w in enumerate(weights):
-        e = tuple(1 if k == j else 0 for k in range(n_vars))
-        terms[e] = GaussianRational(-w)
-    p = polydisk_to_halfplane(MultiPoly(disk_vars, terms))
+    p = _linear_transfer(sum(weights), weights)
     if rng.random() < 0.5:
         # nonvanishing factor: c0' strictly dominating
         w2 = [Fraction(rng.randint(0, 3)) for _ in range(n_vars)]
-        c1 = sum(w2) + rng.randint(1, 4)
-        terms2 = {(0,) * n_vars: GaussianRational(c1)}
-        for j, w in enumerate(w2):
-            if w == 0:
-                continue
-            e = tuple(1 if k == j else 0 for k in range(n_vars))
-            terms2[e] = GaussianRational(-w)
-        factor = polydisk_to_halfplane(MultiPoly(disk_vars, terms2))
+        factor = _linear_transfer(sum(w2) + rng.randint(1, 4), w2)
         p = normalize_z_coefficient(p * factor)
     return p

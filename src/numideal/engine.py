@@ -26,6 +26,7 @@ decides a case.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -543,6 +544,13 @@ def _finest_radius_sq(eps: float, grid: int) -> float:
     return radius * radius
 
 
+def _finite(value: complex) -> complex:
+    """value itself; OverflowError when it is infinite or nan."""
+    if not cmath.isfinite(value):
+        raise OverflowError("non-finite sample value")
+    return value
+
+
 def boundedness_oracle(
     p: MultiPoly,
     q: MultiPoly,
@@ -606,40 +614,46 @@ def boundedness_oracle(
     level_max = []
     curve_max = []
     witness = None
-    for level in range(grid):
-        radius = math.ldexp(eps, -level)
-        best = 0.0
-        curve_best = 0.0
-        slice_points = []
-        for x_unit, delta_unit, v_unit, interior in base:
-            slice_points.append(
-                ([radius * t for t in x_unit], delta_unit, v_unit, interior, False)
-            )
-        for x_real in _extremal_curve_points(desc, radius):
-            slice_points.append((list(x_real), 0.0, None, False, True))
-        for x_real, delta_unit, v_unit, interior, on_curve in slice_points:
-            h_val = H.eval_complex(x_real).real
-            delta = radius * radius * delta_unit
-            if interior:
-                point = [
-                    complex(t, radius * s) for t, s in zip(x_real, v_unit)
-                ] + [complex(-h_val, abs(delta) + 0.01 * radius**2)]
-            else:
-                point = [complex(t, 0.0) for t in x_real] + [
-                    complex(-h_val + delta, 0.0)
-                ]
-            pv = p.eval_complex(point)
-            if pv == 0:
-                continue
-            ratio = abs(q.eval_complex(point)) / abs(pv)
-            if on_curve and ratio > curve_best:
-                curve_best = ratio
-            if ratio > best:
-                best = ratio
-                if witness is None or ratio > witness[0]:
-                    witness = (ratio, tuple(point))
-        level_max.append(best)
-        curve_max.append(curve_best)
+    try:
+        for level in range(grid):
+            radius = math.ldexp(eps, -level)
+            best = 0.0
+            curve_best = 0.0
+            slice_points = []
+            for x_unit, delta_unit, v_unit, interior in base:
+                slice_points.append(
+                    ([radius * t for t in x_unit], delta_unit, v_unit, interior, False)
+                )
+            for x_real in _extremal_curve_points(desc, radius):
+                slice_points.append((list(x_real), 0.0, None, False, True))
+            for x_real, delta_unit, v_unit, interior, on_curve in slice_points:
+                h_val = _finite(H.eval_complex(x_real)).real
+                delta = radius * radius * delta_unit
+                if interior:
+                    point = [
+                        complex(t, radius * s) for t, s in zip(x_real, v_unit)
+                    ] + [complex(-h_val, abs(delta) + 0.01 * radius**2)]
+                else:
+                    point = [complex(t, 0.0) for t in x_real] + [
+                        complex(-h_val + delta, 0.0)
+                    ]
+                pv = _finite(p.eval_complex(point))
+                if pv == 0:
+                    continue
+                ratio = abs(_finite(q.eval_complex(point))) / abs(pv)
+                if on_curve and ratio > curve_best:
+                    curve_best = ratio
+                if ratio > best:
+                    best = ratio
+                    if witness is None or ratio > witness[0]:
+                        witness = (ratio, tuple(point))
+            level_max.append(best)
+            curve_max.append(curve_best)
+    except OverflowError:
+        raise PreconditionError(
+            f"oracle samples overflow floating point at eps {eps}; use a "
+            f"smaller --eps"
+        ) from None
 
     def _monotone_growth(seq, factor=1.5):
         return all(

@@ -39,12 +39,3 @@ class TruncationError(NumidealError):
 
 class NoMonomializationFound(NumidealError):
     """No linear change made the input comparable to a sum of even monomials."""
-
-
-class AllRealUpToOrderError(NumidealError):
-    """All coefficients real through the working order: no finite contact
-    order (or first imaginary term) detected at that order."""
-
-    def __init__(self, message, order=None):
-        self.order = order
-        super().__init__(message)

@@ -124,6 +124,16 @@ def count_real_roots(p) -> int:
     return low - high
 
 
+def positive_on_reals(p) -> bool:
+    """Whether p(t) > 0 on R with p[-1] > 0 (Fraction coefficients); exact.
+
+    Both ends of the coefficient list are positive and p has no real root:
+    the binary form sum_k p[k] x^k y^(n-k) is positive off the origin.  The
+    list is read unstripped, so a form vanishing at (1, 0) is not positive.
+    """
+    return p[0] > 0 and p[-1] > 0 and count_real_roots(p) == 0
+
+
 def yun_squarefree(p):
     """Yun decomposition: list of (squarefree factor, multiplicity)."""
     p = _strip(list(p))
@@ -394,14 +404,8 @@ def is_positive_definite(f: HomogeneousForm) -> bool:
     """True iff f > 0 on the unit circle; exact."""
     if f.is_zero():
         raise PreconditionError("zero form has no definiteness")
-    if f.degree % 2 == 1:
-        return False
-    if f.degree == 0:
-        return f.coeffs[0] > 0
-    if f.coeffs[0] <= 0 or f.coeffs[-1] <= 0:
-        # f(0,1) and f(1,0) must both be positive
-        return False
-    return count_real_roots(f.dehomogenized()) == 0
+    # coeffs is f(t, 1) in ascending powers of t
+    return positive_on_reals(f.coeffs)
 
 
 def is_nonnegative(f: HomogeneousForm) -> bool:

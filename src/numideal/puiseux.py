@@ -1,9 +1,10 @@
 """Newton-Puiseux factorization of bivariate series-polynomials.
 
-Produces truncated fractional-power branches y = psi(mu^n x^(1/r)), the
-contact order of a two-variable stable polynomial, and a real polynomial g
-comparable to a positive series f near 0 together with the exponent K of
-its lower bound f >= c|(x,y)|^K.
+Produces truncated fractional-power branches y = psi(mu^n x^(1/r)), and a
+real polynomial g comparable to a positive series f near 0 together with
+the exponent K of its lower bound f >= c|(x,y)|^K.  The contact order of a
+two-variable stable polynomial is `construct.contact_order`, taken exactly
+from the engine.
 
 The engine no longer calls `comparable_polynomial`: it takes g exactly from
 the resultant Res_z(p, p̄) (`poly.conjugate_resultant`), with K read off the
@@ -19,12 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .branch import classify, solve_branch
-from .errors import (
-    AllRealUpToOrderError,
-    PreconditionError,
-    TruncationError,
-)
+from .errors import PreconditionError, TruncationError
 from .forms import HomogeneousForm, is_positive_definite, qi_nth_root, qi_roots
 from .gaussian import GaussianRational
 from .poly import (
@@ -691,23 +687,3 @@ def _agrees_past(g: MultiPoly, W: MultiPoly, K: int) -> bool:
     """Coefficients of g and W agree for every x-exponent <= K."""
     diff = g - W
     return all(a > K for (a, _b) in diff.terms)
-
-
-# -- contact order -------------------------------------------------------------
-
-
-def contact_order(p2: MultiPoly, order: int = 12) -> int:
-    """Contact order of a bivariate stable polynomial at (0,0).
-
-    The zero set y = -psi(x) approaches the real plane at rate |x|^K where K
-    is the first index with a non-real psi coefficient; `classify` checks
-    that K is even with positive imaginary part, as stability requires.
-    """
-    if len(p2.vars) != 2:
-        raise PreconditionError("contact order needs a bivariate polynomial")
-    cls = classify(solve_branch(p2, order))
-    if cls.L is None:
-        raise AllRealUpToOrderError(
-            f"no non-real coefficient through order {order}", order=order
-        )
-    return 2 * cls.L

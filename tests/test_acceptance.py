@@ -180,8 +180,7 @@ def test_criterion_5_iterated_family():
 def test_criterion_6_contact_lift_structural(p2_stable):
     # generated input with contact order 4: the diagonal restriction of the
     # L = 2 polynomial
-    from numideal.construct import contact_order_lift
-    from numideal.puiseux import contact_order
+    from numideal.construct import contact_order, contact_order_lift
 
     t = MultiPoly.variable(("t", "y"), "t")
     yv = MultiPoly.variable(("t", "y"), "y")

@@ -194,6 +194,8 @@ class TestMember:
             # (1e-100 / 2^249)^2 is about 1e-350
             (["--eps", "1e-100", "--grid", "250"], "use --grid 206 or less"),
             (["--eps", "1e-200", "--grid", "2"], "use a larger --eps"),
+            # the sampled coordinates near eps overflow their powers
+            (["--eps", "1e200"], "use a smaller --eps"),
         ],
     )
     def test_oracle_setting_that_cannot_be_judged_exit_2(self, flags, reason):

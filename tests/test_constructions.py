@@ -1,4 +1,5 @@
-"""Conformal transfer, the contact-order lift, and the iterated family."""
+"""Conformal transfer, the contact order and its lift, and the iterated
+family."""
 
 import random
 from fractions import Fraction
@@ -7,12 +8,13 @@ import pytest
 
 from numideal.branch import PhiKind, classify, solve_branch
 from numideal.construct import (
+    contact_order,
     contact_order_lift,
     polydisk_to_halfplane,
     random_stable_polynomial,
     iterated_composition,
 )
-from numideal.errors import PreconditionError
+from numideal.errors import PreconditionError, SanityViolation
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
 from numideal.poly import MultiPoly
@@ -71,11 +73,37 @@ class TestPolydiskTransfer:
                 assert p.eval_complex(pt) != 0
 
 
-@pytest.fixture()
-def q2(p2_stable):
+def _diagonal_restriction(p):
+    """p(t, t, y) in the variables (x, y)."""
     t = MultiPoly.variable(("t", "y"), "t")
     yv = MultiPoly.variable(("t", "y"), "y")
-    return p2_stable.subs({"x": t, "y": t, "z": yv}).rename_vars({"t": "x"})
+    return p.subs({"x": t, "y": t, "z": yv}).rename_vars({"t": "x"})
+
+
+@pytest.fixture()
+def q2(p2_stable):
+    return _diagonal_restriction(p2_stable)
+
+
+class TestContactOrder:
+    def test_transfer_of_two_var_disk_poly(self):
+        assert contact_order(parse("x + y - 2*i*x*y", vars=("x", "y"))) == 2
+
+    def test_real_input_has_no_finite_contact_order(self):
+        with pytest.raises(PreconditionError, match="infinite"):
+            contact_order(parse("x + y", vars=("x", "y")))
+
+    def test_iterated2_restriction_has_contact_four(self, q2):
+        assert contact_order(q2) == 4
+
+    # past the default working order 12 for L = 7 and 8
+    @pytest.mark.parametrize("L", range(1, 9))
+    def test_iterated_restriction_has_contact_2L(self, L):
+        assert contact_order(_diagonal_restriction(iterated_composition(L))) == 2 * L
+
+    def test_unstable_input_flagged(self):
+        with pytest.raises(SanityViolation):
+            contact_order(parse("x + y + i*x^3*y", vars=("x", "y")))
 
 
 class TestContactOrderLift:
@@ -124,6 +152,15 @@ class TestContactOrderLift:
         q2 = parse("x + y - 2*i*x*y", vars=("x", "y"))  # contact order 2
         with pytest.raises(PreconditionError):
             contact_order_lift(q2)
+
+    def test_lift_past_the_default_order(self):
+        # contact order 14: the branch restricted to x = y is still q2's
+        q2 = _diagonal_restriction(iterated_composition(7))
+        out = contact_order_lift(q2)
+        psi = solve_branch(q2, 6).phi.poly
+        phi = solve_branch(out, 6).phi.poly
+        t = MultiPoly.variable(("x",), "x")
+        assert phi.subs({"x": t, "y": t}).truncate(6) == psi.truncate(6)
 
 
 class TestIteratedComposition:

@@ -1,8 +1,8 @@
 """Import structure: relative imports sit at module level, so the module
 graph is visible at import time, except where a command or a case loads a
-heavy module only when it needs it; closure does not depend on puiseux, the
-CLI starts without puiseux, construct, closure and dataclasses, and every
-name the benchmark's tracer wraps exists."""
+heavy module only when it needs it; closure and construct do not depend on
+puiseux, the CLI starts without puiseux, construct, closure and
+dataclasses, and every name the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -16,13 +16,14 @@ PACKAGE = ROOT / "src" / "numideal"
 
 # parsing imports gaussian and poly, so their printers import it lazily;
 # the CLI loads puiseux and construct only for the commands that use them,
+# construct loads the engine only to find a contact order,
 # and the engine loads closure only for IsolatedDegenerate and LinearForm
 ALLOWED_FUNCTION_IMPORTS = {
     ("gaussian.py", "GaussianRational.__str__"),
     ("poly.py", "MultiPoly.__str__"),
     ("cli.py", "cmd_puiseux"),
     ("cli.py", "cmd_transform"),
-    ("construct.py", "contact_order_lift"),
+    ("construct.py", "contact_order"),
     ("examples.py", "_from_polydisk"),
     ("engine.py", "_ell_order"),
     ("engine.py", "numerator_ideal"),
@@ -73,6 +74,19 @@ def test_closure_does_not_load_puiseux():
 
 def test_engine_does_not_load_puiseux():
     assert _loaded_after("import numideal.engine", ["numideal.puiseux"]) == "[]"
+
+
+def test_contact_order_lift_does_not_load_puiseux():
+    code = (
+        "from numideal.construct import contact_order_lift, iterated_composition\n"
+        "from numideal.poly import MultiPoly\n"
+        "t = MultiPoly.variable(('t', 'y'), 't')\n"
+        "y = MultiPoly.variable(('t', 'y'), 'y')\n"
+        "p = iterated_composition(2)\n"
+        "q2 = p.subs({'x': t, 'y': t, 'z': y}).rename_vars({'t': 'x'})\n"
+        "contact_order_lift(q2)"
+    )
+    assert _loaded_after(code, ["numideal.puiseux"]) == "[]"
 
 
 def test_cli_start_skips_heavy_modules():

@@ -1,4 +1,4 @@
-"""Newton-Puiseux branches, contact order, and the comparable polynomial g."""
+"""Newton-Puiseux branches and the comparable polynomial g."""
 
 import math
 import random
@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from numideal.branch import solve_branch
-from numideal.errors import AllRealUpToOrderError, PreconditionError, SanityViolation
+from numideal.errors import PreconditionError
 from numideal.forms import qi_roots
 from numideal.gaussian import GaussianRational
 from numideal.parsing import parse
@@ -16,7 +16,6 @@ from numideal.poly import MultiPoly, TruncatedSeries
 from numideal.puiseux import (
     branch_exponents,
     branch_factor_poly,
-    contact_order,
     comparable_polynomial,
     newton_puiseux,
     twisted_is_real,
@@ -219,26 +218,6 @@ class TestWeierstrass:
         W, _ = weierstrass_prepare(im_phi, x_order=4, y_order=10)
         assert W.coefficient((0, 2)) == GaussianRational(1)
         assert all(b <= 2 for (_, b) in W.terms)
-
-
-class TestContactOrder:
-    def test_transfer_of_two_var_disk_poly(self):
-        assert contact_order(parse("x + y - 2*i*x*y", vars=("x", "y"))) == 2
-
-    def test_real_input_raises_all_real(self):
-        with pytest.raises(AllRealUpToOrderError):
-            contact_order(parse("x + y", vars=("x", "y")))
-
-    def test_iterated2_restriction_has_contact_four(self, p2_stable):
-        # restrict the L=2 polynomial to x = y: contact order 4
-        t = MultiPoly.variable(("t", "y"), "t")
-        yv = MultiPoly.variable(("t", "y"), "y")
-        q2 = p2_stable.subs({"x": t, "y": t, "z": yv}).rename_vars({"t": "x"})
-        assert contact_order(q2) == 4
-
-    def test_unstable_input_flagged(self):
-        with pytest.raises(SanityViolation):
-            contact_order(parse("x + y + i*x^3*y", vars=("x", "y")), order=8)
 
 
 class TestComparablePolynomial:

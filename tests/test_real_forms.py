@@ -18,6 +18,7 @@ from numideal.forms import (
     p_eval,
     p_gcd,
     poly_nonneg_on_reals,
+    positive_on_reals,
     quadratic_form_sign,
 )
 from numideal.gaussian import GaussianRational as G
@@ -116,6 +117,12 @@ class TestDefiniteness:
         assert is_nonnegative(form_of("1/4*(x - y)^2"))
         assert is_nonnegative(form_of("2*(x^2 + x*y + y^2)"))
         assert is_nonnegative(form_of("1/16*(9*x^2 - 2*x*y + 9*y^2)*(x + y)^2"))
+
+    def test_form_vanishing_on_an_axis_not_definite(self):
+        # zero at (1, 0) and at (0, 1): an end of the coefficient list is 0
+        assert not is_positive_definite(form_of("x^2*y^2 + y^4"))
+        assert not is_positive_definite(form_of("x^4 + x^2*y^2"))
+        assert not positive_on_reals([Fraction(1), Fraction(0), Fraction(1), Fraction(0)])
 
     def test_odd_degree_never_definite(self):
         assert not is_positive_definite(form_of("x^3 + y^3"))
