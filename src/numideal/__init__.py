@@ -6,7 +6,7 @@ stays locally bounded, and decide membership of arbitrary numerators.
 """
 
 from .gaussian import GaussianRational
-from .poly import MultiPoly, TruncatedSeries, series_invert, substitute
+from .poly import MultiPoly, TruncatedSeries, series_invert
 from .parsing import parse, format_poly
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "MultiPoly",
     "TruncatedSeries",
     "series_invert",
-    "substitute",
     "parse",
     "format_poly",
 ]

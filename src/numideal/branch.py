@@ -124,7 +124,7 @@ def classify(sol: BranchSolution, seed: int = 0):
     directions with `seed`; the result then has definite_exact False.
     """
     phi = sol.phi
-    x_vars = phi.vars
+    x_vars = phi.poly.vars
     d = len(x_vars)
 
     for name, g in zip(x_vars, sol.grad0):
@@ -150,7 +150,7 @@ def classify(sol: BranchSolution, seed: int = 0):
                     witness=(zero_components, exps, coeff),
                 )
 
-    parts = phi.homogeneous_parts()
+    parts = phi.poly.homogeneous_parts()
     first_imag = None
     for deg in sorted(parts):
         if not parts[deg].is_real():

@@ -86,7 +86,7 @@ def cmd_member(args) -> int:
     verdict = membership(p, q, order=args.order, seed=args.seed, ideal=desc)
     payload = {
         "verdict": verdict.verdict.value,
-        "reduced_numerator": format_poly(verdict.reduced_numerator.poly)
+        "reduced_numerator": format_poly(verdict.reduced_numerator)
         if verdict.reduced_numerator is not None
         else None,
         "witness": _jsonable(verdict.witness),

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NoMonomializationFound, PreconditionError, TruncationError
+from .errors import NoMonomializationFound, PreconditionError
 from .forms import HomogeneousForm, positive_on_reals, qi_roots
-from .poly import MultiPoly, TruncatedSeries, linear_change, newton_polygon
+from .poly import MultiPoly, linear_change, newton_polygon
 from .record import Frozen
 
 
@@ -212,26 +212,15 @@ def rational_circle_points(radius: Fraction, n: int = 32):
     return pts
 
 
-def ic_membership(q, ic: MonomialIdealIC):
-    """Decide |q| <~ g near 0 via the Newton polyhedron; exact.
+def ic_membership(q: MultiPoly, ic: MonomialIdealIC):
+    """Decide |q| <~ g near 0 via the Newton polyhedron; exact for the
+    polynomial q(x, y).
 
     Returns (verdict, certificate): verdict True with per-term halfspace
     slacks, or False with a witness curve u = lu * s^wu, v = lv * s^wv along
     which |q| / g grows like s^(h0 - m) with h0 < m.
     """
-    if isinstance(q, TruncatedSeries):
-        order = q.order
-        poly = q.poly
-        # unseen tail lies in the polyhedron iff every exponent of total
-        # degree order+1 does; otherwise the truncation cannot decide
-        d = order + 1
-        if not all(ic.contains_exponent(a, d - a) for a in range(d + 1)):
-            raise TruncationError(
-                f"series order {order} too small to decide membership"
-            )
-    else:
-        poly = q
-    quv = ic.to_uv(poly)
+    quv = ic.to_uv(q)
     if quv.is_zero():
         return True, {"terms": []}
     violated = [(a, b) for (a, b) in quv.terms if not ic.contains_exponent(a, b)]

@@ -188,12 +188,14 @@ def iterated_composition(L: int, n_vars: int = 3) -> MultiPoly:
     if L < 1:
         raise PreconditionError("L must be >= 1")
     g = pick_quotient(_linear_transfer(n_vars, [1] * n_vars))
+    # the last variable is the one composed in: y for n_vars = 2, else z
+    last = g.num.vars[-1]
     zero = MultiPoly.zero(g.num.vars[:-1])
     rows = []
     for poly in (g.num, g.den):
-        if poly.var_degree("z") > 1:
+        if poly.var_degree(last) > 1:
             raise AssertionError("composition input must have z-degree 1")
-        z_slices = poly.slices("z")
+        z_slices = poly.slices(last)
         rows.append((z_slices.get(1, zero), z_slices.get(0, zero)))
     base = tuple(rows)
     mat = base

@@ -34,20 +34,17 @@ from enum import Enum
 from fractions import Fraction
 
 from .branch import BranchSolution, PhiClassification, PhiKind, classify, solve_branch
-from .errors import PreconditionError, SanityViolation, TruncationError
+from .errors import PreconditionError, SanityViolation
 from .forms import p_gcd
 from .gaussian import GaussianRational
 from .parsing import _term_sort_key, format_poly
 from .poly import (
     MultiPoly,
-    TruncatedSeries,
     conjugate_resultant,
     divide_exact,
-    linear_change,
     primitive_gcd,
     pseudo_remainder,
     subresultants,
-    substitute,
 )
 from .record import Record
 
@@ -62,6 +59,8 @@ class CaseTag(Enum):
 class Verdict(Enum):
     IN_IDEAL = "InIdeal"
     NOT_IN_IDEAL = "NotInIdeal"
+    # reserved for a decision that cannot be made exactly (`member` exit
+    # code 4); every verdict is exact today, so nothing returns it
     INDETERMINATE = "Indeterminate"
 
 
@@ -70,9 +69,10 @@ class IdealDescription(Record):
 
     generators are MultiPolys in the full (x.., z) variables; H is a real
     polynomial in the x-variables.  branch, classification, ic (the
-    closure.MonomialIdealIC of IsolatedDegenerate), linear_form and reducer
-    (LinearForm: den z + num, den(0) != 0) are diagnostics, not part of the
-    wire schema.
+    closure.MonomialIdealIC that `monomialize` accepts for g, in LinearForm
+    and IsolatedDegenerate), linear_form and reducer (LinearForm:
+    den z + num, den(0) != 0) are diagnostics, not part of the wire
+    schema.
     """
 
     __slots__ = (
@@ -128,7 +128,7 @@ class MembershipVerdict(Record):
     def __init__(
         self,
         verdict: Verdict,
-        reduced_numerator: TruncatedSeries | None,
+        reduced_numerator: MultiPoly | None,
         witness: dict | None = None,
         certificate: dict | None = None,
     ):
@@ -167,16 +167,6 @@ def _stability_spot_check(p: MultiPoly, seed: int = 0, samples: int = 40):
                 "p vanishes at a sampled point of the poly-upper half-plane",
                 witness=tuple(point),
             )
-
-
-def _ell_order(q: MultiPoly, ell: MultiPoly) -> int | None:
-    """The largest j with ell^j | q, for a linear ell = a x + b y; None for
-    q = 0.  It is the least u-degree of q in the frame `line_frame(a, b)`."""
-    from .closure import line_frame
-
-    _, inverse = line_frame(ell.coefficient((1, 0)).re, ell.coefficient((0, 1)).re)
-    uv = linear_change(q, inverse, ("u", "v"))
-    return min((e[0] for e in uv.terms), default=None)
 
 
 def _branch_factor(p: MultiPoly):
@@ -380,6 +370,7 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
             g=ell ** (2 * L),
             branch=sol,
             classification=cls,
+            ic=ic,
             linear_form=ell,
             reducer=reducer,
         )
@@ -424,11 +415,14 @@ def membership(
 ) -> MembershipVerdict:
     """Decide whether q/p is locally bounded near the origin.
 
-    Principal asks whether gcd(q, p) vanishes at 0.  LinearForm asks how
-    often ell divides q reduced exactly modulo the z-linear `reducer`; it
-    reports q(x, -Re phi).  Otherwise q is reduced to q0(x) = q(x, -H(x))
-    and q0 is tested by vanishing order (Definite) or Newton-polyhedron
-    membership (IsolatedDegenerate).
+    reduced_numerator is the MultiPoly q(x, -r(x)) by `MultiPoly.subs`:
+    r = phi (Principal) or Re phi (LinearForm) through the order of phi,
+    r = H through the working order otherwise.  Principal asks whether
+    gcd(q, p) vanishes at 0.  LinearForm asks how often ell divides q
+    reduced exactly modulo the z-linear `reducer`.  Definite tests the
+    vanishing order of q0 = q(x, -H(x)), IsolatedDegenerate its
+    Newton-polyhedron membership.  Every verdict is exact, so none is
+    Indeterminate.
     """
     desc = ideal if ideal is not None else numerator_ideal(p, order=order, seed=seed)
     if q.vars != p.vars:
@@ -439,24 +433,28 @@ def membership(
         # p is smooth at 0, so its only factor through 0 is the one carrying
         # the branch: q is a multiple of it exactly when gcd(q, p) vanishes
         # at 0, whatever the truncation of phi hides
-        reduced = substitute(q, "z", -phi)
+        reduced = q.subs({"z": -phi.poly}, phi.order)
         origin = (0,) * len(p.vars)
         if q.is_zero() or primitive_gcd(q, p).coefficient(origin).is_zero():
             return MembershipVerdict(Verdict.IN_IDEAL, reduced)
         return MembershipVerdict(
             Verdict.NOT_IN_IDEAL,
             reduced,
-            witness=_direction_witness(reduced.poly, desc),
+            witness=_direction_witness(reduced, desc),
         )
 
     if desc.case is CaseTag.LINEAR_FORM:
         power = desc.L_or_K
-        reduced = substitute(q, "z", -phi.real_part())
+        reduced = q.subs({"z": -phi.poly.real_part()}, phi.order)
         # the reducer den z + num lies in the ideal and den(0) != 0, so q is
         # reduced exactly to den^deg_z q(x, -num/den), free of z, and den
-        # carries no factor of ell
-        exact = pseudo_remainder(q, desc.reducer).slices("z")
-        j = _ell_order(exact.get(0, MultiPoly.zero(phi.vars)), desc.linear_form)
+        # carries no factor of ell; ell is the frame coordinate of the axis
+        # that holds the polygon's one vertex, so ell^j | exact for j up to
+        # the least exponent of that coordinate in the frame
+        slices = pseudo_remainder(q, desc.reducer).slices("z")
+        exact = slices.get(0, MultiPoly.zero(p.vars[:-1]))
+        axis = 0 if desc.ic.newton_points[0][1] == 0 else 1
+        j = min((e[axis] for e in desc.ic.to_uv(exact).terms), default=None)
         if j is None or j >= power:
             return MembershipVerdict(
                 Verdict.IN_IDEAL,
@@ -473,11 +471,16 @@ def membership(
 
     # the ideal's working order may exceed the requested one
     work = max(order, phi.order) if phi is not None else order
-    reduced = substitute(q, "z", TruncatedSeries(-desc.H, work))
+    # the terms past `work` cannot change a verdict.  Definite compares the
+    # least degree with 2L <= work.  An IsolatedDegenerate ideal solves phi
+    # to order >= K, so work >= K, and its polygon has a vertex on each axis
+    # with both intercepts <= K, so every monomial of degree > K, in any
+    # linear frame, lies in the polyhedron
+    reduced = q.subs({"z": -desc.H}, work)
 
     if desc.case is CaseTag.DEFINITE:
         L = desc.L_or_K
-        md = reduced.poly.min_degree()
+        md = reduced.min_degree()
         if md is None or md >= 2 * L:
             return MembershipVerdict(
                 Verdict.IN_IDEAL, reduced, certificate={"min_degree": md, "needs": 2 * L}
@@ -485,18 +488,13 @@ def membership(
         return MembershipVerdict(
             Verdict.NOT_IN_IDEAL,
             reduced,
-            witness=_direction_witness(reduced.poly, desc),
+            witness=_direction_witness(reduced, desc),
         )
 
     # isolated degenerate: integral-closure membership
     from .closure import ic_membership
 
-    try:
-        ok, cert = ic_membership(reduced, desc.ic)
-    except TruncationError as exc:
-        return MembershipVerdict(
-            Verdict.INDETERMINATE, reduced, witness={"reason": str(exc)}
-        )
+    ok, cert = ic_membership(reduced, desc.ic)
     if ok:
         return MembershipVerdict(Verdict.IN_IDEAL, reduced, certificate=cert)
     return MembershipVerdict(Verdict.NOT_IN_IDEAL, reduced, witness=cert)
@@ -558,7 +556,6 @@ def boundedness_oracle(
     grid: int = 3,
     seed: int = 0,
     ideal: IdealDescription | None = None,
-    real_slice_only: bool = False,
 ):
     """Sample |q/p| near the origin: sup estimate plus a divergence flag.
 
@@ -609,8 +606,7 @@ def boundedness_oracle(
         # samples actually approach the zero set as the grid refines
         delta_unit = rng.choice([0.0, 0.25, -0.25, 0.0625, -0.0625])
         v_unit = [rng.uniform(0.05, 1.0) for _ in range(d)]
-        interior = (not real_slice_only) and k % 2 == 1
-        base.append((x_unit, delta_unit, v_unit, interior))
+        base.append((x_unit, delta_unit, v_unit, k % 2 == 1))
     level_max = []
     curve_max = []
     witness = None

@@ -11,8 +11,10 @@ solves for a power series degree by degree on it, forming each product of
 two homogeneous parts once, and the Bézout entries and minors of
 `conjugate_resultant` are sums of products on it too.  `MultiPoly.subs` is
 the one composition: Horner's scheme in each replaced variable, one kernel
-call per step acc * r + slice, so `substitute`, `linear_change`, the branch
-residual and the Puiseux substitution all run on the kernel.  `eval_complex`
+call per step acc * r + slice, so the reduction of a numerator,
+`linear_change`, the branch residual and the Puiseux substitution all run
+on the kernel.  `TruncatedSeries` is only the record of a polynomial and
+its truncation order; it has no arithmetic of its own.  `eval_complex`
 builds a plan once per polynomial and keeps it: the coefficients as
 `complex`, the distinct (variable, exponent) pairs, and the pairs each term
 uses.  Each call raises every coordinate to each pair's exponent once and
@@ -38,6 +40,7 @@ from math import gcd, lcm
 
 from .errors import ArityError
 from .gaussian import GaussianRational, ZERO, ONE
+from .record import Frozen
 
 
 class MultiPoly:
@@ -592,11 +595,11 @@ def _horner(groups: dict, D: int, repls: list, limit: int) -> list:
     return pairs
 
 
-class TruncatedSeries:
-    """A multivariate power series truncated at total degree `order`.
-
-    Wraps a MultiPoly whose terms all have total degree <= order; arithmetic
-    results carry order = min of the operand orders.
+class TruncatedSeries(Frozen):
+    """A multivariate power series truncated at total degree `order`: the
+    record of a MultiPoly whose terms all have total degree <= order and of
+    that order.  It defines no arithmetic; compose and multiply its poly
+    with `MultiPoly.subs` and `mul_truncated` at the order.
     """
 
     __slots__ = ("poly", "order")
@@ -613,87 +616,6 @@ class TruncatedSeries:
         object.__setattr__(obj, "order", int(order))
         return obj
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    @property
-    def vars(self):
-        return self.poly.vars
-
-    @classmethod
-    def zero(cls, vars, order):
-        return cls(MultiPoly.zero(vars), order)
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def is_real(self) -> bool:
-        return self.poly.is_real()
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return TruncatedSeries(
-                self.poly + other.poly, min(self.order, other.order)
-            )
-        return TruncatedSeries(self.poly + other, self.order)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return TruncatedSeries(
-                self.poly - other.poly, min(self.order, other.order)
-            )
-        return TruncatedSeries(self.poly - other, self.order)
-
-    def __neg__(self):
-        return TruncatedSeries._within(-self.poly, self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            order = min(self.order, other.order)
-            return TruncatedSeries._within(
-                self.poly.mul_truncated(other.poly, order), order
-            )
-        if isinstance(other, MultiPoly):
-            return TruncatedSeries._within(
-                self.poly.mul_truncated(other, self.order), self.order
-            )
-        return TruncatedSeries._within(self.poly.scale(other), self.order)
-
-    __rmul__ = __mul__
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries._within(self.poly.truncate(order), order)
-
-    def homogeneous_part(self, k: int) -> MultiPoly:
-        return self.poly.homogeneous_part(k)
-
-    def homogeneous_parts(self) -> dict:
-        return self.poly.homogeneous_parts()
-
-    def imag_part(self) -> "TruncatedSeries":
-        return TruncatedSeries._within(self.poly.imag_part(), self.order)
-
-    def real_part(self) -> "TruncatedSeries":
-        return TruncatedSeries._within(self.poly.real_part(), self.order)
-
-    def eval_complex(self, point) -> complex:
-        return self.poly.eval_complex(point)
-
-    def eval_exact(self, point) -> GaussianRational:
-        return self.poly.eval_exact(point)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.poly == other.poly
-
-    def __hash__(self):
-        return hash((self.poly, self.order))
-
     def __str__(self):
         return f"{self.poly} + O(deg {self.order + 1})"
 
@@ -708,35 +630,13 @@ def series_invert(u: TruncatedSeries) -> TruncatedSeries:
     inverse is 1/c0 + y with y the `implicit_root` of u/c0 - 1 + u*y = 0,
     c0 = u(0).
     """
-    vars = u.vars
+    vars = u.poly.vars
     c0 = u.poly.coefficient((0,) * len(vars))
     if c0.is_zero():
         raise ZeroDivisionError("series has zero constant term")
     inv0 = ONE / c0
     y = implicit_root({0: u.poly.scale(inv0) - ONE, 1: u.poly}, u.order)
     return TruncatedSeries(y + inv0, u.order)
-
-
-def substitute(p, var: str, replacement, order=None):
-    """Compose: replace `var` in p by a polynomial or truncated series.
-
-    Returns a TruncatedSeries when either input carries a truncation order
-    (or one is given), a MultiPoly otherwise.
-    """
-    orders = []
-    if order is not None:
-        orders.append(order)
-    if isinstance(p, TruncatedSeries):
-        orders.append(p.order)
-        p = p.poly
-    if isinstance(replacement, TruncatedSeries):
-        orders.append(replacement.order)
-        replacement = replacement.poly
-    eff = min(orders) if orders else None
-    result = p.subs({var: replacement}, order=eff)
-    if eff is None:
-        return result
-    return TruncatedSeries(result, eff)
 
 
 def implicit_root(slices: dict, order: int) -> MultiPoly:

@@ -608,9 +608,9 @@ def comparable_polynomial(f: TruncatedSeries) -> ComparablePolynomial:
     truncated Puiseux branch factors, truncation chosen so the product agrees
     with the Weierstrass polynomial of f beyond x-order K.
     """
-    if not f.is_real():
+    if not f.poly.is_real():
         raise PreconditionError("comparable_polynomial needs real coefficients")
-    if len(f.vars) != 2:
+    if len(f.poly.vars) != 2:
         raise PreconditionError("comparable_polynomial needs a bivariate input")
     poly = f.poly
     if poly.is_zero() or not poly.coefficient((0, 0)).is_zero():

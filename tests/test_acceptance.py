@@ -89,8 +89,8 @@ def test_criterion_3_degenerate_pipeline(degenerate, degenerate_g):
     t0 = time.monotonic()
     desc = numerator_ideal(degenerate)
     # branch solve + comparability of Im phi with the closed-form g
-    im_phi = desc.branch.phi.imag_part()
-    f = lambda x, y: im_phi.poly.eval_complex((x, y)).real
+    im_phi = desc.branch.phi.poly.imag_part()
+    f = lambda x, y: im_phi.eval_complex((x, y)).real
     g = lambda x, y: degenerate_g.eval_complex((x, y)).real
     comp = comparability_ratio(f, g, [2.0**-k for k in range(4, 11)])
     elapsed = time.monotonic() - t0
@@ -188,10 +188,10 @@ def test_criterion_6_contact_lift_structural(p2_stable):
     assert contact_order(q2) == 4
     out = contact_order_lift(q2)
     sol = solve_branch(out, 4)
-    im = sol.phi.imag_part()
+    im = sol.phi.poly.imag_part()
     assert not im.homogeneous_part(2).is_zero()
     xdiag = MultiPoly.variable(("x",), "x")
-    diag = im.poly.subs({"x": xdiag, "y": xdiag})
+    diag = im.subs({"x": xdiag, "y": xdiag})
     for k in range(4):
         assert diag.homogeneous_part(k).is_zero(), f"Im phi_{k}(x,x) != 0"
     report(6, "contact-order lift: Im phi_2 != 0, Im phi_k(x,x) = 0 for k < 4, exact")

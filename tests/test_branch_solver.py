@@ -28,14 +28,14 @@ def residual_order(p, sol):
 class TestSolveBranch:
     def test_linear3_phi_to_order_three(self, linear3):
         sol = solve_branch(linear3, 3)
-        parts = sol.phi.homogeneous_parts()
+        parts = sol.phi.poly.homogeneous_parts()
         assert parts[1] == parse("x + y", vars=("x", "y"))
         assert parts[2] == parse("2*i*(x^2 + x*y + y^2)", vars=("x", "y"))
         assert sol.grad0 == (GaussianRational(1), GaussianRational(1))
 
     def test_degenerate_phi_leading_parts(self, degenerate):
         sol = solve_branch(degenerate, 4)
-        parts = sol.phi.homogeneous_parts()
+        parts = sol.phi.poly.homogeneous_parts()
         assert parts[1] == parse("1/2*(x + y)", vars=("x", "y"))
         assert parts[2] == parse("1/4*i*(x - y)^2", vars=("x", "y"))
         assert parts[3] == parse(

@@ -14,6 +14,7 @@ from numideal.construct import (
     random_stable_polynomial,
     iterated_composition,
 )
+from numideal.engine import CaseTag, numerator_ideal
 from numideal.errors import PreconditionError, SanityViolation
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
@@ -120,14 +121,14 @@ class TestContactOrderLift:
         out = contact_order_lift(q2)
         sol = solve_branch(out, 4)
         a1 = solve_branch(q2, 2).phi.poly.coefficient((1,)).re
-        im2 = sol.phi.imag_part().homogeneous_part(2)
+        im2 = sol.phi.poly.imag_part().homogeneous_part(2)
         assert im2.coefficient((2, 0)) == GaussianRational(a1 / 4)
         assert not im2.is_zero()
 
     def test_im_phi_vanishes_on_diagonal_below_K(self, q2):
         out = contact_order_lift(q2)
         sol = solve_branch(out, 4)
-        im = sol.phi.imag_part().poly
+        im = sol.phi.poly.imag_part()
         t = MultiPoly.variable(("x",), "x")
         diag = im.subs({"x": t, "y": t})
         for m in range(4):
@@ -191,7 +192,7 @@ class TestIteratedComposition:
 
         for L in (2, 3):
             pL = iterated_composition(L)
-            im = solve_branch(pL, 2 * L).phi.imag_part().homogeneous_part(2 * L)
+            im = solve_branch(pL, 2 * L).phi.poly.imag_part().homogeneous_part(2 * L)
             f = lambda x, y: im.eval_complex((x, y)).real
             g = lambda x, y: (x * x + y * y) ** L
             res = comparability_ratio(f, g, [2.0**-k for k in range(4, 11)])
@@ -200,6 +201,14 @@ class TestIteratedComposition:
     def test_rejects_nonpositive_L(self):
         with pytest.raises(PreconditionError):
             iterated_composition(0)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    def test_two_variables_definite_with_contact_order_2L(self, L):
+        pL = iterated_composition(L, n_vars=2)
+        assert pL.vars == ("x", "z")
+        desc = numerator_ideal(pL)
+        assert (desc.case, desc.L_or_K) == (CaseTag.DEFINITE, L)
+        assert contact_order(pL) == 2 * L
 
 
 class TestPickQuotient:

@@ -14,7 +14,6 @@ from numideal.construct import (
 from numideal.engine import (
     CaseTag,
     Verdict,
-    _ell_order,
     _zero_line,
     boundedness_oracle,
     membership,
@@ -228,7 +227,7 @@ class TestWideAndHigherZDegree:
             v = membership(p, parse(text, vars=p.vars), ideal=ideal)
             assert v.verdict is Verdict.NOT_IN_IDEAL
             assert v.witness is not None, text
-            low = v.reduced_numerator.poly.lowest_part()
+            low = v.reduced_numerator.lowest_part()
             point = [GaussianRational(t) for t in v.witness["direction"]]
             assert not low.eval_exact(point).is_zero()
 
@@ -313,7 +312,10 @@ class TestLinearFormReduction:
         re_den = c * c.conj_coefficients()
         gen0 = nonisolated_ideal.generators[0].slices("z")
         assert gen0[0] * re_den != re_num * gen0[1]
-        ell, power = nonisolated_ideal.linear_form, nonisolated_ideal.L_or_K
+        assert nonisolated_ideal.linear_form == parse("x + y", vars=("x", "y"))
+        power = nonisolated_ideal.L_or_K
+        # the ell-order is the least u-degree of the result at x = u - y
+        shift = {"x": parse("x - y", vars=("x", "y"))}
 
         def reference_in(q):
             q_slices = q.slices("z")
@@ -321,7 +323,7 @@ class TestLinearFormReduction:
             total = MultiPoly.zero(re_num.vars)
             for k, qk in q_slices.items():
                 total = total + qk * (-re_num) ** k * re_den ** (deg_z - k)
-            j = _ell_order(total, ell)
+            j = min((e[0] for e in total.subs(shift).terms), default=None)
             return j is None or j >= power
 
         def parts(*texts):
@@ -501,6 +503,43 @@ class TestRescaledDegenerate:
             expect = Verdict.IN_IDEAL if bounded else Verdict.NOT_IN_IDEAL
             assert v.verdict is expect, text
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (1, 1),
+            (Fraction(3, 2), Fraction(1, 4)),
+            (Fraction(1, 4), 2),
+            (2, 4),
+            (Fraction(2, 3), Fraction(3, 2)),
+            (4, Fraction(1, 2)),
+            (Fraction(1, 2), Fraction(2, 3)),
+        ],
+    )
+    def test_membership_does_not_depend_on_the_order(self, degenerate, a, b):
+        # the ideal solves phi through K = 4 at least, and every monomial of
+        # degree > K lies in the polyhedron, so the truncation of q(x, -H)
+        # never decides a verdict
+        p = _rescale(degenerate, Fraction(a), Fraction(b))
+        descs = {order: numerator_ideal(p, order=order) for order in (1, 2, 4, 12)}
+        assert {d.branch.phi.order for d in descs.values()} == {4, 12}
+        texts = [text for text, _ in DEGENERATE_CHECKS] + ["z", "x^2*z^3"]
+        for text in texts:
+            q = _rescale(parse(text, vars=p.vars), Fraction(a), Fraction(b))
+            verdicts = [
+                membership(p, q, order=order, ideal=desc)
+                for order, desc in descs.items()
+            ]
+            assert all(v.verdict is not Verdict.INDETERMINATE for v in verdicts)
+            first = verdicts[0]
+            for v in verdicts[1:]:
+                assert v.verdict is first.verdict, text
+                # x^2*z^3 reduces past degree 4, where the orders differ
+                assert v.reduced_numerator.truncate(4) == first.reduced_numerator
+                if text != "x^2*z^3":
+                    assert v.reduced_numerator == first.reduced_numerator, text
+                    assert v.certificate == first.certificate, text
+                    assert v.witness == first.witness, text
+
 
 def _random_poly(rng, vars, max_deg=3):
     terms = {}
@@ -560,15 +599,6 @@ class TestOracle:
             for gen in desc.generators:
                 res = boundedness_oracle(p, gen, ideal=desc, seed=2)
                 assert not res["divergent"], format_poly(gen)
-
-    def test_real_slice_sufficiency(self, linear3, linear3_ideal):
-        for text, member in (("x^2", True), ("x", False)):
-            q = parse(text, vars=linear3.vars)
-            full = boundedness_oracle(linear3, q, ideal=linear3_ideal, seed=11)
-            real_only = boundedness_oracle(
-                linear3, q, ideal=linear3_ideal, seed=11, real_slice_only=True
-            )
-            assert full["divergent"] == real_only["divergent"] == (not member)
 
 
 class TestOutOfScope:

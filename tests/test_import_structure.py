@@ -25,7 +25,6 @@ ALLOWED_FUNCTION_IMPORTS = {
     ("cli.py", "cmd_transform"),
     ("construct.py", "contact_order"),
     ("examples.py", "_from_polydisk"),
-    ("engine.py", "_ell_order"),
     ("engine.py", "numerator_ideal"),
     ("engine.py", "membership"),
 }

@@ -34,6 +34,12 @@ def _p_mul(a, b):
     return out
 
 
+def _im_phi(p, order):
+    """Im phi of the branch of p, as a series through the order."""
+    phi = solve_branch(p, order).phi
+    return TruncatedSeries(phi.poly.imag_part(), phi.order)
+
+
 def _substitute_branch(f, branch):
     """f(t^r, psi(t)) as an exact polynomial in t."""
     tvars = ("t",)
@@ -133,21 +139,21 @@ class TestNewtonPuiseux:
             geometric = geometric * two_i
 
     def test_branch_residual_exact(self, degenerate):
-        im_phi = solve_branch(degenerate, 9).phi.imag_part()
+        im_phi = _im_phi(degenerate, 9)
         for b in newton_puiseux(im_phi, order=8):
             residual = _substitute_branch(im_phi.poly, b)
             md = residual.min_degree()
             assert md is None or md > b.r * 8 - b.r
 
     def test_conjugation_closure_for_real_input(self, degenerate):
-        im_phi = solve_branch(degenerate, 8).phi.imag_part()
+        im_phi = _im_phi(degenerate, 8)
         branches = newton_puiseux(im_phi, order=7)
         assert all(b.conjugate_partner is not None for b in branches)
         pairs = {b.conjugate_partner for b in branches}
         assert pairs == set(range(len(branches)))
 
     def test_degenerate_product_comparable_to_closed_form_g(self, degenerate, degenerate_g):
-        im_phi = solve_branch(degenerate, 9).phi.imag_part()
+        im_phi = _im_phi(degenerate, 9)
         branches = newton_puiseux(im_phi, order=8)
         g = MultiPoly.constant(("x", "y"), 1)
         for b in branches:
@@ -205,7 +211,7 @@ class TestNewtonPuiseux:
 
 class TestWeierstrass:
     def test_preparation_reconstructs(self, degenerate):
-        im_phi = solve_branch(degenerate, 8).phi.imag_part().poly
+        im_phi = solve_branch(degenerate, 8).phi.poly.imag_part()
         W, U = weierstrass_prepare(im_phi, x_order=5, y_order=10)
         # u * W agrees with f for x-order <= 5 and y-order <= Weierstrass data
         prod = U * W
@@ -214,7 +220,7 @@ class TestWeierstrass:
             assert a > 5 or b > 8
 
     def test_monic_of_weierstrass_degree(self, degenerate):
-        im_phi = solve_branch(degenerate, 8).phi.imag_part().poly
+        im_phi = solve_branch(degenerate, 8).phi.poly.imag_part()
         W, _ = weierstrass_prepare(im_phi, x_order=4, y_order=10)
         assert W.coefficient((0, 2)) == GaussianRational(1)
         assert all(b <= 2 for (_, b) in W.terms)
@@ -222,7 +228,7 @@ class TestWeierstrass:
 
 class TestComparablePolynomial:
     def test_degenerate_K_and_comparability(self, degenerate, degenerate_g):
-        im_phi = solve_branch(degenerate, 10).phi.imag_part()
+        im_phi = _im_phi(degenerate, 10)
         res = comparable_polynomial(im_phi)
         assert res.K == 4
         assert res.K_sharp == Fraction(4)
@@ -235,7 +241,7 @@ class TestComparablePolynomial:
         assert not comp.fail
 
     def test_lower_bound_at_samples(self, degenerate):
-        im_phi = solve_branch(degenerate, 10).phi.imag_part()
+        im_phi = _im_phi(degenerate, 10)
         res = comparable_polynomial(im_phi)
         ratios = []
         for k in range(4, 11):
@@ -255,7 +261,7 @@ class TestComparablePolynomial:
         assert res.shortcut is not None
 
     def test_p2_im_phi_definite_shortcut(self, p2_stable):
-        im_phi = solve_branch(p2_stable, 8).phi.imag_part()
+        im_phi = _im_phi(p2_stable, 8)
         res = comparable_polynomial(im_phi)
         assert res.K == 4
         # g = 4(x^2+xy+y^2)^2, comparable to (x^2+y^2)^2
@@ -274,12 +280,12 @@ class TestComparablePolynomial:
     def test_K_stable_under_order_increase(self, degenerate):
         ks = []
         for order in (8, 10, 12):
-            im_phi = solve_branch(degenerate, order).phi.imag_part()
+            im_phi = _im_phi(degenerate, order)
             ks.append(comparable_polynomial(im_phi).K)
         assert ks == [4, 4, 4]
 
     def test_branch_exponents_degenerate(self, degenerate):
-        im_phi = solve_branch(degenerate, 9).phi.imag_part()
+        im_phi = _im_phi(degenerate, 9)
         for b in newton_puiseux(im_phi, order=8):
             e = branch_exponents(b)
             assert e.m_plus == (2,)

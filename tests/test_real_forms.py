@@ -290,8 +290,8 @@ class TestComparability:
     def test_degenerate_im_phi_vs_closed_form_g(self, degenerate, degenerate_g):
         from numideal.branch import solve_branch
 
-        im_phi = solve_branch(degenerate, 8).phi.imag_part()
-        f = lambda x, y: im_phi.poly.eval_complex((x, y)).real
+        im_phi = solve_branch(degenerate, 8).phi.poly.imag_part()
+        f = lambda x, y: im_phi.eval_complex((x, y)).real
         g = lambda x, y: degenerate_g.eval_complex((x, y)).real
         res = comparability_ratio(f, g, [2.0**-k for k in range(4, 11)])
         assert not res.fail

@@ -94,7 +94,7 @@ MUTABLE = [
         MembershipVerdict,
         {
             "verdict": Verdict.NOT_IN_IDEAL,
-            "reduced_numerator": PHI,
+            "reduced_numerator": Y,
             "witness": {"curve": "x"},
             "certificate": {"min_degree": 1},
         },
