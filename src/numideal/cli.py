@@ -16,6 +16,7 @@ import sys
 
 from .branch import PhiKind
 from .engine import (
+    CaseTag,
     Verdict,
     boundedness_oracle,
     membership,
@@ -106,7 +107,9 @@ def cmd_member(args) -> int:
     else:
         print(f"verdict: {payload['verdict']}")
         if payload["reduced_numerator"] is not None:
-            print(f"q0 = q(x, -H(x)) = {payload['reduced_numerator']}")
+            # LinearForm reduces by Re phi through its order, not by H
+            r = "Re phi" if desc.case is CaseTag.LINEAR_FORM else "H"
+            print(f"q0 = q(x, -{r}(x)) = {payload['reduced_numerator']}")
         if verdict.witness:
             print(f"witness: {verdict.witness}")
         if args.oracle:

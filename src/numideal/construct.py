@@ -2,41 +2,37 @@
 Moebius substitution raising contact order, and the iterated-composition
 family with prescribed vanishing order 2L.
 
-The contact order that the lift needs is taken exactly from
-`engine.numerator_ideal`, at no fixed truncation order; this module does
-not use `puiseux`.
+Each construction substitutes a rational map and clears its denominators,
+and every one does both through `substitute_fractions`, a single
+`MultiPoly.subs`.  The contact order that the lift needs is taken exactly
+from `engine.numerator_ideal`, at no fixed truncation order; this module
+does not use `puiseux`.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .gaussian import GaussianRational, I, ONE
+from .gaussian import GaussianRational, I
 from .poly import MultiPoly
-from .record import Frozen
 
 
-class RationalFunction(Frozen):
-    """Quotient of polynomials, reduced by coefficient content only."""
+def substitute_fractions(p: MultiPoly, fractions: dict) -> MultiPoly:
+    """prod_j B_j^(deg_j p) * p(..., A_j/B_j, ...), a polynomial.
 
-    __slots__ = ("num", "den", "normalized")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly, normalized: bool = False):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "normalized", normalized)
-
-    @classmethod
-    def reduced(cls, num: MultiPoly, den: MultiPoly) -> "RationalFunction":
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        scale = Fraction(1) / den.content()
-        return cls(num.scale(scale), den.scale(scale), normalized=True)
-
-    def eval_exact(self, point) -> GaussianRational:
-        return self.num.eval_exact(point) / self.den.eval_exact(point)
+    Each variable mapped to a pair (A, B) is homogenized with p's degree in
+    it, A taking the variable's place and B its complement; an unmapped
+    variable stays, and a polynomial P is the pair (P, 1).  All replacements
+    share one variable tuple, and the whole is one `subs`.
+    """
+    cols = [(p.vars.index(v), p.var_degree(v)) for v in fractions]
+    terms = {e + tuple(d - e[i] for i, d in cols): c for e, c in p.terms.items()}
+    assignments = {}
+    for v, (a, b) in fractions.items():
+        assignments[v], assignments[f"1/{v}"] = a, b
+    homs = tuple(f"1/{v}" for v in fractions)
+    return MultiPoly._from_terms(p.vars + homs, terms).subs(assignments)
 
 
 def _halfplane_vars(n: int):
@@ -57,24 +53,12 @@ def polydisk_to_halfplane(p_disk: MultiPoly) -> MultiPoly:
     p_disk vanishes at (1, ..., 1).
     """
     out_vars = _halfplane_vars(len(p_disk.vars))
-    degs = [p_disk.var_degree(v) for v in p_disk.vars]
-    # precompute (i - w)^k and (i + w)^k per variable
-    minus = []
-    plus = []
-    for j, name in enumerate(out_vars):
+    i = MultiPoly.constant(out_vars, I)
+    fractions = {}
+    for v, name in zip(p_disk.vars, out_vars):
         w = MultiPoly.variable(out_vars, name)
-        iw = MultiPoly.constant(out_vars, I)
-        minus.append([MultiPoly.constant(out_vars, ONE)])
-        plus.append([MultiPoly.constant(out_vars, ONE)])
-        for _ in range(degs[j]):
-            minus[j].append(minus[j][-1] * (iw - w))
-            plus[j].append(plus[j][-1] * (iw + w))
-    total = MultiPoly.zero(out_vars)
-    for exps, coeff in p_disk.terms.items():
-        term = MultiPoly.constant(out_vars, coeff)
-        for j, e in enumerate(exps):
-            term = term * minus[j][e] * plus[j][degs[j] - e]
-        total = total + term
+        fractions[v] = (i - w, i + w)
+    total = substitute_fractions(p_disk, fractions)
     if total.is_zero():
         raise PreconditionError("transfer degenerated to the zero polynomial")
     return normalize_z_coefficient(total)
@@ -124,11 +108,12 @@ def contact_order(p2: MultiPoly) -> int:
     return 2 * desc.L_or_K
 
 
-def contact_order_lift(q2: MultiPoly, m: int | None = None) -> MultiPoly:
+def contact_order_lift(q2: MultiPoly) -> MultiPoly:
     """Lift a bivariate stable q2 with contact order K > 2 to three variables.
 
-    p(x, y, z) = (2i + x + y)^m  q2((i(x+y) + 2xy) / (2i + x + y), z); the
-    branch of p restricted to x = y recovers the branch of q2 exactly.
+    p(x, y, z) = (2i + x + y)^m  q2((i(x+y) + 2xy) / (2i + x + y), z), with
+    m the degree of q2 in its first variable; the branch of p restricted to
+    x = y recovers the branch of q2 exactly.
     """
     if len(q2.vars) != 2:
         raise PreconditionError("contact_order_lift needs a bivariate polynomial")
@@ -139,41 +124,34 @@ def contact_order_lift(q2: MultiPoly, m: int | None = None) -> MultiPoly:
     K = contact_order(q2)
     if K <= 2:
         raise PreconditionError(f"contact order {K} is not > 2")
-    if m is None:
-        m = q2.var_degree(q2.vars[0])
     out = ("x", "y", "z")
     x = MultiPoly.variable(out, "x")
     y = MultiPoly.variable(out, "y")
-    z = MultiPoly.variable(out, "z")
     A = (x + y).scale(I) + (x * y).scale(2)  # i(x+y) + 2xy
     B = MultiPoly.constant(out, GaussianRational(0, 2)) + x + y  # 2i + x + y
-    a_pow = [MultiPoly.constant(out, ONE)]
-    b_pow = [MultiPoly.constant(out, ONE)]
-    for _ in range(m):
-        a_pow.append(a_pow[-1] * A)
-        b_pow.append(b_pow[-1] * B)
-    total = MultiPoly.zero(out)
-    for (s_exp, y_exp), coeff in q2.terms.items():
-        if s_exp > m:
-            raise PreconditionError("m smaller than the first-variable degree")
-        term = a_pow[s_exp] * b_pow[m - s_exp] * (z**y_exp)
-        total = total + term.scale(coeff)
-    return normalize_z_coefficient(total)
+    s, t = q2.vars
+    z = MultiPoly.variable(out, "z")
+    lifted = substitute_fractions(q2, {s: (A, B), t: (z, 1)})
+    return normalize_z_coefficient(lifted)
 
 
-def pick_quotient(p: MultiPoly) -> RationalFunction:
-    """The real rational Pick function i(p + pbar)/(p - pbar).
+def pick_quotient(p: MultiPoly) -> tuple:
+    """The real rational Pick function i(p + pbar)/(p - pbar), as (num, den).
 
     Written with real numerator and denominator: i(p+pbar)/(p-pbar) =
-    (p + pbar) / ((p - pbar)/i).  Maps the poly-upper half-plane into the
-    closed upper half-plane and is real on real points.
+    (p + pbar) / ((p - pbar)/i), both divided by the content of den.  Maps
+    the poly-upper half-plane into the closed upper half-plane and is real
+    on real points.
     """
     pbar = p.reflect()
     num = p + pbar
     den = (p - pbar).scale(GaussianRational(0, -1))  # (p - pbar)/i
     if not (num.is_real() and den.is_real()):
         raise AssertionError("Pick function numerator/denominator not real")
-    return RationalFunction.reduced(num, den)
+    if den.is_zero():
+        raise ZeroDivisionError("Pick function with zero denominator")
+    scale = Fraction(1) / den.content()
+    return num.scale(scale), den.scale(scale)
 
 
 def iterated_composition(L: int, n_vars: int = 3) -> MultiPoly:
@@ -181,53 +159,21 @@ def iterated_composition(L: int, n_vars: int = 3) -> MultiPoly:
 
     Builds the real rational Pick function i(p + pbar)/(p - pbar) from the
     half-plane transfer of n - z1 - ... - zn, n = n_vars (n_vars - 1
-    x-variables), and composes it L times in the
-    z-slot; composition of Moebius maps in z is a 2x2 polynomial matrix
-    power, kept exact with content reduction at each stage.
+    x-variables), composes it L times in the last variable, num/den of
+    degree 1 there, and returns den - i*num.
     """
     if L < 1:
         raise PreconditionError("L must be >= 1")
-    g = pick_quotient(_linear_transfer(n_vars, [1] * n_vars))
+    num, den = pick_quotient(_linear_transfer(n_vars, [1] * n_vars))
     # the last variable is the one composed in: y for n_vars = 2, else z
-    last = g.num.vars[-1]
-    zero = MultiPoly.zero(g.num.vars[:-1])
-    rows = []
-    for poly in (g.num, g.den):
-        if poly.var_degree(last) > 1:
-            raise AssertionError("composition input must have z-degree 1")
-        z_slices = poly.slices(last)
-        rows.append((z_slices.get(1, zero), z_slices.get(0, zero)))
-    base = tuple(rows)
-    mat = base
+    last = num.vars[-1]
+    if num.var_degree(last) != 1 or den.var_degree(last) != 1:
+        raise AssertionError("composition input must have z-degree 1")
+    N, D = num, den
     for _ in range(L - 1):
-        mat = _mat_mul(mat, base)
-    (a, b), (c, d) = mat
-    x_vars = a.vars
-    full = x_vars + ("z",)
-    z = MultiPoly.variable(full, "z")
-    N_L = z * a.embed(full) + b.embed(full)
-    D_L = z * c.embed(full) + d.embed(full)
-    p_L = D_L - N_L.scale(GaussianRational(0, 1))
-    return normalize_z_coefficient(p_L)
-
-
-def _mat_mul(m1, m2):
-    (a1, b1), (c1, d1) = m1
-    (a2, b2), (c2, d2) = m2
-    entries = [a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2]
-    # content reduction keeps the coefficients small without changing the map
-    contents = [e.content() for e in entries if not e.is_zero()]
-    if contents:
-        g = contents[0]
-        for c in contents[1:]:
-            num = math.gcd(g.numerator, c.numerator)
-            den = (g.denominator * c.denominator) // math.gcd(
-                g.denominator, c.denominator
-            )
-            g = Fraction(num, den)
-        if g not in (0, 1):
-            entries = [e.scale(Fraction(1) / g) for e in entries]
-    return (entries[0], entries[1]), (entries[2], entries[3])
+        N, D = (substitute_fractions(f, {last: (N, D)}) for f in (num, den))
+    p_L = D - N.scale(GaussianRational(0, 1))
+    return normalize_z_coefficient(p_L.rename_vars({last: "z"}))
 
 
 def random_stable_polynomial(rng, n_vars: int = 3) -> MultiPoly:

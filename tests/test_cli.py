@@ -169,6 +169,21 @@ class TestMember:
         assert "NotInIdeal" in res.stdout
         assert "q0 = q(x, -H(x)) = 0" in res.stdout
 
+    def test_linear_form_q0_is_reduced_by_re_phi(self):
+        # LinearForm reduces q by Re phi through phi's order, not by the
+        # reported H = x + y, and the label says so
+        from numideal.engine import membership
+        from numideal.examples import nonisolated
+        from numideal.parsing import parse
+
+        p = nonisolated()
+        res = run_cli("member", format_poly(p), "z")
+        assert res.returncode == 3
+        reduced = membership(p, parse("z", vars=p.vars)).reduced_numerator
+        assert f"q0 = q(x, -Re phi(x)) = {format_poly(reduced)}\n" in res.stdout
+        assert "-H(x)" not in res.stdout
+        assert reduced != parse("-x - y", vars=reduced.vars)
+
     def test_numerator_variable_not_in_p(self):
         res = run_cli("member", "z + y", "x")
         assert res.returncode == 1

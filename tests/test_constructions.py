@@ -13,12 +13,66 @@ from numideal.construct import (
     polydisk_to_halfplane,
     random_stable_polynomial,
     iterated_composition,
+    substitute_fractions,
 )
 from numideal.engine import CaseTag, numerator_ideal
 from numideal.errors import PreconditionError, SanityViolation
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
 from numideal.poly import MultiPoly
+
+
+def _rational(rng):
+    return GaussianRational(
+        Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+    )
+
+
+class TestSubstituteFractions:
+    # x -> A/B, y -> C/D cleared by B^deg_x * D^deg_y, z -> a polynomial
+    MAPS = [
+        {"x": ("x + i*y", "1 - x*z"), "y": ("2*y", "i + y"), "z": ("x - z^2", "1")},
+        {"x": ("y", "1 + x + y + z")},
+        {"y": ("x*y - z", "3"), "z": ("1/2*y", "1")},
+    ]
+
+    @pytest.mark.parametrize("spec", MAPS)
+    def test_equals_cleared_value_at_rational_points(self, spec):
+        rng = random.Random(31)
+        vars = ("x", "y", "z")
+        fractions = {
+            v: tuple(parse(t, vars=vars) for t in r) for v, r in spec.items()
+        }
+        for _ in range(8):
+            p = MultiPoly(
+                vars,
+                {
+                    tuple(rng.randint(0, 3) for _ in vars): _rational(rng)
+                    for _ in range(5)
+                },
+            )
+            out = substitute_fractions(p, fractions)
+            for _ in range(3):
+                pt = [_rational(rng) for _ in vars]
+                value = dict(zip(vars, pt))
+                scale = GaussianRational(1)
+                for v, r in fractions.items():
+                    a, b = (f.eval_exact(pt) for f in r)
+                    if b.is_zero():
+                        break
+                    value[v] = a / b
+                    scale = scale * b ** p.var_degree(v)
+                else:
+                    expected = scale * p.eval_exact([value[v] for v in vars])
+                    assert out.eval_exact(pt) == expected
+
+    def test_zero_and_constant(self):
+        vars = ("x", "y", "z")
+        pair = {"x": (parse("x", vars=vars), parse("1 - x", vars=vars))}
+        assert substitute_fractions(MultiPoly.zero(vars), pair).is_zero()
+        three = MultiPoly.constant(vars, 3)
+        assert substitute_fractions(three, pair) == three
 
 
 class TestPolydiskTransfer:
@@ -215,9 +269,8 @@ class TestPickQuotient:
     def test_reduction_preserves_values(self, linear3):
         from numideal.construct import pick_quotient
 
-        g = pick_quotient(linear3)
-        assert g.normalized
-        assert not g.den.is_zero()
+        num, den = pick_quotient(linear3)
+        assert den.content() == 1
         pbar = linear3.reflect()
         i = GaussianRational(0, 1)
         rng = random.Random(9)
@@ -232,30 +285,30 @@ class TestPickQuotient:
             if denom.is_zero():
                 continue
             direct = i * (linear3.eval_exact(pt) + pbar.eval_exact(pt)) / denom
-            assert g.eval_exact(pt) == direct
+            assert num.eval_exact(pt) / den.eval_exact(pt) == direct
 
     def test_maps_into_upper_half_plane(self, linear3):
         from numideal.construct import pick_quotient
 
-        g = pick_quotient(linear3)
+        num, den = pick_quotient(linear3)
         rng = random.Random(15)
         for _ in range(50):
             pt = [
                 complex(rng.uniform(-0.4, 0.4), rng.uniform(1e-3, 0.4))
                 for _ in range(3)
             ]
-            val = g.num.eval_complex(pt) / g.den.eval_complex(pt)
+            val = num.eval_complex(pt) / den.eval_complex(pt)
             assert val.imag > -1e-12
 
     def test_real_on_real_points(self, linear3):
         from numideal.construct import pick_quotient
 
-        g = pick_quotient(linear3)
-        val = g.eval_exact(
-            (GaussianRational(Fraction(1, 3)), GaussianRational(Fraction(1, 5)),
-             GaussianRational(Fraction(2, 7)))
+        num, den = pick_quotient(linear3)
+        pt = (
+            GaussianRational(Fraction(1, 3)), GaussianRational(Fraction(1, 5)),
+            GaussianRational(Fraction(2, 7)),
         )
-        assert val.is_real()
+        assert (num.eval_exact(pt) / den.eval_exact(pt)).is_real()
 
 
 class TestRandomStable:

@@ -10,6 +10,7 @@ from numideal.construct import (
     normalize_z_coefficient,
     polydisk_to_halfplane,
     random_stable_polynomial,
+    substitute_fractions,
 )
 from numideal.engine import (
     CaseTag,
@@ -20,6 +21,7 @@ from numideal.engine import (
     numerator_ideal,
 )
 from numideal.errors import NoMonomializationFound, PreconditionError
+from numideal.examples import EXAMPLES
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
 from numideal.poly import MultiPoly, pseudo_remainder
@@ -476,32 +478,68 @@ def test_pseudo_remainder_is_the_linear_reduction(nonisolated, factors):
     assert verdict is Verdict.IN_IDEAL
 
 
-def _rescale(poly, a, b):
-    """poly(a*x, b*y, ...)."""
-    return MultiPoly(
-        poly.vars,
-        {e: c * (a ** e[0]) * (b ** e[1]) for e, c in poly.terms.items()},
-    )
+# maps that fix 0 and keep stability, as the pairs `substitute_fractions`
+# takes: a real Moebius map v -> v/(1 - c*v) of x or of z, or a linear map
+# of (x, y) with nonnegative entries and nonzero determinant
+X_MAPS = [{"x": ("x", "1 - x")}, {"x": ("x", "1 + 1/2*x")}, {"x": ("x", "1 - 3*x")}]
+Z_MAPS = [{"z": ("z", "1 - z")}, {"z": ("z", "1 + 2*z")}, {"z": ("z", "1 - 1/3*z")}]
+LINEAR_MAPS = [
+    {"x": ("x + 2*y", "1")},
+    {"x": ("x + 1/2*y", "1"), "y": ("3*x + y", "1")},
+    {"y": ("1/4*x + y", "1")},
+    {"x": ("3/2*x", "1"), "y": ("1/4*y", "1")},
+    {"x": ("2*x", "1"), "y": ("4*y", "1")},
+    {"x": ("4*x", "1"), "y": ("1/2*y", "1")},
+]
+TRANSPORT_CHECKS = [text for text, _ in DEGENERATE_CHECKS] + [
+    "1", "x", "z", "x + y", "x - y", "x^2", "x*y", "x + y + z", "x^2*z^3",
+]
 
 
-class TestRescaledDegenerate:
-    """x -> a*x, y -> b*y with a, b > 0 keeps stability and maps bounded
-    q/p to bounded q/p, so case, K and every verdict carry over."""
+def _transport(poly, spec):
+    """poly under the map spec with its denominators cleared: q~ / p~ is a
+    unit at 0 times (q/p) composed with the map, so boundedness carries over."""
 
-    @pytest.mark.parametrize(
-        "a, b",
-        [(Fraction(3, 2), Fraction(1, 4)), (Fraction(2), Fraction(4)), (Fraction(4), Fraction(1, 2))],
-    )
-    def test_transported_case_and_verdicts(self, degenerate, a, b):
-        p = _rescale(degenerate, a, b)
+    fractions = {
+        v: tuple(parse(text, vars=poly.vars) for text in r) for v, r in spec.items()
+    }
+    return substitute_fractions(poly, fractions)
+
+
+def _transport_cases():
+    for name in ("linear3", "degenerate", "p2", "nonisolated"):
+        # a Moebius map of x bends nonisolated's zero line of Im phi into a
+        # curve, which no linear frame monomializes yet
+        x_maps = [] if name == "nonisolated" else X_MAPS
+        for spec in x_maps + Z_MAPS + LINEAR_MAPS:
+            label = ", ".join(f"{v} -> ({a})/({b})" for v, (a, b) in spec.items())
+            yield pytest.param(name, spec, id=f"{name}: {label}")
+
+
+class TestTransport:
+    """A map that fixes 0 and keeps stability carries the case, L_or_K and
+    every verdict over to the transported p and numerators; on degenerate
+    the verdicts are the bounded flags of DEGENERATE_CHECKS."""
+
+    @pytest.mark.parametrize("name, spec", _transport_cases())
+    def test_case_and_verdicts_carry_over(self, name, spec):
+        p = EXAMPLES[name]()
         desc = numerator_ideal(p)
-        assert desc.case is CaseTag.ISOLATED_DEGENERATE
-        assert desc.L_or_K == 4
-        for text, bounded in DEGENERATE_CHECKS:
-            q = _rescale(parse(text, vars=p.vars), a, b)
-            v = membership(p, q, ideal=desc)
-            expect = Verdict.IN_IDEAL if bounded else Verdict.NOT_IN_IDEAL
-            assert v.verdict is expect, text
+        moved = _transport(p, spec)
+        moved_desc = numerator_ideal(moved)
+        assert (moved_desc.case, moved_desc.L_or_K) == (desc.case, desc.L_or_K)
+        bounded = dict(DEGENERATE_CHECKS) if name == "degenerate" else {}
+        verdicts = set()
+        for text in TRANSPORT_CHECKS:
+            q = parse(text, vars=p.vars)
+            v = membership(p, q, ideal=desc).verdict
+            w = membership(moved, _transport(q, spec), ideal=moved_desc).verdict
+            assert w is v, text
+            if text in bounded:
+                expect = Verdict.IN_IDEAL if bounded[text] else Verdict.NOT_IN_IDEAL
+                assert v is expect, text
+            verdicts.add(v)
+        assert verdicts == {Verdict.IN_IDEAL, Verdict.NOT_IN_IDEAL}
 
     @pytest.mark.parametrize(
         "a, b",
@@ -519,12 +557,13 @@ class TestRescaledDegenerate:
         # the ideal solves phi through K = 4 at least, and every monomial of
         # degree > K lies in the polyhedron, so the truncation of q(x, -H)
         # never decides a verdict
-        p = _rescale(degenerate, Fraction(a), Fraction(b))
+        scaling = {"x": (f"{a}*x", "1"), "y": (f"{b}*y", "1")}
+        p = _transport(degenerate, scaling)
         descs = {order: numerator_ideal(p, order=order) for order in (1, 2, 4, 12)}
         assert {d.branch.phi.order for d in descs.values()} == {4, 12}
         texts = [text for text, _ in DEGENERATE_CHECKS] + ["z", "x^2*z^3"]
         for text in texts:
-            q = _rescale(parse(text, vars=p.vars), Fraction(a), Fraction(b))
+            q = _transport(parse(text, vars=p.vars), scaling)
             verdicts = [
                 membership(p, q, order=order, ideal=desc)
                 for order, desc in descs.items()

@@ -8,7 +8,6 @@ import pytest
 
 from numideal.branch import BranchSolution, PhiClassification, PhiKind
 from numideal.closure import MonomialIdealIC
-from numideal.construct import RationalFunction
 from numideal.engine import CaseTag, IdealDescription, MembershipVerdict, Verdict
 from numideal.forms import HomogeneousForm
 from numideal.gaussian import GaussianRational
@@ -55,7 +54,6 @@ FROZEN = [
         {},
     ),
     (HomogeneousForm, {"degree": 1, "coeffs": (Fraction(1), Fraction(2))}, {}),
-    (RationalFunction, {"num": X, "den": Y, "normalized": True}, {"normalized": False}),
     (
         PuiseuxBranch,
         {"r": 2, "psi": PHI, "multiplicity": 3, "conjugate_partner": 1, "resolved": False},
