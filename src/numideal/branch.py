@@ -31,10 +31,6 @@ class BranchSolution(Frozen):
 
     __slots__ = ("phi", "grad0")
 
-    def __init__(self, phi: TruncatedSeries, grad0: tuple):
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "grad0", grad0)
-
 
 class PhiKind(Enum):
     ALL_REAL_UP_TO_ORDER = "AllRealUpToOrder"
@@ -44,7 +40,8 @@ class PhiKind(Enum):
 class PhiClassification(Frozen):
     """The first non-real homogeneous term Im phi_2L of phi, if any, and its
     sign; definite_exact is False only where that sign was sampled
-    (2L >= 4, d >= 3)."""
+    (2L >= 4, d >= 3).  L, the MultiPoly im_part_2L and definite are None
+    for ALL_REAL_UP_TO_ORDER."""
 
     __slots__ = (
         "kind",
@@ -55,24 +52,10 @@ class PhiClassification(Frozen):
         "zero_gradient_components",
         "definite_exact",
     )
-
-    def __init__(
-        self,
-        kind: PhiKind,
-        order_checked: int,
-        L: int | None = None,
-        im_part_2L: MultiPoly | None = None,
-        definite: bool | None = None,
-        zero_gradient_components: tuple = (),
-        definite_exact: bool = True,
-    ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "order_checked", order_checked)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "im_part_2L", im_part_2L)
-        object.__setattr__(self, "definite", definite)
-        object.__setattr__(self, "zero_gradient_components", zero_gradient_components)
-        object.__setattr__(self, "definite_exact", definite_exact)
+    _defaults = {
+        "L": None, "im_part_2L": None, "definite": None,
+        "zero_gradient_components": (), "definite_exact": True,
+    }
 
 
 def solve_branch(p: MultiPoly, order: int) -> BranchSolution:

@@ -31,22 +31,6 @@ class MonomialIdealIC(Frozen):
 
     __slots__ = ("change", "inverse", "newton_points", "halfspaces", "u_min", "v_min")
 
-    def __init__(
-        self,
-        change: tuple,
-        inverse: tuple,
-        newton_points: tuple,
-        halfspaces: tuple,
-        u_min: int,
-        v_min: int,
-    ):
-        object.__setattr__(self, "change", change)
-        object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(self, "newton_points", newton_points)
-        object.__setattr__(self, "halfspaces", halfspaces)
-        object.__setattr__(self, "u_min", u_min)
-        object.__setattr__(self, "v_min", v_min)
-
     def contains_exponent(self, a: int, b: int) -> bool:
         if a < self.u_min or b < self.v_min:
             return False
@@ -251,7 +235,8 @@ def ic_membership(q: MultiPoly, ic: MonomialIdealIC):
             if h0 < m:
                 best = (m - h0, wu, wv, m, h0)
                 break
-    assert best is not None, "violated exponent without separating weight"
+    if best is None:
+        raise AssertionError("violated exponent without separating weight")
     _, wu, wv, m, h0 = best
     # leading coefficient along u = lu s^wu, v = lv s^wv must be nonzero
     level = MultiPoly(

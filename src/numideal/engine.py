@@ -33,7 +33,7 @@ import random
 from enum import Enum
 from fractions import Fraction
 
-from .branch import BranchSolution, PhiClassification, PhiKind, classify, solve_branch
+from .branch import PhiKind, classify, solve_branch
 from .errors import PreconditionError, SanityViolation
 from .forms import p_gcd
 from .gaussian import GaussianRational
@@ -87,30 +87,8 @@ class IdealDescription(Record):
         "linear_form",
         "reducer",
     )
-
-    def __init__(
-        self,
-        case: CaseTag,
-        generators: list,
-        H: MultiPoly,
-        L_or_K: int,
-        g: MultiPoly | None,
-        branch: BranchSolution | None = None,
-        classification: PhiClassification | None = None,
-        ic=None,
-        linear_form: MultiPoly | None = None,
-        reducer: MultiPoly | None = None,
-    ):
-        self.case = case
-        self.generators = generators
-        self.H = H
-        self.L_or_K = L_or_K
-        self.g = g
-        self.branch = branch
-        self.classification = classification
-        self.ic = ic
-        self.linear_form = linear_form
-        self.reducer = reducer
+    # the diagnostics default to None
+    _defaults = dict.fromkeys(__slots__[5:])
 
     def to_json_dict(self) -> dict:
         return {
@@ -123,19 +101,10 @@ class IdealDescription(Record):
 
 
 class MembershipVerdict(Record):
-    __slots__ = ("verdict", "reduced_numerator", "witness", "certificate")
+    """witness (NotInIdeal) and certificate (InIdeal) are dicts, or None."""
 
-    def __init__(
-        self,
-        verdict: Verdict,
-        reduced_numerator: MultiPoly | None,
-        witness: dict | None = None,
-        certificate: dict | None = None,
-    ):
-        self.verdict = verdict
-        self.reduced_numerator = reduced_numerator
-        self.witness = witness
-        self.certificate = certificate
+    __slots__ = ("verdict", "reduced_numerator", "witness", "certificate")
+    _defaults = {"witness": None, "certificate": None}
 
 
 def _monomials_of_degree(vars, degree):
@@ -285,8 +254,10 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
     the Newton polygon that `monomialize` gives the comparable g, once:
     `_zero_line` reads LinearForm off it, `_isolated_exponent` the rest.
     """
-    if len(p.vars) < 2 or p.vars[-1] != "z":
+    if p.vars[-1:] != ("z",):
         raise PreconditionError("p must involve z as its distinguished variable")
+    if len(p.vars) < 2:
+        raise PreconditionError("p must involve at least one x-variable besides z")
     _stability_spot_check(p, seed=seed)
     sol = solve_branch(p, order)
     cls = classify(sol, seed=seed)

@@ -360,10 +360,6 @@ class HomogeneousForm(Frozen):
 
     __slots__ = ("degree", "coeffs")
 
-    def __init__(self, degree: int, coeffs: tuple):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
-
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "HomogeneousForm":
         if len(p.vars) != 2:

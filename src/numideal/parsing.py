@@ -79,6 +79,11 @@ def _tokenize(text: str):
     return tokens
 
 
+def _shown(kind, value) -> str:
+    """A token as a parse error names it."""
+    return "end of input" if kind == "end" else repr(str(value))
+
+
 class _Parser:
     def __init__(self, tokens, vars):
         self.tokens = tokens
@@ -91,7 +96,9 @@ class _Parser:
     def take(self, kind=None):
         tok = self.tokens[self.k]
         if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+            expected = "end of input" if kind == "end" else kind
+            found = _shown(tok[0], tok[1])
+            raise ParseError(f"expected {expected}, found {found}", tok[2])
         self.k += 1
         return tok
 
@@ -146,7 +153,7 @@ class _Parser:
         if kind == "-":
             self.take()
             return -self.parse_atom()
-        raise ParseError(f"unexpected token {value!r}", pos)
+        raise ParseError(f"unexpected token {_shown(kind, value)}", pos)
 
 
 def parse(text: str, vars=None) -> MultiPoly:

@@ -83,23 +83,11 @@ class PuiseuxBranch(Frozen):
 
     psi is a truncated series in t = x^(1/r); branch conventions fix
     x^(1/r) > 0 for x > 0 and x^(1/r) = |x|^(1/r) exp(i*pi/r) for x < 0.
+    conjugate_partner is the list index of the conjugate class, or None.
     """
 
     __slots__ = ("r", "psi", "multiplicity", "conjugate_partner", "resolved")
-
-    def __init__(
-        self,
-        r: int,
-        psi: TruncatedSeries,
-        multiplicity: int = 1,
-        conjugate_partner: int | None = None,
-        resolved: bool = True,
-    ):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "conjugate_partner", conjugate_partner)
-        object.__setattr__(self, "resolved", resolved)
+    _defaults = {"multiplicity": 1, "conjugate_partner": None, "resolved": True}
 
     def coeff(self, m: int) -> GaussianRational:
         return self.psi.poly.coefficient((m,))
@@ -442,15 +430,6 @@ class BranchExponents(Frozen):
 
     __slots__ = ("r", "multiplicity", "m_plus", "m_minus", "m_max")
 
-    def __init__(
-        self, r: int, multiplicity: int, m_plus: tuple, m_minus: tuple, m_max: tuple
-    ):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "m_plus", m_plus)
-        object.__setattr__(self, "m_minus", m_minus)
-        object.__setattr__(self, "m_max", m_max)
-
     @property
     def k_j(self) -> int:
         return sum(m + 1 for m in self.m_max)
@@ -556,28 +535,12 @@ class ComparablePolynomial(Record):
 
     K is the sharp integer exponent used downstream to truncate Taylor
     polynomials; K_bound = sum of the per-branch k_j is the coarser additive
-    bound from the factorwise estimate, kept for cross-checking.
+    bound from the factorwise estimate, kept for cross-checking.  K_sharp
+    is the Fraction that K rounds up, or None.
     """
 
     __slots__ = ("g", "K", "K_sharp", "K_bound", "branch_data", "N_used", "shortcut")
-
-    def __init__(
-        self,
-        g: MultiPoly,
-        K: int,
-        K_sharp: Fraction | None,
-        K_bound: int | None,
-        branch_data: list,
-        N_used: int,
-        shortcut: str | None = None,
-    ):
-        self.g = g
-        self.K = K
-        self.K_sharp = K_sharp
-        self.K_bound = K_bound
-        self.branch_data = branch_data
-        self.N_used = N_used
-        self.shortcut = shortcut
+    _defaults = {"shortcut": None}
 
 
 # circles (radii, points per circle) on which comparable_polynomial checks

@@ -1,14 +1,32 @@
 """Value semantics for the package's result types.
 
-A result type lists its fields in `__slots__`, in constructor order, and
-sets them in an explicit `__init__`.  `Record` gives it equality by value
-and a repr of those fields; `Frozen` also refuses assignment, so its
-`__init__` sets fields with `object.__setattr__`, and hashes by value.
+A result type lists its fields in `__slots__` and the defaults of trailing
+fields in `_defaults`.  `Record` gives it one constructor, which takes the
+fields in `__slots__` order by position or by keyword, equality by value
+and a repr of those fields; `Frozen` also refuses assignment and hashes by
+value.  The constructor sets fields with `object.__setattr__`, so it serves
+both.  `dataclasses` would pull `inspect` into every start of the CLI.
 """
 
 
 class Record:
     __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes at most {len(names)} fields")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args) :]:
+            if name not in kwargs and name not in cls._defaults:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+            object.__setattr__(self, name, kwargs.pop(name, cls._defaults.get(name)))
+        for name in kwargs:
+            problem = "multiple values for" if name in names else "an unexpected"
+            raise TypeError(f"{cls.__name__}() got {problem} field {name!r}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

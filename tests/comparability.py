@@ -16,15 +16,10 @@ SPREAD_LIMIT = 1e12
 
 
 class ComparabilityResult(Record):
-    """intervals holds the per-radius (min, max) of g/f."""
+    """intervals holds the per-radius (min, max) of g/f; fail is a bool and
+    reason a str or None."""
 
     __slots__ = ("radii", "intervals", "fail", "reason")
-
-    def __init__(self, radii: list, intervals: list, fail: bool, reason: str | None):
-        self.radii = radii
-        self.intervals = intervals
-        self.fail = fail
-        self.reason = reason
 
     @property
     def overall(self):

@@ -109,6 +109,34 @@ class TestAnalyze:
         assert res.returncode == 2
         assert "error" in res.stderr
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["analyze", "z"], "p must involve at least one x-variable besides z"),
+            (["member", "z", "1"], "p must involve at least one x-variable besides z"),
+            (["analyze", "x + y"], "p must involve z as its distinguished variable"),
+            (["member", "x + y", "1"], "p must involve z as its distinguished variable"),
+        ],
+    )
+    def test_variables_of_p_exit_2(self, capsys, args, message):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x +", "unexpected token end of input (at position 3)"),
+            ("(x", "expected ), found end of input (at position 2)"),
+            ("", "unexpected token end of input (at position 0)"),
+            ("x 2", "expected end of input, found '2' (at position 2)"),
+        ],
+    )
+    def test_parse_error_at_end_of_input_exit_1(self, capsys, text, message):
+        assert main(["analyze", text]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"parse error: {message}\n" and captured.out == ""
+
     def test_unreadable_file_is_a_parse_error(self, tmp_path):
         missing = tmp_path / "missing.txt"
         res = run_cli("analyze", f"@{missing}")

@@ -2,7 +2,9 @@
 graph is visible at import time, except where a command or a case loads a
 heavy module only when it needs it; closure and construct do not depend on
 puiseux, the CLI starts without puiseux, construct, closure and
-dataclasses, and every name the benchmark's tracer wraps exists."""
+dataclasses, and every name the benchmark's tracer wraps exists.  No module
+uses an `assert` statement, which `python -O` strips: internal checks raise
+`AssertionError` themselves."""
 
 import ast
 import importlib
@@ -123,6 +125,16 @@ def test_no_module_imports_dataclasses():
                 continue
             if "dataclasses" in modules:
                 found.append(path.name)
+    assert found == []
+
+
+def test_no_module_uses_assert_statements():
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
     assert found == []
 
 

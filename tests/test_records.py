@@ -1,6 +1,7 @@
 """Value semantics of the public result types: construction by position and
 by keyword with the documented defaults, equality by value, immutability
-and hashing of the frozen ones, and assignment to the mutable ones."""
+and hashing of the frozen ones, assignment to the mutable ones, and the
+TypeError of a call that does not fit the fields."""
 
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from numideal.gaussian import GaussianRational
 from numideal.parsing import parse
 from numideal.poly import TruncatedSeries
 from numideal.puiseux import BranchExponents, ComparablePolynomial, PuiseuxBranch
+from numideal.record import Record
 
 X = parse("x + 2*y", vars=("x", "y"))
 Y = parse("x*y", vars=("x", "y"))
@@ -170,3 +172,38 @@ def test_mutable_records_take_assignment_and_do_not_hash(cls, fields, defaults):
     assert record != cls(**fields)
     with pytest.raises(TypeError):
         hash(record)
+
+
+@pytest.mark.parametrize("cls, fields, defaults", ALL, ids=_ids(ALL))
+def test_unknown_keyword_raises_type_error(cls, fields, defaults):
+    with pytest.raises(TypeError):
+        cls(**fields, no_such_field=None)
+
+
+@pytest.mark.parametrize("cls, fields, defaults", ALL, ids=_ids(ALL))
+def test_field_given_twice_raises_type_error(cls, fields, defaults):
+    name, value = next(iter(fields.items()))
+    with pytest.raises(TypeError):
+        cls(*fields.values(), **{name: value})
+
+
+@pytest.mark.parametrize("cls, fields, defaults", ALL, ids=_ids(ALL))
+def test_too_many_positional_arguments_raise_type_error(cls, fields, defaults):
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_records_share_one_constructor():
+    # TruncatedSeries keeps its own: it truncates poly to order
+    own = {
+        cls.__name__
+        for cls in _subclasses(Record)
+        if cls.__module__.startswith("numideal.") and "__init__" in vars(cls)
+    }
+    assert own == {"TruncatedSeries"}
