@@ -11,7 +11,7 @@ from enum import Enum
 
 from .errors import PreconditionError, SanityViolation
 from .forms import (
-    HomogeneousForm,
+    binary_form,
     is_nonnegative,
     is_positive_definite,
     quadratic_form_sign,
@@ -101,9 +101,9 @@ def classify(sol: BranchSolution, seed: int = 0):
     gradient components.  Any failure raises SanityViolation with a witness.
 
     Nonnegativity and definiteness of Im phi_2L are exact in one variable
-    (sign test), in two (Sturm on the binary form) and for 2L = 2 in any
-    number (LDL^T of the Gram matrix, with a rational negative direction as
-    witness).  Only 2L >= 4 in three or more x-variables samples unit
+    (sign test), in two (Sturm on the binary form, and Yun only for a form
+    that is not definite) and for 2L = 2 in any number (LDL^T of the Gram
+    matrix, with a rational negative direction as witness).  Only 2L >= 4 in three or more x-variables samples unit
     directions with `seed`; the result then has definite_exact False.
     """
     phi = sol.phi
@@ -133,13 +133,9 @@ def classify(sol: BranchSolution, seed: int = 0):
                     witness=(zero_components, exps, coeff),
                 )
 
-    parts = phi.poly.homogeneous_parts()
-    first_imag = None
-    for deg in sorted(parts):
-        if not parts[deg].is_real():
-            first_imag = deg
-            break
-
+    first_imag = min(
+        (sum(e) for e, c in phi.poly.terms.items() if c.im), default=None
+    )
     if first_imag is None:
         return PhiClassification(
             PhiKind.ALL_REAL_UP_TO_ORDER,
@@ -147,13 +143,13 @@ def classify(sol: BranchSolution, seed: int = 0):
             zero_gradient_components=zero_components,
         )
 
+    part = phi.poly.homogeneous_part(first_imag)
     if first_imag % 2 == 1:
         raise SanityViolation(
-            f"first non-real homogeneous index {first_imag} is odd",
-            witness=parts[first_imag],
+            f"first non-real homogeneous index {first_imag} is odd", witness=part
         )
 
-    im_part = parts[first_imag].imag_part()
+    im_part = part.imag_part()
     definite_exact = True
     if d == 1:
         c = next(iter(im_part.terms.values()))
@@ -163,9 +159,9 @@ def classify(sol: BranchSolution, seed: int = 0):
             )
         nonneg, definite = True, c.re > 0
     elif d == 2:
-        form = HomogeneousForm.from_poly(im_part)
-        nonneg = is_nonnegative(form)
-        definite = is_positive_definite(form)
+        c = binary_form(im_part)
+        definite = is_positive_definite(c)
+        nonneg = definite or is_nonnegative(c)
     elif first_imag == 2:
         witness, definite = quadratic_form_sign(im_part)
         if witness is not None:

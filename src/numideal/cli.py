@@ -1,8 +1,9 @@
 """Command-line front end: analyze, member, puiseux, examples, transform.
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 parse error, 2 precondition/out-of-scope failure; `member` exits 0 for
-InIdeal, 3 for NotInIdeal, 4 for Indeterminate.
+1 parse error, 2 precondition/out-of-scope failure, 141 stdout closed
+early (as under `| head`); `member` exits 0 for InIdeal, 3 for NotInIdeal,
+4 for Indeterminate.
 
 `puiseux` and `construct` are imported by the subcommands that use them,
 so `analyze` and `member` start without loading either.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .branch import PhiKind
@@ -248,7 +250,16 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # exit does not raise again, and exit as SIGPIPE would (128 + 13)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

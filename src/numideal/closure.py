@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import NoMonomializationFound, PreconditionError
-from .forms import HomogeneousForm, positive_on_reals, qi_roots
+from .forms import binary_form, is_positive_definite, qi_roots
 from .poly import MultiPoly, linear_change, newton_polygon
 from .record import Frozen
 
@@ -76,7 +76,7 @@ def _face_positive(face_terms: dict) -> bool:
         for (a, b), c in face_terms.items():
             poly[b - bmin] += c * eps**a
         # a real root is a vanishing face direction
-        if not positive_on_reals(poly):
+        if not is_positive_definite(poly):
             return False
     return True
 
@@ -103,7 +103,7 @@ def _candidate_lines(g: MultiPoly):
     lines = [(1, 0), (1, -1)]
     lowest = g.lowest_part()
     if not lowest.is_zero():
-        roots, _left = qi_roots(HomogeneousForm.from_poly(lowest).coeffs)
+        roots, _left = qi_roots(binary_form(lowest))
         for root, mult in roots:
             # direction (t, 1) kills the form: align u with x - t*y
             if root.is_real() and mult >= 2:

@@ -1,12 +1,13 @@
-"""Univariate algebra over Q and Q(i), and exact positivity of binary forms.
+"""Univariate algebra over Q and Q(i), and exact signs of real forms.
 
 A univariate polynomial is an ascending coefficient list whose entries are
 all Fraction or all GaussianRational.  The p_* helpers and Yun squarefree
 decomposition work on either; Sturm real-root counting needs Fraction
 entries.  qi_roots finds the roots in Q(i) of a polynomial over Q(i).
-Definiteness of a real homogeneous bivariate form is decided by real-root
-counting on its dehomogenization, nonnegativity by the parity of real-root
-multiplicities; the sign of a quadratic form in any number of variables by
+A real binary form is such a list c, c[k] multiplying x^k y^(n-k), which is
+also f(t, 1) in powers of t: is_positive_definite counts its real roots
+(Sturm), is_nonnegative checks the parity of their multiplicities (Yun).
+The sign of a quadratic form in any number of variables is decided by
 LDL^T of its Gram matrix over Q.  The numeric sampler of signs on the
 sphere lives here too; it serves forms of degree >= 4 in three or more
 variables only.
@@ -20,7 +21,6 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .gaussian import ONE, GaussianRational, gaussian_sqrt
 from .poly import MultiPoly
-from .record import Frozen
 
 # -- univariate polynomials: ascending coefficient lists over Q or Q(i) ----
 # A zero the helpers create takes the type of the divisor's leading
@@ -124,16 +124,6 @@ def count_real_roots(p) -> int:
     return low - high
 
 
-def positive_on_reals(p) -> bool:
-    """Whether p(t) > 0 on R with p[-1] > 0 (Fraction coefficients); exact.
-
-    Both ends of the coefficient list are positive and p has no real root:
-    the binary form sum_k p[k] x^k y^(n-k) is positive off the origin.  The
-    list is read unstripped, so a form vanishing at (1, 0) is not positive.
-    """
-    return p[0] > 0 and p[-1] > 0 and count_real_roots(p) == 0
-
-
 def yun_squarefree(p):
     """Yun decomposition: list of (squarefree factor, multiplicity)."""
     p = _strip(list(p))
@@ -155,21 +145,6 @@ def yun_squarefree(p):
         d = p_sub(c, p_derivative(b))
         k += 1
     return out
-
-
-def poly_nonneg_on_reals(p) -> bool:
-    """Exact decision of p(t) >= 0 for all real t."""
-    p = _strip(list(p))
-    if not p:
-        return True
-    if p[-1] < 0:
-        return False
-    if (len(p) - 1) % 2 == 1:
-        return False
-    for factor, mult in yun_squarefree(p):
-        if mult % 2 == 1 and count_real_roots(factor) > 0:
-            return False
-    return True
 
 
 # -- exact root finding over Q(i) -------------------------------------------
@@ -352,67 +327,52 @@ def qi_nth_root(c: GaussianRational, r: int):
     return min((rm[0] for rm in roots), key=lambda z: (-z.re, -z.im))
 
 
-# -- homogeneous bivariate forms -------------------------------------------
+# -- binary forms ------------------------------------------------------------
 
 
-class HomogeneousForm(Frozen):
-    """Real form of one degree; coeffs[k] multiplies x^k * y^(degree-k)."""
-
-    __slots__ = ("degree", "coeffs")
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "HomogeneousForm":
-        if len(p.vars) != 2:
-            raise PreconditionError("homogeneous form must be bivariate")
-        if not p.is_real():
-            raise PreconditionError("homogeneous form must have real coefficients")
-        deg = p.degree()
-        if deg < 0:
-            raise PreconditionError("zero form")
-        coeffs = [Fraction(0)] * (deg + 1)
-        for (a, b), c in p.terms.items():
-            if a + b != deg:
-                raise PreconditionError("polynomial is not homogeneous")
-            coeffs[a] = c.re
-        return cls(deg, tuple(coeffs))
-
-    def dehomogenized(self):
-        """f(1, t) as an ascending coefficient list in t."""
-        n = self.degree
-        out = [Fraction(0)] * (n + 1)
-        for k, c in enumerate(self.coeffs):
-            out[n - k] += c
-        return _strip(out)
-
-    def eval_float(self, x: float, y: float) -> float:
-        total = 0.0
-        n = self.degree
-        for k, c in enumerate(self.coeffs):
-            if c:
-                total += float(c) * x**k * y ** (n - k)
-        return total
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+def binary_form(p: MultiPoly) -> list:
+    """The coefficient list c of a nonzero real binary form p(x, y):
+    c[k] multiplies x^k * y^(n-k), so c is also p(t, 1) in powers of t."""
+    if len(p.vars) != 2:
+        raise PreconditionError("homogeneous form must be bivariate")
+    if not p.is_real():
+        raise PreconditionError("homogeneous form must have real coefficients")
+    deg = p.degree()
+    if deg < 0:
+        raise PreconditionError("zero form")
+    coeffs = [Fraction(0)] * (deg + 1)
+    for (a, b), c in p.terms.items():
+        if a + b != deg:
+            raise PreconditionError("polynomial is not homogeneous")
+        coeffs[a] = c.re
+    return coeffs
 
 
-def is_positive_definite(f: HomogeneousForm) -> bool:
-    """True iff f > 0 on the unit circle; exact."""
-    if f.is_zero():
-        raise PreconditionError("zero form has no definiteness")
-    # coeffs is f(t, 1) in ascending powers of t
-    return positive_on_reals(f.coeffs)
+def is_positive_definite(c) -> bool:
+    """Whether the real binary form with coefficient list c is positive off
+    the origin; exact.
+
+    Both end coefficients are positive, so the form does not vanish at
+    (1, 0) or (0, 1), and c(t) has no real root.  The list is read
+    unstripped: a form vanishing at (1, 0) is not positive.
+    """
+    return c[0] > 0 and c[-1] > 0 and count_real_roots(c) == 0
 
 
-def is_nonnegative(f: HomogeneousForm) -> bool:
-    """True iff f >= 0 on R^2; exact via root-multiplicity parity."""
-    if f.is_zero():
+def is_nonnegative(c) -> bool:
+    """Whether the real binary form with coefficient list c is >= 0 on R^2;
+    exact.  The zero form is; otherwise its degree is even, c(t) has a
+    positive leading coefficient and no Yun factor of odd multiplicity has
+    a real root.  The root at (1, 0), trailing zeros of c, is then even."""
+    p = _strip(list(c))
+    if not p:
         return True
-    if f.degree % 2 == 1:
+    if (len(c) - 1) % 2 == 1 or p[-1] < 0:
         return False
-    if f.coeffs[0] < 0 or f.coeffs[-1] < 0:
-        return False
-    return poly_nonneg_on_reals(f.dehomogenized())
+    return all(
+        mult % 2 == 0 or count_real_roots(factor) == 0
+        for factor, mult in yun_squarefree(p)
+    )
 
 
 # -- quadratic forms in any number of variables -----------------------------

@@ -93,12 +93,13 @@ class _Parser:
     def peek(self):
         return self.tokens[self.k]
 
-    def take(self, kind=None):
+    def take(self, kind=None, expected=None):
+        """The next token, which must be of `kind` when one is given;
+        `expected` names it in the error, in place of the kind."""
         tok = self.tokens[self.k]
         if kind is not None and tok[0] != kind:
-            expected = "end of input" if kind == "end" else kind
             found = _shown(tok[0], tok[1])
-            raise ParseError(f"expected {expected}, found {found}", tok[2])
+            raise ParseError(f"expected {expected or kind}, found {found}", tok[2])
         self.k += 1
         return tok
 
@@ -125,7 +126,7 @@ class _Parser:
         base = self.parse_atom()
         if self.peek()[0] == "^":
             self.take()
-            tok = self.take("num")
+            tok = self.take("num", "a non-negative integer exponent")
             exp = tok[1]
             if exp.denominator != 1 or exp < 0:
                 raise ParseError("exponent must be a non-negative integer", tok[2])
@@ -168,7 +169,7 @@ def parse(text: str, vars=None) -> MultiPoly:
         vars = tuple(v for v in VAR_PRIORITY if v in seen)
     parser = _Parser(tokens, tuple(vars))
     poly = parser.parse_expr()
-    parser.take("end")
+    parser.take("end", "end of input")
     return poly
 
 

@@ -221,15 +221,6 @@ class MultiPoly:
             self.vars, {e: c for e, c in self.terms.items() if sum(e) == k}
         )
 
-    def homogeneous_parts(self) -> dict:
-        """Map degree -> homogeneous component (only nonzero ones)."""
-        buckets: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            buckets.setdefault(sum(e), {})[e] = c
-        return {
-            d: MultiPoly._from_terms(self.vars, t) for d, t in sorted(buckets.items())
-        }
-
     def lowest_part(self) -> "MultiPoly":
         d = self.min_degree()
         if d is None:

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError, TruncationError
-from .forms import HomogeneousForm, is_positive_definite, qi_nth_root, qi_roots
+from .forms import binary_form, is_positive_definite, qi_nth_root, qi_roots
 from .gaussian import GaussianRational
 from .poly import (
     MultiPoly,
@@ -581,8 +581,7 @@ def comparable_polynomial(f: TruncatedSeries) -> ComparablePolynomial:
     _check_positive_samples(lambda x, y: poly.eval_complex((x, y)).real, _SAMPLE_RADII)
 
     lowest = poly.lowest_part()
-    form = HomogeneousForm.from_poly(lowest)
-    if is_positive_definite(form):
+    if is_positive_definite(binary_form(lowest)):
         return ComparablePolynomial(
             g=lowest,
             K=lowest.degree(),

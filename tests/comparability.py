@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 
 from numideal.errors import PreconditionError
-from numideal.forms import HomogeneousForm
+from numideal.poly import MultiPoly
 from numideal.record import Record
 
 #: relative spread beyond which two evaluators are declared incomparable
@@ -99,10 +99,11 @@ def comparability_ratio(f, g, radii, n_angles: int = 256) -> ComparabilityResult
     return ComparabilityResult(radii, intervals, fail, reason)
 
 
-def sampled_circle_min(f: HomogeneousForm, n_points: int = 10_000) -> float:
-    """Brute-force minimum of a form over a dense circle grid (float oracle)."""
+def sampled_circle_min(f: MultiPoly, n_points: int = 10_000) -> float:
+    """Brute-force minimum of a real binary form over a dense circle grid
+    (float oracle)."""
     best = math.inf
     for k in range(n_points):
         a = 2 * math.pi * k / n_points
-        best = min(best, f.eval_float(math.cos(a), math.sin(a)))
+        best = min(best, f.eval_complex((math.cos(a), math.sin(a))).real)
     return best

@@ -27,7 +27,7 @@ from numideal.engine import (
     numerator_ideal,
 )
 from numideal.examples import p2 as iterated2
-from numideal.forms import HomogeneousForm, is_positive_definite
+from numideal.forms import binary_form, is_positive_definite
 from numideal.parsing import format_poly, parse
 from numideal.poly import MultiPoly
 
@@ -225,8 +225,8 @@ def test_criterion_7_property_suites(linear3, nonisolated, degenerate):
         p = MultiPoly(("x", "y"), terms)
         if p.is_zero():
             continue
-        form = HomogeneousForm.from_poly(p)
-        assert is_positive_definite(form) == (sampled_circle_min(form, 10_000) > 0)
+        verdict = is_positive_definite(binary_form(p))
+        assert verdict == (sampled_circle_min(p, 10_000) > 0)
         checked += 1
 
     # (d) oracle/symbolic agreement on all worked (p, q) pairs

@@ -28,20 +28,20 @@ def residual_order(p, sol):
 class TestSolveBranch:
     def test_linear3_phi_to_order_three(self, linear3):
         sol = solve_branch(linear3, 3)
-        parts = sol.phi.poly.homogeneous_parts()
-        assert parts[1] == parse("x + y", vars=("x", "y"))
-        assert parts[2] == parse("2*i*(x^2 + x*y + y^2)", vars=("x", "y"))
+        part = sol.phi.poly.homogeneous_part
+        assert part(1) == parse("x + y", vars=("x", "y"))
+        assert part(2) == parse("2*i*(x^2 + x*y + y^2)", vars=("x", "y"))
         assert sol.grad0 == (GaussianRational(1), GaussianRational(1))
 
     def test_degenerate_phi_leading_parts(self, degenerate):
         sol = solve_branch(degenerate, 4)
-        parts = sol.phi.poly.homogeneous_parts()
-        assert parts[1] == parse("1/2*(x + y)", vars=("x", "y"))
-        assert parts[2] == parse("1/4*i*(x - y)^2", vars=("x", "y"))
-        assert parts[3] == parse(
+        part = sol.phi.poly.homogeneous_part
+        assert part(1) == parse("1/2*(x + y)", vars=("x", "y"))
+        assert part(2) == parse("1/4*i*(x - y)^2", vars=("x", "y"))
+        assert part(3) == parse(
             "1/8*(x^3 + 7*x^2*y + 7*x*y^2 + y^3)", vars=("x", "y")
         )
-        assert parts[4] == parse(
+        assert part(4) == parse(
             "1/16*i*(9*x^2 - 2*x*y + 9*y^2)*(x + y)^2", vars=("x", "y")
         )
 

@@ -1,6 +1,7 @@
 """CLI commands, exit codes, JSON schema, determinism, golden files."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -130,6 +131,15 @@ class TestAnalyze:
             ("(x", "expected ), found end of input (at position 2)"),
             ("", "unexpected token end of input (at position 0)"),
             ("x 2", "expected end of input, found '2' (at position 2)"),
+            (
+                "x^y",
+                "expected a non-negative integer exponent, found 'y' (at position 2)",
+            ),
+            (
+                "x^",
+                "expected a non-negative integer exponent,"
+                " found end of input (at position 2)",
+            ),
         ],
     )
     def test_parse_error_at_end_of_input_exit_1(self, capsys, text, message):
@@ -363,6 +373,23 @@ class TestExamples:
     def test_unknown_name(self):
         res = run_cli("examples", "--name", "nope")
         assert res.returncode == 1
+
+    def test_closed_stdout_exits_quietly(self):
+        # stdout is a pipe whose reader is gone, as under `| head`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "numideal.cli", "examples"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert res.returncode == 141
+        assert "Traceback" not in res.stderr
+        assert "Exception ignored" not in res.stderr
 
 
 class TestTransform:

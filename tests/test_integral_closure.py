@@ -17,7 +17,7 @@ from numideal.closure import (
 )
 from numideal.engine import numerator_ideal
 from numideal.errors import NoMonomializationFound
-from numideal.forms import HomogeneousForm, qi_roots
+from numideal.forms import binary_form, qi_roots
 from numideal.gaussian import GaussianRational, gaussian_sqrt
 from numideal.parsing import format_poly, parse
 from numideal.poly import MultiPoly
@@ -115,7 +115,7 @@ def _earlier_frames(g):
     x -+ y, x +- y, the frames of the repeated rational roots of the lowest
     form, then the rational eigenframes of the quadratic part."""
     frames = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, -1), (1, 1)), ((1, 1), (1, -1))]
-    roots, _ = qi_roots(HomogeneousForm.from_poly(g.lowest_part()).coeffs)
+    roots, _ = qi_roots(binary_form(g.lowest_part()))
     for root, mult in roots:
         if root.is_real() and mult >= 2:
             num, den = root.re.numerator, root.re.denominator

@@ -163,20 +163,21 @@ class TestSeriesOperators:
             assert p.imag_part().eval_exact(pt) == GaussianRational(whole.im)
             assert p.real_part().eval_exact(pt) == GaussianRational(whole.re)
 
-    def test_homogeneous_parts_partition(self):
+    def test_homogeneous_part_partition(self):
         rng = random.Random(19)
         for _ in range(20):
             p = rand_poly(rng)
-            parts = p.homogeneous_parts()
             total = MultiPoly.zero(p.vars)
-            for d, part in parts.items():
-                assert part.degree() == part.min_degree() == d
+            for d in range(p.degree() + 1):
+                part = p.homogeneous_part(d)
+                assert part.is_zero() or part.degree() == part.min_degree() == d
                 total = total + part
             assert total == p
 
     def test_homogeneous_input_single_part(self):
         p = parse("x*y + y^2", vars=("x", "y"))
-        assert list(p.homogeneous_parts()) == [2]
+        assert p.homogeneous_part(2) == p
+        assert p.homogeneous_part(1).is_zero() and p.homogeneous_part(3).is_zero()
 
     def test_series_is_a_truncated_record(self):
         # the constructor truncates; equality and hash go by (poly, order)

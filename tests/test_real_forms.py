@@ -2,23 +2,22 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from numideal.errors import PreconditionError
 from numideal.forms import (
-    HomogeneousForm,
     _gaussian_divisors,
     _gaussian_prime_factors,
+    binary_form,
     count_real_roots,
     is_nonnegative,
     is_positive_definite,
     p_divmod,
     p_eval,
     p_gcd,
-    poly_nonneg_on_reals,
-    positive_on_reals,
     quadratic_form_sign,
 )
 from numideal.gaussian import GaussianRational as G
@@ -29,7 +28,7 @@ from comparability import comparability_ratio, sampled_circle_min
 
 
 def form_of(text):
-    return HomogeneousForm.from_poly(parse(text, vars=("x", "y")))
+    return binary_form(parse(text, vars=("x", "y")))
 
 
 class TestSturm:
@@ -39,9 +38,9 @@ class TestSturm:
         assert count_real_roots([Fraction(1), Fraction(-2), Fraction(1)]) == 1
 
     def test_nonneg_on_reals(self):
-        assert poly_nonneg_on_reals([Fraction(1), Fraction(-2), Fraction(1)])
-        assert not poly_nonneg_on_reals([Fraction(-1), Fraction(0), Fraction(1)])
-        assert poly_nonneg_on_reals([])
+        assert is_nonnegative([Fraction(1), Fraction(-2), Fraction(1)])
+        assert not is_nonnegative([Fraction(-1), Fraction(0), Fraction(1)])
+        assert is_nonnegative([])
 
 
 class TestGaussianCoefficientLists:
@@ -122,7 +121,9 @@ class TestDefiniteness:
         # zero at (1, 0) and at (0, 1): an end of the coefficient list is 0
         assert not is_positive_definite(form_of("x^2*y^2 + y^4"))
         assert not is_positive_definite(form_of("x^4 + x^2*y^2"))
-        assert not positive_on_reals([Fraction(1), Fraction(0), Fraction(1), Fraction(0)])
+        assert not is_positive_definite(
+            [Fraction(1), Fraction(0), Fraction(1), Fraction(0)]
+        )
 
     def test_odd_degree_never_definite(self):
         assert not is_positive_definite(form_of("x^3 + y^3"))
@@ -130,7 +131,27 @@ class TestDefiniteness:
 
     def test_zero_form_rejected(self):
         with pytest.raises(PreconditionError):
-            HomogeneousForm.from_poly(parse("0", vars=("x", "y")))
+            binary_form(parse("0", vars=("x", "y")))
+
+    @pytest.mark.parametrize(
+        "text, vars, message",
+        [
+            ("x^2 + y^2", ("x", "y", "z"), "bivariate"),
+            ("x^2 + i*y^2", ("x", "y"), "real coefficients"),
+            ("x^2 + y", ("x", "y"), "not homogeneous"),
+        ],
+        ids=["not-bivariate", "not-real", "not-homogeneous"],
+    )
+    def test_binary_form_preconditions(self, text, vars, message):
+        with pytest.raises(PreconditionError, match=message):
+            binary_form(parse(text, vars=vars))
+
+    def test_binary_form_coefficient_order(self):
+        # c[k] multiplies x^k * y^(n-k), with zeros kept at both ends
+        assert binary_form(parse("3*x^3*y - 2*x*y^3", vars=("x", "y"))) == [
+            0, -2, 0, 3, 0,
+        ]
+        assert binary_form(parse("5*y^2", vars=("x", "y"))) == [5, 0, 0]
 
     def test_definite_implies_nonnegative_random(self):
         rng = random.Random(101)
@@ -143,19 +164,19 @@ class TestDefiniteness:
                 f"({a}*x + {b}*y)^2 + {eps.numerator}/{eps.denominator}*(x^2 + y^2)",
                 vars=("x", "y"),
             )
-            f = HomogeneousForm.from_poly(p)
-            assert is_positive_definite(f)
-            assert is_nonnegative(f)
+            c = binary_form(p)
+            assert is_positive_definite(c)
+            assert is_nonnegative(c)
 
     def test_definite_form_circle_bound(self):
-        f = form_of("2*(x^2 + x*y + y^2)")
+        f = parse("2*(x^2 + x*y + y^2)", vars=("x", "y"))
         c = sampled_circle_min(f, 2000)
         assert c > 0
         for k in range(50):
             a = 2 * math.pi * k / 50
             r = 0.1
             x, y = r * math.cos(a), r * math.sin(a)
-            assert f.eval_float(x, y) >= (c - 1e-9) * r**2
+            assert f.eval_complex((x, y)).real >= (c - 1e-9) * r**2
 
 
 def _rand_form(rng, degree):
@@ -176,13 +197,47 @@ class TestGridOracleAgreement:
             p = _rand_form(rng, degree)
             if p.is_zero():
                 continue
-            f = HomogeneousForm.from_poly(p)
-            verdict = is_positive_definite(f)
-            grid_min = sampled_circle_min(f, 10_000)
+            verdict = is_positive_definite(binary_form(p))
+            grid_min = sampled_circle_min(p, 10_000)
             assert verdict == (grid_min > 0), (
                 f"disagreement for {p}: sturm={verdict} grid_min={grid_min}"
             )
             checked += 1
+
+
+class TestBinaryFormSignAgainstSympy:
+    def test_products_of_linear_and_quadratic_factors(self):
+        # c(t) = lead * product of factors, each to a power 1..3: t (a root
+        # at 0), t - r, t^2 + b t + e (real or complex roots), or trailing
+        # zeros of c (a root of the form at infinity, the direction (1, 0))
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(20261019)
+        for _ in range(300):
+            lead = rng.choice([-2, -1, 1, 3])
+            expr = sympy.Integer(lead)
+            at_infinity = 0
+            for _ in range(rng.randint(1, 3)):
+                mult = rng.randint(1, 3)
+                kind = rng.choice(["zero", "infinity", "linear", "quadratic"])
+                if kind == "zero":
+                    expr *= t**mult
+                elif kind == "infinity":
+                    at_infinity += mult
+                elif kind == "linear":
+                    r = sympy.Rational(rng.randint(-5, 5), rng.randint(1, 3))
+                    expr *= (t - r) ** mult
+                else:
+                    expr *= (t**2 + rng.randint(-4, 4) * t + rng.randint(-4, 8)) ** mult
+            poly = sympy.Poly(expr, t)
+            c = [Fraction(int(a.p), int(a.q)) for a in reversed(poly.all_coeffs())]
+            c += [Fraction(0)] * at_infinity
+            mults = list(Counter(sympy.real_roots(poly)).values())
+            if at_infinity:
+                mults.append(at_infinity)
+            even = all(m % 2 == 0 for m in mults)
+            assert is_nonnegative(c) == (lead > 0 and even), c
+            assert is_positive_definite(c) == (lead > 0 and not mults), c
 
 
 def _sum_of_signed_squares(d, rows, signs):

@@ -10,7 +10,6 @@ import pytest
 from numideal.branch import BranchSolution, PhiClassification, PhiKind
 from numideal.closure import MonomialIdealIC
 from numideal.engine import CaseTag, IdealDescription, MembershipVerdict, Verdict
-from numideal.forms import HomogeneousForm
 from numideal.gaussian import GaussianRational
 from numideal.parsing import parse
 from numideal.poly import TruncatedSeries
@@ -55,7 +54,6 @@ FROZEN = [
         ),
         {},
     ),
-    (HomogeneousForm, {"degree": 1, "coeffs": (Fraction(1), Fraction(2))}, {}),
     (
         PuiseuxBranch,
         {"r": 2, "psi": PHI, "multiplicity": 3, "conjugate_partner": 1, "resolved": False},
