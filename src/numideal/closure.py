@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import NoMonomializationFound, PreconditionError
-from .forms import binary_form, is_positive_definite, qi_roots
+from .forms import binary_form, is_positive_definite, rational_roots, yun_squarefree
 from .poly import MultiPoly, linear_change, newton_polygon
 from .record import Frozen
 
@@ -94,23 +94,23 @@ def line_frame(a, b):
 def _candidate_lines(g: MultiPoly):
     """Lines whose frames `monomialize` tries, in order: x, x - y, then
     ell = den x - num y for each repeated rational root num/den of the
-    lowest form, in the order of `qi_roots`.
+    lowest form, ascending.
 
-    ell is left out when it or its perpendicular num x + den y is listed
-    already, since both frames have the same axes; listed lines have a
-    positive first entry.
+    Those roots are the rational roots of the Yun factors of multiplicity
+    >= 2 of the lowest form, a real form.  ell is left out when it or its
+    perpendicular num x + den y is listed already, since both frames have
+    the same axes; listed lines have a positive first entry.
     """
     lines = [(1, 0), (1, -1)]
     lowest = g.lowest_part()
-    if not lowest.is_zero():
-        roots, _left = qi_roots(binary_form(lowest))
-        for root, mult in roots:
-            # direction (t, 1) kills the form: align u with x - t*y
-            if root.is_real() and mult >= 2:
-                num, den = root.re.numerator, root.re.denominator
-                perpendicular = (num, den) if num > 0 else (-num, -den)
-                if (den, -num) not in lines and perpendicular not in lines:
-                    lines.append((den, -num))
+    factors = [] if lowest.is_zero() else yun_squarefree(binary_form(lowest))
+    roots = sorted(r for f, mult in factors if mult >= 2 for r in rational_roots(f))
+    for root in roots:
+        # direction (t, 1) kills the form: align u with x - t*y
+        num, den = root.numerator, root.denominator
+        perpendicular = (num, den) if num > 0 else (-num, -den)
+        if (den, -num) not in lines and perpendicular not in lines:
+            lines.append((den, -num))
     return lines
 
 

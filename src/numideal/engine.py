@@ -6,7 +6,8 @@ of phi, then emit one of four ideal shapes: Principal (Im phi identically
 zero), Definite (positive-definite leading imaginary part), LinearForm
 (imaginary part comparable to a power of a real linear form), or
 IsolatedDegenerate (isolated real zero, ideal via an integral closure).
-A numeric boundedness oracle cross-checks every verdict.
+A numeric boundedness oracle, `boundedness_oracle`, cross-checks a verdict
+on request (`member --oracle`).
 
 Where phi is real through the order or its leading imaginary part is not
 definite, the decisions rest on the exact resultant R = Res_z(f, f̄)

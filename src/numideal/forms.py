@@ -2,8 +2,8 @@
 
 A univariate polynomial is an ascending coefficient list whose entries are
 all Fraction or all GaussianRational.  The p_* helpers and Yun squarefree
-decomposition work on either; Sturm real-root counting needs Fraction
-entries.  qi_roots finds the roots in Q(i) of a polynomial over Q(i).
+decomposition work on either; Sturm real-root counting and rational_roots
+need Fraction entries.  Roots in Q(i) are found only in `puiseux`.
 A real binary form is such a list c, c[k] multiplying x^k y^(n-k), which is
 also f(t, 1) in powers of t: is_positive_definite counts its real roots
 (Sturm), is_nonnegative checks the parity of their multiplicities (Yun).
@@ -19,7 +19,6 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .gaussian import ONE, GaussianRational, gaussian_sqrt
 from .poly import MultiPoly
 
 # -- univariate polynomials: ascending coefficient lists over Q or Q(i) ----
@@ -27,7 +26,7 @@ from .poly import MultiPoly
 # coefficient.
 
 
-def _strip(c):
+def p_strip(c):
     while c and c[-1] == 0:
         c.pop()
     return c
@@ -38,7 +37,7 @@ def p_sub(a, b):
     out = list(a) + [-v for v in b[len(a):]]
     for i, v in enumerate(b[: len(a)]):
         out[i] -= v
-    return _strip(out)
+    return p_strip(out)
 
 
 def p_eval(c, x):
@@ -61,12 +60,12 @@ def p_divmod(a, b):
         q[k] = f
         for i, v in enumerate(b):
             a[k + i] -= f * v
-        _strip(a)
-    return _strip(q), a
+        p_strip(a)
+    return p_strip(q), a
 
 
 def p_derivative(a):
-    return _strip([k * v for k, v in enumerate(a)][1:])
+    return p_strip([k * v for k, v in enumerate(a)][1:])
 
 
 def p_gcd(a, b):
@@ -107,7 +106,7 @@ def _variations(signs):
 
 def count_real_roots(p) -> int:
     """Number of distinct real roots of p (Fraction coefficients)."""
-    p = _strip(list(p))
+    p = p_strip(list(p))
     if not p or len(p) == 1:
         return 0
     chain = sturm_chain(p)
@@ -126,7 +125,7 @@ def count_real_roots(p) -> int:
 
 def yun_squarefree(p):
     """Yun decomposition: list of (squarefree factor, multiplicity)."""
-    p = _strip(list(p))
+    p = p_strip(list(p))
     if not p or len(p) == 1:
         return []
     dp = p_derivative(p)
@@ -147,39 +146,10 @@ def yun_squarefree(p):
     return out
 
 
-# -- exact root finding over Q(i) -------------------------------------------
+# -- rational roots --------------------------------------------------------
 
 
-def _gauss_int_divmod(a, b):
-    """Rounded division in Z[i]: a = q*b + r with small remainder."""
-    # a, b are (int, int) pairs
-    ar, ai = a
-    br, bi = b
-    n = br * br + bi * bi
-    qr_num = ar * br + ai * bi
-    qi_num = ai * br - ar * bi
-    qr = (2 * qr_num + n) // (2 * n)
-    qi = (2 * qi_num + n) // (2 * n)
-    rr = ar - (qr * br - qi * bi)
-    ri = ai - (qr * bi + qi * br)
-    return (qr, qi), (rr, ri)
-
-
-def _gauss_int_gcd(a, b):
-    while b != (0, 0):
-        _, r = _gauss_int_divmod(a, b)
-        a, b = b, r
-    return a
-
-
-def _sqrt_minus_one_mod(p: int) -> int:
-    for n in range(2, p):
-        if pow(n, (p - 1) // 2, p) == p - 1:
-            return pow(n, (p - 1) // 4, p)
-    raise ArithmeticError(f"no sqrt(-1) mod {p}")
-
-
-def _rational_prime_factors(n: int) -> list:
+def rational_prime_factors(n: int) -> list:
     """Prime factors of n >= 1 with repetition, by trial division."""
     primes = []
     p = 2
@@ -193,138 +163,35 @@ def _rational_prime_factors(n: int) -> list:
     return primes
 
 
-def _gaussian_prime_factors(g):
-    """Gaussian prime factorization of g in Z[i], as a list (prime, power)."""
-    gr, gi = g
-    if gr == 0 and gi == 0:
-        raise ValueError("cannot factor zero")
-    # norm(g) = content^2 * norm(g / content): trial division runs up to the
-    # square roots of the two factors, not of the whole norm
-    content = math.gcd(gr, gi)
-    content_primes = _rational_prime_factors(content)
-    rational = content_primes + content_primes + _rational_prime_factors(
-        (gr // content) ** 2 + (gi // content) ** 2
-    )
-    factors = []
-    current = g
-    for p in sorted(set(rational)):
-        count = rational.count(p)
-        if p == 2:
-            pi = (1, 1)
-        elif p % 4 == 3:
-            pi = (p, 0)
-            count //= 2  # norm p^2 per prime factor
-        else:
-            t = _sqrt_minus_one_mod(p)
-            pi = _gauss_int_gcd((p, 0), (t, 1))
-        for _ in range(count):
-            q, r = _gauss_int_divmod(current, pi)
-            if r == (0, 0):
-                factors.append(pi)
-                current = q
-            else:
-                # conjugate prime divides instead
-                pic = (pi[0], -pi[1])
-                q, r = _gauss_int_divmod(current, pic)
-                if r != (0, 0):
-                    break
-                factors.append(pic)
-                current = q
-    merged = []
-    for pi in factors:
-        for k, (prime, c) in enumerate(merged):
-            if prime == pi:
-                merged[k] = (pi, c + 1)
-                break
-        else:
-            merged.append((pi, 1))
-    return merged
+def _divisors(n: int) -> list:
+    """The positive divisors of n >= 1."""
+    divisors = {1}
+    for p in rational_prime_factors(n):
+        divisors |= {d * p for d in divisors}
+    return sorted(divisors)
 
 
-def _gaussian_divisors(g):
-    """All divisors of g in Z[i], one per class of associates."""
-    divisors = [(1, 0)]
-    for pi, power in _gaussian_prime_factors(g):
-        new = []
-        for d in divisors:
-            cur = d
-            for _ in range(power + 1):
-                new.append(cur)
-                cur = (cur[0] * pi[0] - cur[1] * pi[1], cur[0] * pi[1] + cur[1] * pi[0])
-        divisors = new
-    return divisors
+def rational_roots(c) -> list:
+    """The distinct rational roots of c (Fraction entries, degree >= 1),
+    ascending.
 
-
-def _qi_root(c):
-    """One root in Q(i) of c (degree >= 1, nonzero constant term), or None.
-
-    Degree 1 and 2 by formula: a quadratic has a root in Q(i) exactly when
-    its discriminant is a square there.  Higher degrees try the candidates
-    p/q with p | constant and q | leading in Z[i], after clearing
-    denominators, q up to units; their number grows with the divisors of
-    those two.
+    Degree 1 by formula; higher degrees try every p/q with p dividing the
+    constant and q the leading coefficient once denominators are cleared
+    (the rational-root theorem).
     """
+    k0 = next(k for k, v in enumerate(c) if v != 0)
+    roots = {Fraction(0)} if k0 else set()
+    c = c[k0:]
     if len(c) == 2:
-        return -c[0] / c[1]
-    if len(c) == 3:
-        a, b, cc = c[2], c[1], c[0]
-        s = gaussian_sqrt(b * b - a * cc * 4)
-        return None if s is None else (-b + s) / (a * 2)
-    den = 1
-    for a in c:
-        den = math.lcm(den, a.re.denominator, a.im.denominator)
-    ints = [(int(a.re * den), int(a.im * den)) for a in c]
-    qs = [GaussianRational(*q) for q in _gaussian_divisors(ints[-1])]
-    for re, im in _gaussian_divisors(ints[0]):
-        # the four associates of p cover every unit of p/q
-        for p in ((re, im), (-im, re), (-re, -im), (im, -re)):
-            for q in qs:
-                cand = GaussianRational(*p) / q
-                if p_eval(c, cand).is_zero():
-                    return cand
-    return None
-
-
-def qi_roots(coeffs):
-    """Roots in Q(i) of a Q(i)[T] polynomial, with multiplicities.
-
-    Returns (roots, leftover) where roots is a list of (root, multiplicity)
-    sorted by (Re, Im) and leftover is the non-split factor (possibly
-    constant).
-    """
-    coeffs = _strip([GaussianRational.coerce(c) for c in coeffs])
-    if len(coeffs) <= 1:
-        return [], coeffs
-    roots = []
-    k0 = next(k for k, c in enumerate(coeffs) if not c.is_zero())
-    if k0:
-        roots.append((GaussianRational(0), k0))
-        coeffs = coeffs[k0:]
-    while len(coeffs) > 1:
-        root = _qi_root(coeffs)
-        if root is None:
-            break
-        factor = [-root, ONE]
-        mult = 0
-        while True:
-            q, r = p_divmod(coeffs, factor)
-            if r:
-                break
-            coeffs, mult = q, mult + 1
-        roots.append((root, mult))
-    roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
-    return roots, coeffs
-
-
-def qi_nth_root(c: GaussianRational, r: int):
-    """Exact r-th root of c in Q(i), or None; picks the principal root."""
-    if r == 1:
-        return c
-    poly = [-c] + [GaussianRational(0)] * (r - 1) + [GaussianRational(1)]
-    roots, _ = qi_roots(poly)
-    if not roots:
-        return None
-    return min((rm[0] for rm in roots), key=lambda z: (-z.re, -z.im))
+        roots.add(-c[0] / c[1])
+    elif len(c) > 2:
+        den = math.lcm(*(v.denominator for v in c))
+        qs = _divisors(abs(int(c[-1] * den)))
+        for p in _divisors(abs(int(c[0] * den))):
+            for r in (Fraction(p, q) * sign for q in qs for sign in (1, -1)):
+                if p_eval(c, r) == 0:
+                    roots.add(r)
+    return sorted(roots)
 
 
 # -- binary forms ------------------------------------------------------------
@@ -364,7 +231,7 @@ def is_nonnegative(c) -> bool:
     exact.  The zero form is; otherwise its degree is even, c(t) has a
     positive leading coefficient and no Yun factor of odd multiplicity has
     a real root.  The root at (1, 0), trailing zeros of c, is then even."""
-    p = _strip(list(c))
+    p = p_strip(list(c))
     if not p:
         return True
     if (len(c) - 1) % 2 == 1 or p[-1] < 0:

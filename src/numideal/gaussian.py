@@ -2,6 +2,7 @@
 
 This is the coefficient field for the whole algebra core.  Floats are never
 used here; sampling oracles convert via :meth:`GaussianRational.to_complex`.
+Square roots and other roots in Q(i) live in `puiseux`, their only user.
 """
 
 from __future__ import annotations
@@ -115,10 +116,6 @@ class GaussianRational:
     def conj(self) -> "GaussianRational":
         return _make(self.re, -self.im)
 
-    def norm2(self) -> Fraction:
-        """re**2 + im**2, the field norm."""
-        return self.re * self.re + self.im * self.im
-
     # -- comparisons / hashing ----------------------------------------
 
     def __eq__(self, other):
@@ -150,46 +147,3 @@ _make = GaussianRational._from_fractions
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
-
-
-def gaussian_sqrt(c: GaussianRational):
-    """Exact square root in Q(i), or None when c is not a square there.
-
-    Solves (s + t*i)**2 = c: requires norm(c) to be the square of a rational
-    and (re + sqrt(norm)) / 2 to be a rational square.
-    """
-    if c.is_zero():
-        return GaussianRational(0)
-    n = _rational_sqrt(c.norm2())
-    if n is None:
-        return None
-    s2 = (c.re + n) / 2
-    s = _rational_sqrt(s2)
-    if s is None or s == 0:
-        # purely imaginary root: s = 0 needs c.re = -n, then t**2 = n
-        t2 = (n - c.re) / 2
-        t = _rational_sqrt(t2)
-        if t is None:
-            return None
-        if c.im != 0:
-            return None
-        root = GaussianRational(0, t)
-    else:
-        t = c.im / (2 * s)
-        root = GaussianRational(s, t)
-    if (root * root) == c:
-        return root
-    return None
-
-
-def _rational_sqrt(q: Fraction):
-    """Exact nonnegative square root of a rational, or None."""
-    if q < 0:
-        return None
-    from math import isqrt
-
-    pn, pd = q.numerator, q.denominator
-    rn, rd = isqrt(pn), isqrt(pd)
-    if rn * rn == pn and rd * rd == pd:
-        return Fraction(rn, rd)
-    return None

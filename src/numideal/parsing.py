@@ -149,7 +149,7 @@ class _Parser:
         if kind == "(":
             self.take()
             inner = self.parse_expr()
-            self.take(")")
+            self.take(")", "')'")
             return inner
         if kind == "-":
             self.take()

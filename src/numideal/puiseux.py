@@ -12,7 +12,9 @@ Newton polygon, at no sampled positivity check.  `comparable_polynomial`,
 `weierstrass_prepare`, `branch_factor_poly` and the helpers only they use
 stay, with their tests, because `bench/tracer.py` wraps those three names;
 they go with the next change to the benchmark.  `newton_puiseux` serves the
-`puiseux` command.
+`puiseux` command.  Its characteristic roots, and their r-th roots, must
+lie in Q(i): `qi_roots` finds them by trying the Gaussian-integer divisors
+of the end coefficients, a search no other module runs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError, TruncationError
-from .forms import binary_form, is_positive_definite, qi_nth_root, qi_roots
+from .forms import (
+    binary_form,
+    is_positive_definite,
+    p_divmod,
+    p_eval,
+    p_strip,
+    rational_prime_factors,
+)
 from .gaussian import GaussianRational
 from .poly import (
     MultiPoly,
@@ -31,6 +40,200 @@ from .poly import (
     series_invert,
 )
 from .record import Frozen, Record
+
+# -- exact root finding over Q(i) -------------------------------------------
+
+
+def _rational_sqrt(q: Fraction):
+    """Exact nonnegative square root of a rational, or None."""
+    if q < 0:
+        return None
+    pn, pd = q.numerator, q.denominator
+    rn, rd = math.isqrt(pn), math.isqrt(pd)
+    if rn * rn == pn and rd * rd == pd:
+        return Fraction(rn, rd)
+    return None
+
+
+def gaussian_sqrt(c: GaussianRational):
+    """Exact square root in Q(i), or None when c is not a square there.
+
+    (s + t*i)**2 = c with s >= 0 needs the norm n of c to be a rational
+    square, s**2 = (re + n) / 2, and then t = im / (2 s); when s = 0, c is
+    -n and t**2 = n.
+    """
+    n = _rational_sqrt(c.re * c.re + c.im * c.im)
+    s = None if n is None else _rational_sqrt((c.re + n) / 2)
+    if s is None:
+        return None
+    if s == 0:
+        t = _rational_sqrt(n)
+        return None if t is None else GaussianRational(0, t)
+    return GaussianRational(s, c.im / (2 * s))
+
+
+def _gauss_int_divmod(a, b):
+    """Rounded division in Z[i]: a = q*b + r with small remainder."""
+    # a, b are (int, int) pairs
+    ar, ai = a
+    br, bi = b
+    n = br * br + bi * bi
+    qr_num = ar * br + ai * bi
+    qi_num = ai * br - ar * bi
+    qr = (2 * qr_num + n) // (2 * n)
+    qi = (2 * qi_num + n) // (2 * n)
+    rr = ar - (qr * br - qi * bi)
+    ri = ai - (qr * bi + qi * br)
+    return (qr, qi), (rr, ri)
+
+
+def _gauss_int_gcd(a, b):
+    while b != (0, 0):
+        _, r = _gauss_int_divmod(a, b)
+        a, b = b, r
+    return a
+
+
+def _sqrt_minus_one_mod(p: int) -> int:
+    for n in range(2, p):
+        if pow(n, (p - 1) // 2, p) == p - 1:
+            return pow(n, (p - 1) // 4, p)
+    raise ArithmeticError(f"no sqrt(-1) mod {p}")
+
+
+def _gaussian_prime_factors(g):
+    """Gaussian prime factorization of g in Z[i], as a list (prime, power)."""
+    gr, gi = g
+    if gr == 0 and gi == 0:
+        raise ValueError("cannot factor zero")
+    # norm(g) = content^2 * norm(g / content): trial division runs up to the
+    # square roots of the two factors, not of the whole norm
+    content = math.gcd(gr, gi)
+    content_primes = rational_prime_factors(content)
+    rational = content_primes + content_primes + rational_prime_factors(
+        (gr // content) ** 2 + (gi // content) ** 2
+    )
+    factors = []
+    current = g
+    for p in sorted(set(rational)):
+        count = rational.count(p)
+        if p == 2:
+            pi = (1, 1)
+        elif p % 4 == 3:
+            pi = (p, 0)
+            count //= 2  # norm p^2 per prime factor
+        else:
+            t = _sqrt_minus_one_mod(p)
+            pi = _gauss_int_gcd((p, 0), (t, 1))
+        for _ in range(count):
+            q, r = _gauss_int_divmod(current, pi)
+            if r == (0, 0):
+                factors.append(pi)
+                current = q
+            else:
+                # conjugate prime divides instead
+                pic = (pi[0], -pi[1])
+                q, r = _gauss_int_divmod(current, pic)
+                if r != (0, 0):
+                    break
+                factors.append(pic)
+                current = q
+    merged = []
+    for pi in factors:
+        for k, (prime, c) in enumerate(merged):
+            if prime == pi:
+                merged[k] = (pi, c + 1)
+                break
+        else:
+            merged.append((pi, 1))
+    return merged
+
+
+def _gaussian_divisors(g):
+    """All divisors of g in Z[i], one per class of associates."""
+    divisors = [(1, 0)]
+    for pi, power in _gaussian_prime_factors(g):
+        new = []
+        for d in divisors:
+            cur = d
+            for _ in range(power + 1):
+                new.append(cur)
+                cur = (cur[0] * pi[0] - cur[1] * pi[1], cur[0] * pi[1] + cur[1] * pi[0])
+        divisors = new
+    return divisors
+
+
+def _qi_root(c):
+    """One root in Q(i) of c (degree >= 1, nonzero constant term), or None.
+
+    Degree 1 and 2 by formula: a quadratic has a root in Q(i) exactly when
+    its discriminant is a square there.  Higher degrees try the candidates
+    p/q with p | constant and q | leading in Z[i], after clearing
+    denominators, q up to units; their number grows with the divisors of
+    those two.
+    """
+    if len(c) == 2:
+        return -c[0] / c[1]
+    if len(c) == 3:
+        a, b, cc = c[2], c[1], c[0]
+        s = gaussian_sqrt(b * b - a * cc * 4)
+        return None if s is None else (-b + s) / (a * 2)
+    den = 1
+    for a in c:
+        den = math.lcm(den, a.re.denominator, a.im.denominator)
+    ints = [(int(a.re * den), int(a.im * den)) for a in c]
+    qs = [GaussianRational(*q) for q in _gaussian_divisors(ints[-1])]
+    for re, im in _gaussian_divisors(ints[0]):
+        # the four associates of p cover every unit of p/q
+        for p in ((re, im), (-im, re), (-re, -im), (im, -re)):
+            for q in qs:
+                cand = GaussianRational(*p) / q
+                if p_eval(c, cand).is_zero():
+                    return cand
+    return None
+
+
+def qi_roots(coeffs):
+    """Roots in Q(i) of a Q(i)[T] polynomial, with multiplicities.
+
+    Returns (roots, leftover) where roots is a list of (root, multiplicity)
+    sorted by (Re, Im) and leftover is the non-split factor (possibly
+    constant).
+    """
+    coeffs = p_strip([GaussianRational.coerce(c) for c in coeffs])
+    if len(coeffs) <= 1:
+        return [], coeffs
+    roots = []
+    k0 = next(k for k, c in enumerate(coeffs) if not c.is_zero())
+    if k0:
+        roots.append((GaussianRational(0), k0))
+        coeffs = coeffs[k0:]
+    while len(coeffs) > 1:
+        root = _qi_root(coeffs)
+        if root is None:
+            break
+        factor = [-root, GaussianRational(1)]
+        mult = 0
+        while True:
+            q, r = p_divmod(coeffs, factor)
+            if r:
+                break
+            coeffs, mult = q, mult + 1
+        roots.append((root, mult))
+    roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
+    return roots, coeffs
+
+
+def qi_nth_root(c: GaussianRational, r: int):
+    """Exact r-th root of c in Q(i), or None; picks the principal root."""
+    if r == 1:
+        return c
+    poly = [-c] + [GaussianRational(0)] * (r - 1) + [GaussianRational(1)]
+    roots, _ = qi_roots(poly)
+    if not roots:
+        return None
+    return min((rm[0] for rm in roots), key=lambda z: (-z.re, -z.im))
+
 
 # -- twisted realness: z * exp(2*pi*i*s) in R, decided exactly ---------------
 

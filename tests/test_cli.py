@@ -128,7 +128,7 @@ class TestAnalyze:
         "text, message",
         [
             ("x +", "unexpected token end of input (at position 3)"),
-            ("(x", "expected ), found end of input (at position 2)"),
+            ("(x", "expected ')', found end of input (at position 2)"),
             ("", "unexpected token end of input (at position 0)"),
             ("x 2", "expected end of input, found '2' (at position 2)"),
             (

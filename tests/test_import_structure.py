@@ -1,9 +1,10 @@
 """Import structure: relative imports sit at module level, so the module
 graph is visible at import time, except where a command or a case loads a
 heavy module only when it needs it; closure and construct do not depend on
-puiseux, the CLI starts without puiseux, construct, closure and
-dataclasses, and every name the benchmark's tracer wraps exists.  No module
-uses an `assert` statement, which `python -O` strips: internal checks raise
+puiseux, the only module that defines root finding over Q(i); the CLI
+starts without puiseux, construct, closure and dataclasses, and every name
+the benchmark's tracer wraps exists.  No module uses an `assert`
+statement, which `python -O` strips: internal checks raise
 `AssertionError` themselves."""
 
 import ast
@@ -111,6 +112,52 @@ def test_definite_analyze_does_not_load_closure():
         "    assert cli.main(['analyze', text]) == 0"
     )
     assert _loaded_after(code, ["numideal.closure"]) == "[]"
+
+
+# root finding over Q(i) by Gaussian-integer factoring serves only the
+# Newton-Puiseux branches; monomialize finds its frames from rational roots
+QI_ROOT_NAMES = [
+    "_gauss_int_divmod",
+    "_gauss_int_gcd",
+    "_sqrt_minus_one_mod",
+    "_gaussian_prime_factors",
+    "_gaussian_divisors",
+    "_qi_root",
+    "qi_roots",
+    "qi_nth_root",
+    "gaussian_sqrt",
+]
+
+
+def test_qi_root_finding_defined_only_in_puiseux():
+    defined, imported = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name in QI_ROOT_NAMES or node.name == "norm2":
+                    defined.append((path.stem, node.name))
+            elif isinstance(node, ast.ImportFrom):
+                imported += [
+                    (path.stem, alias.name)
+                    for alias in node.names
+                    if alias.name in QI_ROOT_NAMES
+                ]
+    assert sorted(defined) == sorted(("puiseux", name) for name in QI_ROOT_NAMES)
+    assert imported == []
+
+
+def test_private_names_stay_in_their_module():
+    # the engine lists the monomials of a degree in the printer's term order
+    allowed = {("engine", "_term_sort_key")}
+    crossing = {
+        (path.stem, alias.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert crossing == allowed
 
 
 def test_no_module_imports_dataclasses():

@@ -15,12 +15,13 @@ from numideal.closure import (
     monomialize,
     rational_circle_points,
 )
-from numideal.engine import numerator_ideal
+from numideal.engine import CaseTag, Verdict, membership, numerator_ideal
 from numideal.errors import NoMonomializationFound
-from numideal.forms import binary_form, qi_roots
-from numideal.gaussian import GaussianRational, gaussian_sqrt
+from numideal.forms import binary_form
+from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
 from numideal.poly import MultiPoly
+from numideal.puiseux import gaussian_sqrt, qi_roots
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +137,46 @@ def _earlier_frames(g):
     return unique
 
 
+def _qi_root_lines(g):
+    """The lines of `_candidate_lines` built from the roots in Q(i) of the
+    lowest form (`puiseux.qi_roots`), as monomialize once found them: a
+    test-only reference."""
+    lines = [(1, 0), (1, -1)]
+    roots, _ = qi_roots(binary_form(g.lowest_part()))
+    for root, mult in roots:
+        if root.is_real() and mult >= 2:
+            num, den = root.re.numerator, root.re.denominator
+            perpendicular = (num, den) if num > 0 else (-num, -den)
+            if (den, -num) not in lines and perpendicular not in lines:
+                lines.append((den, -num))
+    return lines
+
+
+QUADRATICS = ("x^2 + y^2", "x^2 + x*y + y^2", "x^2 - 2*y^2", "3*x^2 + 5*y^2")
+IRREDUCIBLE = QUADRATICS + ("x^3 - 2*y^3",)
+# a factor x is a root at t = 0, a factor y one at infinity
+AXIS_FACTORS = ("", "x", "x^2", "y", "y^2")
+
+# the probe of many divisors: finding the root of its lowest form
+# (360 x - 77 y)^2 (360^2 x^2 + 77^2 y^2) by a search over Gaussian divisors
+# took 25-30 s on a 2-vCPU machine
+MANY_DIVISORS = "z + 360*x + 77*y + i*((360*x - 77*y)^2*(360^2*x^2 + 77^2*y^2) + x^6)"
+
+
+def _seeded_binary_form(
+    rng, scale, n_linear, multiplicities, cofactors, powers, axis_factors
+):
+    """scale times n_linear rational linear factors, an irreducible
+    cofactor and an axis factor."""
+    parts = [
+        f"({rng.randint(1, 3)}*x - {rng.randint(-3, 3)}*y)^{rng.choice(multiplicities)}"
+        for _ in range(n_linear)
+    ]
+    parts.append(f"({rng.choice(cofactors)})^{rng.choice(powers)}")
+    parts.append(rng.choice(axis_factors) or "1")
+    return parse(f"{scale}*" + "*".join(parts), vars=("x", "y"))
+
+
 def _inverse(change):
     (a, b), (c, d) = change
     det = Fraction(a * d - b * c)
@@ -224,6 +265,58 @@ class TestCandidateFrames:
         with pytest.raises(NoMonomializationFound):
             monomialize(parse(text, vars=("x", "y")))
         assert tried == lines
+
+    @pytest.mark.parametrize(
+        "scale, n_linear, multiplicities, cofactors, powers, axis_factors, count",
+        [
+            (1, 1, (1, 2, 3), IRREDUCIBLE, (1, 2), AXIS_FACTORS, 30),
+            (1, 2, (1, 2, 3), IRREDUCIBLE, (1,), AXIS_FACTORS, 30),
+            (1, 3, (1, 2), QUADRATICS, (1,), ("",), 20),
+            (360, 1, (2,), QUADRATICS, (1,), ("", "x", "y"), 6),
+        ],
+        ids=["one-linear", "two-linear", "three-linear", "scale-360"],
+    )
+    def test_lines_match_the_qi_roots_reference(
+        self, scale, n_linear, multiplicities, cofactors, powers, axis_factors, count
+    ):
+        rng = random.Random(41)
+        with_root_lines = 0
+        for _ in range(count):
+            g = _seeded_binary_form(
+                rng, scale, n_linear, multiplicities, cofactors, powers, axis_factors
+            )
+            lines = closure._candidate_lines(g)
+            assert lines == _qi_root_lines(g), format_poly(g)
+            with_root_lines += len(lines) > 2
+        assert with_root_lines > 0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # repeated Yun factors of degree 3 with no rational root and with
+            # one, of degree 4 with four, and of degree 5 with three, one at 0
+            "(x^3 - 2*y^3)^2*(x - y)^3",
+            "(x^2 - 2*y^2)^2*(3*x + y)^2",
+            "((x - y)*(x - 2*y)*(2*x + y)*(x + 3*y))^2",
+            "6*((x^2 + y^2)*(x - 5*y)*(4*x - 3*y)*x)^2",
+            # the root -3 of multiplicity 3 comes before the root 2 of 2
+            "(x - 2*y)^2*(x + 3*y)^3*(x^2 + y^2)",
+        ],
+    )
+    def test_higher_degree_factors_match_the_qi_roots_reference(self, text):
+        g = parse(text, vars=("x", "y"))
+        assert closure._candidate_lines(g) == _qi_root_lines(g)
+
+    def test_many_divisors_probe(self):
+        p = parse(MANY_DIVISORS)
+        desc = numerator_ideal(p)
+        assert desc.case is CaseTag.ISOLATED_DEGENERATE and desc.L_or_K == 6
+        for text, verdict in (
+            ("x^6", Verdict.IN_IDEAL),
+            ("(360*x - 77*y)*x^2", Verdict.NOT_IN_IDEAL),
+        ):
+            q = parse(text, vars=p.vars)
+            assert membership(p, q, ideal=desc).verdict is verdict
 
 
 class TestVerdictTable:

@@ -9,7 +9,6 @@ import pytest
 
 from numideal.branch import solve_branch
 from numideal.errors import PreconditionError
-from numideal.forms import qi_roots
 from numideal.gaussian import GaussianRational
 from numideal.parsing import parse
 from numideal.poly import MultiPoly, TruncatedSeries
@@ -18,6 +17,7 @@ from numideal.puiseux import (
     branch_factor_poly,
     comparable_polynomial,
     newton_puiseux,
+    qi_roots,
     twisted_is_real,
     weierstrass_prepare,
 )

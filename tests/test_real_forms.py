@@ -9,8 +9,6 @@ import pytest
 
 from numideal.errors import PreconditionError
 from numideal.forms import (
-    _gaussian_divisors,
-    _gaussian_prime_factors,
     binary_form,
     count_real_roots,
     is_nonnegative,
@@ -19,10 +17,12 @@ from numideal.forms import (
     p_eval,
     p_gcd,
     quadratic_form_sign,
+    rational_roots,
 )
 from numideal.gaussian import GaussianRational as G
 from numideal.parsing import parse
 from numideal.poly import MultiPoly
+from numideal.puiseux import _gaussian_divisors, _gaussian_prime_factors
 
 from comparability import comparability_ratio, sampled_circle_min
 
@@ -102,6 +102,33 @@ class TestGaussianPrimeFactors:
             assert (10 * a) % norm == 0 and (10 * b) % norm == 0
             classes.add(frozenset({(a, b), (-b, a), (-a, -b), (b, -a)}))
         assert len(classes) == 12
+
+
+class TestRationalRoots:
+    @staticmethod
+    def product(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        return out
+
+    def test_seeded_products(self):
+        # rational roots, 0 among them, repeated or not, times a cofactor with
+        # none: degree 1 by formula, higher by the rational-root theorem
+        rng = random.Random(7)
+        for _ in range(60):
+            roots = {
+                Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 3))
+            }
+            c = [Fraction(rng.choice([1, 3, -10]))]
+            for root in roots:
+                for _ in range(rng.randint(1, 2)):
+                    c = self.product(c, [-root, Fraction(1)])
+            cofactor = rng.choice([[1], [1, 0, 1], [-2, 0, 1], [-2, 0, 0, 1]])
+            c = self.product(c, [Fraction(v) for v in cofactor])
+            assert rational_roots(c) == sorted(roots), c
 
 
 class TestDefiniteness:
