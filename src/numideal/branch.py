@@ -58,10 +58,18 @@ class PhiClassification(Frozen):
     }
 
 
-def solve_branch(p: MultiPoly, order: int) -> BranchSolution:
+def solve_branch(
+    p: MultiPoly, order: int, stop_at_imaginary: bool = False
+) -> BranchSolution:
     """Compute phi with p(x, -phi(x)) vanishing through total degree `order`.
 
     Requires p(0) = 0 and dp/dz(0) != 0 (z is the last variable of p).
+    With stop_at_imaginary, phi is solved and its residual checked only
+    through its first non-real degree m <= order, and phi.order is m; a phi
+    real through the order is solved in full.  `numerator_ideal` solves so:
+    a Definite ideal reads phi through 2L = m only, and it solves again
+    where something reads further, through K for IsolatedDegenerate.
+    `analyze` solves through --order to print phi.
     """
     if len(p.vars) < 2:
         raise PreconditionError("need at least one x-variable plus z")
@@ -78,7 +86,9 @@ def solve_branch(p: MultiPoly, order: int) -> BranchSolution:
     q = MultiPoly._from_terms(
         p.vars, {e: -c if e[-1] % 2 else c for e, c in p.terms.items()}
     )
-    phi = implicit_root(q.slices(q.vars[-1]), order)
+    phi = implicit_root(q.slices(q.vars[-1]), order, stop_at_imaginary)
+    if stop_at_imaginary and not phi.is_real():
+        order = phi.degree()  # the solve stopped at its first non-real degree
     low = q.subs({q.vars[-1]: phi}, order).min_degree()  # the residual
     if low is not None:
         raise AssertionError(f"solver fixed point failed: residual has degree {low}")

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .branch import PhiKind
+from .branch import PhiKind, solve_branch
 from .engine import (
     CaseTag,
     Verdict,
@@ -44,6 +44,9 @@ def cmd_analyze(args) -> int:
     desc = numerator_ideal(p, order=args.order, seed=args.seed)
     cls = desc.classification
     phi = desc.branch.phi
+    if phi.order < args.order:
+        # the ideal may read phi only through 2L or K; print it through --order
+        phi = solve_branch(p, args.order).phi
     payload = desc.to_json_dict()
     payload["phi"] = format_poly(phi.poly)
     payload["phi_order"] = phi.order

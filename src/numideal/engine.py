@@ -73,7 +73,10 @@ class IdealDescription(Record):
     closure.MonomialIdealIC that `monomialize` accepts for g, in LinearForm
     and IsolatedDegenerate), linear_form and reducer (LinearForm:
     den z + num, den(0) != 0) are diagnostics, not part of the wire
-    schema.
+    schema.  branch holds phi only as far as the ideal reads it: through
+    2L for Definite and through K for IsolatedDegenerate, unless a zero
+    gradient component or a real phi made `numerator_ideal` solve further;
+    through the working order for Principal and LinearForm.
     """
 
     __slots__ = (
@@ -248,19 +251,26 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
     """The ideal of numerators q with q/p locally bounded near the origin.
 
     Requires p(0) = 0, dp/dz(0) != 0, and p stable on the poly-upper
-    half-plane (caller-asserted; spot-checked by sampling).  The working
-    order rises above `order` on its own where the case needs it: to
-    ord Res_z(p, p̄) when phi is real through `order`, and to the exponent
-    K of an isolated degenerate zero.  A degenerate Im phi_2L is decided by
-    the Newton polygon that `monomialize` gives the comparable g, once:
-    `_zero_line` reads LinearForm off it, `_isolated_exponent` the rest.
+    half-plane (caller-asserted; spot-checked by sampling).  phi is solved
+    only through its first non-real degree 2L, and again through `order`
+    where something reads further: a zero gradient component, or
+    LinearForm.  The working order rises above `order` on its own where the
+    case needs it: to ord Res_z(p, p̄) when phi is real through `order`,
+    and to the exponent K of an isolated degenerate zero.  A degenerate
+    Im phi_2L is decided by the Newton polygon that `monomialize` gives the
+    comparable g, once: `_zero_line` reads LinearForm off it,
+    `_isolated_exponent` the rest.
     """
     if p.vars[-1:] != ("z",):
         raise PreconditionError("p must involve z as its distinguished variable")
     if len(p.vars) < 2:
         raise PreconditionError("p must involve at least one x-variable besides z")
     _stability_spot_check(p, seed=seed)
-    sol = solve_branch(p, order)
+    sol = solve_branch(p, order, stop_at_imaginary=True)
+    if any(g.is_zero() for g in sol.grad0) and sol.phi.order < order:
+        # classify checks that phi vanishes on the zero-gradient subspace,
+        # which reads phi through the order
+        sol = solve_branch(p, order)
     cls = classify(sol, seed=seed)
     x_vars = p.vars[:-1]
     d = len(x_vars)
@@ -333,6 +343,9 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
         )
         if reducer is None or reducer.coefficient(slope).is_zero():
             raise AssertionError("the z-linear subresultant has no unit slope at 0")
+        if sol.phi.order < order:
+            # `membership` reduces q by Re phi through the order of phi
+            sol = solve_branch(p, order)
         ell_power = (ell ** (2 * L)).embed(p.vars)
         return IdealDescription(
             case=CaseTag.LINEAR_FORM,

@@ -630,9 +630,14 @@ def series_invert(u: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(y + inv0, u.order)
 
 
-def implicit_root(slices: dict, order: int) -> MultiPoly:
+def implicit_root(
+    slices: dict, order: int, stop_at_imaginary: bool = False
+) -> MultiPoly:
     """The series y(x), y(0) = 0, with sum_k slices[k](x) * y^k = 0 through
-    total degree `order`; the pivot slices[1](0) must be nonzero.
+    total degree `order`; the pivot slices[1](0) must be nonzero.  With
+    stop_at_imaginary, the solve ends after the first degree m whose part
+    y_m is not real, so y holds the series through m only, and m is its
+    degree; a real y runs through the order.
 
     Undetermined coefficients, degree by degree (Knuth, TAOCP vol. 2, 4.7).
     With [.]_m the degree-m part and s_k = slices[k], the degree-m part of
@@ -669,6 +674,8 @@ def implicit_root(slices: dict, order: int) -> MultiPoly:
             _keep(powers[k], m, pairs, limit)
         pairs = [(t, powers[k][m - d]) for k, d, t in terms if m - d in powers[k]]
         _keep(y, m, pairs, limit)
+        if stop_at_imaginary and m in y and any(b for _, _, b in y[m][1]):
+            break
     return _polynomial(vars, w, *y.values())
 
 

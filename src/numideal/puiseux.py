@@ -374,8 +374,9 @@ def _expand(F: MultiPoly, budget: Fraction):
         for c_root, mult in roots:
             c_tilde = qi_nth_root(c_root, r)
             if c_tilde is None:
+                root = {2: "square root", 3: "cube root"}.get(r, f"{r}-th root")
                 raise PreconditionError(
-                    f"no exact {r}-th root of {c_root} in Q(i); "
+                    f"no exact {root} of {c_root} in Q(i); "
                     "branch needs a field extension"
                 )
             # F(t^r, t^q (c + y1)) / t^level, with t and y1 named x and y

@@ -165,6 +165,25 @@ class TestImplicitRoot:
                 assert y == ref.truncate(order)
                 assert horner(slices, y, order).truncate(order).is_zero()
 
+    @pytest.mark.parametrize("deg_z", [1, 2, 3])
+    @pytest.mark.parametrize("n_vars", [1, 2, 3])
+    def test_stop_at_imaginary_is_the_truncation(self, deg_z, n_vars):
+        # the solve ends after the first non-real degree m with the full
+        # series truncated at m; a real series runs through the order
+        rng = random.Random(f"stop_at_imaginary:{deg_z}:{n_vars}")
+        zero = (0,) * n_vars
+        for _ in range(2):
+            slices = seeded_slices(rng, deg_z, n_vars)
+            real = {k: s.real_part() for k, s in slices.items()}
+            if real[1].coefficient(zero).is_zero():
+                real[1] = real[1] + GaussianRational(1)
+            for s in (slices, real):
+                full = implicit_root(s, 8)
+                m = min((sum(e) for e, c in full.terms.items() if c.im), default=8)
+                y = implicit_root(s, 8, stop_at_imaginary=True)
+                assert y == full.truncate(m)
+            assert y.is_real()
+
 
 class TestTermOrder:
     # the boundedness oracle sums phi's float terms in insertion order, so

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from numideal.cli import main
+from numideal.construct import iterated_composition
+from numideal.examples import EXAMPLES
 from numideal.parsing import format_poly
 from numideal.poly import MultiPoly
 
@@ -20,6 +22,25 @@ DEGENERATE_EXACT_G = (
     "4*x^2 - 8*x*y + 4*y^2 + 15*x^4 + 34*x^2*y^2 + 15*y^4"
     " + 56*x^4*y^2 + 16*x^3*y^3 + 56*x^2*y^4 + 64*x^4*y^4"
 )
+
+# the first input of the benchmark's wide corpus with four x-variables
+WIDE4X = (
+    "3/2*x1 + 2*x2 + 2*x3 + x4 + z - 7/2*i*x1*x2 - 7/2*i*x1*x3 - 5/2*i*x1*x4"
+    " - 5/2*i*x1*z - 4*i*x2*x3 - 3*i*x2*x4 - 3*i*x2*z - 3*i*x3*x4 - 3*i*x3*z"
+    " - 2*i*x4*z - 11/2*x1*x2*x3 - 9/2*x1*x2*x4 - 9/2*x1*x2*z - 9/2*x1*x3*x4"
+    " - 9/2*x1*x3*z - 7/2*x1*x4*z - 5*x2*x3*x4 - 5*x2*x3*z - 4*x2*x4*z"
+    " - 4*x3*x4*z + 13/2*i*x1*x2*x3*x4 + 13/2*i*x1*x2*x3*z + 11/2*i*x1*x2*x4*z"
+    " + 11/2*i*x1*x3*x4*z + 6*i*x2*x3*x4*z + 15/2*x1*x2*x3*x4*z"
+)
+
+# inputs of the analyze goldens, tests/golden/<name>_analyze.{txt,json}
+ANALYZE_GOLDEN = {
+    "nonisolated": lambda: format_poly(EXAMPLES["nonisolated"]()),
+    "degenerate": lambda: format_poly(EXAMPLES["degenerate"]()),
+    "p2": lambda: format_poly(EXAMPLES["p2"]()),
+    "iterated7": lambda: format_poly(iterated_composition(7)),
+    "wide4x": lambda: WIDE4X,
+}
 
 
 def run_cli(*args):
@@ -81,6 +102,16 @@ class TestAnalyze:
     def test_golden_json(self):
         res = run_cli("analyze", LINEAR3, "--format", "json")
         assert res.stdout == (GOLDEN / "linear3_analyze.json").read_text()
+
+    # phi is printed through --order, and phi_order with it, on every path
+    # that solves phi again: LinearForm (nonisolated), K (degenerate),
+    # Definite (p2, wide4x) and the raised ord R (iterated7)
+    @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+    @pytest.mark.parametrize("name", list(ANALYZE_GOLDEN))
+    def test_golden_stdout(self, name, fmt, ext, capsys):
+        assert main(["analyze", ANALYZE_GOLDEN[name](), "--format", fmt]) == 0
+        golden = GOLDEN / f"{name}_analyze.{ext}"
+        assert capsys.readouterr().out == golden.read_text()
 
     def test_unread_flag_rejected(self):
         # analyze runs no oracle, so it takes no --eps
@@ -353,6 +384,21 @@ class TestPuiseux:
         assert res.returncode == 2
         assert res.stderr.startswith(
             "error: characteristic root lies in a degree-2 extension"
+        )
+
+    @pytest.mark.parametrize(
+        "curve, root",
+        [
+            ("(y - x)^2*(y + 2*x) - x^4", "square root of 1/3"),
+            ("y^3 - 2*x^2", "cube root of 2"),
+            ("y^4 - 2*x", "4-th root of 2"),
+        ],
+    )
+    def test_missing_root_is_named_exit_2(self, curve, root):
+        res = run_cli("puiseux", curve)
+        assert res.returncode == 2
+        assert res.stderr == (
+            f"error: no exact {root} in Q(i); branch needs a field extension\n"
         )
 
 

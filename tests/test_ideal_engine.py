@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from numideal.closure import monomialize
+from numideal.branch import solve_branch
 from numideal.construct import (
+    iterated_composition,
     normalize_z_coefficient,
     polydisk_to_halfplane,
     random_stable_polynomial,
@@ -20,11 +22,28 @@ from numideal.engine import (
     membership,
     numerator_ideal,
 )
-from numideal.errors import NoMonomializationFound, PreconditionError
+from numideal.errors import (
+    NoMonomializationFound,
+    PreconditionError,
+    SanityViolation,
+)
 from numideal.examples import EXAMPLES
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
 from numideal.poly import MultiPoly, pseudo_remainder
+
+
+def _wide_corpus():
+    """The benchmark's wide corpus: two seeded stable polynomials of
+    z-degree 1 in three x-variables, then two in four."""
+    rng = random.Random(20240816)
+    out = []
+    for n_vars in (4, 4, 5, 5):
+        p = random_stable_polynomial(rng, n_vars=n_vars)
+        while p.var_degree("z") != 1:
+            p = random_stable_polynomial(rng, n_vars=n_vars)
+        out.append(p)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -554,13 +573,13 @@ class TestTransport:
         ],
     )
     def test_membership_does_not_depend_on_the_order(self, degenerate, a, b):
-        # the ideal solves phi through K = 4 at least, and every monomial of
-        # degree > K lies in the polyhedron, so the truncation of q(x, -H)
-        # never decides a verdict
+        # the ideal solves phi through K = 4, and every monomial of degree
+        # > K lies in the polyhedron, so the truncation of q(x, -H) never
+        # decides a verdict
         scaling = {"x": (f"{a}*x", "1"), "y": (f"{b}*y", "1")}
         p = _transport(degenerate, scaling)
         descs = {order: numerator_ideal(p, order=order) for order in (1, 2, 4, 12)}
-        assert {d.branch.phi.order for d in descs.values()} == {4, 12}
+        assert {d.branch.phi.order for d in descs.values()} == {4}
         texts = [text for text, _ in DEGENERATE_CHECKS] + ["z", "x^2*z^3"]
         for text in texts:
             q = _transport(parse(text, vars=p.vars), scaling)
@@ -649,3 +668,44 @@ class TestOutOfScope:
     def test_missing_z_reported(self):
         with pytest.raises(PreconditionError):
             numerator_ideal(parse("x + y", vars=("x", "y")))
+
+
+class TestPhiThroughWhatTheIdealReads:
+    """A Definite ideal reads phi through 2L only, so it solves phi that far
+    and no further, unless a gradient component is zero; the printed phi
+    comes from `cli.cmd_analyze`, which solves again through --order."""
+
+    @staticmethod
+    def _check_definite(inputs):
+        seen = 0
+        for p, order in inputs:
+            desc = numerator_ideal(p, order=order)
+            if desc.case is not CaseTag.DEFINITE:
+                continue
+            if any(g.is_zero() for g in desc.branch.grad0):
+                continue
+            two_L = 2 * desc.L_or_K
+            phi = desc.branch.phi
+            assert phi.order == two_L
+            full = solve_branch(p, max(order, two_L)).phi.poly
+            assert phi.poly == full.truncate(two_L)
+            seen += 1
+        return seen
+
+    def test_worked_and_iterated(self):
+        inputs = [(EXAMPLES[name](), 12) for name in ("linear3", "p2")]
+        inputs += [(iterated_composition(L), 12) for L in range(1, 8)]
+        assert self._check_definite(inputs) == 9
+
+    def test_random_batch(self):
+        rng = random.Random(20240815)
+        inputs = [(random_stable_polynomial(rng), 8) for _ in range(50)]
+        assert self._check_definite(inputs) == 50
+
+    def test_wide_corpus(self):
+        assert self._check_definite((p, 12) for p in _wide_corpus()) == 4
+
+    def test_zero_gradient_check_reads_past_2L(self):
+        # 2L = 2, but the y^5 that breaks the zero-gradient check lies past it
+        with pytest.raises(SanityViolation, match="zero-gradient subspace"):
+            numerator_ideal(parse("z + x + i*x^2 + y^5"))

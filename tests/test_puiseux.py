@@ -200,7 +200,7 @@ class TestNewtonPuiseux:
         [
             ("y^2 - 2*x^2", "characteristic root lies in a degree-2 extension"),
             ("y^3 - 2*x^3", "characteristic polynomial does not split over Q(i)"),
-            ("y^2 - 2*x^3", "no exact 2-th root of 2 in Q(i)"),
+            ("y^2 - 2*x^3", "no exact square root of 2 in Q(i)"),
         ],
     )
     def test_field_extension_is_out_of_scope(self, text, message):
