@@ -7,7 +7,10 @@ zero), Definite (positive-definite leading imaginary part), LinearForm
 (imaginary part comparable to a power of a real linear form), or
 IsolatedDegenerate (isolated real zero, ideal via an integral closure).
 A numeric boundedness oracle, `boundedness_oracle`, cross-checks a verdict
-on request (`member --oracle`).
+on request (`member --oracle`).  Its probes and |p| at them do not depend
+on the numerator, so the last call's probe table is kept, up to the
+default grid, and reused by the next call on the same p and ideal objects
+with the same eps, grid and seed; either way the results are the same.
 
 Where phi is real through the order or its leading imaginary part is not
 definite, the decisions rest on the exact resultant R = Res_z(f, f̄)
@@ -534,6 +537,13 @@ def _finite(value: complex) -> complex:
     return value
 
 
+# the probe table of the last oracle call, (p, desc, (eps, grid, seed),
+# levels), or None.  Tables are kept up to the default grid, 3 levels of 400
+# base probes plus the curve probes; a finer grid keeps nothing
+_last_probes = None
+_KEEP_GRID = 3
+
+
 def boundedness_oracle(
     p: MultiPoly,
     q: MultiPoly,
@@ -552,7 +562,17 @@ def boundedness_oracle(
     levels to be judged and a finite positive radius to be sampled, so
     grid < 2 or such an eps raises PreconditionError, as does a grid so
     fine for eps that the last radius squared underflows to 0.
+
+    The probes and |p| at them do not depend on q (`_probe_levels`), so the
+    last call's table is reused by a call with the same p and ideal objects
+    (`is`) and the same eps, grid and seed; only q is evaluated per call.
+    A grid finer than the default keeps no table, nor does a build that
+    raises.  The result is the same, float for float, whether the table is
+    reused or built afresh.  A non-finite or overflowing sample of H, p or
+    q raises PreconditionError ("use a smaller --eps"); since p is sampled
+    ahead of q, one at a later probe of p can surface before one in q.
     """
+    global _last_probes
     if grid < 2:
         raise PreconditionError(
             f"oracle needs at least 2 refinement levels to judge growth, got "
@@ -576,60 +596,32 @@ def boundedness_oracle(
     desc = ideal if ideal is not None else numerator_ideal(p, seed=seed)
     if q.vars != p.vars:
         q = q.embed(p.vars)
-    H = desc.H
-    x_vars = p.vars[:-1]
-    d = len(x_vars)
-    rng = random.Random(seed)
-    cap = 100_000
-    # one base sample set of 400 points in the unit box, rescaled per
-    # refinement level, so level maxima are directly comparable point by point
-    n = min(400, cap // grid)
-    base = []
-    for k in range(n):
-        x_unit = [rng.uniform(-1.0, 1.0) for _ in range(d)]
-        # slice offsets scale like radius^2, the size of Im phi, so the
-        # samples actually approach the zero set as the grid refines
-        delta_unit = rng.choice([0.0, 0.25, -0.25, 0.0625, -0.0625])
-        v_unit = [rng.uniform(0.05, 1.0) for _ in range(d)]
-        base.append((x_unit, delta_unit, v_unit, k % 2 == 1))
     level_max = []
     curve_max = []
     witness = None
     try:
-        for level in range(grid):
-            radius = math.ldexp(eps, -level)
-            best = 0.0
-            curve_best = 0.0
-            slice_points = []
-            for x_unit, delta_unit, v_unit, interior in base:
-                slice_points.append(
-                    ([radius * t for t in x_unit], delta_unit, v_unit, interior, False)
-                )
-            for x_real in _extremal_curve_points(desc, radius):
-                slice_points.append((list(x_real), 0.0, None, False, True))
-            for x_real, delta_unit, v_unit, interior, on_curve in slice_points:
-                h_val = _finite(H.eval_complex(x_real)).real
-                delta = radius * radius * delta_unit
-                if interior:
-                    point = [
-                        complex(t, radius * s) for t, s in zip(x_real, v_unit)
-                    ] + [complex(-h_val, abs(delta) + 0.01 * radius**2)]
-                else:
-                    point = [complex(t, 0.0) for t in x_real] + [
-                        complex(-h_val + delta, 0.0)
-                    ]
-                pv = _finite(p.eval_complex(point))
-                if pv == 0:
-                    continue
-                ratio = abs(_finite(q.eval_complex(point))) / abs(pv)
-                if on_curve and ratio > curve_best:
-                    curve_best = ratio
-                if ratio > best:
-                    best = ratio
-                    if witness is None or ratio > witness[0]:
-                        witness = (ratio, tuple(point))
+        # a concurrent call at worst builds the table twice
+        last = _last_probes
+        setting = (eps, grid, seed)
+        if last is not None and last[0] is p and last[1] is desc and last[2] == setting:
+            levels = last[3]
+        else:
+            _last_probes = None
+            levels = _probe_levels(p, desc, eps, grid, seed)
+            if grid <= _KEEP_GRID:
+                levels = list(levels)
+                _last_probes = (p, desc, setting, levels)
+        for points, p_abs, curve_start in levels:
+            ratios = [
+                abs(_finite(q.eval_complex(point))) / value
+                for point, value in zip(points, p_abs)
+            ]
+            best = max(ratios, default=0.0)
+            # the first probe of the largest ratio so far
+            if best > 0 and (witness is None or best > witness[0]):
+                witness = (best, points[ratios.index(best)])
             level_max.append(best)
-            curve_max.append(curve_best)
+            curve_max.append(max(ratios[curve_start:], default=0.0))
     except OverflowError:
         raise PreconditionError(
             f"oracle samples overflow floating point at eps {eps}; use a "
@@ -654,6 +646,63 @@ def boundedness_oracle(
         "divergent": divergent,
         "witness": witness,
     }
+
+
+def _probe_levels(p: MultiPoly, desc: IdealDescription, eps, grid, seed):
+    """The oracle's probes, which do not depend on q, yielded one
+    refinement level at a time: the points where p is nonzero, the random
+    samples first, the list of |p| at them, and the index at which the
+    extremal-curve probes start."""
+    H = desc.H
+    d = len(p.vars) - 1
+    rng = random.Random(seed)
+    cap = 100_000
+    # one base sample set of 400 points in the unit box, rescaled per
+    # refinement level, so level maxima are directly comparable point by point
+    n = min(400, cap // grid)
+    base = []
+    for k in range(n):
+        x_unit = [rng.uniform(-1.0, 1.0) for _ in range(d)]
+        # slice offsets scale like radius^2, the size of Im phi, so the
+        # samples actually approach the zero set as the grid refines
+        delta_unit = rng.choice([0.0, 0.25, -0.25, 0.0625, -0.0625])
+        v_unit = [rng.uniform(0.05, 1.0) for _ in range(d)]
+        base.append((x_unit, delta_unit, v_unit, k % 2 == 1))
+    for level in range(grid):
+        radius = math.ldexp(eps, -level)
+        points, p_abs = [], []
+        samples = (
+            ([radius * t for t in x_unit], delta_unit, v_unit, interior)
+            for x_unit, delta_unit, v_unit, interior in base
+        )
+        _append_probes(points, p_abs, p, H, radius, samples)
+        curve_start = len(points)
+        curves = (
+            (x_real, 0.0, None, False)
+            for x_real in _extremal_curve_points(desc, radius)
+        )
+        _append_probes(points, p_abs, p, H, radius, curves)
+        yield points, p_abs, curve_start
+
+
+def _append_probes(points, p_abs, p, H, radius, slice_points):
+    """Append each slice point at which p is nonzero to points, and |p| there
+    to p_abs: on the slice z = -H(x) + delta, or inside at x + iv."""
+    for x_real, delta_unit, v_unit, interior in slice_points:
+        h_val = _finite(H.eval_complex(x_real)).real
+        delta = radius * radius * delta_unit
+        if interior:
+            point = tuple(
+                complex(t, radius * s) for t, s in zip(x_real, v_unit)
+            ) + (complex(-h_val, abs(delta) + 0.01 * radius**2),)
+        else:
+            point = tuple(complex(t, 0.0) for t in x_real) + (
+                complex(-h_val + delta, 0.0),
+            )
+        pv = _finite(p.eval_complex(point))
+        if pv != 0:
+            points.append(point)
+            p_abs.append(abs(pv))
 
 
 def _extremal_curve_points(desc: IdealDescription, radius: float):

@@ -1,6 +1,9 @@
 """End-to-end ideal assembly and membership for the worked examples."""
 
+import gc
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -657,6 +660,126 @@ class TestOracle:
             for gen in desc.generators:
                 res = boundedness_oracle(p, gen, ideal=desc, seed=2)
                 assert not res["divergent"], format_poly(gen)
+
+    # the numerators of acceptance criterion 7(d), per worked example
+    CRITERION_7D = {
+        "linear3": ["x^2", "x*y", "y^2", "x + y + z", "x", "1"],
+        "nonisolated": ["(x + y)^2", "x + y + z - x*y*z", "x + y", "z"],
+        "degenerate": [
+            "(x - y)^2",
+            "(x - y)*(x + y)^2",
+            "(x + y)^4",
+            "(x + y)^3",
+            "(x - y)*(x + y)",
+            "(x + y)^2",
+        ],
+    }
+
+    def test_reused_probes_match_fresh_ideal(self):
+        ps = {name: EXAMPLES[name]() for name in self.CRITERION_7D}
+        pairs = [
+            (name, text) for name, texts in self.CRITERION_7D.items() for text in texts
+        ]
+        # grid 4 keeps no table; each of one_off differs from the default in
+        # one of eps, seed and grid, and keeps its table
+        default, fine = (0.125, 3, 0), (0.3, 4, 7)
+        one_off = [(0.3, 3, 0), (0.125, 3, 7), (0.125, 2, 0)]
+        fresh = {}
+
+        def expected(name, text, setting):
+            key = (name, text, setting)
+            if key not in fresh:
+                p = ps[name]
+                eps, grid, seed = setting
+                fresh[key] = boundedness_oracle(
+                    p, parse(text, vars=p.vars), eps=eps, grid=grid, seed=seed,
+                    ideal=numerator_ideal(p),
+                )
+            return fresh[key]
+
+        shared = {name: numerator_ideal(p) for name, p in ps.items()}
+        by_name = [[pair for pair in pairs if pair[0] == name] for name in ps]
+        interleaved = [
+            pair for group in itertools.zip_longest(*by_name) for pair in group if pair
+        ]
+        schedules = [
+            lambda k: default,
+            lambda k: fine,
+            lambda k: (default, fine)[k % 2],
+            lambda k: one_off[k // 2 % 3] if k % 2 else default,
+        ]
+        for calls in (pairs, pairs[::-1], interleaved):
+            for schedule in schedules:
+                for k, (name, text) in enumerate(calls):
+                    p = ps[name]
+                    setting = schedule(k)
+                    eps, grid, seed = setting
+                    got = boundedness_oracle(
+                        p, parse(text, vars=p.vars), eps=eps, grid=grid, seed=seed,
+                        ideal=shared[name],
+                    )
+                    assert got == expected(name, text, setting), (name, text, setting)
+
+        # an equal p that is a distinct object, with the same ideal: its
+        # terms in another order sum to other floats, so its own table is built
+        p = ps["degenerate"]
+        q = parse("(x + y)^3", vars=p.vars)
+        first = boundedness_oracle(p, q, ideal=shared["degenerate"])
+        twin = MultiPoly(p.vars, dict(reversed(p.terms.items())))
+        assert twin == p and twin is not p
+        again = boundedness_oracle(twin, q, ideal=shared["degenerate"])
+        assert again == boundedness_oracle(twin, q, ideal=numerator_ideal(p))
+        assert again != first == expected("degenerate", "(x + y)^3", default)
+
+    def test_curve_probes_alone_can_show_growth(self, degenerate, degenerate_ideal):
+        # at seed 9 the random maxima grow by less than 1.5 per level, and
+        # the maxima on the extremal curves by more
+        q = parse("(x - y)*(x + y)", vars=degenerate.vars)
+        res = boundedness_oracle(degenerate, q, ideal=degenerate_ideal, seed=9)
+        assert res["level_max"][1] < 1.5 * res["level_max"][0]
+        assert res["divergent"]
+
+    def test_ideal_of_another_order_builds_its_own_probes(self):
+        # Principal: H is the real phi through the order
+        p = parse("z + x + x*z + y")
+        q = parse("x*y", vars=p.vars)
+        descs = [numerator_ideal(p, order=order) for order in (4, 8, 4)]
+        assert {desc.case for desc in descs} == {CaseTag.PRINCIPAL}
+        first, other, again = (boundedness_oracle(p, q, ideal=d) for d in descs)
+        assert first == again != other
+
+    def test_failed_build_keeps_nothing(self, linear3):
+        desc = numerator_ideal(linear3)
+        q = parse("x", vars=linear3.vars)
+        before = boundedness_oracle(linear3, q, ideal=desc)
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="use a smaller --eps"):
+                boundedness_oracle(linear3, q, eps=1e200, ideal=desc)
+        after = boundedness_oracle(linear3, q, ideal=desc)
+        assert after == before == boundedness_oracle(
+            linear3, q, ideal=numerator_ideal(linear3)
+        )
+
+    def test_fine_grid_keeps_no_table(self, linear3):
+        desc = numerator_ideal(linear3)
+        q = parse("x", vars=linear3.vars)
+        boundedness_oracle(linear3, q, ideal=desc, grid=2)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            boundedness_oracle(linear3, q, ideal=desc)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - start
+            boundedness_oracle(linear3, q, ideal=desc, grid=40)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # a kept grid-40 table holds 16000 probes, several MB; the default
+        # call's table, about 250 KiB, goes when the grid-40 call misses
+        assert retained < 256 * 1024
+        assert retained <= kept // 2
 
 
 class TestOutOfScope:
