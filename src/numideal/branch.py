@@ -3,11 +3,12 @@
 The zero set of a stable polynomial with a smooth zero at the origin is
 parametrized by z + phi(x) = 0; phi is computed degree by degree with
 undetermined coefficients, using the nonzero z-derivative at 0 as the pivot.
+solve_branch checks the degree-1 conditions of stability, which every
+solve holds exactly, and classify reads only Im phi_2L, so no check here
+depends on the truncation order.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 from .errors import PreconditionError, SanityViolation
 from .forms import (
@@ -32,30 +33,14 @@ class BranchSolution(Frozen):
     __slots__ = ("phi", "grad0")
 
 
-class PhiKind(Enum):
-    ALL_REAL_UP_TO_ORDER = "AllRealUpToOrder"
-    FIRST_IMAG_TERM = "FirstImagTerm"
-
-
 class PhiClassification(Frozen):
     """The first non-real homogeneous term Im phi_2L of phi, if any, and its
     sign; definite_exact is False only where that sign was sampled
     (2L >= 4, d >= 3).  L, the MultiPoly im_part_2L and definite are None
-    for ALL_REAL_UP_TO_ORDER."""
+    where phi is real through its order."""
 
-    __slots__ = (
-        "kind",
-        "order_checked",
-        "L",
-        "im_part_2L",
-        "definite",
-        "zero_gradient_components",
-        "definite_exact",
-    )
-    _defaults = {
-        "L": None, "im_part_2L": None, "definite": None,
-        "zero_gradient_components": (), "definite_exact": True,
-    }
+    __slots__ = ("L", "im_part_2L", "definite", "definite_exact")
+    _defaults = {"im_part_2L": None, "definite": None, "definite_exact": True}
 
 
 def solve_branch(
@@ -64,6 +49,14 @@ def solve_branch(
     """Compute phi with p(x, -phi(x)) vanishing through total degree `order`.
 
     Requires p(0) = 0 and dp/dz(0) != 0 (z is the last variable of p).
+    Checks what stability forces on the degree-1 part of phi, which every
+    solve holds exactly: grad phi(0) = p_x(0) / p_z(0) is real and
+    componentwise nonnegative, and phi vanishes on the coordinate subspace
+    of the zero gradient components.  By the implicit function theorem the
+    latter holds exactly when p has no z-free term in those variables
+    alone, so neither check depends on the order.  A failure raises
+    SanityViolation with a witness.
+
     With stop_at_imaginary, phi is solved and its residual checked only
     through its first non-real degree m <= order, and phi.order is m; a phi
     real through the order is solved in full.  `numerator_ideal` solves so:
@@ -93,34 +86,12 @@ def solve_branch(
     if low is not None:
         raise AssertionError(f"solver fixed point failed: residual has degree {low}")
 
+    x_vars = p.vars[:-1]
     grad0 = tuple(
         phi.coefficient(tuple(1 if j == i else 0 for j in range(n - 1)))
         for i in range(n - 1)
     )
-    # implicit_root keeps no term above the order
-    return BranchSolution(TruncatedSeries._within(phi, order), grad0)
-
-
-def classify(sol: BranchSolution, seed: int = 0):
-    """Identify the first non-real homogeneous term of phi, with sanity checks.
-
-    Checks required of any branch coming from a stable polynomial: the
-    gradient at 0 is real and componentwise nonnegative, the first non-real
-    homogeneous index is even, its imaginary part is nonnegative on real
-    directions, and phi vanishes on the coordinate subspace of vanishing
-    gradient components.  Any failure raises SanityViolation with a witness.
-
-    Nonnegativity and definiteness of Im phi_2L are exact in one variable
-    (sign test), in two (Sturm on the binary form, and Yun only for a form
-    that is not definite) and for 2L = 2 in any number (LDL^T of the Gram
-    matrix, with a rational negative direction as witness).  Only 2L >= 4 in three or more x-variables samples unit
-    directions with `seed`; the result then has definite_exact False.
-    """
-    phi = sol.phi
-    x_vars = phi.poly.vars
-    d = len(x_vars)
-
-    for name, g in zip(x_vars, sol.grad0):
+    for name, g in zip(x_vars, grad0):
         if not g.is_real():
             raise SanityViolation(
                 f"gradient component {name} is not real", witness=(name, g)
@@ -129,29 +100,44 @@ def classify(sol: BranchSolution, seed: int = 0):
             raise SanityViolation(
                 f"gradient component {name} is negative", witness=(name, g)
             )
-
-    zero_components = tuple(
-        name for name, g in zip(x_vars, sol.grad0) if g.is_zero()
-    )
-    if zero_components:
-        idx = [x_vars.index(name) for name in zero_components]
-        keep = set(idx)
-        for exps, coeff in phi.poly.terms.items():
-            if all(k == 0 or j in keep for j, k in enumerate(exps)):
+    # z = 0 solves p on the zero-gradient subspace unless p has a z-free
+    # term in those variables alone
+    flat = {i for i, g in enumerate(grad0) if g.is_zero()}
+    if flat:
+        for exps, coeff in p.terms.items():
+            if exps[-1] == 0 and all(i in flat for i, k in enumerate(exps[:-1]) if k):
                 raise SanityViolation(
                     "phi does not vanish on the zero-gradient subspace",
-                    witness=(zero_components, exps, coeff),
+                    witness=(tuple(x_vars[i] for i in sorted(flat)), exps, coeff),
                 )
+
+    # implicit_root keeps no term above the order
+    return BranchSolution(TruncatedSeries._within(phi, order), grad0)
+
+
+def classify(sol: BranchSolution, seed: int = 0):
+    """Identify the first non-real homogeneous term of phi, with sanity checks.
+
+    Checks required of any branch coming from a stable polynomial beyond
+    those of `solve_branch`: the first non-real homogeneous index is even
+    and its imaginary part is nonnegative on real directions.  Any failure
+    raises SanityViolation with a witness.
+
+    Nonnegativity and definiteness of Im phi_2L are exact in one variable
+    (sign test), in two (Sturm on the binary form, and Yun only for a form
+    that is not definite) and for 2L = 2 in any number (LDL^T of the Gram
+    matrix, with a rational negative direction as witness).  Only 2L >= 4
+    in three or more x-variables samples unit directions with `seed`; the
+    result then has definite_exact False.
+    """
+    phi = sol.phi
+    d = len(phi.poly.vars)
 
     first_imag = min(
         (sum(e) for e, c in phi.poly.terms.items() if c.im), default=None
     )
     if first_imag is None:
-        return PhiClassification(
-            PhiKind.ALL_REAL_UP_TO_ORDER,
-            order_checked=phi.order,
-            zero_gradient_components=zero_components,
-        )
+        return PhiClassification(None)
 
     part = phi.poly.homogeneous_part(first_imag)
     if first_imag % 2 == 1:
@@ -196,13 +182,5 @@ def classify(sol: BranchSolution, seed: int = 0):
             witness=im_part,
         )
 
-    return PhiClassification(
-        PhiKind.FIRST_IMAG_TERM,
-        order_checked=phi.order,
-        L=first_imag // 2,
-        im_part_2L=im_part,
-        definite=definite,
-        zero_gradient_components=zero_components,
-        definite_exact=definite_exact,
-    )
+    return PhiClassification(first_imag // 2, im_part, definite, definite_exact)
 

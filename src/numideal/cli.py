@@ -5,6 +5,9 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 early (as under `| head`); `member` exits 0 for InIdeal, 3 for NotInIdeal,
 4 for Indeterminate.
 
+For `analyze` and `member`, --order sets only how far phi, the Principal
+H and q0 are printed; no case tag or verdict depends on it.
+
 `puiseux` and `construct` are imported by the subcommands that use them,
 so `analyze` and `member` start without loading either.
 """
@@ -16,7 +19,7 @@ import json
 import os
 import sys
 
-from .branch import PhiKind, solve_branch
+from .branch import solve_branch
 from .engine import (
     CaseTag,
     Verdict,
@@ -51,7 +54,7 @@ def cmd_analyze(args) -> int:
     payload["phi"] = format_poly(phi.poly)
     payload["phi_order"] = phi.order
     payload["grad0"] = [str(g) for g in desc.branch.grad0]
-    if cls.kind is PhiKind.FIRST_IMAG_TERM:
+    if cls.L is not None:
         payload["first_imag_index"] = 2 * cls.L
         payload["im_part"] = format_poly(cls.im_part_2L)
         payload["definite"] = cls.definite
@@ -65,7 +68,7 @@ def cmd_analyze(args) -> int:
     print(f"p = {format_poly(p)}")
     print(f"phi = {format_poly(phi.poly)} + O(deg {phi.order + 1})")
     print(f"grad phi(0) = ({', '.join(str(g) for g in desc.branch.grad0)})")
-    if cls.kind is PhiKind.FIRST_IMAG_TERM:
+    if cls.L is not None:
         definite = "positive definite" if cls.definite else "not positive definite"
         if not cls.definite_exact:
             definite += ", sampled"
@@ -74,7 +77,7 @@ def cmd_analyze(args) -> int:
             f"Im phi_{2 * cls.L} = {format_poly(cls.im_part_2L)} ({definite})"
         )
     else:
-        print(f"phi real through order {cls.order_checked}")
+        print(f"phi real through order {phi.order}")
     print(f"case: {desc.case.value}")
     print(f"H = {format_poly(desc.H)}")
     if desc.g is not None:

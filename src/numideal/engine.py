@@ -37,7 +37,7 @@ import random
 from enum import Enum
 from fractions import Fraction
 
-from .branch import PhiKind, classify, solve_branch
+from .branch import classify, solve_branch
 from .errors import PreconditionError, SanityViolation
 from .forms import p_gcd
 from .gaussian import GaussianRational
@@ -77,9 +77,9 @@ class IdealDescription(Record):
     and IsolatedDegenerate), linear_form and reducer (LinearForm:
     den z + num, den(0) != 0) are diagnostics, not part of the wire
     schema.  branch holds phi only as far as the ideal reads it: through
-    2L for Definite and through K for IsolatedDegenerate, unless a zero
-    gradient component or a real phi made `numerator_ideal` solve further;
-    through the working order for Principal and LinearForm.
+    2L for Definite and through K for IsolatedDegenerate, unless a real phi
+    made `numerator_ideal` solve further; through the working order for
+    Principal and LinearForm.
     """
 
     __slots__ = (
@@ -256,13 +256,14 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
     Requires p(0) = 0, dp/dz(0) != 0, and p stable on the poly-upper
     half-plane (caller-asserted; spot-checked by sampling).  phi is solved
     only through its first non-real degree 2L, and again through `order`
-    where something reads further: a zero gradient component, or
-    LinearForm.  The working order rises above `order` on its own where the
-    case needs it: to ord Res_z(p, p̄) when phi is real through `order`,
-    and to the exponent K of an isolated degenerate zero.  A degenerate
-    Im phi_2L is decided by the Newton polygon that `monomialize` gives the
-    comparable g, once: `_zero_line` reads LinearForm off it,
-    `_isolated_exponent` the rest.
+    for LinearForm, whose membership reduces by Re phi.  The working order
+    rises above `order` on its own where the case needs it: to
+    ord Res_z(p, p̄) when phi is real through `order`, and to the exponent
+    K of an isolated degenerate zero.  A degenerate Im phi_2L is decided by
+    the Newton polygon that `monomialize` gives the comparable g, once:
+    `_zero_line` reads LinearForm off it, `_isolated_exponent` the rest.
+    So `order` sets only how far phi, the Principal H and the reduced
+    numerators reach; no case tag or verdict depends on it.
     """
     if p.vars[-1:] != ("z",):
         raise PreconditionError("p must involve z as its distinguished variable")
@@ -270,10 +271,6 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
         raise PreconditionError("p must involve at least one x-variable besides z")
     _stability_spot_check(p, seed=seed)
     sol = solve_branch(p, order, stop_at_imaginary=True)
-    if any(g.is_zero() for g in sol.grad0) and sol.phi.order < order:
-        # classify checks that phi vanishes on the zero-gradient subspace,
-        # which reads phi through the order
-        sol = solve_branch(p, order)
     cls = classify(sol, seed=seed)
     x_vars = p.vars[:-1]
     d = len(x_vars)
@@ -281,7 +278,7 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
     # (f, R) from _branch_factor, computed once and only where phi is real
     # through the order or its leading imaginary part is not definite
     factor = None
-    if cls.kind is PhiKind.ALL_REAL_UP_TO_ORDER:
+    if cls.L is None:
         factor = _branch_factor(p)
         if factor is None:
             return IdealDescription(
@@ -296,7 +293,7 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
         # ord R >= 2L, so solving through ord R exposes L
         sol = solve_branch(p, max(order, factor[1].min_degree()))
         cls = classify(sol, seed=seed)
-        if cls.kind is PhiKind.ALL_REAL_UP_TO_ORDER:
+        if cls.L is None:
             raise AssertionError("phi is real through ord Res_z(p, pbar)")
 
     L = cls.L

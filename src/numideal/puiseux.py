@@ -31,7 +31,7 @@ from .forms import (
     p_strip,
     rational_prime_factors,
 )
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, I
 from .poly import (
     MultiPoly,
     TruncatedSeries,
@@ -495,35 +495,25 @@ def _pair_conjugates(branches):
 
 
 def _same_branch_class(coeff_map: dict, other: PuiseuxBranch, r: int) -> bool:
-    other_map = {m: c for m, c in other.coeff_items()}
-    if r in (1, 2, 4):
-        # mu powers stay in Q(i): test all shifts exactly
-        mu_pows = {
-            1: [GaussianRational(1)],
-            2: [GaussianRational(1), GaussianRational(-1)],
-            4: [
-                GaussianRational(1),
-                GaussianRational(0, 1),
-                GaussianRational(-1),
-                GaussianRational(0, -1),
-            ],
-        }[r]
-        for j in range(r):
-            ok = True
-            keys = set(coeff_map) | set(other_map)
-            for m in keys:
-                lhs = coeff_map.get(m, GaussianRational(0))
-                rhs = other_map.get(m, GaussianRational(0)) * (
-                    mu_pows[(j * m) % r]
-                )
-                if lhs != rhs:
-                    ok = False
+    """Whether psi'(mu^j t) has the coefficients coeff_map for some shift j:
+    conj(c_m) = c'_m mu^k with k = j*m mod r, coefficient by coefficient.
+    mu^k lies in Q(i) exactly when r divides 4k, as i^(4k/r); otherwise no
+    nonzero pair of Q(i) coefficients can match, so both must vanish."""
+    other_map = dict(other.coeff_items())
+    zero = GaussianRational(0)
+    keys = set(coeff_map) | set(other_map)
+    for j in range(r):
+        for m in keys:
+            lhs, rhs = coeff_map.get(m, zero), other_map.get(m, zero)
+            k = j * m % r
+            if (4 * k) % r:
+                if not (lhs.is_zero() and rhs.is_zero()):
                     break
-            if ok:
-                return True
-        return False
-    # other ramifications: compare the sets of |coefficients| positions only
-    return set(coeff_map) == set(other_map)
+            elif lhs != rhs * I ** (4 * k // r):
+                break
+        else:
+            return True
+    return False
 
 
 # -- branch factor polynomials (exact, via power sums) -----------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from numideal.branch import PhiKind, classify, solve_branch
+from numideal.branch import classify, solve_branch
 from numideal.closure import ic_generators, ic_membership, monomialize
 from numideal.construct import random_stable_polynomial, iterated_composition
 from numideal.engine import (
@@ -148,7 +148,6 @@ def test_criterion_5_iterated_family():
     for L in (1, 2, 3):
         pL = iterated_composition(L)
         cls = classify(solve_branch(pL, 2 * L + 2))
-        assert cls.kind is PhiKind.FIRST_IMAG_TERM
         assert cls.L == L, f"first non-real index {2 * cls.L} != {2 * L}"
         assert cls.definite is True
     # the worked L = 2 example: ideal equals (z + H, (x^2+y^2)^2) with
@@ -278,7 +277,7 @@ def test_criterion_8_branch_sanity_battery():
         for g in sol.grad0:
             assert g.is_real() and g.re >= 0
         cls = classify(sol)  # raises SanityViolation on any parity failure
-        if cls.kind is PhiKind.FIRST_IMAG_TERM:
+        if cls.L is not None:
             assert (2 * cls.L) % 2 == 0
             # nonnegativity on 10^3 sampled directions
             im = cls.im_part_2L
@@ -286,8 +285,5 @@ def test_criterion_8_branch_sanity_battery():
                 a = 2 * math.pi * k / 1000
                 val = im.eval_complex((math.cos(a), math.sin(a))).real
                 assert val >= -1e-12
-        if cls.zero_gradient_components:
-            # classification already verified phi vanishes on that subspace
-            pass
     assert violations == 0
     report(8, f"branch sanity battery on {len(batch)} construction inputs: zero violations")

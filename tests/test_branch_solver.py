@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from numideal.branch import PhiKind, classify, solve_branch
+from numideal.branch import PhiClassification, classify, solve_branch
 from numideal.construct import random_stable_polynomial
 from numideal.engine import numerator_ideal
 from numideal.errors import PreconditionError, SanityViolation
@@ -205,7 +205,6 @@ class TestTermOrder:
 class TestClassify:
     def test_linear3_definite(self, linear3):
         cls = classify(solve_branch(linear3, 6))
-        assert cls.kind is PhiKind.FIRST_IMAG_TERM
         assert cls.L == 1
         assert cls.im_part_2L == parse("2*(x^2 + x*y + y^2)", vars=("x", "y"))
         assert cls.definite is True
@@ -217,34 +216,42 @@ class TestClassify:
         assert cls.definite is False
 
     def test_real_branch(self):
-        cls = classify(solve_branch(parse("z + x"), 8))
-        assert cls.kind is PhiKind.ALL_REAL_UP_TO_ORDER
-        assert cls.order_checked == 8
+        sol = solve_branch(parse("z + x"), 8)
+        assert classify(sol) == PhiClassification(None)
+        assert sol.phi.order == 8
 
     def test_zero_gradient_axis_must_vanish(self):
         # z + x in (x, y, z): phi = x vanishes on the y-axis where the
         # gradient component is zero
-        cls = classify(solve_branch(parse("z + x", vars=("x", "y", "z")), 6))
-        assert cls.zero_gradient_components == ("y",)
-        # phi = x^2 (or xy) is supported on the zero-gradient subspace:
-        # vanishing gradient must force phi = 0 for a stable input
-        with pytest.raises(SanityViolation):
-            classify(solve_branch(parse("z + x^2"), 6))
-        with pytest.raises(SanityViolation):
-            classify(solve_branch(parse("z + x*y"), 6))
+        sol = solve_branch(parse("z + x", vars=("x", "y", "z")), 6)
+        assert sol.grad0 == (GaussianRational(1), GaussianRational(0))
+        # z + x^2 (or z + xy) has a z-free term in the zero-gradient
+        # variables alone, so phi = x^2 (or xy) does not vanish there; the
+        # witness is that term of p
+        with pytest.raises(SanityViolation, match="zero-gradient") as exc:
+            solve_branch(parse("z + x^2"), 6)
+        assert exc.value.witness == (("x",), (2, 0), GaussianRational(1))
+        with pytest.raises(SanityViolation, match="zero-gradient") as exc:
+            solve_branch(parse("z + x*y"), 6)
+        assert exc.value.witness == (("x", "y"), (1, 1, 0), GaussianRational(1))
 
     def test_all_zero_gradient_means_zero_phi(self):
-        cls = classify(solve_branch(parse("z + x^2*z", vars=("x", "z")), 6))
-        assert cls.kind is PhiKind.ALL_REAL_UP_TO_ORDER
-        assert cls.zero_gradient_components == ("x",)
+        sol = solve_branch(parse("z + x^2*z", vars=("x", "z")), 6)
+        assert sol.grad0 == (GaussianRational(0),)
+        assert sol.phi.poly.is_zero()
+        assert classify(sol) == PhiClassification(None)
 
     def test_negative_gradient_rejected(self):
-        with pytest.raises(SanityViolation):
-            classify(solve_branch(parse("z - x"), 4))
+        with pytest.raises(SanityViolation, match="negative") as exc:
+            solve_branch(parse("z - x"), 4)
+        assert exc.value.witness == ("x", GaussianRational(-1))
+        # grad phi(0) = p_x(0) / p_z(0): the sign of p_z counts
+        with pytest.raises(SanityViolation, match="negative"):
+            solve_branch(parse("-2*z + x"), 4)
 
     def test_nonreal_gradient_rejected(self):
-        with pytest.raises(SanityViolation):
-            classify(solve_branch(parse("z + i*x"), 4))
+        with pytest.raises(SanityViolation, match="not real"):
+            solve_branch(parse("z + i*x"), 4)
 
     def test_odd_first_imag_index_rejected(self):
         with pytest.raises(SanityViolation):
@@ -303,5 +310,5 @@ class TestConstructionBattery:
             cls = classify(sol)  # must not raise SanityViolation
             for g in sol.grad0:
                 assert g.is_real() and g.re >= 0
-            if cls.kind is PhiKind.FIRST_IMAG_TERM:
+            if cls.L is not None:
                 assert (2 * cls.L) % 2 == 0

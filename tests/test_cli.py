@@ -103,6 +103,15 @@ class TestAnalyze:
         res = run_cli("analyze", LINEAR3, "--format", "json")
         assert res.stdout == (GOLDEN / "linear3_analyze.json").read_text()
 
+    @pytest.mark.parametrize("order", ["1", "2", "12", "13"])
+    def test_zero_gradient_exit_2_at_every_order(self, order, capsys):
+        # the y^13 of phi lies past every order below 13; p shows it at once
+        code = main(["analyze", "z + x + i*x^2 + y^13", "--order", order])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: phi does not vanish on the zero-gradient subspace\n"
+
     # phi is printed through --order, and phi_order with it, on every path
     # that solves phi again: LinearForm (nonisolated), K (degenerate),
     # Definite (p2, wide4x) and the raised ord R (iterated7)
@@ -360,6 +369,17 @@ class TestMemberOracleGolden:
 
 
 class TestPuiseux:
+    def test_golden_stdout(self, capsys):
+        # tests/golden/puiseux.txt: a "curve: f" line, then the branches of f
+        golden = (GOLDEN / "puiseux.txt").read_text()
+        out = []
+        for line in golden.splitlines():
+            if line.startswith("curve: "):
+                curve = line[len("curve: ") :]
+                assert main(["puiseux", curve]) == 0
+                out.append(f"{line}\n{capsys.readouterr().out}")
+        assert "".join(out) == golden
+
     def test_cusp(self):
         res = run_cli("puiseux", "y^2 - x^3", "--order", "6")
         assert res.returncode == 0

@@ -795,8 +795,8 @@ class TestOutOfScope:
 
 class TestPhiThroughWhatTheIdealReads:
     """A Definite ideal reads phi through 2L only, so it solves phi that far
-    and no further, unless a gradient component is zero; the printed phi
-    comes from `cli.cmd_analyze`, which solves again through --order."""
+    and no further; the printed phi comes from `cli.cmd_analyze`, which
+    solves again through --order."""
 
     @staticmethod
     def _check_definite(inputs):
@@ -804,8 +804,6 @@ class TestPhiThroughWhatTheIdealReads:
         for p, order in inputs:
             desc = numerator_ideal(p, order=order)
             if desc.case is not CaseTag.DEFINITE:
-                continue
-            if any(g.is_zero() for g in desc.branch.grad0):
                 continue
             two_L = 2 * desc.L_or_K
             phi = desc.branch.phi
@@ -829,6 +827,7 @@ class TestPhiThroughWhatTheIdealReads:
         assert self._check_definite((p, 12) for p in _wide_corpus()) == 4
 
     def test_zero_gradient_check_reads_past_2L(self):
-        # 2L = 2, but the y^5 that breaks the zero-gradient check lies past it
+        # 2L = 2, but the y^5 that breaks the zero-gradient check lies past
+        # it in phi; solve_branch reads it off p
         with pytest.raises(SanityViolation, match="zero-gradient subspace"):
             numerator_ideal(parse("z + x + i*x^2 + y^5"))

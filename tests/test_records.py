@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from numideal.branch import BranchSolution, PhiClassification, PhiKind
+from numideal.branch import BranchSolution, PhiClassification
 from numideal.closure import MonomialIdealIC
 from numideal.engine import CaseTag, IdealDescription, MembershipVerdict, Verdict
 from numideal.gaussian import GaussianRational
@@ -27,22 +27,8 @@ FROZEN = [
     (BranchSolution, {"phi": PHI, "grad0": (GaussianRational(1),)}, {}),
     (
         PhiClassification,
-        {
-            "kind": PhiKind.FIRST_IMAG_TERM,
-            "order_checked": 4,
-            "L": 1,
-            "im_part_2L": Y,
-            "definite": False,
-            "zero_gradient_components": ("y",),
-            "definite_exact": False,
-        },
-        {
-            "L": None,
-            "im_part_2L": None,
-            "definite": None,
-            "zero_gradient_components": (),
-            "definite_exact": True,
-        },
+        {"L": 1, "im_part_2L": Y, "definite": False, "definite_exact": False},
+        {"im_part_2L": None, "definite": None, "definite_exact": True},
     ),
     (
         MonomialIdealIC,
@@ -75,7 +61,7 @@ MUTABLE = [
             "L_or_K": 2,
             "g": Y,
             "branch": BranchSolution(PHI, ()),
-            "classification": PhiClassification(PhiKind.ALL_REAL_UP_TO_ORDER, 4),
+            "classification": PhiClassification(None),
             "ic": MonomialIdealIC(*IC_ARGS),
             "linear_form": X,
             "reducer": Y,
