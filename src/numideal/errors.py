@@ -14,7 +14,8 @@ class ParseError(NumidealError):
 
 
 class ArityError(NumidealError):
-    """Evaluation point does not match the number of variables."""
+    """An evaluation point or a change of coordinates does not match the
+    number of variables."""
 
 
 class PreconditionError(NumidealError):

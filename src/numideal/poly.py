@@ -11,13 +11,15 @@ solves for a power series degree by degree on it, forming each product of
 two homogeneous parts once, and the Bézout entries and minors of
 `conjugate_resultant` are sums of products on it too.  `MultiPoly.subs` is
 the one composition: Horner's scheme in each replaced variable, one kernel
-call per step acc * r + slice, so the reduction of a numerator,
-`linear_change`, the branch residual and the Puiseux substitution all run
-on the kernel.  `TruncatedSeries` is only the record of a polynomial and
-its truncation order; it has no arithmetic of its own.  `eval_complex`
-builds a plan once per polynomial and keeps it: the coefficients as
-`complex`, the distinct (variable, exponent) pairs, and the pairs each term
-uses.  Each call raises every coordinate to each pair's exponent once and
+call per step acc * r + slice, so the reduction of a numerator, the branch
+residual and the Puiseux substitution all run on the kernel.
+`linear_change`, the bivariate change of frame of `closure`, is no
+composition: it expands the integer powers of its two row forms directly
+into one integer sum.  `TruncatedSeries` is only the record of a
+polynomial and its truncation order; it has no arithmetic of its own.
+`eval_complex` builds a plan once per polynomial and keeps it: the
+coefficients as `complex`, the distinct (variable, exponent) pairs, and
+the pairs each term uses.  Each call raises every coordinate to each pair's exponent once and
 multiplies the powers into the terms in the order a term-by-term loop does,
 so the floats it returns do not depend on the plan.
 
@@ -859,15 +861,67 @@ def _determinant(matrix, limit: int):
 
 
 def linear_change(poly: MultiPoly, rows, new_vars) -> MultiPoly:
-    """poly with its i-th variable replaced by sum_j rows[i][j] * new_vars[j]."""
+    """poly(x, y) with x -> r00 u + r01 v and y -> r10 u + r11 v, where
+    rows = ((r00, r01), (r10, r11)) are rationals and (u, v) = new_vars.
+
+    A direct expansion, not a `subs`: over one denominator Dr of the rows,
+    X = Dr x and Y = Dr y are integer linear forms, and the coefficient
+    lists of their powers come from the binomial recurrence.  Each term
+    c x^i y^j, c = (a + b i) / Dp, adds (a + b i) Dr^(n - i - j) X^i Y^j into
+    one integer sum over D = Dp Dr^n, n = deg poly, and each output
+    coefficient is normalised once.
+    """
     new_vars = tuple(new_vars)
-    n = len(new_vars)
-    units = [tuple(int(j == k) for k in range(n)) for j in range(n)]
-    forms = {
-        name: MultiPoly(new_vars, dict(zip(units, row)))
-        for name, row in zip(poly.vars, rows)
-    }
-    return poly.subs(forms)
+    shape = [len(row) for row in rows]
+    if len(poly.vars) != 2 or shape != [2, 2] or len(new_vars) != 2:
+        raise ArityError(
+            "linear_change expects 2 variables, 2 rows of 2 entries and 2 new"
+            f" variables; got {len(poly.vars)} variables, rows of {shape}"
+            f" entries and {len(new_vars)} new variables"
+        )
+    if not poly.terms:
+        return MultiPoly._from_terms(new_vars, {})
+    entries = [r for row in rows for r in row]
+    Dr = lcm(*(r.denominator for r in entries))
+    p00, p01, p10, p11 = (r.numerator * (Dr // r.denominator) for r in entries)
+    Dp, terms = _numerators(poly)
+    n = poly.degree()
+    X = _powers(p00, p01, max(e[0] for e in poly.terms))
+    Y = _powers(p10, p11, max(e[1] for e in poly.terms))
+    # acc is keyed by `_pack((d - k, k), w)` = (d << 2w) + d + k * step
+    w = _width(n)
+    step = (1 << w) - 1
+    acc = {}
+    for (i, j), a, b in terms:
+        d = i + j
+        f = Dr ** (n - d)
+        a, b = a * f, b * f
+        product = [0] * (d + 1)
+        for s, xs in enumerate(X[i]):
+            if xs:
+                for t, yt in enumerate(Y[j], s):
+                    product[t] += xs * yt
+        base = (d << 2 * w) + d
+        for k, c in enumerate(product):
+            if c:
+                key = base + k * step
+                sk = acc.get(key)
+                if sk is None:
+                    acc[key] = [a * c, b * c]
+                else:
+                    sk[0] += a * c
+                    sk[1] += b * c
+    return _normalised(new_vars, w, Dp * Dr**n, acc)
+
+
+def _powers(a: int, b: int, m: int) -> list:
+    """The coefficient lists of (a u + b v)^i for i = 0..m, entry k of
+    each that of u^(i - k) v^k."""
+    out = [[1]]
+    for _ in range(m):
+        prev = out[-1]
+        out.append([a * h + b * l for h, l in zip(prev + [0], [0] + prev)])
+    return out
 
 
 def newton_polygon(points):

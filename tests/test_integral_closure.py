@@ -22,6 +22,7 @@ from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
 from numideal.poly import MultiPoly
 from numideal.puiseux import gaussian_sqrt, qi_roots
+from test_poly_core import subs_change
 
 
 @pytest.fixture(scope="module")
@@ -502,6 +503,44 @@ class TestOracleAgreement:
                 maxima.append(worst)
             grows = maxima[-1] > 3.9 * maxima[0]
             assert grows == (not expected), (text, maxima)
+
+
+class TestDirectChangeMatchesSubs:
+    """The ideal and verdicts of the degenerate example and its rescalings
+    are the same when every change of frame is one `subs`."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (1, 1),
+            (Fraction(1, 4), 2),
+            (4, Fraction(1, 2)),
+            (Fraction(2, 3), Fraction(3, 2)),
+        ],
+    )
+    def test_ideal_and_verdicts_agree(self, degenerate, monkeypatch, a, b):
+        p = MultiPoly(
+            degenerate.vars,
+            {e: c * Fraction(a) ** e[0] * Fraction(b) ** e[1] for e, c in degenerate.terms.items()},
+        )
+        checks = [
+            MultiPoly(p.vars, {(i, j, k): 1})
+            for i in range(5)
+            for j in range(5 - i)
+            for k in range(2)
+        ] + [parse(t, vars=p.vars) for t in TestVerdictTable.MEMBERS + TestVerdictTable.NON_MEMBERS]
+
+        def answers():
+            desc = numerator_ideal(p)
+            return desc, ic_generators(desc.ic), [membership(p, q, ideal=desc) for q in checks]
+
+        direct = answers()
+        monkeypatch.setattr(closure, "linear_change", subs_change)
+        reference = answers()
+        assert direct == reference
+        desc, _, verdicts = direct
+        assert desc.case is CaseTag.ISOLATED_DEGENERATE
+        assert {v.verdict for v in verdicts} == {Verdict.IN_IDEAL, Verdict.NOT_IN_IDEAL}
 
 
 class TestRationalCirclePoints:

@@ -309,6 +309,82 @@ class TestSlicesAndLinearChange:
             assert quv.vars == ("u", "v")
             assert linear_change(quv, inverse, ("x", "y")) == q
 
+    def test_extra_row_entries_are_rejected(self):
+        q = parse("x*y + z", vars=("x", "y", "z"))
+        identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        with pytest.raises(ArityError, match="2 variables, 2 rows of 2 entries"):
+            linear_change(q, identity, ("u", "v"))
+        q = parse("x*y", vars=("x", "y"))
+        with pytest.raises(ArityError, match="2 rows of 2 entries"):
+            linear_change(q, ((1, 0, 0), (0, 1, 0)), ("u", "v"))
+
+    def test_two_rows_for_three_variables_are_rejected(self):
+        q = parse("x*y + z", vars=("x", "y", "z"))
+        with pytest.raises(ArityError, match="2 variables, 2 rows of 2 entries"):
+            linear_change(q, ((1, 2), (3, 4)), ("u", "v"))
+        q = parse("x*y", vars=("x", "y"))
+        with pytest.raises(ArityError, match="2 new variables"):
+            linear_change(q, ((1, 2), (3, 4)), ("u", "v", "w"))
+        with pytest.raises(ArityError, match="2 rows of 2 entries"):
+            linear_change(q, ((1, 2),), ("u", "v"))
+
+
+def subs_change(q, rows, new_vars):
+    """The reference linear change: one `subs` of the two row forms."""
+    u, v = (MultiPoly.variable(new_vars, name) for name in new_vars)
+    x, y = (u.scale(r0) + v.scale(r1) for r0, r1 in rows)
+    return q.subs({q.vars[0]: x, q.vars[1]: y})
+
+
+class TestLinearChangeMatchesSubs:
+    @staticmethod
+    def _entry(rng):
+        # zero a fifth of the time; the denominators include coprime pairs
+        if rng.random() < 0.2:
+            return 0
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 6, 7, 11, 35)))
+
+    def _rows(self, rng, kind):
+        a, b, c, d = (self._entry(rng) for _ in range(4))
+        return [
+            ((1, 0), (0, 1)),  # identity
+            ((0, 1), (1, 0)),  # swap
+            ((a, b), (c * a, c * b)),  # singular
+            ((a, b), (c, d)),
+        ][kind]
+
+    @staticmethod
+    def _poly(rng, shape):
+        if shape == 0:
+            return MultiPoly.zero(("x", "y"))
+        if shape == 1:
+            return MultiPoly.constant(("x", "y"), rand_gaussian(rng))
+        deg = rng.randint(1, 12)
+        terms = {}
+        for _ in range(rng.randint(1, 14)):
+            i = rng.randint(0, deg)
+            c = rand_gaussian(rng, span=9)
+            terms[(i, rng.randint(0, deg - i))] = c if shape == 2 else c.re
+        return MultiPoly(("x", "y"), terms)
+
+    def test_seeded_cases_agree(self):
+        # every (polynomial shape, row kind) pair 20 times: zero, constant,
+        # Gaussian and real polynomials under the identity, the swap,
+        # singular and general rows
+        rng = random.Random(20241019)
+        degrees, real = set(), set()
+        for case in range(320):
+            q = self._poly(rng, case % 4)
+            rows = self._rows(rng, case // 4 % 4)
+            got = linear_change(q, rows, ("u", "v"))
+            assert got == subs_change(q, rows, ("u", "v")), (q, rows)
+            assert got.vars == ("u", "v")
+            assert all(not c.is_zero() for c in got.terms.values())
+            degrees.add(q.degree())
+            real.add(got.is_real())
+        assert max(degrees) == 12
+        assert real == {True, False}
+
 
 class TestNewtonPolygon:
     def test_drops_dominated_and_collinear_points(self):
