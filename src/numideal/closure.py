@@ -13,7 +13,15 @@ import math
 from fractions import Fraction
 
 from .errors import NoMonomializationFound, PreconditionError
-from .forms import binary_form, is_positive_definite, rational_roots, yun_squarefree
+from .forms import (
+    binary_form,
+    is_positive_definite,
+    negative_point,
+    p_eval,
+    rational_roots,
+    yun_squarefree,
+)
+from .parsing import format_poly
 from .poly import MultiPoly, linear_change, newton_polygon
 from .record import Frozen
 
@@ -140,13 +148,64 @@ def monomialize(g: MultiPoly) -> MonomialIdealIC:
         raise PreconditionError("monomialize expects a real polynomial")
     if len(g.vars) != 2:
         raise PreconditionError("monomialize expects a bivariate polynomial")
-    for a, b in _candidate_lines(g):
-        ic = _try_change(g, *line_frame(a, b))
+    frames = [line_frame(a, b) for a, b in _candidate_lines(g)]
+    for change, inverse in frames:
+        ic = _try_change(g, change, inverse)
         if ic is not None:
             return ic
+    for change, inverse in frames:
+        G = linear_change(g, inverse, ("u", "v"))
+        witness = _negative_face(G, change, g.vars)
+        if witness is not None:
+            raise NoMonomializationFound(
+                f"g < 0 along {witness['curve']} as t -> 0+, so no linear "
+                "change makes it comparable to even monomials",
+                witness=witness,
+            )
     raise NoMonomializationFound(
         "no tried linear change makes g comparable to even monomials"
     )
+
+
+def _negative_face(G: MultiPoly, change, xy_vars):
+    """A curve along which G, g in the frame (u, v) = change * (x, y), is
+    negative near 0, or None.
+
+    Looks for a compact edge wu*a + wv*b = m of the Newton polygon of all
+    terms of G whose face polynomial F is negative at a rational point
+    (u0, v0) off the axes, u0 = +-1.  Every other term has weighted degree
+    above m, so G(u0 t^wu, v0 t^wv) = F(u0, v0) t^m + O(t^(m+1)) < 0 for
+    small t > 0.  The witness holds change, u0, v0, the weights, m as
+    "order", F(u0, v0) as "leading" and the curve as text.
+    """
+    for wu, wv, m in _halfspaces(newton_polygon(G.terms)):
+        face = {(a, b): c.re for (a, b), c in G.terms.items() if wu * a + wv * b == m}
+        for u0 in (1, -1):
+            poly = [Fraction(0)] * (max(b for _, b in face) + 1)
+            for (a, b), c in face.items():
+                poly[b] += c * u0**a
+            v0 = negative_point(poly)
+            if v0 is None:
+                continue
+            u_form, v_form = (
+                format_poly(MultiPoly(xy_vars, {(1, 0): r0, (0, 1): r1}))
+                for r0, r1 in change
+            )
+            u_t, v_t = (
+                format_poly(MultiPoly(("t",), {(w,): c}))
+                for w, c in ((wu, u0), (wv, v0))
+            )
+            return {
+                "change": change,
+                "u": Fraction(u0),
+                "v": v0,
+                "u_weight": wu,
+                "v_weight": wv,
+                "order": m,
+                "leading": p_eval(poly, v0),
+                "curve": f"{u_form} = {u_t}, {v_form} = {v_t}",
+            }
+    return None
 
 
 def _try_change(g, change, inverse):

@@ -38,7 +38,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .branch import classify, solve_branch
-from .errors import PreconditionError, SanityViolation
+from .errors import NoMonomializationFound, PreconditionError, SanityViolation
 from .forms import p_gcd
 from .gaussian import GaussianRational
 from .parsing import _term_sort_key, format_poly
@@ -129,22 +129,6 @@ def _monomials_of_degree(vars, degree):
     return [MultiPoly(vars, {e: GaussianRational(1)}) for e in exps]
 
 
-def _stability_spot_check(p: MultiPoly, seed: int = 0, samples: int = 40):
-    """p must be nonzero at sampled points of the poly-upper half-plane."""
-    rng = random.Random(seed)
-    n = len(p.vars)
-    for _ in range(samples):
-        point = [
-            complex(rng.uniform(-0.5, 0.5), rng.uniform(1e-3, 0.5)) for _ in range(n)
-        ]
-        value = p.eval_complex(point)
-        if value == 0:
-            raise SanityViolation(
-                "p vanishes at a sampled point of the poly-upper half-plane",
-                witness=tuple(point),
-            )
-
-
 def _branch_factor(p: MultiPoly):
     """(f, R): the factor f of p through the branch z = -phi(x) and
     R = Res_z(f, f̄), which is nonzero; None when Im phi is identically zero.
@@ -195,7 +179,7 @@ def _comparable_resultant(
     f(0, z)/z and f̄(0, z) share a root on the projective line; then
     ord R > 2L and the input is out of scope.  g is R times the s in
     {1, -1, i, -i} that makes its lowest form a positive multiple of
-    Im phi_2L, divided by its content.
+    Im phi_2L, divided by its content (`MultiPoly.primitive`).
     """
     lowest = R.lowest_part()
     e = next(iter(im_part_2L.terms))
@@ -213,10 +197,10 @@ def _comparable_resultant(
     s = GaussianRational(
         (ratio.re > 0) - (ratio.re < 0), (ratio.im < 0) - (ratio.im > 0)
     )
-    g = R.scale(s)
+    g = R.primitive(s)
     if not g.is_real():
         raise AssertionError("Res_z(p, pbar) times a unit of Z[i] is not real")
-    return g.scale(Fraction(1) / g.content())
+    return g
 
 
 def _zero_line(ic, x_vars) -> MultiPoly | None:
@@ -254,7 +238,12 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
     """The ideal of numerators q with q/p locally bounded near the origin.
 
     Requires p(0) = 0, dp/dz(0) != 0, and p stable on the poly-upper
-    half-plane (caller-asserted; spot-checked by sampling).  phi is solved
+    half-plane.  Stability is the caller's hypothesis, as in the paper; p is
+    never sampled.  What the engine checks, it checks exactly: the degree-1
+    conditions in `solve_branch`, Im phi_2L >= 0 in `classify`, and a
+    negative face of g in `monomialize`, each raising SanityViolation with
+    a witness.  seed feeds only `classify`'s sampler of unit directions,
+    used for 2L >= 4 in three or more x-variables.  phi is solved
     only through its first non-real degree 2L, and again through `order`
     for LinearForm, whose membership reduces by Re phi.  The working order
     rises above `order` on its own where the case needs it: to
@@ -269,7 +258,6 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
         raise PreconditionError("p must involve z as its distinguished variable")
     if len(p.vars) < 2:
         raise PreconditionError("p must involve at least one x-variable besides z")
-    _stability_spot_check(p, seed=seed)
     sol = solve_branch(p, order, stop_at_imaginary=True)
     cls = classify(sol, seed=seed)
     x_vars = p.vars[:-1]
@@ -327,7 +315,17 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
     # closure is loaded only here, so Principal and Definite never compile it
     from .closure import ic_generators, monomialize
 
-    ic = monomialize(g)
+    try:
+        ic = monomialize(g)
+    except NoMonomializationFound as exc:
+        # g is Im phi times a unit positive at 0
+        if exc.witness is None:
+            raise
+        raise SanityViolation(
+            f"p is not stable near 0: Im phi < 0 along {exc.witness['curve']} "
+            "as t -> 0+",
+            witness=exc.witness,
+        ) from None
     ell = _zero_line(ic, x_vars)
     if ell is not None:
         # f and f̄ lie in the ideal, so Re(conj(c0) f) does, and its z-slope
@@ -335,7 +333,7 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
         slope = (0,) * d + (1,)
         c0 = f.coefficient(slope)
         gen0 = f.scale(c0.conj()).real_part()
-        gen0 = gen0.scale(Fraction(1) / gen0.content())
+        gen0 = gen0.primitive()
         # the member of z-degree 1 lies in the ideal: gen0 if deg_z f = 1;
         # else its slope at 0 is a unit, as f(0, z)/z and f̄(0, z) are coprime
         reducer = next(

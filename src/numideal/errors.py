@@ -39,4 +39,12 @@ class TruncationError(NumidealError):
 
 
 class NoMonomializationFound(NumidealError):
-    """No linear change made the input comparable to a sum of even monomials."""
+    """No linear change made the input comparable to a sum of even monomials.
+
+    Carries a witness when the input is negative near 0 (`closure.monomialize`),
+    else None.
+    """
+
+    def __init__(self, message, witness=None):
+        self.witness = witness
+        super().__init__(message)

@@ -242,6 +242,40 @@ def is_nonnegative(c) -> bool:
     )
 
 
+def negative_point(c):
+    """A nonzero rational t with c(t) < 0, or None when c >= 0 on R; c has
+    Fraction entries.  Exact.
+
+    c keeps its sign between consecutive real roots, so one point in each
+    gap decides: the cuts that split (-B, B), B past the Cauchy bound of the
+    roots, until each piece holds at most one root of the squarefree part
+    (Sturm), no cut a root or 0.
+    """
+    c = p_strip(list(c))
+    if not c:
+        return None
+    s = p_div_exact(c, p_gcd(c, p_derivative(c)))
+    chain = sturm_chain(s)
+
+    def variations(t):
+        values = [p_eval(q, t) for q in chain]
+        return _variations([(v > 0) - (v < 0) for v in values])
+
+    B = 2 + max((abs(v / s[-1]) for v in s[:-1]), default=0)
+    cuts = [-B, B]
+    pieces = [(-B, B)]
+    while pieces:
+        lo, hi = pieces.pop()
+        if variations(lo) - variations(hi) < 2:
+            continue
+        mid = (lo + hi) / 2
+        while mid == 0 or p_eval(s, mid) == 0:
+            mid = (lo + mid) / 2
+        cuts.append(mid)
+        pieces += [(lo, mid), (mid, hi)]
+    return next((t for t in sorted(cuts) if p_eval(c, t) < 0), None)
+
+
 # -- quadratic forms in any number of variables -----------------------------
 
 

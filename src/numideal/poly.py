@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ArityError
-from .gaussian import GaussianRational, ZERO, ONE
+from .gaussian import GaussianRational, I, ZERO, ONE
 from .record import Frozen
 
 
@@ -396,6 +396,32 @@ class MultiPoly:
             return Fraction(1)
         return Fraction(num, den)
 
+    def primitive(self, unit=ONE) -> "MultiPoly":
+        """self times unit, one of 1, -1, i, -i, over the positive content
+        (`content`), which the unit does not change: coprime Gaussian-integer
+        parts, built from the integer numerators with no per-term
+        normalisation."""
+        unit = GaussianRational.coerce(unit)
+        if unit not in (1, -1, I, -I):
+            raise ValueError(f"{unit} is not a unit of Z[i]")
+        if not self.terms:
+            return self
+        ur, ui = int(unit.re), int(unit.im)
+        _, rows = _numerators(self)
+        g = 0
+        for _, a, b in rows:
+            g = gcd(g, a, b)
+        make = GaussianRational._from_fractions
+        return MultiPoly._from_terms(
+            self.vars,
+            {
+                e: make(
+                    Fraction((a * ur - b * ui) // g), Fraction((a * ui + b * ur) // g)
+                )
+                for e, a, b in rows
+            },
+        )
+
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
@@ -648,10 +674,21 @@ def implicit_root(
     [y^k]_m = sum_j y_j * [y^(k-1)]_(m-j) needs y below degree m only.  So
     each product of two homogeneous parts is formed once, by
     `_sum_of_products`; the slices are scaled by -1/pivot first, so that
-    the sum is y_m itself.
+    the sum is y_m itself.  With pivot = (P + Q i)/Dc, -1/pivot is
+    -Dc (P - Q i)/(P^2 + Q^2), so a slice (D, rows) scales to
+    (D (P^2 + Q^2), rows times -Dc (P - Q i)) in integers, unreduced:
+    `_keep` reduces each result once.
     """
     vars = slices[1].vars
-    step = GaussianRational(-1) / slices[1].coefficient((0,) * len(vars))
+    pivot = slices[1].coefficient((0,) * len(vars))
+    Dc = lcm(pivot.re.denominator, pivot.im.denominator)
+    P = pivot.re.numerator * (Dc // pivot.re.denominator)
+    Q = pivot.im.numerator * (Dc // pivot.im.denominator)
+    norm = P * P + Q * Q
+    if not norm:
+        raise ZeroDivisionError("implicit_root needs a nonzero pivot")
+    # (a + b i) times -Dc (P - Q i) is (a sP + b sQ) + (b sP - a sQ) i
+    sP, sQ = -Dc * P, -Dc * Q
     top = max(slices)
     w = _width(order)
     limit = _limit(order, len(vars), w)
@@ -665,8 +702,12 @@ def implicit_root(
     # them in.  The pivot pairs with y_m, which is not there yet.
     terms = []
     for k in sorted(slices, reverse=True):
-        D, rows = _integral(slices[k].scale(step), w, order)
-        terms += [(k, row[0] >> len(vars) * w, (D, [row])) for row in rows]
+        D, rows = _integral(slices[k], w, order)
+        D *= norm
+        terms += [
+            (k, key >> len(vars) * w, (D, [(key, a * sP + b * sQ, b * sP - a * sQ)]))
+            for key, a, b in rows
+        ]
     for m in range(1, order + 1):
         for k in range(2, min(m, top) + 1):
             lower = powers[k - 1]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from numideal.closure import monomialize
-from numideal.branch import solve_branch
+from numideal.branch import classify, solve_branch
 from numideal.construct import (
     iterated_composition,
     normalize_z_coefficient,
@@ -20,6 +20,8 @@ from numideal.construct import (
 from numideal.engine import (
     CaseTag,
     Verdict,
+    _branch_factor,
+    _comparable_resultant,
     _zero_line,
     boundedness_oracle,
     membership,
@@ -34,6 +36,7 @@ from numideal.examples import EXAMPLES
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
 from numideal.poly import MultiPoly, pseudo_remainder
+from test_integral_closure import assert_negative_along
 
 
 def _wide_corpus():
@@ -831,3 +834,104 @@ class TestPhiThroughWhatTheIdealReads:
         # it in phi; solve_branch reads it off p
         with pytest.raises(SanityViolation, match="zero-gradient subspace"):
             numerator_ideal(parse("z + x + i*x^2 + y^5"))
+
+
+# p = z + x + y + i*h with h(x, y) negative along a curve of real x: Im phi
+# = h < 0 there, so these p are not stable, though Im phi_2L >= 0
+UNSTABLE_NEAR_0 = [
+    "z + x + y + i*((x - y)^2 - x^5)",
+    "z + x + y + i*((x - y)^2 - x^3)",
+    "z + x + y + i*((x - y)^2 - x^4)",
+    "z + x + y + i*((x - y)^4 - x^7)",
+]
+
+
+def _comparable_g(p):
+    """The g of `numerator_ideal`, built the way it builds it."""
+    cls = classify(solve_branch(p, 12, stop_at_imaginary=True))
+    f, R = _branch_factor(p)
+    return _comparable_resultant(f, R, cls.im_part_2L)
+
+
+class TestInstabilityNamed:
+    @pytest.mark.parametrize("text", UNSTABLE_NEAR_0)
+    def test_negative_face_raises_with_an_exact_witness(self, text):
+        p = parse(text)
+        with pytest.raises(
+            SanityViolation, match=r"p is not stable near 0: Im phi < 0 along x - y = "
+        ) as exc:
+            numerator_ideal(p)
+        assert_negative_along(_comparable_g(p), exc.value.witness)
+
+    def test_nonnegative_g_keeps_the_generic_rejection(self):
+        # g = (x - y^2)^2 + x^2*y^2 >= 0 vanishes along x = y^2: no witness
+        p = parse("z + x + y + i*((x - y^2)^2 + x^2*y^2)")
+        with pytest.raises(NoMonomializationFound, match="no tried"):
+            numerator_ideal(p)
+
+
+class TestComparableResultantScaling:
+    """g is R times a unit of Z[i] over its content, built in integers; the
+    reference scales through GaussianRational terms."""
+
+    @staticmethod
+    def _reference(R, im_part_2L):
+        e = next(iter(im_part_2L.terms))
+        ratio = R.lowest_part().coefficient(e) / im_part_2L.coefficient(e)
+        s = GaussianRational(
+            (ratio.re > 0) - (ratio.re < 0), (ratio.im < 0) - (ratio.im > 0)
+        )
+        g = R.scale(s)
+        return g.scale(Fraction(1) / g.content())
+
+    @pytest.mark.parametrize("name", ["nonisolated", "degenerate"])
+    def test_matches_term_scaling_under_units_and_scales(self, name):
+        p = EXAMPLES[name]()
+        cls = classify(solve_branch(p, 12, stop_at_imaginary=True))
+        f, R = _branch_factor(p)
+        units = [GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1)]
+        units.append(GaussianRational(0, -1))
+        expected = None
+        for unit in units:
+            for scale in (Fraction(1), Fraction(3, 7), Fraction(10, 3)):
+                R2 = R.scale(unit * scale)
+                got = _comparable_resultant(f, R2, cls.im_part_2L)
+                ref = self._reference(R2, cls.im_part_2L)
+                assert got == ref and list(got.terms) == list(ref.terms)
+                # positive scales and units of the resultant drop out
+                if expected is None:
+                    expected = got
+                assert got == expected
+
+
+def _sample_free_answers(p, order, candidates):
+    desc = numerator_ideal(p, order=order)
+    verdicts = [membership(p, q, order=order, ideal=desc) for q in candidates]
+    return desc.to_json_dict(), [
+        (v.verdict, format_poly(v.reduced_numerator), v.witness, v.certificate)
+        for v in verdicts
+    ]
+
+
+class TestExactPathNeverSamples:
+    """numerator_ideal and membership decide exactly: with float evaluation
+    made to raise, every answer on the benchmark's inputs comes back the
+    same."""
+
+    def test_worked_iterated_and_random_inputs(self, monkeypatch):
+        inputs = [(EXAMPLES[name](), 12) for name in EXAMPLES]
+        inputs += [(iterated_composition(L), 12) for L in range(1, 8)]
+        rng = random.Random(20240815)
+        inputs += [(random_stable_polynomial(rng), 8) for _ in range(50)]
+        texts = ["1", "x", "x^2", "x*y", "(x - y)^2", "(x + y)^4", "z"]
+        cases = []
+        for p, order in inputs:
+            candidates = [parse(t, vars=p.vars) for t in texts] + [p.reflect()]
+            cases.append((p, order, candidates, _sample_free_answers(p, order, candidates)))
+
+        def no_sampling(self, point):
+            raise AssertionError("the exact path evaluated a polynomial in floats")
+
+        monkeypatch.setattr(MultiPoly, "eval_complex", no_sampling)
+        for p, order, candidates, answers in cases:
+            assert _sample_free_answers(p, order, candidates) == answers

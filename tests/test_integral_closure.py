@@ -25,6 +25,24 @@ from numideal.puiseux import gaussian_sqrt, qi_roots
 from test_poly_core import subs_change
 
 
+def assert_negative_along(g, witness):
+    """g, evaluated exactly on the witness curve (u, v) = (u0 t^wu, v0 t^wv)
+    in the frame (u, v) = change * (x, y), is negative at small t > 0 and
+    equals leading * t^order to first order."""
+    (a, b), (c, d) = witness["change"]
+    det = a * d - b * c
+    assert witness["u"] != 0 and witness["v"] != 0 and witness["leading"] < 0
+    for k in (3, 4):
+        t = Fraction(1, 10**k)
+        u = witness["u"] * t ** witness["u_weight"]
+        v = witness["v"] * t ** witness["v_weight"]
+        point = [GaussianRational((d * u - b * v) / det), GaussianRational((a * v - c * u) / det)]
+        value = g.eval_exact(point)
+        assert value.im == 0 and value.re < 0
+        ratio = value.re / t ** witness["order"]
+        assert abs(ratio / witness["leading"] - 1) < Fraction(1, 100)
+
+
 @pytest.fixture(scope="module")
 def table_ic(request):
     g = parse("(x - y)^2 + (x^2 + y^2)*(x + y)^2", vars=("x", "y"))
@@ -55,6 +73,30 @@ class TestMonomialize:
     def test_indefinite_rejected(self):
         with pytest.raises(NoMonomializationFound):
             monomialize(parse("x^2 - y^2", vars=("x", "y")))
+
+    @pytest.mark.parametrize(
+        "text, curve",
+        [
+            ("x^2 - y^2", "x = t, y = -3*t"),
+            ("-(x + y)^2", "x = t, y = -3*t"),
+            ("(x - y)^2 - x^5", "x - y = t^5, x + y = 34*t^2"),
+            ("(x - y)^2 + x^3", "x - y = t^3, x + y = -10*t^2"),
+        ],
+    )
+    def test_negative_face_gives_a_witness_curve(self, text, curve):
+        g = parse(text, vars=("x", "y"))
+        with pytest.raises(NoMonomializationFound, match="g < 0 along") as exc:
+            monomialize(g)
+        assert exc.value.witness["curve"] == curve
+        assert_negative_along(g, exc.value.witness)
+
+    def test_nonnegative_rejection_has_no_witness(self):
+        # (u - v^2)^2 + u^2 v^2 >= 0 vanishes along u = v^2: no face is
+        # negative, so the rejection names no curve
+        g = parse("(x - y^2)^2 + x^2*y^2", vars=("x", "y"))
+        with pytest.raises(NoMonomializationFound, match="no tried") as exc:
+            monomialize(g)
+        assert exc.value.witness is None
 
     # the comparable polynomial g that puiseux.comparable_polynomial builds
     # for the degenerate example; its high-degree terms are large, so g is

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from numideal import poly as poly_module
 from numideal.errors import ArityError, ParseError
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
@@ -15,6 +16,7 @@ from numideal.poly import (
     MultiPoly,
     TruncatedSeries,
     conjugate_resultant,
+    implicit_root,
     linear_change,
     newton_polygon,
     series_invert,
@@ -222,6 +224,107 @@ class TestSeriesInvert:
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ZeroDivisionError):
             series_invert(TruncatedSeries(parse("x", vars=("x",)), 3))
+
+
+def scaled_root(slices, order, stop_at_imaginary=False):
+    """The reference implicit root: `implicit_root`'s solve, with each slice
+    scaled by -1/pivot term by term through `MultiPoly.scale` before its
+    integer form is taken."""
+    vars = slices[1].vars
+    step = GaussianRational(-1) / slices[1].coefficient((0,) * len(vars))
+    w = poly_module._width(order)
+    limit = poly_module._limit(order, len(vars), w)
+    powers = [{0: poly_module._ONE}] + [{} for _ in range(max(slices))]
+    y = powers[1]
+    terms = []
+    for k in sorted(slices, reverse=True):
+        D, rows = poly_module._integral(slices[k].scale(step), w, order)
+        terms += [(k, row[0] >> len(vars) * w, (D, [row])) for row in rows]
+    for m in range(1, order + 1):
+        for k in range(2, min(m, max(slices)) + 1):
+            lower = powers[k - 1]
+            pairs = [(y[j], lower[m - j]) for j in range(1, m) if j in y and m - j in lower]
+            poly_module._keep(powers[k], m, pairs, limit)
+        pairs = [(t, powers[k][m - d]) for k, d, t in terms if m - d in powers[k]]
+        poly_module._keep(y, m, pairs, limit)
+        if stop_at_imaginary and m in y and any(b for _, _, b in y[m][1]):
+            break
+    return poly_module._polynomial(vars, w, *y.values())
+
+
+class TestImplicitRootIntegerScaling:
+    PIVOTS = [
+        GaussianRational(Fraction(5, 3)),
+        GaussianRational(Fraction(-4, 7)),
+        GaussianRational(0, Fraction(-7, 2)),
+        GaussianRational(0, Fraction(3, 4)),
+        GaussianRational(Fraction(2, 3), Fraction(7, 5)),
+        GaussianRational(Fraction(-9, 4), Fraction(6, 5)),
+    ]
+
+    @staticmethod
+    def _slices(rng, pivot):
+        vars = ("x", "y")
+        origin = (0, 0)
+        slices = {}
+        for k in range(rng.randint(1, 3) + 1):
+            p = rand_poly(rng, vars=vars, max_deg=3, n_terms=rng.randint(1, 7))
+            # y(0) = 0 needs s_0(0) = 0; s_1(0) is the pivot
+            terms = {e: c for e, c in p.terms.items() if e != origin}
+            if k == 1:
+                terms[origin] = pivot
+            slices[k] = MultiPoly(vars, terms)
+        return slices
+
+    def test_matches_term_scaling_seeded(self):
+        rng = random.Random(20241019)
+        for case in range(120):
+            pivot = self.PIVOTS[case % len(self.PIVOTS)]
+            slices = self._slices(rng, pivot)
+            order = rng.randint(1, 7)
+            stop = case % 2 == 1
+            got = implicit_root(slices, order, stop_at_imaginary=stop)
+            ref = scaled_root(slices, order, stop_at_imaginary=stop)
+            assert got == ref and list(got.terms) == list(ref.terms), slices
+            if not stop:
+                # sum_k s_k y^k vanishes through the order
+                residual = MultiPoly.zero(("x", "y"))
+                for k, s in slices.items():
+                    residual = residual + s.mul_truncated(got.pow_truncated(k, order), order)
+                assert residual.is_zero()
+
+    def test_zero_pivot_rejected(self):
+        x = MultiPoly.variable(("x",), "x")
+        with pytest.raises(ZeroDivisionError):
+            implicit_root({0: x, 1: x}, 3)
+
+
+class TestPrimitive:
+    UNITS = [
+        GaussianRational(1),
+        GaussianRational(-1),
+        GaussianRational(0, 1),
+        GaussianRational(0, -1),
+    ]
+
+    def test_matches_term_scaling_seeded(self):
+        rng = random.Random(20241020)
+        for case in range(80):
+            p = rand_poly(rng, vars=("x", "y"), n_terms=rng.randint(1, 8))
+            unit = self.UNITS[case % 4]
+            got = p.primitive(unit)
+            ref = p.scale(unit)
+            ref = ref.scale(Fraction(1) / ref.content())
+            assert got == ref and list(got.terms) == list(ref.terms)
+            assert got.content() == 1
+
+    def test_zero_and_non_units(self):
+        zero = MultiPoly.zero(("x",))
+        assert zero.primitive() == zero
+        x = MultiPoly.variable(("x",), "x")
+        for value in (2, GaussianRational(1, 1), Fraction(1, 2)):
+            with pytest.raises(ValueError, match="not a unit"):
+                x.primitive(value)
 
 
 class TestSubstitute:

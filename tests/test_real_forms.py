@@ -13,6 +13,7 @@ from numideal.forms import (
     count_real_roots,
     is_nonnegative,
     is_positive_definite,
+    negative_point,
     p_divmod,
     p_eval,
     p_gcd,
@@ -204,6 +205,55 @@ class TestDefiniteness:
             r = 0.1
             x, y = r * math.cos(a), r * math.sin(a)
             assert f.eval_complex((x, y)).real >= (c - 1e-9) * r**2
+
+
+class TestNegativePoint:
+    def test_worked_cases(self):
+        F = Fraction
+        # 1 - v^5/32 is negative past v = 2
+        t = negative_point([F(1), 0, 0, 0, 0, F(-1, 32)])
+        assert t > 2
+        assert negative_point([F(-3)]) is not None
+        assert negative_point([F(0), F(1)]) is not None
+        # nonnegative: a constant, v^2, (v^2 - 1)^2, the zero polynomial
+        for c in ([F(2)], [F(0), F(0), F(1)], [F(1), F(0), F(-2), F(0), F(1)], []):
+            assert negative_point(c) is None
+
+    def test_narrow_dip_is_found(self):
+        # (v - 1)(v - 1001/1000) is negative only between its roots
+        c = [Fraction(1001, 1000), Fraction(-2001, 1000), Fraction(1)]
+        t = negative_point(c)
+        assert 1 < t < Fraction(1001, 1000)
+
+    def test_never_returns_zero(self):
+        # -v^2 is negative everywhere but at 0
+        t = negative_point([Fraction(0), Fraction(0), Fraction(-1)])
+        assert t != 0 and p_eval([0, 0, Fraction(-1)], t) < 0
+
+    def test_agrees_with_nonnegativity_on_seeded_products(self):
+        # products of (v - r)^k and of a quadratic, half of them negated:
+        # c >= 0 on R exactly when its binary form is nonnegative
+        rng = random.Random(20241019)
+        found = set()
+        for _ in range(200):
+            c = [Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 3))]
+            factors = [
+                [Fraction(-rng.randint(-6, 6), rng.randint(1, 4)), Fraction(1)]
+                for _ in range(rng.randint(0, 3))
+            ] * rng.choice((1, 2))
+            factors.append([Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)), 1])
+            for f in factors:
+                out = [Fraction(0)] * (len(c) + len(f) - 1)
+                for i, a in enumerate(c):
+                    for j, b in enumerate(f):
+                        out[i + j] += a * b
+                c = out
+            t = negative_point(c)
+            assert (t is None) == is_nonnegative(c), c
+            if t is not None:
+                assert t != 0 and p_eval(c, t) < 0
+            found.add(t is None)
+        assert found == {True, False}
 
 
 def _rand_form(rng, degree):
