@@ -76,9 +76,8 @@ def solve_branch(
         raise PreconditionError("dp/dz(0) = 0: zero is not smooth in z")
 
     # q(x, z) = p(x, -z), so that q(x, phi(x)) = 0 gives phi itself
-    q = MultiPoly._from_terms(
-        p.vars, {e: -c if e[-1] % 2 else c for e, c in p.terms.items()}
-    )
+    rows = {e: (-a, -b) if e[-1] % 2 else (a, b) for e, (a, b) in p.rows.items()}
+    q = MultiPoly._from_rows(p.vars, p.den, rows)
     phi = implicit_root(q.slices(q.vars[-1]), order, stop_at_imaginary)
     if stop_at_imaginary and not phi.is_real():
         order = phi.degree()  # the solve stopped at its first non-real degree
@@ -104,11 +103,15 @@ def solve_branch(
     # term in those variables alone
     flat = {i for i, g in enumerate(grad0) if g.is_zero()}
     if flat:
-        for exps, coeff in p.terms.items():
+        for exps in p.rows:
             if exps[-1] == 0 and all(i in flat for i, k in enumerate(exps[:-1]) if k):
                 raise SanityViolation(
                     "phi does not vanish on the zero-gradient subspace",
-                    witness=(tuple(x_vars[i] for i in sorted(flat)), exps, coeff),
+                    witness=(
+                        tuple(x_vars[i] for i in sorted(flat)),
+                        exps,
+                        p.coefficient(exps),
+                    ),
                 )
 
     # implicit_root keeps no term above the order
@@ -133,27 +136,33 @@ def classify(sol: BranchSolution, seed: int = 0):
     phi = sol.phi
     d = len(phi.poly.vars)
 
-    first_imag = min(
-        (sum(e) for e, c in phi.poly.terms.items() if c.im), default=None
-    )
+    # one pass over the non-real rows: the least degree of one, and the
+    # imaginary parts of that degree
+    first_imag, im_rows = None, {}
+    for e, (_, b) in phi.poly.rows.items():
+        if b:
+            k = sum(e)
+            if first_imag is None or k < first_imag:
+                first_imag, im_rows = k, {}
+            if k == first_imag:
+                im_rows[e] = (b, 0)
     if first_imag is None:
         return PhiClassification(None)
-
-    part = phi.poly.homogeneous_part(first_imag)
     if first_imag % 2 == 1:
         raise SanityViolation(
-            f"first non-real homogeneous index {first_imag} is odd", witness=part
+            f"first non-real homogeneous index {first_imag} is odd",
+            witness=phi.poly.homogeneous_part(first_imag),
         )
 
-    im_part = part.imag_part()
+    im_part = MultiPoly._lowest_terms(phi.poly.vars, phi.poly.den, im_rows)
     definite_exact = True
     if d == 1:
-        c = next(iter(im_part.terms.values()))
-        if c.re < 0:
+        [(c, _)] = im_part.rows.values()
+        if c < 0:
             raise SanityViolation(
                 "imaginary part is negative on the real line", witness=im_part
             )
-        nonneg, definite = True, c.re > 0
+        nonneg, definite = True, c > 0
     elif d == 2:
         c = binary_form(im_part)
         definite = is_positive_definite(c)

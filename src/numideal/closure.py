@@ -178,8 +178,12 @@ def _negative_face(G: MultiPoly, change, xy_vars):
     small t > 0.  The witness holds change, u0, v0, the weights, m as
     "order", F(u0, v0) as "leading" and the curve as text.
     """
-    for wu, wv, m in _halfspaces(newton_polygon(G.terms)):
-        face = {(a, b): c.re for (a, b), c in G.terms.items() if wu * a + wv * b == m}
+    for wu, wv, m in _halfspaces(newton_polygon(G.rows)):
+        face = {
+            (a, b): Fraction(c, G.den)
+            for (a, b), (c, _) in G.rows.items()
+            if wu * a + wv * b == m
+        }
         for u0 in (1, -1):
             poly = [Fraction(0)] * (max(b for _, b in face) + 1)
             for (a, b), c in face.items():
@@ -209,12 +213,12 @@ def _negative_face(G: MultiPoly, change, xy_vars):
 
 
 def _try_change(g, change, inverse):
+    # G's rows are its coefficients times den > 0: the same signs, and the
+    # same positive faces
     G = linear_change(g, inverse, ("u", "v"))
-    candidates = {
-        (a, b): c.re
-        for (a, b), c in G.terms.items()
-        if a % 2 == 0 and b % 2 == 0 and c.re > 0
-    }
+    candidates = [
+        (a, b) for (a, b), (c, _) in G.rows.items() if a % 2 == 0 and b % 2 == 0 and c > 0
+    ]
     if not candidates:
         return None
     vertices = newton_polygon(candidates)
@@ -227,15 +231,12 @@ def _try_change(g, change, inverse):
         u_min=vertices[0][0],
         v_min=vertices[-1][1],
     )
-    for (a, b), c in G.terms.items():
-        if (a, b) not in candidates and not ic.contains_exponent(a, b):
-            return None
+    if not all(ic.contains_exponent(a, b) for a, b in G.rows):
+        return None
     # exact positivity of each compact face off the axes
     for wu, wv, m in halfspaces:
         face = {
-            (a, b): c.re
-            for (a, b), c in G.terms.items()
-            if wu * a + wv * b == m
+            (a, b): Fraction(c) for (a, b), (c, _) in G.rows.items() if wu * a + wv * b == m
         }
         if not _face_positive(face):
             return None
@@ -266,12 +267,12 @@ def ic_membership(q: MultiPoly, ic: MonomialIdealIC):
     quv = ic.to_uv(q)
     if quv.is_zero():
         return True, {"terms": []}
-    violated = [(a, b) for (a, b) in quv.terms if not ic.contains_exponent(a, b)]
+    violated = [(a, b) for (a, b) in quv.rows if not ic.contains_exponent(a, b)]
     if not violated:
         return True, {
             "terms": [
                 {"exponent": (a, b), "slack": ic.slack(a, b)}
-                for (a, b) in sorted(quv.terms)
+                for (a, b) in sorted(quv.rows)
             ]
         }
     # find a separating weight with positive components and build a witness
@@ -298,9 +299,10 @@ def ic_membership(q: MultiPoly, ic: MonomialIdealIC):
         raise AssertionError("violated exponent without separating weight")
     _, wu, wv, m, h0 = best
     # leading coefficient along u = lu s^wu, v = lv s^wv must be nonzero
-    level = MultiPoly(
+    level = MultiPoly._lowest_terms(
         quv.vars,
-        {(a, b): c for (a, b), c in quv.terms.items() if wu * a + wv * b == h0},
+        quv.den,
+        {(a, b): r for (a, b), r in quv.rows.items() if wu * a + wv * b == h0},
     )
     witness_lambda = next(
         (lam for lam in _lambda_candidates() if not level.eval_exact(lam).is_zero()),

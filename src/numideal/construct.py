@@ -27,12 +27,12 @@ def substitute_fractions(p: MultiPoly, fractions: dict) -> MultiPoly:
     share one variable tuple, and the whole is one `subs`.
     """
     cols = [(p.vars.index(v), p.var_degree(v)) for v in fractions]
-    terms = {e + tuple(d - e[i] for i, d in cols): c for e, c in p.terms.items()}
+    rows = {e + tuple(d - e[i] for i, d in cols): r for e, r in p.rows.items()}
     assignments = {}
     for v, (a, b) in fractions.items():
         assignments[v], assignments[f"1/{v}"] = a, b
     homs = tuple(f"1/{v}" for v in fractions)
-    return MultiPoly._from_terms(p.vars + homs, terms).subs(assignments)
+    return MultiPoly._from_rows(p.vars + homs, p.den, rows).subs(assignments)
 
 
 def _halfplane_vars(n: int):

@@ -182,7 +182,7 @@ def _comparable_resultant(
     Im phi_2L, divided by its content (`MultiPoly.primitive`).
     """
     lowest = R.lowest_part()
-    e = next(iter(im_part_2L.terms))
+    e = next(iter(im_part_2L.rows))
     ratio = lowest.coefficient(e) / im_part_2L.coefficient(e)
     if ratio.is_zero() or lowest != im_part_2L.scale(ratio):
         cause = _shared_root(f)
@@ -437,7 +437,7 @@ def membership(
         slices = pseudo_remainder(q, desc.reducer).slices("z")
         exact = slices.get(0, MultiPoly.zero(p.vars[:-1]))
         axis = 0 if desc.ic.newton_points[0][1] == 0 else 1
-        j = min((e[axis] for e in desc.ic.to_uv(exact).terms), default=None)
+        j = min((e[axis] for e in desc.ic.to_uv(exact).rows), default=None)
         if j is None or j >= power:
             return MembershipVerdict(
                 Verdict.IN_IDEAL,

@@ -163,21 +163,15 @@ def rational_prime_factors(n: int) -> list:
     return primes
 
 
-def _divisors(n: int) -> list:
-    """The positive divisors of n >= 1."""
-    divisors = {1}
-    for p in rational_prime_factors(n):
-        divisors |= {d * p for d in divisors}
-    return sorted(divisors)
-
-
 def rational_roots(c) -> list:
     """The distinct rational roots of c (Fraction entries, degree >= 1),
     ascending.
 
-    Degree 1 by formula; higher degrees try every p/q with p dividing the
-    constant and q the leading coefficient once denominators are cleared
-    (the rational-root theorem).
+    Degree 1 by formula.  Otherwise, with A the leading coefficient of the
+    squarefree part s made integral, every rational root r has A r in Z
+    (the rational-root theorem), so `_isolating_cuts` splits the real roots
+    of s into pieces narrower than 1/|A|, and the one candidate m/A in each
+    piece that holds a root is tested exactly; nothing is factored.
     """
     k0 = next(k for k, v in enumerate(c) if v != 0)
     roots = {Fraction(0)} if k0 else set()
@@ -185,13 +179,61 @@ def rational_roots(c) -> list:
     if len(c) == 2:
         roots.add(-c[0] / c[1])
     elif len(c) > 2:
-        den = math.lcm(*(v.denominator for v in c))
-        qs = _divisors(abs(int(c[-1] * den)))
-        for p in _divisors(abs(int(c[0] * den))):
-            for r in (Fraction(p, q) * sign for q in qs for sign in (1, -1)):
-                if p_eval(c, r) == 0:
-                    roots.add(r)
+        s = p_div_exact(c, p_gcd(c, p_derivative(c)))
+        A = abs(int(s[-1] * math.lcm(*(v.denominator for v in s))))
+        for lo, hi in _isolating_cuts(s, Fraction(1, A))[1]:
+            r = Fraction(math.floor(hi * A), A)
+            if lo < r and p_eval(s, r) == 0:
+                roots.add(r)
     return sorted(roots)
+
+
+def _isolating_cuts(s, width=None):
+    """(cuts, held) for a squarefree s with Fraction entries: the sorted cuts
+    that split (-B, B), B past the Cauchy bound of the roots, in halves
+    until each piece holds at most one real root (Sturm) and, with width,
+    each piece that holds one is narrower than width; held is the set of
+    pieces (lo, hi) that hold one.  No cut is a root or 0.
+
+    Signs are taken in integers: each member of the Sturm chain times the
+    lcm of its denominators, at t = n/d, is d^m q(n/d) by Horner's scheme,
+    which has the sign of q(t).  Each cut is evaluated once."""
+    chain = []
+    for q in sturm_chain(s):
+        den = math.lcm(*(v.denominator for v in q))
+        chain.append([v.numerator * (den // v.denominator) for v in reversed(q)])
+
+    def sign(q, t):
+        n, d = t.numerator, t.denominator
+        acc, power = q[0], 1
+        for c in q[1:]:
+            power *= d
+            acc = acc * n + c * power
+        return (acc > 0) - (acc < 0)
+
+    variations = {}
+
+    def count(t):
+        if t not in variations:
+            variations[t] = _variations([sign(q, t) for q in chain])
+        return variations[t]
+
+    B = 2 + max((abs(v / s[-1]) for v in s[:-1]), default=0)
+    cuts, held = [-B, B], set()
+    pieces = [(-B, B)]
+    while pieces:
+        lo, hi = pieces.pop()
+        n = count(lo) - count(hi)
+        if n == 0 or n == 1 and (width is None or hi - lo < width):
+            if n:
+                held.add((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        while mid == 0 or sign(chain[0], mid) == 0:
+            mid = (lo + mid) / 2
+        cuts.append(mid)
+        pieces += [(lo, mid), (mid, hi)]
+    return sorted(cuts), held
 
 
 # -- binary forms ------------------------------------------------------------
@@ -208,10 +250,10 @@ def binary_form(p: MultiPoly) -> list:
     if deg < 0:
         raise PreconditionError("zero form")
     coeffs = [Fraction(0)] * (deg + 1)
-    for (a, b), c in p.terms.items():
+    for (a, b), (c, _) in p.rows.items():
         if a + b != deg:
             raise PreconditionError("polynomial is not homogeneous")
-        coeffs[a] = c.re
+        coeffs[a] = Fraction(c, p.den)
     return coeffs
 
 
@@ -247,33 +289,14 @@ def negative_point(c):
     Fraction entries.  Exact.
 
     c keeps its sign between consecutive real roots, so one point in each
-    gap decides: the cuts that split (-B, B), B past the Cauchy bound of the
-    roots, until each piece holds at most one root of the squarefree part
-    (Sturm), no cut a root or 0.
+    gap decides: the cuts of `_isolating_cuts` on the squarefree part,
+    between which lies at most one root.
     """
     c = p_strip(list(c))
     if not c:
         return None
-    s = p_div_exact(c, p_gcd(c, p_derivative(c)))
-    chain = sturm_chain(s)
-
-    def variations(t):
-        values = [p_eval(q, t) for q in chain]
-        return _variations([(v > 0) - (v < 0) for v in values])
-
-    B = 2 + max((abs(v / s[-1]) for v in s[:-1]), default=0)
-    cuts = [-B, B]
-    pieces = [(-B, B)]
-    while pieces:
-        lo, hi = pieces.pop()
-        if variations(lo) - variations(hi) < 2:
-            continue
-        mid = (lo + hi) / 2
-        while mid == 0 or p_eval(s, mid) == 0:
-            mid = (lo + mid) / 2
-        cuts.append(mid)
-        pieces += [(lo, mid), (mid, hi)]
-    return next((t for t in sorted(cuts) if p_eval(c, t) < 0), None)
+    cuts, _ = _isolating_cuts(p_div_exact(c, p_gcd(c, p_derivative(c))))
+    return next((t for t in cuts if p_eval(c, t) < 0), None)
 
 
 # -- quadratic forms in any number of variables -----------------------------

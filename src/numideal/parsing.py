@@ -233,9 +233,8 @@ def format_poly(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    for exps in sorted(p.terms, key=_term_sort_key):
-        coeff = p.terms[exps]
-        sign, mag = _signed_magnitude(coeff)
+    for exps in sorted(p.rows, key=_term_sort_key):
+        sign, mag = _signed_magnitude(p.coefficient(exps))
         mono = _monomial_str(p.vars, exps)
         if not mono:
             body = _magnitude_str(mag)

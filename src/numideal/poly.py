@@ -1,27 +1,31 @@
 """Multivariate polynomials and truncated power series over the Gaussian rationals.
 
-Values are immutable after construction and all operations are pure, so
-everything here is safe to share across threads.
+A `MultiPoly` stores Gaussian integers over one denominator: `rows` maps
+each exponent vector, in insertion order, to a nonzero (a, b), the
+coefficient (a + b i) / den.  The form is canonical, den > 0 and
+gcd(den, every a, every b) = 1, so equality and hashing compare vars, den
+and rows.  Every operation works on these integers and divides out one gcd
+at the end; none builds a `Fraction` per term.  `terms`, the read-only map
+to `GaussianRational` that `puiseux` and callers outside the package read,
+is derived from the rows on first use and kept; printing reads the rows.
+The public constructor `MultiPoly(vars, terms)` takes such a map.  Values are
+immutable and all operations pure, so everything here is thread-safe.
 
 Every product runs on one kernel, `_sum_of_products`: it puts the pairs of
-operands over one common denominator, multiplies and sums their
-Gaussian-integer numerators as Python ints, and each output term is
-normalised once.  A plain product is its one-pair case.  `implicit_root`
-solves for a power series degree by degree on it, forming each product of
-two homogeneous parts once, and the Bézout entries and minors of
+operands over one common denominator and multiplies and sums their rows as
+Python ints.  A plain product is its one-pair case.  `implicit_root` solves
+for a power series degree by degree on it, forming each product of two
+homogeneous parts once, and the Bézout entries and minors of
 `conjugate_resultant` are sums of products on it too.  `MultiPoly.subs` is
 the one composition: Horner's scheme in each replaced variable, one kernel
-call per step acc * r + slice, so the reduction of a numerator, the branch
-residual and the Puiseux substitution all run on the kernel.
-`linear_change`, the bivariate change of frame of `closure`, is no
-composition: it expands the integer powers of its two row forms directly
-into one integer sum.  `TruncatedSeries` is only the record of a
-polynomial and its truncation order; it has no arithmetic of its own.
-`eval_complex` builds a plan once per polynomial and keeps it: the
-coefficients as `complex`, the distinct (variable, exponent) pairs, and
-the pairs each term uses.  Each call raises every coordinate to each pair's exponent once and
-multiplies the powers into the terms in the order a term-by-term loop does,
-so the floats it returns do not depend on the plan.
+call per step acc * r + slice.  `linear_change`, the bivariate change of
+frame of `closure`, expands the integer powers of its two row forms
+directly into one integer sum.  `TruncatedSeries` is only the record of a
+polynomial and its truncation order.  `eval_complex` builds a plan once per
+polynomial and keeps it: the coefficients as `complex`, the distinct
+(variable, exponent) pairs, and the pairs each term uses; each call
+multiplies the powers into the terms in the order a term-by-term loop
+does, so the floats it returns do not depend on the plan.
 
 The kernel's integer forms carry each exponent vector as one int (Kronecker
 packing, `_pack`): exponent i in a field of w bits, the total degree above
@@ -30,8 +34,7 @@ limit truncates by total degree.  Each computation takes w from its own
 degree bound: the truncation order, or the degree of the untruncated
 product, composition or determinant.  Every kept exponent fits its field,
 and a sum that overflows one has a total degree beyond the bound, so it is
-dropped; there is no exponent limit.  Tuples come back only where a
-`MultiPoly` is built and where `subs` groups terms by the replaced variables.
+dropped; there is no exponent limit.
 """
 
 from __future__ import annotations
@@ -39,21 +42,18 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import ArityError
-from .gaussian import GaussianRational, I, ZERO, ONE
+from .gaussian import GaussianRational, I, ONE
 from .record import Frozen
 
 
 class MultiPoly:
-    """A polynomial as a map from exponent vectors to Gaussian-rational coefficients.
+    """A polynomial over Q(i) as canonical rows over den (module docstring).
+    Variables are named and ordered; z, when present, is last."""
 
-    Canonical form: no zero coefficients are stored, so two polynomials are
-    equal iff their term maps are equal.  Variables are named and ordered;
-    the distinguished variable z, when present, is last.
-    """
-
-    __slots__ = ("vars", "terms", "_complex")
+    __slots__ = ("vars", "den", "rows", "_terms", "_complex")
 
     def __init__(self, vars, terms):
         vars = tuple(vars)
@@ -68,28 +68,56 @@ class MultiPoly:
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
             clean[exps] = coeff
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_complex", None)
+        # over the lcm of the reduced denominators the numerators share no
+        # factor with it: a part whose denominator has the most factors of a
+        # prime keeps a numerator prime to it
+        den = 1
+        for c in clean.values():
+            den = lcm(den, c.re.denominator, c.im.denominator)
+        _set(self, vars, den, {e: _gaussian_integer(c, den)[1:] for e, c in clean.items()})
 
     @classmethod
-    def _from_terms(cls, vars: tuple, terms: dict) -> "MultiPoly":
-        """Trusted constructor: terms must map valid exponent tuples of the
-        right length to nonzero GaussianRationals."""
+    def _from_rows(cls, vars: tuple, den: int, rows: dict) -> "MultiPoly":
+        """Trusted constructor: rows must map valid exponent tuples of the
+        right length to nonzero (a, b), in canonical form over den."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "vars", vars)
-        object.__setattr__(obj, "terms", terms)
-        object.__setattr__(obj, "_complex", None)
+        _set(obj, vars, den, rows)
         return obj
+
+    @classmethod
+    def _lowest_terms(cls, vars: tuple, den: int, rows: dict) -> "MultiPoly":
+        """The MultiPoly of nonzero rows over den > 0, with the common factor
+        of den and every numerator divided out: one gcd, and no division
+        when it is 1."""
+        g = den
+        for a, b in rows.values():
+            g = gcd(g, a, b)
+            if g == 1:
+                return cls._from_rows(vars, den, rows)
+        rows = {e: (a // g, b // g) for e, (a, b) in rows.items()}
+        return cls._from_rows(vars, den // g, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self):
+        """The read-only map exps -> GaussianRational, in row order, built on
+        first use; like `eval_complex`'s plan it stays valid, and a
+        concurrent first call at worst builds it twice."""
+        if self._terms is None:
+            den, make = self.den, GaussianRational._from_fractions
+            view = {
+                e: make(Fraction(a, den), Fraction(b, den)) for e, (a, b) in self.rows.items()
+            }
+            object.__setattr__(self, "_terms", MappingProxyType(view))
+        return self._terms
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, vars):
-        return cls(vars, {})
+        return cls._from_rows(tuple(vars), 1, {})
 
     @classmethod
     def constant(cls, vars, value):
@@ -100,36 +128,32 @@ class MultiPoly:
         vars = tuple(vars)
         idx = vars.index(name)
         exps = tuple(1 if k == idx else 0 for k in range(len(vars)))
-        return cls(vars, {exps: ONE})
+        return cls._from_rows(vars, 1, {exps: (1, 0)})
 
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     def is_real(self) -> bool:
-        return all(c.is_real() for c in self.terms.values())
+        return not any(b for _, b in self.rows.values())
 
     def degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.rows), default=-1)
 
     def min_degree(self):
         """Min total degree of a nonzero term; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return min(sum(e) for e in self.terms)
+        return min(map(sum, self.rows), default=None)
 
     def var_degree(self, name: str) -> int:
         idx = self.vars.index(name)
-        if not self.terms:
-            return -1
-        return max(e[idx] for e in self.terms)
+        return max((e[idx] for e in self.rows), default=-1)
 
     def coefficient(self, exps) -> GaussianRational:
-        return self.terms.get(tuple(exps), ZERO)
+        a, b = self.rows.get(tuple(exps), (0, 0))
+        den = self.den
+        return GaussianRational._from_fractions(Fraction(a, den), Fraction(b, den))
 
     # -- ring operations -------------------------------------------------
 
@@ -141,18 +165,19 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(self.vars, other)
         self._check_same_vars(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps)
-            if acc is None:
-                terms[exps] = coeff
-            else:
-                total = acc + coeff
-                if total.is_zero():
-                    del terms[exps]
-                else:
-                    terms[exps] = total
-        return MultiPoly._from_terms(self.vars, terms)
+        D = lcm(self.den, other.den)
+        f, g = D // self.den, D // other.den
+        rows = {e: (a * f, b * f) for e, (a, b) in self.rows.items()}
+        for e, (a, b) in other.rows.items():
+            a, b = a * g, b * g
+            acc = rows.get(e)
+            if acc is not None:
+                a, b = acc[0] + a, acc[1] + b
+                if not (a or b):
+                    del rows[e]
+                    continue
+            rows[e] = (a, b)
+        return MultiPoly._lowest_terms(self.vars, D, rows)
 
     __radd__ = __add__
 
@@ -165,9 +190,8 @@ class MultiPoly:
         return (-self) + other
 
     def __neg__(self):
-        return MultiPoly._from_terms(
-            self.vars, {e: -c for e, c in self.terms.items()}
-        )
+        rows = {e: (-a, -b) for e, (a, b) in self.rows.items()}
+        return MultiPoly._from_rows(self.vars, self.den, rows)
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
@@ -180,11 +204,11 @@ class MultiPoly:
 
     def scale(self, value) -> "MultiPoly":
         value = GaussianRational.coerce(value)
-        if value.is_zero():
+        d, P, Q = _gaussian_integer(value)
+        if not (P or Q):
             return MultiPoly.zero(self.vars)
-        return MultiPoly._from_terms(
-            self.vars, {e: c * value for e, c in self.terms.items()}
-        )
+        rows = {e: (a * P - b * Q, a * Q + b * P) for e, (a, b) in self.rows.items()}
+        return MultiPoly._lowest_terms(self.vars, self.den * d, rows)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -214,14 +238,12 @@ class MultiPoly:
     # -- structure -------------------------------------------------------
 
     def truncate(self, order: int) -> "MultiPoly":
-        return MultiPoly._from_terms(
-            self.vars, {e: c for e, c in self.terms.items() if sum(e) <= order}
-        )
+        rows = {e: r for e, r in self.rows.items() if sum(e) <= order}
+        return MultiPoly._lowest_terms(self.vars, self.den, rows)
 
     def homogeneous_part(self, k: int) -> "MultiPoly":
-        return MultiPoly._from_terms(
-            self.vars, {e: c for e, c in self.terms.items() if sum(e) == k}
-        )
+        rows = {e: r for e, r in self.rows.items() if sum(e) == k}
+        return MultiPoly._lowest_terms(self.vars, self.den, rows)
 
     def lowest_part(self) -> "MultiPoly":
         d = self.min_degree()
@@ -231,34 +253,27 @@ class MultiPoly:
 
     def conj_coefficients(self) -> "MultiPoly":
         """Coefficientwise conjugation: the reflection polynomial."""
-        return MultiPoly._from_terms(
-            self.vars, {e: c.conj() for e, c in self.terms.items()}
-        )
+        rows = {e: (a, -b) for e, (a, b) in self.rows.items()}
+        return MultiPoly._from_rows(self.vars, self.den, rows)
 
     reflect = conj_coefficients
 
     def real_part(self) -> "MultiPoly":
         """Coefficientwise real part (exact, real output)."""
-        return MultiPoly(
-            self.vars, {e: GaussianRational(c.re) for e, c in self.terms.items()}
-        )
+        rows = {e: (a, 0) for e, (a, _) in self.rows.items() if a}
+        return MultiPoly._lowest_terms(self.vars, self.den, rows)
 
     def imag_part(self) -> "MultiPoly":
         """Coefficientwise imaginary part (exact, real output)."""
-        return MultiPoly(
-            self.vars, {e: GaussianRational(c.im) for e, c in self.terms.items()}
-        )
+        rows = {e: (b, 0) for e, (_, b) in self.rows.items() if b}
+        return MultiPoly._lowest_terms(self.vars, self.den, rows)
 
     # -- evaluation --------------------------------------------------------
 
     def eval_complex(self, point) -> complex:
         """The value at a point of numbers: each term's `complex` coefficient
         times its powers `z**k` in variable order, summed in term order."""
-        point = tuple(point)
-        if len(point) != len(self.vars):
-            raise ArityError(
-                f"expected {len(self.vars)} coordinates, got {len(point)}"
-            )
+        point = self._point(point)
         # the object is immutable, so the plan stays valid; a concurrent
         # first call at worst builds it twice
         plan = self._complex
@@ -274,32 +289,51 @@ class MultiPoly:
             total += v
         return total
 
+    def _point(self, point) -> tuple:
+        point = tuple(point)
+        if len(point) != len(self.vars):
+            raise ArityError(f"expected {len(self.vars)} coordinates, got {len(point)}")
+        return point
+
     def _power_plan(self):
         """The sorted distinct (variable index, exponent) pairs, and per term
-        its `complex` coefficient and the table slots of its nonzero
-        exponents in variable order."""
-        pairs = sorted({(i, k) for e in self.terms for i, k in enumerate(e) if k})
+        its `complex` coefficient, as the term's `to_complex` gives it (int
+        division rounds as `Fraction` does), and the table slots of its
+        nonzero exponents in variable order."""
+        pairs = sorted({(i, k) for e in self.rows for i, k in enumerate(e) if k})
         slot = {pair: j for j, pair in enumerate(pairs)}
+        den = self.den
         rows = tuple(
-            (c.to_complex(), tuple(slot[i, k] for i, k in enumerate(e) if k))
-            for e, c in self.terms.items()
+            (
+                complex(a / den) + 1j * complex(b / den),
+                tuple(slot[i, k] for i, k in enumerate(e) if k),
+            )
+            for e, (a, b) in self.rows.items()
         )
         return pairs, rows
 
     def eval_exact(self, point) -> GaussianRational:
-        point = tuple(GaussianRational.coerce(p) for p in point)
-        if len(point) != len(self.vars):
-            raise ArityError(
-                f"expected {len(self.vars)} coordinates, got {len(point)}"
-            )
-        total = GaussianRational(0)
-        for e, c in self.terms.items():
-            v = c
-            for z, k in zip(point, e):
-                if k:
-                    v = v * z**k
-            total = total + v
-        return total
+        """The exact value at a point of Q(i)^n, in integers: coordinate i is
+        (P + Q i) / d, and with M its top exponent a power k of it is
+        (P + Q i)^k d^(M - k) over d^M; the sum is over den * prod d^M."""
+        D, tables = self.den, []
+        for i, z in enumerate(self._point(map(GaussianRational.coerce, point))):
+            d, P, Q = _gaussian_integer(z)
+            top = max((e[i] for e in self.rows), default=0)
+            D *= d**top
+            table = [(d**top, 0)]  # (P + Q i)^k d^(top - k), k = 0..top
+            for _ in range(top):
+                x, y = table[-1]
+                table.append(((x * P - y * Q) // d, (x * Q + y * P) // d))
+            tables.append(table)
+        re = im = 0
+        for e, (a, b) in self.rows.items():
+            for table, k in zip(tables, e):
+                x, y = table[k]
+                a, b = a * x - b * y, a * y + b * x
+            re += a
+            im += b
+        return GaussianRational._from_fractions(Fraction(re, D), Fraction(im, D))
 
     # -- substitution ------------------------------------------------------
 
@@ -334,7 +368,7 @@ class MultiPoly:
             bound = max(
                 (
                     sum(e[i] for i, _ in kept) + sum(e[i] * d for i, d in degrees)
-                    for e in self.terms
+                    for e in self.rows
                 ),
                 default=0,
             )
@@ -342,9 +376,8 @@ class MultiPoly:
         repls = [_integral(r, w, bound) for r in repls]
         # the terms grouped by their exponents in the replaced variables, each
         # as a row in the target variables carrying the unassigned exponents
-        D, rows = _numerators(self)
         groups = {}
-        for e, a, b in rows:
+        for e, (a, b) in self.rows.items():
             t = [0] * len(target_vars)
             for i, j in kept:
                 t[j] = e[i]
@@ -352,85 +385,69 @@ class MultiPoly:
                 key = tuple(e[i] for i in replaced)
                 groups.setdefault(key, []).append((_pack(t, w), a, b))
         limit = _limit(bound, len(target_vars), w)
-        pairs = _horner(groups, D, repls, limit)
+        pairs = _horner(groups, self.den, repls, limit)
         return _normalised(target_vars, w, *_sum_of_products(pairs, limit))
 
     def rename_vars(self, mapping: dict) -> "MultiPoly":
         new_vars = tuple(mapping.get(v, v) for v in self.vars)
-        return MultiPoly(new_vars, dict(self.terms))
+        return MultiPoly._from_rows(new_vars, self.den, dict(self.rows))
 
     def slices(self, name: str) -> dict:
         """Map k -> coefficient of name^k, a polynomial in the other variables."""
         idx = self.vars.index(name)
         rest = self.vars[:idx] + self.vars[idx + 1 :]
         buckets: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            buckets.setdefault(e[idx], {})[e[:idx] + e[idx + 1 :]] = c
-        return {k: MultiPoly._from_terms(rest, t) for k, t in buckets.items()}
+        for e, r in self.rows.items():
+            buckets.setdefault(e[idx], {})[e[:idx] + e[idx + 1 :]] = r
+        return {k: MultiPoly._lowest_terms(rest, self.den, t) for k, t in buckets.items()}
 
     def embed(self, new_vars) -> "MultiPoly":
         """View in a larger variable tuple containing the current one."""
         new_vars = tuple(new_vars)
         pos = [new_vars.index(v) for v in self.vars]
-        terms = {}
-        for e, c in self.terms.items():
+        rows = {}
+        for e, r in self.rows.items():
             exps = [0] * len(new_vars)
             for p, k in zip(pos, e):
                 exps[p] = k
-            terms[tuple(exps)] = c
-        return MultiPoly(new_vars, terms)
+            rows[tuple(exps)] = r
+        return MultiPoly._from_rows(new_vars, self.den, rows)
 
     # -- normalization -----------------------------------------------------
 
     def content(self) -> Fraction:
         """Positive rational c such that self / c has coprime integer parts."""
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            for part in (c.re, c.im):
-                if part == 0:
-                    continue
-                num = gcd(num, part.numerator)
-                den = den * part.denominator // gcd(den, part.denominator)
-        if num == 0:
-            return Fraction(1)
-        return Fraction(num, den)
+        g = 0
+        for a, b in self.rows.values():
+            g = gcd(g, a, b)
+        return Fraction(g, self.den) if g else Fraction(1)
 
     def primitive(self, unit=ONE) -> "MultiPoly":
         """self times unit, one of 1, -1, i, -i, over the positive content
         (`content`), which the unit does not change: coprime Gaussian-integer
-        parts, built from the integer numerators with no per-term
-        normalisation."""
+        parts over den 1."""
         unit = GaussianRational.coerce(unit)
         if unit not in (1, -1, I, -I):
             raise ValueError(f"{unit} is not a unit of Z[i]")
-        if not self.terms:
+        if not self.rows:
             return self
         ur, ui = int(unit.re), int(unit.im)
-        _, rows = _numerators(self)
-        g = 0
-        for _, a, b in rows:
-            g = gcd(g, a, b)
-        make = GaussianRational._from_fractions
-        return MultiPoly._from_terms(
-            self.vars,
-            {
-                e: make(
-                    Fraction((a * ur - b * ui) // g), Fraction((a * ui + b * ur) // g)
-                )
-                for e, a, b in rows
-            },
-        )
+        g = self.content().numerator  # den is prime to every row
+        rows = {
+            e: ((a * ur - b * ui) // g, (a * ui + b * ur) // g)
+            for e, (a, b) in self.rows.items()
+        }
+        return MultiPoly._from_rows(self.vars, 1, rows)
 
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.vars, self.den, self.rows) == (other.vars, other.den, other.rows)
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.rows.items())))
 
     def __str__(self):
         from .parsing import format_poly
@@ -439,6 +456,19 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.vars!r}, {str(self)!r})"
+
+
+def _set(p: MultiPoly, *values) -> None:
+    """Fill the slots vars, den and rows of a new MultiPoly; no view or plan yet."""
+    for name, value in zip(MultiPoly.__slots__, values + (None, None)):
+        object.__setattr__(p, name, value)
+
+
+def _gaussian_integer(c: GaussianRational, d: int = 0):
+    """(d, P, Q) with c = (P + Q i) / d, d by default the least such."""
+    re, im = c.re, c.im
+    d = d or lcm(re.denominator, im.denominator)
+    return d, re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
 
 
 def _width(bound: int) -> int:
@@ -481,46 +511,22 @@ _ONE = (1, ((0, 1, 0),))
 
 
 def _polynomial(vars: tuple, w: int, *forms) -> MultiPoly:
-    """The sum of integer forms (D, rows) with disjoint exponents, each term
-    normalised once."""
-    make = GaussianRational._from_fractions
-    n = len(vars)
-    return MultiPoly._from_terms(
-        vars,
-        {
-            _unpack(k, n, w): make(Fraction(a, D), Fraction(b, D))
-            for D, rows in forms
-            for k, a, b in rows
-        },
-    )
-
-
-def _numerators(p: MultiPoly):
-    """(D, [(exps, a, b)]) with D the positive lcm of the coefficient
-    denominators and a + b*i = D * coefficient."""
-    # pairwise, not lcm(*all denominators): that builds a tuple of a new
-    # length per call, and short tuples linger on the interpreter's free
-    # lists, which raised peak memory of a benchmark run by about 4 %
+    """The sum of reduced integer forms (D, rows), as `_reduced` gives them,
+    with disjoint exponents, over the lcm of the D: in lowest terms, as in
+    `MultiPoly`'s constructor."""
     D = 1
-    for c in p.terms.values():
-        D = lcm(D, c.re.denominator, c.im.denominator)
-    rows = [
-        (
-            e,
-            c.re.numerator * (D // c.re.denominator),
-            c.im.numerator * (D // c.im.denominator),
-        )
-        for e, c in p.terms.items()
-    ]
-    return D, rows
+    for d, _ in forms:
+        D = lcm(D, d)
+    n = len(vars)
+    rows = {_unpack(k, n, w): (a * (D // d), b * (D // d)) for d, r in forms for k, a, b in r}
+    return MultiPoly._from_rows(vars, D, rows)
 
 
 def _integral(p: MultiPoly, w: int, bound: int):
     """The integer form (D, [(key, a, b)]) of p, each exponent vector packed
     into key with w-bit fields, without the terms above total degree bound:
     they never reach a result within it, and may not fit the fields."""
-    D, rows = _numerators(p)
-    return D, [(_pack(e, w), a, b) for e, a, b in rows if sum(e) <= bound]
+    return p.den, [(_pack(e, w), a, b) for e, (a, b) in p.rows.items() if sum(e) <= bound]
 
 
 def _product(p: MultiPoly, q: MultiPoly, order) -> MultiPoly:
@@ -534,18 +540,10 @@ def _product(p: MultiPoly, q: MultiPoly, order) -> MultiPoly:
 
 
 def _normalised(vars: tuple, w: int, D: int, acc: dict) -> MultiPoly:
-    """The polynomial of a `_sum_of_products` result, each term normalised
-    once."""
-    make = GaussianRational._from_fractions
+    """The polynomial of a `_sum_of_products` result, in lowest terms."""
+    D, rows = _reduced(D, acc)
     n = len(vars)
-    return MultiPoly._from_terms(
-        vars,
-        {
-            _unpack(k, n, w): make(Fraction(re, D), Fraction(im, D))
-            for k, (re, im) in acc.items()
-            if re or im
-        },
-    )
+    return MultiPoly._from_rows(vars, D, {_unpack(k, n, w): (a, b) for k, a, b in rows})
 
 
 def _sum_of_products(pairs, limit: int):
@@ -679,11 +677,8 @@ def implicit_root(
     (D (P^2 + Q^2), rows times -Dc (P - Q i)) in integers, unreduced:
     `_keep` reduces each result once.
     """
-    vars = slices[1].vars
-    pivot = slices[1].coefficient((0,) * len(vars))
-    Dc = lcm(pivot.re.denominator, pivot.im.denominator)
-    P = pivot.re.numerator * (Dc // pivot.re.denominator)
-    Q = pivot.im.numerator * (Dc // pivot.im.denominator)
+    vars, Dc = slices[1].vars, slices[1].den
+    P, Q = slices[1].rows.get((0,) * len(vars), (0, 0))
     norm = P * P + Q * Q
     if not norm:
         raise ZeroDivisionError("implicit_root needs a nonzero pivot")
@@ -693,8 +688,7 @@ def implicit_root(
     w = _width(order)
     limit = _limit(order, len(vars), w)
     # powers[k][j] = [y^k]_j as an integer form, kept only when nonzero
-    powers = [{0: _ONE}]
-    powers += [{} for _ in range(top)]
+    powers = [{0: _ONE}] + [{} for _ in range(top)]
     y = powers[1]
     # each term of -s_k / pivot as its own integer form, in the slice's
     # order: for z-degree 1 the terms of y then come in the order of the
@@ -767,27 +761,39 @@ def conjugate_resultant(p: MultiPoly) -> MultiPoly:
 
 def divide_exact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """a / b, for a b that divides a: long division by lex-leading terms,
-    which leaves no remainder exactly when b | a."""
+    which leaves no remainder exactly when b | a.  On the rows, A / B: with
+    L = P + Q i the leading row of B, a quotient term is t (P - Q i) / |L|^2
+    for the leading row t of the rest.  Rest and quotient share a
+    denominator E, raised by the least factor that makes that term a
+    Gaussian integer, so E ends as the lcm of the denominators of A / B."""
     a._check_same_vars(b)
-    lead = max(b.terms)
-    inv = ONE / b.terms[lead]
-    rest = dict(a.terms)
-    quotient = {}
+    lead = max(b.rows)
+    P, Q = b.rows[lead]
+    N = P * P + Q * Q
+    rest, quotient, E = dict(a.rows), {}, 1
     while rest:
         top = max(rest)
         shift = tuple(i - j for i, j in zip(top, lead))
         if any(k < 0 for k in shift):
             raise ArithmeticError("division was not exact")
-        c = rest[top] * inv
-        quotient[shift] = c
-        for e, v in b.terms.items():
+        x, y = rest[top]
+        x, y = x * P + y * Q, y * P - x * Q
+        m = N // gcd(N, x, y)
+        if m > 1:
+            E *= m
+            rest = {e: (u * m, v * m) for e, (u, v) in rest.items()}
+            quotient = {e: (u * m, v * m) for e, (u, v) in quotient.items()}
+        x, y = x * m // N, y * m // N
+        quotient[shift] = (x, y)
+        for e, (u, v) in b.rows.items():
             key = tuple(i + j for i, j in zip(shift, e))
-            value = rest.get(key, ZERO) - c * v
-            if value.is_zero():
-                rest.pop(key, None)
-            else:
-                rest[key] = value
-    return MultiPoly._from_terms(a.vars, quotient)
+            r, s = rest.pop(key, (0, 0))
+            r, s = r - (x * u - y * v), s - (x * v + y * u)
+            if r or s:
+                rest[key] = (r, s)
+    # a / b = (A / B) b.den / a.den
+    rows = {e: (u * b.den, v * b.den) for e, (u, v) in quotient.items()}
+    return MultiPoly._lowest_terms(a.vars, a.den * E, rows)
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -845,7 +851,7 @@ def _leading(a: MultiPoly) -> MultiPoly:
 def _content(a: MultiPoly) -> MultiPoly:
     """gcd of the coefficients of a in its last variable."""
     slices = sorted(
-        a.slices(a.vars[-1]).values(), key=lambda s: (s.degree(), len(s.terms))
+        a.slices(a.vars[-1]).values(), key=lambda s: (s.degree(), len(s.rows))
     )
     c = slices[0]
     for s in slices[1:]:
@@ -857,11 +863,7 @@ def _content(a: MultiPoly) -> MultiPoly:
 
 def _primitive(a: MultiPoly, content: MultiPoly) -> MultiPoly:
     """a divided by its content in the last variable."""
-    terms = {}
-    for k, s in a.slices(a.vars[-1]).items():
-        for e, c in divide_exact(s, content).terms.items():
-            terms[e + (k,)] = c
-    return MultiPoly._from_terms(a.vars, terms)
+    return divide_exact(a, content.embed(a.vars))
 
 
 def pseudo_remainder(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -876,7 +878,7 @@ def pseudo_remainder(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     steps = max(a.var_degree(t) - db + 1, 0)
     while not r.is_zero() and r.var_degree(t) >= db:
         shift = (0,) * (len(a.vars) - 1) + (r.var_degree(t) - db,)
-        r = r * lead_b - _leading(r) * MultiPoly._from_terms(a.vars, {shift: ONE}) * b
+        r = r * lead_b - _leading(r) * MultiPoly._from_rows(a.vars, 1, {shift: (1, 0)}) * b
         steps -= 1
     return r * lead_b**steps
 
@@ -907,10 +909,9 @@ def linear_change(poly: MultiPoly, rows, new_vars) -> MultiPoly:
 
     A direct expansion, not a `subs`: over one denominator Dr of the rows,
     X = Dr x and Y = Dr y are integer linear forms, and the coefficient
-    lists of their powers come from the binomial recurrence.  Each term
-    c x^i y^j, c = (a + b i) / Dp, adds (a + b i) Dr^(n - i - j) X^i Y^j into
-    one integer sum over D = Dp Dr^n, n = deg poly, and each output
-    coefficient is normalised once.
+    lists of their powers come from the binomial recurrence.  Each row
+    (a, b) of x^i y^j adds (a + b i) Dr^(n - i - j) X^i Y^j into one
+    integer sum over poly.den Dr^n, n = deg poly.
     """
     new_vars = tuple(new_vars)
     shape = [len(row) for row in rows]
@@ -920,20 +921,19 @@ def linear_change(poly: MultiPoly, rows, new_vars) -> MultiPoly:
             f" variables; got {len(poly.vars)} variables, rows of {shape}"
             f" entries and {len(new_vars)} new variables"
         )
-    if not poly.terms:
-        return MultiPoly._from_terms(new_vars, {})
+    if not poly.rows:
+        return MultiPoly.zero(new_vars)
     entries = [r for row in rows for r in row]
     Dr = lcm(*(r.denominator for r in entries))
     p00, p01, p10, p11 = (r.numerator * (Dr // r.denominator) for r in entries)
-    Dp, terms = _numerators(poly)
     n = poly.degree()
-    X = _powers(p00, p01, max(e[0] for e in poly.terms))
-    Y = _powers(p10, p11, max(e[1] for e in poly.terms))
+    X = _powers(p00, p01, max(e[0] for e in poly.rows))
+    Y = _powers(p10, p11, max(e[1] for e in poly.rows))
     # acc is keyed by `_pack((d - k, k), w)` = (d << 2w) + d + k * step
     w = _width(n)
     step = (1 << w) - 1
     acc = {}
-    for (i, j), a, b in terms:
+    for (i, j), (a, b) in poly.rows.items():
         d = i + j
         f = Dr ** (n - d)
         a, b = a * f, b * f
@@ -952,7 +952,7 @@ def linear_change(poly: MultiPoly, rows, new_vars) -> MultiPoly:
                 else:
                     sk[0] += a * c
                     sk[1] += b * c
-    return _normalised(new_vars, w, Dp * Dr**n, acc)
+    return _normalised(new_vars, w, poly.den * Dr**n, acc)
 
 
 def _powers(a: int, b: int, m: int) -> list:

@@ -244,6 +244,42 @@ DEGENERATE_CHECKS = [
 ]
 
 
+# the first two stable linear factors of the product inputs: units at 0, so
+# a worked example times them keeps its ideal, with deg_z 2 or 3
+UNIT_FACTORS = [parse("x + 2*y + z + i"), parse("2*x + y + 3*z + 2*i")]
+
+# (case, L_or_K, worked checks) of the worked examples with deg_z >= 2 products
+WORKED = {
+    "nonisolated": (
+        CaseTag.LINEAR_FORM,
+        2,
+        [("(x + y)^2", True), ("x + y + z - x*y*z", True), ("x + y", False), ("z", False)],
+    ),
+    "degenerate": (CaseTag.ISOLATED_DEGENERATE, 4, DEGENERATE_CHECKS),
+    "p2": (CaseTag.DEFINITE, 2, [("(x^2 + y^2)^2", True)]),
+}
+
+
+class TestUnitFactorProducts:
+    """deg_z 2 and 3 outside the random batch: the Bézout minors of
+    `conjugate_resultant` and `linear_change` run at m >= 2 for the
+    LinearForm and IsolatedDegenerate examples."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("name", list(WORKED))
+    def test_case_and_verdicts_unchanged(self, name, k):
+        case, l_or_k, checks = WORKED[name]
+        p = EXAMPLES[name]()
+        for factor in UNIT_FACTORS[:k]:
+            p = p * factor
+        assert p.var_degree("z") == k + 1
+        desc = numerator_ideal(p)
+        assert (desc.case, desc.L_or_K) == (case, l_or_k)
+        for text, bounded in checks:
+            v = membership(p, parse(text, vars=p.vars), ideal=desc)
+            assert v.verdict is (Verdict.IN_IDEAL if bounded else Verdict.NOT_IN_IDEAL), text
+
+
 class TestWideAndHigherZDegree:
     def test_direction_witness_in_three_x_variables(self):
         # both numerators vanish at (1, 1, 1), so a witness needs a

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -349,6 +350,22 @@ class TestCandidateFrames:
     def test_higher_degree_factors_match_the_qi_roots_reference(self, text):
         g = parse(text, vars=("x", "y"))
         assert closure._candidate_lines(g) == _qi_root_lines(g)
+
+    @pytest.mark.parametrize(
+        "p, lines",
+        [
+            # a semiprime with two prime factors near 10^7: no rational root
+            ((10**7 + 19) * (10**7 + 79), [(1, 0), (1, -1)]),
+            # a cube: its root is the one rational line
+            ((10**4 + 7) ** 3, [(1, 0), (1, -1), (1, -(10**4 + 7))]),
+        ],
+    )
+    def test_large_lowest_form_coefficients(self, p, lines):
+        # the rational roots of x^3 - p are found without factoring p
+        g = parse(f"(x^3 - {p}*y^3)^2 + x^8 + y^8", vars=("x", "y"))
+        start = time.perf_counter()
+        assert closure._candidate_lines(g) == lines
+        assert time.perf_counter() - start < 0.1
 
     def test_many_divisors_probe(self):
         p = parse(MANY_DIVISORS)

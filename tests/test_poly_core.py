@@ -16,6 +16,7 @@ from numideal.poly import (
     MultiPoly,
     TruncatedSeries,
     conjugate_resultant,
+    divide_exact,
     implicit_root,
     linear_change,
     newton_polygon,
@@ -874,3 +875,199 @@ class TestComplexEvaluationMatchesTermLoop:
         assert sampled_sphere_nonneg(im_phi, _SPHERE_SAMPLES, 0) == (
             sampled_sphere_nonneg(_TermLoopPoly(im_phi), _SPHERE_SAMPLES, 0)
         )
+
+
+# -- the integer storage against term-by-term GaussianRational references --
+
+DENOMINATORS = (2, 3, 4, 5, 6, 9, 12)
+
+
+def rand_q_i_poly(rng, n):
+    """A seeded polynomial in n variables whose coefficients have non-unit
+    denominators, some of them real or purely imaginary."""
+    vars = ("x", "y", "z", "x1")[:n]
+    terms = {}
+    for _ in range(rng.randint(1, 7)):
+        exps = tuple(rng.randint(0, 3) for _ in vars)
+        re = Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+        im = Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+        kind = rng.randrange(3)
+        terms[exps] = GaussianRational(re if kind != 2 else 0, im if kind != 1 else 0)
+    return MultiPoly(vars, terms)
+
+
+def ref_map(p, f=lambda c: c, keep=lambda e: True):
+    """p's coefficients through f, on the terms whose exponents keep takes."""
+    return MultiPoly(p.vars, {e: f(c) for e, c in p.terms.items() if keep(e)})
+
+
+def ref_add(p, q):
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        terms[e] = terms.get(e, GaussianRational(0)) + c
+    return MultiPoly(p.vars, terms)
+
+
+def ref_slices(p, name):
+    idx = p.vars.index(name)
+    buckets = {}
+    for e, c in p.terms.items():
+        buckets.setdefault(e[idx], {})[e[:idx] + e[idx + 1 :]] = c
+    rest = p.vars[:idx] + p.vars[idx + 1 :]
+    return {k: MultiPoly(rest, t) for k, t in buckets.items()}
+
+
+def ref_embed(p, new_vars):
+    pos = [new_vars.index(v) for v in p.vars]
+    terms = {}
+    for e, c in p.terms.items():
+        exps = [0] * len(new_vars)
+        for i, k in zip(pos, e):
+            exps[i] = k
+        terms[tuple(exps)] = c
+    return MultiPoly(new_vars, terms)
+
+
+def ref_content(p):
+    num, den = 0, 1
+    for c in p.terms.values():
+        for part in (c.re, c.im):
+            if part:
+                num = math.gcd(num, part.numerator)
+                den = math.lcm(den, part.denominator)
+    return Fraction(num, den) if num else Fraction(1)
+
+
+def ref_eval_exact(p, point):
+    total = GaussianRational(0)
+    for e, c in p.terms.items():
+        for z, k in zip(point, e):
+            c = c * z**k
+        total = total + c
+    return total
+
+
+def ref_divide_exact(a, b):
+    """Long division by lex-leading terms, term by term."""
+    lead = max(b.terms)
+    inv = GaussianRational(1) / b.terms[lead]
+    rest, quotient = dict(a.terms), {}
+    while rest:
+        top = max(rest)
+        shift = tuple(i - j for i, j in zip(top, lead))
+        c = rest[top] * inv
+        quotient[shift] = c
+        for e, v in b.terms.items():
+            key = tuple(i + j for i, j in zip(shift, e))
+            value = rest.get(key, GaussianRational(0)) - c * v
+            if value.is_zero():
+                rest.pop(key, None)
+            else:
+                rest[key] = value
+    return MultiPoly(a.vars, quotient)
+
+
+def assert_rows_canonical(p):
+    assert p.den > 0
+    assert math.gcd(p.den, *(v for row in p.rows.values() for v in row)) == 1
+    for e, (a, b) in p.rows.items():
+        assert a or b
+        assert p.terms[e] == GaussianRational(Fraction(a, p.den), Fraction(b, p.den))
+    assert list(p.terms) == list(p.rows)
+
+
+def assert_same(got, ref):
+    """Equal value, equal term order and canonical rows."""
+    assert got == ref and hash(got) == hash(ref)
+    assert list(got.terms.items()) == list(ref.terms.items())
+    assert_rows_canonical(got)
+
+
+class TestIntegerRows:
+    CASES = 150
+
+    def polys(self, seed):
+        rng = random.Random(seed)
+        for case in range(self.CASES):
+            n = case % 4 + 1
+            yield rng, rand_q_i_poly(rng, n), rand_q_i_poly(rng, n)
+
+    def test_ring_operations_match_term_references(self):
+        for rng, p, q in self.polys(20261019):
+            assert_same(p + q, ref_add(p, q))
+            assert_same(p - q, ref_add(p, ref_map(q, lambda c: -c)))
+            assert_same(p + (-p), MultiPoly.zero(p.vars))
+            assert_same(-p, ref_map(p, lambda c: -c))
+            value = rng.choice([0, Fraction(3, 4), rand_gaussian(rng), GaussianRational(0, 2)])
+            assert_same(p.scale(value), ref_map(p, lambda c: c * value))
+
+    def test_structure_matches_term_references(self):
+        for rng, p, _ in self.polys(20261020):
+            k = rng.randint(0, 6)
+            assert_same(p.truncate(k), ref_map(p, keep=lambda e: sum(e) <= k))
+            assert_same(p.homogeneous_part(k), ref_map(p, keep=lambda e: sum(e) == k))
+            assert_same(p.real_part(), ref_map(p, lambda c: GaussianRational(c.re)))
+            assert_same(p.imag_part(), ref_map(p, lambda c: GaussianRational(c.im)))
+            assert_same(p.conj_coefficients(), ref_map(p, lambda c: c.conj()))
+            assert p.is_real() == all(c.im == 0 for c in p.terms.values())
+            name = rng.choice(p.vars)
+            got, ref = p.slices(name), ref_slices(p, name)
+            assert list(got) == list(ref)
+            for j in ref:
+                assert_same(got[j], ref[j])
+            wider = tuple(rng.sample(("x", "y", "z", "x1", "x2"), 5))
+            wider = tuple(v for v in wider if v not in p.vars) + p.vars[::-1]
+            assert_same(p.embed(wider), ref_embed(p, wider))
+            for e in list(p.terms) + [(9,) * len(p.vars)]:
+                assert p.coefficient(e) == p.terms.get(e, GaussianRational(0))
+
+    def test_content_and_primitive_match_term_references(self):
+        for rng, p, _ in self.polys(20261021):
+            assert p.content() == ref_content(p)
+            unit = rng.choice(TestPrimitive.UNITS)
+            scale = unit / ref_content(p)
+            ref = MultiPoly(p.vars, {e: c * scale for e, c in p.terms.items()})
+            got = p.primitive(unit)
+            assert_same(got, ref)
+            assert got.den == 1
+
+    def test_eval_exact_matches_term_reference(self):
+        for rng, p, _ in self.polys(20261022):
+            point = [
+                GaussianRational.coerce(
+                    rng.choice([0, rand_gaussian(rng), Fraction(rng.randint(-5, 5), 7)])
+                )
+                for _ in p.vars
+            ]
+            assert p.eval_exact(point) == ref_eval_exact(p, point)
+
+    def test_divide_exact_matches_term_reference(self):
+        for _, p, q in self.polys(20261023):
+            a = p * q
+            got, ref = divide_exact(a, q), ref_divide_exact(a, q)
+            assert_same(got, ref)
+            assert got == p
+        x, y = (MultiPoly.variable(("x", "y"), v) for v in ("x", "y"))
+        with pytest.raises(ArithmeticError):
+            divide_exact(x * x + y, x)
+
+    def test_equal_polynomials_hash_and_store_alike(self):
+        rng = random.Random(20261024)
+        for case in range(60):
+            p, q = rand_q_i_poly(rng, case % 4 + 1), rand_q_i_poly(rng, case % 4 + 1)
+            product = p * q
+            # by the public constructor, with the terms in reverse order
+            by_terms = MultiPoly(product.vars, dict(reversed(list(product.terms.items()))))
+            by_parse = parse(format_poly(product), vars=product.vars)
+            for other in (by_terms, by_parse, naive_product(p, q)):
+                assert other == product and hash(other) == hash(product)
+                assert (other.den, dict(other.rows)) == (product.den, dict(product.rows))
+                assert_rows_canonical(other)
+        assert len({parse("1/2*x + 1/3*y"), parse("3*x + 2*y").scale(Fraction(1, 6))}) == 1
+
+    def test_terms_is_a_read_only_view(self):
+        p = parse("1/2*x + 1/3*i*y")
+        with pytest.raises(TypeError):
+            p.terms[(0, 0)] = GaussianRational(1)
+        assert p.terms is p.terms
+        assert (p.den, p.rows) == (6, {(1, 0): (3, 0), (0, 1): (0, 2)})

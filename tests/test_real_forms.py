@@ -18,6 +18,7 @@ from numideal.forms import (
     p_eval,
     p_gcd,
     quadratic_form_sign,
+    rational_prime_factors,
     rational_roots,
 )
 from numideal.gaussian import GaussianRational as G
@@ -130,6 +131,52 @@ class TestRationalRoots:
             cofactor = rng.choice([[1], [1, 0, 1], [-2, 0, 1], [-2, 0, 0, 1]])
             c = self.product(c, [Fraction(v) for v in cofactor])
             assert rational_roots(c) == sorted(roots), c
+
+
+def divisor_rational_roots(c):
+    """The rational roots of c by the rational-root theorem: every p/q with
+    p dividing the constant and q the leading coefficient, denominators
+    cleared."""
+
+    def divisors(n):
+        out = {1}
+        for prime in rational_prime_factors(n):
+            out |= {d * prime for d in out}
+        return out
+
+    k0 = next(k for k, v in enumerate(c) if v != 0)
+    roots = {Fraction(0)} if k0 else set()
+    c = c[k0:]
+    den = math.lcm(*(v.denominator for v in c))
+    qs = divisors(abs(int(c[-1] * den)))
+    for p in divisors(abs(int(c[0] * den))):
+        for r in (Fraction(p, q) * sign for q in qs for sign in (1, -1)):
+            if p_eval(c, r) == 0:
+                roots.add(r)
+    return sorted(roots)
+
+
+class TestRationalRootsAgainstDivisors:
+    def test_seeded_polynomials(self):
+        # products of rational linear factors, repeated or not, and of an
+        # integer cofactor, with rational scales
+        rng = random.Random(20261025)
+        found = 0
+        for _ in range(100):
+            c = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))]
+            for _ in range(rng.randint(0, 3)):
+                factor = [Fraction(-rng.randint(-12, 12), rng.randint(1, 6)), Fraction(1)]
+                for _ in range(rng.randint(1, 2)):
+                    c = TestRationalRoots.product(c, factor)
+            cofactor = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))]
+            cofactor.append(Fraction(rng.randint(1, 5)))
+            c = TestRationalRoots.product(c, cofactor)
+            if len(c) < 2:
+                continue
+            roots = rational_roots(c)
+            assert roots == divisor_rational_roots(c), c
+            found += len(roots)
+        assert found > 80
 
 
 class TestDefiniteness:
