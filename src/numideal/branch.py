@@ -127,11 +127,12 @@ def classify(sol: BranchSolution, seed: int = 0):
     raises SanityViolation with a witness.
 
     Nonnegativity and definiteness of Im phi_2L are exact in one variable
-    (sign test), in two (Sturm on the binary form, and Yun only for a form
-    that is not definite) and for 2L = 2 in any number (LDL^T of the Gram
-    matrix, with a rational negative direction as witness).  Only 2L >= 4
-    in three or more x-variables samples unit directions with `seed`; the
-    result then has definite_exact False.
+    (sign test), in two (the Sturm chain of the binary form: its real
+    roots, and only for a form that is not definite its sign between them)
+    and for 2L = 2 in any number (LDL^T of the Gram matrix, with a rational
+    negative direction as witness).  Only 2L >= 4 in three or more
+    x-variables samples unit directions with `seed`; the result then has
+    definite_exact False.
     """
     phi = sol.phi
     d = len(phi.poly.vars)

@@ -19,7 +19,7 @@ from .forms import (
     negative_point,
     p_eval,
     rational_roots,
-    yun_squarefree,
+    sturm_chain,
 )
 from .parsing import format_poly
 from .poly import MultiPoly, linear_change, newton_polygon
@@ -104,16 +104,16 @@ def _candidate_lines(g: MultiPoly):
     ell = den x - num y for each repeated rational root num/den of the
     lowest form, ascending.
 
-    Those roots are the rational roots of the Yun factors of multiplicity
-    >= 2 of the lowest form, a real form.  ell is left out when it or its
-    perpendicular num x + den y is listed already, since both frames have
-    the same axes; listed lines have a positive first entry.
+    Those roots are the rational roots of gcd(c, c'), the last member of
+    the Sturm chain of the lowest form c, a real form: its roots of
+    multiplicity >= 2.  ell is left out when it or its perpendicular
+    num x + den y is listed already, since both frames have the same axes;
+    listed lines have a positive first entry.
     """
     lines = [(1, 0), (1, -1)]
     lowest = g.lowest_part()
-    factors = [] if lowest.is_zero() else yun_squarefree(binary_form(lowest))
-    roots = sorted(r for f, mult in factors if mult >= 2 for r in rational_roots(f))
-    for root in roots:
+    repeated = [1] if lowest.is_zero() else sturm_chain(binary_form(lowest))[-1]
+    for root in rational_roots(repeated):
         # direction (t, 1) kills the form: align u with x - t*y
         num, den = root.numerator, root.denominator
         perpendicular = (num, den) if num > 0 else (-num, -den)

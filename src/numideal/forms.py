@@ -1,12 +1,16 @@
 """Univariate algebra over Q and Q(i), and exact signs of real forms.
 
-A univariate polynomial is an ascending coefficient list whose entries are
-all Fraction or all GaussianRational.  The p_* helpers and Yun squarefree
-decomposition work on either; Sturm real-root counting and rational_roots
-need Fraction entries.  Roots in Q(i) are found only in `puiseux`.
+A univariate polynomial is an ascending coefficient list.  The generic p_*
+helpers take Fraction or GaussianRational entries; their Q(i) callers are
+`puiseux` and the engine, and roots in Q(i) are found only in `puiseux`.
+Every real-root question reads one integer chain, `sturm_chain`: the
+signed remainder sequence of c and c' computed over Z by pseudo-division
+(Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry, ch. 2).  It
+counts the distinct real roots, isolates them by bisection, and its last
+member gcd(c, c') carries exactly the repeated roots.
 A real binary form is such a list c, c[k] multiplying x^k y^(n-k), which is
-also f(t, 1) in powers of t: is_positive_definite counts its real roots
-(Sturm), is_nonnegative checks the parity of their multiplicities (Yun).
+also f(t, 1) in powers of t: is_positive_definite counts its real roots,
+is_nonnegative looks for a point where c(t) < 0 between them.
 The sign of a quadratic form in any number of variables is decided by
 LDL^T of its Gram matrix over Q.  The numeric sampler of signs on the
 sphere lives here too; it serves forms of degree >= 4 in three or more
@@ -30,14 +34,6 @@ def p_strip(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def p_sub(a, b):
-    """a - b."""
-    out = list(a) + [-v for v in b[len(a):]]
-    for i, v in enumerate(b[: len(a)]):
-        out[i] -= v
-    return p_strip(out)
 
 
 def p_eval(c, x):
@@ -75,75 +71,75 @@ def p_gcd(a, b):
     return [v / a[-1] for v in a] if a else []
 
 
-def p_div_exact(a, b):
-    q, r = p_divmod(a, b)
-    if r:
-        raise ArithmeticError("division was not exact")
-    return q
+# -- the integer Sturm chain -------------------------------------------------
 
 
-def sturm_chain(p):
-    chain = [list(p), p_derivative(p)]
-    while chain[-1]:
-        _, r = p_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-v for v in r])
-    return [c for c in chain if c]
+def _primitive(c):
+    """The nonzero list c with rational entries as a primitive integer list,
+    top zeros stripped: c times a positive rational."""
+    c = p_strip(list(c))
+    den = math.lcm(*(v.denominator for v in c))
+    c = [v.numerator * (den // v.denominator) for v in c]
+    g = math.gcd(*c)
+    return [v // g for v in c]
 
 
-def _variations(signs):
-    v = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            v += 1
-        prev = s
-    return v
+def _pseudo_divmod(a, b):
+    """(q, r) with |lc(b)|^k a = q b + r and deg r < deg b, for integer
+    lists: each step of the long division first multiplies by |lc(b)|, so
+    q and r are positive multiples of the quotient and the remainder."""
+    lb, sb = abs(b[-1]), (b[-1] > 0) - (b[-1] < 0)
+    q, r = [0] * max(0, len(a) - len(b) + 1), list(a)
+    while len(r) >= len(b):
+        f, k = sb * r[-1], len(r) - len(b)
+        q, r = [lb * v for v in q], [lb * v for v in r]
+        q[k] = f
+        for i, v in enumerate(b):
+            r[k + i] -= f * v
+        p_strip(r)
+    return q, r
 
 
-def count_real_roots(p) -> int:
-    """Number of distinct real roots of p (Fraction coefficients)."""
-    p = p_strip(list(p))
-    if not p or len(p) == 1:
+def sturm_chain(c):
+    """The Sturm chain of c, a nonzero list with rational entries, as
+    primitive integer lists.
+
+    Each member is a positive multiple of the classical one: c, c', then
+    minus the remainder of the two before it until that is zero.  The last
+    member is gcd(c, c'), and c itself when c is constant.
+    """
+    chain = [_primitive(c)]
+    nxt = p_derivative(chain[0])
+    while nxt:
+        chain.append(_primitive(nxt))
+        nxt = [-v for v in _pseudo_divmod(chain[-2], chain[-1])[1]]
+    return chain
+
+
+def _sign_at(q, t):
+    """The sign of q(t) for an integer list q and a rational t = n/d: that of
+    d^m q(n/d), taken in integers by Horner's scheme."""
+    n, d = t.numerator, t.denominator
+    acc, power = q[-1], 1
+    for c in q[-2::-1]:
+        power *= d
+        acc = acc * n + c * power
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(values) -> int:
+    """Sign changes along values, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def count_real_roots(c) -> int:
+    """Number of distinct real roots of c (rational entries)."""
+    if not any(c):
         return 0
-    chain = sturm_chain(p)
-
-    def sign_at_inf(c, positive: bool) -> int:
-        lc = c[-1]
-        s = 1 if lc > 0 else -1
-        if not positive and (len(c) - 1) % 2 == 1:
-            s = -s
-        return s
-
-    high = _variations([sign_at_inf(c, True) for c in chain])
-    low = _variations([sign_at_inf(c, False) for c in chain])
-    return low - high
-
-
-def yun_squarefree(p):
-    """Yun decomposition: list of (squarefree factor, multiplicity)."""
-    p = p_strip(list(p))
-    if not p or len(p) == 1:
-        return []
-    dp = p_derivative(p)
-    a = p_gcd(p, dp)
-    b = p_div_exact(p, a)
-    c = p_div_exact(dp, a)
-    d = p_sub(c, p_derivative(b))
-    out = []
-    k = 1
-    while len(b) > 1:
-        f = p_gcd(b, d)
-        if len(f) > 1:
-            out.append((f, k))
-        b = p_div_exact(b, f)
-        c = p_div_exact(d, f)
-        d = p_sub(c, p_derivative(b))
-        k += 1
-    return out
+    chain = sturm_chain(c)
+    low = _variations([q[-1] if len(q) % 2 else -q[-1] for q in chain])
+    return low - _variations([q[-1] for q in chain])
 
 
 # -- rational roots --------------------------------------------------------
@@ -164,61 +160,51 @@ def rational_prime_factors(n: int) -> list:
 
 
 def rational_roots(c) -> list:
-    """The distinct rational roots of c (Fraction entries, degree >= 1),
-    ascending.
+    """The distinct rational roots of c, a nonzero list with rational
+    entries, ascending.
 
     Degree 1 by formula.  Otherwise, with A the leading coefficient of the
-    squarefree part s made integral, every rational root r has A r in Z
-    (the rational-root theorem), so `_isolating_cuts` splits the real roots
-    of s into pieces narrower than 1/|A|, and the one candidate m/A in each
-    piece that holds a root is tested exactly; nothing is factored.
+    squarefree part s = c / gcd(c, c') made primitive, every rational root
+    r has A r in Z (the rational-root theorem), so `_isolating_cuts` splits
+    the real roots into pieces narrower than 1/|A|, and the one candidate
+    m/A in each piece that holds a root is tested exactly; nothing is
+    factored.
     """
+    c = p_strip(list(c))
+    if not c:
+        raise PreconditionError("the zero polynomial has every number as a root")
     k0 = next(k for k, v in enumerate(c) if v != 0)
     roots = {Fraction(0)} if k0 else set()
     c = c[k0:]
     if len(c) == 2:
-        roots.add(-c[0] / c[1])
+        roots.add(-Fraction(c[0]) / c[1])
     elif len(c) > 2:
-        s = p_div_exact(c, p_gcd(c, p_derivative(c)))
-        A = abs(int(s[-1] * math.lcm(*(v.denominator for v in s))))
-        for lo, hi in _isolating_cuts(s, Fraction(1, A))[1]:
+        chain = sturm_chain(c)
+        A = abs(chain[0][-1] // chain[-1][-1])
+        for lo, hi in _isolating_cuts(chain, Fraction(1, A))[1]:
             r = Fraction(math.floor(hi * A), A)
-            if lo < r and p_eval(s, r) == 0:
+            if lo < r and _sign_at(chain[0], r) == 0:
                 roots.add(r)
     return sorted(roots)
 
 
-def _isolating_cuts(s, width=None):
-    """(cuts, held) for a squarefree s with Fraction entries: the sorted cuts
-    that split (-B, B), B past the Cauchy bound of the roots, in halves
-    until each piece holds at most one real root (Sturm) and, with width,
-    each piece that holds one is narrower than width; held is the set of
-    pieces (lo, hi) that hold one.  No cut is a root or 0.
-
-    Signs are taken in integers: each member of the Sturm chain times the
-    lcm of its denominators, at t = n/d, is d^m q(n/d) by Horner's scheme,
-    which has the sign of q(t).  Each cut is evaluated once."""
-    chain = []
-    for q in sturm_chain(s):
-        den = math.lcm(*(v.denominator for v in q))
-        chain.append([v.numerator * (den // v.denominator) for v in reversed(q)])
-
-    def sign(q, t):
-        n, d = t.numerator, t.denominator
-        acc, power = q[0], 1
-        for c in q[1:]:
-            power *= d
-            acc = acc * n + c * power
-        return (acc > 0) - (acc < 0)
-
+def _isolating_cuts(chain, width=None):
+    """(cuts, held) for the Sturm chain of c: the sorted cuts that split
+    (-B, B), B past the Cauchy bound of the squarefree part s, a multiple of
+    c / gcd(c, c'), in halves until each piece holds at most one real root
+    and, with width, each piece that holds one is narrower than width; held
+    is the set of pieces (lo, hi) that hold one.  No cut is a root or 0, so
+    the gcd does not vanish there and the chain of c counts the roots of s.
+    Each cut is evaluated once."""
     variations = {}
 
     def count(t):
         if t not in variations:
-            variations[t] = _variations([sign(q, t) for q in chain])
+            variations[t] = _variations([_sign_at(q, t) for q in chain])
         return variations[t]
 
-    B = 2 + max((abs(v / s[-1]) for v in s[:-1]), default=0)
+    s = _pseudo_divmod(chain[0], chain[-1])[0]
+    B = 2 + max((Fraction(abs(v), abs(s[-1])) for v in s[:-1]), default=0)
     cuts, held = [-B, B], set()
     pieces = [(-B, B)]
     while pieces:
@@ -229,7 +215,7 @@ def _isolating_cuts(s, width=None):
                 held.add((lo, hi))
             continue
         mid = (lo + hi) / 2
-        while mid == 0 or sign(chain[0], mid) == 0:
+        while mid == 0 or _sign_at(chain[0], mid) == 0:
             mid = (lo + mid) / 2
         cuts.append(mid)
         pieces += [(lo, mid), (mid, hi)]
@@ -270,33 +256,25 @@ def is_positive_definite(c) -> bool:
 
 def is_nonnegative(c) -> bool:
     """Whether the real binary form with coefficient list c is >= 0 on R^2;
-    exact.  The zero form is; otherwise its degree is even, c(t) has a
-    positive leading coefficient and no Yun factor of odd multiplicity has
-    a real root.  The root at (1, 0), trailing zeros of c, is then even."""
-    p = p_strip(list(c))
-    if not p:
-        return True
-    if (len(c) - 1) % 2 == 1 or p[-1] < 0:
-        return False
-    return all(
-        mult % 2 == 0 or count_real_roots(factor) == 0
-        for factor, mult in yun_squarefree(p)
-    )
+    exact.  The zero form is; otherwise its degree is even and c(t) has no
+    negative point, so the form is >= 0 off y = 0 and, by continuity, on
+    it."""
+    return not any(c) or (len(c) - 1) % 2 == 0 and negative_point(c) is None
 
 
 def negative_point(c):
     """A nonzero rational t with c(t) < 0, or None when c >= 0 on R; c has
-    Fraction entries.  Exact.
+    rational entries.  Exact.
 
     c keeps its sign between consecutive real roots, so one point in each
-    gap decides: the cuts of `_isolating_cuts` on the squarefree part,
-    between which lies at most one root.
+    gap decides: the cuts of `_isolating_cuts`, between which lies at most
+    one root.
     """
-    c = p_strip(list(c))
-    if not c:
+    if not any(c):
         return None
-    cuts, _ = _isolating_cuts(p_div_exact(c, p_gcd(c, p_derivative(c))))
-    return next((t for t in cuts if p_eval(c, t) < 0), None)
+    chain = sturm_chain(c)
+    cuts, _ = _isolating_cuts(chain)
+    return next((t for t in cuts if _sign_at(chain[0], t) < 0), None)
 
 
 # -- quadratic forms in any number of variables -----------------------------
@@ -317,16 +295,18 @@ def quadratic_form_sign(q: MultiPoly):
     if not q.is_real():
         raise PreconditionError("quadratic form must have real coefficients")
     d = len(q.vars)
+    # the Gram matrix of 2 den q: a positive multiple, with the same pivot
+    # choices, verdict and lifted witness
     gram = [[Fraction(0)] * d for _ in range(d)]
-    for exps, c in q.terms.items():
+    for exps, (a, _) in q.rows.items():
         idx = [j for j, k in enumerate(exps) for _ in range(k)]
         if len(idx) != 2:
             raise PreconditionError("polynomial is not a quadratic form")
         i, j = idx
         if i == j:
-            gram[i][i] = c.re
+            gram[i][i] = Fraction(2 * a)
         else:
-            gram[i][j] = gram[j][i] = c.re / 2
+            gram[i][j] = gram[j][i] = Fraction(a)
 
     rest = list(range(d))
     steps = []  # (pivot index, its Schur-complement row, pivot)

@@ -337,7 +337,7 @@ class TestCandidateFrames:
     @pytest.mark.parametrize(
         "text",
         [
-            # repeated Yun factors of degree 3 with no rational root and with
+            # repeated squarefree factors of degree 3 with no rational root and with
             # one, of degree 4 with four, and of degree 5 with three, one at 0
             "(x^3 - 2*y^3)^2*(x - y)^3",
             "(x^2 - 2*y^2)^2*(3*x + y)^2",

@@ -7,6 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from numideal.branch import classify, solve_branch
+from numideal.closure import _candidate_lines
+from numideal.construct import iterated_composition
 from numideal.errors import PreconditionError
 from numideal.forms import (
     binary_form,
@@ -14,12 +17,15 @@ from numideal.forms import (
     is_nonnegative,
     is_positive_definite,
     negative_point,
+    p_derivative,
     p_divmod,
     p_eval,
     p_gcd,
+    p_strip,
     quadratic_form_sign,
     rational_prime_factors,
     rational_roots,
+    sturm_chain,
 )
 from numideal.gaussian import GaussianRational as G
 from numideal.parsing import parse
@@ -131,6 +137,17 @@ class TestRationalRoots:
             cofactor = rng.choice([[1], [1, 0, 1], [-2, 0, 1], [-2, 0, 0, 1]])
             c = self.product(c, [Fraction(v) for v in cofactor])
             assert rational_roots(c) == sorted(roots), c
+
+    def test_top_zeros_are_stripped(self):
+        # x*y is t at y = 1; the top zero is the root of the form at (1, 0)
+        assert rational_roots(binary_form(parse("x*y", vars=("x", "y")))) == [0]
+        assert rational_roots([Fraction(-2), Fraction(1), 0, 0]) == [2]
+        assert rational_roots([Fraction(1), Fraction(0), Fraction(-1), 0]) == [-1, 1]
+
+    @pytest.mark.parametrize("c", [[], [Fraction(0)], [0, 0, 0]])
+    def test_zero_list_rejected(self, c):
+        with pytest.raises(PreconditionError):
+            rational_roots(c)
 
 
 def divisor_rational_roots(c):
@@ -303,6 +320,164 @@ class TestNegativePoint:
         assert found == {True, False}
 
 
+# -- test-only references for the integer Sturm chain: the classical chain
+# over Q and Yun's squarefree decomposition
+
+
+def fraction_sturm_chain(p):
+    """The classical Sturm chain of a stripped nonconstant Fraction list p."""
+    chain = [list(p), p_derivative(p)]
+    while chain[-1]:
+        _, r = p_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-v for v in r])
+    return [c for c in chain if c]
+
+
+def _sign_changes(values):
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def reference_count_real_roots(c):
+    p = p_strip(list(c))
+    if len(p) < 2:
+        return 0
+    chain = fraction_sturm_chain(p)
+    low = _sign_changes([q[-1] * (-1) ** (len(q) - 1) for q in chain])
+    return low - _sign_changes([q[-1] for q in chain])
+
+
+def _div_exact(a, b):
+    q, r = p_divmod(a, b)
+    assert not r
+    return q
+
+
+def _sub(a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return p_strip([u - v for u, v in zip(a, b)])
+
+
+def yun_squarefree(p):
+    """Yun decomposition of a Fraction list: (squarefree factor,
+    multiplicity) pairs."""
+    p = p_strip(list(p))
+    if len(p) < 2:
+        return []
+    dp = p_derivative(p)
+    a = p_gcd(p, dp)
+    b, c = _div_exact(p, a), _div_exact(dp, a)
+    d = _sub(c, p_derivative(b))
+    out, k = [], 1
+    while len(b) > 1:
+        f = p_gcd(b, d)
+        if len(f) > 1:
+            out.append((f, k))
+        b = _div_exact(b, f)
+        d = _sub(_div_exact(d, f), p_derivative(b))
+        k += 1
+    return out
+
+
+def reference_is_nonnegative(c):
+    """Even degree, positive leading coefficient, and no Yun factor of odd
+    multiplicity with a real root."""
+    p = p_strip(list(c))
+    if not p:
+        return True
+    if (len(c) - 1) % 2 == 1 or p[-1] < 0:
+        return False
+    return all(
+        mult % 2 == 0 or reference_count_real_roots(f) == 0
+        for f, mult in yun_squarefree(p)
+    )
+
+
+def reference_negative_point(c):
+    """Bisection of (-B, B), B past the Cauchy bound of the squarefree part
+    s, by the Fraction Sturm chain of s, with signs in Fraction arithmetic;
+    the first cut where c < 0."""
+    c = p_strip(list(c))
+    if not c:
+        return None
+    s = _div_exact(c, p_gcd(c, p_derivative(c)))
+    chain = fraction_sturm_chain(s) if len(s) > 1 else [s]
+
+    def count(t):
+        return _sign_changes([p_eval(q, t) for q in chain])
+
+    B = 2 + max((abs(v / s[-1]) for v in s[:-1]), default=0)
+    cuts, pieces = [-B, B], [(-B, B)]
+    while pieces:
+        lo, hi = pieces.pop()
+        if count(lo) - count(hi) <= 1:
+            continue
+        mid = (lo + hi) / 2
+        while mid == 0 or p_eval(s, mid) == 0:
+            mid = (lo + mid) / 2
+        cuts.append(mid)
+        pieces += [(lo, mid), (mid, hi)]
+    return next((t for t in sorted(cuts) if p_eval(c, t) < 0), None)
+
+
+def reference_candidate_lines(c, rational):
+    """The frames' lines of `_candidate_lines` for the lowest form c, whose
+    rational roots are known: those roots that a Yun factor of
+    multiplicity >= 2 vanishes at."""
+    repeated = sorted(
+        r
+        for r in rational
+        if any(mult >= 2 and p_eval(f, r) == 0 for f, mult in yun_squarefree(c))
+    )
+    lines = [(1, 0), (1, -1)]
+    for r in repeated:
+        num, den = r.numerator, r.denominator
+        perpendicular = (num, den) if num > 0 else (-num, -den)
+        if (den, -num) not in lines and perpendicular not in lines:
+            lines.append((den, -num))
+    return lines
+
+
+def _rational_square(f):
+    return f >= 0 and all(math.isqrt(n) ** 2 == n for n in (f.numerator, f.denominator))
+
+
+def _seeded_form(rng):
+    """(c, its rational roots): a fractional signed scale times t^k, linear
+    and irreducible quadratic factors to powers 1..3, and top zeros, of
+    degree at most 14."""
+    c = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))]
+    roots = Counter()
+    bottom, top = rng.choice((0, 0, 1, 2, 3)), rng.choice((0, 0, 1, 2, 3))
+    c = [Fraction(0)] * bottom + c
+    if bottom:
+        roots[Fraction(0)] += bottom
+    for _ in range(rng.randint(0, 4)):
+        mult = rng.choice((1, 1, 2, 2, 3))
+        if rng.random() < 0.6:
+            r = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            factor = [-r, Fraction(1)]
+        else:
+            # t^2 + b t + e with b^2 - 4e not a rational square: two
+            # irrational or two complex roots
+            while True:
+                b = rng.randint(-4, 4)
+                e = Fraction(rng.randint(-6, 9), rng.randint(1, 2))
+                if not _rational_square(b * b - 4 * e):
+                    break
+            factor = [e, Fraction(b), Fraction(1)]
+        if len(c) - 1 + top + mult * (len(factor) - 1) > 14:
+            break
+        for _ in range(mult):
+            c = TestRationalRoots.product(c, factor)
+        if len(factor) == 2:
+            roots[r] += mult
+    return c + [Fraction(0)] * top, roots
+
+
 def _rand_form(rng, degree):
     coeffs = {}
     for k in range(degree + 1):
@@ -362,6 +537,59 @@ class TestBinaryFormSignAgainstSympy:
             even = all(m % 2 == 0 for m in mults)
             assert is_nonnegative(c) == (lead > 0 and even), c
             assert is_positive_definite(c) == (lead > 0 and not mults), c
+
+
+class TestIntegerSturmChain:
+    """The one integer chain against the Fraction chain and Yun."""
+
+    @staticmethod
+    def forms():
+        rng = random.Random(20261028)
+        out = [_seeded_form(rng) for _ in range(240)]
+        # Im phi_2L of the iterated family, up to degree 14
+        for L in range(1, 8):
+            im = classify(solve_branch(iterated_composition(L), 2 * L)).im_part_2L
+            out.append((binary_form(im), None))
+        return out
+
+    def test_forms_cover_the_cases(self):
+        seen = Counter()
+        for c, roots in self.forms():
+            seen["degree 14"] += len(c) == 15
+            seen["bottom zeros"] += c[0] == 0
+            seen["top zeros"] += c[-1] == 0
+            seen["nonnegative"] += is_nonnegative(c)
+            seen["not nonnegative"] += not is_nonnegative(c)
+            if roots is not None:
+                # gcd(c, c') holds each root of multiplicity m to m - 1
+                repeated = len(sturm_chain(c)[-1]) - 1
+                rational = sum(m - 1 for m in roots.values())
+                seen["repeated rational root"] += rational > 0
+                seen["repeated quadratic factor"] += repeated > rational
+        assert min(seen.values()) >= 10, seen
+
+    def test_members_are_positive_multiples_of_the_fraction_chain(self):
+        for c, _ in self.forms():
+            p = p_strip(list(c))
+            expected = fraction_sturm_chain(p) if len(p) > 1 else [p]
+            chain = sturm_chain(c)
+            assert len(chain) == len(expected), c
+            for q, f in zip(chain, expected):
+                assert all(isinstance(v, int) for v in q) and math.gcd(*q) == 1
+                ratio = q[-1] / f[-1]
+                assert ratio > 0 and [ratio * v for v in f] == q, c
+            assert len(chain[-1]) == len(p_gcd(p, p_derivative(p))), c
+
+    def test_answers_match_the_references(self):
+        for c, roots in self.forms():
+            assert count_real_roots(c) == reference_count_real_roots(c), c
+            assert is_nonnegative(c) == reference_is_nonnegative(c), c
+            assert negative_point(c) == reference_negative_point(c), c
+            if roots is None:
+                continue
+            assert rational_roots(c) == sorted(roots), c
+            g = MultiPoly(("x", "y"), {(k, len(c) - 1 - k): v for k, v in enumerate(c)})
+            assert _candidate_lines(g) == reference_candidate_lines(c, roots), c
 
 
 def _sum_of_signed_squares(d, rows, signs):
