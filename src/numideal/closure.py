@@ -17,7 +17,6 @@ from .forms import (
     binary_form,
     is_positive_definite,
     negative_point,
-    p_eval,
     rational_roots,
     sturm_chain,
 )
@@ -70,21 +69,27 @@ def _halfspaces(vertices):
     return tuple(out)
 
 
-def _face_positive(face_terms: dict) -> bool:
-    """Whether a compact-face polynomial is positive off the axes, exactly.
+def _face(G: MultiPoly, edge, u0: int) -> list:
+    """The face polynomial F of the real G on the compact edge
+    wu*a + wv*b = m, at u = u0, as the integer list of G.den * F(u0, v) in
+    powers of v: a positive multiple, with the signs and roots of F."""
+    wu, wv, m = edge
+    face = [(a, b, c) for (a, b), (c, _) in G.rows.items() if wu * a + wv * b == m]
+    poly = [0] * (max(b for _, b, _ in face) + 1)
+    for a, b, c in face:
+        poly[b] += c * u0**a
+    return poly
 
-    face_terms: exponent (a, b) -> real Fraction coefficient, all on one
-    supporting line.  On each side u = +-1 the face reduces to a univariate
-    polynomial in v; strip the v-power, then demand positivity on R.
-    """
-    bs = [b for _, b in face_terms]
-    bmin = min(bs)
-    for eps in (1, -1):
-        poly = [Fraction(0)] * (max(bs) - bmin + 1)
-        for (a, b), c in face_terms.items():
-            poly[b - bmin] += c * eps**a
+
+def _face_positive(G: MultiPoly, edge) -> bool:
+    """Whether the face polynomial of G on a compact edge is positive off the
+    axes, exactly: on each side u = +-1 it is a polynomial in v; strip the
+    v-power, then demand positivity on R."""
+    for u0 in (1, -1):
+        poly = _face(G, edge, u0)
+        low = next(k for k, c in enumerate(poly) if c)
         # a real root is a vanishing face direction
-        if not is_positive_definite(poly):
+        if not is_positive_definite(poly[low:]):
             return False
     return True
 
@@ -179,18 +184,12 @@ def _negative_face(G: MultiPoly, change, xy_vars):
     "order", F(u0, v0) as "leading" and the curve as text.
     """
     for wu, wv, m in _halfspaces(newton_polygon(G.rows)):
-        face = {
-            (a, b): Fraction(c, G.den)
-            for (a, b), (c, _) in G.rows.items()
-            if wu * a + wv * b == m
-        }
         for u0 in (1, -1):
-            poly = [Fraction(0)] * (max(b for _, b in face) + 1)
-            for (a, b), c in face.items():
-                poly[b] += c * u0**a
+            poly = _face(G, (wu, wv, m), u0)
             v0 = negative_point(poly)
             if v0 is None:
                 continue
+            leading = Fraction(sum(c * v0**b for b, c in enumerate(poly)), G.den)
             u_form, v_form = (
                 format_poly(MultiPoly(xy_vars, {(1, 0): r0, (0, 1): r1}))
                 for r0, r1 in change
@@ -206,7 +205,7 @@ def _negative_face(G: MultiPoly, change, xy_vars):
                 "u_weight": wu,
                 "v_weight": wv,
                 "order": m,
-                "leading": p_eval(poly, v0),
+                "leading": leading,
                 "curve": f"{u_form} = {u_t}, {v_form} = {v_t}",
             }
     return None
@@ -234,12 +233,8 @@ def _try_change(g, change, inverse):
     if not all(ic.contains_exponent(a, b) for a, b in G.rows):
         return None
     # exact positivity of each compact face off the axes
-    for wu, wv, m in halfspaces:
-        face = {
-            (a, b): Fraction(c) for (a, b), (c, _) in G.rows.items() if wu * a + wv * b == m
-        }
-        if not _face_positive(face):
-            return None
+    if not all(_face_positive(G, edge) for edge in halfspaces):
+        return None
     return ic
 
 

@@ -17,12 +17,13 @@ definite, the decisions rest on the exact resultant R = Res_z(f, f̄)
 (`poly.conjugate_resultant`), with f the factor of p through the branch:
 p itself, or p over its gcd with p̄ when Res_z(p, p̄) = 0.  R is Im phi
 times a unit near 0 unless f(0, z)/z and f̄(0, z) share a root, z = oo
-included.  R fixes the working order and is the g that `monomialize`
-brings to a Newton polygon once: one vertex on an axis is LinearForm, with
-ell the frame line of that axis, and a vertex on each axis is
-IsolatedDegenerate, the ideal being the integral closure of g.  LinearForm
-membership reduces by the member of `poly.subresultants` of f and the
-first generator that is linear in z.
+included; the error names that root from `primitive_gcd` of the two as
+one-variable polynomials.  R fixes the working order and is the g that
+`monomialize` brings to a Newton polygon once: one vertex on an axis is
+LinearForm, with ell the frame line of that axis, and a vertex on each
+axis is IsolatedDegenerate, the ideal being the integral closure of g.
+LinearForm membership reduces by the member of `poly.subresultants` of f
+and the first generator that is linear in z.
 The engine therefore does not use `puiseux`:
 no branch expansion, Weierstrass preparation or sampled positivity check
 decides a case.
@@ -39,9 +40,8 @@ from fractions import Fraction
 
 from .branch import classify, solve_branch
 from .errors import NoMonomializationFound, PreconditionError, SanityViolation
-from .forms import p_gcd
 from .gaussian import GaussianRational
-from .parsing import _term_sort_key, format_poly
+from .parsing import format_poly
 from .poly import (
     MultiPoly,
     conjugate_resultant,
@@ -115,7 +115,9 @@ class MembershipVerdict(Record):
 
 
 def _monomials_of_degree(vars, degree):
-    """All exponent vectors of one total degree, canonical (graded-lex) order."""
+    """All monomials in the tuple vars of one total degree, in the
+    printer's graded-lex order: descending lex within the degree, which is
+    the order the recursion yields the exponent vectors in."""
 
     def rec(nvars, total):
         if nvars == 1:
@@ -125,8 +127,7 @@ def _monomials_of_degree(vars, degree):
             for rest in rec(nvars - 1, total - first):
                 yield (first,) + rest
 
-    exps = sorted(rec(len(vars), degree), key=_term_sort_key)
-    return [MultiPoly(vars, {e: GaussianRational(1)}) for e in exps]
+    return [MultiPoly._from_rows(vars, 1, {e: (1, 0)}) for e in rec(len(vars), degree)]
 
 
 def _branch_factor(p: MultiPoly):
@@ -153,20 +154,24 @@ def _shared_root(f: MultiPoly) -> str | None:
     """Name the root that f(0, z)/z and f̄(0, z) share on the projective
     line, the reason Res_z(f, f̄) vanishes to a higher order than Im phi."""
     zero = (0,) * (len(f.vars) - 1)
-    at0 = [f.coefficient(zero + (k,)) for k in range(f.var_degree("z") + 1)]
-    if at0[-1].is_zero():
+    m = f.var_degree("z")
+    at0 = MultiPoly(("z",), {(k,): f.coefficient(zero + (k,)) for k in range(m + 1)})
+    if at0.degree() < m:
         return (
             "p(0, z)/z and its conjugate share the root z = oo, since p(0, z) "
             "has lower degree in z than p"
         )
-    shared = p_gcd(at0[1:], [c.conj() for c in at0])
-    if len(shared) < 2:
+    # f(0, 0) = 0, as p(0) = 0 and f divides p by a unit near 0
+    z = MultiPoly.variable(("z",), "z")
+    shared = primitive_gcd(divide_exact(at0, z), at0.conj_coefficients())
+    n = shared.degree()
+    if n < 1:
         return None
-    if len(shared) == 2:
-        what = f"the root z = {-shared[0]}"
+    shared = shared.scale(1 / shared.coefficient((n,)))
+    if n == 1:
+        what = f"the root z = {-shared.coefficient((0,))}"
     else:
-        factor = MultiPoly(("z",), {(k,): c for k, c in enumerate(shared)})
-        what = f"the roots of {format_poly(factor)}"
+        what = f"the roots of {format_poly(shared)}"
     return f"p(0, z)/z and its conjugate share {what}"
 
 

@@ -1,15 +1,20 @@
-"""Univariate algebra over Q and Q(i), and exact signs of real forms.
+"""Exact signs and real roots of real univariate polynomials and forms.
 
-A univariate polynomial is an ascending coefficient list.  The generic p_*
-helpers take Fraction or GaussianRational entries; their Q(i) callers are
-`puiseux` and the engine, and roots in Q(i) are found only in `puiseux`.
+numideal has two representations of a univariate polynomial.  Over Q(i)
+it is a one-variable `MultiPoly`: `puiseux` finds roots with `eval_exact`
+and `divide_exact`, and the engine takes a gcd with `primitive_gcd`.  A
+real-root question here takes an ascending coefficient list with rational
+entries and makes it a primitive integer list at once.  The list stays
+apart from `MultiPoly` on purpose: the Sturm chain runs on every
+two-variable `classify`, where dict rows would be slower.
 Every real-root question reads one integer chain, `sturm_chain`: the
 signed remainder sequence of c and c' computed over Z by pseudo-division
 (Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry, ch. 2).  It
 counts the distinct real roots, isolates them by bisection, and its last
 member gcd(c, c') carries exactly the repeated roots.
 A real binary form is such a list c, c[k] multiplying x^k y^(n-k), which is
-also f(t, 1) in powers of t: is_positive_definite counts its real roots,
+also f(t, 1) in powers of t; `binary_form` reads it from the integer
+numerators of the rows.  is_positive_definite counts its real roots,
 is_nonnegative looks for a point where c(t) < 0 between them.
 The sign of a quadratic form in any number of variables is decided by
 LDL^T of its Gram matrix over Q.  The numeric sampler of signs on the
@@ -25,53 +30,14 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .poly import MultiPoly
 
-# -- univariate polynomials: ascending coefficient lists over Q or Q(i) ----
-# A zero the helpers create takes the type of the divisor's leading
-# coefficient.
+# -- the integer Sturm chain -------------------------------------------------
 
 
 def p_strip(c):
+    """c with its top zeros removed, in place."""
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def p_eval(c, x):
-    """c(x) by Horner's scheme; c must be nonzero."""
-    acc = c[-1]
-    for a in c[-2::-1]:
-        acc = acc * x + a
-    return acc
-
-
-def p_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    lb = b[-1]
-    q = [lb * 0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        k = len(a) - len(b)
-        f = a[-1] / lb
-        q[k] = f
-        for i, v in enumerate(b):
-            a[k + i] -= f * v
-        p_strip(a)
-    return p_strip(q), a
-
-
-def p_derivative(a):
-    return p_strip([k * v for k, v in enumerate(a)][1:])
-
-
-def p_gcd(a, b):
-    """Monic gcd; [] when both are zero."""
-    while b:
-        a, b = b, p_divmod(a, b)[1]
-    return [v / a[-1] for v in a] if a else []
-
-
-# -- the integer Sturm chain -------------------------------------------------
 
 
 def _primitive(c):
@@ -109,7 +75,8 @@ def sturm_chain(c):
     member is gcd(c, c'), and c itself when c is constant.
     """
     chain = [_primitive(c)]
-    nxt = p_derivative(chain[0])
+    # the top entry of c' is n c[n], nonzero
+    nxt = [k * v for k, v in enumerate(chain[0])][1:]
     while nxt:
         chain.append(_primitive(nxt))
         nxt = [-v for v in _pseudo_divmod(chain[-2], chain[-1])[1]]
@@ -226,8 +193,10 @@ def _isolating_cuts(chain, width=None):
 
 
 def binary_form(p: MultiPoly) -> list:
-    """The coefficient list c of a nonzero real binary form p(x, y):
-    c[k] multiplies x^k * y^(n-k), so c is also p(t, 1) in powers of t."""
+    """The integer coefficient list c of a nonzero real binary form p(x, y),
+    read from its rows: c[k], the numerator over p.den > 0, multiplies
+    x^k * y^(n-k), so c is also p.den * p(t, 1) in powers of t, a positive
+    multiple of p with its signs and roots."""
     if len(p.vars) != 2:
         raise PreconditionError("homogeneous form must be bivariate")
     if not p.is_real():
@@ -235,11 +204,11 @@ def binary_form(p: MultiPoly) -> list:
     deg = p.degree()
     if deg < 0:
         raise PreconditionError("zero form")
-    coeffs = [Fraction(0)] * (deg + 1)
+    coeffs = [0] * (deg + 1)
     for (a, b), (c, _) in p.rows.items():
         if a + b != deg:
             raise PreconditionError("polynomial is not homogeneous")
-        coeffs[a] = Fraction(c, p.den)
+        coeffs[a] = c
     return coeffs
 
 

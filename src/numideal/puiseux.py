@@ -13,8 +13,9 @@ Newton polygon, at no sampled positivity check.  `comparable_polynomial`,
 stay, with their tests, because `bench/tracer.py` wraps those three names;
 they go with the next change to the benchmark.  `newton_puiseux` serves the
 `puiseux` command.  Its characteristic roots, and their r-th roots, must
-lie in Q(i): `qi_roots` finds them by trying the Gaussian-integer divisors
-of the end coefficients, a search no other module runs.
+lie in Q(i): `qi_roots` finds them in a one-variable `MultiPoly`, trying
+the Gaussian-integer divisors of its end rows with `eval_exact` and
+dividing each root out with `divide_exact`, a search no other module runs.
 """
 
 from __future__ import annotations
@@ -23,18 +24,12 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError, TruncationError
-from .forms import (
-    binary_form,
-    is_positive_definite,
-    p_divmod,
-    p_eval,
-    p_strip,
-    rational_prime_factors,
-)
+from .forms import binary_form, is_positive_definite, rational_prime_factors
 from .gaussian import GaussianRational, I
 from .poly import (
     MultiPoly,
     TruncatedSeries,
+    divide_exact,
     implicit_root,
     newton_polygon,
     series_invert,
@@ -163,32 +158,29 @@ def _gaussian_divisors(g):
     return divisors
 
 
-def _qi_root(c):
-    """One root in Q(i) of c (degree >= 1, nonzero constant term), or None.
+def _qi_root(c: MultiPoly):
+    """One root in Q(i) of the one-variable c (degree >= 1, nonzero constant
+    term), or None.
 
     Degree 1 and 2 by formula: a quadratic has a root in Q(i) exactly when
     its discriminant is a square there.  Higher degrees try the candidates
-    p/q with p | constant and q | leading in Z[i], after clearing
-    denominators, q up to units; their number grows with the divisors of
-    those two.
+    p/q with p | constant and q | leading in Z[i], read from the rows over
+    den, q up to units; their number grows with the divisors of those two.
     """
-    if len(c) == 2:
-        return -c[0] / c[1]
-    if len(c) == 3:
-        a, b, cc = c[2], c[1], c[0]
-        s = gaussian_sqrt(b * b - a * cc * 4)
-        return None if s is None else (-b + s) / (a * 2)
-    den = 1
-    for a in c:
-        den = math.lcm(den, a.re.denominator, a.im.denominator)
-    ints = [(int(a.re * den), int(a.im * den)) for a in c]
-    qs = [GaussianRational(*q) for q in _gaussian_divisors(ints[-1])]
-    for re, im in _gaussian_divisors(ints[0]):
+    n = c.degree()
+    if n <= 2:
+        c0, c1, c2 = (c.coefficient((k,)) for k in range(3))
+        if n == 1:
+            return -c0 / c1
+        s = gaussian_sqrt(c1 * c1 - c2 * c0 * 4)
+        return None if s is None else (-c1 + s) / (c2 * 2)
+    qs = [GaussianRational(*q) for q in _gaussian_divisors(c.rows[(n,)])]
+    for re, im in _gaussian_divisors(c.rows[(0,)]):
         # the four associates of p cover every unit of p/q
         for p in ((re, im), (-im, re), (-re, -im), (im, -re)):
             for q in qs:
                 cand = GaussianRational(*p) / q
-                if p_eval(c, cand).is_zero():
+                if c.eval_exact((cand,)).is_zero():
                     return cand
     return None
 
@@ -196,32 +188,29 @@ def _qi_root(c):
 def qi_roots(coeffs):
     """Roots in Q(i) of a Q(i)[T] polynomial, with multiplicities.
 
-    Returns (roots, leftover) where roots is a list of (root, multiplicity)
-    sorted by (Re, Im) and leftover is the non-split factor (possibly
-    constant).
+    coeffs is the ascending coefficient list.  Returns (roots, leftover)
+    where roots is a list of (root, multiplicity) sorted by (Re, Im) and
+    leftover is the non-split factor (possibly constant) as a list, top
+    zeros stripped.  Each root is divided out of the one-variable
+    `MultiPoly` by `divide_exact` while `eval_exact` vanishes there.
     """
-    coeffs = p_strip([GaussianRational.coerce(c) for c in coeffs])
-    if len(coeffs) <= 1:
-        return [], coeffs
+    c = MultiPoly(("T",), {(k,): v for k, v in enumerate(coeffs)})
     roots = []
-    k0 = next(k for k, c in enumerate(coeffs) if not c.is_zero())
+    k0 = min((e[0] for e in c.rows), default=0)
     if k0:
         roots.append((GaussianRational(0), k0))
-        coeffs = coeffs[k0:]
-    while len(coeffs) > 1:
-        root = _qi_root(coeffs)
+        c = divide_exact(c, MultiPoly(("T",), {(k0,): 1}))
+    while c.degree() > 0:
+        root = _qi_root(c)
         if root is None:
             break
-        factor = [-root, GaussianRational(1)]
-        mult = 0
-        while True:
-            q, r = p_divmod(coeffs, factor)
-            if r:
-                break
-            coeffs, mult = q, mult + 1
+        factor = MultiPoly(("T",), {(0,): -root, (1,): 1})
+        c, mult = divide_exact(c, factor), 1
+        while c.eval_exact((root,)).is_zero():
+            c, mult = divide_exact(c, factor), mult + 1
         roots.append((root, mult))
     roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
-    return roots, coeffs
+    return roots, [c.coefficient((k,)) for k in range(c.degree() + 1)]
 
 
 def qi_nth_root(c: GaussianRational, r: int):

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -22,6 +23,7 @@ from numideal.engine import (
     Verdict,
     _branch_factor,
     _comparable_resultant,
+    _monomials_of_degree,
     _zero_line,
     boundedness_oracle,
     membership,
@@ -34,7 +36,7 @@ from numideal.errors import (
 )
 from numideal.examples import EXAMPLES
 from numideal.gaussian import GaussianRational
-from numideal.parsing import format_poly, parse
+from numideal.parsing import _term_sort_key, format_poly, parse
 from numideal.poly import MultiPoly, pseudo_remainder
 from test_integral_closure import assert_negative_along
 
@@ -129,6 +131,18 @@ class TestNumeratorIdeal:
         assert d["g"] is None or isinstance(d["g"], str)
 
 
+    @pytest.mark.parametrize("n_vars", range(1, 6))
+    def test_monomials_come_in_the_printer_order(self, n_vars):
+        # the recursion yields each degree's exponent vectors in the
+        # printer's graded-lex order, so the Definite generators print sorted
+        vars = tuple(f"x{k}" for k in range(1, n_vars + 1))
+        for degree in range(16):
+            monomials = _monomials_of_degree(vars, degree)
+            exps = [next(iter(m.rows)) for m in monomials]
+            assert exps == sorted(exps, key=_term_sort_key)
+            assert len(exps) == math.comb(n_vars + degree - 1, degree)
+            assert all(m == MultiPoly(vars, {e: 1}) for m, e in zip(monomials, exps))
+
 class TestMembership:
     def test_linear3_generator_in(self, linear3, linear3_ideal):
         v = membership(linear3, parse("x^2", vars=linear3.vars), ideal=linear3_ideal)
@@ -202,8 +216,6 @@ class TestMembership:
         vars = linear3.vars
         monomials = []
         for d in (0, 1, 2):
-            from numideal.engine import _monomials_of_degree
-
             monomials += _monomials_of_degree(vars, d)
         for m in monomials:
             v = membership(linear3, m, ideal=linear3_ideal)

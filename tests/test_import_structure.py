@@ -147,8 +147,6 @@ def test_qi_root_finding_defined_only_in_puiseux():
 
 
 def test_private_names_stay_in_their_module():
-    # the engine lists the monomials of a degree in the printer's term order
-    allowed = {("engine", "_term_sort_key")}
     crossing = {
         (path.stem, alias.name)
         for path in sorted(PACKAGE.glob("*.py"))
@@ -157,7 +155,7 @@ def test_private_names_stay_in_their_module():
         for alias in node.names
         if alias.name.startswith("_")
     }
-    assert crossing == allowed
+    assert crossing == set()
 
 
 def test_no_module_imports_dataclasses():

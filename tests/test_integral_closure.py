@@ -21,7 +21,7 @@ from numideal.errors import NoMonomializationFound
 from numideal.forms import binary_form
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
-from numideal.poly import MultiPoly
+from numideal.poly import MultiPoly, linear_change
 from numideal.puiseux import gaussian_sqrt, qi_roots
 from test_poly_core import subs_change
 
@@ -90,6 +90,24 @@ class TestMonomialize:
             monomialize(g)
         assert exc.value.witness["curve"] == curve
         assert_negative_along(g, exc.value.witness)
+
+    def test_negative_face_leading_is_exact_for_rational_coefficients(self):
+        # G's rows are over den 15: the witness's leading is F(u0, v0) itself,
+        # an exact Fraction, not den times it
+        g = parse("1/3*x^2 - 1/5*y^2 + x^3", vars=("x", "y"))
+        with pytest.raises(NoMonomializationFound, match="g < 0 along") as exc:
+            monomialize(g)
+        witness = exc.value.witness
+        G = linear_change(g, _inverse(witness["change"]), ("u", "v"))
+        assert G.den > 1
+        wu, wv, m = witness["u_weight"], witness["v_weight"], witness["order"]
+        u0, v0 = witness["u"], witness["v"]
+        face = sum(
+            c.re * u0**a * v0**b for (a, b), c in G.terms.items() if wu * a + wv * b == m
+        )
+        assert isinstance(witness["leading"], Fraction)
+        assert witness["leading"] == face < 0
+        assert_negative_along(g, witness)
 
     def test_nonnegative_rejection_has_no_witness(self):
         # (u - v^2)^2 + u^2 v^2 >= 0 vanishes along u = v^2: no face is

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,47 @@ class TestQiRoots:
             assert roots == sorted(known.items(), key=lambda rm: (rm[0].re, rm[0].im))
             scale = leftover[0] / cubic[0]
             assert leftover == [c * scale for c in cubic]
+
+
+    def test_seeded_products_of_linear_factors(self):
+        # a constant times 1-4 factors T - r, r in Q(i) with 0 and repeats
+        # among them, and half the time times T^2 - 2: every r comes back
+        # with its multiplicity, and the constant times T^2 - 2, or the
+        # constant alone, is left
+        rng = random.Random(29)
+        quadratic = [GaussianRational(v) for v in (-2, 0, 1)]
+        seen = Counter()
+        for _ in range(60):
+            known = Counter()
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.2:
+                    root = GaussianRational(0)
+                elif known and rng.random() < 0.3:
+                    root = rng.choice(sorted(known, key=str))
+                else:
+                    root = GaussianRational(
+                        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                        Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                    )
+                known[root] += 1
+            constant = GaussianRational(
+                Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 3)),
+                rng.randint(-2, 2),
+            )
+            coeffs = [constant]
+            for root, mult in known.items():
+                for _ in range(mult):
+                    coeffs = _p_mul(coeffs, [-root, GaussianRational(1)])
+            rest = [constant]
+            if rng.random() < 0.5:
+                coeffs, rest = _p_mul(coeffs, quadratic), _p_mul(rest, quadratic)
+            roots, leftover = qi_roots(coeffs)
+            assert roots == sorted(known.items(), key=lambda rm: (rm[0].re, rm[0].im))
+            assert leftover == rest
+            seen["zero root"] += GaussianRational(0) in known
+            seen["repeated root"] += max(known.values()) > 1
+            seen["quadratic left"] += len(rest) == 3
+        assert min(seen.values()) >= 10, seen
 
 
 class TestTwistedRealness:

@@ -17,10 +17,6 @@ from numideal.forms import (
     is_nonnegative,
     is_positive_definite,
     negative_point,
-    p_derivative,
-    p_divmod,
-    p_eval,
-    p_gcd,
     p_strip,
     quadratic_form_sign,
     rational_prime_factors,
@@ -39,6 +35,44 @@ def form_of(text):
     return binary_form(parse(text, vars=("x", "y")))
 
 
+# -- test-only field arithmetic on ascending coefficient lists over Q: the
+# references below need true remainders and exact values, not the
+# pseudo-remainders of the integer chain
+
+
+def _eval(c, x):
+    """c(x) by Horner's scheme, as a Fraction."""
+    acc = Fraction(0)
+    for a in reversed(c):
+        acc = acc * x + a
+    return acc
+
+
+def _divmod(a, b):
+    """(q, r) with a = q b + r and deg r < deg b over Q, for a nonzero
+    stripped b."""
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = p_strip([Fraction(v) for v in a])
+    while len(r) >= len(b):
+        k, f = len(r) - len(b), r[-1] / b[-1]
+        q[k] = f
+        for i, v in enumerate(b):
+            r[k + i] -= f * v
+        p_strip(r)
+    return p_strip(q), r
+
+
+def _derivative(c):
+    return p_strip([k * v for k, v in enumerate(c)][1:])
+
+
+def _gcd(a, b):
+    """The monic gcd over Q; [] when both are zero."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [Fraction(v) / a[-1] for v in a] if a else []
+
+
 class TestSturm:
     def test_count_real_roots_quadratics(self):
         assert count_real_roots([Fraction(1), Fraction(0), Fraction(1)]) == 0
@@ -49,27 +83,6 @@ class TestSturm:
         assert is_nonnegative([Fraction(1), Fraction(-2), Fraction(1)])
         assert not is_nonnegative([Fraction(-1), Fraction(0), Fraction(1)])
         assert is_nonnegative([])
-
-
-class TestGaussianCoefficientLists:
-    # (T^2 + i)(T - 1) = T^3 - T^2 + i T - i and (T + i)(T - 1)
-    A = [G(0, -1), G(0, 1), G(-1), G(1)]
-    B = [G(0, -1), G(-1, 1), G(1)]
-
-    def test_divmod_quotient_with_interior_zero(self):
-        q, r = p_divmod(self.A, [G(-1), G(1)])
-        assert q == [G(0, 1), G(0), G(1)] and r == []
-        assert all(isinstance(c, G) for c in q)
-
-    def test_gcd_and_eval(self):
-        g = p_gcd(self.A, self.B)
-        assert g == [G(-1), G(1)]
-        assert all(isinstance(c, G) for c in g)
-        x = G(2, -3)
-        value = p_eval(self.A, x)
-        assert isinstance(value, G)
-        assert value == (x * x + G(0, 1)) * (x - 1)
-        assert p_eval(self.A, G(1)) == 0 and p_eval(self.B, G(0, -1)) == 0
 
 
 class TestGaussianPrimeFactors:
@@ -168,7 +181,7 @@ def divisor_rational_roots(c):
     qs = divisors(abs(int(c[-1] * den)))
     for p in divisors(abs(int(c[0] * den))):
         for r in (Fraction(p, q) * sign for q in qs for sign in (1, -1)):
-            if p_eval(c, r) == 0:
+            if _eval(c, r) == 0:
                 roots.add(r)
     return sorted(roots)
 
@@ -245,6 +258,11 @@ class TestDefiniteness:
         ]
         assert binary_form(parse("5*y^2", vars=("x", "y"))) == [5, 0, 0]
 
+    def test_binary_form_is_the_integer_numerators(self):
+        # the rows over den = 15: a positive multiple with the same signs
+        c = binary_form(parse("1/3*x^2 - 2/5*x*y", vars=("x", "y")))
+        assert c == [0, -6, 5] and all(isinstance(v, int) for v in c)
+
     def test_definite_implies_nonnegative_random(self):
         rng = random.Random(101)
         for _ in range(60):
@@ -292,7 +310,7 @@ class TestNegativePoint:
     def test_never_returns_zero(self):
         # -v^2 is negative everywhere but at 0
         t = negative_point([Fraction(0), Fraction(0), Fraction(-1)])
-        assert t != 0 and p_eval([0, 0, Fraction(-1)], t) < 0
+        assert t != 0 and _eval([0, 0, Fraction(-1)], t) < 0
 
     def test_agrees_with_nonnegativity_on_seeded_products(self):
         # products of (v - r)^k and of a quadratic, half of them negated:
@@ -315,7 +333,7 @@ class TestNegativePoint:
             t = negative_point(c)
             assert (t is None) == is_nonnegative(c), c
             if t is not None:
-                assert t != 0 and p_eval(c, t) < 0
+                assert t != 0 and _eval(c, t) < 0
             found.add(t is None)
         assert found == {True, False}
 
@@ -325,10 +343,11 @@ class TestNegativePoint:
 
 
 def fraction_sturm_chain(p):
-    """The classical Sturm chain of a stripped nonconstant Fraction list p."""
-    chain = [list(p), p_derivative(p)]
+    """The classical Sturm chain over Q of a stripped nonconstant list p."""
+    p = [Fraction(v) for v in p]
+    chain = [p, _derivative(p)]
     while chain[-1]:
-        _, r = p_divmod(chain[-2], chain[-1])
+        _, r = _divmod(chain[-2], chain[-1])
         if not r:
             break
         chain.append([-v for v in r])
@@ -350,7 +369,7 @@ def reference_count_real_roots(c):
 
 
 def _div_exact(a, b):
-    q, r = p_divmod(a, b)
+    q, r = _divmod(a, b)
     assert not r
     return q
 
@@ -362,22 +381,22 @@ def _sub(a, b):
 
 
 def yun_squarefree(p):
-    """Yun decomposition of a Fraction list: (squarefree factor,
-    multiplicity) pairs."""
-    p = p_strip(list(p))
+    """Yun decomposition over Q of a list: (squarefree factor, multiplicity)
+    pairs."""
+    p = p_strip([Fraction(v) for v in p])
     if len(p) < 2:
         return []
-    dp = p_derivative(p)
-    a = p_gcd(p, dp)
+    dp = _derivative(p)
+    a = _gcd(p, dp)
     b, c = _div_exact(p, a), _div_exact(dp, a)
-    d = _sub(c, p_derivative(b))
+    d = _sub(c, _derivative(b))
     out, k = [], 1
     while len(b) > 1:
-        f = p_gcd(b, d)
+        f = _gcd(b, d)
         if len(f) > 1:
             out.append((f, k))
         b = _div_exact(b, f)
-        d = _sub(_div_exact(d, f), p_derivative(b))
+        d = _sub(_div_exact(d, f), _derivative(b))
         k += 1
     return out
 
@@ -400,14 +419,14 @@ def reference_negative_point(c):
     """Bisection of (-B, B), B past the Cauchy bound of the squarefree part
     s, by the Fraction Sturm chain of s, with signs in Fraction arithmetic;
     the first cut where c < 0."""
-    c = p_strip(list(c))
+    c = p_strip([Fraction(v) for v in c])
     if not c:
         return None
-    s = _div_exact(c, p_gcd(c, p_derivative(c)))
+    s = _div_exact(c, _gcd(c, _derivative(c)))
     chain = fraction_sturm_chain(s) if len(s) > 1 else [s]
 
     def count(t):
-        return _sign_changes([p_eval(q, t) for q in chain])
+        return _sign_changes([_eval(q, t) for q in chain])
 
     B = 2 + max((abs(v / s[-1]) for v in s[:-1]), default=0)
     cuts, pieces = [-B, B], [(-B, B)]
@@ -416,11 +435,11 @@ def reference_negative_point(c):
         if count(lo) - count(hi) <= 1:
             continue
         mid = (lo + hi) / 2
-        while mid == 0 or p_eval(s, mid) == 0:
+        while mid == 0 or _eval(s, mid) == 0:
             mid = (lo + mid) / 2
         cuts.append(mid)
         pieces += [(lo, mid), (mid, hi)]
-    return next((t for t in sorted(cuts) if p_eval(c, t) < 0), None)
+    return next((t for t in sorted(cuts) if _eval(c, t) < 0), None)
 
 
 def reference_candidate_lines(c, rational):
@@ -430,7 +449,7 @@ def reference_candidate_lines(c, rational):
     repeated = sorted(
         r
         for r in rational
-        if any(mult >= 2 and p_eval(f, r) == 0 for f, mult in yun_squarefree(c))
+        if any(mult >= 2 and _eval(f, r) == 0 for f, mult in yun_squarefree(c))
     )
     lines = [(1, 0), (1, -1)]
     for r in repeated:
@@ -578,7 +597,7 @@ class TestIntegerSturmChain:
                 assert all(isinstance(v, int) for v in q) and math.gcd(*q) == 1
                 ratio = q[-1] / f[-1]
                 assert ratio > 0 and [ratio * v for v in f] == q, c
-            assert len(chain[-1]) == len(p_gcd(p, p_derivative(p))), c
+            assert len(chain[-1]) == len(_gcd(p, _derivative(p))), c
 
     def test_answers_match_the_references(self):
         for c, roots in self.forms():

@@ -352,6 +352,25 @@ class TestFallbacks:
         with pytest.raises(PreconditionError, match=r"roots of 2 \+ 3\*z \+ z\^2"):
             numerator_ideal(p)
 
+    @pytest.mark.parametrize(
+        "factor, named",
+        [
+            ("(x + 2*z + 1)*(x + y + z + i) - x^2", r"the root z = -1/2\b"),
+            (
+                "(x + 2*z + 1)*(x + 3*z + 1)*(2*x + y + z + i)"
+                " - x^2*(x + 3*z + 1) - x^2*(x + 2*z + 1)",
+                r"the roots of 1/6 \+ 5/6\*z \+ z\^2",
+            ),
+        ],
+        ids=["root", "factor"],
+    )
+    def test_shared_factor_is_named_monic(self, degenerate, factor, named):
+        # 2z + 1 and 6z^2 + 5z + 1 are shared: the message names z + 1/2
+        # by its root and z^2 + 5z/6 + 1/6 as it is
+        p = degenerate * parse(factor, vars=degenerate.vars)
+        with pytest.raises(PreconditionError, match=named):
+            numerator_ideal(p)
+
     def test_root_at_infinity_out_of_scope(self, degenerate):
         # 1 - x*z - i*x = x * (stable x + z + i at -1/x): its z-root leaves
         # through infinity at x = 0
