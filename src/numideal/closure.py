@@ -141,6 +141,16 @@ def monomialize(g: MultiPoly) -> MonomialIdealIC:
     and IC(g) is the monomial ideal of P (Swanson & Huneke, Integral
     Closure of Ideals, Rings, and Modules, 2006, ch. 1).
 
+    A frame changes all of g only after it accepts the lowest form g_d of
+    g, which has at most d + 1 terms; the change keeps degrees, so G_d is
+    the lowest form of G.  Every frame that accepts G accepts G_d.  Every
+    term of G has degree >= d, so the points of P of degree d are the hull
+    S of the positive even terms of G_d; (a) puts the other terms of G_d
+    in S; and S is the face of P of weight (1, 1), a vertex or a compact
+    edge whose face polynomial, G_d, is positive off the axes by (b).  So
+    admission by G_d rejects no frame that G would accept, and the first
+    accepted frame is the same.
+
     No other frame is ever accepted first.  Acceptance depends only on the
     lines u = 0 and v = 0: swapping u and v, scaling an axis or flipping
     its sign keeps the even positive terms, the polyhedron and face
@@ -154,7 +164,10 @@ def monomialize(g: MultiPoly) -> MonomialIdealIC:
     if len(g.vars) != 2:
         raise PreconditionError("monomialize expects a bivariate polynomial")
     frames = [line_frame(a, b) for a, b in _candidate_lines(g)]
+    lowest = g.lowest_part()
     for change, inverse in frames:
+        if _accepted(linear_change(lowest, inverse, ("u", "v")), change, inverse) is None:
+            continue
         ic = _try_change(g, change, inverse)
         if ic is not None:
             return ic
@@ -212,9 +225,16 @@ def _negative_face(G: MultiPoly, change, xy_vars):
 
 
 def _try_change(g, change, inverse):
+    """The MonomialIdealIC of g in the frame, or None when it fails (a) or
+    (b) of `monomialize`."""
+    return _accepted(linear_change(g, inverse, ("u", "v")), change, inverse)
+
+
+def _accepted(G, change, inverse):
+    """The MonomialIdealIC of G, a polynomial in the frame (u, v), or None
+    when it fails (a) or (b)."""
     # G's rows are its coefficients times den > 0: the same signs, and the
     # same positive faces
-    G = linear_change(g, inverse, ("u", "v"))
     candidates = [
         (a, b) for (a, b), (c, _) in G.rows.items() if a % 2 == 0 and b % 2 == 0 and c > 0
     ]

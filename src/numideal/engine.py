@@ -686,8 +686,20 @@ def _probe_levels(p: MultiPoly, desc: IdealDescription, eps, grid, seed):
 
 
 def _append_probes(points, p_abs, p, H, radius, slice_points):
-    """Append each slice point at which p is nonzero to points, and |p| there
-    to p_abs: on the slice z = -H(x) + delta, or inside at x + iv."""
+    """Append each slice point at which p is provably nonzero to points, and
+    |p| there to p_abs: on the slice z = -H(x) + delta, or inside at x + iv.
+
+    A point on the zero set of p, as the delta = 0 slice is when the branch
+    is a polynomial, gives a float |p| of rounding noise.  So a probe is
+    kept only when |p| exceeds 4 (n + 3d) u S, with n terms of degree <= d,
+    u = 2^-53 and S the sum of the magnitudes of the terms
+    (`eval_with_scale`).  That is 4 times an a priori bound on the error of
+    `eval_complex`'s term-by-term loop: each term takes at most 3d complex
+    products (its powers by squaring, then their product) and the sum n
+    additions, each off by less than 3u relative to S (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 3-4).
+    """
+    slack = 4 * (len(p.rows) + 3 * p.degree()) * 2.0**-53
     for x_real, delta_unit, v_unit, interior in slice_points:
         h_val = _finite(H.eval_complex(x_real)).real
         delta = radius * radius * delta_unit
@@ -699,8 +711,9 @@ def _append_probes(points, p_abs, p, H, radius, slice_points):
             point = tuple(complex(t, 0.0) for t in x_real) + (
                 complex(-h_val + delta, 0.0),
             )
-        pv = _finite(p.eval_complex(point))
-        if pv != 0:
+        pv, scale = p.eval_with_scale(point)
+        pv = _finite(pv)
+        if abs(pv) > slack * scale:
             points.append(point)
             p_abs.append(abs(pv))
 

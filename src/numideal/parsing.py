@@ -10,6 +10,7 @@ is the identity.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ParseError
 from .gaussian import GaussianRational
@@ -176,42 +177,36 @@ def parse(text: str, vars=None) -> MultiPoly:
 # -- canonical printing ---------------------------------------------------
 
 
-def _frac_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, for n >= 0 and d > 0: one gcd."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _signed_body(a: int, b: int, den: int):
+    """The print sign of (a + b i)/den, taken from the real part, else the
+    imaginary one, and the unsigned remainder as text; mixed values are
+    parenthesized."""
+    sign = 1
+    if a < 0 or (not a and b < 0):
+        sign, a, b = -1, -a, -b
+    if not b:
+        return sign, _ratio(a, den)
+    im = "i" if abs(b) == den else f"{_ratio(abs(b), den)}*i"
+    if not a:
+        return sign, im
+    return sign, f"({_ratio(a, den)} {'+' if b > 0 else '-'} {im})"
 
 
 def format_coefficient(c: GaussianRational) -> str:
     """Standalone canonical rendering of one Gaussian rational."""
-    sign, mag = _signed_magnitude(c)
-    body = _magnitude_str(mag)
+    re, im = c.re, c.im
+    den = lcm(re.denominator, im.denominator)
+    sign, body = _signed_body(
+        re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+    )
     return f"-{body}" if sign < 0 else body
-
-
-def _signed_magnitude(c: GaussianRational):
-    """Extracted print sign (from re, else im) and the unsigned remainder."""
-    sign = 1
-    if (c.re != 0 and c.re < 0) or (c.re == 0 and c.im < 0):
-        sign = -1
-        c = -c
-    return sign, c
-
-
-def _magnitude_str(c: GaussianRational):
-    """Render an unsigned coefficient; mixed values are parenthesized."""
-    if c.is_real():
-        return _frac_str(c.re)
-    if c.is_imaginary():
-        if c.im == 1:
-            return "i"
-        return f"{_frac_str(c.im)}*i"
-    im = c.im
-    if im > 0:
-        im_body = "i" if im == 1 else f"{_frac_str(im)}*i"
-        return f"({_frac_str(c.re)} + {im_body})"
-    im_body = "i" if im == -1 else f"{_frac_str(-im)}*i"
-    return f"({_frac_str(c.re)} - {im_body})"
 
 
 def _monomial_str(vars, exps) -> str:
@@ -229,19 +224,21 @@ def _term_sort_key(exps):
 
 
 def format_poly(p: MultiPoly) -> str:
-    """Canonical text: graded-lex term order, lowercase i, '*' products."""
+    """Canonical text: graded-lex term order, lowercase i, '*' products.
+    Each coefficient is rendered from its integer row over p.den."""
     if p.is_zero():
         return "0"
     pieces = []
-    for exps in sorted(p.rows, key=_term_sort_key):
-        sign, mag = _signed_magnitude(p.coefficient(exps))
+    den, rows = p.den, p.rows
+    for exps in sorted(rows, key=_term_sort_key):
+        a, b = rows[exps]
         mono = _monomial_str(p.vars, exps)
-        if not mono:
-            body = _magnitude_str(mag)
-        elif mag == GaussianRational(1):
-            body = mono
+        if mono and not b and abs(a) == den:
+            sign, body = (1 if a > 0 else -1), mono
         else:
-            body = f"{_magnitude_str(mag)}*{mono}"
+            sign, body = _signed_body(a, b, den)
+            if mono:
+                body = f"{body}*{mono}"
         if not pieces:
             pieces.append(body if sign > 0 else f"-{body}")
         else:

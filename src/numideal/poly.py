@@ -18,14 +18,15 @@ for a power series degree by degree on it, forming each product of two
 homogeneous parts once, and the Bézout entries and minors of
 `conjugate_resultant` are sums of products on it too.  `MultiPoly.subs` is
 the one composition: Horner's scheme in each replaced variable, one kernel
-call per step acc * r + slice.  `linear_change`, the bivariate change of
-frame of `closure`, expands the integer powers of its two row forms
-directly into one integer sum.  `TruncatedSeries` is only the record of a
-polynomial and its truncation order.  `eval_complex` builds a plan once per
-polynomial and keeps it: the coefficients as `complex`, the distinct
-(variable, exponent) pairs, and the pairs each term uses; each call
-multiplies the powers into the terms in the order a term-by-term loop
-does, so the floats it returns do not depend on the plan.
+call per step acc * r + slice, starting from the leading slice.
+`linear_change`, the bivariate change of frame of `closure`, expands the
+integer powers of its two row forms directly into one integer sum.
+`TruncatedSeries` is only the record of a polynomial and its truncation
+order.  `eval_complex` builds a plan once per polynomial and keeps it: the
+coefficients as `complex`, the distinct (variable, exponent) pairs, and the
+pairs each term uses; each call multiplies the powers into the terms in the
+order a term-by-term loop does, so the floats it returns do not depend on
+the plan.
 
 The kernel's integer forms carry each exponent vector as one int (Kronecker
 packing, `_pack`): exponent i in a field of w bits, the total degree above
@@ -274,13 +275,7 @@ class MultiPoly:
         """The value at a point of numbers: each term's `complex` coefficient
         times its powers `z**k` in variable order, summed in term order."""
         point = self._point(point)
-        # the object is immutable, so the plan stays valid; a concurrent
-        # first call at worst builds it twice
-        plan = self._complex
-        if plan is None:
-            plan = self._power_plan()
-            object.__setattr__(self, "_complex", plan)
-        pairs, rows = plan
+        pairs, rows = self._plan()
         table = [point[i] ** k for i, k in pairs]
         total = 0j
         for v, slots in rows:
@@ -288,6 +283,31 @@ class MultiPoly:
                 v *= table[j]
             total += v
         return total
+
+    def eval_with_scale(self, point):
+        """(value, scale): `eval_complex` at the point, float for float, and
+        the sum of the magnitudes of the terms it adds, the scale of its
+        rounding error."""
+        point = self._point(point)
+        pairs, rows = self._plan()
+        table = [point[i] ** k for i, k in pairs]
+        total, scale = 0j, 0.0
+        for v, slots in rows:
+            for j in slots:
+                v *= table[j]
+            total += v
+            scale += abs(v)
+        return total, scale
+
+    def _plan(self):
+        """`_power_plan`, built on first use and kept: the object is
+        immutable, so the plan stays valid; a concurrent first call at
+        worst builds it twice."""
+        plan = self._complex
+        if plan is None:
+            plan = self._power_plan()
+            object.__setattr__(self, "_complex", plan)
+        return plan
 
     def _point(self, point) -> tuple:
         point = tuple(point)
@@ -344,7 +364,10 @@ class MultiPoly:
         must share one variable tuple, which becomes the result's.  This is
         the package's one composition: Horner's scheme in each replaced
         variable on `_sum_of_products` (`_horner`), with the unassigned
-        variables left inside the slices.
+        variables left inside the slices.  A polynomial in which none of
+        the replaced variables occurs is its own composition: its rows,
+        relabelled into the target variables and truncated, in lowest
+        terms, with no kernel call.
         """
         target_vars = next(
             (r.vars for r in assignments.values() if isinstance(r, MultiPoly)),
@@ -362,6 +385,15 @@ class MultiPoly:
                 repls.append(r)
             else:
                 kept.append((i, target_vars.index(name)))
+        if not any(e[i] for e in self.rows for i in replaced):
+            rows = {}
+            for e, r in self.rows.items():
+                t = [0] * len(target_vars)
+                for i, j in kept:
+                    t[j] = e[i]
+                if order is None or sum(t) <= order:
+                    rows[tuple(t)] = r
+            return MultiPoly._lowest_terms(target_vars, self.den, rows)
         bound = order
         if bound is None:  # the degree of the composition bounds every step
             degrees = [(i, max(r.degree(), 0)) for i, r in zip(replaced, repls)]
@@ -458,10 +490,18 @@ class MultiPoly:
         return f"MultiPoly({self.vars!r}, {str(self)!r})"
 
 
-def _set(p: MultiPoly, *values) -> None:
+# the setters of MultiPoly's slots, bound once: they bypass its __setattr__
+_SETTERS = tuple(getattr(MultiPoly, name).__set__ for name in MultiPoly.__slots__)
+
+
+def _set(p: MultiPoly, vars: tuple, den: int, rows: dict) -> None:
     """Fill the slots vars, den and rows of a new MultiPoly; no view or plan yet."""
-    for name, value in zip(MultiPoly.__slots__, values + (None, None)):
-        object.__setattr__(p, name, value)
+    set_vars, set_den, set_rows, set_terms, set_complex = _SETTERS
+    set_vars(p, vars)
+    set_den(p, den)
+    set_rows(p, rows)
+    set_terms(p, None)
+    set_complex(p, None)
 
 
 def _gaussian_integer(c: GaussianRational, d: int = 0):
@@ -595,8 +635,12 @@ def _horner(groups: dict, D: int, repls: list, limit: int) -> list:
     of groups of (D, groups[k]) * prod_i repls[i]^k[i], exact below the
     packed limit: Horner's scheme in the first variable, one
     `_sum_of_products` call per step acc * r + slice, each slice the same
-    sum over the other variables.  Module level, not a closure, so that its
-    rows are freed on return, not left in a cycle.
+    sum over the other variables.  The accumulator starts as the leading
+    slice: when that is one form times the constant 1, as in the last
+    variable, the form itself is the accumulator, with no kernel call; its
+    rows are distinct, nonzero and below the limit, and the caller's last
+    `_reduced` divides out what this one would.  Module level, not a
+    closure, so that its rows are freed on return, not left in a cycle.
     """
     if not repls:
         return [((D, groups.get((), [])), _ONE)]
@@ -606,7 +650,11 @@ def _horner(groups: dict, D: int, repls: list, limit: int) -> list:
     pairs = []
     for k in range(max(slices, default=0), -1, -1):
         if pairs:
-            pairs = [(_reduced(*_sum_of_products(pairs, limit)), repls[0])]
+            if len(pairs) == 1 and pairs[0][1] is _ONE:
+                acc = pairs[0][0]
+            else:
+                acc = _reduced(*_sum_of_products(pairs, limit))
+            pairs = [(acc, repls[0])]
         if k in slices:
             pairs += _horner(slices[k], D, repls[1:], limit)
     return pairs

@@ -145,6 +145,18 @@ class TestAnalyze:
         res = run_cli("analyze", LINEAR3)
         assert "(positive definite)\n" in res.stdout
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 2: definiteness of Im phi_2L is sampled for 2L >= 4 "
+        "in three or more x-variables",
+    )
+    def test_form_with_a_real_zero_is_not_definite(self, capsys):
+        # Im phi_4 vanishes at (1, 0, 0), so p is not Definite, and a
+        # degenerate Im phi_2L in three x-variables is out of scope
+        text = "z + x1 + x2 + x3 + i*(x1^2*x2^2 + x2^2*x3^2 + x3^2*x1^2)"
+        assert main(["analyze", text]) == 2
+
     def test_precondition_exit_2(self):
         res = run_cli("analyze", "1 + z")
         assert res.returncode == 2
@@ -302,6 +314,16 @@ class TestMember:
         data = json.loads(res.stdout)
         assert data["verdict"] == "InIdeal"
         assert data["oracle"]["divergent"] is False
+
+    def test_oracle_skips_probes_on_the_zero_set(self, capsys):
+        # a Principal p whose branch z = -x is a polynomial: the delta = 0
+        # slice lies on p = 0, where a float |p| is rounding noise that
+        # made the sup about 1e16 and the growth flag False
+        code = main(["member", "(z + x)*(z + 1)", "x", "--oracle", "--format", "json"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 3 and data["verdict"] == "NotInIdeal"
+        assert data["oracle"]["divergent"] is True
+        assert data["oracle"]["sup_estimate"] < 1e4
 
 
 # the numerators of acceptance criterion 7(d) and, for p2, criterion 5

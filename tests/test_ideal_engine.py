@@ -652,6 +652,25 @@ class TestTransport:
                     assert v.certificate == first.certificate, text
                     assert v.witness == first.witness, text
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NoMonomializationFound,
+        reason="ROADMAP item 1: a smooth curved zero set of Im phi is not LinearForm",
+    )
+    def test_nonisolated_under_a_moebius_map_of_x(self):
+        # nonisolated with x -> x/(1 - x), cleared of denominators: Im phi
+        # vanishes on the curve x + y - x*y = 0, which no linear frame
+        # straightens
+        p = parse("x + (y + z)*(1 - x) - 2*i*x*z - 2*i*y*z*(1 - x) - x*y*z")
+        desc = numerator_ideal(p)
+        assert (desc.case, desc.L_or_K) == (CaseTag.LINEAR_FORM, 2)
+        for text, verdict in (
+            ("(x + y - x*y)^2", Verdict.IN_IDEAL),
+            ("x + y - x*y", Verdict.NOT_IN_IDEAL),
+        ):
+            q = parse(text, vars=p.vars)
+            assert membership(p, q, ideal=desc).verdict is verdict, text
+
 
 def _random_poly(rng, vars, max_deg=3):
     terms = {}

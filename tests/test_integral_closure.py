@@ -289,7 +289,11 @@ class TestCandidateFrames:
             (Fraction(1, 2), Fraction(2, 3), ((3, -4), (4, 3))),
         ],
     )
-    def test_degenerate_rescalings_take_three_frames(self, degenerate, monkeypatch, a, b, change):
+    def test_degenerate_rescalings_change_only_the_accepted_frame(
+        self, degenerate, monkeypatch, a, b, change
+    ):
+        # the lowest form rules out the frames before the accepted one, so g
+        # changes frame once
         p = MultiPoly(
             degenerate.vars,
             {e: c * Fraction(a) ** e[0] * Fraction(b) ** e[1] for e, c in degenerate.terms.items()},
@@ -304,18 +308,22 @@ class TestCandidateFrames:
         monkeypatch.setattr(closure, "_try_change", counting)
         ic = numerator_ideal(p).ic
         assert ic.change == change
-        assert len(tried) <= 3
+        assert tried == [change]
 
     @pytest.mark.parametrize(
-        "text, lines",
+        "text, lines, changed",
         [
             # the root line x + y has the axes of the x - y frame
-            ("(x + y)^2*(x - y)^2 - x^6", [(1, 0), (1, -1)]),
+            ("(x + y)^2*(x - y)^2 - x^6", [(1, 0), (1, -1)], [(1, -1)]),
             # roots t = 2 and -1/2 give perpendicular lines
-            ("(x - 2*y)^2*(2*x + y)^2 - x^6", [(1, 0), (1, -1), (2, 1)]),
+            ("(x - 2*y)^2*(2*x + y)^2 - x^6", [(1, 0), (1, -1), (2, 1)], [(2, 1)]),
         ],
     )
-    def test_perpendicular_line_is_not_tried_again(self, monkeypatch, text, lines):
+    def test_perpendicular_line_is_not_tried_again(self, monkeypatch, text, lines, changed):
+        # every line is tried on the lowest form; g changes frame only in
+        # the frames that its lowest form accepts
+        g = parse(text, vars=("x", "y"))
+        assert closure._candidate_lines(g) == lines
         tried = []
         try_change = closure._try_change
 
@@ -325,8 +333,27 @@ class TestCandidateFrames:
 
         monkeypatch.setattr(closure, "_try_change", counting)
         with pytest.raises(NoMonomializationFound):
-            monomialize(parse(text, vars=("x", "y")))
-        assert tried == lines
+            monomialize(g)
+        assert tried == changed
+
+    def test_a_frame_that_accepts_g_accepts_its_lowest_form(self):
+        # the admission of `monomialize`: checking the lowest form first
+        # rejects no frame that g itself would pass
+        rng = random.Random(29)
+        accepted = 0
+        for _ in range(300):
+            g = _seeded_g(rng)
+            lowest = g.lowest_part()
+            frames = [line_frame(a, b) for a, b in closure._candidate_lines(g)]
+            frames += [(frame, _inverse(frame)) for frame in _earlier_frames(g)]
+            for change, inverse in frames:
+                if closure._try_change(g, change, inverse) is not None:
+                    accepted += 1
+                    assert closure._try_change(lowest, change, inverse) is not None, (
+                        format_poly(g),
+                        change,
+                    )
+        assert accepted >= 500
 
     @pytest.mark.parametrize(
         "scale, n_linear, multiplicities, cofactors, powers, axis_factors, count",

@@ -97,6 +97,88 @@ class TestCoefficientPrinter:
         assert str(GaussianRational(re, im)) == text
 
 
+def _reference_frac(q):
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _reference_signed_magnitude(c):
+    if (c.re != 0 and c.re < 0) or (c.re == 0 and c.im < 0):
+        return -1, -c
+    return 1, c
+
+
+def _reference_magnitude(c):
+    if c.is_real():
+        return _reference_frac(c.re)
+    if c.is_imaginary():
+        return "i" if c.im == 1 else f"{_reference_frac(c.im)}*i"
+    im = c.im
+    if im > 0:
+        im_body = "i" if im == 1 else f"{_reference_frac(im)}*i"
+        return f"({_reference_frac(c.re)} + {im_body})"
+    im_body = "i" if im == -1 else f"{_reference_frac(-im)}*i"
+    return f"({_reference_frac(c.re)} - {im_body})"
+
+
+def reference_format_coefficient(c):
+    """The coefficient printer that read the GaussianRational's Fractions:
+    the reference for the integer-row renderer of `parsing`."""
+    sign, mag = _reference_signed_magnitude(c)
+    body = _reference_magnitude(mag)
+    return f"-{body}" if sign < 0 else body
+
+
+def reference_format_poly(p):
+    """The polynomial printer that built a GaussianRational per term."""
+    if p.is_zero():
+        return "0"
+    pieces = []
+    for exps in sorted(p.terms, key=lambda e: (sum(e), tuple(-k for k in e))):
+        sign, mag = _reference_signed_magnitude(p.coefficient(exps))
+        mono = "*".join(
+            name if k == 1 else f"{name}^{k}" for name, k in zip(p.vars, exps) if k
+        )
+        if not mono:
+            body = _reference_magnitude(mag)
+        elif mag == GaussianRational(1):
+            body = mono
+        else:
+            body = f"{_reference_magnitude(mag)}*{mono}"
+        if not pieces:
+            pieces.append(body if sign > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if sign > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+class TestPrinterMatchesReference:
+    def test_seeded_polynomials(self):
+        # real, purely imaginary and mixed coefficients, units and
+        # non-units, with and without a constant term
+        rng = random.Random(67)
+        for k in range(400):
+            if k % 4 == 3:
+                p = rand_imaginary_poly(rng)
+            else:
+                p = rand_poly(rng, n_terms=rng.randint(1, 8))
+            if k % 5 == 0:
+                p = p + MultiPoly.constant(p.vars, rand_gaussian(rng, span=2))
+            if k % 7 == 0:
+                p = p.scale(Fraction(1, rng.randint(1, 30)))
+            assert format_poly(p) == reference_format_poly(p)
+            for c in p.terms.values():
+                assert str(c) == reference_format_coefficient(c)
+
+    def test_every_small_coefficient(self):
+        x = MultiPoly.variable(("x",), "x")
+        for re, im in itertools.product(range(-3, 4), repeat=2):
+            for d in (1, 2, 6):
+                c = GaussianRational(Fraction(re, d), Fraction(im, d))
+                assert str(c) == reference_format_coefficient(c)
+                p = x.scale(c) + c
+                assert format_poly(p) == reference_format_poly(p)
+
+
 class TestEval:
     def test_linear3_vanishes_at_origin(self, linear3):
         assert linear3.eval_exact((0, 0, 0)).is_zero()
@@ -552,6 +634,60 @@ def naive_subs(p, repls, order=None):
     return total if order is None else total.truncate(order)
 
 
+def kernel_horner(groups, D, repls, limit):
+    """Horner's scheme with every step on the kernel, the leading slice
+    included, which it multiplies by the constant 1: the reference for the
+    leading-slice accumulator of `poly._horner`."""
+    if not repls:
+        return [((D, groups.get((), [])), poly_module._ONE)]
+    slices = {}
+    for key, rows in groups.items():
+        slices.setdefault(key[0], {})[key[1:]] = rows
+    pairs = []
+    for k in range(max(slices, default=0), -1, -1):
+        if pairs:
+            acc = poly_module._reduced(*poly_module._sum_of_products(pairs, limit))
+            pairs = [(acc, repls[0])]
+        if k in slices:
+            pairs += kernel_horner(slices[k], D, repls[1:], limit)
+    return pairs
+
+
+def kernel_subs(p, assignments, order=None):
+    """`MultiPoly.subs` with every composition on the kernel, also for a p
+    in which no replaced variable occurs: the reference for its early
+    return.  Replacements are MultiPolys in one variable tuple."""
+    target_vars = next(iter(assignments.values())).vars
+    replaced = [i for i, name in enumerate(p.vars) if name in assignments]
+    repls = [assignments[p.vars[i]] for i in replaced]
+    kept = [(i, target_vars.index(name)) for i, name in enumerate(p.vars) if i not in replaced]
+    bound = order
+    if bound is None:
+        degrees = [(i, max(r.degree(), 0)) for i, r in zip(replaced, repls)]
+        bound = max(
+            (
+                sum(e[i] for i, _ in kept) + sum(e[i] * d for i, d in degrees)
+                for e in p.rows
+            ),
+            default=0,
+        )
+    w = poly_module._width(bound)
+    repls = [poly_module._integral(r, w, bound) for r in repls]
+    groups = {}
+    for e, (a, b) in p.rows.items():
+        t = [0] * len(target_vars)
+        for i, j in kept:
+            t[j] = e[i]
+        if sum(t) <= bound:
+            key = tuple(e[i] for i in replaced)
+            groups.setdefault(key, []).append((poly_module._pack(t, w), a, b))
+    limit = poly_module._limit(bound, len(target_vars), w)
+    pairs = kernel_horner(groups, p.den, repls, limit)
+    return poly_module._normalised(
+        target_vars, w, *poly_module._sum_of_products(pairs, limit)
+    )
+
+
 def rand_imaginary_poly(rng, vars=("x", "y")):
     return MultiPoly(
         vars,
@@ -649,6 +785,38 @@ class TestProductKernel:
                     got = p.subs(assignments, order=order)
                     assert got == naive_subs(p, repls, order)
                     assert_canonical(got)
+
+    def test_subs_matches_the_kernel_route_row_for_row(self):
+        # polynomials with and without the replaced variables: the early
+        # return and the leading-slice accumulator give the kernel route's
+        # rows, in its order, over its denominator
+        rng = random.Random(61)
+        xyz = ("x", "y", "z")
+        for _ in range(40):
+            shapes = [
+                (rand_poly(rng), {"z": rand_poly(rng, vars=xyz[:2], max_deg=2, n_terms=4)}),
+                (
+                    rand_poly(rng, vars=xyz[:2]),
+                    {"z": rand_poly(rng, vars=xyz[:2], n_terms=3)},
+                ),
+                (rand_poly(rng, vars=xyz[:2]), {"x": rand_imaginary_poly(rng)}),
+                (
+                    rand_poly(rng, vars=xyz[:2], max_deg=2),
+                    {"x": rand_poly(rng, vars=("u", "v"), max_deg=2, n_terms=3),
+                     "y": rand_imaginary_poly(rng, vars=("u", "v"))},
+                ),
+                (rand_poly(rng, vars=xyz[:1], max_deg=4), {"y": rand_poly(rng, vars=xyz[:2])}),
+            ]
+            for p, assignments in shapes:
+                for order in (None, 0, 2, 5):
+                    got = p.subs(assignments, order)
+                    ref = kernel_subs(p, assignments, order)
+                    assert got == ref
+                    assert list(got.rows.items()) == list(ref.rows.items())
+        # a polynomial free of the replaced variables comes back relabelled
+        p = parse("1/2*x^3 - i*x + 3", vars=("x", "y"))
+        got = p.subs({"y": parse("x^2 + z", vars=("x", "z"))}, 1)
+        assert got == parse("3 - i*x", vars=("x", "z"))
 
     def test_exponents_beyond_sixteen_and_thirty_two_bits(self):
         xy = ("x", "y")
@@ -755,6 +923,23 @@ class TestComplexEvaluationCache:
             for point in (pt, tuple(z / 2 for z in pt)):
                 first, second = p.eval_complex(point), p.eval_complex(point)
                 assert first == second == MultiPoly(p.vars, p.terms).eval_complex(point)
+
+    def test_eval_with_scale(self):
+        # the value of eval_complex bit for bit, and the sum of the term
+        # magnitudes
+        rng = random.Random(71)
+        for _ in range(20):
+            p = rand_poly(rng)
+            point = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in "xyz")
+            value, scale = p.eval_with_scale(point)
+            assert float_bits(value) == float_bits(p.eval_complex(point))
+            ref = sum(
+                abs(c.to_complex()) * math.prod(abs(z) ** k for z, k in zip(point, e))
+                for e, c in p.terms.items()
+            )
+            assert scale == pytest.approx(ref, rel=1e-12)
+        with pytest.raises(ArityError):
+            p.eval_with_scale((1, 2))
 
     def test_arity_error_before_and_after_evaluation(self, linear3):
         with pytest.raises(ArityError):
