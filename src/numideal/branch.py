@@ -21,10 +21,6 @@ from .forms import (
 from .poly import MultiPoly, TruncatedSeries, implicit_root
 from .record import Frozen
 
-# unit directions sampled for the sign of a quartic or higher Im phi in three
-# or more x-variables
-_SPHERE_SAMPLES = 10_000
-
 
 class BranchSolution(Frozen):
     """phi with p(x, -phi(x)) = 0 through the working order; grad0 holds the
@@ -118,7 +114,7 @@ def solve_branch(
     return BranchSolution(TruncatedSeries._within(phi, order), grad0)
 
 
-def classify(sol: BranchSolution, seed: int = 0):
+def classify(sol: BranchSolution):
     """Identify the first non-real homogeneous term of phi, with sanity checks.
 
     Checks required of any branch coming from a stable polynomial beyond
@@ -131,8 +127,8 @@ def classify(sol: BranchSolution, seed: int = 0):
     roots, and only for a form that is not definite its sign between them)
     and for 2L = 2 in any number (LDL^T of the Gram matrix, with a rational
     negative direction as witness).  Only 2L >= 4 in three or more
-    x-variables samples unit directions with `seed`; the result then has
-    definite_exact False.
+    x-variables samples unit directions, with a fixed seed
+    (`sampled_sphere_nonneg`); the result then has definite_exact False.
     """
     phi = sol.phi
     d = len(phi.poly.vars)
@@ -176,9 +172,7 @@ def classify(sol: BranchSolution, seed: int = 0):
             )
         nonneg = True
     else:
-        nonneg, witness, sampled_min = sampled_sphere_nonneg(
-            im_part, _SPHERE_SAMPLES, seed
-        )
+        nonneg, witness, sampled_min = sampled_sphere_nonneg(im_part)
         if not nonneg:
             raise SanityViolation(
                 "imaginary part sampled negative on a real direction",

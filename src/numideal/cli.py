@@ -6,7 +6,8 @@ early (as under `| head`); `member` exits 0 for InIdeal, 3 for NotInIdeal,
 4 for Indeterminate.
 
 For `analyze` and `member`, --order sets only how far phi, the Principal
-H and q0 are printed; no case tag or verdict depends on it.
+H and q0 are printed; no case tag or verdict depends on it.  --seed
+seeds only the random probes of `member --oracle`.
 
 `puiseux` and `construct` are imported by the subcommands that use them,
 so `analyze` and `member` start without loading either.
@@ -44,7 +45,7 @@ def _read_input(text: str) -> str:
 
 def cmd_analyze(args) -> int:
     p = parse(_read_input(args.polynomial))
-    desc = numerator_ideal(p, order=args.order, seed=args.seed)
+    desc = numerator_ideal(p, order=args.order)
     cls = desc.classification
     phi = desc.branch.phi
     if phi.order < args.order:
@@ -91,8 +92,8 @@ def cmd_analyze(args) -> int:
 def cmd_member(args) -> int:
     p = parse(_read_input(args.denominator))
     q = parse(_read_input(args.numerator), vars=p.vars)
-    desc = numerator_ideal(p, order=args.order, seed=args.seed)
-    verdict = membership(p, q, order=args.order, seed=args.seed, ideal=desc)
+    desc = numerator_ideal(p, order=args.order)
+    verdict = membership(p, q, order=args.order, ideal=desc)
     payload = {
         "verdict": verdict.verdict.value,
         "reduced_numerator": format_poly(verdict.reduced_numerator)
@@ -203,7 +204,7 @@ def _jsonable(obj):
 
 _FLAGS = {
     "--order": dict(type=int, default=12, help="series truncation order"),
-    "--seed": dict(type=int, default=0, help="sampling seed"),
+    "--seed": dict(type=int, default=0, help="oracle sampling seed"),
     "--eps": dict(type=float, default=0.125, help="oracle sampling radius"),
     "--grid": dict(type=int, default=3, help="oracle refinement levels"),
     "--format": dict(choices=("text", "json"), default="text", help="output format"),
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="classify p and emit its numerator ideal")
     a.add_argument("polynomial", help="polynomial text or @file")
-    _add_flags(a, "--order", "--seed", "--format")
+    _add_flags(a, "--order", "--format")
     a.set_defaults(func=cmd_analyze)
 
     m = sub.add_parser("member", help="decide whether q/p is locally bounded")

@@ -239,7 +239,7 @@ def _isolated_exponent(ic) -> int:
     return max(b0, a1)
 
 
-def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescription:
+def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
     """The ideal of numerators q with q/p locally bounded near the origin.
 
     Requires p(0) = 0, dp/dz(0) != 0, and p stable on the poly-upper
@@ -247,10 +247,10 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
     never sampled.  What the engine checks, it checks exactly: the degree-1
     conditions in `solve_branch`, Im phi_2L >= 0 in `classify`, and a
     negative face of g in `monomialize`, each raising SanityViolation with
-    a witness.  seed feeds only `classify`'s sampler of unit directions,
-    used for 2L >= 4 in three or more x-variables.  phi is solved
-    only through its first non-real degree 2L, and again through `order`
-    for LinearForm, whose membership reduces by Re phi.  The working order
+    a witness.  Only `classify`'s sign of Im phi_2L for 2L >= 4 in three
+    or more x-variables is sampled, with a fixed seed.  phi is solved only
+    through its first non-real degree 2L, and again through `order` for
+    LinearForm, whose membership reduces by Re phi.  The working order
     rises above `order` on its own where the case needs it: to
     ord Res_z(p, p̄) when phi is real through `order`, and to the exponent
     K of an isolated degenerate zero.  A degenerate Im phi_2L is decided by
@@ -264,7 +264,7 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
     if len(p.vars) < 2:
         raise PreconditionError("p must involve at least one x-variable besides z")
     sol = solve_branch(p, order, stop_at_imaginary=True)
-    cls = classify(sol, seed=seed)
+    cls = classify(sol)
     x_vars = p.vars[:-1]
     d = len(x_vars)
 
@@ -285,7 +285,7 @@ def numerator_ideal(p: MultiPoly, order: int = 12, seed: int = 0) -> IdealDescri
             )
         # ord R >= 2L, so solving through ord R exposes L
         sol = solve_branch(p, max(order, factor[1].min_degree()))
-        cls = classify(sol, seed=seed)
+        cls = classify(sol)
         if cls.L is None:
             raise AssertionError("phi is real through ord Res_z(p, pbar)")
 
@@ -398,7 +398,6 @@ def membership(
     p: MultiPoly,
     q: MultiPoly,
     order: int = 12,
-    seed: int = 0,
     ideal: IdealDescription | None = None,
 ) -> MembershipVerdict:
     """Decide whether q/p is locally bounded near the origin.
@@ -412,7 +411,7 @@ def membership(
     Newton-polyhedron membership.  Every verdict is exact, so none is
     Indeterminate.
     """
-    desc = ideal if ideal is not None else numerator_ideal(p, order=order, seed=seed)
+    desc = ideal if ideal is not None else numerator_ideal(p, order=order)
     if q.vars != p.vars:
         q = q.embed(p.vars)
     phi = desc.branch.phi if desc.branch is not None else None
@@ -555,13 +554,14 @@ def boundedness_oracle(
     """Sample |q/p| near the origin: sup estimate plus a divergence flag.
 
     Samples (a) real slices z = -Re H(x) +- delta and (b) interior points
-    x + iv with a positive imaginary z-offset, plus deterministic probes on
-    the extremal curves of the ideal; the flag trips when per-level maxima
-    grow monotonically across the refinements (each level halves the box
-    radius, and the slice offsets shrink like radius^2).  Growth needs two
-    levels to be judged and a finite positive radius to be sampled, so
-    grid < 2 or such an eps raises PreconditionError, as does a grid so
-    fine for eps that the last radius squared underflows to 0.
+    x + iv with a positive imaginary z-offset, both drawn with `seed`, plus
+    deterministic probes on the extremal curves of the ideal; the flag
+    trips when per-level maxima grow monotonically across the refinements
+    (each level halves the box radius, and the slice offsets shrink like
+    radius^2).  Growth needs two levels to be judged and a finite positive
+    radius to be sampled, so grid < 2 or such an eps raises
+    PreconditionError, as does a grid so fine for eps that the last radius
+    squared underflows to 0.
 
     The probes and |p| at them do not depend on q (`_probe_levels`), so the
     last call's table is reused by a call with the same p and ideal objects
@@ -593,7 +593,7 @@ def boundedness_oracle(
             f"oracle radius eps/2^(grid-1) squared underflows to 0 for eps "
             f"{eps} and grid {grid}, so the slice offsets vanish; {fix}"
         )
-    desc = ideal if ideal is not None else numerator_ideal(p, seed=seed)
+    desc = ideal if ideal is not None else numerator_ideal(p)
     if q.vars != p.vars:
         q = q.embed(p.vars)
     level_max = []

@@ -309,8 +309,13 @@ def quadratic_form_sign(q: MultiPoly):
     return tuple(negative.get(j, Fraction(0)) for j in range(d)), False
 
 
-def sampled_sphere_nonneg(p: MultiPoly, n_points: int, seed: int = 0):
-    """Sampled nonnegativity of a real polynomial on unit directions in d vars.
+_SPHERE_SAMPLES = 10_000
+_SPHERE_SEED = 0
+
+
+def sampled_sphere_nonneg(p: MultiPoly):
+    """Sampled nonnegativity of a real polynomial on _SPHERE_SAMPLES unit
+    directions in d vars, drawn with the fixed seed _SPHERE_SEED.
 
     Returns (ok, witness_direction, sampled_min): the first direction where
     p is negative (None when there is none) and the minimum over all
@@ -319,11 +324,11 @@ def sampled_sphere_nonneg(p: MultiPoly, n_points: int, seed: int = 0):
     """
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(_SPHERE_SEED)
     d = len(p.vars)
     witness = None
     best = math.inf
-    for _ in range(n_points):
+    for _ in range(_SPHERE_SAMPLES):
         v = [rng.gauss(0.0, 1.0) for _ in range(d)]
         norm = math.sqrt(sum(t * t for t in v))
         if norm == 0.0:

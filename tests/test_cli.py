@@ -33,6 +33,9 @@ WIDE4X = (
     " + 11/2*i*x1*x3*x4*z + 6*i*x2*x3*x4*z + 15/2*x1*x2*x3*x4*z"
 )
 
+# Im phi_4 in three x-variables, whose definiteness is sampled on the sphere
+SAMPLED_QUARTIC = "z + x1 + x2 + x3 + i*(x1^2 + x2^2 + x3^2)^2"
+
 # inputs of the analyze goldens, tests/golden/<name>_analyze.{txt,json}
 ANALYZE_GOLDEN = {
     "nonisolated": lambda: format_poly(EXAMPLES["nonisolated"]()),
@@ -122,11 +125,14 @@ class TestAnalyze:
         golden = GOLDEN / f"{name}_analyze.{ext}"
         assert capsys.readouterr().out == golden.read_text()
 
-    def test_unread_flag_rejected(self):
-        # analyze runs no oracle, so it takes no --eps
-        res = run_cli("analyze", LINEAR3, "--eps", "1")
+    @pytest.mark.parametrize("flag", ["--eps", "--seed"])
+    def test_unread_flag_rejected(self, flag):
+        # analyze runs no oracle, so it takes neither the oracle's radius
+        # nor its seed; the ideal depends on p alone
+        res = run_cli("analyze", LINEAR3, flag, "1")
         assert res.returncode == 2
-        assert "unrecognized arguments: --eps 1" in res.stderr
+        assert f"unrecognized arguments: {flag} 1" in res.stderr
+        assert res.stdout == ""
 
     def test_parse_error_exit_1(self):
         res = run_cli("analyze", "x + (")
@@ -141,6 +147,8 @@ class TestAnalyze:
         text = format_poly(iterated_composition(2, n_vars=4))
         res = run_cli("analyze", text, "--order", "4")
         assert res.returncode == 0
+        assert "(positive definite, sampled)\n" in res.stdout
+        res = run_cli("analyze", SAMPLED_QUARTIC)
         assert "(positive definite, sampled)\n" in res.stdout
         res = run_cli("analyze", LINEAR3)
         assert "(positive definite)\n" in res.stdout
@@ -280,6 +288,28 @@ class TestMember:
         assert res.stderr.startswith("parse error:")
         assert "'x'" in res.stderr and "('y', 'z')" in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_seed_reaches_neither_the_ideal_nor_the_verdict(self, capsys, monkeypatch):
+        # the sphere sampler has a fixed seed; member --seed seeds the oracle only
+        import numideal.cli as cli
+        from numideal.engine import numerator_ideal
+
+        ideals = []
+
+        def recording(*args, **kwargs):
+            ideals.append(numerator_ideal(*args, **kwargs))
+            return ideals[-1]
+
+        monkeypatch.setattr(cli, "numerator_ideal", recording)
+        for q, code in (("x1^4", 0), ("x1^3", 3)):
+            outs = []
+            for seed in ((), ("--seed", "7")):
+                args = ["member", SAMPLED_QUARTIC, q, "--format", "json", *seed]
+                assert main(args) == code
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
+        assert ideals[0].classification.definite_exact is False
+        assert all(ideal == ideals[0] for ideal in ideals)
 
     def test_oracle_flags(self):
         res = run_cli("member", LINEAR3, "x", "--oracle", "--eps", "0.1", "--grid", "2")
@@ -498,7 +528,7 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "args",
         [
-            ("analyze", LINEAR3, "--format", "json", "--seed", "7"),
+            ("analyze", LINEAR3, "--format", "json"),
             ("member", LINEAR3, "x*y", "--oracle", "--format", "json", "--seed", "7"),
             ("examples", "--format", "json"),
         ],

@@ -16,7 +16,6 @@ from numideal.construct import (
     normalize_z_coefficient,
     polydisk_to_halfplane,
     random_stable_polynomial,
-    substitute_fractions,
 )
 from numideal.engine import (
     CaseTag,
@@ -39,6 +38,7 @@ from numideal.gaussian import GaussianRational
 from numideal.parsing import _term_sort_key, format_poly, parse
 from numideal.poly import MultiPoly, pseudo_remainder
 from test_integral_closure import assert_negative_along
+from transport import LINEAR_MAPS, UNIT_FACTORS, X_MAPS, Z_MAPS, label, transport
 
 
 def _wide_corpus():
@@ -256,10 +256,6 @@ DEGENERATE_CHECKS = [
 ]
 
 
-# the first two stable linear factors of the product inputs: units at 0, so
-# a worked example times them keeps its ideal, with deg_z 2 or 3
-UNIT_FACTORS = [parse("x + 2*y + z + i"), parse("2*x + y + 3*z + 2*i")]
-
 # (case, L_or_K, worked checks) of the worked examples with deg_z >= 2 products
 WORKED = {
     "nonisolated": (
@@ -282,8 +278,9 @@ class TestUnitFactorProducts:
     def test_case_and_verdicts_unchanged(self, name, k):
         case, l_or_k, checks = WORKED[name]
         p = EXAMPLES[name]()
-        for factor in UNIT_FACTORS[:k]:
-            p = p * factor
+        # the first k stable linear factors, units at 0, so p keeps its
+        # ideal, with deg_z k + 1
+        p = transport(p, UNIT_FACTORS[:k])
         assert p.var_degree("z") == k + 1
         desc = numerator_ideal(p)
         assert (desc.case, desc.L_or_K) == (case, l_or_k)
@@ -551,32 +548,9 @@ def test_pseudo_remainder_is_the_linear_reduction(nonisolated, factors):
     assert verdict is Verdict.IN_IDEAL
 
 
-# maps that fix 0 and keep stability, as the pairs `substitute_fractions`
-# takes: a real Moebius map v -> v/(1 - c*v) of x or of z, or a linear map
-# of (x, y) with nonnegative entries and nonzero determinant
-X_MAPS = [{"x": ("x", "1 - x")}, {"x": ("x", "1 + 1/2*x")}, {"x": ("x", "1 - 3*x")}]
-Z_MAPS = [{"z": ("z", "1 - z")}, {"z": ("z", "1 + 2*z")}, {"z": ("z", "1 - 1/3*z")}]
-LINEAR_MAPS = [
-    {"x": ("x + 2*y", "1")},
-    {"x": ("x + 1/2*y", "1"), "y": ("3*x + y", "1")},
-    {"y": ("1/4*x + y", "1")},
-    {"x": ("3/2*x", "1"), "y": ("1/4*y", "1")},
-    {"x": ("2*x", "1"), "y": ("4*y", "1")},
-    {"x": ("4*x", "1"), "y": ("1/2*y", "1")},
-]
 TRANSPORT_CHECKS = [text for text, _ in DEGENERATE_CHECKS] + [
     "1", "x", "z", "x + y", "x - y", "x^2", "x*y", "x + y + z", "x^2*z^3",
 ]
-
-
-def _transport(poly, spec):
-    """poly under the map spec with its denominators cleared: q~ / p~ is a
-    unit at 0 times (q/p) composed with the map, so boundedness carries over."""
-
-    fractions = {
-        v: tuple(parse(text, vars=poly.vars) for text in r) for v, r in spec.items()
-    }
-    return substitute_fractions(poly, fractions)
 
 
 def _transport_cases():
@@ -585,8 +559,7 @@ def _transport_cases():
         # curve, which no linear frame monomializes yet
         x_maps = [] if name == "nonisolated" else X_MAPS
         for spec in x_maps + Z_MAPS + LINEAR_MAPS:
-            label = ", ".join(f"{v} -> ({a})/({b})" for v, (a, b) in spec.items())
-            yield pytest.param(name, spec, id=f"{name}: {label}")
+            yield pytest.param(name, spec, id=f"{name}: {label(spec)}")
 
 
 class TestTransport:
@@ -598,7 +571,7 @@ class TestTransport:
     def test_case_and_verdicts_carry_over(self, name, spec):
         p = EXAMPLES[name]()
         desc = numerator_ideal(p)
-        moved = _transport(p, spec)
+        moved = transport(p, [spec])
         moved_desc = numerator_ideal(moved)
         assert (moved_desc.case, moved_desc.L_or_K) == (desc.case, desc.L_or_K)
         bounded = dict(DEGENERATE_CHECKS) if name == "degenerate" else {}
@@ -606,7 +579,7 @@ class TestTransport:
         for text in TRANSPORT_CHECKS:
             q = parse(text, vars=p.vars)
             v = membership(p, q, ideal=desc).verdict
-            w = membership(moved, _transport(q, spec), ideal=moved_desc).verdict
+            w = membership(moved, transport(q, [spec]), ideal=moved_desc).verdict
             assert w is v, text
             if text in bounded:
                 expect = Verdict.IN_IDEAL if bounded[text] else Verdict.NOT_IN_IDEAL
@@ -631,12 +604,12 @@ class TestTransport:
         # > K lies in the polyhedron, so the truncation of q(x, -H) never
         # decides a verdict
         scaling = {"x": (f"{a}*x", "1"), "y": (f"{b}*y", "1")}
-        p = _transport(degenerate, scaling)
+        p = transport(degenerate, [scaling])
         descs = {order: numerator_ideal(p, order=order) for order in (1, 2, 4, 12)}
         assert {d.branch.phi.order for d in descs.values()} == {4}
         texts = [text for text, _ in DEGENERATE_CHECKS] + ["z", "x^2*z^3"]
         for text in texts:
-            q = _transport(parse(text, vars=p.vars), scaling)
+            q = transport(parse(text, vars=p.vars), [scaling])
             verdicts = [
                 membership(p, q, order=order, ideal=desc)
                 for order, desc in descs.items()

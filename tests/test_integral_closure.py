@@ -22,7 +22,6 @@ from numideal.forms import binary_form
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
 from numideal.poly import MultiPoly, linear_change
-from numideal.puiseux import gaussian_sqrt, qi_roots
 from test_poly_core import subs_change
 
 
@@ -173,22 +172,43 @@ def _seeded_g(rng):
     return g
 
 
+def _repeated_rational_roots(g):
+    """The rational roots t of multiplicity >= 2 of the lowest form c(t) =
+    g_d(t, 1) of g, ascending, from sympy's factorisation over QQ: a
+    test-only reference."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    c = sympy.Poly(binary_form(g.lowest_part())[::-1], t)
+    roots = []
+    for factor, mult in c.factor_list()[1]:
+        if factor.degree() == 1 and mult >= 2:
+            a, b = factor.all_coeffs()
+            roots.append(Fraction(-int(b), int(a)))
+    return sorted(roots)
+
+
+def _rational_sqrt(q: Fraction):
+    """The square root of q >= 0 in Q, or None."""
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
+
+
 def _earlier_frames(g):
     """The frames monomialize used to try, in its order: identity, swap,
     x -+ y, x +- y, the frames of the repeated rational roots of the lowest
     form, then the rational eigenframes of the quadratic part."""
     frames = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, -1), (1, 1)), ((1, 1), (1, -1))]
-    roots, _ = qi_roots(binary_form(g.lowest_part()))
-    for root, mult in roots:
-        if root.is_real() and mult >= 2:
-            num, den = root.re.numerator, root.re.denominator
-            frames.append(((den, -num), (num, den)))
+    for root in _repeated_rational_roots(g):
+        num, den = root.numerator, root.denominator
+        frames.append(((den, -num), (num, den)))
     quad = g.homogeneous_part(2)
     if not quad.is_zero():
         a, b, c = (quad.coefficient(e).re for e in ((2, 0), (1, 1), (0, 2)))
-        s = gaussian_sqrt(GaussianRational((a - c) ** 2 + b * b))
+        s = _rational_sqrt((a - c) ** 2 + b * b)
         if b != 0 and s is not None:
-            for lam in ((a + c + s.re) / 2, (a + c - s.re) / 2):
+            for lam in ((a + c + s) / 2, (a + c - s) / 2):
                 vx, vy = b / 2, lam - a
                 k = vx.denominator * vy.denominator
                 frames.append(((int(vx * k), int(vy * k)), (-int(vy * k), int(vx * k))))
@@ -199,18 +219,15 @@ def _earlier_frames(g):
     return unique
 
 
-def _qi_root_lines(g):
-    """The lines of `_candidate_lines` built from the roots in Q(i) of the
-    lowest form (`puiseux.qi_roots`), as monomialize once found them: a
-    test-only reference."""
+def _root_lines(g):
+    """The lines of `_candidate_lines` built from `_repeated_rational_roots`:
+    a test-only reference."""
     lines = [(1, 0), (1, -1)]
-    roots, _ = qi_roots(binary_form(g.lowest_part()))
-    for root, mult in roots:
-        if root.is_real() and mult >= 2:
-            num, den = root.re.numerator, root.re.denominator
-            perpendicular = (num, den) if num > 0 else (-num, -den)
-            if (den, -num) not in lines and perpendicular not in lines:
-                lines.append((den, -num))
+    for root in _repeated_rational_roots(g):
+        num, den = root.numerator, root.denominator
+        perpendicular = (num, den) if num > 0 else (-num, -den)
+        if (den, -num) not in lines and perpendicular not in lines:
+            lines.append((den, -num))
     return lines
 
 
@@ -365,7 +382,7 @@ class TestCandidateFrames:
         ],
         ids=["one-linear", "two-linear", "three-linear", "scale-360"],
     )
-    def test_lines_match_the_qi_roots_reference(
+    def test_lines_match_the_factorisation_reference(
         self, scale, n_linear, multiplicities, cofactors, powers, axis_factors, count
     ):
         rng = random.Random(41)
@@ -375,7 +392,7 @@ class TestCandidateFrames:
                 rng, scale, n_linear, multiplicities, cofactors, powers, axis_factors
             )
             lines = closure._candidate_lines(g)
-            assert lines == _qi_root_lines(g), format_poly(g)
+            assert lines == _root_lines(g), format_poly(g)
             with_root_lines += len(lines) > 2
         assert with_root_lines > 0
 
@@ -392,9 +409,9 @@ class TestCandidateFrames:
             "(x - 2*y)^2*(x + 3*y)^3*(x^2 + y^2)",
         ],
     )
-    def test_higher_degree_factors_match_the_qi_roots_reference(self, text):
+    def test_higher_degree_factors_match_the_factorisation_reference(self, text):
         g = parse(text, vars=("x", "y"))
-        assert closure._candidate_lines(g) == _qi_root_lines(g)
+        assert closure._candidate_lines(g) == _root_lines(g)
 
     @pytest.mark.parametrize(
         "p, lines",
@@ -470,6 +487,36 @@ class TestVerdictTable:
                 abs(q.eval_complex((x, y))) / abs(g.eval_complex((x, y)))
             )
         assert ratios[-1] > 4 * ratios[0]
+
+
+class TestAxisOnlyWitness:
+    """g = (x + y)^2 is v^2 in the frame u = x - y, v = x + y: u_min = 0,
+    v_min = 2 and no halfspace.  A numerator that breaks only that axis
+    bound gets a steep synthesized weight (W, 1) or (1, W)."""
+
+    @pytest.mark.parametrize(
+        "text, weights, q_order, g_order",
+        [("x - y", (1, 3), 1, 6), ("y", (3, 1), 1, 2)],
+    )
+    def test_steep_weight_witness(self, text, weights, q_order, g_order):
+        g = parse("(x + y)^2", vars=("x", "y"))
+        ic = monomialize(g)
+        assert (ic.u_min, ic.v_min, ic.halfspaces) == (0, 2, ())
+        q = parse(text, vars=("x", "y"))
+        member, witness = ic_membership(q, ic)
+        assert member is False
+        curve = witness["curve"]
+        assert (curve["u_weight"], curve["v_weight"]) == weights
+        assert (curve["q_order"], curve["g_order"]) == (q_order, g_order)
+        # exactly along u = lu s^wu, v = lv s^wv: q has order q_order with
+        # a nonzero leading coefficient, and g has order g_order
+        lu, lv = curve["lambda"]
+        s = MultiPoly.variable(("s",), "s")
+        along = {"u": s**weights[0] * lu, "v": s**weights[1] * lv}
+        q_along, g_along = (ic.to_uv(f).subs(along) for f in (q, g))
+        assert not q_along.coefficient((q_order,)).is_zero()
+        assert q_along.min_degree() == q_order
+        assert g_along.min_degree() == g_order
 
 
 class TestGenerators:

@@ -1048,7 +1048,6 @@ class TestComplexEvaluationMatchesTermLoop:
             ), point
 
     def test_sampled_sphere_matches_term_loop(self):
-        from numideal.branch import _SPHERE_SAMPLES
         from numideal.construct import iterated_composition
         from numideal.engine import numerator_ideal
         from numideal.forms import sampled_sphere_nonneg
@@ -1057,8 +1056,8 @@ class TestComplexEvaluationMatchesTermLoop:
         im_phi = ideal.classification.im_part_2L
         assert ideal.classification.definite_exact is False
         # the call classify makes
-        assert sampled_sphere_nonneg(im_phi, _SPHERE_SAMPLES, 0) == (
-            sampled_sphere_nonneg(_TermLoopPoly(im_phi), _SPHERE_SAMPLES, 0)
+        assert sampled_sphere_nonneg(im_phi) == (
+            sampled_sphere_nonneg(_TermLoopPoly(im_phi))
         )
 
 

@@ -26,7 +26,6 @@ from numideal.forms import (
 from numideal.gaussian import GaussianRational as G
 from numideal.parsing import parse
 from numideal.poly import MultiPoly
-from numideal.puiseux import _gaussian_divisors, _gaussian_prime_factors
 
 from comparability import comparability_ratio, sampled_circle_min
 
@@ -83,46 +82,6 @@ class TestSturm:
         assert is_nonnegative([Fraction(1), Fraction(-2), Fraction(1)])
         assert not is_nonnegative([Fraction(-1), Fraction(0), Fraction(1)])
         assert is_nonnegative([])
-
-
-class TestGaussianPrimeFactors:
-    @staticmethod
-    def product(factors):
-        re, im = 1, 0
-        for (a, b), power in factors:
-            for _ in range(power):
-                re, im = re * a - im * b, re * b + im * a
-        return re, im
-
-    @pytest.mark.parametrize(
-        "g",
-        [
-            (100000007, 0),
-            (3 * 10000019, 5 * 10000019),
-            (0, -7 * 13 * 13),
-            (12, -18),
-        ],
-    )
-    def test_product_equals_input_up_to_unit(self, g):
-        re, im = self.product(_gaussian_prime_factors(g))
-        units = [(re, im), (-im, re), (-re, -im), (im, -re)]
-        assert g in units
-
-    def test_large_rational_prime_content_is_one_factor(self):
-        # 100000007 is 3 mod 4, so it stays prime in Z[i]
-        assert _gaussian_prime_factors((100000007, 0)) == [((100000007, 0), 1)]
-
-    def test_divisors_one_per_associate_class(self):
-        # 10 = -i (1 + i)^2 (2 + i) (2 - i): 3 * 2 * 2 classes of divisors
-        divisors = _gaussian_divisors((10, 0))
-        assert len(divisors) == 12
-        classes = set()
-        for a, b in divisors:
-            norm = a * a + b * b
-            # d | 10 exactly when 10 * conj(d) / norm(d) is in Z[i]
-            assert (10 * a) % norm == 0 and (10 * b) % norm == 0
-            classes.add(frozenset({(a, b), (-b, a), (-a, -b), (b, -a)}))
-        assert len(classes) == 12
 
 
 class TestRationalRoots:
