@@ -125,10 +125,11 @@ def classify(sol: BranchSolution):
     Nonnegativity and definiteness of Im phi_2L are exact in one variable
     (sign test), in two (the Sturm chain of the binary form: its real
     roots, and only for a form that is not definite its sign between them)
-    and for 2L = 2 in any number (LDL^T of the Gram matrix, with a rational
-    negative direction as witness).  Only 2L >= 4 in three or more
-    x-variables samples unit directions, with a fixed seed
-    (`sampled_sphere_nonneg`); the result then has definite_exact False.
+    and for 2L = 2 in any number (fraction-free LDL^T over Z (Bareiss) of
+    the Gram matrix, with a rational negative direction as witness).  Only
+    2L >= 4 in three or more x-variables samples unit directions, with a
+    fixed seed (`sampled_sphere_nonneg`); the result then has
+    definite_exact False.
     """
     phi = sol.phi
     d = len(phi.poly.vars)

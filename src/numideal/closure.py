@@ -345,7 +345,15 @@ def _lambda_candidates():
 
 def ic_generators(ic: MonomialIdealIC, xy_vars=("x", "y")):
     """Minimal monomial generators of the polyhedron ideal, mapped back
-    through the inverse linear change; returned as (x,y)-polynomials."""
+    through the inverse linear change: (the (x,y)-polynomials, the (u, v)
+    exponents of `ic_staircase`)."""
+    gens_uv = ic_staircase(ic)
+    return [ic.from_uv_monomial(a, b, xy_vars) for a, b in gens_uv], gens_uv
+
+
+def ic_staircase(ic: MonomialIdealIC) -> list:
+    """The (u, v) exponents (a, b) of the minimal monomial generators of the
+    polyhedron ideal, a ascending and b descending."""
 
     def b_floor(a: int) -> int:
         b = ic.v_min
@@ -361,5 +369,4 @@ def ic_generators(ic: MonomialIdealIC, xy_vars=("x", "y")):
         b = b_floor(a)
         if not gens_uv or b < gens_uv[-1][1]:
             gens_uv.append((a, b))
-    gens = [ic.from_uv_monomial(a, b, xy_vars) for a, b in gens_uv]
-    return gens, gens_uv
+    return gens_uv

@@ -114,8 +114,9 @@ class MembershipVerdict(Record):
     _defaults = {"witness": None, "certificate": None}
 
 
-def _monomials_of_degree(vars, degree):
-    """All monomials in the tuple vars of one total degree, in the
+def _monomials_of_degree(vars, degree, n=None):
+    """All monomials of one total degree in the first n variables of the
+    tuple vars, all of them by default, as polynomials in vars, in the
     printer's graded-lex order: descending lex within the degree, which is
     the order the recursion yields the exponent vectors in."""
 
@@ -127,7 +128,9 @@ def _monomials_of_degree(vars, degree):
             for rest in rec(nvars - 1, total - first):
                 yield (first,) + rest
 
-    return [MultiPoly._from_rows(vars, 1, {e: (1, 0)}) for e in rec(len(vars), degree)]
+    n = len(vars) if n is None else n
+    rest = (0,) * (len(vars) - n)
+    return [MultiPoly._from_rows(vars, 1, {e + rest: (1, 0)}) for e in rec(n, degree)]
 
 
 def _branch_factor(p: MultiPoly):
@@ -294,9 +297,7 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
     if cls.definite:
         H = sol.phi.poly.truncate(2 * L - 1).real_part()
         z_plus_H = MultiPoly.variable(p.vars, "z") + H.embed(p.vars)
-        gens = [z_plus_H] + [
-            m.embed(p.vars) for m in _monomials_of_degree(x_vars, 2 * L)
-        ]
+        gens = [z_plus_H] + _monomials_of_degree(p.vars, 2 * L, d)
         return IdealDescription(
             case=CaseTag.DEFINITE,
             generators=gens,
@@ -318,7 +319,7 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
     g = _comparable_resultant(f, R, cls.im_part_2L)
 
     # closure is loaded only here, so Principal and Definite never compile it
-    from .closure import ic_generators, monomialize
+    from .closure import ic_staircase, monomialize
 
     try:
         ic = monomialize(g)
@@ -368,20 +369,16 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
     if sol.phi.order < K:
         sol = solve_branch(p, K)
     H = sol.phi.poly.truncate(K - 1).real_part()
-    gens_xy, gens_uv = ic_generators(ic, xy_vars=x_vars)
-    gens_uv_sorted = sorted(zip(gens_uv, gens_xy), key=lambda t: -t[0][0])
     generators = [MultiPoly.variable(p.vars, "z") + H.embed(p.vars)]
-    for (a, b), gen in gens_uv_sorted:
+    for a, b in reversed(ic_staircase(ic)):
         if a == 0 and b == K:
             # the generator v^K: present it as the degree-K monomial block,
             # which lies in the ideal since the polygon has a vertex on each
             # axis, so it holds every (a, b) with a + b >= K, and a linear
             # change of frame keeps degrees
-            generators.extend(
-                m.embed(p.vars) for m in _monomials_of_degree(x_vars, K)
-            )
+            generators.extend(_monomials_of_degree(p.vars, K, d))
         else:
-            generators.append(gen.embed(p.vars))
+            generators.append(ic.from_uv_monomial(a, b, x_vars).embed(p.vars))
     return IdealDescription(
         case=CaseTag.ISOLATED_DEGENERATE,
         generators=generators,

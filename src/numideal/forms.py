@@ -17,9 +17,9 @@ also f(t, 1) in powers of t; `binary_form` reads it from the integer
 numerators of the rows.  is_positive_definite counts its real roots,
 is_nonnegative looks for a point where c(t) < 0 between them.
 The sign of a quadratic form in any number of variables is decided by
-LDL^T of its Gram matrix over Q.  The numeric sampler of signs on the
-sphere lives here too; it serves forms of degree >= 4 in three or more
-variables only.
+fraction-free LDL^T over Z (Bareiss) of its integer Gram matrix.  The
+numeric sampler of signs on the sphere lives here too; it serves forms of
+degree >= 4 in three or more variables only.
 """
 
 from __future__ import annotations
@@ -253,60 +253,79 @@ def quadratic_form_sign(q: MultiPoly):
     """Exact sign of a real quadratic form on R^d: (witness, definite).
 
     witness is a rational direction v with q(v) < 0, or None when q >= 0;
-    definite is True iff q > 0 off the origin.  LDL^T of the Gram matrix
-    over Q with symmetric pivoting (Golub & Van Loan, Matrix Computations,
-    4.2): a negative diagonal entry of the current Schur complement, or a
-    nonzero off-diagonal entry once its diagonal is zero, is a negative
-    direction there, lifted back through the eliminations.  Otherwise q is
+    definite is True iff q > 0 off the origin.  Fraction-free LDL^T over Z
+    (Bareiss, Math. Comp. 22, 1968) of the Gram matrix with symmetric
+    pivoting (Golub & Van Loan, Matrix Computations, 4.2): a negative
+    diagonal entry of the current Schur complement, or a nonzero
+    off-diagonal entry once its diagonal is zero, is a negative direction
+    there, lifted back through the eliminations.  Otherwise q is
     semidefinite, and definite iff all d pivots are positive (Sylvester's
-    law of inertia).
+    law of inertia).  After s steps each integer entry is the Schur
+    complement's over Q times the last pivot, the product of the s pivots
+    over Q, which is positive: the pivot choices, the verdict and the
+    witness are those of LDL^T over Q.
     """
     if not q.is_real():
         raise PreconditionError("quadratic form must have real coefficients")
     d = len(q.vars)
     # the Gram matrix of 2 den q: a positive multiple, with the same pivot
     # choices, verdict and lifted witness
-    gram = [[Fraction(0)] * d for _ in range(d)]
+    gram = [[0] * d for _ in range(d)]
     for exps, (a, _) in q.rows.items():
         idx = [j for j, k in enumerate(exps) for _ in range(k)]
         if len(idx) != 2:
             raise PreconditionError("polynomial is not a quadratic form")
         i, j = idx
         if i == j:
-            gram[i][i] = Fraction(2 * a)
+            gram[i][i] = 2 * a
         else:
-            gram[i][j] = gram[j][i] = Fraction(a)
+            gram[i][j] = gram[j][i] = a
+    steps, negative = _bareiss_ldlt(gram)
+    if negative is None:
+        return None, len(steps) == d
+    # v_k = -(row . v) / pivot minimizes over v_k, so q(v) = Schur value < 0;
+    # v is kept as integers over one denominator
+    den = 1
+    for k, row, pivot in reversed(steps):
+        dot = sum(a * negative.get(j, 0) for j, a in row.items())
+        negative = {j: pivot * v for j, v in negative.items()}
+        negative[k] = -dot
+        den *= pivot
+    return tuple(Fraction(negative.get(j, 0), den) for j in range(d)), False
 
-    rest = list(range(d))
-    steps = []  # (pivot index, its Schur-complement row, pivot)
-    negative = None  # negative direction on the current Schur complement
+
+def _bareiss_ldlt(gram):
+    """(steps, negative) of the symmetric integer matrix gram, eliminated in
+    place: steps lists (pivot index, its row of nonzero entries, pivot) in
+    order, and negative, a direction {index: 1 or -1} on which the last
+    matrix is negative, or None when there is none.  Each update
+    (pivot g_ij - g_ik g_kj) // prev, prev the pivot before, divides
+    exactly (Sylvester's identity)."""
+    rest = list(range(len(gram)))
+    steps = []
+    prev = 1
     while rest:
         k = min(rest, key=lambda j: gram[j][j])
         if gram[k][k] < 0:
-            negative = {k: Fraction(1)}
-            break
+            return steps, {k: 1}
         k = max(rest, key=lambda j: gram[j][j])
         pivot = gram[k][k]
         if pivot == 0:
             # zero diagonal: e_i - sign(a_ij) e_j has value -2|a_ij|
-            pairs = [(i, j) for i in rest for j in rest if gram[i][j] != 0]
-            if pairs:
-                i, j = pairs[0]
-                negative = {i: Fraction(1), j: Fraction(-1 if gram[i][j] > 0 else 1)}
-            break
+            pair = next(((i, j) for i in rest for j in rest if gram[i][j] != 0), None)
+            if pair is None:
+                return steps, None
+            i, j = pair
+            return steps, {i: 1, j: -1 if gram[i][j] > 0 else 1}
         rest.remove(k)
-        row = {j: gram[k][j] for j in rest if gram[k][j] != 0}
-        steps.append((k, row, pivot))
-        for i, a in row.items():
-            for j, b in row.items():
-                gram[i][j] -= a * b / pivot
-
-    if negative is None:
-        return None, len(steps) == d
-    # v_k = -(row . v) / pivot minimizes over v_k, so q(v) = Schur value < 0
-    for k, row, pivot in reversed(steps):
-        negative[k] = -sum(a * negative.get(j, 0) for j, a in row.items()) / pivot
-    return tuple(negative.get(j, Fraction(0)) for j in range(d)), False
+        gk = gram[k]
+        steps.append((k, {j: gk[j] for j in rest if gk[j] != 0}, pivot))
+        for i in rest:
+            gi, a = gram[i], gram[i][k]
+            for j in rest:
+                gi[j] = (pivot * gi[j] - a * gk[j]) // prev
+        prev = pivot
+    return steps, None
 
 
 _SPHERE_SAMPLES = 10_000

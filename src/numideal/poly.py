@@ -214,11 +214,13 @@ class MultiPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = MultiPoly.constant(self.vars, 1)
+        if k == 0:
+            return MultiPoly.constant(self.vars, 1)
+        result = None  # the first factor taken is the result: no product by 1
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
         return result
@@ -928,7 +930,7 @@ def pseudo_remainder(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         shift = (0,) * (len(a.vars) - 1) + (r.var_degree(t) - db,)
         r = r * lead_b - _leading(r) * MultiPoly._from_rows(a.vars, 1, {shift: (1, 0)}) * b
         steps -= 1
-    return r * lead_b**steps
+    return r * lead_b**steps if steps else r
 
 
 def _determinant(matrix, limit: int):

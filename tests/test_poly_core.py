@@ -20,6 +20,7 @@ from numideal.poly import (
     implicit_root,
     linear_change,
     newton_polygon,
+    pseudo_remainder,
     series_invert,
 )
 
@@ -457,6 +458,28 @@ class TestRingAxioms:
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
             assert (a + b) + c == a + (b + c)
+
+    def test_power_rows_are_those_of_repeated_squaring_from_one(self):
+        rng = random.Random(30)
+        for _ in range(25):
+            a = rand_poly(rng, n_terms=rng.randint(0, 4))
+            for k in range(6):
+                # the same squarings, from the constant 1 as the first factor
+                ref, base, e = MultiPoly.constant(a.vars, 1), a, k
+                while e:
+                    if e & 1:
+                        ref = ref * base
+                    base = base * base if e > 1 else base
+                    e >>= 1
+                got = a**k
+                assert (got.den, list(got.rows.items())) == (ref.den, list(ref.rows.items()))
+
+    def test_pseudo_remainder_of_lower_degree_is_the_dividend(self):
+        rng = random.Random(31)
+        for _ in range(25):
+            a = rand_poly(rng, max_deg=2)
+            b = rand_poly(rng, max_deg=2) * MultiPoly.variable(a.vars, "z") ** 3
+            assert pseudo_remainder(a, b) is a
 
 
 class TestSlicesAndLinearChange:

@@ -12,6 +12,7 @@ from numideal.closure import _candidate_lines
 from numideal.construct import iterated_composition
 from numideal.errors import PreconditionError
 from numideal.forms import (
+    _bareiss_ldlt,
     binary_form,
     count_real_roots,
     is_nonnegative,
@@ -589,7 +590,167 @@ def _assert_negative_witness(q, witness):
     assert value.is_real() and value.re < 0, (q, witness, value)
 
 
+def _fraction_ldlt_sign(q, schur=None):
+    """quadratic_form_sign by LDL^T over Q, the reference for the integer
+    elimination: the same symmetric pivoting on the Gram matrix of 2 den q
+    in Fractions.  With a list schur, appends (pivot index, row, pivot) of
+    each step, row and pivot those of the Schur complement over Q."""
+    d = len(q.vars)
+    gram = [[Fraction(0)] * d for _ in range(d)]
+    for exps, (a, _) in q.rows.items():
+        i, j = [j for j, k in enumerate(exps) for _ in range(k)]
+        if i == j:
+            gram[i][i] = Fraction(2 * a)
+        else:
+            gram[i][j] = gram[j][i] = Fraction(a)
+    rest = list(range(d))
+    steps = [] if schur is None else schur
+    negative = None
+    while rest:
+        k = min(rest, key=lambda j: gram[j][j])
+        if gram[k][k] < 0:
+            negative = {k: Fraction(1)}
+            break
+        k = max(rest, key=lambda j: gram[j][j])
+        pivot = gram[k][k]
+        if pivot == 0:
+            pairs = [(i, j) for i in rest for j in rest if gram[i][j] != 0]
+            if pairs:
+                i, j = pairs[0]
+                negative = {i: Fraction(1), j: Fraction(-1 if gram[i][j] > 0 else 1)}
+            break
+        rest.remove(k)
+        row = {j: gram[k][j] for j in rest if gram[k][j] != 0}
+        steps.append((k, row, pivot))
+        for i, a in row.items():
+            for j, b in row.items():
+                gram[i][j] -= a * b / pivot
+    if negative is None:
+        return None, len(steps) == d
+    for k, row, pivot in reversed(steps):
+        negative[k] = -sum(a * negative.get(j, 0) for j, a in row.items()) / pivot
+    return tuple(negative.get(j, Fraction(0)) for j in range(d)), False
+
+
+def _seeded_forms(seed, count):
+    """(kind, q) for count seeded quadratic forms in 1 to 9 variables with
+    rational coefficients: sums of signed squares of rows, independent or
+    dependent, and forms with zero diagonal entries."""
+    rng = random.Random(seed)
+    fracs = [1, 2, Fraction(1, 3), Fraction(5, 7), Fraction(3, 2)]
+    for _ in range(count):
+        d = rng.randint(1, 9)
+        kind = rng.choice(["definite", "semidefinite", "indefinite", "dependent", "zero_diagonal"])
+        if kind == "definite":
+            # unit triangular rows, columns permuted: independent
+            perm = rng.sample(range(d), d)
+            rows = []
+            for k in range(d):
+                row = [0] * d
+                row[perm[k]] = rng.choice(fracs)
+                for j in range(k + 1, d):
+                    row[perm[j]] = rng.randint(-3, 3)
+                rows.append(row)
+            signs = [rng.choice(fracs) for _ in rows]
+        else:
+            count_rows = {"semidefinite": rng.randint(1, d), "dependent": d + rng.randint(1, 3)}
+            rows = [
+                [rng.choice([0, 0, 1, -1, 2, Fraction(-1, 2), 3]) for _ in range(d)]
+                for _ in range(count_rows.get(kind, rng.randint(1, d + 1)))
+            ]
+            if kind == "dependent":
+                rows.append([2 * c for c in rows[0]])
+            signs = [rng.choice(fracs) for _ in rows]
+            if kind == "indefinite":
+                signs[rng.randrange(len(signs))] = -rng.choice(fracs)
+        q = _sum_of_signed_squares(d, rows, signs)
+        if kind == "zero_diagonal" and d > 1:
+            # the squares live on the first variables; the rest meet only
+            # off the diagonal, among themselves or with the first ones
+            free = rng.randint(1, d - 1)
+            q = _sum_of_signed_squares(d, [r[:free] + [0] * (d - free) for r in rows], signs)
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(free, d)
+                j = rng.choice([k for k in range(d) if k != i])
+                e = tuple((k == i) + (k == j) for k in range(d))
+                terms[e] = G(Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+            q = q + MultiPoly(q.vars, terms)
+        if not q.is_zero():
+            yield kind, q
+
+
+class _ExactInt(int):
+    """An int whose floor divisions must be exact, closed under the
+    arithmetic of an elimination step; counts its divisions."""
+
+    divisions = 0
+
+    def __mul__(self, other):
+        return _ExactInt(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return _ExactInt(int(self) - int(other))
+
+    def __rsub__(self, other):
+        return _ExactInt(int(other) - int(self))
+
+    def __floordiv__(self, other):
+        quotient, remainder = divmod(int(self), int(other))
+        assert remainder == 0, (int(self), int(other))
+        _ExactInt.divisions += 1
+        return _ExactInt(quotient)
+
+
 class TestQuadraticFormSign:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_ldlt_over_q(self, seed):
+        kinds = Counter()
+        for kind, q in _seeded_forms(seed, 250):
+            expected = _fraction_ldlt_sign(q)
+            got = quadratic_form_sign(q)
+            assert got == expected, (kind, q)
+            if got[0] is not None:
+                assert all(type(t) is Fraction for t in got[0])
+                _assert_negative_witness(q, got[0])
+            kinds[kind, got[0] is None, got[1]] += 1
+        # every shape of form and every verdict occurs
+        assert {kind for kind, _, _ in kinds} == {
+            "definite", "semidefinite", "indefinite", "dependent", "zero_diagonal"
+        }
+        assert {(ok, definite) for _, ok, definite in kinds} == {
+            (True, True), (True, False), (False, False)
+        }
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_update_divides_exactly(self, seed):
+        # each integer step is the step over Q times the pivot before it,
+        # the product of the pivots over Q so far
+        _ExactInt.divisions = 0
+        ends = Counter()
+        for _, q in _seeded_forms(seed, 250):
+            d = len(q.vars)
+            gram = [[_ExactInt(0)] * d for _ in range(d)]
+            for exps, (a, _) in q.rows.items():
+                i, j = [j for j, k in enumerate(exps) for _ in range(k)]
+                gram[i][j] = gram[j][i] = _ExactInt(2 * a if i == j else a)
+            steps, negative = _bareiss_ldlt(gram)
+            ends[0 if negative is None else len(negative)] += 1
+            schur = []
+            _fraction_ldlt_sign(q, schur)
+            assert len(steps) == len(schur)
+            prev = Fraction(1)
+            for (k, row, pivot), (k0, row0, pivot0) in zip(steps, schur):
+                assert k == k0 and row.keys() == row0.keys()
+                assert pivot == prev * pivot0
+                assert all(a == prev * row0[j] for j, a in row.items())
+                prev = prev * pivot0
+        assert _ExactInt.divisions > 1000
+        # no negative direction, a negative diagonal entry, a zero diagonal
+        assert set(ends) == {0, 1, 2}
+
     @pytest.mark.parametrize("seed", range(6))
     def test_signature_known_from_construction(self, seed):
         # rows of a unit triangular matrix, with the columns permuted, are
