@@ -6,8 +6,8 @@ early (as under `| head`); `member` exits 0 for InIdeal, 3 for NotInIdeal,
 4 for Indeterminate.
 
 For `analyze` and `member`, --order sets only how far phi, the Principal
-H and q0 are printed; no case tag or verdict depends on it.  --seed
-seeds only the random probes of `member --oracle`.
+H and q0 are printed; no case tag or verdict depends on it.  The sampling
+oracle of `member --oracle` has one fixed setting and takes no flags.
 
 `puiseux` and `construct` are imported by the subcommands that use them,
 so `analyze` and `member` start without loading either.
@@ -103,9 +103,7 @@ def cmd_member(args) -> int:
         "certificate": _jsonable(verdict.certificate),
     }
     if args.oracle:
-        oracle = boundedness_oracle(
-            p, q, eps=args.eps, grid=args.grid, seed=args.seed, ideal=desc
-        )
+        oracle = boundedness_oracle(p, q, ideal=desc)
         payload["oracle"] = {
             "sup_estimate": oracle["sup_estimate"],
             "level_max": oracle["level_max"],
@@ -204,9 +202,6 @@ def _jsonable(obj):
 
 _FLAGS = {
     "--order": dict(type=int, default=12, help="series truncation order"),
-    "--seed": dict(type=int, default=0, help="oracle sampling seed"),
-    "--eps": dict(type=float, default=0.125, help="oracle sampling radius"),
-    "--grid": dict(type=int, default=3, help="oracle refinement levels"),
     "--format": dict(choices=("text", "json"), default="text", help="output format"),
 }
 
@@ -233,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("denominator", help="stable polynomial p (text or @file)")
     m.add_argument("numerator", help="candidate numerator q (text or @file)")
     m.add_argument("--oracle", action="store_true", help="also run the sampling oracle")
-    _add_flags(m, "--order", "--eps", "--grid", "--seed", "--format")
+    _add_flags(m, "--order", "--format")
     m.set_defaults(func=cmd_member)
 
     u = sub.add_parser("puiseux", help="Newton-Puiseux branches of a bivariate polynomial")

@@ -7,10 +7,10 @@ zero), Definite (positive-definite leading imaginary part), LinearForm
 (imaginary part comparable to a power of a real linear form), or
 IsolatedDegenerate (isolated real zero, ideal via an integral closure).
 A numeric boundedness oracle, `boundedness_oracle`, cross-checks a verdict
-on request (`member --oracle`).  Its probes and |p| at them do not depend
-on the numerator, so the last call's probe table is kept, up to the
-default grid, and reused by the next call on the same p and ideal objects
-with the same eps, grid and seed; either way the results are the same.
+on request (`member --oracle`) at one fixed setting: radius 1/8, 3
+levels, seed 0.  Its probes and |p| at them do not depend on the
+numerator, so the last call's probe table is kept and reused by the next
+call on the same p and ideal objects; either way the results are the same.
 
 Where phi is real through the order or its leading imaginary part is not
 definite, the decisions rest on the exact resultant R = Res_z(f, f̄)
@@ -520,12 +520,6 @@ def _direction_grid(d: int):
             yield (a,) + rest
 
 
-def _finest_radius_sq(eps: float, grid: int) -> float:
-    """The square of the oracle's radius at its last refinement level."""
-    radius = math.ldexp(eps, -(grid - 1))
-    return radius * radius
-
-
 def _finite(value: complex) -> complex:
     """value itself; OverflowError when it is infinite or nan."""
     if not cmath.isfinite(value):
@@ -533,63 +527,40 @@ def _finite(value: complex) -> complex:
     return value
 
 
-# the probe table of the last oracle call, (p, desc, (eps, grid, seed),
-# levels), or None.  Tables are kept up to the default grid, 3 levels of 400
-# base probes plus the curve probes; a finer grid keeps nothing
+# the oracle's one setting: the box radius at the coarsest level, the number
+# of levels, each halving the radius, and the seed of its random probes
+_ORACLE_RADIUS = 0.125
+_ORACLE_LEVELS = 3
+_ORACLE_SEED = 0
+
+# the probe table of the last oracle call, (p, desc, levels), or None
 _last_probes = None
-_KEEP_GRID = 3
 
 
 def boundedness_oracle(
     p: MultiPoly,
     q: MultiPoly,
-    eps: float = 0.125,
-    grid: int = 3,
-    seed: int = 0,
     ideal: IdealDescription | None = None,
 ):
     """Sample |q/p| near the origin: sup estimate plus a divergence flag.
 
     Samples (a) real slices z = -Re H(x) +- delta and (b) interior points
-    x + iv with a positive imaginary z-offset, both drawn with `seed`, plus
-    deterministic probes on the extremal curves of the ideal; the flag
-    trips when per-level maxima grow monotonically across the refinements
-    (each level halves the box radius, and the slice offsets shrink like
-    radius^2).  Growth needs two levels to be judged and a finite positive
-    radius to be sampled, so grid < 2 or such an eps raises
-    PreconditionError, as does a grid so fine for eps that the last radius
-    squared underflows to 0.
+    x + iv with a positive imaginary z-offset, both drawn with a fixed seed,
+    plus deterministic probes on the extremal curves of the ideal; the flag
+    trips when per-level maxima grow monotonically across the 3 levels
+    (each halves the box radius, from 1/8, and the slice offsets shrink
+    like radius^2).
 
     The probes and |p| at them do not depend on q (`_probe_levels`), so the
     last call's table is reused by a call with the same p and ideal objects
-    (`is`) and the same eps, grid and seed; only q is evaluated per call.
-    A grid finer than the default keeps no table, nor does a build that
-    raises.  The result is the same, float for float, whether the table is
+    (`is`); only q is evaluated per call.  A build that raises keeps no
+    table.  The result is the same, float for float, whether the table is
     reused or built afresh.  A non-finite or overflowing sample of H, p or
-    q raises PreconditionError ("use a smaller --eps"); since p is sampled
-    ahead of q, one at a later probe of p can surface before one in q.
+    q raises PreconditionError, the input being out of the oracle's scope;
+    since p is sampled ahead of q, one at a later probe of p can surface
+    before one in q.
     """
     global _last_probes
-    if grid < 2:
-        raise PreconditionError(
-            f"oracle needs at least 2 refinement levels to judge growth, got "
-            f"grid {grid}; use --grid 2 or more"
-        )
-    if not 0 < eps < math.inf:
-        raise PreconditionError(
-            f"oracle sampling radius must be finite and positive, got eps {eps}"
-        )
-    if _finest_radius_sq(eps, grid) == 0.0:
-        usable = 1
-        while _finest_radius_sq(eps, usable + 1):
-            usable += 1
-        fix = "use a larger --eps"
-        if usable >= 2:
-            fix = f"use --grid {usable} or less, or a larger --eps"
-        raise PreconditionError(
-            f"oracle radius eps/2^(grid-1) squared underflows to 0 for eps "
-            f"{eps} and grid {grid}, so the slice offsets vanish; {fix}"
-        )
     desc = ideal if ideal is not None else numerator_ideal(p)
     if q.vars != p.vars:
         q = q.embed(p.vars)
@@ -599,15 +570,12 @@ def boundedness_oracle(
     try:
         # a concurrent call at worst builds the table twice
         last = _last_probes
-        setting = (eps, grid, seed)
-        if last is not None and last[0] is p and last[1] is desc and last[2] == setting:
-            levels = last[3]
+        if last is not None and last[0] is p and last[1] is desc:
+            levels = last[2]
         else:
             _last_probes = None
-            levels = _probe_levels(p, desc, eps, grid, seed)
-            if grid <= _KEEP_GRID:
-                levels = list(levels)
-                _last_probes = (p, desc, setting, levels)
+            levels = _probe_levels(p, desc)
+            _last_probes = (p, desc, levels)
         for points, p_abs, curve_start in levels:
             ratios = [
                 abs(_finite(q.eval_complex(point))) / value
@@ -621,13 +589,13 @@ def boundedness_oracle(
             curve_max.append(max(ratios[curve_start:], default=0.0))
     except OverflowError:
         raise PreconditionError(
-            f"oracle samples overflow floating point at eps {eps}; use a "
-            f"smaller --eps"
+            "oracle samples of H, p or q overflow floating point; the input "
+            "is out of the oracle's scope"
         ) from None
 
-    def _monotone_growth(seq, factor=1.5):
+    def _monotone_growth(seq):
         return all(
-            seq[k + 1] >= factor * seq[k] and seq[k] > 0
+            seq[k + 1] >= 1.5 * seq[k] and seq[k] > 0
             for k in range(len(seq) - 1)
         )
 
@@ -645,28 +613,27 @@ def boundedness_oracle(
     }
 
 
-def _probe_levels(p: MultiPoly, desc: IdealDescription, eps, grid, seed):
-    """The oracle's probes, which do not depend on q, yielded one
-    refinement level at a time: the points where p is nonzero, the random
-    samples first, the list of |p| at them, and the index at which the
-    extremal-curve probes start."""
+def _probe_levels(p: MultiPoly, desc: IdealDescription) -> list:
+    """The oracle's probes, which do not depend on q, one refinement level
+    each: the points where p is nonzero, the random samples first, the list
+    of |p| at them, and the index at which the extremal-curve probes
+    start."""
     H = desc.H
     d = len(p.vars) - 1
-    rng = random.Random(seed)
-    cap = 100_000
+    rng = random.Random(_ORACLE_SEED)
     # one base sample set of 400 points in the unit box, rescaled per
     # refinement level, so level maxima are directly comparable point by point
-    n = min(400, cap // grid)
     base = []
-    for k in range(n):
+    for k in range(400):
         x_unit = [rng.uniform(-1.0, 1.0) for _ in range(d)]
         # slice offsets scale like radius^2, the size of Im phi, so the
-        # samples actually approach the zero set as the grid refines
+        # samples actually approach the zero set as the levels refine
         delta_unit = rng.choice([0.0, 0.25, -0.25, 0.0625, -0.0625])
         v_unit = [rng.uniform(0.05, 1.0) for _ in range(d)]
         base.append((x_unit, delta_unit, v_unit, k % 2 == 1))
-    for level in range(grid):
-        radius = math.ldexp(eps, -level)
+    levels = []
+    for level in range(_ORACLE_LEVELS):
+        radius = math.ldexp(_ORACLE_RADIUS, -level)
         points, p_abs = [], []
         samples = (
             ([radius * t for t in x_unit], delta_unit, v_unit, interior)
@@ -679,7 +646,8 @@ def _probe_levels(p: MultiPoly, desc: IdealDescription, eps, grid, seed):
             for x_real in _extremal_curve_points(desc, radius)
         )
         _append_probes(points, p_abs, p, H, radius, curves)
-        yield points, p_abs, curve_start
+        levels.append((points, p_abs, curve_start))
+    return levels
 
 
 def _append_probes(points, p_abs, p, H, radius, slice_points):
@@ -691,7 +659,7 @@ def _append_probes(points, p_abs, p, H, radius, slice_points):
     kept only when |p| exceeds 4 (n + 3d) u S, with n terms of degree <= d,
     u = 2^-53 and S the sum of the magnitudes of the terms
     (`eval_with_scale`).  That is 4 times an a priori bound on the error of
-    `eval_complex`'s term-by-term loop: each term takes at most 3d complex
+    its term-by-term loop: each term takes at most 3d complex
     products (its powers by squaring, then their product) and the sum n
     additions, each off by less than 3u relative to S (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, ch. 3-4).

@@ -276,20 +276,11 @@ class MultiPoly:
     def eval_complex(self, point) -> complex:
         """The value at a point of numbers: each term's `complex` coefficient
         times its powers `z**k` in variable order, summed in term order."""
-        point = self._point(point)
-        pairs, rows = self._plan()
-        table = [point[i] ** k for i, k in pairs]
-        total = 0j
-        for v, slots in rows:
-            for j in slots:
-                v *= table[j]
-            total += v
-        return total
+        return self.eval_with_scale(point)[0]
 
     def eval_with_scale(self, point):
-        """(value, scale): `eval_complex` at the point, float for float, and
-        the sum of the magnitudes of the terms it adds, the scale of its
-        rounding error."""
+        """(value, scale): `eval_complex` at the point and the sum of the
+        magnitudes of the terms it adds, the scale of its rounding error."""
         point = self._point(point)
         pairs, rows = self._plan()
         table = [point[i] ** k for i, k in pairs]
@@ -438,6 +429,9 @@ class MultiPoly:
     def embed(self, new_vars) -> "MultiPoly":
         """View in a larger variable tuple containing the current one."""
         new_vars = tuple(new_vars)
+        missing = [v for v in self.vars if v not in new_vars]
+        if missing:
+            raise ValueError(f"variable {missing[0]!r} of {self.vars} is not in {new_vars}")
         pos = [new_vars.index(v) for v in self.vars]
         rows = {}
         for e, r in self.rows.items():

@@ -1,14 +1,13 @@
 """End-to-end ideal assembly and membership for the worked examples."""
 
-import gc
 import itertools
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from numideal import engine
 from numideal.closure import ic_generators, monomialize
 from numideal.branch import classify, solve_branch
 from numideal.construct import (
@@ -699,15 +698,11 @@ def _random_poly(rng, vars, max_deg=3):
 
 class TestOracle:
     def test_generator_bounded(self, linear3, linear3_ideal):
-        res = boundedness_oracle(
-            linear3, parse("x + y + z"), ideal=linear3_ideal, seed=5
-        )
+        res = boundedness_oracle(linear3, parse("x + y + z"), ideal=linear3_ideal)
         assert not res["divergent"]
 
     def test_constant_divergent(self, linear3, linear3_ideal):
-        res = boundedness_oracle(
-            linear3, parse("1", vars=linear3.vars), ideal=linear3_ideal, seed=5
-        )
+        res = boundedness_oracle(linear3, parse("1", vars=linear3.vars), ideal=linear3_ideal)
         assert res["divergent"]
 
     def test_oracle_matches_membership_on_worked_pairs(
@@ -730,7 +725,7 @@ class TestOracle:
             q = parse(text, vars=p.vars)
             v = membership(p, q, ideal=desc)
             assert (v.verdict is Verdict.IN_IDEAL) == expected_member, text
-            res = boundedness_oracle(p, q, ideal=desc, seed=3)
+            res = boundedness_oracle(p, q, ideal=desc)
             assert res["divergent"] == (not expected_member), (text, res["level_max"])
 
     def test_emitted_generators_pass_oracle_bounded(
@@ -743,7 +738,7 @@ class TestOracle:
             (degenerate, degenerate_ideal),
         ):
             for gen in desc.generators:
-                res = boundedness_oracle(p, gen, ideal=desc, seed=2)
+                res = boundedness_oracle(p, gen, ideal=desc)
                 assert not res["divergent"], format_poly(gen)
 
     # the numerators of acceptance criterion 7(d), per worked example
@@ -765,20 +760,14 @@ class TestOracle:
         pairs = [
             (name, text) for name, texts in self.CRITERION_7D.items() for text in texts
         ]
-        # grid 4 keeps no table; each of one_off differs from the default in
-        # one of eps, seed and grid, and keeps its table
-        default, fine = (0.125, 3, 0), (0.3, 4, 7)
-        one_off = [(0.3, 3, 0), (0.125, 3, 7), (0.125, 2, 0)]
         fresh = {}
 
-        def expected(name, text, setting):
-            key = (name, text, setting)
+        def expected(name, text):
+            key = (name, text)
             if key not in fresh:
                 p = ps[name]
-                eps, grid, seed = setting
                 fresh[key] = boundedness_oracle(
-                    p, parse(text, vars=p.vars), eps=eps, grid=grid, seed=seed,
-                    ideal=numerator_ideal(p),
+                    p, parse(text, vars=p.vars), ideal=numerator_ideal(p)
                 )
             return fresh[key]
 
@@ -787,23 +776,11 @@ class TestOracle:
         interleaved = [
             pair for group in itertools.zip_longest(*by_name) for pair in group if pair
         ]
-        schedules = [
-            lambda k: default,
-            lambda k: fine,
-            lambda k: (default, fine)[k % 2],
-            lambda k: one_off[k // 2 % 3] if k % 2 else default,
-        ]
         for calls in (pairs, pairs[::-1], interleaved):
-            for schedule in schedules:
-                for k, (name, text) in enumerate(calls):
-                    p = ps[name]
-                    setting = schedule(k)
-                    eps, grid, seed = setting
-                    got = boundedness_oracle(
-                        p, parse(text, vars=p.vars), eps=eps, grid=grid, seed=seed,
-                        ideal=shared[name],
-                    )
-                    assert got == expected(name, text, setting), (name, text, setting)
+            for name, text in calls:
+                p = ps[name]
+                got = boundedness_oracle(p, parse(text, vars=p.vars), ideal=shared[name])
+                assert got == expected(name, text), (name, text)
 
         # an equal p that is a distinct object, with the same ideal: its
         # terms in another order sum to other floats, so its own table is built
@@ -814,14 +791,16 @@ class TestOracle:
         assert twin == p and twin is not p
         again = boundedness_oracle(twin, q, ideal=shared["degenerate"])
         assert again == boundedness_oracle(twin, q, ideal=numerator_ideal(p))
-        assert again != first == expected("degenerate", "(x + y)^3", default)
+        assert again != first == expected("degenerate", "(x + y)^3")
 
-    def test_curve_probes_alone_can_show_growth(self, degenerate, degenerate_ideal):
-        # at seed 9 the random maxima grow by less than 1.5 per level, and
-        # the maxima on the extremal curves by more
-        q = parse("(x - y)*(x + y)", vars=degenerate.vars)
-        res = boundedness_oracle(degenerate, q, ideal=degenerate_ideal, seed=9)
-        assert res["level_max"][1] < 1.5 * res["level_max"][0]
+    def test_curve_probes_alone_can_show_growth(self, nonisolated, nonisolated_ideal):
+        # the random maxima of (x - y)^3 fall level by level, and its maxima
+        # on the zero line of ell double
+        q = parse("(x - y)^3", vars=nonisolated.vars)
+        v = membership(nonisolated, q, ideal=nonisolated_ideal)
+        assert v.verdict is Verdict.NOT_IN_IDEAL
+        res = boundedness_oracle(nonisolated, q, ideal=nonisolated_ideal)
+        assert res["level_max"][2] < res["level_max"][1] < res["level_max"][0]
         assert res["divergent"]
 
     def test_ideal_of_another_order_builds_its_own_probes(self):
@@ -837,34 +816,50 @@ class TestOracle:
         desc = numerator_ideal(linear3)
         q = parse("x", vars=linear3.vars)
         before = boundedness_oracle(linear3, q, ideal=desc)
+        # a coefficient beyond float range overflows the samples of p
+        huge = linear3 * 10**400
+        huge_desc = numerator_ideal(huge)
         for _ in range(2):
-            with pytest.raises(PreconditionError, match="use a smaller --eps"):
-                boundedness_oracle(linear3, q, eps=1e200, ideal=desc)
+            with pytest.raises(PreconditionError, match="out of the oracle's scope"):
+                boundedness_oracle(huge, q, ideal=huge_desc)
+            assert engine._last_probes is None
         after = boundedness_oracle(linear3, q, ideal=desc)
         assert after == before == boundedness_oracle(
             linear3, q, ideal=numerator_ideal(linear3)
         )
 
-    def test_fine_grid_keeps_no_table(self, linear3):
+    def test_overflow_in_q_keeps_the_table(self, linear3):
         desc = numerator_ideal(linear3)
         q = parse("x", vars=linear3.vars)
-        boundedness_oracle(linear3, q, ideal=desc, grid=2)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            boundedness_oracle(linear3, q, ideal=desc)
-            gc.collect()
-            kept = tracemalloc.get_traced_memory()[0] - start
-            boundedness_oracle(linear3, q, ideal=desc, grid=40)
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - start
-        finally:
-            tracemalloc.stop()
-        # a kept grid-40 table holds 16000 probes, several MB; the default
-        # call's table, about 250 KiB, goes when the grid-40 call misses
-        assert retained < 256 * 1024
-        assert retained <= kept // 2
+        before = boundedness_oracle(linear3, q, ideal=desc)
+        table = engine._last_probes
+        # the probes of p are built, and kept, before q is sampled
+        with pytest.raises(PreconditionError, match="out of the oracle's scope"):
+            boundedness_oracle(linear3, q * 10**400, ideal=desc)
+        assert engine._last_probes is table
+        assert boundedness_oracle(linear3, q, ideal=desc) == before
+
+    def test_three_levels_of_halving_radius(self, linear3, linear3_ideal):
+        levels = engine._probe_levels(linear3, linear3_ideal)
+        assert len(levels) == 3
+        for k, (points, p_abs, curve_start) in enumerate(levels):
+            assert len(points) == len(p_abs) and 0 < curve_start < len(points)
+            assert min(p_abs) > 0
+            # the random samples lie in the box of radius 1/8 halved k times
+            radius = 0.125 / 2**k
+            assert max(abs(x.real) for pt in points[:curve_start] for x in pt[:-1]) <= radius
+        res = boundedness_oracle(linear3, parse("x", vars=linear3.vars), ideal=linear3_ideal)
+        assert len(res["level_max"]) == 3
+
+    def test_variable_missing_from_p_is_named(self):
+        # the CLI rejects such a q as a parse error; the API names the variable
+        p, q = parse("z + y"), parse("x + y")
+        for decide in (membership, boundedness_oracle):
+            with pytest.raises(ValueError) as exc:
+                decide(p, q)
+            message = str(exc.value)
+            assert "'x'" in message and "('x', 'y')" in message
+            assert "('y', 'z')" in message
 
 
 class TestOutOfScope:

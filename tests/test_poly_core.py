@@ -198,6 +198,27 @@ class TestEval:
             linear3.eval_exact((1, 2))
 
 
+class TestEmbed:
+    def test_into_a_larger_tuple_keeps_the_values(self):
+        p = parse("x^2*y - 3*i*y + 1")
+        wide = p.embed(("z", "y", "w", "x"))
+        assert wide.vars == ("z", "y", "w", "x")
+        x, y = GaussianRational(1, 1), GaussianRational(0, 2)
+        assert wide.eval_exact((5, y, 7, x)) == p.eval_exact((x, y)) == GaussianRational(3)
+
+    @pytest.mark.parametrize(
+        "text, new_vars, missing",
+        [("x + y", ("y", "z"), "x"), ("x", (), "x"), ("x + y + z", ("x", "z"), "y")],
+    )
+    def test_missing_variable_is_named(self, text, new_vars, missing):
+        p = parse(text)
+        with pytest.raises(ValueError) as exc:
+            p.embed(new_vars)
+        message = str(exc.value)
+        assert repr(missing) in message
+        assert str(p.vars) in message and str(new_vars) in message
+
+
 class TestReflect:
     def test_linear3_reflection_matches_display(self, linear3):
         expected = parse("x + y + z + 2*i*(x*y + x*z + y*z) - 3*x*y*z")
