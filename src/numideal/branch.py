@@ -19,17 +19,17 @@ from .forms import (
     sampled_sphere_nonneg,
 )
 from .poly import MultiPoly, TruncatedSeries, implicit_root
-from .record import Frozen
+from .record import Record
 
 
-class BranchSolution(Frozen):
+class BranchSolution(Record):
     """phi with p(x, -phi(x)) = 0 through the working order; grad0 holds the
     degree-1 coefficients of phi, one per x-variable."""
 
     __slots__ = ("phi", "grad0")
 
 
-class PhiClassification(Frozen):
+class PhiClassification(Record):
     """The first non-real homogeneous term Im phi_2L of phi, if any, and its
     sign; definite_exact is False only where that sign was sampled
     (2L >= 4, d >= 3).  L, the MultiPoly im_part_2L and definite are None

@@ -55,37 +55,34 @@ def cmd_analyze(args) -> int:
     payload["phi"] = format_poly(phi.poly)
     payload["phi_order"] = phi.order
     payload["grad0"] = [str(g) for g in desc.branch.grad0]
-    if cls.L is not None:
-        payload["first_imag_index"] = 2 * cls.L
-        payload["im_part"] = format_poly(cls.im_part_2L)
-        payload["definite"] = cls.definite
-    else:
-        payload["first_imag_index"] = None
-        payload["im_part"] = None
-        payload["definite"] = None
+    real = cls.L is None
+    payload["first_imag_index"] = None if real else 2 * cls.L
+    payload["im_part"] = None if real else format_poly(cls.im_part_2L)
+    payload["definite"] = cls.definite  # None when phi is real
     if args.format == "json":
         print(json.dumps(payload, indent=2))
         return 0
     print(f"p = {format_poly(p)}")
-    print(f"phi = {format_poly(phi.poly)} + O(deg {phi.order + 1})")
-    print(f"grad phi(0) = ({', '.join(str(g) for g in desc.branch.grad0)})")
-    if cls.L is not None:
+    print(f"phi = {payload['phi']} + O(deg {phi.order + 1})")
+    print(f"grad phi(0) = ({', '.join(payload['grad0'])})")
+    if real:
+        print(f"phi real through order {phi.order}")
+    else:
         definite = "positive definite" if cls.definite else "not positive definite"
         if not cls.definite_exact:
             definite += ", sampled"
+        index = payload["first_imag_index"]
         print(
-            f"first non-real index 2L = {2 * cls.L}; "
-            f"Im phi_{2 * cls.L} = {format_poly(cls.im_part_2L)} ({definite})"
+            f"first non-real index 2L = {index}; "
+            f"Im phi_{index} = {payload['im_part']} ({definite})"
         )
-    else:
-        print(f"phi real through order {phi.order}")
-    print(f"case: {desc.case.value}")
-    print(f"H = {format_poly(desc.H)}")
-    if desc.g is not None:
-        print(f"g = {format_poly(desc.g)}")
+    print(f"case: {payload['case']}")
+    print(f"H = {payload['H']}")
+    if payload["g"] is not None:
+        print(f"g = {payload['g']}")
     print("generators:")
-    for gen in desc.generators:
-        print(f"  {format_poly(gen)}")
+    for gen in payload["generators"]:
+        print(f"  {gen}")
     return 0
 
 
@@ -96,9 +93,7 @@ def cmd_member(args) -> int:
     verdict = membership(p, q, order=args.order, ideal=desc)
     payload = {
         "verdict": verdict.verdict.value,
-        "reduced_numerator": format_poly(verdict.reduced_numerator)
-        if verdict.reduced_numerator is not None
-        else None,
+        "reduced_numerator": format_poly(verdict.reduced_numerator),
         "witness": _jsonable(verdict.witness),
         "certificate": _jsonable(verdict.certificate),
     }
@@ -113,10 +108,9 @@ def cmd_member(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(f"verdict: {payload['verdict']}")
-        if payload["reduced_numerator"] is not None:
-            # LinearForm reduces by Re phi through its order, not by H
-            r = "Re phi" if desc.case is CaseTag.LINEAR_FORM else "H"
-            print(f"q0 = q(x, -{r}(x)) = {payload['reduced_numerator']}")
+        # LinearForm reduces by Re phi through its order, not by H
+        r = "Re phi" if desc.case is CaseTag.LINEAR_FORM else "H"
+        print(f"q0 = q(x, -{r}(x)) = {payload['reduced_numerator']}")
         if verdict.witness:
             print(f"witness: {verdict.witness}")
         if args.oracle:

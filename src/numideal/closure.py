@@ -22,10 +22,10 @@ from .forms import (
 )
 from .parsing import format_poly
 from .poly import MultiPoly, linear_change, newton_polygon
-from .record import Frozen
+from .record import Record
 
 
-class MonomialIdealIC(Frozen):
+class MonomialIdealIC(Record):
     """Integral closure of g presented as a Newton-polyhedron monomial ideal.
 
     (u, v) = change * (x, y), with change = ((c00, c01), (c10, c11)) rows:

@@ -100,7 +100,7 @@ def contact_order(p2: MultiPoly) -> int:
     # engine is loaded here only, so that importing construct stays cheap
     from .engine import CaseTag, numerator_ideal
 
-    desc = numerator_ideal(MultiPoly(("x", "z"), p2.terms))
+    desc = numerator_ideal(p2.rename_vars(dict(zip(p2.vars, ("x", "z")))))
     if desc.case is CaseTag.PRINCIPAL:
         raise PreconditionError(
             "Im psi vanishes identically: the contact order is infinite"

@@ -40,7 +40,6 @@ from fractions import Fraction
 
 from .branch import classify, solve_branch
 from .errors import NoMonomializationFound, PreconditionError, SanityViolation
-from .gaussian import GaussianRational
 from .parsing import format_poly
 from .poly import (
     MultiPoly,
@@ -146,7 +145,7 @@ def _branch_factor(p: MultiPoly):
     R = conjugate_resultant(p)
     if not R.is_zero():
         return p, R
-    shared = primitive_gcd(p, p.conj_coefficients())
+    shared = primitive_gcd(p, p.reflect())
     if shared.coefficient((0,) * len(p.vars)).is_zero():
         return None
     f = divide_exact(p, shared)
@@ -166,7 +165,7 @@ def _shared_root(f: MultiPoly) -> str | None:
         )
     # f(0, 0) = 0, as p(0) = 0 and f divides p by a unit near 0
     z = MultiPoly.variable(("z",), "z")
-    shared = primitive_gcd(divide_exact(at0, z), at0.conj_coefficients())
+    shared = primitive_gcd(divide_exact(at0, z), at0.reflect())
     n = shared.degree()
     if n < 1:
         return None
@@ -185,9 +184,11 @@ def _comparable_resultant(
 
     With (f, R) from `_branch_factor`, R is Im phi times a unit near 0 unless
     f(0, z)/z and f̄(0, z) share a root on the projective line; then
-    ord R > 2L and the input is out of scope.  g is R times the s in
-    {1, -1, i, -i} that makes its lowest form a positive multiple of
-    Im phi_2L, divided by its content (`MultiPoly.primitive`).
+    ord R > 2L and the input is out of scope.  Otherwise the lowest form of
+    R is ratio * Im phi_2L, and g is R / ratio over its positive content
+    (`MultiPoly.primitive`): its lowest form is a positive multiple of
+    Im phi_2L.  With m = deg_z f, conj(R) = (-1)^(m^2) R, so conj(ratio) =
+    (-1)^(m^2) ratio and R / ratio is real.
     """
     lowest = R.lowest_part()
     e = next(iter(im_part_2L.rows))
@@ -200,14 +201,9 @@ def _comparable_resultant(
             f"2L = {im_part_2L.degree()}, and is not comparable to Im phi; "
             "such inputs are out of scope"
         )
-    # conj(R) = (-1)^(m^2) R, so the ratio is real or purely imaginary and
-    # s = conj(ratio) / |ratio| is one of 1, -1, i, -i
-    s = GaussianRational(
-        (ratio.re > 0) - (ratio.re < 0), (ratio.im < 0) - (ratio.im > 0)
-    )
-    g = R.primitive(s)
+    g = R.scale(1 / ratio).primitive()
     if not g.is_real():
-        raise AssertionError("Res_z(p, pbar) times a unit of Z[i] is not real")
+        raise AssertionError("Res_z(p, pbar) over its ratio to Im phi_2L is not real")
     return g
 
 
@@ -225,7 +221,7 @@ def _zero_line(ic, x_vars) -> MultiPoly | None:
     if rest or (a and b):
         return None
     c0, c1 = ic.change[0] if b == 0 else ic.change[1]
-    return MultiPoly(x_vars, {(1, 0): GaussianRational(c0), (0, 1): GaussianRational(c1)})
+    return MultiPoly(x_vars, {(1, 0): c0, (0, 1): c1})
 
 
 def _isolated_exponent(ic) -> int:
@@ -503,7 +499,7 @@ def _direction_witness(q0: MultiPoly, desc: IdealDescription):
         return None
     d = len(q0.vars)
     for trial in _direction_grid(d):
-        val = low.eval_exact([GaussianRational(t) for t in trial])
+        val = low.eval_exact(trial)
         if not val.is_zero():
             return {
                 "direction": trial,

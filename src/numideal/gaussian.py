@@ -1,8 +1,10 @@
 """Exact Gaussian-rational arithmetic: a + b*i with arbitrary-precision rationals.
 
-This is the coefficient field for the whole algebra core.  Floats are never
-used here; sampling oracles convert via :meth:`GaussianRational.to_complex`.
-Square roots and other roots in Q(i) live in `puiseux`, their only user.
+`MultiPoly` computes on Gaussian-integer rows, not on this type.  A
+`GaussianRational` is one coefficient or point: what the `terms`,
+`coefficient` and `eval_exact` views of a `MultiPoly` give, what its public
+constructor `MultiPoly(vars, terms)` takes, and the arithmetic of
+`puiseux`, where the roots in Q(i) live.
 """
 
 from __future__ import annotations

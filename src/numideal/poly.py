@@ -46,8 +46,8 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from .errors import ArityError
-from .gaussian import GaussianRational, I, ONE
-from .record import Frozen
+from .gaussian import GaussianRational, ONE
+from .record import Record
 
 
 class MultiPoly:
@@ -254,12 +254,10 @@ class MultiPoly:
             return self
         return self.homogeneous_part(d)
 
-    def conj_coefficients(self) -> "MultiPoly":
+    def reflect(self) -> "MultiPoly":
         """Coefficientwise conjugation: the reflection polynomial."""
         rows = {e: (a, -b) for e, (a, b) in self.rows.items()}
         return MultiPoly._from_rows(self.vars, self.den, rows)
-
-    reflect = conj_coefficients
 
     def real_part(self) -> "MultiPoly":
         """Coefficientwise real part (exact, real output)."""
@@ -450,21 +448,13 @@ class MultiPoly:
             g = gcd(g, a, b)
         return Fraction(g, self.den) if g else Fraction(1)
 
-    def primitive(self, unit=ONE) -> "MultiPoly":
-        """self times unit, one of 1, -1, i, -i, over the positive content
-        (`content`), which the unit does not change: coprime Gaussian-integer
-        parts over den 1."""
-        unit = GaussianRational.coerce(unit)
-        if unit not in (1, -1, I, -I):
-            raise ValueError(f"{unit} is not a unit of Z[i]")
+    def primitive(self) -> "MultiPoly":
+        """self over its positive content (`content`): coprime
+        Gaussian-integer parts over den 1."""
         if not self.rows:
             return self
-        ur, ui = int(unit.re), int(unit.im)
         g = self.content().numerator  # den is prime to every row
-        rows = {
-            e: ((a * ur - b * ui) // g, (a * ui + b * ur) // g)
-            for e, (a, b) in self.rows.items()
-        }
+        rows = {e: (a // g, b // g) for e, (a, b) in self.rows.items()}
         return MultiPoly._from_rows(self.vars, 1, rows)
 
     # -- comparisons ---------------------------------------------------------
@@ -656,7 +646,7 @@ def _horner(groups: dict, D: int, repls: list, limit: int) -> list:
     return pairs
 
 
-class TruncatedSeries(Frozen):
+class TruncatedSeries(Record):
     """A multivariate power series truncated at total degree `order`: the
     record of a MultiPoly whose terms all have total degree <= order and of
     that order.  It defines no arithmetic; compose and multiply its poly

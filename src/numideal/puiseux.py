@@ -34,7 +34,7 @@ from .poly import (
     newton_polygon,
     series_invert,
 )
-from .record import Frozen, Record
+from .record import Record
 
 # -- exact root finding over Q(i) -------------------------------------------
 
@@ -270,7 +270,7 @@ def twisted_real_value(z: GaussianRational, s: Fraction):
 # -- branches ----------------------------------------------------------------
 
 
-class PuiseuxBranch(Frozen):
+class PuiseuxBranch(Record):
     """One factor class y - psi(mu^n x^(1/r)), n = 1..r, mu = exp(2*pi*i/r).
 
     psi is a truncated series in t = x^(1/r); branch conventions fix
@@ -603,7 +603,7 @@ def weierstrass_prepare(f: MultiPoly, x_order: int, y_order: int):
 # -- branch exponent data and the comparable polynomial ----------------------
 
 
-class BranchExponents(Frozen):
+class BranchExponents(Record):
     """Per-conjugate first non-real indices for one branch class.
 
     m_plus[n-1] / m_minus[n-1] are the first t-indices whose coefficient is

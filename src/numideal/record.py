@@ -2,10 +2,11 @@
 
 A result type lists its fields in `__slots__` and the defaults of trailing
 fields in `_defaults`.  `Record` gives it one constructor, which takes the
-fields in `__slots__` order by position or by keyword, equality by value
-and a repr of those fields; `Frozen` also refuses assignment and hashes by
-value.  The constructor sets fields with `object.__setattr__`, so it serves
-both.  `dataclasses` would pull `inspect` into every start of the CLI.
+fields in `__slots__` order by position or by keyword, equality and hashing
+by value, a repr of those fields, and no assignment after construction.  A
+record with an unhashable field, such as a list, raises TypeError on
+`hash`.  The constructor sets fields with `object.__setattr__`.
+`dataclasses` would pull `inspect` into every start of the CLI.
 """
 
 
@@ -36,19 +37,12 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    # mutable records are not hashable
-    __hash__ = None
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class Frozen(Record):
-    __slots__ = ()
+    def __hash__(self):
+        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __hash__(self):
-        return hash(self._values())
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"

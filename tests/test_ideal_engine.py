@@ -416,10 +416,8 @@ class TestLinearFormReduction:
         # (b cbar + bbar c) / (2 c cbar), whose root differs from gen0's
         slices = nonisolated.slices("z")
         b, c = slices[0], slices[1]
-        re_num = (b * c.conj_coefficients() + b.conj_coefficients() * c).scale(
-            Fraction(1, 2)
-        )
-        re_den = c * c.conj_coefficients()
+        re_num = (b * c.reflect() + b.reflect() * c).scale(Fraction(1, 2))
+        re_den = c * c.reflect()
         gen0 = nonisolated_ideal.generators[0].slices("z")
         assert gen0[0] * re_den != re_num * gen0[1]
         assert nonisolated_ideal.linear_form == parse("x + y", vars=("x", "y"))
@@ -948,8 +946,9 @@ class TestInstabilityNamed:
 
 
 class TestComparableResultantScaling:
-    """g is R times a unit of Z[i] over its content, built in integers; the
-    reference scales through GaussianRational terms."""
+    """g is R over its ratio to Im phi_2L and its content, built in integers;
+    under a unit of Z[i] times a positive scale the reference takes that unit
+    from the signs of the ratio and scales through GaussianRational terms."""
 
     @staticmethod
     def _reference(R, im_part_2L):
@@ -979,6 +978,9 @@ class TestComparableResultantScaling:
                 if expected is None:
                     expected = got
                 assert got == expected
+        # so do scales by non-units of Q(i)
+        for value in (GaussianRational(3, 6) / 7, GaussianRational(2, -1)):
+            assert _comparable_resultant(f, R.scale(value), cls.im_part_2L) == expected
 
 
 def _sample_free_answers(p, order, candidates):

@@ -1,11 +1,11 @@
 """Import structure: relative imports sit at module level, so the module
 graph is visible at import time, except where a command or a case loads a
 heavy module only when it needs it; closure and construct do not depend on
-puiseux, the only module that defines root finding over Q(i); the CLI
-starts without puiseux, construct, closure and dataclasses, and every name
-the benchmark's tracer wraps exists.  No module uses an `assert`
-statement, which `python -O` strips: internal checks raise
-`AssertionError` themselves."""
+puiseux, the only module that defines root finding over Q(i); the engine
+imports nothing from gaussian; the CLI starts without puiseux, construct,
+closure and dataclasses, and every name the benchmark's tracer wraps
+exists.  No module uses an `assert` statement, which `python -O` strips:
+internal checks raise `AssertionError` themselves."""
 
 import ast
 import importlib
@@ -76,6 +76,18 @@ def test_closure_does_not_load_puiseux():
 
 def test_engine_does_not_load_puiseux():
     assert _loaded_after("import numideal.engine", ["numideal.puiseux"]) == "[]"
+
+
+def test_engine_imports_nothing_from_gaussian():
+    # the engine leaves Gaussian-rational coefficients to poly's constructor
+    # and eval_exact, which take plain ints and Fractions
+    tree = ast.parse((PACKAGE / "engine.py").read_text(encoding="utf-8"))
+    modules = [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    assert "poly" in modules and "gaussian" not in modules
 
 
 def test_contact_order_lift_does_not_load_puiseux():

@@ -82,7 +82,7 @@ class TestConjugateResultant:
             slices = p.slices("z")
             b, c = slices.get(0, MultiPoly.zero(("x", "y"))), slices[1]
             # the Sylvester sign: c b̄ - b c̄ = -(b c̄ - b̄ c)
-            cross = b * c.conj_coefficients() - b.conj_coefficients() * c
+            cross = b * c.reflect() - b.reflect() * c
             assert conjugate_resultant(p) == -cross
 
     def test_matches_sympy_resultant(self):
@@ -102,9 +102,7 @@ class TestConjugateResultant:
         for m in (1, 2, 3):
             for _ in range(3):
                 p = _random_qi_poly(rng, m)
-                expected = sympy.resultant(
-                    to_sympy(p), to_sympy(p.conj_coefficients()), z
-                )
+                expected = sympy.resultant(to_sympy(p), to_sympy(p.reflect()), z)
                 got = conjugate_resultant(p)
                 assert not got.is_zero()
                 assert sympy.expand(to_sympy(got) - expected) == 0, (m, format_poly(p))
@@ -114,7 +112,7 @@ class TestConjugateResultant:
         for m in (1, 2, 3):
             R = conjugate_resultant(_random_qi_poly(rng, m))
             # conj(R) = (-1)^(m^2) R
-            assert R.conj_coefficients() == (R if m % 2 == 0 else -R)
+            assert R.reflect() == (R if m % 2 == 0 else -R)
 
 
 def laplace_resultant(p):
@@ -130,8 +128,8 @@ def laplace_resultant(p):
         i, j = min(i, j), max(i, j)
         total = zero
         for k in range(min(j, m - 1 - i) + 1):
-            t = f[i + 1 + k] * f[j - k].conj_coefficients()
-            total = total + t - t.conj_coefficients()
+            t = f[i + 1 + k] * f[j - k].reflect()
+            total = total + t - t.reflect()
         return total
 
     bezout = [[entry(i, j) for j in range(m)] for i in range(m)]
@@ -192,7 +190,7 @@ class TestResultantOfProducts:
             R = conjugate_resultant(p)
             for _ in range(4):
                 point = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in "xy")
-                a, b = at(p, point), at(p.conj_coefficients(), point)
+                a, b = at(p, point), at(p.reflect(), point)
                 assert sympy.degree(a, z) == max(p.slices("z"))
                 expected = sympy.resultant(a, b, z)
                 assert sympy.expand(at(R, point) - expected) == 0
@@ -233,13 +231,13 @@ class TestGcd:
 
     def test_coprime_sequence_ends_in_one(self, nonisolated):
         p = nonisolated * parse("x + y + z + i", vars=nonisolated.vars)
-        *members, last = subresultants(p, p.conj_coefficients())
+        *members, last = subresultants(p, p.reflect())
         assert [s.var_degree("z") for s in members] == [2, 1]
         assert last == MultiPoly.constant(p.vars, 1)
 
     def test_conjugates_share_the_real_factor(self, degenerate):
         p = degenerate * parse("1 - x*z", vars=degenerate.vars)
-        shared = primitive_gcd(p, p.conj_coefficients())
+        shared = primitive_gcd(p, p.reflect())
         assert divide_exact(shared, parse("1 - x*z", vars=p.vars)).degree() == 0
 
     def test_pseudo_remainder_of_zero_and_z_free_dividends(self):
