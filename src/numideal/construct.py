@@ -65,15 +65,13 @@ def polydisk_to_halfplane(p_disk: MultiPoly) -> MultiPoly:
 
 
 def normalize_z_coefficient(p: MultiPoly) -> MultiPoly:
-    """Scale so the pure distinguished-variable monomial has coefficient 1."""
+    """Scale so the pure distinguished-variable monomial has coefficient 1;
+    without that monomial, the primitive part (`MultiPoly.primitive`)."""
     n = len(p.vars)
     z_unit = (0,) * (n - 1) + (1,)
     c0 = p.coefficient(z_unit)
     if c0.is_zero():
-        content = p.content()
-        if content != 0:
-            p = p.scale(Fraction(1) / content)
-        return p
+        return p.primitive()
     return p.scale(GaussianRational(1) / c0)
 
 

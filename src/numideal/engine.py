@@ -25,8 +25,10 @@ axis is IsolatedDegenerate, the ideal being the integral closure of g.
 LinearForm membership reduces by the member of `poly.subresultants` of f
 and the first generator that is linear in z.
 The engine therefore does not use `puiseux`:
-no branch expansion, Weierstrass preparation or sampled positivity check
-decides a case.
+no branch expansion or Weierstrass preparation decides a case.  One
+decision is sampled: `classify`'s sign of Im phi_2L for 2L >= 4 in three
+or more x-variables, by the sphere sampler `forms.sampled_sphere_nonneg`
+with a fixed seed.
 """
 
 from __future__ import annotations
@@ -71,14 +73,16 @@ class IdealDescription(Record):
     """The ideal of admissible numerators of p.
 
     generators are MultiPolys in the full (x.., z) variables; H is a real
-    polynomial in the x-variables.  branch, classification, ic (the
-    closure.MonomialIdealIC that `monomialize` accepts for g, in LinearForm
-    and IsolatedDegenerate), linear_form and reducer (LinearForm:
-    den z + num, den(0) != 0) are diagnostics, not part of the wire
-    schema.  branch holds phi only as far as the ideal reads it: through
-    2L for Definite and through K for IsolatedDegenerate, unless a real phi
-    made `numerator_ideal` solve further; through the working order for
-    Principal and LinearForm.
+    polynomial in the x-variables; g is None for Principal and Definite.
+    The other fields are diagnostics, not part of the wire schema, and
+    `numerator_ideal` sets them by case: branch and classification in every
+    case; ic, the closure.MonomialIdealIC that `monomialize` accepts for g,
+    in LinearForm and IsolatedDegenerate; linear_form (ell) and reducer
+    (den z + num, den(0) != 0) in LinearForm only.  A field that a case
+    does not set is None.  branch holds phi only as far as the ideal reads
+    it: through 2L for Definite and through K for IsolatedDegenerate, unless
+    a real phi made `numerator_ideal` solve further; through the working
+    order for Principal and LinearForm.
     """
 
     __slots__ = (
@@ -93,8 +97,8 @@ class IdealDescription(Record):
         "linear_form",
         "reducer",
     )
-    # the diagnostics default to None
-    _defaults = dict.fromkeys(__slots__[5:])
+    # ic, linear_form and reducer default to None
+    _defaults = dict.fromkeys(__slots__[7:])
 
     def to_json_dict(self) -> dict:
         return {
@@ -391,9 +395,11 @@ def membership(
     p: MultiPoly,
     q: MultiPoly,
     order: int = 12,
-    ideal: IdealDescription | None = None,
+    *,
+    ideal: IdealDescription,
 ) -> MembershipVerdict:
-    """Decide whether q/p is locally bounded near the origin.
+    """Decide whether q/p is locally bounded near the origin, against
+    `ideal`, which is `numerator_ideal(p, ...)`.
 
     reduced_numerator is the MultiPoly q(x, -r(x)) by `MultiPoly.subs`:
     r = phi (Principal) or Re phi (LinearForm) through the order of phi,
@@ -404,12 +410,11 @@ def membership(
     Newton-polyhedron membership.  Every verdict is exact, so none is
     Indeterminate.
     """
-    desc = ideal if ideal is not None else numerator_ideal(p, order=order)
     if q.vars != p.vars:
         q = q.embed(p.vars)
-    phi = desc.branch.phi if desc.branch is not None else None
+    phi = ideal.branch.phi
 
-    if desc.case is CaseTag.PRINCIPAL:
+    if ideal.case is CaseTag.PRINCIPAL:
         # p is smooth at 0, so its only factor through 0 is the one carrying
         # the branch: q is a multiple of it exactly when gcd(q, p) vanishes
         # at 0, whatever the truncation of phi hides
@@ -420,46 +425,46 @@ def membership(
         return MembershipVerdict(
             Verdict.NOT_IN_IDEAL,
             reduced,
-            witness=_direction_witness(reduced, desc),
+            witness=_direction_witness(reduced, ideal),
         )
 
-    if desc.case is CaseTag.LINEAR_FORM:
-        power = desc.L_or_K
+    if ideal.case is CaseTag.LINEAR_FORM:
+        power = ideal.L_or_K
         reduced = q.subs({"z": -phi.poly.real_part()}, phi.order)
         # the reducer den z + num lies in the ideal and den(0) != 0, so q is
         # reduced exactly to den^deg_z q(x, -num/den), free of z, and den
         # carries no factor of ell; ell is the frame coordinate of the axis
         # that holds the polygon's one vertex, so ell^j | exact for j up to
         # the least exponent of that coordinate in the frame
-        slices = pseudo_remainder(q, desc.reducer).slices("z")
+        slices = pseudo_remainder(q, ideal.reducer).slices("z")
         exact = slices.get(0, MultiPoly.zero(p.vars[:-1]))
-        axis = 0 if desc.ic.newton_points[0][1] == 0 else 1
-        j = min((e[axis] for e in desc.ic.to_uv(exact).rows), default=None)
+        axis = 0 if ideal.ic.newton_points[0][1] == 0 else 1
+        j = min((e[axis] for e in ideal.ic.to_uv(exact).rows), default=None)
         if j is None or j >= power:
             return MembershipVerdict(
                 Verdict.IN_IDEAL,
                 reduced,
                 certificate={
-                    "divisible_by": f"({format_poly(desc.linear_form)})^{power}"
+                    "divisible_by": f"({format_poly(ideal.linear_form)})^{power}"
                 },
             )
         return MembershipVerdict(
             Verdict.NOT_IN_IDEAL,
             reduced,
-            witness=_linear_form_witness(j, desc),
+            witness=_linear_form_witness(j, ideal),
         )
 
     # the ideal's working order may exceed the requested one
-    work = max(order, phi.order) if phi is not None else order
+    work = max(order, phi.order)
     # the terms past `work` cannot change a verdict.  Definite compares the
     # least degree with 2L <= work.  An IsolatedDegenerate ideal solves phi
     # to order >= K, so work >= K, and its polygon has a vertex on each axis
     # with both intercepts <= K, so every monomial of degree > K, in any
     # linear frame, lies in the polyhedron
-    reduced = q.subs({"z": -desc.H}, work)
+    reduced = q.subs({"z": -ideal.H}, work)
 
-    if desc.case is CaseTag.DEFINITE:
-        L = desc.L_or_K
+    if ideal.case is CaseTag.DEFINITE:
+        L = ideal.L_or_K
         md = reduced.min_degree()
         if md is None or md >= 2 * L:
             return MembershipVerdict(
@@ -468,13 +473,13 @@ def membership(
         return MembershipVerdict(
             Verdict.NOT_IN_IDEAL,
             reduced,
-            witness=_direction_witness(reduced, desc),
+            witness=_direction_witness(reduced, ideal),
         )
 
     # isolated degenerate: integral-closure membership
     from .closure import ic_membership
 
-    ok, cert = ic_membership(reduced, desc.ic)
+    ok, cert = ic_membership(reduced, ideal.ic)
     if ok:
         return MembershipVerdict(Verdict.IN_IDEAL, reduced, certificate=cert)
     return MembershipVerdict(Verdict.NOT_IN_IDEAL, reduced, witness=cert)
@@ -533,12 +538,9 @@ _ORACLE_SEED = 0
 _last_probes = None
 
 
-def boundedness_oracle(
-    p: MultiPoly,
-    q: MultiPoly,
-    ideal: IdealDescription | None = None,
-):
-    """Sample |q/p| near the origin: sup estimate plus a divergence flag.
+def boundedness_oracle(p: MultiPoly, q: MultiPoly, *, ideal: IdealDescription):
+    """Sample |q/p| near the origin against `ideal`, which is
+    `numerator_ideal(p, ...)`: sup estimate plus a divergence flag.
 
     Samples (a) real slices z = -Re H(x) +- delta and (b) interior points
     x + iv with a positive imaginary z-offset, both drawn with a fixed seed,
@@ -557,7 +559,6 @@ def boundedness_oracle(
     before one in q.
     """
     global _last_probes
-    desc = ideal if ideal is not None else numerator_ideal(p)
     if q.vars != p.vars:
         q = q.embed(p.vars)
     level_max = []
@@ -566,12 +567,12 @@ def boundedness_oracle(
     try:
         # a concurrent call at worst builds the table twice
         last = _last_probes
-        if last is not None and last[0] is p and last[1] is desc:
+        if last is not None and last[0] is p and last[1] is ideal:
             levels = last[2]
         else:
             _last_probes = None
-            levels = _probe_levels(p, desc)
-            _last_probes = (p, desc, levels)
+            levels = _probe_levels(p, ideal)
+            _last_probes = (p, ideal, levels)
         for points, p_abs, curve_start in levels:
             ratios = [
                 abs(_finite(q.eval_complex(point))) / value
@@ -684,7 +685,7 @@ def _extremal_curve_points(desc: IdealDescription, radius: float):
     curves u = lam * s^wu, v = mu * s^wv (IsolatedDegenerate) and the zero
     line of the linear form (LinearForm)."""
     points = []
-    if desc.case is CaseTag.ISOLATED_DEGENERATE and desc.ic is not None:
+    if desc.case is CaseTag.ISOLATED_DEGENERATE:
         (c00, c01), (c10, c11) = desc.ic.inverse
         weights = list(desc.ic.halfspaces) + [(1, 1, 0)]
         for wu, wv, _m in weights:
@@ -707,7 +708,7 @@ def _extremal_curve_points(desc: IdealDescription, radius: float):
         for ex, ey in ((1.0, 0.0), (0.0, 1.0), (0.7071, 0.7071), (0.7071, -0.7071)):
             for t in (1.0, -1.0):
                 points.append((radius * t * ex, radius * t * ey))
-    elif desc.case is CaseTag.LINEAR_FORM and desc.linear_form is not None:
+    elif desc.case is CaseTag.LINEAR_FORM:
         a = float(desc.linear_form.coefficient((1, 0)).re)
         b = float(desc.linear_form.coefficient((0, 1)).re)
         norm = (a * a + b * b) ** 0.5

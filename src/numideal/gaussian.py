@@ -60,9 +60,6 @@ class GaussianRational:
     def is_real(self) -> bool:
         return self.im == 0
 
-    def is_imaginary(self) -> bool:
-        return self.re == 0
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -131,9 +128,6 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     # -- conversions --------------------------------------------------
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"

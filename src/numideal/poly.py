@@ -308,9 +308,9 @@ class MultiPoly:
 
     def _power_plan(self):
         """The sorted distinct (variable index, exponent) pairs, and per term
-        its `complex` coefficient, as the term's `to_complex` gives it (int
-        division rounds as `Fraction` does), and the table slots of its
-        nonzero exponents in variable order."""
+        its `complex` coefficient, complex(re) + 1j * complex(im) of its
+        Fraction parts (int division rounds as `Fraction` does), and the
+        table slots of its nonzero exponents in variable order."""
         pairs = sorted({(i, k) for e in self.rows for i, k in enumerate(e) if k})
         slot = {pair: j for j, pair in enumerate(pairs)}
         den = self.den

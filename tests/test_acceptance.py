@@ -14,8 +14,6 @@ import sys
 import time
 from fractions import Fraction
 
-import pytest
-
 from numideal.branch import classify, solve_branch
 from numideal.closure import ic_generators, ic_membership, monomialize
 from numideal.construct import random_stable_polynomial, iterated_composition
@@ -211,7 +209,8 @@ def test_criterion_7_property_suites(linear3, nonisolated, degenerate):
     # (b) reflect involution and membership(p, reflect(p)) = InIdeal
     for p in batch:
         assert p.reflect().reflect() == p
-        v = membership(p, p.reflect(), order=order)
+        desc = numerator_ideal(p, order=order)
+        v = membership(p, p.reflect(), order=order, ideal=desc)
         assert v.verdict is Verdict.IN_IDEAL
 
     # (c) Sturm definiteness vs 10^4-point grid oracle on 100 random forms

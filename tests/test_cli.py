@@ -270,14 +270,15 @@ class TestMember:
     def test_linear_form_q0_is_reduced_by_re_phi(self):
         # LinearForm reduces q by Re phi through phi's order, not by the
         # reported H = x + y, and the label says so
-        from numideal.engine import membership
+        from numideal.engine import membership, numerator_ideal
         from numideal.examples import nonisolated
         from numideal.parsing import parse
 
         p = nonisolated()
         res = run_cli("member", format_poly(p), "z")
         assert res.returncode == 3
-        reduced = membership(p, parse("z", vars=p.vars)).reduced_numerator
+        q = parse("z", vars=p.vars)
+        reduced = membership(p, q, ideal=numerator_ideal(p)).reduced_numerator
         assert f"q0 = q(x, -Re phi(x)) = {format_poly(reduced)}\n" in res.stdout
         assert "-H(x)" not in res.stdout
         assert reduced != parse("-x - y", vars=reduced.vars)

@@ -18,7 +18,7 @@ from numideal.construct import (
 from numideal.engine import CaseTag, numerator_ideal
 from numideal.errors import PreconditionError, SanityViolation
 from numideal.gaussian import GaussianRational
-from numideal.parsing import format_poly, parse
+from numideal.parsing import parse
 from numideal.poly import MultiPoly
 
 

@@ -192,10 +192,23 @@ class TestMembership:
         assert v.witness is not None
         assert v.witness["direction"] is not None
 
-    def test_p_in_its_own_ideal(self, linear3, nonisolated, degenerate):
-        for p in (linear3, nonisolated, degenerate):
-            v = membership(p, p)
+    def test_p_in_its_own_ideal(
+        self, linear3, nonisolated, degenerate, linear3_ideal, nonisolated_ideal, degenerate_ideal
+    ):
+        for p, desc in (
+            (linear3, linear3_ideal),
+            (nonisolated, nonisolated_ideal),
+            (degenerate, degenerate_ideal),
+        ):
+            v = membership(p, p, ideal=desc)
             assert v.verdict is Verdict.IN_IDEAL
+
+    def test_ideal_is_required(self, linear3):
+        # the verdict calls never build an ideal of their own
+        q = parse("x", vars=linear3.vars)
+        for call in (membership, boundedness_oracle):
+            with pytest.raises(TypeError, match="ideal"):
+                call(linear3, q)
 
     def test_degenerate_v_cubed_not_in(self, degenerate, degenerate_ideal):
         v = membership(
@@ -246,7 +259,7 @@ class TestMembership:
 
     def test_reflection_always_member(self, linear3, nonisolated, degenerate, p2_stable):
         for p in (linear3, nonisolated, degenerate, p2_stable):
-            v = membership(p, p.reflect())
+            v = membership(p, p.reflect(), ideal=numerator_ideal(p))
             assert v.verdict is Verdict.IN_IDEAL
 
     def test_linear3_census_degree_two(self, linear3, linear3_ideal):
@@ -852,9 +865,10 @@ class TestOracle:
     def test_variable_missing_from_p_is_named(self):
         # the CLI rejects such a q as a parse error; the API names the variable
         p, q = parse("z + y"), parse("x + y")
+        ideal = numerator_ideal(p)
         for decide in (membership, boundedness_oracle):
             with pytest.raises(ValueError) as exc:
-                decide(p, q)
+                decide(p, q, ideal=ideal)
             message = str(exc.value)
             assert "'x'" in message and "('x', 'y')" in message
             assert "('y', 'z')" in message

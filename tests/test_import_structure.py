@@ -5,7 +5,8 @@ puiseux, the only module that defines root finding over Q(i); the engine
 imports nothing from gaussian; the CLI starts without puiseux, construct,
 closure and dataclasses, and every name the benchmark's tracer wraps
 exists.  No module uses an `assert` statement, which `python -O` strips:
-internal checks raise `AssertionError` themselves."""
+internal checks raise `AssertionError` themselves.  No module of the
+package or the tests imports a name it does not use."""
 
 import ast
 import importlib
@@ -211,3 +212,32 @@ def test_benchmark_tracer_targets_resolve():
         if not callable(obj):
             missing.append(target)
     assert missing == []
+
+
+def _unused_imports(path: Path) -> list:
+    """The names that path imports at any level but neither references nor
+    lists in its `__all__`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_every_imported_name_is_used():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    found = [
+        (path.relative_to(ROOT).as_posix(), name)
+        for path in paths
+        for name in _unused_imports(path)
+    ]
+    assert found == []

@@ -9,7 +9,6 @@ import pytest
 
 from numideal import closure
 from numideal.closure import (
-    MonomialIdealIC,
     ic_generators,
     ic_membership,
     line_frame,

@@ -64,13 +64,7 @@ ALL = [
             "linear_form": X,
             "reducer": Y,
         },
-        {
-            "branch": None,
-            "classification": None,
-            "ic": None,
-            "linear_form": None,
-            "reducer": None,
-        },
+        {"ic": None, "linear_form": None, "reducer": None},
     ),
     (
         MembershipVerdict,
