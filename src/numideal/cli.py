@@ -9,6 +9,12 @@ For `analyze` and `member`, --order sets only how far phi, the Principal
 H and q0 are printed; no case tag or verdict depends on it.  The sampling
 oracle of `member --oracle` has one fixed setting and takes no flags.
 
+A polynomial that starts with "-" and holds no space, such as "-z-x", would
+be read by argparse as an unknown option; `main` exits 2 naming the fix
+instead: put "--" after the options and before the polynomials, as in
+`numideal analyze -- "-z-x"`.  "-z - x" and negative numbers pass as they
+are.
+
 `puiseux` and `construct` are imported by the subcommands that use them,
 so `analyze` and `member` start without loading either.
 """
@@ -18,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .branch import solve_branch
@@ -242,8 +249,38 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# what argparse reads as a negative number, not as an option
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _dash_argument(argv):
+    """The first argument before any "--" that argparse would read as an
+    option none of the commands has: it starts with one "-", is not "-" or
+    "-h", holds no space and is no negative number; None if there is none."""
+    for arg in argv:
+        if arg == "--":
+            return None
+        if (
+            arg[:1] == "-"
+            and arg[:2] != "--"
+            and arg not in ("-", "-h")
+            and " " not in arg
+            and not _NEGATIVE_NUMBER.fullmatch(arg)
+        ):
+            return arg
+    return None
+
+
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    dash = _dash_argument(argv)
+    if dash is not None:
+        ap.error(
+            f'argument "{dash}" starts with "-", so it is read as an option; to '
+            'pass a polynomial that starts with "-", put "--" after the options '
+            'and before the polynomials, as in: numideal analyze -- "-z-x"'
+        )
     args = ap.parse_args(argv)
     try:
         code = args.func(args)

@@ -5,6 +5,12 @@ monomials, IC(g) is the monomial ideal of the Newton polyhedron (convex hull
 of the exponents plus the positive orthant): a series belongs iff every one
 of its terms does.  Non-members get an explicit witness curve along which
 |q|/g blows up.
+
+`linear_change`, the one linear change of coordinates, lives here with its
+only callers, the frames of `monomialize` and `MonomialIdealIC`: it expands
+the integer powers of its two row forms directly into one sum on `poly`'s
+integer kernel.  The engine loads this module only for `LinearForm` and
+`IsolatedDegenerate`.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NoMonomializationFound, PreconditionError
+from .errors import ArityError, NoMonomializationFound, PreconditionError
 from .forms import (
     binary_form,
     is_positive_definite,
@@ -21,7 +27,7 @@ from .forms import (
     sturm_chain,
 )
 from .parsing import format_poly
-from .poly import MultiPoly, linear_change, newton_polygon
+from .poly import MultiPoly, field_width, newton_polygon, sum_polynomial
 from .record import Record
 
 
@@ -56,6 +62,68 @@ class MonomialIdealIC(Record):
 
     def from_uv_monomial(self, a: int, b: int, xy_vars) -> MultiPoly:
         return linear_change(MultiPoly(("u", "v"), {(a, b): 1}), self.change, xy_vars)
+
+
+def linear_change(poly: MultiPoly, rows, new_vars) -> MultiPoly:
+    """poly(x, y) with x -> r00 u + r01 v and y -> r10 u + r11 v, where
+    rows = ((r00, r01), (r10, r11)) are rationals and (u, v) = new_vars.
+
+    A direct expansion, not a `subs`: over one denominator Dr of the rows,
+    X = Dr x and Y = Dr y are integer linear forms, and the coefficient
+    lists of their powers come from the binomial recurrence.  Each row
+    (a, b) of x^i y^j adds (a + b i) Dr^(n - i - j) X^i Y^j into one
+    integer sum over poly.den Dr^n, n = deg poly.
+    """
+    new_vars = tuple(new_vars)
+    shape = [len(row) for row in rows]
+    if len(poly.vars) != 2 or shape != [2, 2] or len(new_vars) != 2:
+        raise ArityError(
+            "linear_change expects 2 variables, 2 rows of 2 entries and 2 new"
+            f" variables; got {len(poly.vars)} variables, rows of {shape}"
+            f" entries and {len(new_vars)} new variables"
+        )
+    if not poly.rows:
+        return MultiPoly.zero(new_vars)
+    entries = [r for row in rows for r in row]
+    Dr = math.lcm(*(r.denominator for r in entries))
+    p00, p01, p10, p11 = (r.numerator * (Dr // r.denominator) for r in entries)
+    n = poly.degree()
+    X = _powers(p00, p01, max(e[0] for e in poly.rows))
+    Y = _powers(p10, p11, max(e[1] for e in poly.rows))
+    # acc is keyed by poly's `_pack((d - k, k), w)` = (d << 2w) + d + k * step
+    w = field_width(n)
+    step = (1 << w) - 1
+    acc = {}
+    for (i, j), (a, b) in poly.rows.items():
+        d = i + j
+        f = Dr ** (n - d)
+        a, b = a * f, b * f
+        product = [0] * (d + 1)
+        for s, xs in enumerate(X[i]):
+            if xs:
+                for t, yt in enumerate(Y[j], s):
+                    product[t] += xs * yt
+        base = (d << 2 * w) + d
+        for k, c in enumerate(product):
+            if c:
+                key = base + k * step
+                sk = acc.get(key)
+                if sk is None:
+                    acc[key] = [a * c, b * c]
+                else:
+                    sk[0] += a * c
+                    sk[1] += b * c
+    return sum_polynomial(new_vars, w, poly.den * Dr**n, acc)
+
+
+def _powers(a: int, b: int, m: int) -> list:
+    """The coefficient lists of (a u + b v)^i for i = 0..m, entry k of
+    each that of u^(i - k) v^k."""
+    out = [[1]]
+    for _ in range(m):
+        prev = out[-1]
+        out.append([a * h + b * l for h, l in zip(prev + [0], [0] + prev)])
+    return out
 
 
 def _halfspaces(vertices):

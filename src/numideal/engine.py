@@ -8,22 +8,25 @@ zero), Definite (positive-definite leading imaginary part), LinearForm
 IsolatedDegenerate (isolated real zero, ideal via an integral closure).
 A numeric boundedness oracle, `boundedness_oracle`, cross-checks a verdict
 on request (`member --oracle`) at one fixed setting: radius 1/8, 3
-levels, seed 0.  Its probes and |p| at them do not depend on the
-numerator, so the last call's probe table is kept and reused by the next
-call on the same p and ideal objects; either way the results are the same.
+levels, seed 0.  Its sampler lives in `oracle`, which the function loads
+on its first call, so no verdict compiles it.
 
-Where phi is real through the order or its leading imaginary part is not
-definite, the decisions rest on the exact resultant R = Res_z(f, f̄)
-(`poly.conjugate_resultant`), with f the factor of p through the branch:
-p itself, or p over its gcd with p̄ when Res_z(p, p̄) = 0.  R is Im phi
-times a unit near 0 unless f(0, z)/z and f̄(0, z) share a root, z = oo
-included; the error names that root from `primitive_gcd` of the two as
-one-variable polynomials.  R fixes the working order and is the g that
-`monomialize` brings to a Newton polygon once: one vertex on an axis is
-LinearForm, with ell the frame line of that axis, and a vertex on each
-axis is IsolatedDegenerate, the ideal being the integral closure of g.
-LinearForm membership reduces by the member of `poly.subresultants` of f
-and the first generator that is linear in z.
+A Definite ideal reads phi alone.  Where phi is real through the order or
+its leading imaginary part is not definite, the decisions rest on the
+exact resultant R = Res_z(f, f̄) (`resultant.conjugate_resultant`), with f
+the factor of p through the branch: p itself, or p over its gcd with p̄
+when Res_z(p, p̄) = 0 (`resultant.branch_factor`).  R is Im phi times a
+unit near 0 unless f(0, z)/z and f̄(0, z) share a root, z = oo included;
+the error names that root from `primitive_gcd` of the two as one-variable
+polynomials.  R fixes the working order and is the g that `monomialize`
+brings to a Newton polygon once: one vertex on an axis is LinearForm, with
+ell the frame line of that axis, and a vertex on each axis is
+IsolatedDegenerate, the ideal being the integral closure of g.  LinearForm
+membership reduces by the member of `resultant.subresultants` of f and the
+first generator that is linear in z.  The engine imports `resultant` only
+on these paths and `closure` only for LinearForm and IsolatedDegenerate,
+so a Definite call whose phi turns non-real within the order compiles
+neither.
 The engine therefore does not use `puiseux`:
 no branch expansion or Weierstrass preparation decides a case.  One
 decision is sampled: `classify`'s sign of Im phi_2L for 2L >= 4 in three
@@ -33,24 +36,14 @@ with a fixed seed.
 
 from __future__ import annotations
 
-import cmath
 import itertools
-import math
-import random
 from enum import Enum
 from fractions import Fraction
 
 from .branch import classify, solve_branch
 from .errors import NoMonomializationFound, PreconditionError, SanityViolation
 from .parsing import format_poly
-from .poly import (
-    MultiPoly,
-    conjugate_resultant,
-    divide_exact,
-    primitive_gcd,
-    pseudo_remainder,
-    subresultants,
-)
+from .poly import MultiPoly
 from .record import Record
 
 
@@ -136,81 +129,6 @@ def _monomials_of_degree(vars, degree, n=None):
     return [MultiPoly._from_rows(vars, 1, {e + rest: (1, 0)}) for e in rec(n, degree)]
 
 
-def _branch_factor(p: MultiPoly):
-    """(f, R): the factor f of p through the branch z = -phi(x) and
-    R = Res_z(f, f̄), which is nonzero; None when Im phi is identically zero.
-
-    f = p unless p and p̄ share a factor G, which happens exactly when
-    Res_z(p, p̄) = 0.  G is real up to a constant and p(0, z) has a simple
-    root at 0, so G(0, 0) = 0 exactly when the branch is a root of G, and
-    then phi is real.  Otherwise G is a unit near 0 and f = p / G is prime
-    to f̄.
-    """
-    R = conjugate_resultant(p)
-    if not R.is_zero():
-        return p, R
-    shared = primitive_gcd(p, p.reflect())
-    if shared.coefficient((0,) * len(p.vars)).is_zero():
-        return None
-    f = divide_exact(p, shared)
-    return f, conjugate_resultant(f)
-
-
-def _shared_root(f: MultiPoly) -> str | None:
-    """Name the root that f(0, z)/z and f̄(0, z) share on the projective
-    line, the reason Res_z(f, f̄) vanishes to a higher order than Im phi."""
-    zero = (0,) * (len(f.vars) - 1)
-    m = f.var_degree("z")
-    at0 = MultiPoly(("z",), {(k,): f.coefficient(zero + (k,)) for k in range(m + 1)})
-    if at0.degree() < m:
-        return (
-            "p(0, z)/z and its conjugate share the root z = oo, since p(0, z) "
-            "has lower degree in z than p"
-        )
-    # f(0, 0) = 0, as p(0) = 0 and f divides p by a unit near 0
-    z = MultiPoly.variable(("z",), "z")
-    shared = primitive_gcd(divide_exact(at0, z), at0.reflect())
-    n = shared.degree()
-    if n < 1:
-        return None
-    shared = shared.scale(1 / shared.coefficient((n,)))
-    if n == 1:
-        what = f"the root z = {-shared.coefficient((0,))}"
-    else:
-        what = f"the roots of {format_poly(shared)}"
-    return f"p(0, z)/z and its conjugate share {what}"
-
-
-def _comparable_resultant(
-    f: MultiPoly, R: MultiPoly, im_part_2L: MultiPoly
-) -> MultiPoly:
-    """A real polynomial g comparable to Im phi near 0, built exactly.
-
-    With (f, R) from `_branch_factor`, R is Im phi times a unit near 0 unless
-    f(0, z)/z and f̄(0, z) share a root on the projective line; then
-    ord R > 2L and the input is out of scope.  Otherwise the lowest form of
-    R is ratio * Im phi_2L, and g is R / ratio over its positive content
-    (`MultiPoly.primitive`): its lowest form is a positive multiple of
-    Im phi_2L.  With m = deg_z f, conj(R) = (-1)^(m^2) R, so conj(ratio) =
-    (-1)^(m^2) ratio and R / ratio is real.
-    """
-    lowest = R.lowest_part()
-    e = next(iter(im_part_2L.rows))
-    ratio = lowest.coefficient(e) / im_part_2L.coefficient(e)
-    if ratio.is_zero() or lowest != im_part_2L.scale(ratio):
-        cause = _shared_root(f)
-        raise PreconditionError(
-            (f"{cause}, so " if cause else "")
-            + f"Res_z(p, pbar) vanishes to order {R.min_degree()} at 0, not "
-            f"2L = {im_part_2L.degree()}, and is not comparable to Im phi; "
-            "such inputs are out of scope"
-        )
-    g = R.scale(1 / ratio).primitive()
-    if not g.is_real():
-        raise AssertionError("Res_z(p, pbar) over its ratio to Im phi_2L is not real")
-    return g
-
-
 def _zero_line(ic, x_vars) -> MultiPoly | None:
     """ell with g ~ ell^k near 0, or None: when the Newton polygon is one
     vertex on an axis, (k, 0) or (0, k), the frame line u or v of that axis.
@@ -271,11 +189,13 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
     x_vars = p.vars[:-1]
     d = len(x_vars)
 
-    # (f, R) from _branch_factor, computed once and only where phi is real
-    # through the order or its leading imaginary part is not definite
+    # (f, R) from `resultant.branch_factor`, computed once and only where phi
+    # is real through the order or its leading imaginary part is not definite
     factor = None
     if cls.L is None:
-        factor = _branch_factor(p)
+        from .resultant import branch_factor
+
+        factor = branch_factor(p)
         if factor is None:
             return IdealDescription(
                 case=CaseTag.PRINCIPAL,
@@ -314,12 +234,14 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
             "x-variables (three variables total)"
         )
 
-    # not None here: Im phi is not identically zero
-    f, R = factor or _branch_factor(p)
-    g = _comparable_resultant(f, R, cls.im_part_2L)
-
-    # closure is loaded only here, so Principal and Definite never compile it
+    # resultant and closure are loaded only past the Definite return, so a
+    # Definite ideal compiles neither, and Principal never compiles closure
     from .closure import ic_staircase, monomialize
+    from .resultant import branch_factor, comparable_resultant, subresultants
+
+    # not None here: Im phi is not identically zero
+    f, R = factor or branch_factor(p)
+    g = comparable_resultant(f, R, cls.im_part_2L)
 
     try:
         ic = monomialize(g)
@@ -418,6 +340,8 @@ def membership(
         # p is smooth at 0, so its only factor through 0 is the one carrying
         # the branch: q is a multiple of it exactly when gcd(q, p) vanishes
         # at 0, whatever the truncation of phi hides
+        from .resultant import primitive_gcd
+
         reduced = q.subs({"z": -phi.poly}, phi.order)
         origin = (0,) * len(p.vars)
         if q.is_zero() or primitive_gcd(q, p).coefficient(origin).is_zero():
@@ -429,6 +353,8 @@ def membership(
         )
 
     if ideal.case is CaseTag.LINEAR_FORM:
+        from .resultant import pseudo_remainder
+
         power = ideal.L_or_K
         reduced = q.subs({"z": -phi.poly.real_part()}, phi.order)
         # the reducer den z + num lies in the ideal and den(0) != 0, so q is
@@ -521,23 +447,6 @@ def _direction_grid(d: int):
             yield (a,) + rest
 
 
-def _finite(value: complex) -> complex:
-    """value itself; OverflowError when it is infinite or nan."""
-    if not cmath.isfinite(value):
-        raise OverflowError("non-finite sample value")
-    return value
-
-
-# the oracle's one setting: the box radius at the coarsest level, the number
-# of levels, each halving the radius, and the seed of its random probes
-_ORACLE_RADIUS = 0.125
-_ORACLE_LEVELS = 3
-_ORACLE_SEED = 0
-
-# the probe table of the last oracle call, (p, desc, levels), or None
-_last_probes = None
-
-
 def boundedness_oracle(p: MultiPoly, q: MultiPoly, *, ideal: IdealDescription):
     """Sample |q/p| near the origin against `ideal`, which is
     `numerator_ideal(p, ...)`: sup estimate plus a divergence flag.
@@ -549,174 +458,16 @@ def boundedness_oracle(p: MultiPoly, q: MultiPoly, *, ideal: IdealDescription):
     (each halves the box radius, from 1/8, and the slice offsets shrink
     like radius^2).
 
-    The probes and |p| at them do not depend on q (`_probe_levels`), so the
-    last call's table is reused by a call with the same p and ideal objects
-    (`is`); only q is evaluated per call.  A build that raises keeps no
-    table.  The result is the same, float for float, whether the table is
-    reused or built afresh.  A non-finite or overflowing sample of H, p or
-    q raises PreconditionError, the input being out of the oracle's scope;
-    since p is sampled ahead of q, one at a later probe of p can surface
-    before one in q.
+    The probes and |p| at them do not depend on q
+    (`oracle._probe_levels`), so the last call's table is reused by a call
+    with the same p and ideal objects (`is`); only q is evaluated per call.
+    A build that raises keeps no table.  The result is the same, float for
+    float, whether the table is reused or built afresh.  A non-finite or
+    overflowing sample of H, p or q raises PreconditionError, the input
+    being out of the oracle's scope; since p is sampled ahead of q, one at
+    a later probe of p can surface before one in q.  The sampler lives in
+    `oracle`, which this function loads on its first call.
     """
-    global _last_probes
-    if q.vars != p.vars:
-        q = q.embed(p.vars)
-    level_max = []
-    curve_max = []
-    witness = None
-    try:
-        # a concurrent call at worst builds the table twice
-        last = _last_probes
-        if last is not None and last[0] is p and last[1] is ideal:
-            levels = last[2]
-        else:
-            _last_probes = None
-            levels = _probe_levels(p, ideal)
-            _last_probes = (p, ideal, levels)
-        for points, p_abs, curve_start in levels:
-            ratios = [
-                abs(_finite(q.eval_complex(point))) / value
-                for point, value in zip(points, p_abs)
-            ]
-            best = max(ratios, default=0.0)
-            # the first probe of the largest ratio so far
-            if best > 0 and (witness is None or best > witness[0]):
-                witness = (best, points[ratios.index(best)])
-            level_max.append(best)
-            curve_max.append(max(ratios[curve_start:], default=0.0))
-    except OverflowError:
-        raise PreconditionError(
-            "oracle samples of H, p or q overflow floating point; the input "
-            "is out of the oracle's scope"
-        ) from None
+    from .oracle import sample
 
-    def _monotone_growth(seq):
-        return all(
-            seq[k + 1] >= 1.5 * seq[k] and seq[k] > 0
-            for k in range(len(seq) - 1)
-        )
-
-    # a 1/radius blow-up rate doubles per halving asymptotically; subleading
-    # terms drag it toward ~1.8 at these radii while bounded ratios stay
-    # near 1.0, so the monotone factor is calibrated at 1.5.  The extremal
-    # curve family is tracked separately: its maxima are deterministic, so a
-    # lucky random outlier at the coarsest level cannot mask the trend.
-    divergent = _monotone_growth(level_max) or _monotone_growth(curve_max)
-    return {
-        "sup_estimate": max(level_max),
-        "level_max": level_max,
-        "divergent": divergent,
-        "witness": witness,
-    }
-
-
-def _probe_levels(p: MultiPoly, desc: IdealDescription) -> list:
-    """The oracle's probes, which do not depend on q, one refinement level
-    each: the points where p is nonzero, the random samples first, the list
-    of |p| at them, and the index at which the extremal-curve probes
-    start."""
-    H = desc.H
-    d = len(p.vars) - 1
-    rng = random.Random(_ORACLE_SEED)
-    # one base sample set of 400 points in the unit box, rescaled per
-    # refinement level, so level maxima are directly comparable point by point
-    base = []
-    for k in range(400):
-        x_unit = [rng.uniform(-1.0, 1.0) for _ in range(d)]
-        # slice offsets scale like radius^2, the size of Im phi, so the
-        # samples actually approach the zero set as the levels refine
-        delta_unit = rng.choice([0.0, 0.25, -0.25, 0.0625, -0.0625])
-        v_unit = [rng.uniform(0.05, 1.0) for _ in range(d)]
-        base.append((x_unit, delta_unit, v_unit, k % 2 == 1))
-    levels = []
-    for level in range(_ORACLE_LEVELS):
-        radius = math.ldexp(_ORACLE_RADIUS, -level)
-        points, p_abs = [], []
-        samples = (
-            ([radius * t for t in x_unit], delta_unit, v_unit, interior)
-            for x_unit, delta_unit, v_unit, interior in base
-        )
-        _append_probes(points, p_abs, p, H, radius, samples)
-        curve_start = len(points)
-        curves = (
-            (x_real, 0.0, None, False)
-            for x_real in _extremal_curve_points(desc, radius)
-        )
-        _append_probes(points, p_abs, p, H, radius, curves)
-        levels.append((points, p_abs, curve_start))
-    return levels
-
-
-def _append_probes(points, p_abs, p, H, radius, slice_points):
-    """Append each slice point at which p is provably nonzero to points, and
-    |p| there to p_abs: on the slice z = -H(x) + delta, or inside at x + iv.
-
-    A point on the zero set of p, as the delta = 0 slice is when the branch
-    is a polynomial, gives a float |p| of rounding noise.  So a probe is
-    kept only when |p| exceeds 4 (n + 3d) u S, with n terms of degree <= d,
-    u = 2^-53 and S the sum of the magnitudes of the terms
-    (`eval_with_scale`).  That is 4 times an a priori bound on the error of
-    its term-by-term loop: each term takes at most 3d complex
-    products (its powers by squaring, then their product) and the sum n
-    additions, each off by less than 3u relative to S (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, ch. 3-4).
-    """
-    slack = 4 * (len(p.rows) + 3 * p.degree()) * 2.0**-53
-    for x_real, delta_unit, v_unit, interior in slice_points:
-        h_val = _finite(H.eval_complex(x_real)).real
-        delta = radius * radius * delta_unit
-        if interior:
-            point = tuple(
-                complex(t, radius * s) for t, s in zip(x_real, v_unit)
-            ) + (complex(-h_val, abs(delta) + 0.01 * radius**2),)
-        else:
-            point = tuple(complex(t, 0.0) for t in x_real) + (
-                complex(-h_val + delta, 0.0),
-            )
-        pv, scale = p.eval_with_scale(point)
-        pv = _finite(pv)
-        if abs(pv) > slack * scale:
-            points.append(point)
-            p_abs.append(abs(pv))
-
-
-def _extremal_curve_points(desc: IdealDescription, radius: float):
-    """Deterministic probes where |q|/|p| peaks: the Newton-polyhedron edge
-    curves u = lam * s^wu, v = mu * s^wv (IsolatedDegenerate) and the zero
-    line of the linear form (LinearForm)."""
-    points = []
-    if desc.case is CaseTag.ISOLATED_DEGENERATE:
-        (c00, c01), (c10, c11) = desc.ic.inverse
-        weights = list(desc.ic.halfspaces) + [(1, 1, 0)]
-        for wu, wv, _m in weights:
-            wmin = min(wu, wv)
-            if wmin == 0:
-                continue
-            # parametrize so the probe sits at distance ~radius from 0
-            s = radius ** (1.0 / wmin)
-            for lam in (1.0, -1.0, 0.5, -0.5):
-                for mu in (1.0, -1.0):
-                    u = lam * s**wu
-                    v = mu * s**wv
-                    points.append(
-                        (
-                            float(c00) * u + float(c01) * v,
-                            float(c10) * u + float(c11) * v,
-                        )
-                    )
-    elif desc.case is CaseTag.DEFINITE and len(desc.H.vars) == 2:
-        for ex, ey in ((1.0, 0.0), (0.0, 1.0), (0.7071, 0.7071), (0.7071, -0.7071)):
-            for t in (1.0, -1.0):
-                points.append((radius * t * ex, radius * t * ey))
-    elif desc.case is CaseTag.LINEAR_FORM:
-        a = float(desc.linear_form.coefficient((1, 0)).re)
-        b = float(desc.linear_form.coefficient((0, 1)).re)
-        norm = (a * a + b * b) ** 0.5
-        ex, ey = -b / norm, a / norm  # along the zero line of ell
-        nx, ny = a / norm, b / norm
-        for t in (1.0, -1.0, 0.5):
-            for off in (0.0, radius * radius, -radius * radius):
-                points.append(
-                    (radius * t * ex + off * nx, radius * t * ey + off * ny)
-                )
-    return points
+    return sample(p, q, ideal)

@@ -2,11 +2,14 @@
 
 numideal has two representations of a univariate polynomial.  Over Q(i)
 it is a one-variable `MultiPoly`: `puiseux` finds roots with `eval_exact`
-and `divide_exact`, and the engine takes a gcd with `primitive_gcd`.  A
-real-root question here takes an ascending coefficient list with rational
-entries and makes it a primitive integer list at once.  The list stays
-apart from `MultiPoly` on purpose: the Sturm chain runs on every
-two-variable `classify`, where dict rows would be slower.
+and `resultant.divide_exact`, and the engine takes a gcd with
+`resultant.primitive_gcd`.  A real-root question here takes an ascending
+coefficient list with rational entries and makes it a primitive integer
+list at once.  The list stays apart from `MultiPoly` on purpose: the Sturm
+chain runs on every two-variable `classify`, where dict rows would be
+slower.  Nothing here factors integers: `rational_prime_factors` lives in
+`puiseux`, its one caller, since every command line start loads this
+module.
 Every real-root question reads one integer chain, `sturm_chain`: the
 signed remainder sequence of c and c' computed over Z by pseudo-division
 (Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry, ch. 2).  It
@@ -110,20 +113,6 @@ def count_real_roots(c) -> int:
 
 
 # -- rational roots --------------------------------------------------------
-
-
-def rational_prime_factors(n: int) -> list:
-    """Prime factors of n >= 1 with repetition, by trial division."""
-    primes = []
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            primes.append(p)
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        primes.append(n)
-    return primes
 
 
 def rational_roots(c) -> list:

@@ -11,16 +11,17 @@ is derived from the rows on first use and kept; printing reads the rows.
 The public constructor `MultiPoly(vars, terms)` takes such a map.  Values are
 immutable and all operations pure, so everything here is thread-safe.
 
-Every product runs on one kernel, `_sum_of_products`: it puts the pairs of
+Every product runs on one kernel, `sum_of_products`: it puts the pairs of
 operands over one common denominator and multiplies and sums their rows as
 Python ints.  A plain product is its one-pair case.  `implicit_root` solves
 for a power series degree by degree on it, forming each product of two
-homogeneous parts once, and the Bézout entries and minors of
-`conjugate_resultant` are sums of products on it too.  `MultiPoly.subs` is
-the one composition: Horner's scheme in each replaced variable, one kernel
-call per step acc * r + slice, starting from the leading slice.
-`linear_change`, the bivariate change of frame of `closure`, expands the
-integer powers of its two row forms directly into one integer sum.
+homogeneous parts once.  `MultiPoly.subs` is the one composition: Horner's
+scheme in each replaced variable, one kernel call per step acc * r + slice,
+starting from the leading slice.  The kernel and its integer forms are
+public, with `integer_form`, `reduced_form`, `form_polynomial` and
+`sum_polynomial` between them and `MultiPoly`, because `resultant` (the
+elimination algebra) and `closure` (the linear change of frame) run on
+them; both load only for the cases that need them.
 `TruncatedSeries` is only the record of a polynomial and its truncation
 order.  `eval_complex` builds a plan once per polynomial and keeps it: the
 coefficients as `complex`, the distinct (variable, exponent) pairs, and the
@@ -40,7 +41,6 @@ dropped; there is no exponent limit.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -354,7 +354,7 @@ class MultiPoly:
         Unassigned variables map to themselves.  All replacement polynomials
         must share one variable tuple, which becomes the result's.  This is
         the package's one composition: Horner's scheme in each replaced
-        variable on `_sum_of_products` (`_horner`), with the unassigned
+        variable on `sum_of_products` (`_horner`), with the unassigned
         variables left inside the slices.  A polynomial in which none of
         the replaced variables occurs is its own composition: its rows,
         relabelled into the target variables and truncated, in lowest
@@ -395,8 +395,8 @@ class MultiPoly:
                 ),
                 default=0,
             )
-        w = _width(bound)
-        repls = [_integral(r, w, bound) for r in repls]
+        w = field_width(bound)
+        repls = [integer_form(r, w, bound) for r in repls]
         # the terms grouped by their exponents in the replaced variables, each
         # as a row in the target variables carrying the unassigned exponents
         groups = {}
@@ -407,9 +407,9 @@ class MultiPoly:
             if sum(t) <= bound:
                 key = tuple(e[i] for i in replaced)
                 groups.setdefault(key, []).append((_pack(t, w), a, b))
-        limit = _limit(bound, len(target_vars), w)
+        limit = packed_limit(bound, len(target_vars), w)
         pairs = _horner(groups, self.den, repls, limit)
-        return _normalised(target_vars, w, *_sum_of_products(pairs, limit))
+        return sum_polynomial(target_vars, w, *sum_of_products(pairs, limit))
 
     def rename_vars(self, mapping: dict) -> "MultiPoly":
         new_vars = tuple(mapping.get(v, v) for v in self.vars)
@@ -497,20 +497,21 @@ def _gaussian_integer(c: GaussianRational, d: int = 0):
     return d, re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
 
 
-def _width(bound: int) -> int:
+def field_width(bound: int) -> int:
     """Bits per field of a packed exponent vector (`_pack`) in a computation
     that keeps total degree <= bound: every kept exponent fits.  A sum of two
     exponents that overflows its field exceeds the bound, and so does the
     total degree in the top field, which no carry lowers: such a product has
-    a key at or above the `_limit` and is dropped, so no carry reaches a
-    kept term."""
+    a key at or above the `packed_limit` and is dropped, so no carry reaches
+    a kept term."""
     return max(bound, 1).bit_length()
 
 
 def _pack(e, w: int) -> int:
     """The exponent vector e as one int: e[i] in bits i*w .. i*w + w - 1 and
     the total degree above all of them, so that adding the ints adds the
-    vectors and a key at or above `_limit(order, ...)` has degree > order."""
+    vectors and a key at or above `packed_limit(order, ...)` has degree
+    > order."""
     key = sum(e)
     for k in reversed(e):
         key = key << w | k
@@ -527,19 +528,19 @@ def _unpack(key: int, n: int, w: int) -> tuple:
     return tuple(e)
 
 
-def _limit(order: int, n: int, w: int) -> int:
+def packed_limit(order: int, n: int, w: int) -> int:
     """The least packed key, for n variables, of total degree above order."""
     return (order + 1) << (n * w)
 
 
 # the integer form of the constant 1, whatever the variables and the width
-_ONE = (1, ((0, 1, 0),))
+ONE_FORM = (1, ((0, 1, 0),))
 
 
-def _polynomial(vars: tuple, w: int, *forms) -> MultiPoly:
-    """The sum of reduced integer forms (D, rows), as `_reduced` gives them,
-    with disjoint exponents, over the lcm of the D: in lowest terms, as in
-    `MultiPoly`'s constructor."""
+def form_polynomial(vars: tuple, w: int, *forms) -> MultiPoly:
+    """The sum of reduced integer forms (D, rows), as `reduced_form` gives
+    them, with disjoint exponents, over the lcm of the D: in lowest terms,
+    as in `MultiPoly`'s constructor."""
     D = 1
     for d, _ in forms:
         D = lcm(D, d)
@@ -548,7 +549,7 @@ def _polynomial(vars: tuple, w: int, *forms) -> MultiPoly:
     return MultiPoly._from_rows(vars, D, rows)
 
 
-def _integral(p: MultiPoly, w: int, bound: int):
+def integer_form(p: MultiPoly, w: int, bound: int):
     """The integer form (D, [(key, a, b)]) of p, each exponent vector packed
     into key with w-bit fields, without the terms above total degree bound:
     they never reach a result within it, and may not fit the fields."""
@@ -557,25 +558,25 @@ def _integral(p: MultiPoly, w: int, bound: int):
 
 def _product(p: MultiPoly, q: MultiPoly, order) -> MultiPoly:
     """p * q, keeping total degree <= order unless order is None: the
-    one-pair case of `_sum_of_products`."""
+    one-pair case of `sum_of_products`."""
     bound = p.degree() + q.degree() if order is None else order
-    w = _width(bound)
-    pairs = [(_integral(p, w, bound), _integral(q, w, bound))]
-    limit = _limit(bound, len(p.vars), w)
-    return _normalised(p.vars, w, *_sum_of_products(pairs, limit))
+    w = field_width(bound)
+    pairs = [(integer_form(p, w, bound), integer_form(q, w, bound))]
+    limit = packed_limit(bound, len(p.vars), w)
+    return sum_polynomial(p.vars, w, *sum_of_products(pairs, limit))
 
 
-def _normalised(vars: tuple, w: int, D: int, acc: dict) -> MultiPoly:
-    """The polynomial of a `_sum_of_products` result, in lowest terms."""
-    D, rows = _reduced(D, acc)
+def sum_polynomial(vars: tuple, w: int, D: int, acc: dict) -> MultiPoly:
+    """The polynomial of a `sum_of_products` result, in lowest terms."""
+    D, rows = reduced_form(D, acc)
     n = len(vars)
     return MultiPoly._from_rows(vars, D, {_unpack(k, n, w): (a, b) for k, a, b in rows})
 
 
-def _sum_of_products(pairs, limit: int):
+def sum_of_products(pairs, limit: int):
     """sum_i p_i * q_i over Z[i] for pairs of integer forms (D, rows) as
-    `_integral` gives them, all packed with one field width, keeping the
-    terms whose packed exponents stay below limit (`_limit`).
+    `integer_form` gives them, all packed with one field width, keeping the
+    terms whose packed exponents stay below limit (`packed_limit`).
 
     Returns (D, acc): acc maps packed exponents to [re, im], the value
     (re + im*i)/D, with D the lcm of the D1 * D2.  Terms appear in the order
@@ -605,10 +606,10 @@ def _sum_of_products(pairs, limit: int):
     return D, acc
 
 
-def _reduced(D: int, acc: dict):
-    """The integer form (D, rows) of a `_sum_of_products` result, with the
-    common factor of D and every numerator divided out: the form `_integral`
-    gives the normalised polynomial, without building it."""
+def reduced_form(D: int, acc: dict):
+    """The integer form (D, rows) of a `sum_of_products` result, with the
+    common factor of D and every numerator divided out: the form
+    `integer_form` gives the normalised polynomial, without building it."""
     g = D
     for re, im in acc.values():
         g = gcd(g, re, im)
@@ -620,26 +621,26 @@ def _horner(groups: dict, D: int, repls: list, limit: int) -> list:
     """Pairs of integer forms whose sum of products is the sum over keys k
     of groups of (D, groups[k]) * prod_i repls[i]^k[i], exact below the
     packed limit: Horner's scheme in the first variable, one
-    `_sum_of_products` call per step acc * r + slice, each slice the same
+    `sum_of_products` call per step acc * r + slice, each slice the same
     sum over the other variables.  The accumulator starts as the leading
     slice: when that is one form times the constant 1, as in the last
     variable, the form itself is the accumulator, with no kernel call; its
     rows are distinct, nonzero and below the limit, and the caller's last
-    `_reduced` divides out what this one would.  Module level, not a
+    `reduced_form` divides out what this one would.  Module level, not a
     closure, so that its rows are freed on return, not left in a cycle.
     """
     if not repls:
-        return [((D, groups.get((), [])), _ONE)]
+        return [((D, groups.get((), [])), ONE_FORM)]
     slices = {}
     for key, rows in groups.items():
         slices.setdefault(key[0], {})[key[1:]] = rows
     pairs = []
     for k in range(max(slices, default=0), -1, -1):
         if pairs:
-            if len(pairs) == 1 and pairs[0][1] is _ONE:
+            if len(pairs) == 1 and pairs[0][1] is ONE_FORM:
                 acc = pairs[0][0]
             else:
-                acc = _reduced(*_sum_of_products(pairs, limit))
+                acc = reduced_form(*sum_of_products(pairs, limit))
             pairs = [(acc, repls[0])]
         if k in slices:
             pairs += _horner(slices[k], D, repls[1:], limit)
@@ -705,7 +706,7 @@ def implicit_root(
     res_m = [s_0]_m + sum_k sum_i [s_k]_i * [y^k]_(m-i) leaves y_m out and
     [y^k]_m = sum_j y_j * [y^(k-1)]_(m-j) needs y below degree m only.  So
     each product of two homogeneous parts is formed once, by
-    `_sum_of_products`; the slices are scaled by -1/pivot first, so that
+    `sum_of_products`; the slices are scaled by -1/pivot first, so that
     the sum is y_m itself.  With pivot = (P + Q i)/Dc, -1/pivot is
     -Dc (P - Q i)/(P^2 + Q^2), so a slice (D, rows) scales to
     (D (P^2 + Q^2), rows times -Dc (P - Q i)) in integers, unreduced:
@@ -719,10 +720,10 @@ def implicit_root(
     # (a + b i) times -Dc (P - Q i) is (a sP + b sQ) + (b sP - a sQ) i
     sP, sQ = -Dc * P, -Dc * Q
     top = max(slices)
-    w = _width(order)
-    limit = _limit(order, len(vars), w)
+    w = field_width(order)
+    limit = packed_limit(order, len(vars), w)
     # powers[k][j] = [y^k]_j as an integer form, kept only when nonzero
-    powers = [{0: _ONE}] + [{} for _ in range(top)]
+    powers = [{0: ONE_FORM}] + [{} for _ in range(top)]
     y = powers[1]
     # each term of -s_k / pivot as its own integer form, in the slice's
     # order: for z-degree 1 the terms of y then come in the order of the
@@ -730,7 +731,7 @@ def implicit_root(
     # them in.  The pivot pairs with y_m, which is not there yet.
     terms = []
     for k in sorted(slices, reverse=True):
-        D, rows = _integral(slices[k], w, order)
+        D, rows = integer_form(slices[k], w, order)
         D *= norm
         terms += [
             (k, key >> len(vars) * w, (D, [(key, a * sP + b * sQ, b * sP - a * sQ)]))
@@ -747,256 +748,15 @@ def implicit_root(
         _keep(y, m, pairs, limit)
         if stop_at_imaginary and m in y and any(b for _, _, b in y[m][1]):
             break
-    return _polynomial(vars, w, *y.values())
+    return form_polynomial(vars, w, *y.values())
 
 
 def _keep(parts: dict, m: int, pairs, limit: int) -> None:
     """parts[m] = the sum of products of pairs, as an integer form, unless
     it is zero."""
-    D, rows = _reduced(*_sum_of_products(pairs, limit))
+    D, rows = reduced_form(*sum_of_products(pairs, limit))
     if rows:
         parts[m] = (D, rows)
-
-
-def conjugate_resultant(p: MultiPoly) -> MultiPoly:
-    """Res_z(p, p̄) over Q(i)[x], with z the last variable of p and p̄ the
-    coefficientwise conjugate.
-
-    Computed without division as (-1)^(m(m-1)/2) times the determinant of
-    the m x m Bézout matrix of p and p̄, m = deg_z p (Cox, Little & O'Shea,
-    Using Algebraic Geometry, ch. 3).  With f_k the z-slices of p, entry
-    (i, j) is the sum over k of t - t̄, t = f_(i+1+k) * f̄_(j-k): one product
-    per term, since p̄ has the slices f̄_k.  For m = 1, p = c z + b, it is
-    c b̄ - b c̄.
-    """
-    x_vars = p.vars[:-1]
-    zero = MultiPoly.zero(x_vars)
-    slices = p.slices(p.vars[-1])
-    m = max(slices, default=0)
-    # an entry has degree at most 2 deg p, so a minor of size s at most s times that
-    bound = 2 * m * max(p.degree(), 0)
-    w = _width(bound)
-    limit = _limit(bound, len(x_vars), w)
-    f = [_integral(slices.get(k, zero), w, bound) for k in range(m + 1)]
-    f_bar = [(D, [(k, a, -b) for k, a, b in rows]) for D, rows in f]
-    bezout = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):  # the Bézout matrix is symmetric
-            D, acc = _sum_of_products(
-                [(f[i + 1 + k], f_bar[j - k]) for k in range(min(j, m - 1 - i) + 1)],
-                limit,
-            )
-            for s in acc.values():  # t - t̄ = 2i Im t
-                s[0], s[1] = 0, 2 * s[1]
-            bezout[i][j] = bezout[j][i] = _reduced(D, acc)
-    det = _polynomial(x_vars, w, _determinant(bezout, limit))
-    return -det if m * (m - 1) // 2 % 2 else det
-
-
-def divide_exact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """a / b, for a b that divides a: long division by lex-leading terms,
-    which leaves no remainder exactly when b | a.  On the rows, A / B: with
-    L = P + Q i the leading row of B, a quotient term is t (P - Q i) / |L|^2
-    for the leading row t of the rest.  Rest and quotient share a
-    denominator E, raised by the least factor that makes that term a
-    Gaussian integer, so E ends as the lcm of the denominators of A / B."""
-    a._check_same_vars(b)
-    lead = max(b.rows)
-    P, Q = b.rows[lead]
-    N = P * P + Q * Q
-    rest, quotient, E = dict(a.rows), {}, 1
-    while rest:
-        top = max(rest)
-        shift = tuple(i - j for i, j in zip(top, lead))
-        if any(k < 0 for k in shift):
-            raise ArithmeticError("division was not exact")
-        x, y = rest[top]
-        x, y = x * P + y * Q, y * P - x * Q
-        m = N // gcd(N, x, y)
-        if m > 1:
-            E *= m
-            rest = {e: (u * m, v * m) for e, (u, v) in rest.items()}
-            quotient = {e: (u * m, v * m) for e, (u, v) in quotient.items()}
-        x, y = x * m // N, y * m // N
-        quotient[shift] = (x, y)
-        for e, (u, v) in b.rows.items():
-            key = tuple(i + j for i, j in zip(shift, e))
-            r, s = rest.pop(key, (0, 0))
-            r, s = r - (x * u - y * v), s - (x * v + y * u)
-            if r or s:
-                rest[key] = (r, s)
-    # a / b = (A / B) b.den / a.den
-    rows = {e: (u * b.den, v * b.den) for e, (u, v) in quotient.items()}
-    return MultiPoly._lowest_terms(a.vars, a.den * E, rows)
-
-
-def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """A gcd of a and b in Q(i)[vars], up to a nonzero constant: the gcd of
-    their contents in the last variable times `primitive_gcd`."""
-    a._check_same_vars(b)
-    if a.is_zero() or b.is_zero():
-        return b if a.is_zero() else a
-    if not a.vars:
-        return MultiPoly.constant((), 1)
-    ca, cb = _content(a), _content(b)
-    common = poly_gcd(ca, cb).embed(a.vars)
-    return common * primitive_gcd(_primitive(a, ca), _primitive(b, cb))
-
-
-def subresultants(a: MultiPoly, b: MultiPoly):
-    """The subresultant sequence of nonzero a and b in the last variable t,
-    lazily, from the member of lower t-degree down to the last nonzero one,
-    so the t-degrees strictly decrease.  Each pseudo-remainder is divided
-    exactly by g * h^delta, which keeps the coefficients small (Cohen, A
-    Course in Computational Algebraic Number Theory, Algorithm 3.3.1); one
-    free of t ends the sequence as the constant 1, undivided.
-    """
-    t = a.vars[-1]
-    if a.var_degree(t) < b.var_degree(t):
-        a, b = b, a
-    g = h = MultiPoly.constant(a.vars, 1)
-    while True:
-        yield b
-        delta = a.var_degree(t) - b.var_degree(t)
-        r = pseudo_remainder(a, b)
-        if r.is_zero():
-            return
-        if r.var_degree(t) == 0:
-            yield MultiPoly.constant(a.vars, 1)
-            return
-        a, b = b, divide_exact(r, g * h**delta)
-        g = _leading(a)
-        h = divide_exact(g**delta, h ** (delta - 1)) if delta else h
-
-
-def primitive_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """The primitive part of gcd(a, b) in the last variable, for nonzero a
-    and b: that of the last member of `subresultants(a, b)`."""
-    *_, last = subresultants(a, b)
-    return _primitive(last, _content(last))
-
-
-def _leading(a: MultiPoly) -> MultiPoly:
-    """The leading coefficient of a in its last variable, in all variables."""
-    t = a.vars[-1]
-    return a.slices(t)[a.var_degree(t)].embed(a.vars)
-
-
-def _content(a: MultiPoly) -> MultiPoly:
-    """gcd of the coefficients of a in its last variable."""
-    slices = sorted(
-        a.slices(a.vars[-1]).values(), key=lambda s: (s.degree(), len(s.rows))
-    )
-    c = slices[0]
-    for s in slices[1:]:
-        if c.degree() == 0:
-            break
-        c = poly_gcd(c, s)
-    return c
-
-
-def _primitive(a: MultiPoly, content: MultiPoly) -> MultiPoly:
-    """a divided by its content in the last variable."""
-    return divide_exact(a, content.embed(a.vars))
-
-
-def pseudo_remainder(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """The remainder of lc(b)^max(deg a - deg b + 1, 0) * a on division by
-    b, in the last variable t, with lc(b) the leading t-coefficient of b;
-    0 for a = 0 and a itself when deg a < deg b.  For b = c z + d it is
-    c^(deg a) * a(z = -d/c)."""
-    t = a.vars[-1]
-    db = b.var_degree(t)
-    lead_b = _leading(b)
-    r = a
-    steps = max(a.var_degree(t) - db + 1, 0)
-    while not r.is_zero() and r.var_degree(t) >= db:
-        shift = (0,) * (len(a.vars) - 1) + (r.var_degree(t) - db,)
-        r = r * lead_b - _leading(r) * MultiPoly._from_rows(a.vars, 1, {shift: (1, 0)}) * b
-        steps -= 1
-    return r * lead_b**steps if steps else r
-
-
-def _determinant(matrix, limit: int):
-    """Determinant of a square matrix of integer forms (D, rows) by Laplace
-    expansion, bottom row first, each minor kept by its column set as an
-    integer form and summed as sum_j +-entry * minor by `_sum_of_products`:
-    division-free, with 2^n minors.  The packed limit lies above the degree
-    of every minor."""
-    n = len(matrix)
-    minors = {(): _ONE}
-    for size in range(1, n + 1):
-        row = matrix[n - size]
-        negated = [(D, [(k, -a, -b) for k, a, b in rows]) for D, rows in row]
-        for cols in itertools.combinations(range(n), size):
-            pairs = [
-                ((negated if pos % 2 else row)[j], minors[cols[:pos] + cols[pos + 1 :]])
-                for pos, j in enumerate(cols)
-            ]
-            minors[cols] = _reduced(*_sum_of_products(pairs, limit))
-    return minors[tuple(range(n))]
-
-
-def linear_change(poly: MultiPoly, rows, new_vars) -> MultiPoly:
-    """poly(x, y) with x -> r00 u + r01 v and y -> r10 u + r11 v, where
-    rows = ((r00, r01), (r10, r11)) are rationals and (u, v) = new_vars.
-
-    A direct expansion, not a `subs`: over one denominator Dr of the rows,
-    X = Dr x and Y = Dr y are integer linear forms, and the coefficient
-    lists of their powers come from the binomial recurrence.  Each row
-    (a, b) of x^i y^j adds (a + b i) Dr^(n - i - j) X^i Y^j into one
-    integer sum over poly.den Dr^n, n = deg poly.
-    """
-    new_vars = tuple(new_vars)
-    shape = [len(row) for row in rows]
-    if len(poly.vars) != 2 or shape != [2, 2] or len(new_vars) != 2:
-        raise ArityError(
-            "linear_change expects 2 variables, 2 rows of 2 entries and 2 new"
-            f" variables; got {len(poly.vars)} variables, rows of {shape}"
-            f" entries and {len(new_vars)} new variables"
-        )
-    if not poly.rows:
-        return MultiPoly.zero(new_vars)
-    entries = [r for row in rows for r in row]
-    Dr = lcm(*(r.denominator for r in entries))
-    p00, p01, p10, p11 = (r.numerator * (Dr // r.denominator) for r in entries)
-    n = poly.degree()
-    X = _powers(p00, p01, max(e[0] for e in poly.rows))
-    Y = _powers(p10, p11, max(e[1] for e in poly.rows))
-    # acc is keyed by `_pack((d - k, k), w)` = (d << 2w) + d + k * step
-    w = _width(n)
-    step = (1 << w) - 1
-    acc = {}
-    for (i, j), (a, b) in poly.rows.items():
-        d = i + j
-        f = Dr ** (n - d)
-        a, b = a * f, b * f
-        product = [0] * (d + 1)
-        for s, xs in enumerate(X[i]):
-            if xs:
-                for t, yt in enumerate(Y[j], s):
-                    product[t] += xs * yt
-        base = (d << 2 * w) + d
-        for k, c in enumerate(product):
-            if c:
-                key = base + k * step
-                sk = acc.get(key)
-                if sk is None:
-                    acc[key] = [a * c, b * c]
-                else:
-                    sk[0] += a * c
-                    sk[1] += b * c
-    return _normalised(new_vars, w, poly.den * Dr**n, acc)
-
-
-def _powers(a: int, b: int, m: int) -> list:
-    """The coefficient lists of (a u + b v)^i for i = 0..m, entry k of
-    each that of u^(i - k) v^k."""
-    out = [[1]]
-    for _ in range(m):
-        prev = out[-1]
-        out.append([a * h + b * l for h, l in zip(prev + [0], [0] + prev)])
-    return out
 
 
 def newton_polygon(points):

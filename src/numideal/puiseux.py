@@ -7,7 +7,7 @@ two-variable stable polynomial is `construct.contact_order`, taken exactly
 from the engine.
 
 The engine no longer calls `comparable_polynomial`: it takes g exactly from
-the resultant Res_z(p, p̄) (`poly.conjugate_resultant`), with K read off the
+the resultant Res_z(p, p̄) (`resultant.conjugate_resultant`), with K read off the
 Newton polygon, at no sampled positivity check.  `comparable_polynomial`,
 `weierstrass_prepare`, `branch_factor_poly` and the helpers only they use
 stay, with their tests, because `bench/tracer.py` wraps those three names;
@@ -24,19 +24,33 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError, TruncationError
-from .forms import binary_form, is_positive_definite, rational_prime_factors
+from .forms import binary_form, is_positive_definite
 from .gaussian import GaussianRational, I
 from .poly import (
     MultiPoly,
     TruncatedSeries,
-    divide_exact,
     implicit_root,
     newton_polygon,
     series_invert,
 )
 from .record import Record
+from .resultant import divide_exact
 
 # -- exact root finding over Q(i) -------------------------------------------
+
+
+def rational_prime_factors(n: int) -> list:
+    """Prime factors of n >= 1 with repetition, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            primes.append(p)
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 def _rational_sqrt(q: Fraction):

@@ -401,6 +401,40 @@ def _member_oracle_stdout(name, capsys):
     return "".join(out)
 
 
+class TestLeadingMinus:
+    """A polynomial argument that starts with "-" and holds no space, which
+    argparse would read as an unknown option."""
+
+    @pytest.mark.parametrize("args", [["analyze", "-z-x"], ["member", "z + x", "-x^2"]])
+    def test_bare_form_exits_2_naming_the_fix(self, args):
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert f'argument "{args[-1]}" starts with "-"' in res.stderr
+        assert 'put "--" after the options and before the polynomials' in res.stderr
+        assert 'numideal analyze -- "-z-x"' in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args, spaced, code",
+        [
+            (["analyze", "--format", "json", "--", "-z-x"], "-z - x", 0),
+            (["member", "--format", "json", "--", "z + x", "-x^2"], "- x^2", 3),
+        ],
+    )
+    def test_after_double_dash_it_is_a_polynomial(self, args, spaced, code):
+        res = run_cli(*args)
+        assert res.returncode == code
+        # the same output as for the spaced form, which argparse passes
+        reference = run_cli(*args[:3], *args[4:-1], spaced)
+        assert reference.returncode == code
+        assert res.stdout == reference.stdout
+
+    def test_negative_number_passes(self):
+        res = run_cli("member", "z + x", "-1")
+        assert res.returncode == 3
+        assert "q0 = q(x, -H(x)) = -1\n" in res.stdout
+
+
 class TestMemberOracleGolden:
     # The oracle sums float terms in the insertion order of H's terms, so its
     # last digits pin the term order the exact solver produces

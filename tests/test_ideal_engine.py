@@ -1,5 +1,6 @@
 """End-to-end ideal assembly and membership for the worked examples."""
 
+import gc
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from numideal import engine
+from numideal import oracle
 from numideal.closure import ic_generators, monomialize
 from numideal.branch import classify, solve_branch
 from numideal.construct import (
@@ -19,8 +20,6 @@ from numideal.construct import (
 from numideal.engine import (
     CaseTag,
     Verdict,
-    _branch_factor,
-    _comparable_resultant,
     _monomials_of_degree,
     _zero_line,
     boundedness_oracle,
@@ -35,7 +34,8 @@ from numideal.errors import (
 from numideal.examples import EXAMPLES
 from numideal.gaussian import GaussianRational
 from numideal.parsing import _term_sort_key, format_poly, parse
-from numideal.poly import MultiPoly, pseudo_remainder
+from numideal.poly import MultiPoly
+from numideal.resultant import branch_factor, comparable_resultant, pseudo_remainder
 from test_integral_closure import assert_negative_along
 from transport import LINEAR_MAPS, UNIT_FACTORS, X_MAPS, Z_MAPS, label, transport
 
@@ -833,7 +833,7 @@ class TestOracle:
         for _ in range(2):
             with pytest.raises(PreconditionError, match="out of the oracle's scope"):
                 boundedness_oracle(huge, q, ideal=huge_desc)
-            assert engine._last_probes is None
+            assert oracle._last_probes is None
         after = boundedness_oracle(linear3, q, ideal=desc)
         assert after == before == boundedness_oracle(
             linear3, q, ideal=numerator_ideal(linear3)
@@ -843,17 +843,20 @@ class TestOracle:
         desc = numerator_ideal(linear3)
         q = parse("x", vars=linear3.vars)
         before = boundedness_oracle(linear3, q, ideal=desc)
-        table = engine._last_probes
+        table = oracle._last_probes
         # the probes of p are built, and kept, before q is sampled
         with pytest.raises(PreconditionError, match="out of the oracle's scope"):
             boundedness_oracle(linear3, q * 10**400, ideal=desc)
-        assert engine._last_probes is table
+        assert oracle._last_probes is table
         assert boundedness_oracle(linear3, q, ideal=desc) == before
 
     def test_three_levels_of_halving_radius(self, linear3, linear3_ideal):
-        levels = engine._probe_levels(linear3, linear3_ideal)
+        levels = oracle._probe_levels(linear3, linear3_ideal)
         assert len(levels) == 3
-        for k, (points, p_abs, curve_start) in enumerate(levels):
+        n = len(linear3.vars)
+        for k, (coords, p_abs, curve_start) in enumerate(levels):
+            points = list(oracle._points(coords, n))
+            assert len(coords) == n * len(points)
             assert len(points) == len(p_abs) and 0 < curve_start < len(points)
             assert min(p_abs) > 0
             # the random samples lie in the box of radius 1/8 halved k times
@@ -861,6 +864,29 @@ class TestOracle:
             assert max(abs(x.real) for pt in points[:curve_start] for x in pt[:-1]) <= radius
         res = boundedness_oracle(linear3, parse("x", vars=linear3.vars), ideal=linear3_ideal)
         assert len(res["level_max"]) == 3
+
+    def test_kept_table_adds_a_handful_of_tracked_objects(self, linear3, linear3_ideal):
+        # the table keeps about 1200 probes; as tuples of complex numbers they
+        # stayed tracked until a young collection inside the next verdict
+        # scanned them, while a level's flat lists are two objects
+        def tracked(obj):
+            found = [obj] if gc.is_tracked(obj) else []
+            if isinstance(obj, (list, tuple)):
+                for item in obj:
+                    found += tracked(item)
+            return found
+
+        q = parse("x", vars=linear3.vars)
+        gc.disable()
+        try:
+            boundedness_oracle(linear3, q, ideal=linear3_ideal)
+            p, ideal, levels = oracle._last_probes
+            assert p is linear3 and ideal is linear3_ideal
+            assert sum(len(p_abs) for _, p_abs, _ in levels) > 1000
+            # the list, and per level its tuple and two lists
+            assert len(tracked(levels)) <= 1 + 3 * len(levels)
+        finally:
+            gc.enable()
 
     def test_variable_missing_from_p_is_named(self):
         # the CLI rejects such a q as a parse error; the API names the variable
@@ -938,8 +964,8 @@ UNSTABLE_NEAR_0 = [
 def _comparable_g(p):
     """The g of `numerator_ideal`, built the way it builds it."""
     cls = classify(solve_branch(p, 12, stop_at_imaginary=True))
-    f, R = _branch_factor(p)
-    return _comparable_resultant(f, R, cls.im_part_2L)
+    f, R = branch_factor(p)
+    return comparable_resultant(f, R, cls.im_part_2L)
 
 
 class TestInstabilityNamed:
@@ -978,14 +1004,14 @@ class TestComparableResultantScaling:
     def test_matches_term_scaling_under_units_and_scales(self, name):
         p = EXAMPLES[name]()
         cls = classify(solve_branch(p, 12, stop_at_imaginary=True))
-        f, R = _branch_factor(p)
+        f, R = branch_factor(p)
         units = [GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1)]
         units.append(GaussianRational(0, -1))
         expected = None
         for unit in units:
             for scale in (Fraction(1), Fraction(3, 7), Fraction(10, 3)):
                 R2 = R.scale(unit * scale)
-                got = _comparable_resultant(f, R2, cls.im_part_2L)
+                got = comparable_resultant(f, R2, cls.im_part_2L)
                 ref = self._reference(R2, cls.im_part_2L)
                 assert got == ref and list(got.terms) == list(ref.terms)
                 # positive scales and units of the resultant drop out
@@ -994,7 +1020,7 @@ class TestComparableResultantScaling:
                 assert got == expected
         # so do scales by non-units of Q(i)
         for value in (GaussianRational(3, 6) / 7, GaussianRational(2, -1)):
-            assert _comparable_resultant(f, R.scale(value), cls.im_part_2L) == expected
+            assert comparable_resultant(f, R.scale(value), cls.im_part_2L) == expected
 
 
 def _sample_free_answers(p, order, candidates):

@@ -3,8 +3,8 @@ graph is visible at import time, except where a command or a case loads a
 heavy module only when it needs it; closure and construct do not depend on
 puiseux, the only module that defines root finding over Q(i); the engine
 imports nothing from gaussian; the CLI starts without puiseux, construct,
-closure and dataclasses, and every name the benchmark's tracer wraps
-exists.  No module uses an `assert` statement, which `python -O` strips:
+closure, resultant, oracle and dataclasses, a Definite call loads none of
+the last three, and every name the benchmark's tracer wraps exists.  No module uses an `assert` statement, which `python -O` strips:
 internal checks raise `AssertionError` themselves.  No module of the
 package or the tests imports a name it does not use."""
 
@@ -15,13 +15,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from numideal.examples import EXAMPLES
+from numideal.parsing import format_poly
+from test_cli import WIDE4X
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "numideal"
 
 # parsing imports gaussian and poly, so their printers import it lazily;
 # the CLI loads puiseux and construct only for the commands that use them,
-# construct loads the engine only to find a contact order,
-# and the engine loads closure only for IsolatedDegenerate and LinearForm
+# construct loads the engine only to find a contact order, the engine loads
+# resultant only off the Definite case, closure only for IsolatedDegenerate
+# and LinearForm, and oracle on the first oracle call
 ALLOWED_FUNCTION_IMPORTS = {
     ("gaussian.py", "GaussianRational.__str__"),
     ("poly.py", "MultiPoly.__str__"),
@@ -31,6 +38,7 @@ ALLOWED_FUNCTION_IMPORTS = {
     ("examples.py", "_from_polydisk"),
     ("engine.py", "numerator_ideal"),
     ("engine.py", "membership"),
+    ("engine.py", "boundedness_oracle"),
 }
 
 
@@ -104,27 +112,74 @@ def test_contact_order_lift_does_not_load_puiseux():
     assert _loaded_after(code, ["numideal.puiseux"]) == "[]"
 
 
+# the modules a case or a flag loads on first use
+LAZY = ["numideal.closure", "numideal.oracle", "numideal.resultant"]
+
+
+def _cli(args, check: str) -> str:
+    """Code that runs `numideal ARGS` with its stdout captured as `out` and
+    its exit code as `code`, then asserts `check`."""
+    return (
+        "import contextlib, io, json, numideal.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = cli.main({list(args)!r})\n"
+        f"assert {check}, (code, out.getvalue())"
+    )
+
+
 def test_cli_start_skips_heavy_modules():
     # a cold analyze or member pays neither for puiseux and construct, nor
-    # for generating dataclass methods, nor for compiling closure
+    # for generating dataclass methods, nor for compiling closure, the
+    # resultant algebra or the oracle
     names = [
         "numideal.puiseux",
         "numideal.construct",
         "dataclasses",
         "inspect",
-        "numideal.closure",
+        *LAZY,
     ]
     assert _loaded_after("import numideal.cli", names) == "[]"
 
 
-def test_definite_analyze_does_not_load_closure():
-    code = (
-        "import contextlib, io, numideal.cli as cli\n"
-        "text = cli.format_poly(cli.EXAMPLES['linear3']())\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['analyze', text]) == 0"
-    )
-    assert _loaded_after(code, ["numideal.closure"]) == "[]"
+def test_package_import_loads_no_lazy_module():
+    # the benchmark's set-up imports the package and builds its inputs
+    assert _loaded_after("import numideal", LAZY) == "[]"
+
+
+# Definite inputs whose phi turns non-real within the default order: the
+# linear example, the worked L = 2 example and a four-x-variable input
+DEFINITE = {
+    "linear3": lambda: format_poly(EXAMPLES["linear3"]()),
+    "p2": lambda: format_poly(EXAMPLES["p2"]()),
+    "wide4x": lambda: WIDE4X,
+}
+
+
+@pytest.mark.parametrize("name", list(DEFINITE))
+def test_definite_analyze_loads_no_lazy_module(name):
+    args = ["analyze", DEFINITE[name](), "--format", "json"]
+    check = "code == 0 and json.loads(out.getvalue())['case'] == 'Definite'"
+    assert _loaded_after(_cli(args, check), LAZY) == "[]"
+
+
+@pytest.mark.parametrize("name", list(DEFINITE))
+def test_definite_member_loads_no_lazy_module(name):
+    args = ["member", DEFINITE[name](), "z", "--format", "json"]
+    assert _loaded_after(_cli(args, "code in (0, 3)"), LAZY) == "[]"
+
+
+def test_principal_analyze_loads_resultant_not_closure():
+    # the input of the oracle check through the entry point
+    args = ["analyze", "(z + x)*(z + 1)", "--format", "json"]
+    check = "code == 0 and json.loads(out.getvalue())['case'] == 'Principal'"
+    assert _loaded_after(_cli(args, check), LAZY) == "['numideal.resultant']"
+
+
+@pytest.mark.parametrize("flags, loaded", [([], "[]"), (["--oracle"], "['numideal.oracle']")])
+def test_member_loads_oracle_only_with_the_flag(flags, loaded):
+    args = ["member", DEFINITE["linear3"](), "x", *flags]
+    names = ["numideal.oracle"]
+    assert _loaded_after(_cli(args, "code in (0, 3)"), names) == loaded
 
 
 # root finding over Q(i) by Gaussian-integer factoring serves only the

@@ -12,6 +12,7 @@ from numideal.closure import (
     ic_generators,
     ic_membership,
     line_frame,
+    linear_change,
     monomialize,
     rational_circle_points,
 )
@@ -20,7 +21,7 @@ from numideal.errors import NoMonomializationFound
 from numideal.forms import binary_form
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
-from numideal.poly import MultiPoly, linear_change
+from numideal.poly import MultiPoly
 from test_poly_core import subs_change
 
 

@@ -9,20 +9,18 @@ from fractions import Fraction
 import pytest
 
 from numideal import poly as poly_module
+from numideal.closure import linear_change
 from numideal.errors import ArityError, ParseError
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
 from numideal.poly import (
     MultiPoly,
     TruncatedSeries,
-    conjugate_resultant,
-    divide_exact,
     implicit_root,
-    linear_change,
     newton_polygon,
-    pseudo_remainder,
     series_invert,
 )
+from numideal.resultant import conjugate_resultant, divide_exact, pseudo_remainder
 
 
 def rand_gaussian(rng, span=6):
@@ -337,13 +335,13 @@ def scaled_root(slices, order, stop_at_imaginary=False):
     integer form is taken."""
     vars = slices[1].vars
     step = GaussianRational(-1) / slices[1].coefficient((0,) * len(vars))
-    w = poly_module._width(order)
-    limit = poly_module._limit(order, len(vars), w)
-    powers = [{0: poly_module._ONE}] + [{} for _ in range(max(slices))]
+    w = poly_module.field_width(order)
+    limit = poly_module.packed_limit(order, len(vars), w)
+    powers = [{0: poly_module.ONE_FORM}] + [{} for _ in range(max(slices))]
     y = powers[1]
     terms = []
     for k in sorted(slices, reverse=True):
-        D, rows = poly_module._integral(slices[k].scale(step), w, order)
+        D, rows = poly_module.integer_form(slices[k].scale(step), w, order)
         terms += [(k, row[0] >> len(vars) * w, (D, [row])) for row in rows]
     for m in range(1, order + 1):
         for k in range(2, min(m, max(slices)) + 1):
@@ -354,7 +352,7 @@ def scaled_root(slices, order, stop_at_imaginary=False):
         poly_module._keep(y, m, pairs, limit)
         if stop_at_imaginary and m in y and any(b for _, _, b in y[m][1]):
             break
-    return poly_module._polynomial(vars, w, *y.values())
+    return poly_module.form_polynomial(vars, w, *y.values())
 
 
 class TestImplicitRootIntegerScaling:
@@ -670,14 +668,14 @@ def kernel_horner(groups, D, repls, limit):
     included, which it multiplies by the constant 1: the reference for the
     leading-slice accumulator of `poly._horner`."""
     if not repls:
-        return [((D, groups.get((), [])), poly_module._ONE)]
+        return [((D, groups.get((), [])), poly_module.ONE_FORM)]
     slices = {}
     for key, rows in groups.items():
         slices.setdefault(key[0], {})[key[1:]] = rows
     pairs = []
     for k in range(max(slices, default=0), -1, -1):
         if pairs:
-            acc = poly_module._reduced(*poly_module._sum_of_products(pairs, limit))
+            acc = poly_module.reduced_form(*poly_module.sum_of_products(pairs, limit))
             pairs = [(acc, repls[0])]
         if k in slices:
             pairs += kernel_horner(slices[k], D, repls[1:], limit)
@@ -702,8 +700,8 @@ def kernel_subs(p, assignments, order=None):
             ),
             default=0,
         )
-    w = poly_module._width(bound)
-    repls = [poly_module._integral(r, w, bound) for r in repls]
+    w = poly_module.field_width(bound)
+    repls = [poly_module.integer_form(r, w, bound) for r in repls]
     groups = {}
     for e, (a, b) in p.rows.items():
         t = [0] * len(target_vars)
@@ -712,10 +710,10 @@ def kernel_subs(p, assignments, order=None):
         if sum(t) <= bound:
             key = tuple(e[i] for i in replaced)
             groups.setdefault(key, []).append((poly_module._pack(t, w), a, b))
-    limit = poly_module._limit(bound, len(target_vars), w)
+    limit = poly_module.packed_limit(bound, len(target_vars), w)
     pairs = kernel_horner(groups, p.den, repls, limit)
-    return poly_module._normalised(
-        target_vars, w, *poly_module._sum_of_products(pairs, limit)
+    return poly_module.sum_polynomial(
+        target_vars, w, *poly_module.sum_of_products(pairs, limit)
     )
 
 

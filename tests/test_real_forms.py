@@ -20,13 +20,13 @@ from numideal.forms import (
     negative_point,
     p_strip,
     quadratic_form_sign,
-    rational_prime_factors,
     rational_roots,
     sturm_chain,
 )
 from numideal.gaussian import GaussianRational as G
 from numideal.parsing import parse
 from numideal.poly import MultiPoly
+from numideal.puiseux import rational_prime_factors
 
 from comparability import comparability_ratio, sampled_circle_min
 

@@ -18,8 +18,8 @@ from numideal.errors import PreconditionError
 from numideal.examples import EXAMPLES
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
-from numideal.poly import (
-    MultiPoly,
+from numideal.poly import MultiPoly
+from numideal.resultant import (
     conjugate_resultant,
     divide_exact,
     poly_gcd,
