@@ -23,10 +23,11 @@ brings to a Newton polygon once: one vertex on an axis is LinearForm, with
 ell the frame line of that axis, and a vertex on each axis is
 IsolatedDegenerate, the ideal being the integral closure of g.  LinearForm
 membership reduces by the member of `resultant.subresultants` of f and the
-first generator that is linear in z.  The engine imports `resultant` only
-on these paths and `closure` only for LinearForm and IsolatedDegenerate,
-so a Definite call whose phi turns non-real within the order compiles
-neither.
+first generator that is linear in z, which the ideal computes on its
+first read, so `analyze` never runs the sequence.  The engine imports
+`resultant` only on these paths and `closure` only for LinearForm and
+IsolatedDegenerate, so a Definite call whose phi turns non-real within the
+order compiles neither.
 The engine therefore does not use `puiseux`:
 no branch expansion or Weierstrass preparation decides a case.  One
 decision is sampled: `classify`'s sign of Im phi_2L for 2L >= 4 in three
@@ -44,7 +45,7 @@ from .branch import classify, solve_branch
 from .errors import NoMonomializationFound, PreconditionError, SanityViolation
 from .parsing import format_poly
 from .poly import MultiPoly
-from .record import Record
+from .record import Lazy, Record
 
 
 class CaseTag(Enum):
@@ -72,10 +73,12 @@ class IdealDescription(Record):
     case; ic, the closure.MonomialIdealIC that `monomialize` accepts for g,
     in LinearForm and IsolatedDegenerate; linear_form (ell) and reducer
     (den z + num, den(0) != 0) in LinearForm only.  A field that a case
-    does not set is None.  branch holds phi only as far as the ideal reads
-    it: through 2L for Definite and through K for IsolatedDegenerate, unless
-    a real phi made `numerator_ideal` solve further; through the working
-    order for Principal and LinearForm.
+    does not set is None.  reducer is computed on its first read, which
+    `membership` makes: it runs the subresultant sequence of f and the first
+    generator, which no other reader needs.  branch holds phi only as far
+    as the ideal reads it: through 2L for Definite and through K for
+    IsolatedDegenerate, unless a real phi made `numerator_ideal` solve
+    further; through the working order for Principal and LinearForm.
     """
 
     __slots__ = (
@@ -92,6 +95,7 @@ class IdealDescription(Record):
     )
     # ic, linear_form and reducer default to None
     _defaults = dict.fromkeys(__slots__[7:])
+    _lazy = ("reducer",)
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,10 +108,16 @@ class IdealDescription(Record):
 
 
 class MembershipVerdict(Record):
-    """witness (NotInIdeal) and certificate (InIdeal) are dicts, or None."""
+    """witness (NotInIdeal) and certificate (InIdeal) are dicts, or None.
+
+    reduced_numerator and certificate are computed on their first read:
+    they need q reduced through the working order, which the verdict and
+    the witness do not read (see `membership`).
+    """
 
     __slots__ = ("verdict", "reduced_numerator", "witness", "certificate")
     _defaults = {"witness": None, "certificate": None}
+    _lazy = ("reduced_numerator", "certificate")
 
 
 def _monomials_of_degree(vars, degree, n=None):
@@ -171,14 +181,16 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
     a witness.  Only `classify`'s sign of Im phi_2L for 2L >= 4 in three
     or more x-variables is sampled, with a fixed seed.  phi is solved only
     through its first non-real degree 2L, and again through `order` for
-    LinearForm, whose membership reduces by Re phi.  The working order
-    rises above `order` on its own where the case needs it: to
+    LinearForm, whose reduced numerators are q(x, -Re phi(x)).  The working
+    order rises above `order` on its own where the case needs it: to
     ord Res_z(p, p̄) when phi is real through `order`, and to the exponent
     K of an isolated degenerate zero.  A degenerate Im phi_2L is decided by
     the Newton polygon that `monomialize` gives the comparable g, once:
     `_zero_line` reads LinearForm off it, `_isolated_exponent` the rest.
     So `order` sets only how far phi, the Principal H and the reduced
-    numerators reach; no case tag or verdict depends on it.
+    numerators reach; no case tag or verdict depends on it.  The LinearForm
+    `reducer` is left to its first read, which `membership` makes, together
+    with its unit-slope check.
     """
     if p.vars[-1:] != ("z",):
         raise PreconditionError("p must involve z as its distinguished variable")
@@ -262,15 +274,19 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
         c0 = f.coefficient(slope)
         gen0 = f.scale(c0.conj()).real_part()
         gen0 = gen0.primitive()
-        # the member of z-degree 1 lies in the ideal: gen0 if deg_z f = 1;
-        # else its slope at 0 is a unit, as f(0, z)/z and f̄(0, z) are coprime
-        reducer = next(
-            (s for s in subresultants(f, gen0) if s.var_degree("z") == 1), None
-        )
-        if reducer is None or reducer.coefficient(slope).is_zero():
-            raise AssertionError("the z-linear subresultant has no unit slope at 0")
+
+        def reducer(_):
+            # the member of z-degree 1 lies in the ideal: gen0 if deg_z f = 1;
+            # else its slope at 0 is a unit, as f(0, z)/z and f̄(0, z) are
+            # coprime
+            linear = (s for s in subresultants(f, gen0) if s.var_degree("z") == 1)
+            member = next(linear, None)
+            if member is None or member.coefficient(slope).is_zero():
+                raise AssertionError("the z-linear subresultant has no unit slope at 0")
+            return member
+
         if sol.phi.order < order:
-            # `membership` reduces q by Re phi through the order of phi
+            # `membership` reports q(x, -Re phi(x)) through the order of phi
             sol = solve_branch(p, order)
         ell_power = (ell ** (2 * L)).embed(p.vars)
         return IdealDescription(
@@ -283,7 +299,7 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
             classification=cls,
             ic=ic,
             linear_form=ell,
-            reducer=reducer,
+            reducer=Lazy(reducer),
         )
 
     # isolated degenerate zero: integral closure of g
@@ -323,14 +339,20 @@ def membership(
     """Decide whether q/p is locally bounded near the origin, against
     `ideal`, which is `numerator_ideal(p, ...)`.
 
+    Each case reads q only as far as its verdict and witness need.
+    Principal asks whether gcd(q, p) vanishes at 0.  LinearForm asks how
+    often ell divides q reduced exactly modulo the z-linear `reducer`.
+    Definite asks whether q0 = q(x, -H(x)) vanishes through degree 2L - 1,
+    IsolatedDegenerate whether q0 through degree K lies in the Newton
+    polyhedron; the witness reads the same part of q0.  Every verdict is
+    exact, so none is Indeterminate.
+
     reduced_numerator is the MultiPoly q(x, -r(x)) by `MultiPoly.subs`:
     r = phi (Principal) or Re phi (LinearForm) through the order of phi,
-    r = H through the working order otherwise.  Principal asks whether
-    gcd(q, p) vanishes at 0.  LinearForm asks how often ell divides q
-    reduced exactly modulo the z-linear `reducer`.  Definite tests the
-    vanishing order of q0 = q(x, -H(x)), IsolatedDegenerate its
-    Newton-polyhedron membership.  Every verdict is exact, so none is
-    Indeterminate.
+    r = H through the working order otherwise.  Except for Principal it is
+    computed on its first read, as is the certificate of a Definite or
+    IsolatedDegenerate InIdeal, which reads it: the least degree of q0, or
+    the slacks of every term of q0 in the frame.
     """
     if q.vars != p.vars:
         q = q.embed(p.vars)
@@ -356,7 +378,6 @@ def membership(
         from .resultant import pseudo_remainder
 
         power = ideal.L_or_K
-        reduced = q.subs({"z": -phi.poly.real_part()}, phi.order)
         # the reducer den z + num lies in the ideal and den(0) != 0, so q is
         # reduced exactly to den^deg_z q(x, -num/den), free of z, and den
         # carries no factor of ell; ell is the frame coordinate of the axis
@@ -366,6 +387,8 @@ def membership(
         exact = slices.get(0, MultiPoly.zero(p.vars[:-1]))
         axis = 0 if ideal.ic.newton_points[0][1] == 0 else 1
         j = min((e[axis] for e in ideal.ic.to_uv(exact).rows), default=None)
+        # q(x, -Re phi(x)) through the order of phi, which the verdict does not read
+        reduced = Lazy(lambda _: q.subs({"z": -phi.poly.real_part()}, phi.order))
         if j is None or j >= power:
             return MembershipVerdict(
                 Verdict.IN_IDEAL,
@@ -380,35 +403,46 @@ def membership(
             witness=_linear_form_witness(j, ideal),
         )
 
-    # the ideal's working order may exceed the requested one
+    # q(x, -H(x)) through the working order, which may exceed the requested
+    # one; the verdicts below read it only through the degree that decides
     work = max(order, phi.order)
-    # the terms past `work` cannot change a verdict.  Definite compares the
-    # least degree with 2L <= work.  An IsolatedDegenerate ideal solves phi
-    # to order >= K, so work >= K, and its polygon has a vertex on each axis
-    # with both intercepts <= K, so every monomial of degree > K, in any
-    # linear frame, lies in the polyhedron
-    reduced = q.subs({"z": -ideal.H}, work)
+    reduced = Lazy(lambda _: q.subs({"z": -ideal.H}, work))
 
     if ideal.case is CaseTag.DEFINITE:
-        L = ideal.L_or_K
-        md = reduced.min_degree()
-        if md is None or md >= 2 * L:
+        # q lies in the ideal exactly when q(x, -H(x)) vanishes through
+        # 2L - 1; if not, its lowest part, which the witness reads, lies there
+        needs = 2 * ideal.L_or_K
+        low = q.subs({"z": -ideal.H}, needs - 1)
+        if low.is_zero():
             return MembershipVerdict(
-                Verdict.IN_IDEAL, reduced, certificate={"min_degree": md, "needs": 2 * L}
+                Verdict.IN_IDEAL,
+                reduced,
+                certificate=Lazy(
+                    lambda v: {
+                        "min_degree": v.reduced_numerator.min_degree(),
+                        "needs": needs,
+                    }
+                ),
             )
         return MembershipVerdict(
-            Verdict.NOT_IN_IDEAL,
-            reduced,
-            witness=_direction_witness(reduced, ideal),
+            Verdict.NOT_IN_IDEAL, reduced, witness=_direction_witness(low, ideal)
         )
 
-    # isolated degenerate: integral-closure membership
+    # isolated degenerate: integral-closure membership.  The polygon has a
+    # vertex on each axis with both intercepts <= K, so every monomial of
+    # degree >= K, in any linear frame, lies in the polyhedron, and no face
+    # weight puts it as low as an exponent outside: the terms past K move
+    # neither the verdict nor the witness, only the slack list
     from .closure import ic_membership
 
-    ok, cert = ic_membership(reduced, ideal.ic)
+    ok, witness = ic_membership(q.subs({"z": -ideal.H}, ideal.L_or_K), ideal.ic)
     if ok:
-        return MembershipVerdict(Verdict.IN_IDEAL, reduced, certificate=cert)
-    return MembershipVerdict(Verdict.NOT_IN_IDEAL, reduced, witness=cert)
+        return MembershipVerdict(
+            Verdict.IN_IDEAL,
+            reduced,
+            certificate=Lazy(lambda v: ic_membership(v.reduced_numerator, ideal.ic)[1]),
+        )
+    return MembershipVerdict(Verdict.NOT_IN_IDEAL, reduced, witness=witness)
 
 
 def _linear_form_witness(j: int, desc: IdealDescription):

@@ -435,6 +435,31 @@ class TestLeadingMinus:
         assert "q0 = q(x, -H(x)) = -1\n" in res.stdout
 
 
+# numerators that contain z, with member's JSON (no --oracle) pinned in
+# tests/golden/member_<name>.txt: verdict, witness, the reduction through the
+# working order and the certificate, a Definite min_degree above needs and a
+# slack list with a term above K among them
+MEMBER_NUMERATORS = {
+    "linear3": ["z^3"],
+    "p2": ["z^3"],
+    "nonisolated": ["z", "z^3"],
+    "degenerate": ["z", "z*(x - y)^2"],
+}
+
+
+class TestMemberGolden:
+    @pytest.mark.parametrize("name", list(MEMBER_NUMERATORS))
+    def test_json_stdout(self, name, capsys):
+        p = format_poly(EXAMPLES[name]())
+        out = []
+        for q in MEMBER_NUMERATORS[name]:
+            code = main(["member", p, q, "--format", "json"])
+            text = capsys.readouterr().out
+            assert code == (0 if json.loads(text)["verdict"] == "InIdeal" else 3)
+            out.append(text)
+        assert "".join(out) == (GOLDEN / f"member_{name}.txt").read_text()
+
+
 class TestMemberOracleGolden:
     # The oracle sums float terms in the insertion order of H's terms, so its
     # last digits pin the term order the exact solver produces

@@ -1,7 +1,8 @@
 """Value semantics of the public result types: construction by position and
 by keyword with the documented defaults, equality by value, immutability,
 hashing by value, and the TypeError of a call that does not fit the
-fields."""
+fields; the fields computed on first read, and the one cache path that
+computes them."""
 
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from numideal.gaussian import GaussianRational
 from numideal.parsing import parse
 from numideal.poly import TruncatedSeries
 from numideal.puiseux import BranchExponents, ComparablePolynomial, PuiseuxBranch
-from numideal.record import Record
+from numideal.record import Lazy, Record
 
 X = parse("x + 2*y", vars=("x", "y"))
 Y = parse("x*y", vars=("x", "y"))
@@ -90,6 +91,13 @@ ALL = [
         {"shortcut": None},
     ),
 ]
+
+
+# the fields each class computes on first read from a `Lazy` value
+LAZY = {
+    "IdealDescription": ("reducer",),
+    "MembershipVerdict": ("reduced_numerator", "certificate"),
+}
 
 
 def _ids(table):
@@ -181,3 +189,79 @@ def test_records_share_one_constructor():
         if cls.__module__.startswith("numideal.") and "__init__" in vars(cls)
     }
     assert own == {"TruncatedSeries"}
+
+
+@pytest.mark.parametrize("cls, fields, defaults", ALL, ids=_ids(ALL))
+def test_lazy_fields(cls, fields, defaults):
+    assert cls._lazy == LAZY.get(cls.__name__, ())
+
+
+class Pair(Record):
+    __slots__ = ("eager", "lazy")
+    _lazy = ("lazy",)
+
+
+def _counting(value, calls):
+    def thunk(record):
+        calls.append(record)
+        return value
+
+    return Lazy(thunk)
+
+
+class TestCachePath:
+    def test_a_thunk_runs_once_on_first_read(self):
+        calls = []
+        record = Pair(1, _counting([2], calls))
+        assert calls == []
+        first = record.lazy
+        assert first == [2] and calls == [record]
+        assert record.lazy is first
+        assert calls == [record]
+
+    @pytest.mark.parametrize("read", [lambda r: r == Pair(1, 2), hash, repr])
+    def test_equality_hash_and_repr_force_the_field(self, read):
+        calls = []
+        record = Pair(1, _counting(2, calls))
+        read(record)
+        assert len(calls) == 1
+        assert record == Pair(1, 2)
+        assert hash(record) == hash(Pair(1, 2))
+        assert repr(record) == "Pair(eager=1, lazy=2)"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_assignment_raises_before_and_after_the_first_read(self, force):
+        record = Pair(1, Lazy(lambda r: 2))
+        if force:
+            record.lazy
+        with pytest.raises(AttributeError):
+            record.lazy = 3
+        with pytest.raises(AttributeError):
+            record.eager = 3
+        assert (record.eager, record.lazy) == (1, 2)
+
+    def test_a_raising_thunk_keeps_nothing_and_raises_again(self):
+        calls = []
+
+        def thunk(record):
+            calls.append(record)
+            if len(calls) < 3:
+                raise ArithmeticError(len(calls))
+            return 5
+
+        record = Pair(1, Lazy(thunk))
+        for n in (1, 2):
+            with pytest.raises(ArithmeticError, match=str(n)):
+                record.lazy
+        assert record.lazy == 5
+        assert record.lazy == 5
+        assert len(calls) == 3
+
+    def test_a_thunk_reads_the_other_fields(self):
+        record = Pair(3, Lazy(lambda r: r.eager * 2))
+        assert record.lazy == 6
+
+    def test_a_field_not_named_lazy_keeps_a_lazy_value(self):
+        value = Lazy(lambda r: 2)
+        assert Pair(value, 1).eager is value
