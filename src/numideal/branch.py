@@ -3,9 +3,10 @@
 The zero set of a stable polynomial with a smooth zero at the origin is
 parametrized by z + phi(x) = 0; phi is computed degree by degree with
 undetermined coefficients, using the nonzero z-derivative at 0 as the pivot.
-solve_branch checks the degree-1 conditions of stability, which every
-solve holds exactly, and classify reads only Im phi_2L, so no check here
-depends on the truncation order.
+`branch_series` keeps that solve's state, so that a solve which stopped at
+one degree can continue to a higher one.  solve_branch checks the degree-1
+conditions of stability, which every solve holds exactly, and classify
+reads only Im phi_2L, so no check here depends on the truncation order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .forms import (
     quadratic_form_sign,
     sampled_sphere_nonneg,
 )
-from .poly import MultiPoly, TruncatedSeries, implicit_root
+from .poly import MultiPoly, TruncatedSeries, implicit_series
 from .record import Record
 
 
@@ -55,10 +56,22 @@ def solve_branch(
 
     With stop_at_imaginary, phi is solved and its residual checked only
     through its first non-real degree m <= order, and phi.order is m; a phi
-    real through the order is solved in full.  `numerator_ideal` solves so:
-    a Definite ideal reads phi through 2L = m only, and it solves again
-    where something reads further, through K for IsolatedDegenerate.
-    `analyze` solves through --order to print phi.
+    real through the order is solved in full.  `numerator_ideal` solves so,
+    through `branch_series`, and continues the same solve where it reads
+    further: through K for IsolatedDegenerate.  `analyze` solves through
+    --order to print phi.
+    """
+    return next(branch_series(p, order, stop_at_imaginary))
+
+
+def branch_series(p: MultiPoly, order: int, stop_at_imaginary: bool = False):
+    """The solutions of one resumable solve of phi, a generator.
+
+    It first yields solve_branch(p, order, stop_at_imaginary).  Sent a
+    degree n past the one that solve stopped at and at most `order`, it
+    continues phi through n (`implicit_series`) and yields it, its residual
+    checked through n.  The degree-1 checks do not run again: a
+    continuation keeps every degree already solved.
     """
     if len(p.vars) < 2:
         raise PreconditionError("need at least one x-variable plus z")
@@ -74,12 +87,10 @@ def solve_branch(
     # q(x, z) = p(x, -z), so that q(x, phi(x)) = 0 gives phi itself
     rows = {e: (-a, -b) if e[-1] % 2 else (a, b) for e, (a, b) in p.rows.items()}
     q = MultiPoly._from_rows(p.vars, p.den, rows)
-    phi = implicit_root(q.slices(q.vars[-1]), order, stop_at_imaginary)
+    roots = implicit_series(q.slices(q.vars[-1]), order, stop_at_imaginary)
+    phi = next(roots)
     if stop_at_imaginary and not phi.is_real():
         order = phi.degree()  # the solve stopped at its first non-real degree
-    low = q.subs({q.vars[-1]: phi}, order).min_degree()  # the residual
-    if low is not None:
-        raise AssertionError(f"solver fixed point failed: residual has degree {low}")
 
     x_vars = p.vars[:-1]
     grad0 = tuple(
@@ -110,8 +121,13 @@ def solve_branch(
                     ),
                 )
 
-    # implicit_root keeps no term above the order
-    return BranchSolution(TruncatedSeries._within(phi, order), grad0)
+    while True:
+        low = q.subs({q.vars[-1]: phi}, order).min_degree()  # the residual
+        if low is not None:
+            raise AssertionError(f"solver fixed point failed: residual has degree {low}")
+        # implicit_series keeps no term above the order
+        order = yield BranchSolution(TruncatedSeries._within(phi, order), grad0)
+        phi = roots.send(order)
 
 
 def classify(sol: BranchSolution):

@@ -219,6 +219,15 @@ def monomialize(g: MultiPoly) -> MonomialIdealIC:
     admission by G_d rejects no frame that G would accept, and the first
     accepted frame is the same.
 
+    The frames of the repeated-root lines are tried first, then those of x
+    and x - y, and the first accepted frame is still that of the listed
+    order.  Such a line's root direction is a real zero of the lowest form,
+    and it lies off both axes of the x and x - y frames, since
+    `_candidate_lines` drops a line equal or perpendicular to a listed one.
+    A frame accepts the lowest form only if the form is positive off its
+    axes, so neither fixed frame accepts while such a line exists.  The
+    search for a negative face keeps the listed order, and so its witness.
+
     No other frame is ever accepted first.  Acceptance depends only on the
     lines u = 0 and v = 0: swapping u and v, scaling an axis or flipping
     its sign keeps the even positive terms, the polyhedron and face
@@ -233,7 +242,7 @@ def monomialize(g: MultiPoly) -> MonomialIdealIC:
         raise PreconditionError("monomialize expects a bivariate polynomial")
     frames = [line_frame(a, b) for a, b in _candidate_lines(g)]
     lowest = g.lowest_part()
-    for change, inverse in frames:
+    for change, inverse in frames[2:] + frames[:2]:
         if _accepted(linear_change(lowest, inverse, ("u", "v")), change, inverse) is None:
             continue
         ic = _try_change(g, change, inverse)

@@ -41,7 +41,7 @@ import itertools
 from enum import Enum
 from fractions import Fraction
 
-from .branch import classify, solve_branch
+from .branch import branch_series, classify, solve_branch
 from .errors import NoMonomializationFound, PreconditionError, SanityViolation
 from .parsing import format_poly
 from .poly import MultiPoly
@@ -78,7 +78,10 @@ class IdealDescription(Record):
     generator, which no other reader needs.  branch holds phi only as far
     as the ideal reads it: through 2L for Definite and through K for
     IsolatedDegenerate, unless a real phi made `numerator_ideal` solve
-    further; through the working order for Principal and LinearForm.
+    further; through the working order for Principal and LinearForm.  A
+    LinearForm branch that the ideal's own solve stopped short of the order
+    is solved afresh on its first read, which the reduced numerator and
+    `analyze` make and no verdict does.
     """
 
     __slots__ = (
@@ -95,7 +98,7 @@ class IdealDescription(Record):
     )
     # ic, linear_form and reducer default to None
     _defaults = dict.fromkeys(__slots__[7:])
-    _lazy = ("reducer",)
+    _lazy = ("branch", "reducer")
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,23 +183,26 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
     negative face of g in `monomialize`, each raising SanityViolation with
     a witness.  Only `classify`'s sign of Im phi_2L for 2L >= 4 in three
     or more x-variables is sampled, with a fixed seed.  phi is solved only
-    through its first non-real degree 2L, and again through `order` for
-    LinearForm, whose reduced numerators are q(x, -Re phi(x)).  The working
-    order rises above `order` on its own where the case needs it: to
-    ord Res_z(p, p̄) when phi is real through `order`, and to the exponent
-    K of an isolated degenerate zero.  A degenerate Im phi_2L is decided by
-    the Newton polygon that `monomialize` gives the comparable g, once:
-    `_zero_line` reads LinearForm off it, `_isolated_exponent` the rest.
-    So `order` sets only how far phi, the Principal H and the reduced
-    numerators reach; no case tag or verdict depends on it.  The LinearForm
-    `reducer` is left to its first read, which `membership` makes, together
-    with its unit-slope check.
+    through its first non-real degree 2L.  For an isolated degenerate zero
+    the same solve continues through its exponent K (`branch_series`),
+    within `order`, and a K past `order` is solved afresh.  The LinearForm
+    `branch`, phi through `order` for the reduced numerators
+    q(x, -Re phi(x)), is solved on its first read.  The working order rises
+    above `order` on its own where the case needs it: to ord Res_z(p, p̄)
+    when phi is real through `order`, and to K.  A degenerate Im phi_2L is
+    decided by the Newton polygon that `monomialize` gives the comparable
+    g, once: `_zero_line` reads LinearForm off it, `_isolated_exponent` the
+    rest.  So `order` sets only how far phi, the Principal H and the
+    reduced numerators reach; no case tag or verdict depends on it.  The
+    LinearForm `reducer` is left to its first read, which `membership`
+    makes, together with its unit-slope check.
     """
     if p.vars[-1:] != ("z",):
         raise PreconditionError("p must involve z as its distinguished variable")
     if len(p.vars) < 2:
         raise PreconditionError("p must involve at least one x-variable besides z")
-    sol = solve_branch(p, order, stop_at_imaginary=True)
+    series = branch_series(p, order, stop_at_imaginary=True)
+    sol = next(series)
     cls = classify(sol)
     x_vars = p.vars[:-1]
     d = len(x_vars)
@@ -285,9 +291,12 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
                 raise AssertionError("the z-linear subresultant has no unit slope at 0")
             return member
 
+        # `membership` reports q(x, -Re phi(x)) through the order of phi,
+        # which no verdict reads: phi through the order is solved afresh on
+        # the first read of branch, so no solver state outlives this call
+        branch = sol
         if sol.phi.order < order:
-            # `membership` reports q(x, -Re phi(x)) through the order of phi
-            sol = solve_branch(p, order)
+            branch = Lazy(lambda _: solve_branch(p, order))
         ell_power = (ell ** (2 * L)).embed(p.vars)
         return IdealDescription(
             case=CaseTag.LINEAR_FORM,
@@ -295,7 +304,7 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
             H=sol.phi.poly.truncate(2 * L - 1).real_part(),
             L_or_K=2 * L,
             g=ell ** (2 * L),
-            branch=sol,
+            branch=branch,
             classification=cls,
             ic=ic,
             linear_form=ell,
@@ -305,7 +314,10 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
     # isolated degenerate zero: integral closure of g
     K = _isolated_exponent(ic)
     if sol.phi.order < K:
-        sol = solve_branch(p, K)
+        # continue the solve that stopped at 2L; its state is packed for the
+        # order, so a K past the order is solved afresh.  After the solve
+        # through ord R, phi reaches the order, so K is past it here
+        sol = series.send(K) if K <= order else solve_branch(p, K)
     H = sol.phi.poly.truncate(K - 1).real_part()
     generators = [MultiPoly.variable(p.vars, "z") + H.embed(p.vars)]
     for a, b in reversed(ic_staircase(ic)):
@@ -343,9 +355,10 @@ def membership(
     Principal asks whether gcd(q, p) vanishes at 0.  LinearForm asks how
     often ell divides q reduced exactly modulo the z-linear `reducer`.
     Definite asks whether q0 = q(x, -H(x)) vanishes through degree 2L - 1,
-    IsolatedDegenerate whether q0 through degree K lies in the Newton
+    IsolatedDegenerate whether q0 through degree K - 1 lies in the Newton
     polyhedron; the witness reads the same part of q0.  Every verdict is
-    exact, so none is Indeterminate.
+    exact, so none is Indeterminate.  Only Principal reads the ideal's
+    branch for its verdict.
 
     reduced_numerator is the MultiPoly q(x, -r(x)) by `MultiPoly.subs`:
     r = phi (Principal) or Re phi (LinearForm) through the order of phi,
@@ -356,7 +369,6 @@ def membership(
     """
     if q.vars != p.vars:
         q = q.embed(p.vars)
-    phi = ideal.branch.phi
 
     if ideal.case is CaseTag.PRINCIPAL:
         # p is smooth at 0, so its only factor through 0 is the one carrying
@@ -364,6 +376,7 @@ def membership(
         # at 0, whatever the truncation of phi hides
         from .resultant import primitive_gcd
 
+        phi = ideal.branch.phi
         reduced = q.subs({"z": -phi.poly}, phi.order)
         origin = (0,) * len(p.vars)
         if q.is_zero() or primitive_gcd(q, p).coefficient(origin).is_zero():
@@ -387,8 +400,14 @@ def membership(
         exact = slices.get(0, MultiPoly.zero(p.vars[:-1]))
         axis = 0 if ideal.ic.newton_points[0][1] == 0 else 1
         j = min((e[axis] for e in ideal.ic.to_uv(exact).rows), default=None)
-        # q(x, -Re phi(x)) through the order of phi, which the verdict does not read
-        reduced = Lazy(lambda _: q.subs({"z": -phi.poly.real_part()}, phi.order))
+
+        def reduce(_):
+            # q(x, -Re phi(x)) through the order of phi: no verdict reads
+            # it, so none forces the ideal's lazy branch
+            phi = ideal.branch.phi
+            return q.subs({"z": -phi.poly.real_part()}, phi.order)
+
+        reduced = Lazy(reduce)
         if j is None or j >= power:
             return MembershipVerdict(
                 Verdict.IN_IDEAL,
@@ -405,8 +424,9 @@ def membership(
 
     # q(x, -H(x)) through the working order, which may exceed the requested
     # one; the verdicts below read it only through the degree that decides
-    work = max(order, phi.order)
-    reduced = Lazy(lambda _: q.subs({"z": -ideal.H}, work))
+    reduced = Lazy(
+        lambda _: q.subs({"z": -ideal.H}, max(order, ideal.branch.phi.order))
+    )
 
     if ideal.case is CaseTag.DEFINITE:
         # q lies in the ideal exactly when q(x, -H(x)) vanishes through
@@ -430,12 +450,14 @@ def membership(
 
     # isolated degenerate: integral-closure membership.  The polygon has a
     # vertex on each axis with both intercepts <= K, so every monomial of
-    # degree >= K, in any linear frame, lies in the polyhedron, and no face
-    # weight puts it as low as an exponent outside: the terms past K move
-    # neither the verdict nor the witness, only the slack list
+    # degree >= K, in any linear frame, lies in the polyhedron.  There it
+    # has at least the weight m of each face and of the synthesized steep
+    # weight, above the weight h0 < m of a violated exponent: the terms of
+    # degree >= K move neither the verdict nor the violating exponents nor
+    # the witness's weight line, only the slack list
     from .closure import ic_membership
 
-    ok, witness = ic_membership(q.subs({"z": -ideal.H}, ideal.L_or_K), ideal.ic)
+    ok, witness = ic_membership(q.subs({"z": -ideal.H}, ideal.L_or_K - 1), ideal.ic)
     if ok:
         return MembershipVerdict(
             Verdict.IN_IDEAL,

@@ -698,7 +698,21 @@ def implicit_root(
     total degree `order`; the pivot slices[1](0) must be nonzero.  With
     stop_at_imaginary, the solve ends after the first degree m whose part
     y_m is not real, so y holds the series through m only, and m is its
-    degree; a real y runs through the order.
+    degree; a real y runs through the order.  The first solution of
+    `implicit_series`.
+    """
+    return next(implicit_series(slices, order, stop_at_imaginary))
+
+
+def implicit_series(slices: dict, order: int, stop_at_imaginary: bool = False):
+    """The solutions of one resumable `implicit_root` solve, a generator.
+
+    It first yields implicit_root(slices, order, stop_at_imaginary).  Sent a
+    degree n with m < n <= order, m the degree it stopped at, it continues
+    the same solve from degree m + 1, with no stop, and yields y through n.
+    It keeps the powers [y^k]_j, the scaled slice terms, the field width
+    and the packed limit, and no degree <= m changes.  That state is packed
+    for `order`, so a solve past it starts afresh.
 
     Undetermined coefficients, degree by degree (Knuth, TAOCP vol. 2, 4.7).
     With [.]_m the degree-m part and s_k = slices[k], the degree-m part of
@@ -737,18 +751,25 @@ def implicit_root(
             (k, key >> len(vars) * w, (D, [(key, a * sP + b * sQ, b * sP - a * sQ)]))
             for key, a, b in rows
         ]
-    for m in range(1, order + 1):
-        for k in range(2, min(m, top) + 1):
-            lower = powers[k - 1]
-            pairs = [
-                (y[j], lower[m - j]) for j in range(1, m) if j in y and m - j in lower
-            ]
-            _keep(powers[k], m, pairs, limit)
-        pairs = [(t, powers[k][m - d]) for k, d, t in terms if m - d in powers[k]]
-        _keep(y, m, pairs, limit)
-        if stop_at_imaginary and m in y and any(b for _, _, b in y[m][1]):
-            break
-    return form_polynomial(vars, w, *y.values())
+    m, through = 0, order
+    while True:
+        for m in range(m + 1, through + 1):
+            for k in range(2, min(m, top) + 1):
+                lower = powers[k - 1]
+                pairs = [
+                    (y[j], lower[m - j]) for j in range(1, m) if j in y and m - j in lower
+                ]
+                _keep(powers[k], m, pairs, limit)
+            pairs = [(t, powers[k][m - d]) for k, d, t in terms if m - d in powers[k]]
+            _keep(y, m, pairs, limit)
+            if stop_at_imaginary and m in y and any(b for _, _, b in y[m][1]):
+                break
+        stop_at_imaginary = False
+        through = yield form_polynomial(vars, w, *y.values())
+        if not m < through <= order:
+            raise ValueError(
+                f"cannot resume at degree {through} a solve through {m} of order {order}"
+            )
 
 
 def _keep(parts: dict, m: int, pairs, limit: int) -> None:

@@ -7,14 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from numideal.branch import PhiClassification, classify, solve_branch
-from numideal.construct import random_stable_polynomial
+from numideal.branch import PhiClassification, branch_series, classify, solve_branch
+from numideal.construct import (
+    contact_order_lift,
+    iterated_composition,
+    random_stable_polynomial,
+)
 from numideal.engine import numerator_ideal
 from numideal.errors import PreconditionError, SanityViolation
 from numideal.examples import EXAMPLES
 from numideal.gaussian import GaussianRational
 from numideal.parsing import parse
-from numideal.poly import MultiPoly, implicit_root
+from numideal.poly import MultiPoly, implicit_root, implicit_series
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -183,6 +187,46 @@ class TestImplicitRoot:
                 y = implicit_root(s, 8, stop_at_imaginary=True)
                 assert y == full.truncate(m)
             assert y.is_real()
+
+
+class TestResumedSolve:
+    @pytest.mark.parametrize("deg_z", [1, 2, 3])
+    def test_a_resumed_solve_is_the_solve_through_its_degree(self, deg_z):
+        # a solve that stopped at its first non-real degree m, continued
+        # through each n > m, is the full solve through n
+        rng = random.Random(f"implicit_series:{deg_z}")
+        for _ in range(3):
+            slices = seeded_slices(rng, deg_z, 2)
+            series = implicit_series(slices, 8, stop_at_imaginary=True)
+            y = next(series)
+            assert y == implicit_root(slices, 8, stop_at_imaginary=True)
+            for n in range(y.degree() + 1, 9):
+                assert series.send(n) == implicit_root(slices, n)
+            # one jump from the stop to the order
+            series = implicit_series(slices, 8, stop_at_imaginary=True)
+            next(series)
+            assert series.send(8) == implicit_root(slices, 8)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_a_solve_resumes_only_past_its_stop_and_within_its_order(self, n):
+        # the state is packed for the order, and degrees through the stop
+        # are solved already
+        slices = {0: parse("x", vars=("x",)), 1: parse("1 + i*x", vars=("x",))}
+        series = implicit_series(slices, 8, stop_at_imaginary=True)
+        assert next(series).degree() == 2
+        with pytest.raises(ValueError, match="cannot resume"):
+            series.send(n)
+
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_a_continued_branch_is_the_branch_through_its_order(self, L):
+        # the lift stops at 2, and `numerator_ideal` continues it through K = 2L
+        p = contact_order_lift(iterated_composition(L, n_vars=2))
+        series = branch_series(p, 12, stop_at_imaginary=True)
+        first = next(series)
+        assert first == solve_branch(p, 12, stop_at_imaginary=True)
+        assert first.phi.order == 2
+        assert series.send(2 * L) == solve_branch(p, 2 * L)
+        assert series.send(12) == solve_branch(p, 12)
 
 
 class TestTermOrder:

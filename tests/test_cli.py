@@ -43,6 +43,10 @@ ANALYZE_GOLDEN = {
     "p2": lambda: format_poly(EXAMPLES["p2"]()),
     "iterated7": lambda: format_poly(iterated_composition(7)),
     "wide4x": lambda: WIDE4X,
+    # frame (4x - 9y, 9x + 4y), of the lowest form's repeated root
+    "degenerate_rescaled": lambda: format_poly(
+        _oracle_denominator("degenerate_rescaled")
+    ),
 }
 
 
@@ -116,8 +120,9 @@ class TestAnalyze:
         assert err == "error: phi does not vanish on the zero-gradient subspace\n"
 
     # phi is printed through --order, and phi_order with it, on every path
-    # that solves phi again: LinearForm (nonisolated), K (degenerate),
-    # Definite (p2, wide4x) and the raised ord R (iterated7)
+    # that solves phi again: LinearForm (nonisolated), K (degenerate and
+    # degenerate_rescaled, whose frame is a repeated-root line's), Definite
+    # (p2, wide4x) and the raised ord R (iterated7)
     @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
     @pytest.mark.parametrize("name", list(ANALYZE_GOLDEN))
     def test_golden_stdout(self, name, fmt, ext, capsys):

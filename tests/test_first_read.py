@@ -2,7 +2,7 @@
 computation gives.
 
 `membership` decides Definite on q(x, -H(x)) through degree 2L - 1 and
-IsolatedDegenerate through degree K, runs no substitution for LinearForm,
+IsolatedDegenerate through degree K - 1, runs no substitution for LinearForm,
 and leaves the reduced numerator and the certificate to their first read.
 The reference here is eager: it reduces q through the working order, then
 decides, as `membership` did before it read only the degrees that decide.
@@ -12,7 +12,9 @@ criterion-7 polynomials and their images under the maps of `transport`, with
 each ideal built at another order than the `membership` call.
 
 `IdealDescription.reducer` runs the subresultant sequence on its first read
-only, so `analyze` never runs it and one ideal runs it once.
+only, so `analyze` never runs it and one ideal runs it once.  The branch
+solver's degree loop runs once through K for IsolatedDegenerate, and a
+LinearForm ideal solves phi past 2L only when its branch is read.
 """
 
 import random
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from numideal import resultant
+from numideal import poly, resultant
 from numideal.cli import main
 from numideal.closure import ic_membership
 from numideal.engine import (
@@ -226,3 +228,50 @@ def test_one_ideal_runs_the_subresultant_sequence_once(subresultant_calls):
     ]
     assert len(subresultant_calls) == 1
     assert ideal.reducer != ideal.generators[0]
+
+
+@pytest.fixture
+def solved_degrees(monkeypatch):
+    """The degrees that the branch solver's degree loop runs, in order: one
+    entry per step, however many parts the step keeps."""
+    degrees = []
+    keep = poly._keep
+
+    def counted(parts, m, pairs, limit):
+        if not degrees or degrees[-1] != m:
+            degrees.append(m)
+        keep(parts, m, pairs, limit)
+
+    monkeypatch.setattr(poly, "_keep", counted)
+    return degrees
+
+
+def test_isolated_degenerate_solves_through_k_once(solved_degrees):
+    # the solve that stopped at 2L = 2 continues through K = 4
+    ideal = numerator_ideal(EXAMPLES["degenerate"](), order=12)
+    assert (ideal.case, ideal.L_or_K) == (CaseTag.ISOLATED_DEGENERATE, 4)
+    assert solved_degrees == [1, 2, 3, 4]
+    assert ideal.branch.phi.order == 4
+
+
+def test_linear_form_solves_past_2l_on_the_first_read_of_branch(solved_degrees):
+    p = EXAMPLES["nonisolated"]()
+    ideal = numerator_ideal(p, order=12)
+    assert (ideal.case, ideal.L_or_K) == (CaseTag.LINEAR_FORM, 2)
+    assert solved_degrees == [1, 2]
+    verdicts = [
+        membership(p, parse(text, vars=p.vars), ideal=ideal)
+        for text in ("(x + y)^2", "x + y", "z")
+    ]
+    assert [v.verdict for v in verdicts] == [
+        Verdict.IN_IDEAL,
+        Verdict.NOT_IN_IDEAL,
+        Verdict.NOT_IN_IDEAL,
+    ]
+    assert solved_degrees == [1, 2]
+    # the reduced numerator reads phi through the order, solved afresh once
+    verdicts[0].reduced_numerator
+    assert solved_degrees == [1, 2] + list(range(1, 13))
+    assert ideal.branch.phi.order == 12
+    verdicts[1].reduced_numerator
+    assert solved_degrees == [1, 2] + list(range(1, 13))

@@ -95,7 +95,7 @@ ALL = [
 
 # the fields each class computes on first read from a `Lazy` value
 LAZY = {
-    "IdealDescription": ("reducer",),
+    "IdealDescription": ("branch", "reducer"),
     "MembershipVerdict": ("reduced_numerator", "certificate"),
 }
 
