@@ -24,7 +24,7 @@ from .record import Record
 
 
 class BranchSolution(Record):
-    """phi with p(x, -phi(x)) = 0 through the working order; grad0 holds the
+    """phi with p(x, -phi(x)) = 0 through phi.order; grad0 holds the
     degree-1 coefficients of phi, one per x-variable."""
 
     __slots__ = ("phi", "grad0")
@@ -40,10 +40,9 @@ class PhiClassification(Record):
     _defaults = {"im_part_2L": None, "definite": None, "definite_exact": True}
 
 
-def solve_branch(
-    p: MultiPoly, order: int, stop_at_imaginary: bool = False
-) -> BranchSolution:
-    """Compute phi with p(x, -phi(x)) vanishing through total degree `order`.
+def solve_branch(p: MultiPoly, order: int) -> BranchSolution:
+    """Compute phi with p(x, -phi(x)) vanishing through total degree `order`:
+    the first solution of `branch_series`.
 
     Requires p(0) = 0 and dp/dz(0) != 0 (z is the last variable of p).
     Checks what stability forces on the degree-1 part of phi, which every
@@ -53,25 +52,22 @@ def solve_branch(
     latter holds exactly when p has no z-free term in those variables
     alone, so neither check depends on the order.  A failure raises
     SanityViolation with a witness.
-
-    With stop_at_imaginary, phi is solved and its residual checked only
-    through its first non-real degree m <= order, and phi.order is m; a phi
-    real through the order is solved in full.  `numerator_ideal` solves so,
-    through `branch_series`, and continues the same solve where it reads
-    further: through K for IsolatedDegenerate.  `analyze` solves through
-    --order to print phi.
     """
-    return next(branch_series(p, order, stop_at_imaginary))
+    return next(branch_series(p, order))
 
 
 def branch_series(p: MultiPoly, order: int, stop_at_imaginary: bool = False):
     """The solutions of one resumable solve of phi, a generator.
 
-    It first yields solve_branch(p, order, stop_at_imaginary).  Sent a
-    degree n past the one that solve stopped at and at most `order`, it
-    continues phi through n (`implicit_series`) and yields it, its residual
-    checked through n.  The degree-1 checks do not run again: a
-    continuation keeps every degree already solved.
+    It first yields phi through `order`, with the checks of `solve_branch`.
+    With stop_at_imaginary, phi is solved and its residual checked only
+    through its first non-real degree m <= order, and phi.order is m; a phi
+    real through the order is solved in full.  Sent a degree n past the
+    one it stopped at, at any height, it continues phi through n
+    (`implicit_series`) and yields it, its residual checked through n.  The
+    degree-1 checks do not run again: a continuation keeps every degree
+    already solved.  `numerator_ideal` solves so, and continues the one
+    solve through ord Res_z(p, p̄) and through K where it reads further.
     """
     if len(p.vars) < 2:
         raise PreconditionError("need at least one x-variable plus z")

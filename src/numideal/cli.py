@@ -27,7 +27,6 @@ import os
 import re
 import sys
 
-from .branch import solve_branch
 from .engine import (
     CaseTag,
     Verdict,
@@ -54,14 +53,13 @@ def cmd_analyze(args) -> int:
     p = parse(_read_input(args.polynomial))
     desc = numerator_ideal(p, order=args.order)
     cls = desc.classification
-    phi = desc.branch.phi
-    if phi.order < args.order:
-        # the ideal may read phi only through 2L or K; print it through --order
-        phi = solve_branch(p, args.order).phi
+    # phi through the working order: --order, or the degree the ideal's
+    # solve reached past it
+    branch, order = desc.branch, desc.working_order
     payload = desc.to_json_dict()
-    payload["phi"] = format_poly(phi.poly)
-    payload["phi_order"] = phi.order
-    payload["grad0"] = [str(g) for g in desc.branch.grad0]
+    payload["phi"] = format_poly(branch.phi.poly)
+    payload["phi_order"] = order
+    payload["grad0"] = [str(g) for g in branch.grad0]
     real = cls.L is None
     payload["first_imag_index"] = None if real else 2 * cls.L
     payload["im_part"] = None if real else format_poly(cls.im_part_2L)
@@ -70,10 +68,10 @@ def cmd_analyze(args) -> int:
         print(json.dumps(payload, indent=2))
         return 0
     print(f"p = {format_poly(p)}")
-    print(f"phi = {payload['phi']} + O(deg {phi.order + 1})")
+    print(f"phi = {payload['phi']} + O(deg {order + 1})")
     print(f"grad phi(0) = ({', '.join(payload['grad0'])})")
     if real:
-        print(f"phi real through order {phi.order}")
+        print(f"phi real through order {order}")
     else:
         definite = "positive definite" if cls.definite else "not positive definite"
         if not cls.definite_exact:

@@ -69,19 +69,19 @@ class IdealDescription(Record):
     generators are MultiPolys in the full (x.., z) variables; H is a real
     polynomial in the x-variables; g is None for Principal and Definite.
     The other fields are diagnostics, not part of the wire schema, and
-    `numerator_ideal` sets them by case: branch and classification in every
-    case; ic, the closure.MonomialIdealIC that `monomialize` accepts for g,
-    in LinearForm and IsolatedDegenerate; linear_form (ell) and reducer
-    (den z + num, den(0) != 0) in LinearForm only.  A field that a case
-    does not set is None.  reducer is computed on its first read, which
-    `membership` makes: it runs the subresultant sequence of f and the first
-    generator, which no other reader needs.  branch holds phi only as far
-    as the ideal reads it: through 2L for Definite and through K for
-    IsolatedDegenerate, unless a real phi made `numerator_ideal` solve
-    further; through the working order for Principal and LinearForm.  A
-    LinearForm branch that the ideal's own solve stopped short of the order
-    is solved afresh on its first read, which the reduced numerator and
-    `analyze` make and no verdict does.
+    `numerator_ideal` sets them by case: working_order, branch and
+    classification in every case; ic, the closure.MonomialIdealIC that
+    `monomialize` accepts for g, in LinearForm and IsolatedDegenerate;
+    linear_form (ell) and reducer (den z + num, den(0) != 0) in LinearForm
+    only.  A field that a case does not set is None.  working_order is the
+    ideal's order, or the degree its own solve of phi reached past it: ord
+    Res_z(p, p̄) where phi is real through the order, and K.  branch is phi
+    through the working order in every case.  Where the ideal's own solve
+    stopped short of it, at 2L or at K, branch is solved afresh on its
+    first read, which `analyze` and the LinearForm reduced numerator make
+    and no verdict does.  reducer is computed on its first
+    read, which `membership` makes: it runs the subresultant sequence of f
+    and the first generator, which no other reader needs.
     """
 
     __slots__ = (
@@ -90,6 +90,7 @@ class IdealDescription(Record):
         "H",
         "L_or_K",
         "g",
+        "working_order",
         "branch",
         "classification",
         "ic",
@@ -97,7 +98,7 @@ class IdealDescription(Record):
         "reducer",
     )
     # ic, linear_form and reducer default to None
-    _defaults = dict.fromkeys(__slots__[7:])
+    _defaults = dict.fromkeys(__slots__[8:])
     _lazy = ("branch", "reducer")
 
     def to_json_dict(self) -> dict:
@@ -179,17 +180,16 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
     Requires p(0) = 0, dp/dz(0) != 0, and p stable on the poly-upper
     half-plane.  Stability is the caller's hypothesis, as in the paper; p is
     never sampled.  What the engine checks, it checks exactly: the degree-1
-    conditions in `solve_branch`, Im phi_2L >= 0 in `classify`, and a
+    conditions in `branch_series`, Im phi_2L >= 0 in `classify`, and a
     negative face of g in `monomialize`, each raising SanityViolation with
     a witness.  Only `classify`'s sign of Im phi_2L for 2L >= 4 in three
-    or more x-variables is sampled, with a fixed seed.  phi is solved only
-    through its first non-real degree 2L.  For an isolated degenerate zero
-    the same solve continues through its exponent K (`branch_series`),
-    within `order`, and a K past `order` is solved afresh.  The LinearForm
-    `branch`, phi through `order` for the reduced numerators
-    q(x, -Re phi(x)), is solved on its first read.  The working order rises
-    above `order` on its own where the case needs it: to ord Res_z(p, p̄)
-    when phi is real through `order`, and to K.  A degenerate Im phi_2L is
+    or more x-variables is sampled, with a fixed seed.  phi is solved once,
+    by one `branch_series`: through its first non-real degree 2L, continued
+    through ord Res_z(p, p̄) when phi is real through `order`, and through
+    the exponent K of an isolated degenerate zero.  The working order is
+    `order`, or the degree that solve reached past it.  `branch`, phi
+    through the working order, is that solve where it got there, and is
+    otherwise solved afresh on its first read.  A degenerate Im phi_2L is
     decided by the Newton polygon that `monomialize` gives the comparable
     g, once: `_zero_line` reads LinearForm off it, `_isolated_exponent` the
     rest.  So `order` sets only how far phi, the Principal H and the
@@ -207,6 +207,20 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
     x_vars = p.vars[:-1]
     d = len(x_vars)
 
+    def describe(case, generators, H, L_or_K, g, **parts):
+        # the ideal with the fields of the solve sol and its classification
+        # cls as they stand at the return: the working order is `order`, or
+        # the degree sol reached past it, and branch is phi through it, sol
+        # where it got there, else solved afresh on its first read, so that
+        # no solver state outlives this call
+        branch = sol
+        if sol.phi.order < order:
+            branch = Lazy(lambda ideal: solve_branch(p, ideal.working_order))
+        working_order = max(order, sol.phi.order)
+        return IdealDescription(
+            case, generators, H, L_or_K, g, working_order, branch, cls, **parts
+        )
+
     # (f, R) from `resultant.branch_factor`, computed once and only where phi
     # is real through the order or its leading imaginary part is not definite
     factor = None
@@ -215,17 +229,15 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
 
         factor = branch_factor(p)
         if factor is None:
-            return IdealDescription(
+            return describe(
                 case=CaseTag.PRINCIPAL,
                 generators=[p],
                 H=sol.phi.poly.real_part(),
                 L_or_K=0,
                 g=None,
-                branch=sol,
-                classification=cls,
             )
-        # ord R >= 2L, so solving through ord R exposes L
-        sol = solve_branch(p, max(order, factor[1].min_degree()))
+        # ord R >= 2L > order, so continuing the solve through ord R exposes L
+        sol = series.send(factor[1].min_degree())
         cls = classify(sol)
         if cls.L is None:
             raise AssertionError("phi is real through ord Res_z(p, pbar)")
@@ -236,15 +248,7 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
         H = sol.phi.poly.truncate(2 * L - 1).real_part()
         z_plus_H = MultiPoly.variable(p.vars, "z") + H.embed(p.vars)
         gens = [z_plus_H] + _monomials_of_degree(p.vars, 2 * L, d)
-        return IdealDescription(
-            case=CaseTag.DEFINITE,
-            generators=gens,
-            H=H,
-            L_or_K=L,
-            g=None,
-            branch=sol,
-            classification=cls,
-        )
+        return describe(case=CaseTag.DEFINITE, generators=gens, H=H, L_or_K=L, g=None)
 
     if d != 2:
         raise PreconditionError(
@@ -291,21 +295,13 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
                 raise AssertionError("the z-linear subresultant has no unit slope at 0")
             return member
 
-        # `membership` reports q(x, -Re phi(x)) through the order of phi,
-        # which no verdict reads: phi through the order is solved afresh on
-        # the first read of branch, so no solver state outlives this call
-        branch = sol
-        if sol.phi.order < order:
-            branch = Lazy(lambda _: solve_branch(p, order))
         ell_power = (ell ** (2 * L)).embed(p.vars)
-        return IdealDescription(
+        return describe(
             case=CaseTag.LINEAR_FORM,
             generators=[gen0, ell_power],
             H=sol.phi.poly.truncate(2 * L - 1).real_part(),
             L_or_K=2 * L,
             g=ell ** (2 * L),
-            branch=branch,
-            classification=cls,
             ic=ic,
             linear_form=ell,
             reducer=Lazy(reducer),
@@ -314,10 +310,8 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
     # isolated degenerate zero: integral closure of g
     K = _isolated_exponent(ic)
     if sol.phi.order < K:
-        # continue the solve that stopped at 2L; its state is packed for the
-        # order, so a K past the order is solved afresh.  After the solve
-        # through ord R, phi reaches the order, so K is past it here
-        sol = series.send(K) if K <= order else solve_branch(p, K)
+        # continue the solve that stopped at 2L, or reached ord R, through K
+        sol = series.send(K)
     H = sol.phi.poly.truncate(K - 1).real_part()
     generators = [MultiPoly.variable(p.vars, "z") + H.embed(p.vars)]
     for a, b in reversed(ic_staircase(ic)):
@@ -329,14 +323,12 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
             generators.extend(_monomials_of_degree(p.vars, K, d))
         else:
             generators.append(ic.from_uv_monomial(a, b, x_vars).embed(p.vars))
-    return IdealDescription(
+    return describe(
         case=CaseTag.ISOLATED_DEGENERATE,
         generators=generators,
         H=H,
         L_or_K=K,
         g=g,
-        branch=sol,
-        classification=cls,
         ic=ic,
     )
 
@@ -361,8 +353,10 @@ def membership(
     branch for its verdict.
 
     reduced_numerator is the MultiPoly q(x, -r(x)) by `MultiPoly.subs`:
-    r = phi (Principal) or Re phi (LinearForm) through the order of phi,
-    r = H through the working order otherwise.  Except for Principal it is
+    r = phi (Principal) or Re phi (LinearForm) through the ideal's working
+    order, r = H through the higher of that order and `order` otherwise.
+    So a call whose `order` is below the ideal's gets q0 through the
+    ideal's order.  Except for Principal it is
     computed on its first read, as is the certificate of a Definite or
     IsolatedDegenerate InIdeal, which reads it: the least degree of q0, or
     the slacks of every term of q0 in the frame.
@@ -422,11 +416,10 @@ def membership(
             witness=_linear_form_witness(j, ideal),
         )
 
-    # q(x, -H(x)) through the working order, which may exceed the requested
-    # one; the verdicts below read it only through the degree that decides
-    reduced = Lazy(
-        lambda _: q.subs({"z": -ideal.H}, max(order, ideal.branch.phi.order))
-    )
+    # q(x, -H(x)) through the working order, or the requested one where it
+    # is higher; the verdicts below read it only through the degree that
+    # decides
+    reduced = Lazy(lambda _: q.subs({"z": -ideal.H}, max(order, ideal.working_order)))
 
     if ideal.case is CaseTag.DEFINITE:
         # q lies in the ideal exactly when q(x, -H(x)) vanishes through

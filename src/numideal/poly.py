@@ -691,28 +691,28 @@ def series_invert(u: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(y + inv0, u.order)
 
 
-def implicit_root(
-    slices: dict, order: int, stop_at_imaginary: bool = False
-) -> MultiPoly:
+def implicit_root(slices: dict, order: int) -> MultiPoly:
     """The series y(x), y(0) = 0, with sum_k slices[k](x) * y^k = 0 through
-    total degree `order`; the pivot slices[1](0) must be nonzero.  With
-    stop_at_imaginary, the solve ends after the first degree m whose part
-    y_m is not real, so y holds the series through m only, and m is its
-    degree; a real y runs through the order.  The first solution of
-    `implicit_series`.
+    total degree `order`; the pivot slices[1](0) must be nonzero.  The first
+    solution of `implicit_series`.
     """
-    return next(implicit_series(slices, order, stop_at_imaginary))
+    return next(implicit_series(slices, order))
 
 
 def implicit_series(slices: dict, order: int, stop_at_imaginary: bool = False):
     """The solutions of one resumable `implicit_root` solve, a generator.
 
-    It first yields implicit_root(slices, order, stop_at_imaginary).  Sent a
-    degree n with m < n <= order, m the degree it stopped at, it continues
-    the same solve from degree m + 1, with no stop, and yields y through n.
-    It keeps the powers [y^k]_j, the scaled slice terms, the field width
-    and the packed limit, and no degree <= m changes.  That state is packed
-    for `order`, so a solve past it starts afresh.
+    It first yields y through `order`; with stop_at_imaginary the solve ends
+    after the first degree m whose part y_m is not real, so y holds the
+    series through m only, and m is its degree, while a real y runs through
+    the order.  Sent a degree n past the one it stopped at, it continues the
+    same solve, with no stop, and yields y through n; a degree at or below
+    the stop raises ValueError.  It keeps the powers [y^k]_j, the scaled
+    slice terms, the field width and the packed limit, and no degree already
+    solved changes.  A degree past the order that state was packed for packs
+    it again: the slice terms are rebuilt from the slices at the new bound,
+    in the order a fresh solve builds them, and the kept parts are repacked
+    at the new width, so y's rows come in the fresh solve's order.
 
     Undetermined coefficients, degree by degree (Knuth, TAOCP vol. 2, 4.7).
     With [.]_m the degree-m part and s_k = slices[k], the degree-m part of
@@ -727,32 +727,41 @@ def implicit_series(slices: dict, order: int, stop_at_imaginary: bool = False):
     `_keep` reduces each result once.
     """
     vars, Dc = slices[1].vars, slices[1].den
-    P, Q = slices[1].rows.get((0,) * len(vars), (0, 0))
+    n = len(vars)
+    P, Q = slices[1].rows.get((0,) * n, (0, 0))
     norm = P * P + Q * Q
     if not norm:
         raise ZeroDivisionError("implicit_root needs a nonzero pivot")
     # (a + b i) times -Dc (P - Q i) is (a sP + b sQ) + (b sP - a sQ) i
     sP, sQ = -Dc * P, -Dc * Q
     top = max(slices)
-    w = field_width(order)
-    limit = packed_limit(order, len(vars), w)
     # powers[k][j] = [y^k]_j as an integer form, kept only when nonzero
     powers = [{0: ONE_FORM}] + [{} for _ in range(top)]
     y = powers[1]
-    # each term of -s_k / pivot as its own integer form, in the slice's
-    # order: for z-degree 1 the terms of y then come in the order of the
-    # schoolbook product s_1 * y, which float evaluations of the branch sum
-    # them in.  The pivot pairs with y_m, which is not there yet.
-    terms = []
-    for k in sorted(slices, reverse=True):
-        D, rows = integer_form(slices[k], w, order)
-        D *= norm
-        terms += [
-            (k, key >> len(vars) * w, (D, [(key, a * sP + b * sQ, b * sP - a * sQ)]))
-            for key, a, b in rows
-        ]
-    m, through = 0, order
+    # m is the degree solved through, packed the bound the state is packed for
+    m, w, packed, through = 0, 0, 0, order
     while True:
+        if through > packed:
+            packed, old, w = through, w, field_width(through)
+            limit = packed_limit(packed, n, w)
+            if w != old:
+                for parts in powers[1:]:
+                    for j, (D, rows) in parts.items():
+                        rows = [(_pack(_unpack(k, n, old), w), a, b) for k, a, b in rows]
+                        parts[j] = (D, rows)
+            # each term of -s_k / pivot as its own integer form, in the
+            # slice's order: for z-degree 1 the terms of y then come in the
+            # order of the schoolbook product s_1 * y, which float
+            # evaluations of the branch sum them in.  The pivot pairs with
+            # y_m, which is not there yet.
+            terms = []
+            for k in sorted(slices, reverse=True):
+                D, rows = integer_form(slices[k], w, packed)
+                D *= norm
+                terms += [
+                    (k, key >> n * w, (D, [(key, a * sP + b * sQ, b * sP - a * sQ)]))
+                    for key, a, b in rows
+                ]
         for m in range(m + 1, through + 1):
             for k in range(2, min(m, top) + 1):
                 lower = powers[k - 1]
@@ -766,10 +775,8 @@ def implicit_series(slices: dict, order: int, stop_at_imaginary: bool = False):
                 break
         stop_at_imaginary = False
         through = yield form_polynomial(vars, w, *y.values())
-        if not m < through <= order:
-            raise ValueError(
-                f"cannot resume at degree {through} a solve through {m} of order {order}"
-            )
+        if through <= m:
+            raise ValueError(f"cannot resume at degree {through} a solve through {m}")
 
 
 def _keep(parts: dict, m: int, pairs, limit: int) -> None:

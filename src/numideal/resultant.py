@@ -14,8 +14,11 @@ definite, the engine's decisions rest on R = Res_z(f, f̄), with f the
 factor of p through the branch: `branch_factor` finds f and R,
 `comparable_resultant` turns R into the real g comparable to Im phi, and
 `shared_root` names the reason when R vanishes to a higher order than
-Im phi.  A `Definite` ideal reads phi alone, so the engine loads this
-module only past its `Definite` return, and `puiseux` for `divide_exact`.
+Im phi.  A `Definite` ideal whose phi turns non-real within the order
+reads phi alone.  So `engine` loads this module only where phi is real
+through the order, past its `Definite` return, and for the verdicts that
+use it: Principal (`primitive_gcd`) and LinearForm (`pseudo_remainder`).
+`puiseux` loads it for `divide_exact`.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from numideal import poly
 from numideal.parsing import parse
 
 # the CLI tests start `python -m numideal.cli`; let it import this checkout
@@ -51,3 +52,19 @@ def p2_stable():
 @pytest.fixture(scope="session")
 def degenerate_g():
     return parse(DEGENERATE_G_TEXT, vars=("x", "y"))
+
+
+@pytest.fixture
+def solved_degrees(monkeypatch):
+    """The degrees that the branch solver's degree loop runs, in order: one
+    entry per step, however many parts the step keeps."""
+    degrees = []
+    keep = poly._keep
+
+    def counted(parts, m, pairs, limit):
+        if not degrees or degrees[-1] != m:
+            degrees.append(m)
+        keep(parts, m, pairs, limit)
+
+    monkeypatch.setattr(poly, "_keep", counted)
+    return degrees

@@ -184,7 +184,7 @@ class TestImplicitRoot:
             for s in (slices, real):
                 full = implicit_root(s, 8)
                 m = min((sum(e) for e, c in full.terms.items() if c.im), default=8)
-                y = implicit_root(s, 8, stop_at_imaginary=True)
+                y = next(implicit_series(s, 8, stop_at_imaginary=True))
                 assert y == full.truncate(m)
             assert y.is_real()
 
@@ -199,7 +199,7 @@ class TestResumedSolve:
             slices = seeded_slices(rng, deg_z, 2)
             series = implicit_series(slices, 8, stop_at_imaginary=True)
             y = next(series)
-            assert y == implicit_root(slices, 8, stop_at_imaginary=True)
+            assert y == next(implicit_series(slices, 8, stop_at_imaginary=True))
             for n in range(y.degree() + 1, 9):
                 assert series.send(n) == implicit_root(slices, n)
             # one jump from the stop to the order
@@ -207,15 +207,43 @@ class TestResumedSolve:
             next(series)
             assert series.send(8) == implicit_root(slices, 8)
 
-    @pytest.mark.parametrize("n", [1, 2, 9])
-    def test_a_solve_resumes_only_past_its_stop_and_within_its_order(self, n):
-        # the state is packed for the order, and degrees through the stop
-        # are solved already
-        slices = {0: parse("x", vars=("x",)), 1: parse("1 + i*x", vars=("x",))}
-        series = implicit_series(slices, 8, stop_at_imaginary=True)
+    SLICES = {0: parse("x", vars=("x",)), 1: parse("1 + i*x", vars=("x",))}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_solve_resumes_only_past_its_stop(self, n):
+        # degrees through the stop are solved already
+        series = implicit_series(self.SLICES, 8, stop_at_imaginary=True)
         assert next(series).degree() == 2
         with pytest.raises(ValueError, match="cannot resume"):
             series.send(n)
+
+    def test_a_solve_resumes_past_its_order(self):
+        # the state packed for the order is packed again for the degree
+        series = implicit_series(self.SLICES, 8, stop_at_imaginary=True)
+        next(series)
+        assert series.send(9) == implicit_root(self.SLICES, 9)
+
+    @pytest.mark.parametrize(
+        "p, order, n",
+        [
+            *(
+                (contact_order_lift(iterated_composition(L, n_vars=2)), 4, 2 * L + 1)
+                for L in (2, 3, 4)
+            ),
+            (iterated_composition(7), 12, 14),
+        ],
+        ids=["lift2", "lift3", "lift4", "iterated7"],
+    )
+    def test_rows_past_the_packed_order_come_in_the_fresh_order(self, p, order, n):
+        # the oracle sums phi's float terms in row order, so a solve resumed
+        # past the order it was packed for keeps the fresh solve's order
+        series = branch_series(p, order, stop_at_imaginary=True)
+        first = next(series)
+        resumed = series.send(n).phi.poly
+        fresh = solve_branch(p, n).phi.poly
+        assert first.phi.order <= order < n
+        assert list(resumed.rows) == list(fresh.rows)
+        assert resumed == fresh
 
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_a_continued_branch_is_the_branch_through_its_order(self, L):
@@ -223,10 +251,11 @@ class TestResumedSolve:
         p = contact_order_lift(iterated_composition(L, n_vars=2))
         series = branch_series(p, 12, stop_at_imaginary=True)
         first = next(series)
-        assert first == solve_branch(p, 12, stop_at_imaginary=True)
+        assert first == next(branch_series(p, 12, stop_at_imaginary=True))
         assert first.phi.order == 2
         assert series.send(2 * L) == solve_branch(p, 2 * L)
         assert series.send(12) == solve_branch(p, 12)
+        assert series.send(15) == solve_branch(p, 15)
 
 
 class TestTermOrder:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from numideal.cli import main
-from numideal.construct import iterated_composition
+from numideal.construct import contact_order_lift, iterated_composition
 from numideal.examples import EXAMPLES
 from numideal.parsing import format_poly
 from numideal.poly import MultiPoly
@@ -119,10 +119,12 @@ class TestAnalyze:
         assert out == ""
         assert err == "error: phi does not vanish on the zero-gradient subspace\n"
 
-    # phi is printed through --order, and phi_order with it, on every path
-    # that solves phi again: LinearForm (nonisolated), K (degenerate and
-    # degenerate_rescaled, whose frame is a repeated-root line's), Definite
-    # (p2, wide4x) and the raised ord R (iterated7)
+    # phi is printed through the working order, and phi_order with it, on
+    # every path of the ideal's branch: solved afresh on its read where the
+    # ideal's solve stopped at 2L or K, for LinearForm (nonisolated), K
+    # (degenerate and degenerate_rescaled, whose frame is a repeated-root
+    # line's) and Definite (p2, wide4x), and the ideal's own solve through
+    # the raised ord R (iterated7)
     @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
     @pytest.mark.parametrize("name", list(ANALYZE_GOLDEN))
     def test_golden_stdout(self, name, fmt, ext, capsys):
@@ -443,19 +445,27 @@ class TestLeadingMinus:
 # numerators that contain z, with member's JSON (no --oracle) pinned in
 # tests/golden/member_<name>.txt: verdict, witness, the reduction through the
 # working order and the certificate, a Definite min_degree above needs and a
-# slack list with a term above K among them
+# slack list with a term above K among them; iterated7's working order is
+# ord R = 14, past the default order
 MEMBER_NUMERATORS = {
     "linear3": ["z^3"],
     "p2": ["z^3"],
     "nonisolated": ["z", "z^3"],
     "degenerate": ["z", "z*(x - y)^2"],
+    "iterated7": ["x^14", "z^2"],
 }
+
+
+def member_p(name):
+    """p of tests/golden/member_<name>.txt: a worked example, or the input
+    of an analyze golden."""
+    return format_poly(EXAMPLES[name]()) if name in EXAMPLES else ANALYZE_GOLDEN[name]()
 
 
 class TestMemberGolden:
     @pytest.mark.parametrize("name", list(MEMBER_NUMERATORS))
     def test_json_stdout(self, name, capsys):
-        p = format_poly(EXAMPLES[name]())
+        p = member_p(name)
         out = []
         for q in MEMBER_NUMERATORS[name]:
             code = main(["member", p, q, "--format", "json"])
@@ -463,6 +473,33 @@ class TestMemberGolden:
             assert code == (0 if json.loads(text)["verdict"] == "InIdeal" else 3)
             out.append(text)
         assert "".join(out) == (GOLDEN / f"member_{name}.txt").read_text()
+
+
+# the L = 4 lift, IsolatedDegenerate with K = 8, at --order 4: K lies past
+# the order, so phi, H and q0 reach K.  tests/golden/lift4_analyze.{txt,json}
+# hold analyze's output and tests/golden/member_lift4.txt member's JSON on
+# LIFT4_NUMERATORS
+LIFT4_NUMERATORS = ["z*(x - y)^2", "x - y", "z^2"]
+
+
+def lift4():
+    return format_poly(contact_order_lift(iterated_composition(4, n_vars=2)))
+
+
+class TestGoldenPastTheOrder:
+    @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+    def test_analyze_stdout(self, fmt, ext, capsys):
+        assert main(["analyze", lift4(), "--order", "4", "--format", fmt]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"lift4_analyze.{ext}").read_text()
+
+    def test_member_json_stdout(self, capsys):
+        out = []
+        for q in LIFT4_NUMERATORS:
+            code = main(["member", lift4(), q, "--order", "4", "--format", "json"])
+            text = capsys.readouterr().out
+            assert code == (0 if json.loads(text)["verdict"] == "InIdeal" else 3)
+            out.append(text)
+        assert "".join(out) == (GOLDEN / "member_lift4.txt").read_text()
 
 
 class TestMemberOracleGolden:

@@ -13,8 +13,10 @@ each ideal built at another order than the `membership` call.
 
 `IdealDescription.reducer` runs the subresultant sequence on its first read
 only, so `analyze` never runs it and one ideal runs it once.  The branch
-solver's degree loop runs once through K for IsolatedDegenerate, and a
-LinearForm ideal solves phi past 2L only when its branch is read.
+solver's degree loop runs each degree once per ideal: through 2L, through
+ord R where phi is real through the order, and through K for
+IsolatedDegenerate; an ideal whose own solve stopped below its working
+order solves phi through that order only when its branch is read.
 """
 
 import random
@@ -22,9 +24,11 @@ from fractions import Fraction
 
 import pytest
 
-from numideal import poly, resultant
+from numideal import resultant
+from numideal.branch import solve_branch
 from numideal.cli import main
 from numideal.closure import ic_membership
+from numideal.construct import contact_order_lift, iterated_composition
 from numideal.engine import (
     CaseTag,
     MembershipVerdict,
@@ -230,28 +234,55 @@ def test_one_ideal_runs_the_subresultant_sequence_once(subresultant_calls):
     assert ideal.reducer != ideal.generators[0]
 
 
-@pytest.fixture
-def solved_degrees(monkeypatch):
-    """The degrees that the branch solver's degree loop runs, in order: one
-    entry per step, however many parts the step keeps."""
-    degrees = []
-    keep = poly._keep
-
-    def counted(parts, m, pairs, limit):
-        if not degrees or degrees[-1] != m:
-            degrees.append(m)
-        keep(parts, m, pairs, limit)
-
-    monkeypatch.setattr(poly, "_keep", counted)
-    return degrees
-
-
 def test_isolated_degenerate_solves_through_k_once(solved_degrees):
     # the solve that stopped at 2L = 2 continues through K = 4
     ideal = numerator_ideal(EXAMPLES["degenerate"](), order=12)
     assert (ideal.case, ideal.L_or_K) == (CaseTag.ISOLATED_DEGENERATE, 4)
     assert solved_degrees == [1, 2, 3, 4]
-    assert ideal.branch.phi.order == 4
+    # branch, phi through the working order, is solved afresh on first read
+    assert ideal.working_order == 12
+    assert ideal.branch.phi.order == 12
+    assert solved_degrees == [1, 2, 3, 4] + list(range(1, 13))
+
+
+@pytest.mark.parametrize(
+    "p, order, top",
+    [
+        # phi is real through 12, and the solve continues through ord R = 14
+        (iterated_composition(7), 12, 14),
+        # the solve stops at 2L = 2 and continues through K = 8, past the order
+        (contact_order_lift(iterated_composition(4, n_vars=2)), 4, 8),
+    ],
+    ids=["iterated7", "lift4"],
+)
+def test_one_solve_runs_past_the_order(solved_degrees, p, order, top):
+    ideal = numerator_ideal(p, order=order)
+    assert solved_degrees == list(range(1, top + 1))
+    assert ideal.working_order == top
+    # the ideal's own solve is its branch, as the fresh solve would give it
+    assert ideal.branch == solve_branch(p, top)
+    assert solved_degrees == list(range(1, top + 1)) + list(range(1, top + 1))
+
+
+def test_definite_verdicts_solve_nothing_past_2l(solved_degrees):
+    p = EXAMPLES["linear3"]()
+    ideal = numerator_ideal(p, order=12)
+    assert (ideal.case, ideal.L_or_K) == (CaseTag.DEFINITE, 1)
+    assert solved_degrees == [1, 2]
+    verdicts = [
+        membership(p, parse(text, vars=p.vars), ideal=ideal)
+        for text in ("x^2", "x", "x^2 + x^12 + x^13")
+    ]
+    assert [v.verdict for v in verdicts] == [
+        Verdict.IN_IDEAL,
+        Verdict.NOT_IN_IDEAL,
+        Verdict.IN_IDEAL,
+    ]
+    for v in verdicts:
+        v.reduced_numerator, v.certificate
+    assert solved_degrees == [1, 2]
+    # the reduced numerator reaches the working order, not the branch's 2L
+    assert verdicts[2].reduced_numerator == parse("x^2 + x^12", vars=p.vars[:-1])
 
 
 def test_linear_form_solves_past_2l_on_the_first_read_of_branch(solved_degrees):

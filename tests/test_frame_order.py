@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from numideal import closure
-from numideal.branch import classify, solve_branch
+from numideal.branch import branch_series, classify
 from numideal.closure import line_frame, linear_change, monomialize
 from numideal.errors import NoMonomializationFound
 from numideal.examples import EXAMPLES
@@ -54,7 +54,7 @@ def outcome(monomialize_g, g):
 def comparable_g(p):
     """The g that `numerator_ideal` brings to a Newton polygon; p is neither
     Definite nor real through the order."""
-    cls = classify(solve_branch(p, 12, stop_at_imaginary=True))
+    cls = classify(next(branch_series(p, 12, stop_at_imaginary=True)))
     assert cls.L is not None and not cls.definite
     f, R = branch_factor(p)
     return comparable_resultant(f, R, cls.im_part_2L)

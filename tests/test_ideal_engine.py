@@ -10,7 +10,7 @@ import pytest
 
 from numideal import oracle
 from numideal.closure import ic_generators, monomialize
-from numideal.branch import classify, solve_branch
+from numideal.branch import branch_series, classify, solve_branch
 from numideal.construct import (
     iterated_composition,
     normalize_z_coefficient,
@@ -662,7 +662,11 @@ class TestTransport:
         scaling = {"x": (f"{a}*x", "1"), "y": (f"{b}*y", "1")}
         p = transport(degenerate, [scaling])
         descs = {order: numerator_ideal(p, order=order) for order in (1, 2, 4, 12)}
-        assert {d.branch.phi.order for d in descs.values()} == {4}
+        # the ideal's own solve stops at K at every order: H is Re phi
+        # through K - 1, and the working order is K where the order is below
+        H = solve_branch(p, 3).phi.poly.real_part()
+        assert all((d.L_or_K, d.H) == (4, H) for d in descs.values())
+        assert [d.working_order for d in descs.values()] == [4, 4, 4, 12]
         texts = [text for text, _ in DEGENERATE_CHECKS] + ["z", "x^2*z^3"]
         for text in texts:
             q = transport(parse(text, vars=p.vars), [scaling])
@@ -912,37 +916,39 @@ class TestOutOfScope:
 
 
 class TestPhiThroughWhatTheIdealReads:
-    """A Definite ideal reads phi through 2L only, so it solves phi that far
-    and no further; the printed phi comes from `cli.cmd_analyze`, which
-    solves again through --order."""
+    """A Definite ideal reads phi through 2L only, so its own solve runs the
+    degrees 1..2L once each, through ord R = 2L where phi is real through
+    the order; its branch, phi through the working order, is solved afresh
+    on its first read where 2L is below the order."""
 
     @staticmethod
-    def _check_definite(inputs):
+    def _check_definite(inputs, solved_degrees):
         seen = 0
         for p, order in inputs:
+            solved_degrees.clear()
             desc = numerator_ideal(p, order=order)
             if desc.case is not CaseTag.DEFINITE:
                 continue
             two_L = 2 * desc.L_or_K
-            phi = desc.branch.phi
-            assert phi.order == two_L
-            full = solve_branch(p, max(order, two_L)).phi.poly
-            assert phi.poly == full.truncate(two_L)
+            assert solved_degrees == list(range(1, two_L + 1))
+            assert desc.working_order == max(order, two_L)
+            assert desc.branch == solve_branch(p, desc.working_order)
             seen += 1
         return seen
 
-    def test_worked_and_iterated(self):
+    def test_worked_and_iterated(self, solved_degrees):
         inputs = [(EXAMPLES[name](), 12) for name in ("linear3", "p2")]
         inputs += [(iterated_composition(L), 12) for L in range(1, 8)]
-        assert self._check_definite(inputs) == 9
+        assert self._check_definite(inputs, solved_degrees) == 9
 
-    def test_random_batch(self):
+    def test_random_batch(self, solved_degrees):
         rng = random.Random(20240815)
         inputs = [(random_stable_polynomial(rng), 8) for _ in range(50)]
-        assert self._check_definite(inputs) == 50
+        assert self._check_definite(inputs, solved_degrees) == 50
 
-    def test_wide_corpus(self):
-        assert self._check_definite((p, 12) for p in _wide_corpus()) == 4
+    def test_wide_corpus(self, solved_degrees):
+        inputs = ((p, 12) for p in _wide_corpus())
+        assert self._check_definite(inputs, solved_degrees) == 4
 
     def test_zero_gradient_check_reads_past_2L(self):
         # 2L = 2, but the y^5 that breaks the zero-gradient check lies past
@@ -963,7 +969,7 @@ UNSTABLE_NEAR_0 = [
 
 def _comparable_g(p):
     """The g of `numerator_ideal`, built the way it builds it."""
-    cls = classify(solve_branch(p, 12, stop_at_imaginary=True))
+    cls = classify(next(branch_series(p, 12, stop_at_imaginary=True)))
     f, R = branch_factor(p)
     return comparable_resultant(f, R, cls.im_part_2L)
 
@@ -1003,7 +1009,7 @@ class TestComparableResultantScaling:
     @pytest.mark.parametrize("name", ["nonisolated", "degenerate"])
     def test_matches_term_scaling_under_units_and_scales(self, name):
         p = EXAMPLES[name]()
-        cls = classify(solve_branch(p, 12, stop_at_imaginary=True))
+        cls = classify(next(branch_series(p, 12, stop_at_imaginary=True)))
         f, R = branch_factor(p)
         units = [GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1)]
         units.append(GaussianRational(0, -1))

@@ -59,6 +59,7 @@ ALL = [
             "H": Y,
             "L_or_K": 2,
             "g": Y,
+            "working_order": 3,
             "branch": BranchSolution(PHI, ()),
             "classification": PhiClassification(None),
             "ic": MonomialIdealIC(*IC_ARGS),
