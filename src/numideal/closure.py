@@ -4,7 +4,9 @@ After a linear change of coordinates makes g comparable to a sum of even
 monomials, IC(g) is the monomial ideal of the Newton polyhedron (convex hull
 of the exponents plus the positive orthant): a series belongs iff every one
 of its terms does.  Non-members get an explicit witness curve along which
-|q|/g blows up.
+|q|/g blows up; `ic_membership` takes only a polygon with a vertex on each
+axis.  The engine reads the polygon and its frame only through
+`MonomialIdealIC`'s methods.
 
 `linear_change`, the one linear change of coordinates, lives here with its
 only callers, the frames of `monomialize` and `MonomialIdealIC`: it expands
@@ -40,6 +42,9 @@ class MonomialIdealIC(Record):
     by the u-exponent; halfspaces (wu, wv, m) mean wu*a + wv*b >= m, one per
     compact edge, and together with a >= u_min, b >= v_min they cut out the
     polyhedron exactly.
+    One vertex on an axis is LinearForm (`zero_line`, `line_order`), a
+    vertex on each axis an isolated zero (`isolated_exponent`), the only
+    polygon `ic_membership` takes.
     """
 
     __slots__ = ("change", "inverse", "newton_points", "halfspaces", "u_min", "v_min")
@@ -62,6 +67,44 @@ class MonomialIdealIC(Record):
 
     def from_uv_monomial(self, a: int, b: int, xy_vars) -> MultiPoly:
         return linear_change(MultiPoly(("u", "v"), {(a, b): 1}), self.change, xy_vars)
+
+    def zero_line(self, xy_vars) -> MultiPoly | None:
+        """ell with g ~ ell^k near 0, or None: when the Newton polygon is one
+        vertex on an axis, (k, 0) or (0, k), the frame line u or v of that
+        axis, a linear form in xy_vars.
+
+        This is the linear-form pattern Im phi_2L = c * ell^(2L), ell^(2L) | g.
+        Such a g vanishes on ell = 0, but is comparable to its vertex monomials
+        in an accepted frame, and they are positive off the axes; so ell is an
+        axis, and condition (a) of `monomialize` puts u^(2L) in every term.
+        Conversely, one vertex (2L, 0) makes g in the frame u^(2L) times a unit.
+        """
+        (a, b), *rest = self.newton_points
+        if rest or (a and b):
+            return None
+        c0, c1 = self.change[0] if b == 0 else self.change[1]
+        return MultiPoly(xy_vars, {(1, 0): c0, (0, 1): c1})
+
+    def line_order(self, q: MultiPoly) -> int | None:
+        """For a polygon of one vertex on an axis, the largest j with
+        ell^j | q, ell = `zero_line`: the least exponent in `to_uv(q)` of
+        the frame coordinate of that axis, or None for q = 0."""
+        axis = 0 if self.newton_points[0][1] == 0 else 1
+        return min((e[axis] for e in self.to_uv(q).rows), default=None)
+
+    def isolated_exponent(self) -> int:
+        """K with g >= c*|(x, y)|^K near 0: the larger axis intercept of the
+        Newton polygon.  The zero of g at 0 is isolated exactly when the polygon
+        has a vertex on each axis, since g is comparable to the sum of its
+        vertex monomials in the accepted frame."""
+        (a0, b0), (a1, b1) = self.newton_points[0], self.newton_points[-1]
+        if a0 != 0 or b1 != 0:
+            raise PreconditionError(
+                "zero at the origin is not isolated: the Newton polygon of g, "
+                f"vertices {list(self.newton_points)}, misses an axis; such "
+                "inputs are out of scope"
+            )
+        return max(b0, a1)
 
 
 def linear_change(poly: MultiPoly, rows, new_vars) -> MultiPoly:
@@ -350,12 +393,14 @@ def rational_circle_points(radius: Fraction, n: int = 32):
 
 def ic_membership(q: MultiPoly, ic: MonomialIdealIC):
     """Decide |q| <~ g near 0 via the Newton polyhedron; exact for the
-    polynomial q(x, y).
+    polynomial q(x, y).  The polygon of ic must have a vertex on each axis
+    (`MonomialIdealIC.isolated_exponent`), else PreconditionError.
 
     Returns (verdict, certificate): verdict True with per-term halfspace
     slacks, or False with a witness curve u = lu * s^wu, v = lv * s^wv along
     which |q| / g grows like s^(h0 - m) with h0 < m.
     """
+    ic.isolated_exponent()
     quv = ic.to_uv(q)
     if quv.is_zero():
         return True, {"terms": []}
@@ -367,29 +412,15 @@ def ic_membership(q: MultiPoly, ic: MonomialIdealIC):
                 for (a, b) in sorted(quv.rows)
             ]
         }
-    # find a separating weight with positive components and build a witness
-    best = None
-    for wu, wv, m in ic.halfspaces:
-        h0 = min(wu * a + wv * b for (a, b) in violated)
-        if h0 < m:
-            gap = m - h0
-            if best is None or gap > best[0]:
-                best = (gap, wu, wv, m, h0)
-    if best is None:
-        # only an axis bound is violated; synthesize a steep weight
-        W = 1 + max(
-            [b for (_, b) in violated] + [b for (_, b) in ic.newton_points]
-            + [a for (a, _) in violated] + [a for (a, _) in ic.newton_points]
-        )
-        for wu, wv in ((W, 1), (1, W)):
-            m = min(wu * a + wv * b for (a, b) in ic.newton_points)
-            h0 = min(wu * a + wv * b for (a, b) in violated)
-            if h0 < m:
-                best = (m - h0, wu, wv, m, h0)
-                break
-    if best is None:
+    # u_min = v_min = 0, so a violated exponent breaks a face: the witness
+    # takes the first face weight, positive, of the widest gap m - h0
+    faces = [
+        (wu, wv, m, min(wu * a + wv * b for (a, b) in violated))
+        for wu, wv, m in ic.halfspaces
+    ]
+    wu, wv, m, h0 = max(faces, key=lambda face: face[2] - face[3])
+    if h0 >= m:
         raise AssertionError("violated exponent without separating weight")
-    _, wu, wv, m, h0 = best
     # leading coefficient along u = lu s^wu, v = lv s^wv must be nonzero
     level = MultiPoly._lowest_terms(
         quv.vars,

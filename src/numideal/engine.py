@@ -143,37 +143,6 @@ def _monomials_of_degree(vars, degree, n=None):
     return [MultiPoly._from_rows(vars, 1, {e + rest: (1, 0)}) for e in rec(n, degree)]
 
 
-def _zero_line(ic, x_vars) -> MultiPoly | None:
-    """ell with g ~ ell^k near 0, or None: when the Newton polygon is one
-    vertex on an axis, (k, 0) or (0, k), the frame line u or v of that axis.
-
-    This is the linear-form pattern Im phi_2L = c * ell^(2L), ell^(2L) | g.
-    Such a g vanishes on ell = 0, but is comparable to its vertex monomials
-    in an accepted frame, and they are positive off the axes; so ell is an
-    axis, and condition (a) of `monomialize` puts u^(2L) in every term.
-    Conversely, one vertex (2L, 0) makes g in the frame u^(2L) times a unit.
-    """
-    (a, b), *rest = ic.newton_points
-    if rest or (a and b):
-        return None
-    c0, c1 = ic.change[0] if b == 0 else ic.change[1]
-    return MultiPoly(x_vars, {(1, 0): c0, (0, 1): c1})
-
-
-def _isolated_exponent(ic) -> int:
-    """K with g >= c*|(x, y)|^K near 0: the larger axis intercept of the
-    Newton polygon.  The zero of g at 0 is isolated exactly when the polygon
-    has a vertex on each axis, since g is comparable to the sum of its
-    vertex monomials in the accepted frame."""
-    (a0, b0), (a1, b1) = ic.newton_points[0], ic.newton_points[-1]
-    if a0 != 0 or b1 != 0:
-        raise PreconditionError(
-            "zero at the origin is not isolated: the Newton polygon of g, "
-            f"vertices {list(ic.newton_points)}, misses an axis"
-        )
-    return max(b0, a1)
-
-
 def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
     """The ideal of numerators q with q/p locally bounded near the origin.
 
@@ -191,9 +160,10 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
     through the working order, is that solve where it got there, and is
     otherwise solved afresh on its first read.  A degenerate Im phi_2L is
     decided by the Newton polygon that `monomialize` gives the comparable
-    g, once: `_zero_line` reads LinearForm off it, `_isolated_exponent` the
-    rest.  So `order` sets only how far phi, the Principal H and the
-    reduced numerators reach; no case tag or verdict depends on it.  The
+    g, once: its `MonomialIdealIC` reads LinearForm off it (`zero_line`),
+    and K the rest (`isolated_exponent`).  So `order` sets only how far
+    phi, the Principal H and the reduced numerators reach; no case tag or
+    verdict depends on it.  The
     LinearForm `reducer` is left to its first read, which `membership`
     makes, together with its unit-slope check.
     """
@@ -276,7 +246,7 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
             "as t -> 0+",
             witness=exc.witness,
         ) from None
-    ell = _zero_line(ic, x_vars)
+    ell = ic.zero_line(x_vars)
     if ell is not None:
         # f and f̄ lie in the ideal, so Re(conj(c0) f) does, and its z-slope
         # at 0 is |c0|^2 > 0: with ell^(2L) it generates the ideal
@@ -308,7 +278,7 @@ def numerator_ideal(p: MultiPoly, order: int = 12) -> IdealDescription:
         )
 
     # isolated degenerate zero: integral closure of g
-    K = _isolated_exponent(ic)
+    K = ic.isolated_exponent()
     if sol.phi.order < K:
         # continue the solve that stopped at 2L, or reached ord R, through K
         sol = series.send(K)
@@ -387,13 +357,10 @@ def membership(
         power = ideal.L_or_K
         # the reducer den z + num lies in the ideal and den(0) != 0, so q is
         # reduced exactly to den^deg_z q(x, -num/den), free of z, and den
-        # carries no factor of ell; ell is the frame coordinate of the axis
-        # that holds the polygon's one vertex, so ell^j | exact for j up to
-        # the least exponent of that coordinate in the frame
+        # carries no factor of ell: ell^j exactly divides it, j the ideal's
+        # `line_order` of the exact reduction
         slices = pseudo_remainder(q, ideal.reducer).slices("z")
-        exact = slices.get(0, MultiPoly.zero(p.vars[:-1]))
-        axis = 0 if ideal.ic.newton_points[0][1] == 0 else 1
-        j = min((e[axis] for e in ideal.ic.to_uv(exact).rows), default=None)
+        j = ideal.ic.line_order(slices.get(0, MultiPoly.zero(p.vars[:-1])))
 
         def reduce(_):
             # q(x, -Re phi(x)) through the order of phi: no verdict reads
@@ -444,10 +411,10 @@ def membership(
     # isolated degenerate: integral-closure membership.  The polygon has a
     # vertex on each axis with both intercepts <= K, so every monomial of
     # degree >= K, in any linear frame, lies in the polyhedron.  There it
-    # has at least the weight m of each face and of the synthesized steep
-    # weight, above the weight h0 < m of a violated exponent: the terms of
-    # degree >= K move neither the verdict nor the violating exponents nor
-    # the witness's weight line, only the slack list
+    # has at least the weight m of each face, above the weight h0 < m of a
+    # violated exponent: the terms of degree >= K move neither the verdict
+    # nor the violating exponents nor the witness's weight line, only the
+    # slack list
     from .closure import ic_membership
 
     ok, witness = ic_membership(q.subs({"z": -ideal.H}, ideal.L_or_K - 1), ideal.ic)

@@ -185,12 +185,10 @@ def _extremal_curve_points(desc: IdealDescription, radius: float):
     if desc.case is CaseTag.ISOLATED_DEGENERATE:
         (c00, c01), (c10, c11) = desc.ic.inverse
         weights = list(desc.ic.halfspaces) + [(1, 1, 0)]
+        # the polygon has a vertex on each axis: every face weight is positive
         for wu, wv, _m in weights:
-            wmin = min(wu, wv)
-            if wmin == 0:
-                continue
             # parametrize so the probe sits at distance ~radius from 0
-            s = radius ** (1.0 / wmin)
+            s = radius ** (1.0 / min(wu, wv))
             for lam in (1.0, -1.0, 0.5, -0.5):
                 for mu in (1.0, -1.0):
                     u = lam * s**wu

@@ -2,9 +2,9 @@
 
 Grammar: variables from {x, y, z, x1..x9}; integer and rational literals
 a/b; imaginary unit token i; operators + - * ^ with integer exponents;
-parentheses; whitespace insignificant.  The canonical printer emits the same
-grammar in graded-lexicographic term order with z last, so parse(format(p))
-is the identity.
+parentheses; whitespace insignificant; digits are ASCII 0-9 only.  The
+canonical printer emits the same grammar in graded-lexicographic term order
+with z last, so parse(format(p)) is the identity.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ VAR_PRIORITY = (
 )
 
 _KNOWN_VARS = set(VAR_PRIORITY)
+# not str.isdigit(), which holds for '²' and '١' too
+_DIGITS = frozenset("0123456789")
 
 
 def _tokenize(text: str):
@@ -41,18 +43,18 @@ def _tokenize(text: str):
             tokens.append((ch, ch, pos))
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos] in _DIGITS:
                 pos += 1
             num = int(text[start:pos])
             # rational literal a/b is one token
             if pos < n and text[pos] == "/":
                 after = pos + 1
-                if after < n and text[after].isdigit():
+                if after < n and text[after] in _DIGITS:
                     pos = after
                     dstart = pos
-                    while pos < n and text[pos].isdigit():
+                    while pos < n and text[pos] in _DIGITS:
                         pos += 1
                     den = int(text[dstart:pos])
                     if den == 0:
@@ -65,7 +67,7 @@ def _tokenize(text: str):
         if ch.isalpha():
             start = pos
             pos += 1
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos] in _DIGITS:
                 pos += 1
             name = text[start:pos]
             if name == "i":

@@ -163,7 +163,7 @@ class TestAnalyze:
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
-        reason="ROADMAP item 2: definiteness of Im phi_2L is sampled for 2L >= 4 "
+        reason="ROADMAP item 4: definiteness of Im phi_2L is sampled for 2L >= 4 "
         "in three or more x-variables",
     )
     def test_form_with_a_real_zero_is_not_definite(self, capsys):
@@ -213,6 +213,23 @@ class TestAnalyze:
         assert main(["analyze", text]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"parse error: {message}\n" and captured.out == ""
+
+    @pytest.mark.parametrize("text", ["z + x^²", "z + ١*x"])
+    def test_non_ascii_digit_is_a_parse_error(self, text):
+        res = run_cli("analyze", text)
+        assert res.returncode == 1
+        assert res.stderr.startswith("parse error: unexpected character ")
+        assert "Traceback" not in res.stderr and res.stdout == ""
+
+    def test_zero_that_is_not_isolated_exit_2(self):
+        # g = x^2*y^2, whose Newton polygon is one vertex, on neither axis
+        res = run_cli("analyze", "z + x + y + i*x^2*y^2")
+        assert res.returncode == 2
+        assert res.stderr == (
+            "error: zero at the origin is not isolated: the Newton polygon of"
+            " g, vertices [(2, 2)], misses an axis; such inputs are out of scope\n"
+        )
+        assert res.stdout == ""
 
     def test_unreadable_file_is_a_parse_error(self, tmp_path):
         missing = tmp_path / "missing.txt"

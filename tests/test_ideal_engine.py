@@ -21,7 +21,6 @@ from numideal.engine import (
     CaseTag,
     Verdict,
     _monomials_of_degree,
-    _zero_line,
     boundedness_oracle,
     membership,
     numerator_ideal,
@@ -37,7 +36,15 @@ from numideal.parsing import _term_sort_key, format_poly, parse
 from numideal.poly import MultiPoly
 from numideal.resultant import branch_factor, comparable_resultant, pseudo_remainder
 from test_integral_closure import assert_negative_along
-from transport import LINEAR_MAPS, UNIT_FACTORS, X_MAPS, Z_MAPS, label, transport
+from transport import (
+    LINEAR_MAPS,
+    UNIT_FACTORS,
+    X_MAPS,
+    Y_MAPS,
+    Z_MAPS,
+    label,
+    transport,
+)
 
 
 def _wide_corpus():
@@ -416,7 +423,24 @@ class TestLinearFormReduction:
     def test_zero_line(self, text, ell):
         g = parse(text, vars=("x", "y"))
         expected = None if ell is None else parse(ell, vars=("x", "y"))
-        assert _zero_line(monomialize(g), g.vars) == expected
+        assert monomialize(g).zero_line(g.vars) == expected
+
+    @pytest.mark.parametrize(
+        "text, orders",
+        [
+            (
+                "5/2*(2*x - 3*y)^4*(1 + x^2)",
+                {"(2*x - 3*y)^3*(1 + y)": 3, "(2*x - 3*y)^5": 5, "x": 0, "0": None},
+            ),
+            ("y^4*(1 + x)", {"x*y^2 + y^3": 2, "x*y": 1, "x": 0, "0": None}),
+        ],
+    )
+    def test_line_order(self, text, orders):
+        # the largest power of the zero line that divides q; the one vertex
+        # of the first g lies on the u-axis, that of the second on the v-axis
+        ic = monomialize(parse(text, vars=("x", "y")))
+        for q, j in orders.items():
+            assert ic.line_order(parse(q, vars=("x", "y"))) == j, q
 
     def test_zero_line_needs_an_accepted_frame(self):
         with pytest.raises(NoMonomializationFound):
@@ -602,19 +626,20 @@ TRANSPORT_CHECKS = [text for text, _ in DEGENERATE_CHECKS] + [
 ]
 
 
-# a Moebius map of x bends nonisolated's zero line of Im phi into a curve,
-# which no linear frame monomializes yet
+# a Moebius map of x or of y bends nonisolated's zero line of Im phi into a
+# curve, which no linear frame monomializes yet
 _CURVED_ZERO_LINE = pytest.mark.xfail(
     strict=True,
     raises=NoMonomializationFound,
-    reason="ROADMAP item 1: a smooth curved zero set of Im phi is not LinearForm",
+    reason="ROADMAP item 2: a smooth curved zero set of Im phi is not LinearForm",
 )
 
 
 def _transport_cases():
     for name in ("linear3", "degenerate", "p2", "nonisolated"):
-        for spec in X_MAPS + Z_MAPS + LINEAR_MAPS:
-            marks = _CURVED_ZERO_LINE if name == "nonisolated" and spec in X_MAPS else ()
+        for spec in X_MAPS + Y_MAPS + Z_MAPS + LINEAR_MAPS:
+            curved = name == "nonisolated" and spec in X_MAPS + Y_MAPS
+            marks = _CURVED_ZERO_LINE if curved else ()
             yield pytest.param(name, spec, id=f"{name}: {label(spec)}", marks=marks)
 
 

@@ -17,7 +17,7 @@ from numideal.closure import (
     rational_circle_points,
 )
 from numideal.engine import CaseTag, Verdict, membership, numerator_ideal
-from numideal.errors import NoMonomializationFound
+from numideal.errors import NoMonomializationFound, PreconditionError
 from numideal.forms import binary_form
 from numideal.gaussian import GaussianRational
 from numideal.parsing import format_poly, parse
@@ -489,34 +489,17 @@ class TestVerdictTable:
         assert ratios[-1] > 4 * ratios[0]
 
 
-class TestAxisOnlyWitness:
-    """g = (x + y)^2 is v^2 in the frame u = x - y, v = x + y: u_min = 0,
-    v_min = 2 and no halfspace.  A numerator that breaks only that axis
-    bound gets a steep synthesized weight (W, 1) or (1, W)."""
+class TestOpenPolygon:
+    """g = (x + y)^2 is v^2 in the frame u = x - y, v = x + y: one vertex
+    (0, 2), on one axis only, so its zero at 0 is not isolated, and
+    `ic_membership` takes only a polygon with a vertex on each axis."""
 
-    @pytest.mark.parametrize(
-        "text, weights, q_order, g_order",
-        [("x - y", (1, 3), 1, 6), ("y", (3, 1), 1, 2)],
-    )
-    def test_steep_weight_witness(self, text, weights, q_order, g_order):
-        g = parse("(x + y)^2", vars=("x", "y"))
-        ic = monomialize(g)
-        assert (ic.u_min, ic.v_min, ic.halfspaces) == (0, 2, ())
-        q = parse(text, vars=("x", "y"))
-        member, witness = ic_membership(q, ic)
-        assert member is False
-        curve = witness["curve"]
-        assert (curve["u_weight"], curve["v_weight"]) == weights
-        assert (curve["q_order"], curve["g_order"]) == (q_order, g_order)
-        # exactly along u = lu s^wu, v = lv s^wv: q has order q_order with
-        # a nonzero leading coefficient, and g has order g_order
-        lu, lv = curve["lambda"]
-        s = MultiPoly.variable(("s",), "s")
-        along = {"u": s**weights[0] * lu, "v": s**weights[1] * lv}
-        q_along, g_along = (ic.to_uv(f).subs(along) for f in (q, g))
-        assert not q_along.coefficient((q_order,)).is_zero()
-        assert q_along.min_degree() == q_order
-        assert g_along.min_degree() == g_order
+    @pytest.mark.parametrize("text", ["x - y", "y", "(x + y)^2"])
+    def test_membership_needs_a_vertex_on_each_axis(self, text):
+        ic = monomialize(parse("(x + y)^2", vars=("x", "y")))
+        assert ic.newton_points == ((0, 2),)
+        with pytest.raises(PreconditionError, match="not isolated"):
+            ic_membership(parse(text, vars=("x", "y")), ic)
 
 
 class TestGenerators:

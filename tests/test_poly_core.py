@@ -70,6 +70,22 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("x + w")
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("z + x^²", "unexpected character '²'", 6),
+            ("z + ١*x", "unexpected character '١'", 4),
+            ("z + x١", "unexpected character '١'", 5),
+            ("z + 1/٢", "expected digits after '/'", 6),
+        ],
+    )
+    def test_only_ascii_digits(self, text, message, position):
+        # str.isdigit() holds for '²' and '١': int() rejects the one and
+        # reads the other as 1
+        with pytest.raises(ParseError, match=message) as err:
+            parse(text)
+        assert err.value.position == position
+
     def test_variable_outside_given_vars_rejected(self):
         with pytest.raises(ParseError, match=r"'x' is not one of \('y', 'z'\)") as err:
             parse("z + 2*x", vars=("y", "z"))

@@ -10,7 +10,6 @@ from numideal.construct import iterated_composition
 from numideal.engine import (
     CaseTag,
     Verdict,
-    _isolated_exponent,
     membership,
     numerator_ideal,
 )
@@ -432,10 +431,10 @@ class TestFallbacks:
 
     def test_polygon_missing_an_axis_is_not_isolated(self):
         with pytest.raises(PreconditionError, match="not isolated"):
-            _isolated_exponent(monomialize(parse("(x + y)^2", vars=("x", "y"))))
+            monomialize(parse("(x + y)^2", vars=("x", "y"))).isolated_exponent()
         with pytest.raises(PreconditionError, match="not isolated"):
-            _isolated_exponent(monomialize(parse("x^2*y^2 + x^4*y^2", vars=("x", "y"))))
+            monomialize(parse("x^2*y^2 + x^4*y^2", vars=("x", "y"))).isolated_exponent()
 
     def test_axis_intercepts_give_k(self, degenerate_g):
-        assert _isolated_exponent(monomialize(degenerate_g)) == 4
-        assert _isolated_exponent(monomialize(parse("x^2 + y^6", vars=("x", "y")))) == 6
+        assert monomialize(degenerate_g).isolated_exponent() == 4
+        assert monomialize(parse("x^2 + y^6", vars=("x", "y"))).isolated_exponent() == 6

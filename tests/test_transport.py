@@ -128,7 +128,7 @@ def _words():
                 marks = pytest.mark.xfail(
                     strict=True,
                     raises=NoMonomializationFound,
-                    reason="ROADMAP item 1: a smooth curved zero set of Im phi "
+                    reason="ROADMAP item 2: a smooth curved zero set of Im phi "
                     "is not LinearForm",
                 )
             elif word_id in CURVED_VALLEY:

@@ -17,8 +17,9 @@ A map is one of:
 from numideal.construct import substitute_fractions
 from numideal.parsing import parse
 
-# real Moebius maps v -> v/(1 - c*v) of x and of z
+# real Moebius maps v -> v/(1 - c*v) of x, of y and of z
 X_MAPS = [{"x": ("x", "1 - x")}, {"x": ("x", "1 + 1/2*x")}, {"x": ("x", "1 - 3*x")}]
+Y_MAPS = [{"y": ("y", "1 - y")}, {"y": ("y", "1 + 1/2*y")}, {"y": ("y", "1 - 3*y")}]
 Z_MAPS = [{"z": ("z", "1 - z")}, {"z": ("z", "1 + 2*z")}, {"z": ("z", "1 - 1/3*z")}]
 # linear maps of (x, y) with nonnegative entries and nonzero determinant
 LINEAR_MAPS = [
